@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-shuffle vet lint fmt-check bench bench-store bench-wal bench-reshard bench-lsh bench-audit bench-serve sweep clean
+.PHONY: all build test test-race test-shuffle vet lint fmt-check bench bench-store bench-wal bench-reshard bench-lsh bench-audit bench-serve crowdbench-smoke sweep clean
 
 all: build test
 
@@ -78,6 +78,13 @@ bench-audit:
 # written to BENCH_serve.json.
 bench-serve:
 	$(GO) run ./cmd/benchrunner -servebench -serveout BENCH_serve.json
+
+# The repo's one end-to-end benchmark (bench/, its own module, so `go test
+# ./...` never reaches it): its unit tests, then every workload at tiny sizes
+# with the correctness gates on. Full runs: see bench/README.md.
+crowdbench-smoke:
+	$(GO) test -C bench ./...
+	$(GO) run -C bench repro/bench -smoke
 
 # Quick demonstration of the parallel sweep engine.
 sweep:

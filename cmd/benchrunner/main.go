@@ -39,7 +39,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -717,15 +716,14 @@ func runWALBench(o walBenchOpts, stdout io.Writer) error {
 	fullEl := time.Since(fullStart)
 	fmt.Fprintf(stdout, "  fairness.CheckAll:       %10s\n", fullEl.Round(time.Microsecond))
 
-	if len(last.man.Audit) == 0 {
-		return fmt.Errorf("walbench: checkpoint carries no audit state")
-	}
-	var state audit.State
-	if err := json.Unmarshal(last.man.Audit, &state); err != nil {
-		return err
-	}
+	// The warm path is timed from the sidecar read: LoadState decodes the
+	// image and rebuilds the candidate buckets.
 	warmStart := time.Now()
-	warmEng, err := audit.Resume(last.st, last.log, last.cfg.AuditConfig, &state)
+	state, err := audit.LoadState(last.st.Dir(), last.man, last.cfg.AuditConfig)
+	if err != nil {
+		return fmt.Errorf("walbench: %w", err)
+	}
+	warmEng, err := audit.Resume(last.st, last.log, last.cfg.AuditConfig, state)
 	if err != nil {
 		return err
 	}

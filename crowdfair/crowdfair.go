@@ -19,10 +19,10 @@
 package crowdfair
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/eventlog"
@@ -184,25 +184,47 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 		}
 		return &Platform{st: st, log: log, dir: dir, auditorCfg: cfg}, nil
 	}
-	st, man, err := store.Open(dir, 0, wopts)
+	man, err := store.ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	log, err := eventlog.OpenDurable(store.EventsDir(dir), wopts)
-	if err != nil {
-		return nil, err
+	// The store, the event trace and the auditor's saved state recover from
+	// disjoint files and share no data until audit.Resume joins them, so
+	// the three run side by side.
+	var (
+		wg     sync.WaitGroup
+		log    *eventlog.Log
+		logErr error
+		state  *audit.State
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		log, logErr = eventlog.OpenDurable(store.EventsDir(dir), wopts)
+	}()
+	go func() {
+		defer wg.Done()
+		// No usable saved state (none recorded, a damaged sidecar, another
+		// config) is not an error: the auditor cold-starts.
+		state, _ = audit.LoadState(dir, man, cfg)
+	}()
+	st, _, err := store.Open(dir, 0, wopts)
+	wg.Wait()
+	if err != nil || logErr != nil {
+		if err == nil {
+			st.Close()
+		}
+		if logErr == nil {
+			log.Close()
+		}
+		return nil, errors.Join(err, logErr)
 	}
 	p := &Platform{st: st, log: log, dir: dir, auditorCfg: cfg}
-	if len(man.Audit) > 0 {
-		var state audit.State
-		if err := json.Unmarshal(man.Audit, &state); err == nil &&
-			state.ConfigSig == audit.ConfigSig(cfg) {
-			// A failed resume (e.g. the store reopened at a different shard
-			// width) is not an error — the first AuditIncremental simply
-			// cold-starts.
-			if eng, err := audit.Resume(st, log, cfg, &state); err == nil {
-				p.auditor = eng
-			}
+	if state != nil {
+		// Nor is a failed resume (e.g. the store reopened at a different
+		// shard width): the first AuditIncremental cold-starts.
+		if eng, err := audit.Resume(st, log, cfg, state); err == nil {
+			p.auditor = eng
 		}
 	}
 	return p, nil
@@ -212,21 +234,18 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 func (p *Platform) Durable() bool { return p.dir != "" }
 
 // Checkpoint writes a recovery point under the platform's directory: the
-// store snapshot, the manifest (including the incremental auditor's warm
-// state, when one exists), and truncates write-ahead segments both the
+// store snapshot, the incremental auditor's warm state (when one exists),
+// the manifest naming both, and truncates write-ahead segments both the
 // snapshot and the auditor have passed. Only durable platforms checkpoint.
 func (p *Platform) Checkpoint() error {
 	if p.dir == "" {
 		return fmt.Errorf("crowdfair: checkpoint of an in-memory platform (use OpenPlatform)")
 	}
-	o, err := audit.BuildCheckpointOptions(p.auditor, p.auditorCfg, p.log.Len())
-	if err != nil {
-		return fmt.Errorf("crowdfair: %w", err)
-	}
+	o := audit.BuildCheckpointOptions(p.auditor, p.auditorCfg, p.log.Len())
 	if err := p.log.Sync(); err != nil {
 		return err
 	}
-	_, err = p.st.Checkpoint(o)
+	_, err := p.st.Checkpoint(o)
 	return err
 }
 

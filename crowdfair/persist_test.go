@@ -2,8 +2,11 @@ package crowdfair
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/similarity"
 )
 
@@ -187,5 +190,93 @@ func TestLoadTraceRefusedOnDurablePlatform(t *testing.T) {
 	defer p.Close()
 	if err := p.LoadTrace(nil); err == nil {
 		t.Fatal("LoadTrace succeeded on a durable platform")
+	}
+}
+
+// TestOpenPlatformDamagedAuditSidecarColdStarts: the auditor's saved state
+// is an accelerator, never a dependency — with the sidecar cut short,
+// bit-flipped or gone the platform still opens, the auditor cold-starts,
+// and its first report equals the from-scratch audit.
+func TestOpenPlatformDamagedAuditSidecarColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	u := NewUniverse("translation", "labeling")
+	cfg := DefaultAuditConfig()
+	p, err := OpenPlatform(dir, u, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddRequester(&Requester{ID: "r1"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		w := &Worker{
+			ID:       WorkerID(fmt.Sprintf("w%02d", i)),
+			Computed: Attributes{"acceptance_ratio": Num(0.9)},
+			Skills:   u.MustVector("labeling"),
+		}
+		if err := p.AddWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		task := &Task{ID: TaskID(fmt.Sprintf("t%d", i)), Requester: "r1", Skills: u.MustVector("labeling"), Reward: 1}
+		if err := p.PostTask(task); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Offer(task.ID, WorkerID(fmt.Sprintf("w%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.AuditIncremental(cfg)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Offer("t0", "w07"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sidecars, err := filepath.Glob(filepath.Join(dir, "audit-*.bin"))
+	if err != nil || len(sidecars) != 1 {
+		t.Fatalf("sidecars %v (%v), want one", sidecars, err)
+	}
+	good, err := os.ReadFile(sidecars[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x20
+	for _, tc := range []struct {
+		name string
+		data []byte // nil: the file is removed
+		warm bool
+	}{
+		{"intact", good, true},
+		{"truncated", good[:len(good)-7], false},
+		{"bit flip", flipped, false},
+		{"missing", nil, false},
+	} {
+		if tc.data == nil {
+			err = os.Remove(sidecars[0])
+		} else {
+			err = os.WriteFile(sidecars[0], tc.data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := OpenPlatform(dir, nil, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if warm := p2.auditor != nil; warm != tc.warm {
+			t.Fatalf("%s: warm start = %v, want %v", tc.name, warm, tc.warm)
+		}
+		if got, want := p2.AuditIncremental(cfg), p2.AuditFairness(cfg); !audit.ViolationsEqual(got, want) {
+			t.Fatalf("%s: first incremental audit differs from the full audit", tc.name)
+		}
+		if err := p2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

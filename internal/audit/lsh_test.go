@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -73,9 +72,9 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	if state.Index == nil || state.Index.Kind != fairness.CandidateLSH {
 		t.Fatalf("state.Index = %+v, want LSH image", state.Index)
 	}
-	if len(state.Index.Workers) != s.wn || len(state.Index.Tasks) != s.tn {
+	if len(state.Index.Workers.IDs) != s.wn || len(state.Index.Tasks.IDs) != s.tn {
 		t.Fatalf("index image has %d workers / %d tasks, store has %d / %d",
-			len(state.Index.Workers), len(state.Index.Tasks), s.wn, s.tn)
+			len(state.Index.Workers.IDs), len(state.Index.Tasks.IDs), s.wn, s.tn)
 	}
 
 	checkpointWithAudit(t, s.st, s.log, eng, cfg)
@@ -121,23 +120,19 @@ func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 	cfg := lshConfig(1)
 	eng := New(s.st, s.log, cfg)
 	eng.Audit()
-	blob, err := json.Marshal(eng.State())
+	state, err := DecodeState(eng.State().Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var state State
-	if err := json.Unmarshal(blob, &state); err != nil {
+	// Another seed, then (same seed) a signature run one slot short: both
+	// must route to buildIndexes without error.
+	cfg2 := lshConfig(2)
+	warm, err := Resume(s.st, s.log, cfg2, state)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one signature and shift the recorded seed; both paths must
-	// route to buildIndexes without error.
-	state.Index.Seed++
-	for id := range state.Index.Workers {
-		state.Index.Workers[id] = "not base64!"
-		break
-	}
-	cfg2 := lshConfig(2)
-	warm, err := Resume(s.st, s.log, cfg2, &state)
+	state.Index.Workers.Sigs = state.Index.Workers.Sigs[1:]
+	short, err := Resume(s.st, s.log, cfg, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +140,7 @@ func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 		s.mutate()
 	}
 	requireEquivalent(t, 0, warm.Audit(), fairness.CheckAll(s.st, s.log, cfg2))
+	requireEquivalent(t, 1, short.Audit(), fairness.CheckAll(s.st, s.log, cfg))
 }
 
 // ConfigSig must separate configs that differ only in candidate backend or

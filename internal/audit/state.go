@@ -1,9 +1,6 @@
 package audit
 
 import (
-	"encoding/base64"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,26 +15,22 @@ import (
 // BuildCheckpointOptions assembles the store.CheckpointOptions every
 // durable surface (crowdfair.Platform.Checkpoint, sim's end-of-run
 // checkpoint) hands to store.Checkpoint: the event count plus — when eng
-// has completed at least one pass — the engine's serialised state, signed
-// with cfg's fingerprint, and the changelog cursors that protect its WAL
-// records from truncation. A nil or unprimed engine yields plain options.
-func BuildCheckpointOptions(eng *Engine, cfg fairness.Config, events int) (store.CheckpointOptions, error) {
+// has completed at least one pass — the engine's encoded state, signed with
+// cfg's fingerprint, and the changelog cursors that protect its WAL records
+// from truncation. A nil or unprimed engine yields plain options.
+func BuildCheckpointOptions(eng *Engine, cfg fairness.Config, events int) store.CheckpointOptions {
 	o := store.CheckpointOptions{Events: events}
 	if eng == nil {
-		return o, nil
+		return o
 	}
 	state := eng.State()
 	if state == nil {
-		return o, nil
+		return o
 	}
 	state.ConfigSig = ConfigSig(cfg)
-	blob, err := json.Marshal(state)
-	if err != nil {
-		return o, fmt.Errorf("audit: encode state: %w", err)
-	}
-	o.Audit = blob
+	o.Audit = state.Encode()
 	o.AuditCursors = state.Cursors
-	return o, nil
+	return o
 }
 
 // ConfigSig deterministically fingerprints the checker-relevant fields of
@@ -79,99 +72,95 @@ func ConfigSig(cfg fairness.Config) string {
 	return b.String()
 }
 
-// State is the serialisable warm-start image of an Engine: the changelog
-// cursors, the event-log position, the temporal indexes (deduplicated
-// offer sets, flagged workers, the Axiom 5 stream), and every maintained
-// verdict. It is what Platform.Checkpoint embeds in the store manifest so
-// a restarted auditor replays only post-checkpoint deltas — no full event
-// replay, no candidate-pair scan.
+// State is the warm-start image of an Engine: the changelog cursors, the
+// event-log position, the temporal indexes (deduplicated offer sets, flagged
+// workers, the Axiom 5 stream), and every maintained verdict. Checkpoint
+// stores its binary encoding (Encode) in the audit-<version>.bin sidecar the
+// manifest names, so a restarted auditor replays only post-checkpoint deltas
+// — no full event replay, no candidate-pair scan.
 //
 // Only the similarity cache is deliberately NOT serialised: it re-warms on
 // demand, and persisting revision-keyed scores across a restart would tie
 // the state format to the cache layout for little gain.
 type State struct {
 	// ConfigSig fingerprints the fairness.Config the verdicts were computed
-	// under; callers (crowdfair) compare it before resuming and cold-start
-	// on mismatch. Opaque to this package.
-	ConfigSig string `json:"config_sig,omitempty"`
+	// under; LoadState compares it before a resume and callers cold-start on
+	// mismatch.
+	ConfigSig string
 	// Cursors are the per-shard changelog positions at save time.
-	Cursors []uint64 `json:"cursors"`
+	Cursors []uint64
 	// EventPos is the event-log cursor position at save time.
-	EventPos int `json:"event_pos"`
+	EventPos int
 
 	// Offers are the access index's deduplicated per-worker offer sets
 	// (the task-audience direction is derived on restore); Flagged lists
 	// the workers the platform ever flagged; Ax5 is the streaming Axiom 5
 	// checker's image. Together they stand in for replaying the event
 	// prefix [0, EventPos).
-	Offers  map[model.WorkerID][]model.TaskID `json:"offers,omitempty"`
-	Flagged []model.WorkerID                  `json:"flagged,omitempty"`
-	Ax5     *fairness.Axiom5State             `json:"ax5,omitempty"`
+	Offers  map[model.WorkerID][]model.TaskID
+	Flagged []model.WorkerID
+	Ax5     *fairness.Axiom5State
 
-	Ax1Violations []fairness.Violation `json:"ax1_violations,omitempty"`
-	Ax1Pairs      [][2]string          `json:"ax1_pairs,omitempty"`
-	Ax2Violations []fairness.Violation `json:"ax2_violations,omitempty"`
-	Ax2Pairs      [][2]string          `json:"ax2_pairs,omitempty"`
+	Ax1Violations []fairness.Violation
+	Ax1Pairs      [][2]string
+	Ax2Violations []fairness.Violation
+	Ax2Pairs      [][2]string
 
-	Ax3Violations map[model.TaskID][]fairness.Violation `json:"ax3_violations,omitempty"`
-	Ax3Checked    map[model.TaskID]int                  `json:"ax3_checked,omitempty"`
+	Ax3Violations map[model.TaskID][]fairness.Violation
+	Ax3Checked    map[model.TaskID]int
 
-	Ax4Violations map[model.WorkerID]fairness.Violation `json:"ax4_violations,omitempty"`
-	Ax4Eligible   []model.WorkerID                      `json:"ax4_eligible,omitempty"`
+	Ax4Violations map[model.WorkerID]fairness.Violation
+	Ax4Eligible   []model.WorkerID
 
-	// Index is the serialised candidate-index image (nil in states saved
-	// before the candidate layer existed; Resume then rebuilds linearly).
-	Index *IndexState `json:"index,omitempty"`
+	// Index is the candidate-index image (nil reads as "none saved": Resume
+	// then rebuilds linearly).
+	Index *IndexState
 }
 
 // IndexState is the warm-start image of the engine's candidate indexes.
-// For the LSH backend it carries every entity's MinHash signature
-// (base64-encoded little-endian uint32s), so Resume restores the banded
-// buckets by re-bucketing stored signatures — linear in entity count, with
+// For the LSH backend it carries every entity's MinHash signature, ids
+// sorted, signatures concatenated in id order — encoded as one raw
+// little-endian uint32 run per table — so Resume restores the banded
+// buckets by re-bucketing stored signatures: linear in entity count, with
 // no token re-hashing and no pairwise work. For the exact backend only the
 // kind is recorded: rebuilding the inverted index from store snapshots is
 // already linear, and its token lists are bulkier than the entities
-// themselves. If the recorded shape (kind, seed, band/row geometry) does
-// not match the resuming config's plan, or a signature fails to decode,
-// Resume falls back to a from-scratch build — correctness never depends on
-// the image being usable.
+// themselves. If the recorded shape (kind, seed, band/row geometry, run
+// length) does not match the resuming config's plan, Resume falls back to a
+// from-scratch build — correctness never depends on the image being usable.
 type IndexState struct {
-	Kind string `json:"kind"`
-	Seed uint64 `json:"seed,omitempty"`
+	Kind string
+	Seed uint64
 
-	WorkerBands int `json:"worker_bands,omitempty"`
-	WorkerRows  int `json:"worker_rows,omitempty"`
-	TaskBands   int `json:"task_bands,omitempty"`
-	TaskRows    int `json:"task_rows,omitempty"`
+	WorkerBands, WorkerRows int
+	TaskBands, TaskRows     int
 
-	// Workers and Tasks map entity id → encoded signature (LSH only).
-	Workers map[string]string `json:"workers,omitempty"`
-	Tasks   map[string]string `json:"tasks,omitempty"`
+	// Workers and Tasks hold the signatures (LSH only).
+	Workers, Tasks SigTable
+
+	// workerIx and taskIx are the indexes restore rebuilt from the runs,
+	// until Resume claims them (both set or both nil).
+	workerIx, taskIx *similarity.LSHIndex
 }
 
-// encodeSig packs a MinHash signature as base64 over little-endian
-// uint32s — compact, JSON-safe, and byte-deterministic for a given
-// signature.
-func encodeSig(sig []uint32) string {
-	buf := make([]byte, 4*len(sig))
-	for i, v := range sig {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
-	}
-	return base64.StdEncoding.EncodeToString(buf)
+// SigTable is one LSH index's signatures: IDs strictly ascending, and
+// IDs[i]'s k-slot signature at Sigs[i*k : (i+1)*k].
+type SigTable struct {
+	IDs  []string
+	Sigs []uint32
 }
 
-// decodeSig inverts encodeSig, checking that the payload holds exactly k
-// slots.
-func decodeSig(s string, k int) ([]uint32, bool) {
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil || len(buf) != 4*k {
-		return nil, false
+// sigTable exports an index's signatures in id order (copied: the index
+// recycles signature storage on the next mutation).
+func sigTable(x *similarity.LSHIndex) SigTable {
+	t := SigTable{IDs: make([]string, 0, x.Len())}
+	x.Signatures(func(id string, _ []uint32) { t.IDs = append(t.IDs, id) })
+	sort.Strings(t.IDs)
+	t.Sigs = make([]uint32, 0, len(t.IDs)*x.Params().K())
+	for _, id := range t.IDs {
+		t.Sigs = append(t.Sigs, x.Signature(id)...)
 	}
-	sig := make([]uint32, k)
-	for i := range sig {
-		sig[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return sig, true
+	return t
 }
 
 // indexState exports the engine's candidate indexes for serialisation.
@@ -185,67 +174,66 @@ func (e *Engine) indexState() *IndexState {
 	ix.WorkerBands, ix.WorkerRows = e.plan.Worker.Bands, e.plan.Worker.Rows
 	ix.TaskBands, ix.TaskRows = e.plan.Task.Bands, e.plan.Task.Rows
 	if w, ok := e.workerIx.(*similarity.LSHIndex); ok {
-		ix.Workers = make(map[string]string, w.Len())
-		w.Signatures(func(id string, sig []uint32) { ix.Workers[id] = encodeSig(sig) })
+		ix.Workers = sigTable(w)
 	}
 	if t, ok := e.taskIx.(*similarity.LSHIndex); ok {
-		ix.Tasks = make(map[string]string, t.Len())
-		t.Signatures(func(id string, sig []uint32) { ix.Tasks[id] = encodeSig(sig) })
+		ix.Tasks = sigTable(t)
 	}
 	return ix
 }
 
-// restoreIndexes installs candidate indexes from a serialised image,
-// falling back to a from-scratch build when the image is missing, is for a
-// different plan shape, or holds an undecodable signature. Caller holds
-// e.mu. Both paths are linear in entity count; neither enumerates pairs.
-func (e *Engine) restoreIndexes(ix *IndexState) {
-	if ix == nil || ix.Kind != e.plan.Kind {
-		e.buildIndexes()
+// restore rebuilds the LSH indexes the image holds, when it was saved under
+// plan's shape; otherwise — another backend or seed, other band geometry, a
+// signature run of the wrong length, an exact image (which carries no
+// payload) — it leaves them nil and Resume builds from the store. Linear in
+// entity count either way; neither enumerates pairs.
+//
+// An index recycles signature storage as entities change, so the runs move
+// into the new indexes and the image is blanked: a State warm-starts one
+// engine, and a second Resume from it rebuilds from the store instead of
+// aliasing the first engine's signatures.
+func (ix *IndexState) restore(plan fairness.IndexPlan) {
+	if ix.Kind != plan.Kind || plan.Kind != fairness.CandidateLSH || ix.Seed != plan.Seed ||
+		ix.WorkerBands != plan.Worker.Bands || ix.WorkerRows != plan.Worker.Rows ||
+		ix.TaskBands != plan.Task.Bands || ix.TaskRows != plan.Task.Rows {
 		return
 	}
-	if e.plan.Kind != fairness.CandidateLSH {
-		// Exact images carry no payload; rebuild the inverted index from the
-		// store (linear in total token count).
-		e.buildIndexes()
-		return
+	wix, wok := restoreLSH(plan.Worker, ix.Workers)
+	tix, tok := restoreLSH(plan.Task, ix.Tasks)
+	*ix = IndexState{}
+	if wok && tok {
+		ix.workerIx, ix.taskIx = wix, tix
 	}
-	if ix.Seed != e.plan.Seed ||
-		ix.WorkerBands != e.plan.Worker.Bands || ix.WorkerRows != e.plan.Worker.Rows ||
-		ix.TaskBands != e.plan.Task.Bands || ix.TaskRows != e.plan.Task.Rows {
-		e.buildIndexes()
-		return
-	}
-	wix, ok := restoreLSH(e.plan.Worker, ix.Workers)
-	if !ok {
-		e.buildIndexes()
-		return
-	}
-	tix, ok := restoreLSH(e.plan.Task, ix.Tasks)
-	if !ok {
-		e.buildIndexes()
-		return
-	}
-	e.workerIx = wix
-	e.taskIx = tix
 }
 
-// restoreLSH decodes a serialised signature map and bulk-installs it into a
-// fresh index (decoding serially, band hashing and bucket insertion on the
-// parallel pool). ok is false when any signature fails to decode.
-func restoreLSH(params similarity.LSHParams, encoded map[string]string) (*similarity.LSHIndex, bool) {
-	ids := make([]string, 0, len(encoded))
-	sigs := make([][]uint32, 0, len(encoded))
-	for id, enc := range encoded {
-		sig, ok := decodeSig(enc, params.K())
-		if !ok {
-			return nil, false
-		}
-		ids = append(ids, id)
-		sigs = append(sigs, sig)
+// claim hands Resume the indexes restore built — restoring now unless
+// LoadState already has — or nils when the image (possibly nil) was not
+// usable under plan.
+func (ix *IndexState) claim(plan fairness.IndexPlan) (wix, tix *similarity.LSHIndex) {
+	if ix == nil {
+		return nil, nil
+	}
+	ix.restore(plan)
+	wix, tix = ix.workerIx, ix.taskIx
+	ix.workerIx, ix.taskIx = nil, nil
+	return wix, tix
+}
+
+// restoreLSH bulk-installs a signature table into a fresh index (band
+// hashing and bucket insertion on the parallel pool), which takes over
+// t.Sigs. ok is false when the run length does not match the plan's
+// signature width.
+func restoreLSH(params similarity.LSHParams, t SigTable) (*similarity.LSHIndex, bool) {
+	k := params.K()
+	if len(t.Sigs) != len(t.IDs)*k {
+		return nil, false
+	}
+	sigs := make([][]uint32, len(t.IDs))
+	for i := range sigs {
+		sigs[i] = t.Sigs[i*k : (i+1)*k : (i+1)*k]
 	}
 	x := similarity.NewLSHIndex(params)
-	x.BulkUpsertSignatures(ids, sigs)
+	x.BulkUpsertSignatures(t.IDs, sigs)
 	return x, true
 }
 
@@ -323,7 +311,8 @@ func (e *Engine) State() *State {
 // on the state being fresh.
 //
 // The caller is responsible for checking State.ConfigSig against cfg (the
-// engine cannot compare the function-valued config itself).
+// engine cannot compare the function-valued config itself; LoadState does).
+// Resume consumes state's index image (see IndexState.restore).
 func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *State) (*Engine, error) {
 	if state == nil {
 		return nil, fmt.Errorf("audit: resume from nil state")
@@ -370,7 +359,11 @@ func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *Stat
 	for _, id := range state.Ax4Eligible {
 		e.ax4Eligible[id] = true
 	}
-	e.restoreIndexes(state.Index)
+	if wix, tix := state.Index.claim(e.plan); wix != nil {
+		e.workerIx, e.taskIx = wix, tix
+	} else {
+		e.buildIndexes()
+	}
 	e.primed = true
 	return e, nil
 }

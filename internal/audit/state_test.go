@@ -1,7 +1,7 @@
 package audit
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,10 +41,7 @@ func durableScenario(tb testing.TB, seed uint64, dir string, opts wal.Options) *
 // way the crowdfair/sim layers do.
 func checkpointWithAudit(tb testing.TB, st *store.Store, log *eventlog.Log, eng *Engine, cfg fairness.Config) *store.Manifest {
 	tb.Helper()
-	o, err := BuildCheckpointOptions(eng, cfg, log.Len())
-	if err != nil {
-		tb.Fatal(err)
-	}
+	o := BuildCheckpointOptions(eng, cfg, log.Len())
 	if len(o.Audit) == 0 {
 		tb.Fatal("engine state empty after audit")
 	}
@@ -55,17 +52,14 @@ func checkpointWithAudit(tb testing.TB, st *store.Store, log *eventlog.Log, eng 
 	return man
 }
 
-// resumeFromManifest recovers the engine from a manifest's audit blob.
+// resumeFromManifest recovers the engine from the sidecar a manifest names.
 func resumeFromManifest(tb testing.TB, st *store.Store, log *eventlog.Log, cfg fairness.Config, man *store.Manifest) *Engine {
 	tb.Helper()
-	if len(man.Audit) == 0 {
-		tb.Fatal("manifest has no audit state")
-	}
-	var state State
-	if err := json.Unmarshal(man.Audit, &state); err != nil {
+	state, err := LoadState(st.Dir(), man, cfg)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, err := Resume(st, log, cfg, &state)
+	eng, err := Resume(st, log, cfg, state)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -233,10 +227,11 @@ func TestResumeRejectsMismatchedShape(t *testing.T) {
 	}
 }
 
-// TestStateRoundTripsThroughJSON pins that a state survives the manifest
-// embedding byte-for-byte semantically: resuming from a decoded copy gives
-// the same first-audit reports as resuming from the original.
-func TestStateRoundTripsThroughJSON(t *testing.T) {
+// TestStateRoundTripsThroughBinary pins that a state survives the sidecar
+// encoding: the image is deterministic and re-encodes to itself, and
+// resuming from a decoded copy gives the same first-audit reports as
+// resuming from the original.
+func TestStateRoundTripsThroughBinary(t *testing.T) {
 	s := newScenario(t, 9)
 	s.seed(40, 20, 150, 30)
 	cfg := fairness.DefaultConfig()
@@ -247,13 +242,13 @@ func TestStateRoundTripsThroughJSON(t *testing.T) {
 	}
 	eng.Audit()
 	state := eng.State()
-	blob, err := json.Marshal(state)
+	blob := state.Encode()
+	decoded, err := DecodeState(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded State
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(decoded.Encode(), blob) || !bytes.Equal(eng.State().Encode(), blob) {
+		t.Fatal("state image is not deterministic")
 	}
 	for i := 0; i < 25; i++ {
 		s.mutate()
@@ -262,7 +257,7 @@ func TestStateRoundTripsThroughJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Resume(s.st, s.log, cfg, &decoded)
+	b, err := Resume(s.st, s.log, cfg, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

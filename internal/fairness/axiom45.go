@@ -191,18 +191,18 @@ func (s *Axiom5Stream) Observe(e eventlog.Event) {
 // Axiom5Start is one in-flight (started, not yet submitted or interrupted)
 // task in a serialised Axiom5Stream.
 type Axiom5Start struct {
-	Worker model.WorkerID `json:"worker"`
-	Task   model.TaskID   `json:"task"`
-	Time   int64          `json:"time"`
+	Worker model.WorkerID
+	Task   model.TaskID
+	Time   int64
 }
 
 // Axiom5State is the serialisable image of an Axiom5Stream. Violations
 // keep their observation order so a restored stream renders reports
 // identical to one that observed the whole trace.
 type Axiom5State struct {
-	InFlight   []Axiom5Start `json:"in_flight,omitempty"`
-	Checked    int           `json:"checked"`
-	Violations []Violation   `json:"violations,omitempty"`
+	InFlight   []Axiom5Start
+	Checked    int
+	Violations []Violation
 }
 
 // Save captures the stream for a checkpoint.

@@ -89,7 +89,9 @@ func (s *Server) dispatch() {
 	for {
 		select {
 		case <-s.stopc:
-			s.drainAll(batch)
+			// batch still holds the last applied batch's ops: start the
+			// drain empty, or Stop would apply them a second time.
+			s.drainAll(batch[:0])
 			return
 		case first := <-s.ops:
 			batch = append(batch[:0], first)

@@ -313,3 +313,27 @@ func TestStatszAndDebugVars(t *testing.T) {
 	resp = doJSON(t, "GET", ts.URL+"/debug/pprof/cmdline", nil)
 	wantStatus(t, resp, 200)
 }
+
+// TestStopAppliesNothingTwice pins shutdown: Stop drains what is queued but
+// must not re-apply the dispatcher's last batch (an offer applied twice is
+// a second event), and a second Stop returns instead of panicking.
+func TestStopAppliesNothingTwice(t *testing.T) {
+	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1"))
+	s := serve.New(serve.Config{Platform: p, AuditEvery: -1})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r1"}), 200)
+	w := &model.Worker{ID: "w1", Skills: model.SkillVector{true, false}}
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/workers", w), 200)
+	task := &model.Task{ID: "t1", Requester: "r1", Skills: model.SkillVector{true, false}, Reward: 1}
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/tasks", task), 200)
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/offers", &crowdfair.Offer{Task: "t1", Worker: "w1"}), 200)
+
+	before := p.Log().Len()
+	s.Stop()
+	if after := p.Log().Len(); after != before {
+		t.Fatalf("Stop re-applied the last batch: %d events -> %d", before, after)
+	}
+	s.Stop()
+}

@@ -104,9 +104,10 @@ type Server struct {
 	p   *Platform
 	mux *http.ServeMux
 
-	ops   chan *op
-	stopc chan struct{}
-	wg    sync.WaitGroup
+	ops      chan *op
+	stopc    chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 
 	// snapshot is the cached audit result reads are served from; audited
 	// is the store version stamped into it (the admission lag baseline).
@@ -195,9 +196,10 @@ func (s *Server) Start() {
 }
 
 // Stop drains the dispatcher (queued mutations are applied, not dropped)
-// and stops the audit loop. The platform stays usable.
+// and stops the audit loop. The platform stays usable. Stopping a stopped
+// server is a no-op.
 func (s *Server) Stop() {
-	close(s.stopc)
+	s.stopOnce.Do(func() { close(s.stopc) })
 	s.wg.Wait()
 }
 

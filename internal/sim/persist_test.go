@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,17 +62,11 @@ func recoverRun(t *testing.T, dir string) (*store.Store, *store.Manifest, *event
 // counts — to a cold fairness.CheckAll over the same recovered trace.
 func requireWarmEqualsCold(t *testing.T, st *store.Store, man *store.Manifest, log *eventlog.Log, cfg fairness.Config) {
 	t.Helper()
-	if len(man.Audit) == 0 {
-		t.Fatal("manifest carries no audit state")
-	}
-	var state audit.State
-	if err := json.Unmarshal(man.Audit, &state); err != nil {
+	state, err := audit.LoadState(st.Dir(), man, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if state.ConfigSig != audit.ConfigSig(cfg) {
-		t.Fatalf("config signature mismatch: %q vs %q", state.ConfigSig, audit.ConfigSig(cfg))
-	}
-	warmEng, err := audit.Resume(st, log, cfg, &state)
+	warmEng, err := audit.Resume(st, log, cfg, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +160,14 @@ func TestRunPersistRecoverAfterTornRecord(t *testing.T) {
 	st, man, log := recoverRun(t, dir)
 	defer st.Close()
 	defer log.Close()
-	if len(man.Audit) == 0 {
-		t.Fatal("no audit state")
-	}
-	var state audit.State
-	if err := json.Unmarshal(man.Audit, &state); err != nil {
+	state, err := audit.LoadState(dir, man, cfg.AuditConfig)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if state.EventPos > log.Len() {
 		// The tear removed events the state depends on: resuming must be
 		// refused, and a cold engine still matches the full scan.
-		if _, err := audit.Resume(st, log, cfg.AuditConfig, &state); err == nil {
+		if _, err := audit.Resume(st, log, cfg.AuditConfig, state); err == nil {
 			t.Fatal("resume accepted a state beyond the recovered log")
 		}
 		eng := audit.New(st, log, cfg.AuditConfig)

@@ -264,15 +264,12 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// checkpoint ends a durable run with a recovery point: snapshot, manifest
-// (carrying the in-loop auditor's warm state when one ran), and truncated
+// checkpoint ends a durable run with a recovery point: snapshot, the
+// in-loop auditor's warm state when one ran, manifest, and truncated
 // write-ahead segments. The store and log stay open — Result.Close
 // releases them.
 func (r *runner) checkpoint() error {
-	o, err := audit.BuildCheckpointOptions(r.auditor, r.cfg.AuditConfig, r.log.Len())
-	if err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
+	o := audit.BuildCheckpointOptions(r.auditor, r.cfg.AuditConfig, r.log.Len())
 	if err := r.log.Sync(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}

@@ -7,26 +7,36 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/wal"
 )
 
-// Durable store layout, rooted at one directory:
+// Durable store layout (format 3), rooted at one directory:
 //
 //	dir/
-//	  MANIFEST.json            checkpoint manifest (atomic rename)
-//	  snapshot-<version>.json  model.Snapshot at the last checkpoint
-//	  wal/shard-0000/...       per-shard segmented changelog WAL (epoch 1)
-//	  wal/e0002-shard-0000/... per-shard WAL of later route epochs
-//	  events/...               the event log's segments (internal/eventlog)
+//	  MANIFEST.json           checkpoint manifest: a few hundred bytes of
+//	                          JSON naming the two files below (atomic rename)
+//	  snapshot-<version>.bin  entity state at the last checkpoint: one WAL
+//	                          segment image of insert records (snapcodec.go)
+//	  audit-<version>.bin     the incremental auditor's warm state at that
+//	                          checkpoint, opaque to the store (absent when
+//	                          the checkpoint carried none)
+//	  wal/shard-0000/...      per-shard segmented changelog WAL (epoch 1)
+//	  wal/e0002-shard-0000/.. per-shard WAL of later route epochs
+//	  events/...              the event log's segments (internal/eventlog)
 //
 // NewDurable creates the layout and writes a version-0 manifest so Open
 // always finds the universe. Checkpoint freezes the store (all shard read
-// locks — mutators block for the duration), writes the snapshot plus a new
-// manifest, and then truncates WAL segments below the per-shard low-water
-// version: the minimum of the shard watermark and the auditor's changelog
-// cursor, so a warm-started auditor still finds every record it needs.
+// locks — mutators block for the duration), writes the snapshot, then the
+// audit sidecar, then renames the new manifest over the old one — the
+// commit point: a crash before it leaves the old manifest naming the old
+// pair, and the files written so far are orphans the next checkpoint
+// sweeps, as it sweeps the pair it replaces. Only then does it truncate WAL
+// segments below the per-shard low-water version: the minimum of the shard
+// watermark and the auditor's changelog cursor, so a warm-started auditor
+// still finds every record it needs.
 // Open rebuilds from the snapshot and replays the WAL tail in globally
 // merged version order, preserving original version numbers, stopping at
 // the first version gap (a torn record in any shard invalidates every
@@ -35,10 +45,22 @@ import (
 // epoch's directories and records the width change in the manifest's epoch
 // log, so recovery merges streams across the reshard boundary; directories
 // of earlier epochs persist until the next checkpoint covers their records.
+//
+// A format-2 directory (snapshot-<version>.json holding model.Snapshot's
+// JSON, the auditor state embedded in the manifest) still opens: the
+// snapshot decoder is chosen by the file name the manifest records, and the
+// embedded state is ignored, so that auditor cold-starts once. Its next
+// checkpoint writes format 3 and sweeps the JSON snapshot.
 
 // manifestFormat versions the on-disk layout. Format 2 added the route
-// epoch and the epoch-change log.
-const manifestFormat = 2
+// epoch and the epoch-change log; format 3 moved the snapshot to the binary
+// frame codec and the auditor state out of the manifest into a sidecar.
+// Manifests are always written as manifestFormat; oldestManifestFormat is
+// the oldest still read.
+const (
+	manifestFormat       = 3
+	oldestManifestFormat = 2
+)
 
 // EpochChange is one entry of the manifest's epoch log: a completed width
 // change and the sequencer value it happened at. Every version at or below
@@ -81,16 +103,21 @@ type Manifest struct {
 	// Events is the event-log length at checkpoint (informational; the
 	// event WAL is never truncated because cold audits replay it whole).
 	Events int `json:"events,omitempty"`
-	// Audit is the incremental audit engine's serialised state (opaque to
-	// the store; internal/audit.State via the crowdfair/sim layers), valid
-	// against the changelog cursors that fed LowWater.
-	Audit json.RawMessage `json:"audit,omitempty"`
+	// AuditFile names the sidecar holding the incremental audit engine's
+	// encoded state (opaque to the store; read back by audit.LoadState),
+	// valid against the changelog cursors that fed LowWater. Empty when the
+	// checkpoint carried none. Written before the manifest, like Snapshot.
+	AuditFile string `json:"audit_file,omitempty"`
 }
 
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST.json") }
 
 func snapshotName(version uint64) string {
-	return fmt.Sprintf("snapshot-%016d.json", version)
+	return fmt.Sprintf("snapshot-%016d.bin", version)
+}
+
+func auditName(version uint64) string {
+	return fmt.Sprintf("audit-%016d.bin", version)
 }
 
 // WALDir returns the changelog WAL root under a durable store directory.
@@ -150,8 +177,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: parse manifest: %w", err)
 	}
-	if m.Format != manifestFormat {
-		return nil, fmt.Errorf("store: manifest format %d, want %d", m.Format, manifestFormat)
+	if m.Format < oldestManifestFormat || m.Format > manifestFormat {
+		return nil, fmt.Errorf("store: manifest format %d, want %d..%d", m.Format, oldestManifestFormat, manifestFormat)
 	}
 	if m.Shards < 1 {
 		return nil, fmt.Errorf("store: manifest shard count %d", m.Shards)
@@ -160,8 +187,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 func writeManifest(dir string, m *Manifest) error {
-	// Compact encoding: the embedded audit blob can run to megabytes, and
-	// indenting it roughly doubles the write for no reader benefit.
+	m.Format = manifestFormat
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
@@ -192,7 +218,7 @@ func NewDurable(u *model.Universe, shards int, dir string, opts wal.Options) (*S
 		}
 		sh.wal = sink
 	}
-	m := &Manifest{Format: manifestFormat, Skills: u.Names(), Shards: rt.width(), Epoch: rt.epoch}
+	m := &Manifest{Skills: u.Names(), Shards: rt.width(), Epoch: rt.epoch}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
@@ -275,8 +301,9 @@ func (s *Store) Close() error {
 // CheckpointOptions carries the cross-subsystem state a checkpoint pins
 // alongside the store snapshot.
 type CheckpointOptions struct {
-	// Audit is the incremental auditor's serialised state (opaque blob).
-	Audit json.RawMessage
+	// Audit is the incremental auditor's encoded state (opaque blob), written
+	// to the manifest's AuditFile sidecar; empty writes none.
+	Audit []byte
 	// AuditCursors are the per-shard changelog cursors the audit state was
 	// saved at; they lower the per-shard low-water so warm-start replay
 	// still finds every record between cursor and watermark. Ignored unless
@@ -286,10 +313,11 @@ type CheckpointOptions struct {
 	Events int
 }
 
-// Checkpoint freezes the store, writes snapshot + manifest under the
-// store's directory, and truncates WAL segments that both the snapshot and
-// the audit cursors have passed. Mutators block for the duration (they
-// need shard write locks); readers proceed. Returns the new manifest.
+// Checkpoint freezes the store, writes snapshot, audit sidecar and manifest
+// (in that order) under the store's directory, and truncates WAL segments
+// that both the snapshot and the audit cursors have passed. Mutators block
+// for the duration (they need shard write locks); readers proceed. Returns
+// the new manifest.
 func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 	if s.dir == "" {
 		return nil, fmt.Errorf("store: checkpoint of a volatile store")
@@ -310,7 +338,6 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 	}()
 
 	m := &Manifest{
-		Format:     manifestFormat,
 		Skills:     s.universe.Names(),
 		Shards:     len(shs),
 		Epoch:      rt.epoch,
@@ -320,7 +347,6 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 		LowWater:   make([]uint64, len(shs)),
 		Snapshot:   snapshotName(s.version.Load()),
 		Events:     o.Events,
-		Audit:      o.Audit,
 	}
 	for i, sh := range shs {
 		m.Watermarks[i] = sh.applied
@@ -330,23 +356,30 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 		}
 	}
 
-	snap := s.snapshot(shs)
-	data, err := snap.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("store: encode snapshot: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, m.Snapshot), data); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, m.Snapshot), encodeSnapshotFrames(s.snapshot(shs))); err != nil {
 		return nil, fmt.Errorf("store: write snapshot: %w", err)
+	}
+	if len(o.Audit) > 0 {
+		m.AuditFile = auditName(m.Version)
+		if err := writeFileAtomic(filepath.Join(s.dir, m.AuditFile), o.Audit); err != nil {
+			return nil, fmt.Errorf("store: write audit state: %w", err)
+		}
 	}
 	if err := writeManifest(s.dir, m); err != nil {
 		return nil, err
 	}
-	// The manifest now points at the new snapshot; older ones are orphans.
-	if files, err := filepath.Glob(filepath.Join(s.dir, "snapshot-*.json")); err == nil {
+	// The manifest now names the new pair; every other snapshot or sidecar
+	// (the replaced pair, a format-2 JSON snapshot, the leavings of an
+	// interrupted checkpoint) is an orphan.
+	for _, pattern := range []string{"snapshot-*", "audit-*"} {
+		files, err := filepath.Glob(filepath.Join(s.dir, pattern))
+		if err != nil {
+			continue
+		}
 		for _, f := range files {
-			if filepath.Base(f) != m.Snapshot {
+			if name := filepath.Base(f); name != m.Snapshot && name != m.AuditFile {
 				if err := os.Remove(f); err != nil {
-					return nil, fmt.Errorf("store: drop stale snapshot: %w", err)
+					return nil, fmt.Errorf("store: drop stale checkpoint file: %w", err)
 				}
 			}
 		}
@@ -431,14 +464,20 @@ func (s *Store) setEpoch(epoch uint64) {
 }
 
 // openSnapshot rebuilds the checkpointed entity state (or an empty store)
-// from a manifest at the given shard width.
+// from a manifest at the given shard width. The snapshot's file name picks
+// its decoder: .json is a format-2 directory's model.Snapshot document,
+// anything else the frame codec.
 func openSnapshot(dir string, man *Manifest, shards int) (*Store, error) {
 	if man.Snapshot != "" {
 		data, err := os.ReadFile(filepath.Join(dir, man.Snapshot))
 		if err != nil {
 			return nil, fmt.Errorf("store: read snapshot: %w", err)
 		}
-		snap, err := model.DecodeSnapshot(data)
+		decode := decodeSnapshotFrames
+		if strings.HasSuffix(man.Snapshot, ".json") {
+			decode = model.DecodeSnapshot
+		}
+		snap, err := decode(data)
 		if err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}

@@ -57,13 +57,22 @@ func decodeAttrs(d *wal.Dec) model.Attributes {
 		return nil
 	}
 	out := make(model.Attributes, n)
+	prev := ""
 	for i := uint64(0); i < n; i++ {
 		k := d.String()
-		kind := model.AttrKind(d.Byte())
-		if kind == model.AttrNum {
+		// encodeAttrs writes keys ascending and one of two kinds; anything
+		// else is not an encoding it produced.
+		if i > 0 && k <= prev {
+			d.Fail()
+		}
+		prev = k
+		switch model.AttrKind(d.Byte()) {
+		case model.AttrNum:
 			out[k] = model.Num(d.Float64())
-		} else {
+		case model.AttrStr:
 			out[k] = model.Str(d.String())
+		default:
+			d.Fail()
 		}
 	}
 	return out

@@ -65,9 +65,24 @@ func AppendBits(b []byte, bits []bool) []byte {
 	return b
 }
 
+// AppendUint32s appends a uvarint count followed by the values as raw
+// little-endian words — the bulk form for fixed-width numeric runs (MinHash
+// signatures) where per-value varints would cost more than they save.
+func AppendUint32s(b []byte, vs []uint32) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
 // Dec consumes a payload produced with the Append helpers. The zero value
 // over a payload slice is ready to use; after the first decoding error all
 // further reads return zero values and Err reports the failure.
+//
+// Decoding is canonical: a value the Append helpers would have written
+// differently (a padded varint, a bool byte above 1, set padding bits) is an
+// error, so a payload that decodes re-encodes to the same bytes.
 type Dec struct {
 	b   []byte
 	err error
@@ -96,13 +111,20 @@ func (d *Dec) fail() {
 	}
 }
 
+// minimalVarint reports whether binary.Uvarint/Varint's n-byte read of b
+// succeeded on the shortest encoding of its value: a longer one ends in a
+// zero continuation group, which no Append helper writes.
+func minimalVarint(b []byte, n int) bool {
+	return n == 1 || (n > 1 && b[n-1] != 0)
+}
+
 // Uvarint reads one uvarint.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
+	if !minimalVarint(d.b, n) {
 		d.fail()
 		return 0
 	}
@@ -116,7 +138,7 @@ func (d *Dec) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.b)
-	if n <= 0 {
+	if !minimalVarint(d.b, n) {
 		d.fail()
 		return 0
 	}
@@ -158,7 +180,7 @@ func (d *Dec) Bool() bool {
 	if d.err != nil {
 		return false
 	}
-	if len(d.b) < 1 {
+	if len(d.b) < 1 || d.b[0] > 1 {
 		d.fail()
 		return false
 	}
@@ -195,10 +217,32 @@ func (d *Dec) Bits() []bool {
 		return nil
 	}
 	bytes := (n + 7) / 8
+	if n%8 != 0 && d.b[bytes-1]>>(n%8) != 0 {
+		d.fail()
+		return nil
+	}
 	out := make([]bool, n)
 	for i := uint64(0); i < n; i++ {
 		out[i] = d.b[i/8]&(1<<(i%8)) != 0
 	}
 	d.b = d.b[bytes:]
+	return out
+}
+
+// Uint32s reads a run written by AppendUint32s (nil for an empty run).
+func (d *Dec) Uint32s() []uint32 {
+	n := d.Uvarint()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if n > uint64(len(d.b))/4 {
+		d.fail()
+		return nil
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(d.b[4*i:])
+	}
+	d.b = d.b[4*n:]
 	return out
 }

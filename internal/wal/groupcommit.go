@@ -89,7 +89,7 @@ func (w *Writer) AppendAsync(key uint64, payload []byte) (Commit, error) {
 		b = &batch{done: make(chan struct{})}
 		w.cur = b
 	}
-	b.buf = appendFrame(b.buf, key, payload)
+	b.buf = AppendFrame(b.buf, key, payload)
 	b.count++
 	if key > b.maxKey {
 		b.maxKey = key

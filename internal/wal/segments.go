@@ -72,6 +72,9 @@ func OpenSegmentReader(path string, offset int64) (*SegmentReader, error) {
 	return &SegmentReader{data: data, off: offset}, nil
 }
 
+// NewSegmentReader reads a segment image already in memory from its start.
+func NewSegmentReader(data []byte) *SegmentReader { return &SegmentReader{data: data} }
+
 // Next returns the next record, or io.EOF when no complete valid frame
 // remains at the current offset (clean end of the snapshot, a frame still
 // being appended, or a corrupt one — Offset distinguishes a clean end).

@@ -310,10 +310,11 @@ func nextFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
 	return payload, off + headerBytes + n, true
 }
 
-// recordKey splits a payload into its key prefix and the caller bytes.
+// recordKey splits a payload into its key prefix and the caller bytes. A
+// padded (non-minimal) key is invalid: AppendFrame never writes one.
 func recordKey(payload []byte) (key uint64, rest []byte, ok bool) {
 	key, n := binary.Uvarint(payload)
-	if n <= 0 {
+	if !minimalVarint(payload, n) {
 		return 0, nil, false
 	}
 	return key, payload[n:], true
@@ -383,8 +384,11 @@ func (w *Writer) openActive() error {
 	return nil
 }
 
-// appendFrame frames one record (header + uvarint key + payload) onto dst.
-func appendFrame(dst []byte, key uint64, payload []byte) []byte {
+// AppendFrame frames one record (header + uvarint key + payload) onto dst —
+// the writer's own framing, exported so a caller can build a whole segment
+// image in memory (the store's checkpoint snapshot) that SegmentReader reads
+// back.
+func AppendFrame(dst []byte, key uint64, payload []byte) []byte {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = binary.AppendUvarint(dst, key)
@@ -413,7 +417,7 @@ func (w *Writer) appendLocked(key uint64, payload []byte) error {
 	if w.f == nil {
 		return fmt.Errorf("wal: append on closed writer")
 	}
-	w.scratch = appendFrame(w.scratch[:0], key, payload)
+	w.scratch = AppendFrame(w.scratch[:0], key, payload)
 	if _, err := w.f.Write(w.scratch); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}

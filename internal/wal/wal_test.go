@@ -357,3 +357,29 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		t.Fatal("expected error on truncated payload")
 	}
 }
+
+// TestDecIsCanonical pins that Dec accepts only what the Append helpers
+// write — the property that lets a decoded payload re-encode to itself —
+// and that a uint32 run round-trips and bounds its count.
+func TestDecIsCanonical(t *testing.T) {
+	run := AppendUint32s(nil, []uint32{0, 7, 1 << 31})
+	d := NewDec(run)
+	if got := d.Uint32s(); len(got) != 3 || got[1] != 7 || got[2] != 1<<31 || !d.Done() {
+		t.Fatalf("uint32 run: %v (err %v)", got, d.Err())
+	}
+	for name, tc := range map[string]struct {
+		payload []byte
+		read    func(d *Dec)
+	}{
+		"padded uvarint":      {[]byte{0x85, 0x00}, func(d *Dec) { d.Uvarint() }},
+		"padded varint":       {[]byte{0x80, 0x00}, func(d *Dec) { d.Varint() }},
+		"bool byte above one": {[]byte{2}, func(d *Dec) { d.Bool() }},
+		"set padding bits":    {[]byte{3, 0xff}, func(d *Dec) { d.Bits() }},
+		"run count past end":  {append(AppendUvarint(nil, 3), 0, 0, 0, 0), func(d *Dec) { d.Uint32s() }},
+	} {
+		d := NewDec(tc.payload)
+		if tc.read(d); d.Err() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

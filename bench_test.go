@@ -247,6 +247,85 @@ func BenchmarkAuditIncremental(b *testing.B)    { benchmarkMutateThenAudit(b, 10
 func BenchmarkAuditFullRescan300(b *testing.B)  { benchmarkMutateThenAudit(b, 300, false) }
 func BenchmarkAuditIncremental300(b *testing.B) { benchmarkMutateThenAudit(b, 300, true) }
 
+// --- Audit publication: a pass costs what it changed, not what stands ---
+
+// publishBenchEngine builds a primed engine over ≥ 20k standing violations:
+// 100 tasks, each answered identically by the same 30 workers and paid at
+// two rates, so every task holds 15×15 Axiom 3 violations.
+func publishBenchEngine(b *testing.B) (*store.Store, *audit.Engine, []*model.Contribution) {
+	b.Helper()
+	u := model.MustUniverse("go", "nlp")
+	st, log := store.New(u), eventlog.New()
+	if err := st.PutRequester(&model.Requester{ID: "r1"}); err != nil {
+		b.Fatal(err)
+	}
+	for w := 0; w < 30; w++ {
+		if err := st.PutWorker(&model.Worker{ID: model.WorkerID(fmt.Sprintf("w%02d", w)), Skills: u.MustVector("go")}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var contribs []*model.Contribution
+	for t := 0; t < 100; t++ {
+		tid := model.TaskID(fmt.Sprintf("t%03d", t))
+		if err := st.PutTask(&model.Task{ID: tid, Requester: "r1", Skills: u.MustVector("go"), Reward: 1}); err != nil {
+			b.Fatal(err)
+		}
+		for w := 0; w < 30; w++ {
+			c := &model.Contribution{
+				ID:   model.ContributionID(fmt.Sprintf("c%03d-%02d", t, w)),
+				Task: tid, Worker: model.WorkerID(fmt.Sprintf("w%02d", w)),
+				Text: "the canonical answer", Quality: 0.7, Paid: []float64{0.5, 2.0}[w%2],
+			}
+			if err := st.PutContribution(c); err != nil {
+				b.Fatal(err)
+			}
+			contribs = append(contribs, c)
+		}
+	}
+	eng := audit.New(st, log, fairness.DefaultConfig())
+	standing := 0
+	for _, r := range eng.Audit() {
+		standing += len(r.Violations)
+	}
+	if standing < 20000 {
+		b.Fatalf("only %d standing violations, want >= 20000", standing)
+	}
+	return st, eng, contribs
+}
+
+// benchmarkAuditPublish times one pass including its fingerprint. With
+// dirty=false nothing moved since the last pass: no violation may be
+// rendered, sorted or copied, so ns/op and allocs/op are small constants
+// whatever stands. With dirty=true each iteration first re-pays one
+// contribution: one task's 225 violations are retracted and re-found, the
+// ones naming the re-paid contribution change, and one merge republishes.
+func benchmarkAuditPublish(b *testing.B, dirty bool) {
+	st, eng, contribs := publishBenchEngine(b)
+	var pass audit.Pass
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dirty {
+			c := contribs[(i*31)%len(contribs)]
+			c.Paid = 2.5 - c.Paid
+			if err := st.UpdateContribution(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pass = eng.AuditPass()
+		if !dirty && pass.Changed != 0 {
+			b.Fatalf("quiet pass changed %d violations", pass.Changed)
+		}
+	}
+	b.StopTimer()
+	if want := audit.Fingerprint(pass.Reports); pass.Fingerprint != want {
+		b.Fatalf("running fingerprint %s != from-scratch %s", pass.Fingerprint, want)
+	}
+}
+
+func BenchmarkAuditPublishQuiet(b *testing.B)    { benchmarkAuditPublish(b, false) }
+func BenchmarkAuditPublishOneDirty(b *testing.B) { benchmarkAuditPublish(b, true) }
+
 // --- Sharded store: contended mutation, single RWMutex vs hash shards ---
 
 // contendedStoreEnv builds a populated store at the given shard count plus

@@ -341,16 +341,23 @@ func (p *Platform) AuditFairness(cfg AuditConfig) []*FairnessReport {
 // (internal/audit): the first call runs the full cold-start scan, later
 // calls re-check only the pairs the store changelog and event log mark as
 // dirty — an order-of-magnitude win for continuous monitoring. Reported
-// violations are guaranteed identical to AuditFairness over the same trace;
-// for Axioms 1–2 Report.Checked counts only the delta work performed.
-// Changing cfg between calls resets the engine (a cold start under the new
-// thresholds).
+// violations and every axiom's Report.Checked are guaranteed identical to
+// AuditFairness over the same trace. The violation slices are the engine's
+// standing ones: treat them as read-only. Changing cfg between calls resets
+// the engine (a cold start under the new thresholds).
 func (p *Platform) AuditIncremental(cfg AuditConfig) []*FairnessReport {
+	return p.AuditPass(cfg).Reports
+}
+
+// AuditPass is AuditIncremental with the pass's report fingerprint and its
+// changed-violation count, both produced under the engine's lock with the
+// reports — what a serving tier publishes without re-reading them.
+func (p *Platform) AuditPass(cfg AuditConfig) audit.Pass {
 	if p.auditor == nil || !sameAuditConfig(p.auditorCfg, cfg) {
 		p.auditor = audit.New(p.st, p.log, cfg)
 		p.auditorCfg = cfg
 	}
-	return p.auditor.Audit()
+	return p.auditor.AuditPass()
 }
 
 // sameAuditConfig compares the checker-relevant fields of two configs.

@@ -17,6 +17,13 @@
 // maintain a candidate-pair census (fairness.Report.CheckedPairs feeds an
 // adjacency set) so delta passes report the same Checked a full scan would.
 //
+// Publication costs what the pass changed, not what has accumulated: each
+// axiom's standing violations live in one report-ordered slice maintained by
+// merge (apply: retract what the dirty units held, insert what the checkers
+// found, identical pairs cancelling) beside a running order-free digest of it
+// (vsum). A pass hands out those slices and reads its fingerprint off the
+// five sums; Fingerprint, computed from scratch, is the oracle.
+//
 // A revision-keyed similarity cache (Cache) is shared across Axioms 1–3,
 // so even the pairs a dirty entity drags back into scope only recompute the
 // similarity legs that actually moved. When the engine falls behind any
@@ -68,23 +75,43 @@ type Engine struct {
 	workerIx similarity.CandidateIndex
 	taskIx   similarity.CandidateIndex
 
-	// Maintained verdicts. Axioms 1/2 keep their violations as a sorted
-	// slice — delta passes filter out entries touching dirty subjects and
-	// merge in the (already sorted, dirty-only) fresh findings, so no pass
-	// ever re-sorts the full set — plus the exact candidate-pair census
-	// (pairSet) that keeps their Checked counts equal to a full scan's.
-	// Axiom 3 stores per-task results; Axiom 4 per-worker results plus the
-	// eligibility set that makes its Checked count exact.
-	ax1Viol     []fairness.Violation
+	// Maintained verdicts. viol[i] is Axiom i+1's standing violations in
+	// report order and sums[i] their digest; both move only through fold
+	// (Axiom 5, append-only, through foldAxiom5), and a slice once handed out
+	// is never written again. flat is false from Resume to its first pass:
+	// the saved image carries Axioms 1/2 flat, 3/4 per unit, and no sums.
+	// Beside them: the exact candidate-pair census (pairSet) that keeps the
+	// Axiom 1/2 Checked counts equal to a full scan's; Axiom 3's per-task
+	// results and Checked counts with their running total; Axiom 4's
+	// per-worker results plus the eligibility set that makes its Checked
+	// exact; how much of the Axiom 5 stream is folded in.
+	viol        [5][]fairness.Violation
+	sums        [5]vsum
+	flat        bool
 	ax1Census   *pairSet
-	ax2Viol     []fairness.Violation
 	ax2Census   *pairSet
 	ax3         map[model.TaskID][]fairness.Violation
 	ax3Checked  map[model.TaskID]int
+	ax3Total    int
 	ax4         map[model.WorkerID]fairness.Violation
 	ax4Eligible map[model.WorkerID]bool
+	ax5Seen     int
 
 	scr scratch
+}
+
+// Pass is the outcome of one audit pass.
+type Pass struct {
+	// Reports are the five axiom reports in axiom order. Their violation
+	// slices are the engine's standing ones: read-only, and the previous
+	// pass's very slice wherever the axiom's violations did not change.
+	Reports []*fairness.Report
+	// Fingerprint equals Fingerprint(Reports), read off the running sums
+	// under the same lock as the reports.
+	Fingerprint string
+	// Changed counts the violations the pass retracted plus those it added
+	// (everything standing, on a rebuild or the first pass after Resume).
+	Changed int
 }
 
 // scratch is the engine's per-pass workspace: the changelog buffer, the four
@@ -93,6 +120,7 @@ type Engine struct {
 // bookkeeping costs no allocations — what remains scales with what the pass
 // actually found.
 type scratch struct {
+	changed [5]int // per axiom: violations retracted + added this pass
 	changes []store.Change
 	dirtyW1 map[model.WorkerID]bool
 	dirtyT2 map[model.TaskID]bool
@@ -108,6 +136,7 @@ type scratch struct {
 
 // begin readies the workspace for one pass.
 func (s *scratch) begin() {
+	s.changed = [5]int{}
 	s.changes = s.changes[:0]
 	if s.dirtyW1 == nil {
 		s.dirtyW1 = make(map[model.WorkerID]bool)
@@ -276,23 +305,29 @@ func (e *Engine) reset() {
 	e.access = fairness.NewAccessIndex()
 	e.flagged = make(map[model.WorkerID]bool)
 	e.ax5 = fairness.NewAxiom5Stream()
-	e.ax1Viol = nil
+	e.viol, e.sums, e.flat = [5][]fairness.Violation{}, [5]vsum{}, true
 	e.ax1Census = newPairSet()
-	e.ax2Viol = nil
 	e.ax2Census = newPairSet()
 	e.ax3 = make(map[model.TaskID][]fairness.Violation)
 	e.ax3Checked = make(map[model.TaskID]int)
 	e.ax4 = make(map[model.WorkerID]fairness.Violation)
 	e.ax4Eligible = make(map[model.WorkerID]bool)
+	e.ax3Total, e.ax5Seen = 0, 0
 }
 
 // Audit brings the engine up to date with the trace and returns the five
 // axiom reports in axiom order. The first call (and any call that finds a
 // shard's changelog truncated past the engine's cursor) runs the full
 // cold-start scan; subsequent calls re-check only dirty pairs.
-func (e *Engine) Audit() []*fairness.Report {
+func (e *Engine) Audit() []*fairness.Report { return e.AuditPass().Reports }
+
+// AuditPass is Audit with the pass's fingerprint and change count, for
+// callers that publish the result (internal/serve).
+func (e *Engine) AuditPass() Pass {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	sc := &e.scr
+	sc.begin()
 
 	// The version bracket must be read before any entity snapshot so the
 	// cache never stores a score under a revision newer than the data it
@@ -323,8 +358,6 @@ func (e *Engine) Audit() []*fairness.Report {
 			e.cursors[i] = low
 		}
 	}
-	sc := &e.scr
-	sc.begin()
 	for i := range e.cursors {
 		ch, ok := e.st.ShardChangesSince(i, e.cursors[i])
 		if !ok {
@@ -372,6 +405,9 @@ func (e *Engine) Audit() []*fairness.Report {
 	sc.w4 = sortedIDs(sc.w4, sc.dirtyW4)
 	sc.s1 = idStrings(sc.s1, sc.w1)
 	sc.s2 = idStrings(sc.s2, sc.t2)
+	if !e.flat {
+		e.flatten()
+	}
 
 	// The five axiom passes form a task graph over disjoint engine state —
 	// task t reads the shared immutable prologue products (access index,
@@ -380,41 +416,47 @@ func (e *Engine) Audit() []*fairness.Report {
 	// internal fan-outs nest under the same token budget; on a saturated
 	// pool they simply run inline. All task outputs are deterministic, so
 	// the assembled report set is too.
-	var out1, out2, out5 *fairness.Report
 	par.Do(5, 0, func(t int) {
 		switch t {
 		case 0:
-			rep1 := fairness.CheckAxiom1DeltaIndexed(e.st, e.access, e.cfg, sc.w1)
+			rep := fairness.CheckAxiom1DeltaIndexed(e.st, e.access, e.cfg, sc.w1)
 			e.ax1Census.dropDirty(sc.s1)
-			e.ax1Census.add(rep1.CheckedPairs)
-			out1, e.ax1Viol = mergePairReport(e.ax1Viol, sc.s1, rep1, e.ax1Census.count)
+			e.ax1Census.add(rep.CheckedPairs)
+			e.fold(0, touching(e.viol[0], sc.s1), rep.Violations)
 		case 1:
-			rep2 := fairness.CheckAxiom2DeltaIndexed(e.st, e.access, e.cfg, sc.t2)
+			rep := fairness.CheckAxiom2DeltaIndexed(e.st, e.access, e.cfg, sc.t2)
 			e.ax2Census.dropDirty(sc.s2)
-			e.ax2Census.add(rep2.CheckedPairs)
-			out2, e.ax2Viol = mergePairReport(e.ax2Viol, sc.s2, rep2, e.ax2Census.count)
+			e.ax2Census.add(rep.CheckedPairs)
+			e.fold(1, touching(e.viol[1], sc.s2), rep.Violations)
 		case 2:
 			e.foldTasks(sc.t3)
 		case 3:
 			e.foldWorkers(sc.w4)
 		case 4:
-			out5 = e.ax5.Report()
+			e.foldAxiom5()
 		}
 	})
-	return []*fairness.Report{
-		out1,
-		out2,
-		e.report3(),
-		e.report4(),
-		out5,
+	return e.publish()
+}
+
+// publish assembles the pass's reports over the standing slices and reads
+// the fingerprint off the running sums.
+func (e *Engine) publish() Pass {
+	checked := [5]int{e.ax1Census.count, e.ax2Census.count, e.ax3Total, len(e.ax4Eligible), e.ax5.Checked()}
+	p := Pass{Reports: make([]*fairness.Report, 5)}
+	for i := range p.Reports {
+		p.Reports[i] = &fairness.Report{Axiom: fairness.Axiom(i + 1), Checked: checked[i], Violations: e.viol[i]}
+		p.Changed += e.scr.changed[i]
 	}
+	p.Fingerprint = digest(p.Reports, e.sums[:])
+	return p
 }
 
 // rebuild is the cold-start/catch-up path: consume the whole trace, run the
 // full-scan checkers over the maintained access index, and seed the
 // per-task and per-worker state for Axioms 3–4 (folded shard-parallel on
 // the bounded pool).
-func (e *Engine) rebuild() []*fairness.Report {
+func (e *Engine) rebuild() Pass {
 	// Per-shard cursors are seeded from the shard watermarks, read before
 	// any entity scan: a mutation not yet covered by its watermark is
 	// re-delivered on the next pass, never skipped.
@@ -442,28 +484,27 @@ func (e *Engine) rebuild() []*fairness.Report {
 	sort.Slice(allTasks, func(i, j int) bool { return allTasks[i] < allTasks[j] })
 	sort.Slice(allWorkers, func(i, j int) bool { return allWorkers[i] < allWorkers[j] })
 
-	// Same task-graph shape as the delta pass (Axiom 5 already folded its
-	// events above): four full passes over disjoint engine state.
-	var rep1, rep2 *fairness.Report
-	par.Do(4, 0, func(t int) {
+	// Same task-graph shape as the delta pass, as full passes over disjoint
+	// engine state; every fold starts from the empty standing set reset left.
+	par.Do(5, 0, func(t int) {
 		switch t {
 		case 0:
-			rep1 = fairness.CheckAxiom1Indexed(e.st, e.access, e.cfg)
-			e.ax1Viol = rep1.Violations
-			e.ax1Census.add(rep1.CheckedPairs)
-			rep1.CheckedPairs = nil
+			rep := fairness.CheckAxiom1Indexed(e.st, e.access, e.cfg)
+			e.ax1Census.add(rep.CheckedPairs)
+			e.fold(0, nil, rep.Violations)
 		case 1:
-			rep2 = fairness.CheckAxiom2Indexed(e.st, e.access, e.cfg)
-			e.ax2Viol = rep2.Violations
-			e.ax2Census.add(rep2.CheckedPairs)
-			rep2.CheckedPairs = nil
+			rep := fairness.CheckAxiom2Indexed(e.st, e.access, e.cfg)
+			e.ax2Census.add(rep.CheckedPairs)
+			e.fold(1, nil, rep.Violations)
 		case 2:
 			e.foldTasks(allTasks)
 		case 3:
 			e.foldWorkers(allWorkers)
+		case 4:
+			e.foldAxiom5()
 		}
 	})
-	return []*fairness.Report{rep1, rep2, e.report3(), e.report4(), e.ax5.Report()}
+	return e.publish()
 }
 
 // buildIndexes constructs the worker and task candidate indexes from the
@@ -491,14 +532,14 @@ func (e *Engine) buildIndexes() {
 // full ones and warm restarts equal to cold starts.
 func (e *Engine) refreshIndexes(workers map[model.WorkerID]bool, tasks map[model.TaskID]bool) {
 	for id := range workers {
-		if w, err := e.st.Worker(id); err == nil {
+		if w := e.st.PeekWorker(id); w != nil {
 			e.workerIx.Upsert(string(id), e.plan.WorkerTokens(w))
 		} else {
 			e.workerIx.Remove(string(id))
 		}
 	}
 	for id := range tasks {
-		if t, err := e.st.Task(id); err == nil {
+		if t := e.st.PeekTask(id); t != nil {
 			e.taskIx.Upsert(string(id), e.plan.TaskTokens(t))
 		} else {
 			e.taskIx.Remove(string(id))
@@ -506,47 +547,26 @@ func (e *Engine) refreshIndexes(workers map[model.WorkerID]bool, tasks map[model
 	}
 }
 
-// mergePairReport folds a delta pass into the maintained sorted violation
-// slice: stored violations touching a dirty subject (dirty is sorted
-// ascending) are dropped — the delta re-examined those pairs — the pass's
-// findings, all dirty-touching and so disjoint from what is kept, are
-// merged in by order, and the report carries the census count as its
-// full-scan-equal Checked. Both the returned report and the returned slice
-// alias the merged storage; the engine never mutates it afterwards, so
-// handing it to the caller is safe.
-func mergePairReport(prev []fairness.Violation, dirty []string, rep *fairness.Report, checked int) (*fairness.Report, []fairness.Violation) {
-	kept := make([]fairness.Violation, 0, len(prev)+len(rep.Violations))
-	for _, v := range prev {
-		if containsSortedStr(dirty, v.Subjects[0]) || containsSortedStr(dirty, v.Subjects[1]) {
-			continue
-		}
-		kept = append(kept, v)
-	}
-	merged := mergeViolations(kept, rep.Violations)
-	return &fairness.Report{Axiom: rep.Axiom, Checked: checked, Violations: merged}, merged
+// fold moves one axiom's standing slice and sum by a pass's delta (see apply).
+func (e *Engine) fold(ax int, gone, fresh []fairness.Violation) {
+	var n int
+	e.viol[ax], n = apply(e.viol[ax], gone, fresh, &e.sums[ax])
+	e.scr.changed[ax] += n
 }
 
-// mergeViolations merges two violation runs already in ViolationLess order.
-func mergeViolations(a, b []fairness.Violation) []fairness.Violation {
-	if len(b) == 0 {
-		return a
+// touching lists, in order, the violations of a pair axiom's standing slice
+// with a subject in dirty (sorted ascending): the pairs the delta pass
+// re-examined, which it therefore retracts.
+func touching(prev []fairness.Violation, dirty []string) (out []fairness.Violation) {
+	if len(dirty) == 0 {
+		return nil
 	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]fairness.Violation, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if fairness.ViolationLess(a[i], b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+	for _, v := range prev {
+		if containsSortedStr(dirty, v.Subjects[0]) || containsSortedStr(dirty, v.Subjects[1]) {
+			out = append(out, v)
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return out
 }
 
 // foldTasks replaces the stored Axiom 3 verdict of every task in ids
@@ -555,21 +575,30 @@ func mergeViolations(a, b []fairness.Violation) []fairness.Violation {
 // them out on the bounded pool; the fold into engine state stays sequential
 // in ids order.
 func (e *Engine) foldTasks(ids []model.TaskID) {
+	var gone, fresh []fairness.Violation
 	audits := fairness.CheckAxiom3Tasks(e.st, e.cfg, ids)
 	for i := range audits {
 		a := &audits[i]
+		e.ax3Total += a.Checked - e.ax3Checked[a.Task]
 		e.ax3Checked[a.Task] = a.Checked
+		gone = append(gone, e.ax3[a.Task]...)
+		fresh = append(fresh, a.Violations...)
 		if len(a.Violations) > 0 {
 			e.ax3[a.Task] = a.Violations
 		} else {
 			delete(e.ax3, a.Task)
 		}
 	}
+	fairness.SortViolations(gone)
+	fairness.SortViolations(fresh)
+	e.fold(2, gone, fresh)
 }
 
 // foldWorkers replaces the stored Axiom 4 verdict of every worker in ids
-// (sorted ascending), fanning the per-worker checks out like foldTasks.
+// (sorted ascending, so gone and fresh come out in report order), fanning
+// the per-worker checks out like foldTasks.
 func (e *Engine) foldWorkers(ids []model.WorkerID) {
+	var gone, fresh []fairness.Violation
 	audits := fairness.CheckAxiom4Workers(e.st, e.flagged, ids)
 	for i := range audits {
 		a := &audits[i]
@@ -578,33 +607,57 @@ func (e *Engine) foldWorkers(ids []model.WorkerID) {
 		} else {
 			delete(e.ax4Eligible, a.Worker)
 		}
+		if old, ok := e.ax4[a.Worker]; ok {
+			gone = append(gone, old)
+		}
 		if len(a.Violations) > 0 {
 			e.ax4[a.Worker] = a.Violations[0]
+			fresh = append(fresh, a.Violations[0])
 		} else {
 			delete(e.ax4, a.Worker)
 		}
 	}
+	e.fold(3, gone, fresh)
 }
 
-func (e *Engine) report3() *fairness.Report {
-	rep := &fairness.Report{Axiom: fairness.Axiom3Compensation}
-	for _, n := range e.ax3Checked {
-		rep.Checked += n
+// foldAxiom5 folds in what the stream found since the last pass. Axiom 5 is
+// append-only, and ViolationLess ties on its subjects (two interruptions of
+// one worker), so it bypasses apply: the sum takes the tail, and the slice is
+// the stream's own report order, re-read only when the tail is non-empty.
+func (e *Engine) foldAxiom5() {
+	tail := e.ax5.Since(e.ax5Seen)
+	if len(tail) == 0 {
+		return
 	}
+	for _, v := range tail {
+		e.sums[4].add(v)
+	}
+	e.ax5Seen += len(tail)
+	e.scr.changed[4] += len(tail)
+	e.viol[4] = e.ax5.Report().Violations
+}
+
+// flatten runs once, on the first pass after Resume: it rebuilds what the
+// saved image does not carry — Axiom 3/4's flat slices, Axiom 3's running
+// Checked, every sum — from the restored verdicts (Axiom 5 follows through
+// foldAxiom5, whose cursor Resume left at zero).
+func (e *Engine) flatten() {
+	flat := [4][]fairness.Violation{e.viol[0], e.viol[1]}
 	for _, vs := range e.ax3 {
-		rep.Violations = append(rep.Violations, vs...)
+		flat[2] = append(flat[2], vs...)
 	}
-	fairness.SortViolations(rep.Violations)
-	return rep
-}
-
-func (e *Engine) report4() *fairness.Report {
-	rep := &fairness.Report{Axiom: fairness.Axiom4MaliciousDetection, Checked: len(e.ax4Eligible)}
 	for _, v := range e.ax4 {
-		rep.Violations = append(rep.Violations, v)
+		flat[3] = append(flat[3], v)
 	}
-	fairness.SortViolations(rep.Violations)
-	return rep
+	for _, n := range e.ax3Checked {
+		e.ax3Total += n
+	}
+	for ax, vs := range flat {
+		fairness.SortViolations(vs)
+		e.viol[ax] = nil
+		e.fold(ax, nil, vs)
+	}
+	e.flat = true
 }
 
 // ViolationsEqual reports whether two report sets agree axiom by axiom on

@@ -215,6 +215,22 @@ func requireEquivalent(t *testing.T, round int, inc, full []*fairness.Report) {
 	t.Fatalf("round %d: reports differ in shape", round)
 }
 
+// requirePass holds one pass to all three of its oracles: the reports equal
+// the full scan's violation for violation, and the fingerprint the engine
+// read off its running sums equals Fingerprint recomputed from scratch over
+// the pass's own reports and over the full scan's (whose headers carry
+// Checked, so Checked parity is part of it).
+func requirePass(t *testing.T, round int, p Pass, full []*fairness.Report) {
+	t.Helper()
+	requireEquivalent(t, round, p.Reports, full)
+	if want := Fingerprint(p.Reports); p.Fingerprint != want {
+		t.Fatalf("round %d: running fingerprint %s != from-scratch %s over the pass's own reports", round, p.Fingerprint, want)
+	}
+	if want := Fingerprint(full); p.Fingerprint != want {
+		t.Fatalf("round %d: running fingerprint %s != from-scratch %s over the full scan", round, p.Fingerprint, want)
+	}
+}
+
 // The cold-start audit must match fairness.CheckAll exactly, including the
 // Checked counts (the full-scan paths are shared).
 func TestColdStartMatchesCheckAll(t *testing.T) {
@@ -247,9 +263,9 @@ func TestIncrementalMatchesFullAcrossMutations(t *testing.T) {
 				for i := 0; i < 15; i++ {
 					s.mutate()
 				}
-				inc := eng.Audit()
-				full := fairness.CheckAll(s.st, s.log, cfg)
-				requireEquivalent(t, round, inc, full)
+				pass := eng.AuditPass()
+				inc, full := pass.Reports, fairness.CheckAll(s.st, s.log, cfg)
+				requirePass(t, round, pass, full)
 				// All five axioms keep exact Checked counts incrementally:
 				// 3–5 via per-unit folds, 1–2 via the candidate-pair census.
 				for i := range inc {
@@ -282,16 +298,25 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 	for round := 0; round < 6; round++ {
 		var reports [][]*fairness.Report
+		full := func(l lane) []*fairness.Report { return fairness.CheckAll(l.s.st, l.s.log, cfg) }
+		if round == 3 {
+			// One lane also changes width mid-run: the engine remaps its
+			// cursors and replays the overlap, which must retract and re-add
+			// to no net effect on slices or sums.
+			if err := lanes[1].s.st.Reshard(6); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, l := range lanes {
 			// The same RNG seed drives every lane, so all stores see the
 			// same mutation stream.
 			for i := 0; i < 20; i++ {
 				l.s.mutate()
 			}
-			reports = append(reports, l.eng.Audit())
+			pass := l.eng.AuditPass()
+			requirePass(t, round, pass, full(l))
+			reports = append(reports, pass.Reports)
 		}
-		full := fairness.CheckAll(lanes[0].s.st, lanes[0].s.log, cfg)
-		requireEquivalent(t, round, reports[0], full)
 		for li := 1; li < len(reports); li++ {
 			if !ViolationsEqual(reports[0], reports[li]) {
 				t.Fatalf("round %d: lane %d (shards>1) disagrees with single-shard lane", round, li)
@@ -322,14 +347,12 @@ func TestChangelogTruncationFallsBackToRebuild(t *testing.T) {
 	if _, ok := s.st.ChangesSince(0); ok {
 		t.Fatal("test setup: changelog should be truncated")
 	}
-	inc := eng.Audit()
-	full := fairness.CheckAll(s.st, s.log, cfg)
-	requireEquivalent(t, 0, inc, full)
+	requirePass(t, 0, eng.AuditPass(), fairness.CheckAll(s.st, s.log, cfg))
 	// And the engine keeps working incrementally afterwards.
 	for i := 0; i < 5; i++ {
 		s.mutate()
 	}
-	requireEquivalent(t, 1, eng.Audit(), fairness.CheckAll(s.st, s.log, cfg))
+	requirePass(t, 1, eng.AuditPass(), fairness.CheckAll(s.st, s.log, cfg))
 }
 
 // Offer churn re-examines pairs whose entities did not change; those pair

@@ -35,9 +35,9 @@ func TestIncrementalLSHMatchesCheckAllLSH(t *testing.T) {
 				for i := 0; i < 15; i++ {
 					s.mutate()
 				}
-				inc := eng.Audit()
-				full := fairness.CheckAll(s.st, s.log, cfg)
-				requireEquivalent(t, round, inc, full)
+				pass := eng.AuditPass()
+				inc, full := pass.Reports, fairness.CheckAll(s.st, s.log, cfg)
+				requirePass(t, round, pass, full)
 				for i := range inc {
 					if inc[i].Checked != full[i].Checked {
 						t.Fatalf("round %d, %s: checked %d (incremental) vs %d (full)",
@@ -100,9 +100,9 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	defer log2.Close()
 
 	warm := resumeFromManifest(t, st2, log2, cfg, man)
-	warmReports := warm.Audit()
-	full := fairness.CheckAll(st2, log2, cfg)
-	requireEquivalent(t, 0, warmReports, full)
+	pass := warm.AuditPass()
+	warmReports, full := pass.Reports, fairness.CheckAll(st2, log2, cfg)
+	requirePass(t, 0, pass, full)
 	for i := range warmReports {
 		if warmReports[i].Checked != full[i].Checked {
 			t.Fatalf("%s: warm checked %d, full %d",

@@ -271,9 +271,9 @@ func (e *Engine) State() *State {
 		EventPos:      e.cursor.Pos(),
 		Offers:        e.access.Offers(),
 		Ax5:           e.ax5.Save(),
-		Ax1Violations: append([]fairness.Violation(nil), e.ax1Viol...),
+		Ax1Violations: append([]fairness.Violation(nil), e.viol[0]...),
 		Ax1Pairs:      e.ax1Census.pairs(),
-		Ax2Violations: append([]fairness.Violation(nil), e.ax2Viol...),
+		Ax2Violations: append([]fairness.Violation(nil), e.viol[1]...),
 		Ax2Pairs:      e.ax2Census.pairs(),
 		Ax3Violations: make(map[model.TaskID][]fairness.Violation, len(e.ax3)),
 		Ax3Checked:    make(map[model.TaskID]int, len(e.ax3Checked)),
@@ -341,11 +341,9 @@ func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *Stat
 	e.cursor = eventlog.NewCursorAt(log, state.EventPos)
 	copy(e.cursors, state.Cursors)
 
-	e.ax1Viol = append([]fairness.Violation(nil), state.Ax1Violations...)
-	fairness.SortViolations(e.ax1Viol)
+	e.viol[0] = append([]fairness.Violation(nil), state.Ax1Violations...)
 	e.ax1Census.add(state.Ax1Pairs)
-	e.ax2Viol = append([]fairness.Violation(nil), state.Ax2Violations...)
-	fairness.SortViolations(e.ax2Viol)
+	e.viol[1] = append([]fairness.Violation(nil), state.Ax2Violations...)
 	e.ax2Census.add(state.Ax2Pairs)
 	for id, vs := range state.Ax3Violations {
 		e.ax3[id] = append([]fairness.Violation(nil), vs...)
@@ -364,6 +362,6 @@ func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *Stat
 	} else {
 		e.buildIndexes()
 	}
-	e.primed = true
+	e.primed, e.flat = true, false
 	return e, nil
 }

@@ -106,9 +106,9 @@ func TestResumeWarmEqualsCold(t *testing.T) {
 	defer log2.Close()
 
 	warm := resumeFromManifest(t, st2, log2, cfg, man)
-	warmReports := warm.Audit()
-	full := fairness.CheckAll(st2, log2, cfg)
-	requireEquivalent(t, 0, warmReports, full)
+	pass := warm.AuditPass()
+	warmReports, full := pass.Reports, fairness.CheckAll(st2, log2, cfg)
+	requirePass(t, 0, pass, full)
 	for i := range warmReports {
 		if warmReports[i].Checked != full[i].Checked {
 			t.Fatalf("%s: warm checked %d, full %d",
@@ -122,7 +122,7 @@ func TestResumeWarmEqualsCold(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			s2.mutate()
 		}
-		requireEquivalent(t, round+1, warm.Audit(), fairness.CheckAll(st2, log2, cfg))
+		requirePass(t, round+1, warm.AuditPass(), fairness.CheckAll(st2, log2, cfg))
 	}
 }
 

@@ -174,11 +174,10 @@ func checkAxiom1(st *store.Store, ix *AccessIndex, cfg Config, dirty []model.Wor
 	default:
 		// Delta passes touch only dirty workers and their candidate
 		// partners — a bulk snapshot here would cost O(n) per pass and
-		// dominate small deltas at large populations. Three phases, each
-		// sharded with disjoint writes: enumerate candidate partners per
-		// dirty id, resolve the union of needed entities once (fetches
-		// clone, so deduplication matters), then check each dirty id's
-		// pairs into its own slot.
+		// dominate small deltas at large populations. Three phases:
+		// enumerate candidate partners per dirty id (sharded, disjoint
+		// writes), look the named entities up in place, then check each
+		// dirty id's pairs into its own slot (sharded likewise).
 		prov := cfg.provider(st)
 		ds := workerDeltaPool.Get().(*deltaScratch[model.WorkerID, model.Worker])
 		defer workerDeltaPool.Put(ds)
@@ -188,15 +187,7 @@ func checkAxiom1(st *store.Store, ix *AccessIndex, cfg Config, dirty []model.Wor
 				ds.partners[k] = append(ds.partners[k], pid)
 			})
 		})
-		for _, id := range dirty {
-			ds.need[id] = true
-		}
-		for _, ps := range ds.partners {
-			for _, pid := range ps {
-				ds.need[pid] = true
-			}
-		}
-		table := ds.fetch(st.Worker)
+		table := ds.fetch(dirty, st.PeekWorker)
 		if cfg.RecordCheckedPairs {
 			ds.carvePairs()
 		}

@@ -156,8 +156,8 @@ func checkAxiom2(st *store.Store, ix *AccessIndex, cfg Config, dirty []model.Tas
 		mergeSlots(rep, slots)
 	default:
 		// Delta passes touch only dirty tasks and their candidate partners;
-		// resolve the union of needed tasks once rather than snapshotting
-		// all n. Same three sharded phases as checkAxiom1.
+		// look the named tasks up in place rather than snapshotting all n.
+		// Same three phases as checkAxiom1.
 		prov := cfg.provider(st)
 		ds := taskDeltaPool.Get().(*deltaScratch[model.TaskID, model.Task])
 		defer taskDeltaPool.Put(ds)
@@ -167,15 +167,7 @@ func checkAxiom2(st *store.Store, ix *AccessIndex, cfg Config, dirty []model.Tas
 				ds.partners[k] = append(ds.partners[k], pid)
 			})
 		})
-		for _, id := range dirty {
-			ds.need[id] = true
-		}
-		for _, ps := range ds.partners {
-			for _, pid := range ps {
-				ds.need[pid] = true
-			}
-		}
-		table := ds.fetch(st.Task)
+		table := ds.fetch(dirty, st.PeekTask)
 		if cfg.RecordCheckedPairs {
 			ds.carvePairs()
 		}

@@ -84,8 +84,8 @@ func CheckAxiom4Workers(st *store.Store, flagged map[model.WorkerID]bool, ids []
 	out := make([]WorkerAudit, len(ids))
 	par.For(len(ids), 0, func(k int) {
 		out[k].Worker = ids[k]
-		w, err := st.Worker(ids[k])
-		if err != nil {
+		w := st.PeekWorker(ids[k])
+		if w == nil {
 			return
 		}
 		checked, v := judgeAxiom4(w, flagged)
@@ -237,6 +237,14 @@ func RestoreAxiom5Stream(st *Axiom5State) *Axiom5Stream {
 	s.violations = append([]Violation(nil), st.Violations...)
 	return s
 }
+
+// Checked returns the number of task starts observed so far.
+func (s *Axiom5Stream) Checked() int { return s.checked }
+
+// Since returns the violations found after the first n, in observation
+// order. The stream only ever appends, so this is the whole delta an
+// incremental consumer that has already seen n must fold in.
+func (s *Axiom5Stream) Since(n int) []Violation { return s.violations[n:] }
 
 // Report renders the stream's current verdict. The returned report owns its
 // violation slice; further Observe calls do not mutate it.

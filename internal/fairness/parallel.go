@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/model"
-	"repro/internal/par"
 )
 
 // Parallel pair-checking scaffolding shared by the Axiom 1 and 2 checkers.
@@ -67,17 +66,14 @@ func containsSorted[T ~string](ids []T, id T) bool {
 }
 
 // deltaScratch is the reusable workspace of one pair checker's delta pass:
-// per-dirty-id partner lists, the needed-entity union and its fetch table,
-// the per-shard result slots, and the backing array their pair records are
+// per-dirty-id partner lists, the table of the entities they name, the
+// per-shard result slots, and the backing array their pair records are
 // carved from. Everything keeps its capacity between passes (the pools
 // below recycle instances), so a steady-state delta audit's phase
-// bookkeeping settles at zero allocations — only the entity clones and the
-// findings themselves remain.
+// bookkeeping settles at zero allocations — only the findings themselves
+// remain.
 type deltaScratch[ID ~string, E any] struct {
 	partners [][]ID
-	need     map[ID]bool
-	keys     []ID
-	vals     []*E
 	table    map[ID]*E
 	slots    []pairSlot
 	backing  [][2]string
@@ -102,38 +98,28 @@ func (s *deltaScratch[ID, E]) reset(n int) {
 		s.slots[k].pairs = nil
 		s.slots[k].viols = s.slots[k].viols[:0]
 	}
-	if s.need == nil {
-		s.need = make(map[ID]bool, 2*n)
+	if s.table == nil {
 		s.table = make(map[ID]*E, 2*n)
 	} else {
-		clear(s.need)
 		clear(s.table)
 	}
 }
 
-// fetch resolves every id in s.need to its entity exactly once, fanning the
-// store fetches (which clone) out on the bounded pool; absent ids map to
+// fetch resolves the dirty ids and every partner listed for them to their
+// entities through peek — the store's in-place read: the checkers only read,
+// and stored entities are immutable — one map lookup each; absent ids map to
 // nil. The filled table is read-only until the next reset, so concurrent
 // check shards can share it.
-func (s *deltaScratch[ID, E]) fetch(fetch func(ID) (*E, error)) map[ID]*E {
-	s.keys = s.keys[:0]
-	for id := range s.need {
-		s.keys = append(s.keys, id)
+func (s *deltaScratch[ID, E]) fetch(dirty []ID, peek func(ID) *E) map[ID]*E {
+	for _, id := range dirty {
+		s.table[id] = peek(id)
 	}
-	if cap(s.vals) >= len(s.keys) {
-		s.vals = s.vals[:len(s.keys)]
-	} else {
-		s.vals = make([]*E, len(s.keys))
-	}
-	par.For(len(s.keys), 0, func(i int) {
-		if e, err := fetch(s.keys[i]); err == nil {
-			s.vals[i] = e
-		} else {
-			s.vals[i] = nil
+	for _, ps := range s.partners {
+		for _, pid := range ps {
+			if _, ok := s.table[pid]; !ok {
+				s.table[pid] = peek(pid)
+			}
 		}
-	})
-	for i, id := range s.keys {
-		s.table[id] = s.vals[i]
 	}
 	return s.table
 }

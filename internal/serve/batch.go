@@ -67,11 +67,20 @@ func (s *Server) enqueue(o *op) error {
 		}
 	}
 	o.done = make(chan error, 1)
-	select {
-	case s.ops <- o:
-	default:
-		s.shedQueue.Add(1)
-		return &ShedError{Reason: "mutation queue full"}
+	err := ErrStopped
+	s.admitMu.RLock()
+	if !s.stopped {
+		select {
+		case s.ops <- o:
+			err = nil
+		default:
+			s.shedQueue.Add(1)
+			err = &ShedError{Reason: "mutation queue full"}
+		}
+	}
+	s.admitMu.RUnlock()
+	if err != nil {
+		return err
 	}
 	s.admitted.Add(1)
 	return <-o.done
@@ -205,7 +214,7 @@ func (s *Server) applyWorkerAdds(g []*op) {
 			o.done <- fmt.Errorf("worker %s: %w", o.worker.ID, store.ErrDuplicate)
 			continue
 		}
-		if _, err := st.Worker(o.worker.ID); err == nil {
+		if st.PeekWorker(o.worker.ID) != nil {
 			o.done <- fmt.Errorf("worker %s: %w", o.worker.ID, store.ErrDuplicate)
 			continue
 		}
@@ -235,8 +244,8 @@ func (s *Server) applyWorkerUpdates(g []*op) {
 			o.done <- fmt.Errorf("%w: %v", store.ErrInvalid, err)
 			continue
 		}
-		if _, err := st.Worker(o.worker.ID); err != nil {
-			o.done <- err
+		if st.PeekWorker(o.worker.ID) == nil {
+			o.done <- fmt.Errorf("worker %s: %w", o.worker.ID, store.ErrNotFound)
 			continue
 		}
 		if _, dup := last[o.worker.ID]; !dup {
@@ -275,7 +284,7 @@ func (s *Server) applyTaskPosts(g []*op) {
 			o.done <- fmt.Errorf("task %s: %w", o.task.ID, store.ErrDuplicate)
 			continue
 		}
-		if _, err := st.Task(o.task.ID); err == nil {
+		if st.PeekTask(o.task.ID) != nil {
 			o.done <- fmt.Errorf("task %s: %w", o.task.ID, store.ErrDuplicate)
 			continue
 		}
@@ -311,16 +320,16 @@ func (s *Server) applyContribAdds(g []*op) {
 			o.done <- fmt.Errorf("contribution %s: %w", o.contrib.ID, store.ErrDuplicate)
 			continue
 		}
-		if _, err := st.Contribution(o.contrib.ID); err == nil {
+		if st.PeekContribution(o.contrib.ID) != nil {
 			o.done <- fmt.Errorf("contribution %s: %w", o.contrib.ID, store.ErrDuplicate)
 			continue
 		}
-		if _, err := st.Task(o.contrib.Task); err != nil {
-			o.done <- err
+		if st.PeekTask(o.contrib.Task) == nil {
+			o.done <- fmt.Errorf("task %s: %w", o.contrib.Task, store.ErrNotFound)
 			continue
 		}
-		if _, err := st.Worker(o.contrib.Worker); err != nil {
-			o.done <- err
+		if st.PeekWorker(o.contrib.Worker) == nil {
+			o.done <- fmt.Errorf("worker %s: %w", o.contrib.Worker, store.ErrNotFound)
 			continue
 		}
 		seen[o.contrib.ID] = true

@@ -50,7 +50,7 @@ type errorBody struct {
 }
 
 // writeError maps err onto an HTTP status: shed → 429 with Retry-After,
-// store sentinels → 409/404/400, anything else → 500.
+// store sentinels → 409/404/400, stopped → 503, anything else → 500.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	var shed *ShedError
 	status := http.StatusInternalServerError
@@ -64,6 +64,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, store.ErrInvalid):
 		status = http.StatusBadRequest
+	case errors.Is(err, ErrStopped):
+		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
@@ -311,6 +313,8 @@ type statszBody struct {
 	AuditVersion  uint64  `json:"audit_version"`
 	AuditLag      uint64  `json:"audit_lag"`
 	AuditPasses   uint64  `json:"audit_passes"`
+	AuditChanged  uint64  `json:"audit_changed"`    // last pass: violations retracted + added
+	AuditPublish  uint64  `json:"audit_publish_us"` // last pass: engine return → snapshot stored
 	QueueDepth    int     `json:"queue_depth"`
 	QueueCap      int     `json:"queue_cap"`
 	Admitted      uint64  `json:"admitted"`
@@ -335,6 +339,8 @@ func (s *Server) statsz() statszBody {
 		AuditVersion:  s.audited.Load(),
 		AuditLag:      s.AuditLag(),
 		AuditPasses:   s.audits.Load(),
+		AuditChanged:  s.changed.Load(),
+		AuditPublish:  s.publishUS.Load(),
 		QueueDepth:    len(s.ops),
 		QueueCap:      cap(s.ops),
 		Admitted:      s.admitted.Load(),

@@ -121,7 +121,8 @@ func TestCRUDRoundTrip(t *testing.T) {
 func TestAuditEndpointServesCachedSnapshot(t *testing.T) {
 	// Background audits disabled: the snapshot only moves via AuditNow, so
 	// the handler observably serves the cache rather than re-auditing.
-	s, ts := newTestServer(t, serve.Config{AuditEvery: -1})
+	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1", "s2"))
+	s, ts := newTestServer(t, serve.Config{Platform: p, AuditEvery: -1})
 	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r1"}), 200)
 
 	resp := doJSON(t, "GET", ts.URL+"/v1/audit", nil)
@@ -145,8 +146,14 @@ func TestAuditEndpointServesCachedSnapshot(t *testing.T) {
 	if snap.Fingerprint == "" {
 		t.Fatal("empty fingerprint")
 	}
-	if got := s.AuditNow(); got.Pass != 2 {
+	got := s.AuditNow()
+	if got.Pass != 2 {
 		t.Fatalf("AuditNow pass = %d", got.Pass)
+	}
+	// The published fingerprint is the engine's running one; the from-scratch
+	// function over a full scan is its oracle.
+	if want := serve.AuditFingerprint(p.AuditFairness(crowdfair.DefaultAuditConfig())); got.Fingerprint != want {
+		t.Fatalf("published fingerprint %s != from-scratch %s", got.Fingerprint, want)
 	}
 }
 
@@ -295,7 +302,7 @@ func TestStatszAndDebugVars(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"version", "admitted", "batches", "audit_lag", "queue_cap", "mean_batch_size"} {
+	for _, key := range []string{"version", "admitted", "batches", "audit_lag", "queue_cap", "mean_batch_size", "audit_changed", "audit_publish_us"} {
 		if _, ok := st[key]; !ok {
 			t.Fatalf("statsz missing %q: %v", key, st)
 		}
@@ -336,4 +343,36 @@ func TestStopAppliesNothingTwice(t *testing.T) {
 		t.Fatalf("Stop re-applied the last batch: %d events -> %d", before, after)
 	}
 	s.Stop()
+}
+
+// TestEnqueueAfterStopFailsFast pins the other half of shutdown: once Stop
+// has returned the dispatcher is gone, so a mutation must be refused with
+// 503 at admission — not queued to wait forever on an ack nobody will send —
+// and must leave neither the queue nor the platform changed.
+func TestEnqueueAfterStopFailsFast(t *testing.T) {
+	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1"))
+	s := serve.New(serve.Config{Platform: p, AuditEvery: -1})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r1"}), 200)
+	s.Stop()
+	version := p.Version()
+
+	done := make(chan *http.Response, 1)
+	go func() { done <- doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r2"}) }()
+	select {
+	case resp := <-done:
+		wantStatus(t, resp, http.StatusServiceUnavailable)
+	case <-time.After(5 * time.Second):
+		t.Fatal("mutation after Stop parked instead of failing fast")
+	}
+	if d := s.QueueDepth(); d != 0 {
+		t.Fatalf("queue holds %d ops after Stop", d)
+	}
+	if v := p.Version(); v != version {
+		t.Fatalf("store moved from version %d to %d after Stop", version, v)
+	}
+	// Reads outlive Stop: the snapshot and the entities stay servable.
+	wantStatus(t, doJSON(t, "GET", ts.URL+"/v1/audit", nil), 200)
 }

@@ -20,8 +20,11 @@
 //     latency of admitted requests.
 //
 //   - Read caching: audit reports are served from a version-stamped
-//     snapshot refreshed by an in-loop AuditIncremental goroutine — a read
+//     snapshot refreshed by an in-loop incremental-audit goroutine — a read
 //     never triggers an audit, it observes the freshest completed one.
+//     Publishing a pass is O(1) in what has accumulated: the engine keeps
+//     its standing reports merged beside a running order-free digest and
+//     hands over the fingerprint with them (AuditFingerprint is its oracle).
 //
 // A /debug surface (net/http/pprof + expvar counters for batch occupancy,
 // shed counts, and audit lag) makes serving benchmarks profilable like the
@@ -29,15 +32,14 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
+	"errors"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/crowdfair"
+	"repro/internal/audit"
 	"repro/internal/fairness"
 )
 
@@ -109,6 +111,12 @@ type Server struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
+	// admitMu is held shared from enqueue's stopped check to its queue send
+	// and exclusively while Stop sets stopped, so every op in the queue was
+	// admitted before the dispatcher's final drain and none arrives after it.
+	admitMu sync.RWMutex
+	stopped bool
+
 	// snapshot is the cached audit result reads are served from; audited
 	// is the store version stamped into it (the admission lag baseline).
 	snapshot atomic.Pointer[AuditSnapshot]
@@ -122,6 +130,8 @@ type Server struct {
 	batches    atomic.Uint64 // coalesced batches applied
 	batchedOps atomic.Uint64 // mutations covered by those batches
 	audits     atomic.Uint64 // audit passes completed
+	changed    atomic.Uint64 // violations the last pass retracted or added
+	publishUS  atomic.Uint64 // last pass: engine return to snapshot stored, µs
 }
 
 // AuditSnapshot is the version-stamped cached audit result served by
@@ -132,10 +142,14 @@ type AuditSnapshot struct {
 	Version uint64 `json:"version"`
 	// Pass counts completed audit passes (1 = cold scan).
 	Pass uint64 `json:"pass"`
-	// TookMS is the wall time of the pass in milliseconds.
+	// TookMS is the wall time, in milliseconds, of the platform's incremental
+	// audit call alone: changelog read, delta check, folding the findings into
+	// the standing reports, reading off their fingerprint. Not the wait for
+	// the audit lock before it, nor building and storing this snapshot after
+	// it (/statsz audit_publish_us).
 	TookMS float64 `json:"took_ms"`
-	// Fingerprint is a SHA-256 over every rendered report — the equality
-	// handle determinism checks and serial oracles compare against.
+	// Fingerprint is the pass's AuditFingerprint — the equality handle
+	// determinism checks and serial oracles compare against.
 	Fingerprint string `json:"fingerprint"`
 	// Reports summarises the five axiom reports in axiom order.
 	Reports []ReportSummary `json:"reports"`
@@ -149,21 +163,17 @@ type ReportSummary struct {
 	Satisfied  bool   `json:"satisfied"`
 }
 
-// AuditFingerprint reduces a report set to a stable hex digest: axiom,
-// Checked, and every rendered violation, hashed. Two report sets with equal
-// fingerprints rendered identically — the comparison the serving
-// determinism gates (same seed → same final audit report) are built on.
-func AuditFingerprint(reps []*fairness.Report) string {
-	h := sha256.New()
-	for _, r := range reps {
-		fmt.Fprintf(h, "%s|%d|%d\n", r.Axiom, r.Checked, len(r.Violations))
-		for _, v := range r.Violations {
-			h.Write([]byte(v.String()))
-			h.Write([]byte{'\n'})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// AuditFingerprint reduces a report set to a stable hex digest: per axiom,
+// its name, Checked and violation count plus the order-free sum of its
+// rendered violations' hashes (audit.Fingerprint), computed from scratch. Two
+// report sets with equal fingerprints hold the same rendered violations — the
+// comparison the serving determinism gates (same seed → same final audit
+// report) are built on, and the oracle for the fingerprint snapshots carry.
+func AuditFingerprint(reps []*fairness.Report) string { return audit.Fingerprint(reps) }
+
+// ErrStopped is returned (and mapped to HTTP 503) for a mutation that arrives
+// after Stop.
+var ErrStopped = errors.New("serve: server stopped")
 
 // New builds a Server over cfg.Platform. It panics if the platform is nil.
 func New(cfg Config) *Server {
@@ -195,11 +205,16 @@ func (s *Server) Start() {
 	setDebugServer(s)
 }
 
-// Stop drains the dispatcher (queued mutations are applied, not dropped)
-// and stops the audit loop. The platform stays usable. Stopping a stopped
-// server is a no-op.
+// Stop closes admission (later mutations fail with ErrStopped), drains the
+// dispatcher (queued mutations are applied, not dropped) and stops the audit
+// loop. The platform stays usable. Stopping a stopped server is a no-op.
 func (s *Server) Stop() {
-	s.stopOnce.Do(func() { close(s.stopc) })
+	s.stopOnce.Do(func() {
+		s.admitMu.Lock()
+		s.stopped = true
+		s.admitMu.Unlock()
+		close(s.stopc)
+	})
 	s.wg.Wait()
 }
 
@@ -238,15 +253,15 @@ func (s *Server) AuditNow() *AuditSnapshot {
 	defer s.auditMu.Unlock()
 	ver := s.p.Version()
 	start := time.Now()
-	reps := s.p.AuditIncremental(s.cfg.Audit)
+	pass := s.p.AuditPass(s.cfg.Audit)
 	took := time.Since(start)
 	snap := &AuditSnapshot{
 		Version:     ver,
 		Pass:        s.audits.Add(1),
 		TookMS:      float64(took.Microseconds()) / 1e3,
-		Fingerprint: AuditFingerprint(reps),
+		Fingerprint: pass.Fingerprint,
 	}
-	for _, r := range reps {
+	for _, r := range pass.Reports {
 		snap.Reports = append(snap.Reports, ReportSummary{
 			Axiom:      r.Axiom.String(),
 			Checked:    r.Checked,
@@ -256,6 +271,8 @@ func (s *Server) AuditNow() *AuditSnapshot {
 	}
 	s.snapshot.Store(snap)
 	s.audited.Store(ver)
+	s.changed.Store(uint64(pass.Changed))
+	s.publishUS.Store(uint64((time.Since(start) - took).Microseconds()))
 	return snap
 }
 

@@ -265,16 +265,23 @@ func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver, epoch uint64
 	})
 }
 
+// PeekWorker returns the stored worker itself, nil when absent. Stored
+// entities are immutable once inserted (updates swap the pointer), so the
+// result stays valid without the lock — and is strictly read-only: every
+// other reader sees the same one. PeekTask and PeekContribution likewise.
+func (s *Store) PeekWorker(id model.WorkerID) *model.Worker {
+	sh := s.rlockOwner(string(id))
+	w := sh.workers[id]
+	sh.mu.RUnlock()
+	return w
+}
+
 // Worker returns a copy of the worker with the given id.
 func (s *Store) Worker(id model.WorkerID) (*model.Worker, error) {
-	sh := s.rlockOwner(string(id))
-	w, ok := sh.workers[id]
-	sh.mu.RUnlock()
-	if !ok {
+	w := s.PeekWorker(id)
+	if w == nil {
 		return nil, fmt.Errorf("worker %s: %w", id, ErrNotFound)
 	}
-	// Stored entities are immutable once inserted (updates swap the
-	// pointer), so cloning outside the lock is safe. Same below.
 	return w.Clone(), nil
 }
 
@@ -558,12 +565,18 @@ func (s *Store) BulkPutTasks(ts []*model.Task) error {
 		func(sh *shard, k int) (wal.Commit, error) { return s.putTaskLocked(sh, ts[k], 0, 0) })
 }
 
+// PeekTask returns the stored task itself, nil when absent (see PeekWorker).
+func (s *Store) PeekTask(id model.TaskID) *model.Task {
+	sh := s.rlockOwner(string(id))
+	t := sh.tasks[id]
+	sh.mu.RUnlock()
+	return t
+}
+
 // Task returns a copy of the task with the given id.
 func (s *Store) Task(id model.TaskID) (*model.Task, error) {
-	sh := s.rlockOwner(string(id))
-	t, ok := sh.tasks[id]
-	sh.mu.RUnlock()
-	if !ok {
+	t := s.PeekTask(id)
+	if t == nil {
 		return nil, fmt.Errorf("task %s: %w", id, ErrNotFound)
 	}
 	return t.Clone(), nil
@@ -658,16 +671,10 @@ func (s *Store) PutContribution(c *model.Contribution) error {
 }
 
 func (s *Store) checkContribRefs(c *model.Contribution) error {
-	tsh := s.rlockOwner(string(c.Task))
-	_, ok := tsh.tasks[c.Task]
-	tsh.mu.RUnlock()
-	if !ok {
+	if s.PeekTask(c.Task) == nil {
 		return fmt.Errorf("contribution %s: task %s: %w", c.ID, c.Task, ErrNotFound)
 	}
-	wsh := s.rlockOwner(string(c.Worker))
-	_, ok = wsh.workers[c.Worker]
-	wsh.mu.RUnlock()
-	if !ok {
+	if s.PeekWorker(c.Worker) == nil {
 		return fmt.Errorf("contribution %s: worker %s: %w", c.ID, c.Worker, ErrNotFound)
 	}
 	return nil
@@ -756,12 +763,19 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver, 
 	})
 }
 
+// PeekContribution returns the stored contribution itself, nil when absent
+// (see PeekWorker).
+func (s *Store) PeekContribution(id model.ContributionID) *model.Contribution {
+	sh := s.rlockOwner(string(id))
+	c := sh.contribs[id]
+	sh.mu.RUnlock()
+	return c
+}
+
 // Contribution returns a copy of the contribution with the given id.
 func (s *Store) Contribution(id model.ContributionID) (*model.Contribution, error) {
-	sh := s.rlockOwner(string(id))
-	c, ok := sh.contribs[id]
-	sh.mu.RUnlock()
-	if !ok {
+	c := s.PeekContribution(id)
+	if c == nil {
 		return nil, fmt.Errorf("contribution %s: %w", id, ErrNotFound)
 	}
 	return c.Clone(), nil

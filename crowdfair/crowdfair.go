@@ -279,11 +279,8 @@ func (p *Platform) PostTask(t *Task) error {
 // Offer records that a task was made visible to a worker — the access
 // evidence Axioms 1 and 2 audit.
 func (p *Platform) Offer(task TaskID, worker WorkerID) error {
-	t, err := p.st.Task(task)
+	t, err := p.offeredTask(task, worker)
 	if err != nil {
-		return err
-	}
-	if _, err := p.st.Worker(worker); err != nil {
 		return err
 	}
 	p.log.MustAppend(eventlog.Event{

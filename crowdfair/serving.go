@@ -1,7 +1,10 @@
 package crowdfair
 
 import (
+	"fmt"
+
 	"repro/internal/eventlog"
+	"repro/internal/store"
 )
 
 // Offer names one task-visibility grant — the access evidence Axioms 1
@@ -100,11 +103,8 @@ func (p *Platform) OfferBatch(offers []Offer) error {
 	t := p.now()
 	events := make([]eventlog.Event, len(offers))
 	for i, o := range offers {
-		tk, err := p.st.Task(o.Task)
+		tk, err := p.offeredTask(o.Task, o.Worker)
 		if err != nil {
-			return err
-		}
-		if _, err := p.st.Worker(o.Worker); err != nil {
 			return err
 		}
 		events[i] = eventlog.Event{
@@ -131,11 +131,21 @@ func (p *Platform) EntityCounts() (workers, tasks, contributions, events int) {
 // offer without touching the log — front-ends use it to screen a coalesced
 // batch before applying it.
 func (p *Platform) ValidateOffer(o Offer) error {
-	if _, err := p.st.Task(o.Task); err != nil {
-		return err
+	_, err := p.offeredTask(o.Task, o.Worker)
+	return err
+}
+
+// offeredTask screens an offer's references and returns the offered task, or
+// the store's not-found error for the first dangling one. It reads both
+// entities in place (the returned task is the store's own, read-only): an
+// existence test has no use for a copy.
+func (p *Platform) offeredTask(task TaskID, worker WorkerID) (*Task, error) {
+	t := p.st.PeekTask(task)
+	if t == nil {
+		return nil, fmt.Errorf("task %s: %w", task, store.ErrNotFound)
 	}
-	if _, err := p.st.Worker(o.Worker); err != nil {
-		return err
+	if p.st.PeekWorker(worker) == nil {
+		return nil, fmt.Errorf("worker %s: %w", worker, store.ErrNotFound)
 	}
-	return nil
+	return t, nil
 }

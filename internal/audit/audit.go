@@ -525,26 +525,34 @@ func (e *Engine) buildIndexes() {
 	e.taskIx = tix
 }
 
-// refreshIndexes re-tokenises the entities one delta pass found changed.
-// Signatures are pure functions of entity content (plus the seed), so an
-// incremental upsert leaves the index exactly as a from-scratch build over
-// the current state would — the property that keeps delta audits equal to
-// full ones and warm restarts equal to cold starts.
+// refreshIndexes re-tokenises the entities one delta pass found changed:
+// removed ones leave the index, and the rest go through the same
+// fairness.PopulateIndex path as the cold build — tokens and signatures on
+// the bounded pool, bucket moves band-parallel — so a warm restart's first
+// pass over thousands of replayed updates uses every core. Signatures are
+// pure functions of entity content (plus the seed), so the refresh leaves
+// the index exactly as a from-scratch build over the current state would —
+// the property that keeps delta audits equal to full ones and warm restarts
+// equal to cold starts.
 func (e *Engine) refreshIndexes(workers map[model.WorkerID]bool, tasks map[model.TaskID]bool) {
-	for id := range workers {
-		if w := e.st.PeekWorker(id); w != nil {
-			e.workerIx.Upsert(string(id), e.plan.WorkerTokens(w))
+	refreshIndex(e.workerIx, workers, e.st.PeekWorker, e.plan.WorkerTokens)
+	refreshIndex(e.taskIx, tasks, e.st.PeekTask, e.plan.TaskTokens)
+}
+
+// refreshIndex is refreshIndexes for one entity kind.
+func refreshIndex[ID ~string, E any](ix similarity.CandidateIndex, dirty map[ID]bool, peek func(ID) *E, tokens func(*E) []uint64) {
+	ids := make([]string, 0, len(dirty))
+	live := make([]*E, 0, len(dirty))
+	for id := range dirty {
+		if ent := peek(id); ent != nil {
+			ids = append(ids, string(id))
+			live = append(live, ent)
 		} else {
-			e.workerIx.Remove(string(id))
+			ix.Remove(string(id))
 		}
 	}
-	for id := range tasks {
-		if t := e.st.PeekTask(id); t != nil {
-			e.taskIx.Upsert(string(id), e.plan.TaskTokens(t))
-		} else {
-			e.taskIx.Remove(string(id))
-		}
-	}
+	fairness.PopulateIndex(ix, len(live), func(i int) string { return ids[i] },
+		func(i int) []uint64 { return tokens(live[i]) })
 }
 
 // fold moves one axiom's standing slice and sum by a pass's delta (see apply).

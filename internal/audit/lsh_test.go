@@ -2,10 +2,14 @@ package audit
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
+	"repro/internal/par"
+	"repro/internal/similarity"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -108,6 +112,64 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 			t.Fatalf("%s: warm checked %d, full %d",
 				warmReports[i].Axiom, warmReports[i].Checked, full[i].Checked)
 		}
+	}
+}
+
+// Delta passes refresh the LSH indexes through the same bulk install path as
+// the cold build, signatures hashed and buckets moved on the pool: after
+// seeded churn rounds at pool widths 1 and 2 (each round re-hashing well over
+// par's inline threshold of workers and tasks), the engine's indexes hold
+// exactly the signatures and candidate pairs of a fresh engine's cold build
+// over the final store.
+func TestDeltaRefreshEqualsColdBuildLSH(t *testing.T) {
+	defer par.SetMaxWorkers(0)
+	for _, workers := range []int{1, 2} {
+		workers := workers
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			par.SetMaxWorkers(workers)
+			s := newScenario(t, 41)
+			s.seed(150, 60, 400, 60)
+			cfg := lshConfig(4242)
+			eng := New(s.st, s.log, cfg)
+			eng.Audit()
+			for round := 0; round < 6; round++ {
+				for i := 0; i < 40; i++ {
+					s.updateWorker()
+				}
+				for i := 0; i < 20; i++ {
+					s.addTask()
+					s.mutate()
+				}
+				requirePass(t, round, eng.AuditPass(), fairness.CheckAll(s.st, s.log, cfg))
+			}
+			cold := New(s.st, s.log, cfg)
+			cold.Audit()
+			requireSameLSHIndex(t, "worker", eng.workerIx, cold.workerIx)
+			requireSameLSHIndex(t, "task", eng.taskIx, cold.taskIx)
+		})
+	}
+}
+
+// requireSameLSHIndex fails unless two LSH indexes hold the same ids with
+// bit-identical signatures and enumerate the same candidate pairs.
+func requireSameLSHIndex(t *testing.T, kind string, got, want similarity.CandidateIndex) {
+	t.Helper()
+	g, w := got.(*similarity.LSHIndex), want.(*similarity.LSHIndex)
+	if g.Len() != w.Len() {
+		t.Fatalf("%s index: %d entries, cold build %d", kind, g.Len(), w.Len())
+	}
+	w.Signatures(func(id string, sig []uint32) {
+		if !slices.Equal(g.Signature(id), sig) {
+			t.Fatalf("%s index: signature of %s differs from the cold build's", kind, id)
+		}
+	})
+	pairs := func(ix *similarity.LSHIndex) (out []string) {
+		ix.Pairs(func(a, b string) { out = append(out, a+"|"+b) })
+		sort.Strings(out)
+		return out
+	}
+	if gp, wp := pairs(g), pairs(w); !slices.Equal(gp, wp) {
+		t.Fatalf("%s index: %d candidate pairs, cold build %d", kind, len(gp), len(wp))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/similarity"
 )
 
@@ -243,20 +242,21 @@ func (p IndexPlan) appendAttrTokens(out []uint64, side string, attrs model.Attri
 	return out
 }
 
-// PopulateIndex fills an index with n entities, computing LSH signatures on
-// the parallel pool (signature hashing dominates LSH build cost) and then
-// bulk-installing them — band hashing fans out per entity and bucket
-// insertion per band (see LSHIndex.BulkUpsertSignatures). For exact indexes
-// it upserts directly. The result is identical to n sequential Upserts.
+// PopulateIndex upserts n entities into an index — the one install path for
+// a cold build, a snapshot provider's build and a delta pass's refresh of
+// the entities it found changed. For LSH indexes, tokens and signatures are
+// computed on the parallel pool (signature hashing dominates LSH cost) into
+// recycled buffers, then bulk-installed: band hashing fans out per entity,
+// and bucket unlinks and inserts per band (see LSHIndex.BulkUpsert). For
+// exact indexes it upserts directly. The result is identical to n
+// sequential Upserts; ids must be distinct.
 func PopulateIndex(ix similarity.CandidateIndex, n int, id func(int) string, tokens func(int) []uint64) {
 	if lsh, ok := ix.(*similarity.LSHIndex); ok {
 		ids := make([]string, n)
-		sigs := make([][]uint32, n)
-		par.For(n, 0, func(i int) {
+		for i := range ids {
 			ids[i] = id(i)
-			sigs[i] = lsh.Hasher().Signature(tokens(i))
-		})
-		lsh.BulkUpsertSignatures(ids, sigs)
+		}
+		lsh.BulkUpsert(ids, tokens)
 		return
 	}
 	for i := 0; i < n; i++ {

@@ -271,6 +271,137 @@ func TestLSHIndexBulkUpsertMatchesSerial(t *testing.T) {
 	}
 }
 
+// requireSameLSH fails unless two indexes hold the same ids with the same
+// signatures and describe the same candidate pairs and partners.
+func requireSameLSH(t *testing.T, label string, got, want *LSHIndex) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: Len %d, want %d", label, got.Len(), want.Len())
+	}
+	want.Signatures(func(id string, sig []uint32) {
+		if !sigsEqual(got.Signature(id), sig) {
+			t.Fatalf("%s: Signature(%q) differs", label, id)
+		}
+		if g, w := collectPartners(t, got, id), collectPartners(t, want, id); !equalStrings(g, w) {
+			t.Fatalf("%s: Partners(%q) = %v, want %v", label, id, g, w)
+		}
+	})
+	if g, w := collectPairs(t, got), collectPairs(t, want); !equalStrings(g, w) {
+		t.Fatalf("%s: %d pairs, want %d", label, len(g), len(w))
+	}
+}
+
+// Bulk-replacing entries of a populated index — the delta refresh path —
+// must leave it exactly as serial UpsertSignature calls in batch order do:
+// each round's batch is a seeded shuffle of unchanged, changed and new ids,
+// installed alternately through BulkUpsertSignatures and BulkUpsert, with
+// serial removals between rounds. 16 bands reach par's inline threshold,
+// so the bucket moves run band-parallel.
+func TestLSHIndexBulkReplaceMatchesSerial(t *testing.T) {
+	params := LSHParams{Bands: 16, Rows: 3, Seed: 17}
+	rng := rand.New(rand.NewSource(19))
+	sets := randomTokenSets(rng, 120, 25, 7)
+	serial, bulk := NewLSHIndex(params), NewLSHIndex(params)
+	install := func(round int, ids []string) {
+		sigs := make([][]uint32, len(ids))
+		for i, id := range ids {
+			serial.UpsertSignature(id, serial.Hasher().Signature(sets[id]))
+			sigs[i] = bulk.Hasher().Signature(sets[id])
+		}
+		if round%2 == 0 {
+			bulk.BulkUpsertSignatures(ids, sigs)
+		} else {
+			bulk.BulkUpsert(ids, func(i int) []uint64 { return sets[ids[i]] })
+		}
+	}
+	var ids []string
+	for id := range sets {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	install(0, ids)
+	requireSameLSH(t, "initial build", bulk, serial)
+
+	for round := 1; round <= 6; round++ {
+		var batch []string
+		for _, id := range ids {
+			switch r := rng.Intn(4); {
+			case r == 0: // changed
+				sets[id] = append(append([]uint64(nil), sets[id]...), uint64(1000+rng.Intn(40)))
+				batch = append(batch, id)
+			case r == 1: // unchanged, yet in the batch
+				batch = append(batch, id)
+			}
+		}
+		for i := 0; i < 10; i++ { // new
+			id := fmt.Sprintf("n%d-%02d", round, i)
+			sets[id] = []uint64{uint64(rng.Intn(25)), uint64(rng.Intn(25)), uint64(rng.Intn(25))}
+			ids = append(ids, id)
+			batch = append(batch, id)
+		}
+		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		install(round, batch)
+		requireSameLSH(t, fmt.Sprintf("round %d", round), bulk, serial)
+
+		for i := 0; i < 3; i++ {
+			id := ids[rng.Intn(len(ids))]
+			serial.Remove(id)
+			bulk.Remove(id)
+		}
+		requireSameLSH(t, fmt.Sprintf("round %d after removals", round), bulk, serial)
+	}
+}
+
+// A steady-state refresh of the same ids recycles storage instead of
+// allocating it: 50 rounds in which every id moves buckets allocate nothing
+// per entity and leave both freelists exactly as long as they were, and a
+// round in which nothing changed hands every signature buffer back.
+func TestLSHIndexBulkRefreshRecyclesStorage(t *testing.T) {
+	params := LSHParams{Bands: 8, Rows: 4, Seed: 21}
+	const n = 240
+	// Three variants, rotated per round: every id changes every round, and
+	// no bucket ever empties, so bucket slices settle at their capacity.
+	variants := [3][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("e%03d", i)
+	}
+	ix := NewLSHIndex(params)
+	round := 0
+	tokens := func(i int) []uint64 { return variants[(i+round)%3] }
+	refresh := func() {
+		round++
+		ix.BulkUpsert(ids, tokens)
+	}
+	for i := 0; i < 5; i++ {
+		refresh()
+	}
+	sigFree, bhFree := len(ix.sigFree), len(ix.bhFree)
+	if sigFree != n || bhFree != n {
+		t.Fatalf("after warm-up: freelists hold %d signatures / %d band hashes, want %d each", sigFree, bhFree, n)
+	}
+	allocs := testing.AllocsPerRun(50, refresh)
+	if len(ix.sigFree) != sigFree || len(ix.bhFree) != bhFree {
+		t.Fatalf("50 refresh rounds moved the freelists %d/%d -> %d/%d", sigFree, bhFree, len(ix.sigFree), len(ix.bhFree))
+	}
+	// What remains is per call: the batch's index slices and the pool's
+	// fan-out bookkeeping (about 15).
+	if allocs > n/8 {
+		t.Fatalf("a refresh of %d changed entities allocated %.0f times, want <= %d", n, allocs, n/8)
+	}
+	t.Logf("allocs per %d-entity refresh: %.0f", n, allocs)
+
+	ix.BulkUpsert(ids, tokens) // same round: nothing changed
+	if len(ix.sigFree) != sigFree || len(ix.bhFree) != bhFree {
+		t.Fatalf("an unchanged refresh moved the freelists %d/%d -> %d/%d", sigFree, bhFree, len(ix.sigFree), len(ix.bhFree))
+	}
+	fresh := NewLSHIndex(params)
+	for i, id := range ids {
+		fresh.Upsert(id, tokens(i))
+	}
+	requireSameLSH(t, "after recycling", ix, fresh)
+}
+
 func TestMinHashDeterminismAndJaccard(t *testing.T) {
 	a := NewMinHasher(128, 42)
 	b := NewMinHasher(128, 42)

@@ -90,10 +90,10 @@ type LSHIndex struct {
 	buckets []map[uint64][]string
 	// sigFree/bhFree recycle the signature and band-hash storage of
 	// removed, replaced, or Reset entries, so a pooled transient index
-	// (fairness.ContribCandidates builds one per dirty task) re-upserts
-	// without allocating per entity. Consequence of recycling: a slice
-	// returned by Signature/Signatures is valid only until its entity is
-	// re-upserted or removed.
+	// (fairness.ContribCandidates builds one per dirty task) re-upserts,
+	// and a long-lived one bulk-refreshes, without allocating per entity.
+	// Consequence of recycling: a slice returned by Signature/Signatures is
+	// valid only until its entity is re-upserted or removed.
 	sigFree [][]uint32
 	bhFree  [][]uint64
 }
@@ -127,37 +127,24 @@ func (x *LSHIndex) Len() int { return len(x.sigs) }
 
 // Upsert implements CandidateIndex.
 func (x *LSHIndex) Upsert(id string, tokens []uint64) {
-	x.UpsertSignature(id, x.hasher.AppendSignature(x.takeSigBuf(), tokens))
+	x.UpsertSignature(id, x.hasher.AppendSignature(take(&x.sigFree), tokens))
 }
 
-// takeSigBuf pops a recycled signature buffer (nil when the freelist is
-// empty; AppendSignature then allocates).
-func (x *LSHIndex) takeSigBuf() []uint32 {
-	n := len(x.sigFree)
+// take pops a recycled buffer off a freelist (nil when it is empty; the
+// Append* helpers then allocate).
+func take[T any](free *[][]T) []T {
+	n := len(*free)
 	if n == 0 {
 		return nil
 	}
-	s := x.sigFree[n-1]
-	x.sigFree = x.sigFree[:n-1]
-	return s
+	buf := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return buf
 }
 
-// takeBHBuf pops a recycled band-hash buffer (nil when the freelist is
-// empty).
-func (x *LSHIndex) takeBHBuf() []uint64 {
-	n := len(x.bhFree)
-	if n == 0 {
-		return nil
-	}
-	b := x.bhFree[n-1]
-	x.bhFree = x.bhFree[:n-1]
-	return b
-}
-
-// UpsertSignature installs a precomputed signature (as produced by this
-// index's Hasher) — the restore path for serialized state and the batch
-// path for shard-parallel rebuilds, where signatures are computed off the
-// index's goroutine. It panics on signature length mismatch.
+// UpsertSignature installs one precomputed signature (as produced by this
+// index's Hasher); BulkUpsertSignatures is the batch form. It panics on
+// signature length mismatch.
 func (x *LSHIndex) UpsertSignature(id string, sig []uint32) {
 	if len(sig) != x.params.K() {
 		panic("similarity: signature length does not match LSH params")
@@ -170,70 +157,99 @@ func (x *LSHIndex) UpsertSignature(id string, sig []uint32) {
 		x.sigFree = append(x.sigFree, old)
 		x.bhFree = append(x.bhFree, x.bandHashes[id])
 	}
-	bh := x.appendBandHashes(x.takeBHBuf(), sig)
+	bh := x.appendBandHashes(take(&x.bhFree), sig)
 	x.sigs[id] = sig
 	x.bandHashes[id] = bh
 	for b, h := range bh {
-		bucket := x.buckets[b][h]
-		i := sort.SearchStrings(bucket, id)
-		bucket = append(bucket, "")
-		copy(bucket[i+1:], bucket[i:])
-		bucket[i] = id
-		x.buckets[b][h] = bucket
+		x.link(b, h, id)
 	}
 }
 
 // BulkUpsertSignatures installs many precomputed signatures at once — the
-// bulk path for full index rebuilds and checkpoint restores. It is
-// equivalent to calling UpsertSignature(ids[i], sigs[i]) in order, but
-// band-hash computation fans out over the parallel pool and each band's
-// bucket map is then populated by a single goroutine (inserts in batch
-// order), so the resulting index is byte-identical to the serial build
-// while the per-entity hashing and the Bands independent bucket structures
-// fill concurrently. ids must be distinct; it panics on a length mismatch
-// between ids and sigs or between a signature and the index parameters.
+// one install path behind cold builds, checkpoint restores and delta
+// refreshes (builds and refreshes through BulkUpsert). It is equivalent to
+// calling UpsertSignature(ids[i], sigs[i]) in order: a serial pre-pass skips
+// unchanged entries, band hashing fans out per entity on the parallel pool,
+// and then one goroutine per band unlinks each replaced entry from its old
+// bucket and links it into its new one. Buckets are kept sorted, so the
+// result is identical to the serial build's. Band-hash storage comes from
+// the freelist, and replaced storage goes back to it. ids must be distinct;
+// it panics on a length mismatch between ids and sigs or between a
+// signature and the index parameters.
 func (x *LSHIndex) BulkUpsertSignatures(ids []string, sigs [][]uint32) {
+	x.bulkInstall(ids, sigs, false)
+}
+
+// BulkUpsert is BulkUpsertSignatures over token sets: signatures are
+// computed on the parallel pool into buffers taken from the index's
+// freelist, and the buffers of entries found unchanged go back to it, so
+// refreshing the same ids round after round neither allocates signature
+// storage nor grows the freelists.
+func (x *LSHIndex) BulkUpsert(ids []string, tokens func(i int) []uint64) {
+	sigs := make([][]uint32, len(ids))
+	for i := range sigs {
+		sigs[i] = take(&x.sigFree)
+	}
+	par.For(len(ids), 0, func(i int) {
+		sigs[i] = x.hasher.AppendSignature(sigs[i], tokens(i))
+	})
+	x.bulkInstall(ids, sigs, true)
+}
+
+// bulkInstall is BulkUpsertSignatures; owned says the index may recycle the
+// signatures it skips as unchanged (BulkUpsert took them from its freelist).
+func (x *LSHIndex) bulkInstall(ids []string, sigs [][]uint32, owned bool) {
 	if len(ids) != len(sigs) {
 		panic("similarity: ids/sigs length mismatch")
 	}
-	// Serial pre-pass: validate, skip unchanged entries, and unlink the
-	// stale buckets of replaced ones.
+	// Serial pre-pass: validate, skip unchanged entries, take band-hash
+	// storage, and keep each replaced entry's old band hashes (nil for a new
+	// id) for the band pass.
 	keep := make([]int, 0, len(ids))
+	olds := make([][]uint64, 0, len(ids))
+	bhs := make([][]uint64, 0, len(ids))
 	for i, id := range ids {
 		if len(sigs[i]) != x.params.K() {
 			panic("similarity: signature length does not match LSH params")
 		}
-		if old, ok := x.sigs[id]; ok {
-			if sigsEqual(old, sigs[i]) {
-				continue
+		old, ok := x.sigs[id]
+		if ok && sigsEqual(old, sigs[i]) {
+			if owned {
+				x.sigFree = append(x.sigFree, sigs[i])
 			}
-			x.dropFromBuckets(id)
+			continue
+		}
+		if ok {
 			x.sigFree = append(x.sigFree, old)
-			x.bhFree = append(x.bhFree, x.bandHashes[id])
 		}
 		keep = append(keep, i)
+		olds = append(olds, x.bandHashes[id])
+		bhs = append(bhs, take(&x.bhFree))
 	}
-	bhs := make([][]uint64, len(keep))
 	par.For(len(keep), 0, func(k int) {
-		bhs[k] = x.bandHashesOf(sigs[keep[k]])
+		bhs[k] = x.appendBandHashes(bhs[k], sigs[keep[k]])
 	})
 	for k, i := range keep {
 		x.sigs[ids[i]] = sigs[i]
 		x.bandHashes[ids[i]] = bhs[k]
 	}
 	par.For(x.params.Bands, 0, func(b int) {
-		bandBuckets := x.buckets[b]
 		for k, i := range keep {
-			id := ids[i]
 			h := bhs[k][b]
-			bucket := bandBuckets[h]
-			j := sort.SearchStrings(bucket, id)
-			bucket = append(bucket, "")
-			copy(bucket[j+1:], bucket[j:])
-			bucket[j] = id
-			bandBuckets[h] = bucket
+			if old := olds[k]; old != nil {
+				if old[b] == h {
+					continue // this band of the signature did not move
+				}
+				x.unlink(b, old[b], ids[i])
+			}
+			x.link(b, h, ids[i])
 		}
 	})
+	for _, bh := range olds {
+		if bh != nil {
+			x.bhFree = append(x.bhFree, bh)
+		}
+	}
 }
 
 // Hasher exposes the index's hash family so callers can compute signatures
@@ -290,27 +306,38 @@ func (x *LSHIndex) Reset() {
 
 func (x *LSHIndex) dropFromBuckets(id string) {
 	for b, h := range x.bandHashes[id] {
-		bucket := x.buckets[b][h]
-		i := sort.SearchStrings(bucket, id)
-		if i >= len(bucket) || bucket[i] != id {
-			continue
-		}
-		if len(bucket) == 1 {
-			delete(x.buckets[b], h)
-			continue
-		}
-		x.buckets[b][h] = append(bucket[:i], bucket[i+1:]...)
+		x.unlink(b, h, id)
 	}
 }
 
-// bandHashesOf collapses each band of a signature to one uint64 bucket key
-// via a running mix (band index seeds the chain so identical row values in
-// different bands hash apart).
-func (x *LSHIndex) bandHashesOf(sig []uint32) []uint64 {
-	return x.appendBandHashes(nil, sig)
+// link inserts id into band b's bucket h, keeping the bucket sorted. It
+// touches only band b's map, so distinct bands may be linked concurrently.
+func (x *LSHIndex) link(b int, h uint64, id string) {
+	bucket := x.buckets[b][h]
+	i := sort.SearchStrings(bucket, id)
+	bucket = append(bucket, "")
+	copy(bucket[i+1:], bucket[i:])
+	bucket[i] = id
+	x.buckets[b][h] = bucket
 }
 
-// appendBandHashes is bandHashesOf into caller-provided storage.
+// unlink removes id from band b's bucket h, deleting the bucket once empty.
+func (x *LSHIndex) unlink(b int, h uint64, id string) {
+	bucket := x.buckets[b][h]
+	i := sort.SearchStrings(bucket, id)
+	if i >= len(bucket) || bucket[i] != id {
+		return
+	}
+	if len(bucket) == 1 {
+		delete(x.buckets[b], h)
+		return
+	}
+	x.buckets[b][h] = append(bucket[:i], bucket[i+1:]...)
+}
+
+// appendBandHashes collapses each band of a signature to one uint64 bucket
+// key via a running mix (band index seeds the chain so identical row values
+// in different bands hash apart), into caller-provided storage.
 func (x *LSHIndex) appendBandHashes(dst []uint64, sig []uint32) []uint64 {
 	bh := dst
 	if cap(bh) < x.params.Bands {

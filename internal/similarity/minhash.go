@@ -86,24 +86,48 @@ func (m *MinHasher) Signature(tokens []uint64) []uint32 {
 // (reallocating only when capacity is short) and returned. It lets index
 // code recycle signature buffers through a freelist instead of allocating
 // one slice per hashed entity.
+//
+// The loop is slot-major: each token is mixed once into a buffer (on the
+// stack up to 64 tokens), then every slot's minimum is kept in a register
+// across all tokens, four slots at a time, so the signature is written once
+// instead of read and written per token. Min is order-free, so the result
+// is bit-identical to a token-major loop.
 func (m *MinHasher) AppendSignature(dst []uint32, tokens []uint64) []uint32 {
+	k := len(m.a)
 	sig := dst
-	if cap(sig) < len(m.a) {
-		sig = make([]uint32, len(m.a))
+	if cap(sig) < k {
+		sig = make([]uint32, k)
 	} else {
-		sig = sig[:len(m.a)]
+		sig = sig[:k]
 	}
-	for i := range sig {
-		sig[i] = emptySlot
+	var buf [64]uint64
+	hs := buf[:0]
+	if len(tokens) > len(buf) {
+		hs = make([]uint64, 0, len(tokens))
 	}
-	a, b := m.a, m.b
 	for _, t := range tokens {
-		h := mix64(t)
-		for i := range a {
-			if v := uint32((a[i]*h + b[i]) >> 32); v < sig[i] {
-				sig[i] = v
-			}
+		hs = append(hs, mix64(t))
+	}
+	a, b := m.a, m.b[:k]
+	i := 0
+	for ; i+4 <= k; i += 4 {
+		m0, m1, m2, m3 := emptySlot, emptySlot, emptySlot, emptySlot
+		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
+		b0, b1, b2, b3 := b[i], b[i+1], b[i+2], b[i+3]
+		for _, h := range hs {
+			m0 = min(m0, uint32((a0*h+b0)>>32))
+			m1 = min(m1, uint32((a1*h+b1)>>32))
+			m2 = min(m2, uint32((a2*h+b2)>>32))
+			m3 = min(m3, uint32((a3*h+b3)>>32))
 		}
+		sig[i], sig[i+1], sig[i+2], sig[i+3] = m0, m1, m2, m3
+	}
+	for ; i < k; i++ {
+		mi := emptySlot
+		for _, h := range hs {
+			mi = min(mi, uint32((a[i]*h+b[i])>>32))
+		}
+		sig[i] = mi
 	}
 	return sig
 }

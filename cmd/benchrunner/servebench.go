@@ -53,9 +53,9 @@ type serveBenchReport struct {
 }
 
 // serveClosedCell is one closed-loop latency measurement over a durable
-// platform: the coalescer's batch occupancy and the WAL's group-commit
-// amortisation (appends per fsync) are the mechanism the latency numbers
-// are explained by.
+// platform: the WAL's group-commit amortisation (appends per fsync) is the
+// mechanism the latency numbers are explained by. MeanBatchSize is 1, since
+// every mutation is its own platform call (serve.Server.BatchStats).
 type serveClosedCell struct {
 	Concurrency   int          `json:"concurrency"`
 	Durable       bool         `json:"durable"`
@@ -64,8 +64,8 @@ type serveClosedCell struct {
 	MeanBatchSize float64      `json:"mean_batch_size"`
 	WALAppends    uint64       `json:"wal_appends"`
 	WALSyncs      uint64       `json:"wal_syncs"`
-	// AppendsPerSync is the group-commit amortisation factor the request
-	// coalescer feeds.
+	// AppendsPerSync is the group-commit amortisation factor concurrent
+	// requests feed.
 	AppendsPerSync float64 `json:"appends_per_sync"`
 	FinalAuditVer  uint64  `json:"final_audit_version"`
 }
@@ -156,7 +156,7 @@ func runServeBench(o serveBenchOpts, stdout io.Writer) error {
 	spec := load.MixSpec{Requests: o.requests}
 
 	// Closed-loop latency over a durable WAL-backed platform: every
-	// coalesced batch pays one group-commit durability wait.
+	// mutation waits on a group commit it shares with concurrent ones.
 	sync := wal.SyncInterval(2 * time.Millisecond)
 	bestRate := 0.0
 	for _, c := range concs {

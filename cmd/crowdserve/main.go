@@ -1,6 +1,6 @@
 // Command crowdserve runs the crowdfair HTTP serving front-end: the
-// coalescing, admission-controlled API server of internal/serve over an
-// in-memory or durable platform.
+// admission-controlled API server of internal/serve over an in-memory or
+// durable platform.
 //
 // Usage:
 //
@@ -8,11 +8,12 @@
 //	crowdserve -dir /var/lib/crowdfair [-walsync interval:5ms] [-maxauditlag 50000]
 //
 // With -dir the platform is rooted in a write-ahead-logged directory
-// (created if absent, recovered if not) and every coalesced mutation batch
-// rides the group-commit WAL under the chosen -walsync policy; without it
-// the platform is purely in-memory. The server sheds mutations with HTTP
-// 429 + Retry-After once the dispatcher queue is full (-maxqueue) or the
-// incremental auditor trails the store by more than -maxauditlag versions.
+// (created if absent, recovered if not) and every mutation, applied on its
+// own request goroutine, rides the group-commit WAL under the chosen
+// -walsync policy; without it the platform is purely in-memory. The server
+// sheds mutations with HTTP 429 + Retry-After once -maxqueue mutations are
+// in flight or the incremental auditor trails the store by more than
+// -maxauditlag versions.
 // GET /v1/audit serves the cached version-stamped audit snapshot refreshed
 // every -auditevery; /statsz, /debug/vars, and /debug/pprof expose the
 // serving counters and profiles.
@@ -37,9 +38,7 @@ func main() {
 	dir := flag.String("dir", "", "platform directory (empty: in-memory, no durability)")
 	walSync := flag.String("walsync", "interval:5ms", "WAL fsync policy with -dir (never|rotate|interval[:dur]|always)")
 	skills := flag.Int("skills", 12, "skill-universe size when creating a fresh platform")
-	batchMax := flag.Int("batchmax", 256, "max mutations per coalesced batch")
-	linger := flag.Duration("linger", 0, "dispatcher wait for batch laggards (0: natural batching)")
-	maxQueue := flag.Int("maxqueue", 4096, "mutation queue bound; arrivals beyond it shed with 429")
+	maxQueue := flag.Int("maxqueue", 4096, "bound on mutations in flight; arrivals beyond it shed with 429")
 	maxAuditLag := flag.Uint64("maxauditlag", 0, "shed mutations once the audit snapshot trails by more versions than this (0: disabled)")
 	retryAfter := flag.Duration("retryafter", 500*time.Millisecond, "Retry-After hint sent with 429s")
 	auditEvery := flag.Duration("auditevery", 100*time.Millisecond, "cadence of the background incremental audit")
@@ -68,8 +67,6 @@ func main() {
 	s := serve.New(serve.Config{
 		Platform:    p,
 		Audit:       auditCfg,
-		BatchMax:    *batchMax,
-		Linger:      *linger,
 		MaxQueue:    *maxQueue,
 		MaxAuditLag: *maxAuditLag,
 		RetryAfter:  *retryAfter,

@@ -14,13 +14,14 @@ type Offer struct {
 	Worker WorkerID `json:"Worker"`
 }
 
-// The batch mutation entry points below are the serving hot path: a
-// front-end coalesces many concurrent requests into one call, the store
-// fans the writes out by owning shard under a single lock acquisition per
-// shard (store.bulkApply), and both the store WAL and the event trace pay
-// one group-commit durability wait per shard for the whole batch instead
-// of one per request. Events are appended after the entities land so a
-// replayed trace never references an entity the store does not hold yet.
+// The batch mutation entry points below are the serving hot path. No
+// front-end coalesces: the HTTP server calls them with one entity per
+// request, concurrently, because unlike the single-entity methods they
+// return a log error instead of panicking. The store fans a batch out by
+// owning shard under a single lock acquisition per shard (store.bulkApply),
+// and concurrent callers share fsyncs in the WAL's group commit. Events are
+// appended after the entities land so a replayed trace never references an
+// entity the store does not hold yet.
 
 // AddWorkers registers many workers and logs their arrivals, batching both
 // the store writes and the trace appends. On error the store keeps every
@@ -125,14 +126,6 @@ func (p *Platform) Version() uint64 { return p.st.Version() }
 // cheap inventory a serving stats endpoint reports.
 func (p *Platform) EntityCounts() (workers, tasks, contributions, events int) {
 	return p.st.WorkerCount(), p.st.TaskCount(), p.st.ContributionCount(), p.log.Len()
-}
-
-// ValidateOffer reports the first dangling task/worker reference of an
-// offer without touching the log — front-ends use it to screen a coalesced
-// batch before applying it.
-func (p *Platform) ValidateOffer(o Offer) error {
-	_, err := p.offeredTask(o.Task, o.Worker)
-	return err
 }
 
 // offeredTask screens an offer's references and returns the offered task, or

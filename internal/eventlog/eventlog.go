@@ -154,8 +154,8 @@ func (l *Log) MustAppend(e Event) Event {
 // durable log — waits on a single durability ticket covering the whole
 // batch. WAL batches seal and flush strictly in append order with a sticky
 // error (wal/groupcommit.go), so the last append's ack covers every earlier
-// one: one fsync wait amortises over the entire admitted batch, which is
-// what makes coalesced serving writes cheap. Timestamps must be
+// one: one fsync wait covers the entire batch, and concurrent callers share
+// fsyncs through the WAL's group commit. Timestamps must be
 // non-decreasing across the batch; on a violation nothing is appended.
 // The stored events (with sequence numbers assigned) are written back into
 // events.

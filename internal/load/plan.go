@@ -9,8 +9,8 @@
 //     shed or reordered request can never cascade into a dangling
 //     reference for a later one;
 //   - worker updates write values that are pure functions of the worker id,
-//     so any application order (including duplicate folding inside a
-//     coalesced batch) converges to the same final state;
+//     so any application order of concurrent requests converges to the
+//     same final state;
 //   - contributions carry plan-assigned SubmittedAt stamps and unique
 //     plan-assigned ids;
 //   - offers and contributions draw workers from disjoint halves of the

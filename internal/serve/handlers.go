@@ -80,16 +80,6 @@ func decodeInto(r *http.Request, v any) error {
 	return nil
 }
 
-// mutate runs one op through admission control and the coalescing
-// dispatcher, writing the outcome.
-func (s *Server) mutate(w http.ResponseWriter, o *op, created any) {
-	if err := s.enqueue(o); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, created)
-}
-
 // okBody acknowledges an applied mutation.
 type okBody struct {
 	OK      bool   `json:"ok"`
@@ -121,7 +111,7 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.mutate(w, &op{kind: opAddWorker, worker: &wk}, s.okNow())
+	s.mutate(w, func() error { return s.p.AddWorkers([]*model.Worker{&wk}) })
 }
 
 func (s *Server) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
@@ -151,7 +141,7 @@ func (s *Server) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, fmt.Errorf("%w: body id %q != path id %q", store.ErrInvalid, wk.ID, id))
 			return
 		}
-		s.mutate(w, &op{kind: opUpdateWorker, worker: &wk}, s.okNow())
+		s.mutate(w, func() error { return s.p.UpdateWorkers([]*model.Worker{&wk}) })
 	default:
 		methodNotAllowed(w)
 	}
@@ -167,7 +157,7 @@ func (s *Server) handleRequesters(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.mutate(w, &op{kind: opAddRequester, requester: &rq}, s.okNow())
+	s.mutate(w, func() error { return s.p.AddRequester(&rq) })
 }
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
@@ -180,7 +170,7 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.mutate(w, &op{kind: opPostTask, task: &t}, s.okNow())
+	s.mutate(w, func() error { return s.p.PostTasks([]*model.Task{&t}) })
 }
 
 func (s *Server) handleTaskByID(w http.ResponseWriter, r *http.Request) {
@@ -211,7 +201,7 @@ func (s *Server) handleContributions(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.mutate(w, &op{kind: opAddContribution, contrib: &c}, s.okNow())
+	s.mutate(w, func() error { return s.p.RecordContributions([]*model.Contribution{&c}) })
 }
 
 func (s *Server) handleContributionByID(w http.ResponseWriter, r *http.Request) {
@@ -241,7 +231,7 @@ func (s *Server) handleContributionByID(w http.ResponseWriter, r *http.Request) 
 			s.writeError(w, fmt.Errorf("%w: body id %q != path id %q", store.ErrInvalid, c.ID, id))
 			return
 		}
-		s.mutate(w, &op{kind: opUpdateContribution, contrib: &c}, s.okNow())
+		s.mutate(w, func() error { return s.p.UpdateContribution(&c) })
 	default:
 		methodNotAllowed(w)
 	}
@@ -257,7 +247,7 @@ func (s *Server) handleOffers(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.mutate(w, &op{kind: opOffer, offer: o}, s.okNow())
+	s.mutate(w, func() error { return s.p.OfferBatch([]crowdfair.Offer{o}) })
 }
 
 // handleAudit serves the cached, version-stamped audit snapshot. It never
@@ -302,30 +292,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // statszBody is the serving stats snapshot: entity inventory, audit
-// freshness, queue occupancy, and the coalescing/shedding counters the
-// load harness asserts against.
+// freshness, mutations in flight, and the shedding counters the load
+// harness asserts against.
 type statszBody struct {
-	Version       uint64  `json:"version"`
-	Workers       int     `json:"workers"`
-	Tasks         int     `json:"tasks"`
-	Contributions int     `json:"contributions"`
-	Events        int     `json:"events"`
-	AuditVersion  uint64  `json:"audit_version"`
-	AuditLag      uint64  `json:"audit_lag"`
-	AuditPasses   uint64  `json:"audit_passes"`
-	AuditChanged  uint64  `json:"audit_changed"`    // last pass: violations retracted + added
-	AuditPublish  uint64  `json:"audit_publish_us"` // last pass: engine return → snapshot stored
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCap      int     `json:"queue_cap"`
-	Admitted      uint64  `json:"admitted"`
-	ShedQueue     uint64  `json:"shed_queue"`
-	ShedLag       uint64  `json:"shed_lag"`
-	Batches       uint64  `json:"batches"`
-	BatchedOps    uint64  `json:"batched_ops"`
-	MeanBatchSize float64 `json:"mean_batch_size"`
-	WALAppends    uint64  `json:"wal_appends"`
-	WALBatches    uint64  `json:"wal_batches"`
-	WALSyncs      uint64  `json:"wal_syncs"`
+	Version       uint64 `json:"version"`
+	Workers       int    `json:"workers"`
+	Tasks         int    `json:"tasks"`
+	Contributions int    `json:"contributions"`
+	Events        int    `json:"events"`
+	AuditVersion  uint64 `json:"audit_version"`
+	AuditLag      uint64 `json:"audit_lag"`
+	AuditPasses   uint64 `json:"audit_passes"`
+	AuditChanged  uint64 `json:"audit_changed"`    // last pass: violations retracted + added
+	AuditPublish  uint64 `json:"audit_publish_us"` // last pass: engine return → snapshot stored
+	QueueDepth    int    `json:"queue_depth"`      // mutations in flight
+	QueueCap      int    `json:"queue_cap"`
+	Admitted      uint64 `json:"admitted"`
+	ShedQueue     uint64 `json:"shed_queue"`
+	ShedLag       uint64 `json:"shed_lag"`
+	WALAppends    uint64 `json:"wal_appends"`
+	WALBatches    uint64 `json:"wal_batches"`
+	WALSyncs      uint64 `json:"wal_syncs"`
 }
 
 func (s *Server) statsz() statszBody {
@@ -341,16 +328,11 @@ func (s *Server) statsz() statszBody {
 		AuditPasses:   s.audits.Load(),
 		AuditChanged:  s.changed.Load(),
 		AuditPublish:  s.publishUS.Load(),
-		QueueDepth:    len(s.ops),
-		QueueCap:      cap(s.ops),
+		QueueDepth:    len(s.slots),
+		QueueCap:      cap(s.slots),
 		Admitted:      s.admitted.Load(),
 		ShedQueue:     s.shedQueue.Load(),
 		ShedLag:       s.shedLag.Load(),
-		Batches:       s.batches.Load(),
-		BatchedOps:    s.batchedOps.Load(),
-	}
-	if b.Batches > 0 {
-		b.MeanBatchSize = float64(b.BatchedOps) / float64(b.Batches)
 	}
 	if s.p.Durable() {
 		ws := s.p.Store().WALStats()

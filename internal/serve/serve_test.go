@@ -3,7 +3,6 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -187,71 +186,41 @@ func TestShedOnAuditLag(t *testing.T) {
 	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r3"}), 200)
 }
 
-// TestShedOnFullQueue fills the dispatcher queue before the dispatcher
-// starts: the overflow request must shed immediately with 429 rather than
-// block, and starting the dispatcher must drain the queued one.
-func TestShedOnFullQueue(t *testing.T) {
-	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1", "s2"))
-	s := serve.New(serve.Config{Platform: p, Audit: crowdfair.DefaultAuditConfig(), MaxQueue: 1, AuditEvery: -1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	first := make(chan *http.Response, 1)
-	go func() {
-		first <- doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r1"})
-	}()
-	// Wait for the first request to occupy the queue slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never queued")
+// TestAckCarriesPostWriteVersion pins the acknowledgement body: a 200's
+// version is the store version after the write it acknowledges, so each of
+// a run of sequential mutations reads back exactly p.Version() and the
+// versions strictly increase.
+func TestAckCarriesPostWriteVersion(t *testing.T) {
+	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1"))
+	_, ts := newTestServer(t, serve.Config{Platform: p, AuditEvery: -1})
+	var last uint64
+	for _, m := range []struct {
+		method, path string
+		body         any
+	}{
+		{"POST", "/v1/requesters", &model.Requester{ID: "r1"}},
+		{"POST", "/v1/workers", &model.Worker{ID: "w1", Skills: model.SkillVector{true, false}}},
+		{"POST", "/v1/tasks", &model.Task{ID: "t1", Requester: "r1", Skills: model.SkillVector{true, false}, Reward: 1}},
+		{"POST", "/v1/contributions", &model.Contribution{ID: "c1", Task: "t1", Worker: "w1", Quality: 0.5}},
+		{"PUT", "/v1/workers/w1", &model.Worker{ID: "w1", Skills: model.SkillVector{true, true}}},
+	} {
+		resp := doJSON(t, m.method, ts.URL+m.path, m.body)
+		var ack struct {
+			OK      bool   `json:"ok"`
+			Version uint64 `json:"version"`
 		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp := doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r2"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overflow status = %d, want 429", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	s.Start()
-	defer s.Stop()
-	wantStatus(t, <-first, 200)
-}
-
-// TestCoalescing parks N mutations in the queue before the dispatcher
-// starts and asserts they apply as a single coalesced batch.
-func TestCoalescing(t *testing.T) {
-	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1", "s2"))
-	s := serve.New(serve.Config{Platform: p, Audit: crowdfair.DefaultAuditConfig(), AuditEvery: -1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	const n = 16
-	done := make(chan *http.Response, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("r%02d", i)
-		go func() {
-			done <- doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: model.RequesterID(id)})
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests queued", s.QueueDepth(), n)
+		err := json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !ack.OK {
+			t.Fatalf("%s %s: status %d, ack %+v, err %v", m.method, m.path, resp.StatusCode, ack, err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-
-	s.Start()
-	defer s.Stop()
-	for i := 0; i < n; i++ {
-		wantStatus(t, <-done, 200)
-	}
-	batches, ops := s.BatchStats()
-	if batches != 1 || ops != n {
-		t.Fatalf("batches = %d, batched ops = %d; want 1 coalesced batch of %d", batches, ops, n)
+		if v := p.Version(); ack.Version != v {
+			t.Fatalf("%s %s acked version %d, store is at %d after it", m.method, m.path, ack.Version, v)
+		}
+		if ack.Version <= last {
+			t.Fatalf("%s %s acked version %d, not above the previous %d", m.method, m.path, ack.Version, last)
+		}
+		last = ack.Version
 	}
 }
 
@@ -302,7 +271,7 @@ func TestStatszAndDebugVars(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"version", "admitted", "batches", "audit_lag", "queue_cap", "mean_batch_size", "audit_changed", "audit_publish_us"} {
+	for _, key := range []string{"version", "admitted", "shed_queue", "shed_lag", "audit_passes", "audit_lag", "queue_cap", "audit_changed", "audit_publish_us"} {
 		if _, ok := st[key]; !ok {
 			t.Fatalf("statsz missing %q: %v", key, st)
 		}
@@ -321,9 +290,9 @@ func TestStatszAndDebugVars(t *testing.T) {
 	wantStatus(t, resp, 200)
 }
 
-// TestStopAppliesNothingTwice pins shutdown: Stop drains what is queued but
-// must not re-apply the dispatcher's last batch (an offer applied twice is
-// a second event), and a second Stop returns instead of panicking.
+// TestStopAppliesNothingTwice pins shutdown: Stop applies nothing of its own
+// (an offer applied twice is a second event), and a second Stop returns
+// instead of panicking.
 func TestStopAppliesNothingTwice(t *testing.T) {
 	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1"))
 	s := serve.New(serve.Config{Platform: p, AuditEvery: -1})
@@ -340,15 +309,15 @@ func TestStopAppliesNothingTwice(t *testing.T) {
 	before := p.Log().Len()
 	s.Stop()
 	if after := p.Log().Len(); after != before {
-		t.Fatalf("Stop re-applied the last batch: %d events -> %d", before, after)
+		t.Fatalf("Stop re-applied a mutation: %d events -> %d", before, after)
 	}
 	s.Stop()
 }
 
 // TestEnqueueAfterStopFailsFast pins the other half of shutdown: once Stop
-// has returned the dispatcher is gone, so a mutation must be refused with
-// 503 at admission — not queued to wait forever on an ack nobody will send —
-// and must leave neither the queue nor the platform changed.
+// has returned, a mutation must be refused with 503 at admission — not
+// parked, and not applied — and must leave neither the in-flight count nor
+// the platform changed.
 func TestEnqueueAfterStopFailsFast(t *testing.T) {
 	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1"))
 	s := serve.New(serve.Config{Platform: p, AuditEvery: -1})
@@ -368,7 +337,7 @@ func TestEnqueueAfterStopFailsFast(t *testing.T) {
 		t.Fatal("mutation after Stop parked instead of failing fast")
 	}
 	if d := s.QueueDepth(); d != 0 {
-		t.Fatalf("queue holds %d ops after Stop", d)
+		t.Fatalf("%d mutations in flight after Stop", d)
 	}
 	if v := p.Version(); v != version {
 		t.Fatalf("store moved from version %d to %d after Stop", version, v)

@@ -2,33 +2,27 @@
 // HTTP/JSON front-end whose hot path is engineered for the layers below it
 // rather than merely wired to them.
 //
-// Three mechanisms carry the load story:
+// Each mutation request is applied on its own goroutine through the
+// platform's bulk entry point (a one-element slice), and answered with that
+// call's outcome. Concurrent requests share durability waits in the WAL's
+// group commit, not in this package. Two mechanisms carry the load story:
 //
-//   - Request coalescing (batch.go): concurrent mutation requests are
-//     enqueued into a single channel and drained by one dispatcher into
-//     type-ordered batches, applied through the platform's bulk entry
-//     points. The store fans each batch out by owning shard under one lock
-//     acquisition per shard, and both the store WAL and the event trace pay
-//     one group-commit durability wait per shard for the whole batch — the
-//     per-request fsync cost of a naive front-end amortises away exactly
-//     like the group-commit WAL amortises appends.
+//   - Admission control (admit.go): mutations are shed with HTTP 429 +
+//     Retry-After when MaxQueue mutations are already in flight or the
+//     incremental auditor has fallen more than MaxAuditLag store versions
+//     behind, so overload degrades into fast, explicit rejections instead
+//     of collapsing the latency of admitted requests.
 //
-//   - Admission control: mutations are shed with HTTP 429 + Retry-After
-//     when the dispatcher queue is full or the incremental auditor has
-//     fallen more than MaxAuditLag store versions behind, so overload
-//     degrades into fast, explicit rejections instead of collapsing the
-//     latency of admitted requests.
-//
-//   - Read caching: audit reports are served from a version-stamped
+//   - Cached snapshots: audit reports are served from a version-stamped
 //     snapshot refreshed by an in-loop incremental-audit goroutine — a read
 //     never triggers an audit, it observes the freshest completed one.
 //     Publishing a pass is O(1) in what has accumulated: the engine keeps
 //     its standing reports merged beside a running order-free digest and
 //     hands over the fingerprint with them (AuditFingerprint is its oracle).
 //
-// A /debug surface (net/http/pprof + expvar counters for batch occupancy,
-// shed counts, and audit lag) makes serving benchmarks profilable like the
-// existing -memprofile paths.
+// A /debug surface (net/http/pprof + expvar counters for mutations in
+// flight, shed counts, and audit lag) makes serving benchmarks profilable
+// like the existing -memprofile paths.
 package serve
 
 import (
@@ -57,17 +51,8 @@ type Config struct {
 	// Audit is the fairness configuration the in-loop auditor runs under.
 	Audit AuditConfig
 
-	// BatchMax caps how many queued mutations one coalesced batch admits
-	// (default 256).
-	BatchMax int
-	// Linger is how long the dispatcher waits for more arrivals after the
-	// first of a batch before applying it. The default 0 never waits: the
-	// durability stall of the in-flight batch is itself the accumulation
-	// window for the next one (natural batching, as in group commit), so
-	// an uncontended request pays no added latency.
-	Linger time.Duration
-	// MaxQueue bounds the mutations queued awaiting a batch (default
-	// 4096). Arrivals beyond it are shed with 429.
+	// MaxQueue bounds the mutations in flight: admitted and not yet
+	// answered (default 4096). Arrivals beyond it are shed with 429.
 	MaxQueue int
 	// MaxAuditLag sheds mutations once the cached audit snapshot trails
 	// the store by more than this many versions (default 0: disabled).
@@ -84,9 +69,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchMax == 0 {
-		c.BatchMax = 256
-	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 4096
 	}
@@ -106,16 +88,17 @@ type Server struct {
 	p   *Platform
 	mux *http.ServeMux
 
-	ops      chan *op
+	slots    chan struct{} // one token per mutation in flight
 	stopc    chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the audit loop
 
-	// admitMu is held shared from enqueue's stopped check to its queue send
-	// and exclusively while Stop sets stopped, so every op in the queue was
-	// admitted before the dispatcher's final drain and none arrives after it.
-	admitMu sync.RWMutex
-	stopped bool
+	// admitMu is held shared from admit's stopped check to its inflight.Add
+	// and exclusively while Stop sets stopped, so Stop's inflight.Wait covers
+	// every admitted mutation and none is admitted after it.
+	admitMu  sync.RWMutex
+	stopped  bool
+	inflight sync.WaitGroup
 
 	// snapshot is the cached audit result reads are served from; audited
 	// is the store version stamped into it (the admission lag baseline).
@@ -123,15 +106,15 @@ type Server struct {
 	audited  atomic.Uint64
 	auditMu  sync.Mutex // serialises AuditNow with the background loop
 
-	// Counters, exported through /statsz and /debug/vars.
-	admitted   atomic.Uint64 // mutations accepted into the queue
-	shedQueue  atomic.Uint64 // 429s from a full queue
-	shedLag    atomic.Uint64 // 429s from audit lag
-	batches    atomic.Uint64 // coalesced batches applied
-	batchedOps atomic.Uint64 // mutations covered by those batches
-	audits     atomic.Uint64 // audit passes completed
-	changed    atomic.Uint64 // violations the last pass retracted or added
-	publishUS  atomic.Uint64 // last pass: engine return to snapshot stored, µs
+	// Counters, exported through /statsz and /debug/vars (applied through
+	// BatchStats).
+	admitted  atomic.Uint64 // mutations admitted
+	applied   atomic.Uint64 // admitted mutations whose platform call returned
+	shedQueue atomic.Uint64 // 429s from MaxQueue mutations in flight
+	shedLag   atomic.Uint64 // 429s from audit lag
+	audits    atomic.Uint64 // audit passes completed
+	changed   atomic.Uint64 // violations the last pass retracted or added
+	publishUS atomic.Uint64 // last pass: engine return to snapshot stored, µs
 }
 
 // AuditSnapshot is the version-stamped cached audit result served by
@@ -184,20 +167,18 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		p:     cfg.Platform,
-		ops:   make(chan *op, cfg.MaxQueue),
+		slots: make(chan struct{}, cfg.MaxQueue),
 		stopc: make(chan struct{}),
 	}
 	s.mux = s.buildMux()
 	return s
 }
 
-// Start launches the dispatcher and the in-loop audit goroutine, and runs
-// one synchronous audit pass so reads have a snapshot from the first
-// request on.
+// Start runs one synchronous audit pass, so reads have a snapshot from the
+// first request on, and launches the in-loop audit goroutine. Mutations
+// need no goroutine of their own: each applies on its request's.
 func (s *Server) Start() {
 	s.AuditNow()
-	s.wg.Add(1)
-	go s.dispatch()
 	if s.cfg.AuditEvery > 0 {
 		s.wg.Add(1)
 		go s.auditLoop()
@@ -205,14 +186,16 @@ func (s *Server) Start() {
 	setDebugServer(s)
 }
 
-// Stop closes admission (later mutations fail with ErrStopped), drains the
-// dispatcher (queued mutations are applied, not dropped) and stops the audit
-// loop. The platform stays usable. Stopping a stopped server is a no-op.
+// Stop closes admission (later mutations fail with ErrStopped), waits until
+// every mutation in flight has been applied and answered, and then stops the
+// audit loop. The platform stays usable. Stopping a stopped server is a
+// no-op.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		s.admitMu.Lock()
 		s.stopped = true
 		s.admitMu.Unlock()
+		s.inflight.Wait()
 		close(s.stopc)
 	})
 	s.wg.Wait()
@@ -225,13 +208,16 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // pass completes, which Start prevents by auditing synchronously).
 func (s *Server) Snapshot() *AuditSnapshot { return s.snapshot.Load() }
 
-// QueueDepth returns how many admitted mutations currently await a batch.
-func (s *Server) QueueDepth() int { return len(s.ops) }
+// QueueDepth returns how many mutations are in flight: admitted and not yet
+// answered.
+func (s *Server) QueueDepth() int { return len(s.slots) }
 
-// BatchStats returns the coalesced batch count and the mutations those
-// batches covered.
+// BatchStats returns how many platform calls the admitted mutations made and
+// how many mutations those calls covered. Every mutation is its own bulk
+// call, so both are the count of mutations applied.
 func (s *Server) BatchStats() (batches, ops uint64) {
-	return s.batches.Load(), s.batchedOps.Load()
+	n := s.applied.Load()
+	return n, n
 }
 
 // AuditLag returns how many store versions the cached audit snapshot

@@ -358,8 +358,8 @@ func (p *Platform) AuditPass(cfg AuditConfig) audit.Pass {
 }
 
 // sameAuditConfig compares the checker-relevant fields of two configs.
-// Measure functions are compared by name; the Memo field is ignored — the
-// incremental engine installs its own cache either way. A config judged
+// Measure functions are compared by name; Candidates is ignored — the
+// incremental engine installs its own provider either way. A config judged
 // different only costs a cold start, never correctness.
 func sameAuditConfig(a, b AuditConfig) bool {
 	return a.SkillMeasure.Name == b.SkillMeasure.Name &&

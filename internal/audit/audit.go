@@ -24,12 +24,13 @@
 // (vsum). A pass hands out those slices and reads its fingerprint off the
 // five sums; Fingerprint, computed from scratch, is the oracle.
 //
-// A revision-keyed similarity cache (Cache) is shared across Axioms 1–3,
-// so even the pairs a dirty entity drags back into scope only recompute the
-// similarity legs that actually moved. When the engine falls behind any
-// shard's changelog retention window it falls back to a full rebuild — the
-// cold start and the catch-up path are the same code, and the rebuild's
-// per-task / per-worker folds fan out on the bounded worker pool.
+// Pair similarities are recomputed for every pair a pass examines; nothing is
+// memoised across passes. Axiom 3 builds each contribution's n-gram profile
+// once per dirty task (similarity.ContributionProfiles). When the engine
+// falls behind any shard's changelog retention window it falls back to a
+// full rebuild — the cold start and the catch-up path are the same code, and
+// the rebuild's per-task / per-worker folds fan out on the bounded worker
+// pool.
 package audit
 
 import (
@@ -50,12 +51,11 @@ import (
 // after mutation stops reflects every mutation); concurrent Audit calls
 // serialise on an internal mutex.
 type Engine struct {
-	mu    sync.Mutex
-	st    *store.Store
-	log   *eventlog.Log
-	cfg   fairness.Config
-	cache *Cache
-	plan  fairness.IndexPlan
+	mu   sync.Mutex
+	st   *store.Store
+	log  *eventlog.Log
+	cfg  fairness.Config
+	plan fairness.IndexPlan
 
 	primed  bool
 	cursors []uint64 // per-shard changelog positions
@@ -231,14 +231,12 @@ func (p *pairSet) add(pairs [][2]string) {
 
 // New returns an engine over the given trace. cfg parameterises the
 // checkers exactly as in fairness.CheckAll; the engine attaches its own
-// similarity cache (any caller-provided cfg.Memo is replaced), its own
 // incrementally maintained candidate provider (any caller-provided
-// cfg.Candidates is replaced), and turns on candidate-pair recording for
-// the Checked census.
+// cfg.Candidates is replaced) and turns on candidate-pair recording for the
+// Checked census.
 func New(st *store.Store, log *eventlog.Log, cfg fairness.Config) *Engine {
-	e := &Engine{st: st, log: log, cache: NewCache(st)}
+	e := &Engine{st: st, log: log}
 	e.plan = cfg.Plan()
-	cfg.Memo = e.cache
 	cfg.Candidates = engineProvider{e}
 	cfg.RecordCheckedPairs = true
 	e.cfg = cfg
@@ -246,23 +244,44 @@ func New(st *store.Store, log *eventlog.Log, cfg fairness.Config) *Engine {
 	return e
 }
 
-// Cache exposes the engine's similarity cache (for stats and cap tuning).
-func (e *Engine) Cache() *Cache { return e.cache }
+// CacheStats, Cache and Engine.Cache are what is left of the cross-pass
+// similarity cache the engine no longer has: the crowdbench harness (bench/,
+// frozen by its benchmark contract) still reads Engine.Cache().Counters().
+// Every counter is zero. They leave with the "one door" refactor that routes
+// bench/ through crowdfair.
+type CacheStats struct{ Hits, Misses, Evictions uint64 }
 
-// PairScores scores every contribution pair in similarity.PairAt order
-// through the engine's cache — the hook pay.SimilarityFair.PairScores
-// expects. With the exact backend every pair is scored; with the LSH
-// backend only the index's candidate pairs are scored and the rest are
-// zero (below any threshold), so payment-side clustering reuses the same
-// pruned candidate generation as the audit. The pay scheme's similarity
-// threshold must be at or above the audit's ContributionThreshold for the
-// pruning to be sound.
+// Cache is the empty remnant described at CacheStats.
+type Cache struct{}
+
+// Counters returns zeros.
+func (*Cache) Counters() CacheStats { return CacheStats{} }
+
+// Cache returns the empty remnant described at CacheStats.
+func (e *Engine) Cache() *Cache { return &Cache{} }
+
+// PairScores scores every contribution pair in similarity.PairAt order —
+// the hook pay.SimilarityFair.PairScores expects. With the exact backend it
+// is similarity.ContributionPairScores; with the LSH backend only the
+// index's candidate pairs are scored and the rest are zero (below any
+// threshold), so payment-side clustering reuses the same pruned candidate
+// generation as the audit. The pay scheme's similarity threshold must be at
+// or above the audit's ContributionThreshold for the pruning to be sound.
 func (e *Engine) PairScores(contribs []*model.Contribution) []float64 {
 	if e.plan.Kind != fairness.CandidateLSH {
-		return e.cache.PairScores(contribs)
+		return similarity.ContributionPairScores(contribs)
 	}
 	ks, _ := e.plan.ContribCandidates(contribs)
-	return e.cache.pairScoresFiltered(contribs, ks)
+	out := make([]float64, similarity.PairCount(len(contribs)))
+	if len(ks) == 0 {
+		return out
+	}
+	score := similarity.NewContributionProfiles(contribs).Similarity
+	par.For(len(ks), 0, func(x int) {
+		i, j := similarity.PairAt(len(contribs), ks[x])
+		out[ks[x]] = score(i, j)
+	})
+	return out
 }
 
 // engineProvider adapts the engine's maintained indexes to
@@ -328,12 +347,6 @@ func (e *Engine) AuditPass() Pass {
 	defer e.mu.Unlock()
 	sc := &e.scr
 	sc.begin()
-
-	// The version bracket must be read before any entity snapshot so the
-	// cache never stores a score under a revision newer than the data it
-	// was computed from (see Cache).
-	passVer := e.st.Version()
-	e.cache.BeginPass(passVer)
 
 	if !e.primed {
 		return e.rebuild()
@@ -579,9 +592,8 @@ func touching(prev []fairness.Violation, dirty []string) (out []fairness.Violati
 
 // foldTasks replaces the stored Axiom 3 verdict of every task in ids
 // (sorted ascending). The per-task checks are independent (disjoint
-// contribution sets, a concurrency-safe memo), so the batch checker fans
-// them out on the bounded pool; the fold into engine state stays sequential
-// in ids order.
+// contribution sets), so the batch checker fans them out on the bounded
+// pool; the fold into engine state stays sequential in ids order.
 func (e *Engine) foldTasks(ids []model.TaskID) {
 	var gone, fresh []fairness.Violation
 	audits := fairness.CheckAxiom3Tasks(e.st, e.cfg, ids)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
 	"repro/internal/model"
+	"repro/internal/similarity"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -355,40 +356,54 @@ func TestChangelogTruncationFallsBackToRebuild(t *testing.T) {
 	requirePass(t, 1, eng.AuditPass(), fairness.CheckAll(s.st, s.log, cfg))
 }
 
-// Offer churn re-examines pairs whose entities did not change; those pair
-// similarities must come out of the cache, and an entity mutation must
-// invalidate exactly its own pairs (correctness of the result is pinned by
-// the equivalence tests; this pins that the cache is actually consulted).
-func TestCacheHitsOnOfferChurn(t *testing.T) {
-	s := newScenario(t, 23)
-	s.seed(60, 20, 300, 0)
-	eng := New(s.st, s.log, fairness.DefaultConfig())
-	eng.Audit()
-	_, missesAfterCold := eng.Cache().Stats()
-	if missesAfterCold == 0 {
-		t.Fatal("cold start should have populated the cache")
+// TestEnginePairScoresMatchesKernel pins the pay-scheme hook: under the
+// exact backend Engine.PairScores is similarity.ContributionPairScores; under
+// LSH it agrees with that kernel on every pair ContribCandidates proposes
+// and is zero on every other pair.
+func TestEnginePairScoresMatchesKernel(t *testing.T) {
+	var cs []*model.Contribution
+	texts := []string{"the canonical answer", "the canonical answer!", "something else entirely",
+		"", "   ", "a completely unrelated reply about vision models", "the canonical answr"}
+	for i := 0; i < 21; i++ {
+		c := &model.Contribution{ID: model.ContributionID(fmt.Sprintf("c%02d", i)), Text: texts[i%len(texts)]}
+		if i%5 == 4 {
+			c.Ranking = []string{"x", "y", "z"}[:1+i%3]
+		}
+		cs = append(cs, c)
 	}
-	hits0, _ := eng.Cache().Stats()
-	// New offers only: no store mutation, so every re-examined pair has
-	// unchanged revisions and must hit.
-	for i := 0; i < 10; i++ {
-		s.offer()
+	want := similarity.ContributionPairScores(cs)
+	same := func(label string, got []float64, keep func(k int) bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d scores, want %d", label, len(got), len(want))
+		}
+		for k := range got {
+			w := 0.0
+			if keep(k) {
+				w = want[k]
+			}
+			if got[k] != w {
+				i, j := similarity.PairAt(len(cs), k)
+				t.Fatalf("%s: pair (%d,%d) = %v, want %v", label, i, j, got[k], w)
+			}
+		}
 	}
-	eng.Audit()
-	hits1, misses1 := eng.Cache().Stats()
-	if hits1 <= hits0 {
-		t.Fatalf("offer churn produced no cache hits (hits %d -> %d)", hits0, hits1)
+
+	st := store.New(model.MustUniverse("go"))
+	exact := New(st, eventlog.New(), fairness.DefaultConfig())
+	same("exact", exact.PairScores(cs), func(int) bool { return true })
+
+	cfg := lshConfig(7)
+	ks, pruned := cfg.Plan().ContribCandidates(cs)
+	if !pruned || len(ks) == 0 || len(ks) == len(want) {
+		t.Fatalf("test setup: LSH proposed %d of %d pairs (pruned %v); want a strict, non-empty subset", len(ks), len(want), pruned)
 	}
-	if misses1 != missesAfterCold {
-		t.Fatalf("offer churn missed the cache: misses %d -> %d", missesAfterCold, misses1)
+	cand := make(map[int]bool, len(ks))
+	for _, k := range ks {
+		cand[k] = true
 	}
-	// A worker mutation must force recomputation for its pairs.
-	s.updateWorker()
-	eng.Audit()
-	_, misses2 := eng.Cache().Stats()
-	if misses2 <= misses1 {
-		t.Fatal("worker mutation did not invalidate any cached pair")
-	}
+	lsh := New(st, eventlog.New(), cfg)
+	same("lsh", lsh.PairScores(cs), func(k int) bool { return cand[k] })
 }
 
 // An audit pass between mutations must not disturb later equivalence even

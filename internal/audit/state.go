@@ -77,11 +77,8 @@ func ConfigSig(cfg fairness.Config) string {
 // workers, the Axiom 5 stream), and every maintained verdict. Checkpoint
 // stores its binary encoding (Encode) in the audit-<version>.bin sidecar the
 // manifest names, so a restarted auditor replays only post-checkpoint deltas
-// — no full event replay, no candidate-pair scan.
-//
-// Only the similarity cache is deliberately NOT serialised: it re-warms on
-// demand, and persisting revision-keyed scores across a restart would tie
-// the state format to the cache layout for little gain.
+// — no full event replay, no candidate-pair scan. Pair similarity scores are
+// not part of it: the engine keeps none across passes.
 type State struct {
 	// ConfigSig fingerprints the fairness.Config the verdicts were computed
 	// under; LoadState compares it before a resume and callers cold-start on

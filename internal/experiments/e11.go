@@ -45,8 +45,8 @@ func e11Spec() Spec {
 // deployment: a platform whose state drifts a little every tick (DirtyFrac
 // of workers mutate, a few offers land) is audited after every round, once
 // by the full five-axiom rescan and once by the incremental engine
-// (internal/audit) that re-checks only dirty pairs over a changelog-fed
-// similarity cache. The table reports total wall time over all rounds for
+// (internal/audit) that re-checks only the pairs its changelog deltas
+// dirtied. The table reports total wall time over all rounds for
 // both modes, the speedup, and whether the reported violations stayed
 // identical (they must — the engine's contract).
 func E11IncrementalAudit(p E11Params) *Table {

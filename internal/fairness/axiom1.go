@@ -74,35 +74,20 @@ func checkAxiom1(st *store.Store, ix *AccessIndex, cfg Config, dirty []model.Wor
 	policy := cfg.attrPolicy()
 
 	// check examines one pair into the calling shard's slot; callers pass
-	// a.ID < b.ID so memo keys and violation subjects are canonical. The
-	// memo (when present) is concurrency-safe by contract.
+	// a.ID < b.ID so violation subjects are canonical.
 	check := func(sl *pairSlot, a, b *model.Worker) {
 		sl.checked++
 		if cfg.RecordCheckedPairs {
 			sl.pairs = append(sl.pairs, [2]string{string(a.ID), string(b.ID)})
 		}
-		var sc WorkerPairScores
-		if cfg.Memo != nil {
-			sc = cfg.Memo.WorkerPair(a.ID, b.ID, func() WorkerPairScores {
-				return WorkerPairScores{
-					Skill:    measure.Func(a.Skills, b.Skills),
-					Declared: policy.Similarity(a.Declared, b.Declared),
-					Computed: policy.Similarity(a.Computed, b.Computed),
-				}
-			})
-			if sc.Skill < skillThr || sc.Declared < attrThr || sc.Computed < attrThr {
-				return
-			}
-		} else {
-			if measure.Func(a.Skills, b.Skills) < skillThr {
-				return
-			}
-			if policy.Similarity(a.Declared, b.Declared) < attrThr {
-				return
-			}
-			if policy.Similarity(a.Computed, b.Computed) < attrThr {
-				return
-			}
+		if measure.Func(a.Skills, b.Skills) < skillThr {
+			return
+		}
+		if policy.Similarity(a.Declared, b.Declared) < attrThr {
+			return
+		}
+		if policy.Similarity(a.Computed, b.Computed) < attrThr {
+			return
 		}
 		aSet, bSet := ix.offerSet(a.ID), ix.offerSet(b.ID)
 		overlap := aSet.jaccard(bSet)

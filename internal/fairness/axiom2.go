@@ -65,15 +65,7 @@ func checkAxiom2(st *store.Store, ix *AccessIndex, cfg Config, dirty []model.Tas
 		if cfg.RecordCheckedPairs {
 			sl.pairs = append(sl.pairs, [2]string{string(a.ID), string(b.ID)})
 		}
-		var skillSim float64
-		if cfg.Memo != nil {
-			skillSim = cfg.Memo.TaskPair(a.ID, b.ID, func() float64 {
-				return measure.Func(a.Skills, b.Skills)
-			})
-		} else {
-			skillSim = measure.Func(a.Skills, b.Skills)
-		}
-		if skillSim < skillThr {
+		if measure.Func(a.Skills, b.Skills) < skillThr {
 			return
 		}
 		if !comparableRewards(a.Reward, b.Reward, rewardTol) {

@@ -77,10 +77,9 @@ func foldTaskAudits(audits []TaskAudit) *Report {
 // checkAxiom3Task runs the pairwise compensation audit over one task's
 // contributions. The exact backend scores every pair (pruned=false from
 // the provider) on the parallel kernel; the LSH backend scores only the
-// index's candidate pairs, walked in the same serial pair order. Without a
-// memo scores are computed directly; with one, each pair is routed through
-// the cache (the memoized path is the incremental engine's, where most
-// pairs are warm). Exhaustive mode forces the all-pairs path.
+// index's candidate pairs, walked in the same serial pair order. Both paths
+// score through one similarity.ContributionProfiles, so each text profile is
+// built once per task per call. Exhaustive mode forces the all-pairs path.
 func checkAxiom3Task(st *store.Store, cfg Config, prov CandidateProvider, tid model.TaskID) (int, []Violation) {
 	simThr := orDefault(cfg.ContributionThreshold, 0.8)
 	payTol := orDefault(cfg.PayTolerance, 0.01)
@@ -119,29 +118,22 @@ func checkAxiom3Task(st *store.Store, cfg Config, prov CandidateProvider, tid mo
 		})
 	}
 
-	score := func(i, j int) float64 {
-		a, b := contribs[i], contribs[j]
-		if cfg.Memo != nil {
-			return cfg.Memo.ContribPair(a.ID, b.ID, func() float64 {
-				return similarity.ContributionSimilarity(a, b)
-			})
-		}
-		return similarity.ContributionSimilarity(a, b)
-	}
-
 	var ks []int
 	pruned := false
 	if !cfg.Exhaustive {
 		ks, pruned = prov.ContribPairs(tid, contribs)
 	}
+	if len(contribs) < 2 || (pruned && len(ks) == 0) {
+		return 0, nil // no pair to score: skip building profiles
+	}
+	score := similarity.NewContributionProfiles(contribs).Similarity
 	buf := getSims()
 	defer putSims(buf)
 	if !pruned {
-		// Score every pair up front on the parallel kernel — profile
-		// construction dominates audit cost on text-heavy tasks — then walk
-		// the scores in the kernel's serial pair order so the report is
-		// identical to the old nested loop. The score buffer is pooled:
-		// delta audits run this per dirty task per pass.
+		// Score every pair up front on the parallel kernel, then walk the
+		// scores in the kernel's serial pair order so the report is identical
+		// to the old nested loop. The score buffer is pooled: delta audits run
+		// this per dirty task per pass.
 		sims := similarity.ScorePairsInto((*buf)[:0], len(contribs), score)
 		*buf = sims
 		for k := range sims {

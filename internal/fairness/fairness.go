@@ -125,12 +125,6 @@ type Config struct {
 	// from this config's Plan() so its candidate sets match what the
 	// checkers would build themselves.
 	Candidates CandidateProvider
-	// Memo, when non-nil, memoizes the pairwise similarity scores of Axioms
-	// 1–3 across audit passes (internal/audit supplies a revision-keyed
-	// cache). Implementations must be safe for concurrent use. With a memo
-	// attached, Axiom 1 computes all three similarity scores per pair up
-	// front instead of short-circuiting; reported violations are identical.
-	Memo PairMemo
 	// RecordCheckedPairs makes the Axiom 1/2 checkers list every candidate
 	// pair they examine in Report.CheckedPairs. Incremental auditors
 	// (internal/audit) use the lists to maintain an exact candidate-pair
@@ -141,28 +135,6 @@ type Config struct {
 	// with the pruned candidate set, and delta and full passes still agree
 	// because a pair's candidacy depends only on its two endpoints.
 	RecordCheckedPairs bool
-}
-
-// WorkerPairScores bundles the three similarity scores Axiom 1 compares for
-// a worker pair. All three measures are symmetric, so the scores are valid
-// for either pair orientation.
-type WorkerPairScores struct {
-	Skill    float64 // SkillMeasure over skill vectors
-	Declared float64 // AttrPolicy over declared attributes
-	Computed float64 // AttrPolicy over computed attributes
-}
-
-// PairMemo caches pairwise similarity scores across audit passes. Keys are
-// entity-id pairs; implementations decide validity (internal/audit keys by
-// store revision, so a mutated entity misses). compute is invoked on a miss
-// and must be idempotent.
-type PairMemo interface {
-	// WorkerPair returns the Axiom 1 scores for a worker pair.
-	WorkerPair(a, b model.WorkerID, compute func() WorkerPairScores) WorkerPairScores
-	// TaskPair returns the Axiom 2 skill similarity for a task pair.
-	TaskPair(a, b model.TaskID, compute func() float64) float64
-	// ContribPair returns the Axiom 3 contribution similarity for a pair.
-	ContribPair(a, b model.ContributionID, compute func() float64) float64
 }
 
 // DefaultConfig returns the configuration used throughout the experiments.

@@ -246,12 +246,13 @@ func RepairAxiom3(st *store.Store, cfg Config) []PayAdjustment {
 			}
 			return x
 		}
+		profiles := similarity.NewContributionProfiles(contribs)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if contribs[i].Worker == contribs[j].Worker {
 					continue
 				}
-				if similarity.ContributionSimilarity(contribs[i], contribs[j]) >= simThr {
+				if profiles.Similarity(i, j) >= simThr {
 					ri, rj := find(i), find(j)
 					if ri != rj {
 						parent[rj] = ri

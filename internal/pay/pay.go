@@ -113,9 +113,10 @@ type SimilarityFair struct {
 	// clusters together).
 	Threshold float64
 	// PairScores overrides the pairwise similarity kernel (default
-	// similarity.ContributionPairScores, the parallel pair-scoring path the
-	// Axiom 3 checker uses). Incremental auditors inject their memoized
-	// scorer here so payment equalisation shares the cache. Results must be
+	// similarity.ContributionPairScores, which builds each text profile once
+	// and scores the pairs in parallel). The simulator injects the audit
+	// engine's Engine.PairScores here so payment equalisation scores the
+	// same, possibly LSH-pruned, pair set as the audit. Results must be
 	// indexed in similarity.PairAt order.
 	PairScores func([]*model.Contribution) []float64
 }

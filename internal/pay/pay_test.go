@@ -320,8 +320,8 @@ func TestQualityBasedExplicitZeroSentinel(t *testing.T) {
 }
 
 // SimilarityFair must produce identical payments through the parallel
-// pair-scoring kernel and through an injected scorer (the memoized path the
-// incremental audit engine uses).
+// pair-scoring kernel and through an injected scorer (the hook the
+// simulator wires to the audit engine's Engine.PairScores).
 func TestSimilarityFairInjectedScorerMatches(t *testing.T) {
 	task := &model.Task{ID: "t1", Requester: "r1", Reward: 2.0}
 	contribs := []*model.Contribution{

@@ -234,12 +234,9 @@ func Run(cfg Config) (*Result, error) {
 		r.cfg.AuditConfig = ac
 		r.auditor = audit.New(st, log, ac)
 		// Route similarity-fair payment equalisation through the audit
-		// engine's scoring kernel: one shared, memoizing (and, under LSH,
-		// candidate-pruned) kernel for pay and audits. (Payments bump
-		// contribution revisions before the end-of-round Axiom 3 pass, so
-		// each phase keys its own cache entries — the kernel is shared, not
-		// the per-round scores.) Schemes with a caller-injected kernel are
-		// left alone.
+		// engine's scoring kernel, so pay and audits cluster over the same
+		// (under LSH, candidate-pruned) pair set. Schemes with a
+		// caller-injected kernel are left alone.
 		if sf, ok := r.cfg.PayScheme.(pay.SimilarityFair); ok && sf.PairScores == nil {
 			sf.PairScores = r.auditor.PairScores
 			r.cfg.PayScheme = sf

@@ -401,11 +401,11 @@ func TestRunStoreShardsInvariant(t *testing.T) {
 	}
 }
 
-// TestRunSimilarityFairUsesAuditCache pins the pay-scheme/audit-cache
+// TestRunSimilarityFairUsesAuditKernel pins the pay-scheme/audit-kernel
 // routing: with in-loop audits on, a nil-PairScores SimilarityFair scheme
-// is rewired through the engine's memoized kernel, and the payments are
-// identical to the uncached kernel's.
-func TestRunSimilarityFairUsesAuditCache(t *testing.T) {
+// is rewired through the engine's scoring kernel, and the payments are
+// identical to the default kernel's.
+func TestRunSimilarityFairUsesAuditKernel(t *testing.T) {
 	build := func(scheme pay.Scheme, auditEvery int) Config {
 		cfg := smallConfig(29)
 		cfg.Rounds = 4
@@ -413,21 +413,19 @@ func TestRunSimilarityFairUsesAuditCache(t *testing.T) {
 		cfg.AuditEvery = auditEvery
 		return cfg
 	}
-	cached, err := Run(build(pay.SimilarityFair{}, 1))
+	routed, err := Run(build(pay.SimilarityFair{}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := Run(build(pay.SimilarityFair{}, 0))
+	direct, err := Run(build(pay.SimilarityFair{}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached.Metrics.TotalPaid != uncached.Metrics.TotalPaid ||
-		cached.Metrics.IncomeGini != uncached.Metrics.IncomeGini {
-		t.Fatalf("cache-routed payments differ: %+v vs %+v", cached.Metrics, uncached.Metrics)
+	if routed.Metrics.TotalPaid != direct.Metrics.TotalPaid ||
+		routed.Metrics.IncomeGini != direct.Metrics.IncomeGini {
+		t.Fatalf("audit-routed payments differ: %+v vs %+v", routed.Metrics, direct.Metrics)
 	}
-	if cached.Metrics.TotalPaid <= 0 {
+	if routed.Metrics.TotalPaid <= 0 {
 		t.Fatal("no payments issued; scenario exercises nothing")
 	}
-	// That the kernel itself memoizes is pinned at unit level by
-	// TestCachePairScoresMemoizes in internal/audit.
 }

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/model"
@@ -55,5 +56,56 @@ func TestContributionSimilarityEmpty(t *testing.T) {
 	b := &model.Contribution{ID: "b"}
 	if got := ContributionSimilarity(a, b); got != 1 {
 		t.Errorf("two empty payloads = %v, want 1", got)
+	}
+}
+
+// TestContributionProfilesMatchSimilarity pins the profile-once scorer to the
+// per-pair kernel bit for bit, over every payload rule (text, empty,
+// whitespace-only, non-ASCII, ranked, mixed) and a seeded generated batch,
+// in both pair orientations and on the diagonal.
+func TestContributionProfilesMatchSimilarity(t *testing.T) {
+	cs := []*model.Contribution{
+		{Text: "the quick brown fox"},
+		{Text: "The  quick\tbrown fox!"},
+		{Text: "zzzzzz qqqqqq"},
+		{Text: ""},
+		{Text: "   \t\n "},
+		{Text: "ab"},
+		{Text: "日本語のテキスト"},
+		{Text: "日本語のテキストです"},
+		{Text: "naïve café résumé"},
+		{Ranking: []string{"x", "y", "z"}},
+		{Ranking: []string{"z", "y", "x"}},
+		{Ranking: []string{"y", "x", "w"}},
+		{Ranking: []string{"x"}, Text: "ranked payload wins over text"},
+	}
+	rng := rand.New(rand.NewSource(29))
+	words := []string{"fox", "dog", "Lazy", "jumps", "über", "the", "a", "ranking", "  ", "\t"}
+	items := []string{"p", "q", "r", "s", "t", "u"}
+	for i := 0; i < 60; i++ {
+		c := &model.Contribution{}
+		switch rng.Intn(5) {
+		case 0:
+			for k := rng.Intn(4) + 1; k > 0; k-- {
+				c.Ranking = append(c.Ranking, items[rng.Intn(len(items))])
+			}
+		case 1:
+			// empty text
+		default:
+			for k := rng.Intn(12); k > 0; k-- {
+				c.Text += words[rng.Intn(len(words))] + " "
+			}
+		}
+		cs = append(cs, c)
+	}
+	p := NewContributionProfiles(cs)
+	for i := range cs {
+		for j := range cs {
+			got, want := p.Similarity(i, j), ContributionSimilarity(cs[i], cs[j])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Similarity(%d, %d) = %v, ContributionSimilarity = %v (%q / %v vs %q / %v)",
+					i, j, got, want, cs[i].Text, cs[i].Ranking, cs[j].Text, cs[j].Ranking)
+			}
+		}
 	}
 }

@@ -79,11 +79,8 @@ func ScorePairsInto(dst []float64, n int, score func(i, j int) float64) []float6
 }
 
 // ContributionPairScores computes ContributionSimilarity for every
-// unordered pair of contributions in parallel — the candidate-scoring hot
-// loop of the Axiom 3 checker, where each comparison builds n-gram or
-// ranking profiles and dominates audit cost on text-heavy tasks.
+// unordered pair of contributions in parallel, building each text profile
+// once (see ContributionProfiles).
 func ContributionPairScores(contribs []*model.Contribution) []float64 {
-	return ScorePairs(len(contribs), func(i, j int) float64 {
-		return ContributionSimilarity(contribs[i], contribs[j])
-	})
+	return ScorePairs(len(contribs), NewContributionProfiles(contribs).Similarity)
 }

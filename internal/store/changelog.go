@@ -186,29 +186,3 @@ func (s *Store) ShardVersion(shard int) uint64 {
 	defer sh.mu.RUnlock()
 	return sh.applied
 }
-
-// WorkerRevision returns the store version at which the worker last mutated
-// (0 for unknown ids). Revisions key memoized pairwise-similarity caches:
-// two audits seeing equal (id, revision) pairs are guaranteed to see equal
-// entity values.
-func (s *Store) WorkerRevision(id model.WorkerID) uint64 {
-	sh := s.rlockOwner(string(id))
-	defer sh.mu.RUnlock()
-	return sh.workerRev[id]
-}
-
-// TaskRevision returns the store version at which the task was inserted
-// (0 for unknown ids).
-func (s *Store) TaskRevision(id model.TaskID) uint64 {
-	sh := s.rlockOwner(string(id))
-	defer sh.mu.RUnlock()
-	return sh.taskRev[id]
-}
-
-// ContributionRevision returns the store version at which the contribution
-// last mutated (0 for unknown ids).
-func (s *Store) ContributionRevision(id model.ContributionID) uint64 {
-	sh := s.rlockOwner(string(id))
-	defer sh.mu.RUnlock()
-	return sh.contribRev[id]
-}

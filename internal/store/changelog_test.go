@@ -276,41 +276,3 @@ func TestShardChangesSinceOverflowRacingBulkPut(t *testing.T) {
 		}
 	}
 }
-
-func TestRevisionsTrackLastMutation(t *testing.T) {
-	s := changelogStore(t)
-	w := &model.Worker{ID: "w1", Skills: s.Universe().MustVector("a")}
-	if err := s.PutWorker(w); err != nil {
-		t.Fatal(err)
-	}
-	rev1 := s.WorkerRevision("w1")
-	if rev1 == 0 {
-		t.Fatal("inserted worker has zero revision")
-	}
-	if err := s.PutTask(&model.Task{ID: "t1", Requester: "r1", Skills: s.Universe().MustVector("a")}); err != nil {
-		t.Fatal(err)
-	}
-	if s.WorkerRevision("w1") != rev1 {
-		t.Fatal("unrelated mutation moved the worker revision")
-	}
-	if err := s.UpdateWorker(w); err != nil {
-		t.Fatal(err)
-	}
-	if s.WorkerRevision("w1") <= rev1 {
-		t.Fatal("update did not advance the worker revision")
-	}
-	if s.TaskRevision("t1") == 0 || s.TaskRevision("missing") != 0 {
-		t.Fatal("task revision bookkeeping wrong")
-	}
-	c := &model.Contribution{ID: "c1", Task: "t1", Worker: "w1", Quality: 0.5}
-	if err := s.PutContribution(c); err != nil {
-		t.Fatal(err)
-	}
-	crev := s.ContributionRevision("c1")
-	if err := s.UpdateContribution(c); err != nil {
-		t.Fatal(err)
-	}
-	if s.ContributionRevision("c1") <= crev {
-		t.Fatal("contribution update did not advance its revision")
-	}
-}

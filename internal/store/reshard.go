@@ -15,7 +15,7 @@ import (
 //     writers and readers know a migration is in flight: routing falls
 //     through retired shards, cross-shard readers pin both tables.
 //  2. Hand off each current-epoch shard in index order: under its write
-//     lock, move every entity, revision, and retained changelog record to
+//     lock, move every entity and retained changelog record to
 //     its successor-table owner, then mark the shard retired. Writers to a
 //     migrating shard block only for that shard's handoff; traffic to
 //     every other shard proceeds untouched.
@@ -112,7 +112,7 @@ func (s *Store) finishCutover(rt, nt *routeTable) error {
 }
 
 // handoff migrates one current-epoch shard into the successor table: every
-// entity map, secondary index entry, revision, and retained changelog
+// entity map, secondary index entry, and retained changelog
 // record moves to its new owner, then the shard is marked retired and its
 // memory released. Runs under the retiring shard's write lock, taking each
 // touched successor shard's lock one at a time (current-epoch before
@@ -173,7 +173,6 @@ func (s *Store) handoff(old *shard, nt *routeTable) error {
 			for _, k := range w.Skills.Indices() {
 				t.workersBySkill[k] = insertSortedID(t.workersBySkill[k], w.ID)
 			}
-			t.workerRev[w.ID] = old.workerRev[w.ID]
 		}
 		for _, r := range g.reqs {
 			t.requesters[r.ID] = r
@@ -184,7 +183,6 @@ func (s *Store) handoff(old *shard, nt *routeTable) error {
 				t.tasksBySkill[k] = insertSortedID(t.tasksBySkill[k], tk.ID)
 			}
 			t.tasksByReq[tk.Requester] = insertSortedID(t.tasksByReq[tk.Requester], tk.ID)
-			t.taskRev[tk.ID] = old.taskRev[tk.ID]
 		}
 		for _, c := range g.contribs {
 			t.contribs[c.ID] = c
@@ -192,7 +190,6 @@ func (s *Store) handoff(old *shard, nt *routeTable) error {
 		for _, c := range g.contribs {
 			t.contribsByTask[c.Task] = insertContribID(t.contribsByTask[c.Task], t.contribs, c.ID)
 			t.contribsByWorker[c.Worker] = insertContribID(t.contribsByWorker[c.Worker], t.contribs, c.ID)
-			t.contribRev[c.ID] = old.contribRev[c.ID]
 		}
 		t.ring.merge(g.changes, old.ring.droppedMax)
 		if old.applied > t.applied {
@@ -230,6 +227,5 @@ func (s *Store) handoff(old *shard, nt *routeTable) error {
 	old.workersBySkill = make([][]model.WorkerID, len(old.workersBySkill))
 	old.tasksBySkill = make([][]model.TaskID, len(old.tasksBySkill))
 	old.tasksByReq, old.contribsByTask, old.contribsByWorker = nil, nil, nil
-	old.workerRev, old.taskRev, old.contribRev = nil, nil, nil
 	return sealErr
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // shard is one hash partition of the store: a full set of entity tables,
-// secondary indexes, revision maps, and a changelog ring, guarded by its own
+// secondary indexes, and a changelog ring, guarded by its own
 // RWMutex. Entities are assigned to shards by FNV-1a hash of their primary
 // id, so each mutation touches exactly one shard's lock (plus read-only
 // existence probes of referenced shards) and mutation throughput scales with
@@ -51,12 +51,6 @@ type shard struct {
 	contribsByTask   map[model.TaskID][]model.ContributionID
 	contribsByWorker map[model.WorkerID][]model.ContributionID
 
-	// Per-entity revisions: the global version at which each entity owned
-	// by this shard last mutated.
-	workerRev  map[model.WorkerID]uint64
-	taskRev    map[model.TaskID]uint64
-	contribRev map[model.ContributionID]uint64
-
 	// applied is the highest global version recorded in this shard — the
 	// shard's watermark. Every mutation with a version at or below applied
 	// is fully visible to readers that acquire mu after the watermark was
@@ -81,9 +75,6 @@ func newShard(skills, clogCap int, epoch uint64) *shard {
 		tasksByReq:       make(map[model.RequesterID][]model.TaskID),
 		contribsByTask:   make(map[model.TaskID][]model.ContributionID),
 		contribsByWorker: make(map[model.WorkerID][]model.ContributionID),
-		workerRev:        make(map[model.WorkerID]uint64),
-		taskRev:          make(map[model.TaskID]uint64),
-		contribRev:       make(map[model.ContributionID]uint64),
 		ring:             changeRing{cap: clogCap},
 	}
 }

@@ -11,8 +11,7 @@
 //
 // Concurrency model: the store is hash-partitioned into ShardCount shards
 // (see shard.go), each owning the entities whose id hashes to it together
-// with that partition's secondary indexes, revision map, and changelog
-// ring. Which shard owns which id is decided by an immutable, epoch-stamped
+// with that partition's secondary indexes and changelog ring. Which shard owns which id is decided by an immutable, epoch-stamped
 // route table (routetable.go) swapped through an atomic pointer; Reshard
 // (reshard.go) migrates the store to a new shard width under live traffic
 // by publishing a successor table and handing shards off one at a time.
@@ -31,8 +30,7 @@
 // see a state at least as new as any version bracket they read first.
 // Incremental consumers — the delta-driven fairness audits of
 // internal/audit — read the per-shard changelogs through ShardChangesSince
-// (or the version-merged ChangesSince) to re-check only what moved, and key
-// memoized pair similarities by (id, revision).
+// (or the version-merged ChangesSince) to re-check only what moved.
 //
 // Durability: each shard's changelog is a LogSink pair — the in-memory
 // ring plus, on stores built with NewDurable or Open, a write-ahead sink
@@ -221,7 +219,6 @@ func (s *Store) putWorkerLocked(sh *shard, w *model.Worker, ver, epoch uint64) (
 	if epoch == 0 {
 		epoch = sh.epoch
 	}
-	sh.workerRev[c.ID] = v
 	return sh.record(Mutation{
 		Change: Change{Version: v, Epoch: epoch, Op: OpInsert, Entity: EntityWorker, Worker: c.ID},
 		Worker: c,
@@ -258,7 +255,6 @@ func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver, epoch uint64
 	if epoch == 0 {
 		epoch = sh.epoch
 	}
-	sh.workerRev[w.ID] = v
 	return sh.record(Mutation{
 		Change: Change{Version: v, Epoch: epoch, Op: OpUpdate, Entity: EntityWorker, Worker: w.ID},
 		Worker: c,
@@ -543,7 +539,6 @@ func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver, epoch uint64) (wal.
 	if epoch == 0 {
 		epoch = sh.epoch
 	}
-	sh.taskRev[c.ID] = v
 	return sh.record(Mutation{
 		Change: Change{Version: v, Epoch: epoch, Op: OpInsert, Entity: EntityTask, Task: c.ID, Requester: c.Requester},
 		Task:   c,
@@ -692,7 +687,6 @@ func (s *Store) putContributionLocked(sh *shard, c *model.Contribution, ver, epo
 	if epoch == 0 {
 		epoch = sh.epoch
 	}
-	sh.contribRev[cc.ID] = v
 	return sh.record(Mutation{
 		Change: Change{
 			Version: v, Epoch: epoch, Op: OpInsert, Entity: EntityContribution,
@@ -753,7 +747,6 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver, 
 	if epoch == 0 {
 		epoch = sh.epoch
 	}
-	sh.contribRev[c.ID] = v
 	return sh.record(Mutation{
 		Change: Change{
 			Version: v, Epoch: epoch, Op: OpUpdate, Entity: EntityContribution,

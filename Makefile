@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race test-shuffle vet lint fmt-check bench bench-store bench-wal bench-reshard bench-lsh bench-audit bench-serve crowdbench-smoke sweep clean
+.PHONY: all build test test-race test-shuffle vet lint fmt-check bench experiments crowdbench-smoke clean
 
 all: build test
 
@@ -39,45 +39,13 @@ fmt-check:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Contended sharded-store benchmarks: single-RWMutex baseline vs hash
-# shards under 8 mutator goroutines (with and without a live auditor).
-bench-store:
-	$(GO) test -bench 'StoreContended' -benchmem -run '^$$' .
-	$(GO) run ./cmd/benchrunner -storebench
-
-# WAL persistence benchmarks: segmented-log append throughput per fsync
-# policy, the group-commit sweep (appender concurrency × sync policy,
-# written to BENCH_wal.json), recovery time vs trace length, and warm vs
-# cold first-audit latency (with a built-in warm==cold determinism check).
-bench-wal:
-	$(GO) run ./cmd/benchrunner -walbench -walout BENCH_wal.json
-
-# Epoch-routed store benchmarks: mutation latency during a live shard
-# split under concurrent writers, and WAL-shipping replica staleness vs
-# write rate with catch-up time once writes stop.
-bench-reshard:
-	$(GO) run ./cmd/benchrunner -reshardbench
-
-# Candidate-generation benchmarks: exact inverted-index vs MinHash/LSH
-# pruning, cold first-audit latency and incremental churn, written to
-# BENCH_lsh.json. The 1M-worker point runs LSH only (exact is gated).
-bench-lsh:
-	$(GO) run ./cmd/benchrunner -lshbench -lshout BENCH_lsh.json
-
-# Parallel audit pipeline benchmarks: cold and delta audit latency over
-# population size × dirty fraction × worker-pool width, written to
-# BENCH_audit.json. Every pool width replays the same trace and the sweep
-# fails if any width's reports diverge from the serial baseline.
-bench-audit:
-	$(GO) run ./cmd/benchrunner -auditbench -auditout BENCH_audit.json
-
-# Online-serving benchmarks: closed-loop latency over a durable WAL-backed
-# server at several concurrencies, a concurrent-vs-serial-oracle audit
-# determinism double-run, an overload cell (429 shedding with bounded
-# admitted p99), and a binary search for the max SLO-clean open-loop rate,
-# written to BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/benchrunner -servebench -serveout BENCH_serve.json
+# Regenerate the committed experiment tables E1–E11 (seed 42). Only the
+# wall-clock cells of E7, E8 and E11 change between runs; the golden test
+# in internal/experiments compares every other cell. A failed run leaves
+# the committed file as it was.
+experiments:
+	$(GO) run ./cmd/crowdfair experiments > EXPERIMENTS.md.tmp
+	mv EXPERIMENTS.md.tmp EXPERIMENTS.md
 
 # The repo's one end-to-end benchmark (bench/, its own module, so `go test
 # ./...` never reaches it): its unit tests, then every workload at tiny sizes
@@ -85,10 +53,6 @@ bench-serve:
 crowdbench-smoke:
 	$(GO) test -C bench ./...
 	$(GO) run -C bench repro/bench -smoke
-
-# Quick demonstration of the parallel sweep engine.
-sweep:
-	$(GO) run ./cmd/benchrunner -sweep all -seeds 1,2 -scales 0.25
 
 clean:
 	$(GO) clean ./...

@@ -1,14 +1,14 @@
-// Package repro's root benchmark suite regenerates every experiment of
-// DESIGN.md (E1–E9) under testing.B, plus micro-benchmarks for the hot
+// Package repro's root benchmark suite regenerates experiments E1–E9 at
+// reduced scale under testing.B, plus micro-benchmarks for the hot
 // primitives (similarity measures, candidate-pair generation, assignment,
 // rule evaluation) and the incremental-audit comparison
 // (BenchmarkAuditFullRescan vs BenchmarkAuditIncremental). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The human-readable experiment tables come from cmd/benchrunner; these
-// benchmarks measure the cost of regenerating them and of the underlying
-// kernels.
+// The experiment tables themselves come from `crowdfair experiments`
+// (committed as EXPERIMENTS.md); these benchmarks measure the cost of
+// regenerating them and of the underlying kernels.
 package repro
 
 import (
@@ -27,41 +27,11 @@ import (
 	"repro/internal/similarity"
 	"repro/internal/stats"
 	"repro/internal/store"
-	"repro/internal/sweep"
 	"repro/internal/transparency"
 	"repro/internal/workload"
 )
 
 const benchSeed = 42
-
-// --- Sweep engine: serial vs parallel over the same multi-seed grid ---
-
-// sweepBenchGrid is a multi-seed E1–E8 sweep at reduced scale: large enough
-// that per-job work dominates pool overhead, small enough to iterate under
-// the benchmark harness. On a 4+ core machine BenchmarkSweepParallel should
-// finish the grid at least 2× faster than BenchmarkSweepSerial; the outputs
-// are byte-identical either way (see sweep.TestSweepDeterministic).
-func sweepBenchGrid() sweep.Grid {
-	return sweep.Grid{
-		Experiments: []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"},
-		Scales:      []float64{0.25},
-		Seeds:       []uint64{1, 2, 3, 4},
-	}
-}
-
-func benchmarkSweep(b *testing.B, parallelism int) {
-	grid := sweepBenchGrid()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sweep.Run(grid, sweep.Options{Parallelism: parallelism}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepSerial(b *testing.B)   { benchmarkSweep(b, 1) }
-func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, 0) }
 
 // --- One benchmark per experiment table (E1–E8) ---
 

@@ -92,8 +92,8 @@ func main() {
 }
 
 // universe builds the skill universe fresh platforms are created over; it
-// matches the "skill-%02d" naming of internal/workload so loadgen plans
-// line up with a default server.
+// matches the "skill-%02d" naming of internal/workload, so entities
+// generated there validate against a default server.
 func universe(n int) *crowdfair.Universe {
 	names := make([]string, n)
 	for i := range names {

@@ -28,16 +28,6 @@ func DefaultE10Params(seed uint64) E10Params {
 	}
 }
 
-// e10Spec exposes E10 to the sweep engine.
-func e10Spec() Spec {
-	return Spec{ID: "E10", Name: "bonus-contract honouring", Run: func(p Params) *Table {
-		q := DefaultE10Params(p.Seed)
-		q.Workers = p.ScaleInt(q.Workers)
-		q.Tasks = p.ScaleInt(q.Tasks)
-		return E10Bonus(q)
-	}}
-}
-
 // E10Bonus reproduces the §3.1.1 bonus scenario: "a requester promises to
 // provide a bonus when a worker completes a series of tasks but does not do
 // so in the end". Identical marketplaces run with bonus contracts whose

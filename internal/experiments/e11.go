@@ -30,17 +30,6 @@ func DefaultE11Params(seed uint64) E11Params {
 	return E11Params{Sizes: []int{300, 1000}, Rounds: 6, DirtyFrac: 0.01, Seed: seed}
 }
 
-// e11Spec exposes E11 to the sweep engine.
-func e11Spec() Spec {
-	return Spec{ID: "E11", Name: "incremental vs full-rescan audits", Run: func(p Params) *Table {
-		q := DefaultE11Params(p.Seed)
-		for i, n := range q.Sizes {
-			q.Sizes[i] = p.ScaleInt(n)
-		}
-		return E11IncrementalAudit(q)
-	}}
-}
-
 // E11IncrementalAudit measures the tentpole of the continuous-monitoring
 // deployment: a platform whose state drifts a little every tick (DirtyFrac
 // of workers mutate, a few offers land) is audited after every round, once
@@ -68,7 +57,7 @@ func E11IncrementalAudit(p E11Params) *Table {
 		}, rng.Split())
 		nTasks := n / 4
 		if nTasks < 1 {
-			nTasks = 1 // scaled-down sweeps must stay well-formed
+			nTasks = 1 // populations under four workers still get a task
 		}
 		batch := workload.GenerateTasks(workload.TaskSpec{
 			Tasks: nTasks, Quota: 2,

@@ -24,26 +24,6 @@ func DefaultE1Params(seed uint64) E1Params {
 	return E1Params{Workers: 400, Tasks: 200, Seed: seed}
 }
 
-// e1Spec exposes E1 to the sweep engine.
-func e1Spec() Spec {
-	return Spec{ID: "E1", Name: "discriminatory power of task assignment", Run: func(p Params) *Table {
-		q := DefaultE1Params(p.Seed)
-		q.Workers = p.ScaleInt(q.Workers)
-		q.Tasks = p.ScaleInt(q.Tasks)
-		return E1Assignment(q)
-	}}
-}
-
-// e2Spec exposes E2 to the sweep engine.
-func e2Spec() Spec {
-	return Spec{ID: "E2", Name: "requester fairness in task visibility", Run: func(p Params) *Table {
-		q := DefaultE2Params(p.Seed)
-		q.Workers = p.ScaleInt(q.Workers)
-		q.Tasks = p.ScaleInt(q.Tasks)
-		return E2Visibility(q)
-	}}
-}
-
 // e1Env builds the shared population/tasks/store for E1/E2.
 func e1Env(workers, tasks int, seed uint64) (*workload.Population, *workload.Batch, *store.Store) {
 	rng := stats.NewRNG(seed + 0xe1)

@@ -25,26 +25,6 @@ func DefaultE3Params(seed uint64) E3Params {
 	return E3Params{Contributors: 30, Clusters: 3, Tasks: 20, Seed: seed}
 }
 
-// e3Spec exposes E3 to the sweep engine.
-func e3Spec() Spec {
-	return Spec{ID: "E3", Name: "compensation fairness", Run: func(p Params) *Table {
-		q := DefaultE3Params(p.Seed)
-		q.Contributors = p.ScaleInt(q.Contributors)
-		q.Tasks = p.ScaleInt(q.Tasks)
-		return E3Compensation(q)
-	}}
-}
-
-// e4Spec exposes E4 to the sweep engine.
-func e4Spec() Spec {
-	return Spec{ID: "E4", Name: "malicious-worker detection", Run: func(p Params) *Table {
-		q := DefaultE4Params(p.Seed)
-		q.Workers = p.ScaleInt(q.Workers)
-		q.Questions = p.ScaleInt(q.Questions)
-		return E4Detection(q)
-	}}
-}
-
 // E3Compensation audits Axiom 3 under each compensation scheme: similar
 // contributions to the same task must be paid equally. Contributions are
 // generated in controlled similarity clusters with per-cluster quality, so

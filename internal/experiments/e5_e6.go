@@ -33,25 +33,6 @@ func DefaultE5Params(seed uint64) E5Params {
 	}
 }
 
-// e5Spec exposes E5 to the sweep engine.
-func e5Spec() Spec {
-	return Spec{ID: "E5", Name: "worker fairness in task completion", Run: func(p Params) *Table {
-		q := DefaultE5Params(p.Seed)
-		q.Tasks = p.ScaleInt(q.Tasks)
-		return E5Completion(q)
-	}}
-}
-
-// e6Spec exposes E6 to the sweep engine.
-func e6Spec() Spec {
-	return Spec{ID: "E6", Name: "transparency vs retention and quality", Run: func(p Params) *Table {
-		q := DefaultE6Params(p.Seed)
-		q.Workers = p.ScaleInt(q.Workers)
-		q.Tasks = p.ScaleInt(q.Tasks)
-		return E6Retention(q)
-	}}
-}
-
 // E5Completion reproduces the §3.1.1 survey scenario: requesters publish
 // more assignments than they need; once the quota of acceptable responses
 // arrives, the cancellation policy decides the fate of in-flight work. The

@@ -24,26 +24,6 @@ func DefaultE7Params(seed uint64) E7Params {
 	return E7Params{Sizes: []int{100, 300, 1000, 3000}, Seed: seed}
 }
 
-// e7Spec exposes E7 to the sweep engine.
-func e7Spec() Spec {
-	return Spec{ID: "E7", Name: "axiom-1 checker scalability", Run: func(p Params) *Table {
-		q := DefaultE7Params(p.Seed)
-		for i, n := range q.Sizes {
-			q.Sizes[i] = p.ScaleInt(n)
-		}
-		return E7CheckScale(q)
-	}}
-}
-
-// e8Spec exposes E8 to the sweep engine.
-func e8Spec() Spec {
-	return Spec{ID: "E8", Name: "transparency rule-engine throughput", Run: func(p Params) *Table {
-		q := DefaultE8Params(p.Seed)
-		q.Evaluations = p.ScaleInt(q.Evaluations)
-		return E8RuleEngine(q)
-	}}
-}
-
 // e7Trace builds a store + offer log at a given worker scale with an
 // assignment that produces some Axiom-1 violations (archetype-biased
 // offers).
@@ -84,8 +64,8 @@ func e7Trace(workers int, seed uint64) (*store.Store, *eventlog.Log) {
 
 // E7CheckScale measures the fairness-check benchmark of §3.3.1: Axiom-1
 // audit cost at increasing scale, exhaustive O(n²) pair scan vs the skill
-// inverted-index pruning (the ablation of DESIGN.md §4). Both variants must
-// find the same violations; the table reports pair counts and wall time.
+// inverted-index pruning. Both variants must find the same violations; the
+// table reports pair counts and wall time.
 func E7CheckScale(p E7Params) *Table {
 	t := &Table{
 		ID:      "E7",

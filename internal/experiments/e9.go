@@ -31,18 +31,8 @@ func DefaultE9Params(seed uint64) E9Params {
 	}
 }
 
-// e9Spec exposes E9 to the sweep engine.
-func e9Spec() Spec {
-	return Spec{ID: "E9", Name: "design ablations", Run: func(p Params) *Table {
-		q := DefaultE9Params(p.Seed)
-		q.Workers = p.ScaleInt(q.Workers)
-		q.Tasks = p.ScaleInt(q.Tasks)
-		return E9Ablations(q)
-	}}
-}
-
-// E9Ablations covers the design-choice ablations of DESIGN.md §4 in three
-// sections sharing one table:
+// E9Ablations covers three design-choice ablations in sections sharing one
+// table:
 //
 //  1. similarity-measure choice in the Axiom-1 predicate (cosine vs
 //     jaccard vs exact) — the paper leaves the measure platform-dependent;

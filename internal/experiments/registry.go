@@ -1,51 +1,28 @@
 package experiments
 
-import "math"
-
-// Params is the uniform knob set every experiment accepts through its Spec:
-// a seed for the deterministic RNG streams and a scale factor applied to
-// the experiment's default population/task sizes. It is what lets the sweep
-// engine drive E1–E11 over a grid without knowing any per-experiment
-// parameter struct.
-type Params struct {
-	// Seed feeds every RNG stream of the experiment.
-	Seed uint64
-	// Scale multiplies the default sizes (workers, tasks, questions, ...).
-	// Zero or negative means 1.0 (the EXPERIMENTS.md defaults).
-	Scale float64
-}
-
-// ScaleInt applies the scale factor to a default size, never returning
-// less than 1 so scaled-down experiments stay well-formed.
-func (p Params) ScaleInt(n int) int {
-	s := p.Scale
-	if s <= 0 {
-		s = 1
-	}
-	scaled := int(math.Round(float64(n) * s))
-	if scaled < 1 {
-		return 1
-	}
-	return scaled
-}
-
-// Spec is the uniform description of one experiment: an identifier, a
-// short name for reports, and a Run hook the sweep engine can drive with
-// nothing but Params.
+// Spec is the uniform description of one experiment: an identifier and a
+// Run hook that executes it at its default scale with a seed.
 type Spec struct {
 	// ID is the experiment identifier ("E1".."E11").
 	ID string
-	// Name is a short human description.
-	Name string
-	// Run executes the experiment at the given seed and scale.
-	Run func(p Params) *Table
+	// Run executes the experiment with the given seed.
+	Run func(seed uint64) *Table
 }
 
 // Specs returns every experiment in report order, E1 through E11.
 func Specs() []Spec {
 	return []Spec{
-		e1Spec(), e2Spec(), e3Spec(), e4Spec(), e5Spec(),
-		e6Spec(), e7Spec(), e8Spec(), e9Spec(), e10Spec(), e11Spec(),
+		{"E1", func(seed uint64) *Table { return E1Assignment(DefaultE1Params(seed)) }},
+		{"E2", func(seed uint64) *Table { return E2Visibility(DefaultE2Params(seed)) }},
+		{"E3", func(seed uint64) *Table { return E3Compensation(DefaultE3Params(seed)) }},
+		{"E4", func(seed uint64) *Table { return E4Detection(DefaultE4Params(seed)) }},
+		{"E5", func(seed uint64) *Table { return E5Completion(DefaultE5Params(seed)) }},
+		{"E6", func(seed uint64) *Table { return E6Retention(DefaultE6Params(seed)) }},
+		{"E7", func(seed uint64) *Table { return E7CheckScale(DefaultE7Params(seed)) }},
+		{"E8", func(seed uint64) *Table { return E8RuleEngine(DefaultE8Params(seed)) }},
+		{"E9", func(seed uint64) *Table { return E9Ablations(DefaultE9Params(seed)) }},
+		{"E10", func(seed uint64) *Table { return E10Bonus(DefaultE10Params(seed)) }},
+		{"E11", func(seed uint64) *Table { return E11IncrementalAudit(DefaultE11Params(seed)) }},
 	}
 }
 
@@ -58,14 +35,4 @@ func SpecByID(id string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
-}
-
-// IDs returns the identifiers of every experiment in report order.
-func IDs() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.ID
-	}
-	return out
 }

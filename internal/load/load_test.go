@@ -3,13 +3,11 @@ package load
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/crowdfair"
-	"repro/internal/workload"
 )
 
-// TestBuildPlanDeterministic is the loadgen reproducibility contract: two
+// TestBuildPlanDeterministic is the plan reproducibility contract: two
 // plans from equal (spec, seed) are deeply equal — ids, payload bytes,
 // request ordering, everything.
 func TestBuildPlanDeterministic(t *testing.T) {
@@ -95,64 +93,5 @@ func TestOracleReproducible(t *testing.T) {
 	}
 	if a == "" || a != b {
 		t.Fatalf("oracle fingerprints %q vs %q", a, b)
-	}
-}
-
-// TestSearchCapacity checks the bisection against a synthetic server with
-// a known capacity cliff.
-func TestSearchCapacity(t *testing.T) {
-	const cliff = 730.0
-	trial := func(rate float64) *Result {
-		return &Result{SLOPass: rate <= cliff, ShedRate: 0}
-	}
-	cr := SearchCapacity(100, 1600, 8, trial)
-	if cr.SustainableRate > cliff {
-		t.Fatalf("sustainable %.1f above the cliff %.1f", cr.SustainableRate, cliff)
-	}
-	if cliff-cr.SustainableRate > (1600-100)/256.0 {
-		t.Fatalf("sustainable %.1f did not converge to the cliff %.1f", cr.SustainableRate, cliff)
-	}
-	if cr.FirstFailingRate <= cliff {
-		t.Fatalf("first failing %.1f at or below the cliff", cr.FirstFailingRate)
-	}
-	if len(cr.Trials) != 10 {
-		t.Fatalf("trials = %d, want lo+hi+8 bisections", len(cr.Trials))
-	}
-
-	// Degenerate ends: lower bound already failing, upper bound passing.
-	if cr := SearchCapacity(100, 200, 4, func(float64) *Result { return &Result{} }); cr.SustainableRate != 0 {
-		t.Fatalf("all-fail search found %.1f", cr.SustainableRate)
-	}
-	if cr := SearchCapacity(100, 200, 4, func(float64) *Result { return &Result{SLOPass: true} }); cr.SustainableRate != 200 || cr.FirstFailingRate != 0 {
-		t.Fatalf("all-pass search = %+v", cr)
-	}
-}
-
-func TestSLOJudgement(t *testing.T) {
-	out := []outcome{
-		{endpoint: EpContribution, latency: 2 * time.Millisecond, status: 200},
-		{endpoint: EpContribution, latency: 40 * time.Millisecond, status: 200},
-		{endpoint: EpOffer, latency: time.Millisecond, status: 429},
-	}
-	sched := workload.ClosedLoop(4)
-	res := aggregate(out, sched, time.Second, &SLO{P99: 10 * time.Millisecond, MaxShedRate: 1})
-	if res.SLOPass {
-		t.Fatal("p99 over bound must fail the SLO")
-	}
-	if res.Shed != 1 || res.Endpoints[EpOffer].Shed != 1 {
-		t.Fatalf("shed accounting: %+v", res)
-	}
-	res = aggregate(out, sched, time.Second, &SLO{P99: 100 * time.Millisecond, MaxShedRate: 1})
-	if !res.SLOPass {
-		t.Fatal("p99 under bound must pass")
-	}
-	// The zero MaxShedRate tolerates no shedding at all.
-	res = aggregate(out, sched, time.Second, &SLO{P99: 100 * time.Millisecond})
-	if res.SLOPass {
-		t.Fatal("shedding with MaxShedRate 0 must fail")
-	}
-	// Sheds are excluded from latency percentiles.
-	if res.Endpoints[EpOffer].P99MS != 0 {
-		t.Fatalf("shed latency leaked into percentiles: %+v", res.Endpoints[EpOffer])
 	}
 }

@@ -1,7 +1,7 @@
-// Package load is the SLO-driven serving load harness: it materialises
+// Package load is the serving determinism harness: it materialises
 // seed-deterministic HTTP request plans over the crowdfair API, replays
-// them closed- or open-loop against a serve.Server, and checks the
-// resulting state against a serially-applied oracle.
+// them closed-loop against a serve.Server, and checks the resulting state
+// against a serially-applied oracle.
 //
 // Plans are deterministic by construction, not by locking:
 //
@@ -21,13 +21,12 @@
 // A full closed-loop replay therefore ends in the same store and trace
 // contents as a serial replay of the same plan, and the final audit
 // fingerprint must match Oracle()'s — the equality the -race serving gate
-// and the servebench determinism check both assert.
+// (TestConcurrentServeMatchesSerialOracle) asserts.
 package load
 
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/crowdfair"
 	"repro/internal/model"
@@ -36,22 +35,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Endpoint labels, the keys latency is aggregated under.
-const (
-	EpContribution = "POST /v1/contributions"
-	EpWorkerUpdate = "PUT /v1/workers/{id}"
-	EpOffer        = "POST /v1/offers"
-	EpAudit        = "GET /v1/audit"
-	EpStats        = "GET /statsz"
-)
-
 // Request is one planned HTTP request: the wire form plus the decoded
 // mutation the serial oracle replays.
 type Request struct {
-	Endpoint string // aggregation label (one of the Ep* constants)
-	Method   string
-	Path     string
-	Body     []byte // JSON payload; nil for GETs
+	Method string
+	Path   string
+	Body   []byte // JSON payload; nil for GETs
 
 	// Exactly one of the following is non-nil for mutations; all nil for
 	// reads (reads have no oracle effect).
@@ -82,10 +71,6 @@ type MixSpec struct {
 	UpdateFrac  float64
 	OfferFrac   float64
 	AuditFrac   float64
-	// Prefix namespaces every generated entity id. Distinct prefixes let
-	// plans share one long-lived server without id collisions (capacity
-	// probes seed a fresh namespace per trial).
-	Prefix string
 }
 
 func (m MixSpec) withDefaults() MixSpec {
@@ -129,18 +114,6 @@ func BuildPlan(spec MixSpec, seed uint64) *Plan {
 	rng := stats.NewRNG(seed)
 	pop := workload.GeneratePopulation(workload.PopulationSpec{Workers: spec.Workers}, rng.Split())
 	batch := workload.GenerateTasks(workload.TaskSpec{Tasks: spec.Tasks, Requesters: spec.Requesters}, pop, rng.Split())
-	if spec.Prefix != "" {
-		for _, r := range batch.Requesters {
-			r.ID = model.RequesterID(spec.Prefix + string(r.ID))
-		}
-		for _, w := range pop.Workers {
-			w.ID = model.WorkerID(spec.Prefix + string(w.ID))
-		}
-		for _, t := range batch.Tasks {
-			t.ID = model.TaskID(spec.Prefix + string(t.ID))
-			t.Requester = model.RequesterID(spec.Prefix + string(t.Requester))
-		}
-	}
 	p := &Plan{
 		Spec:       spec,
 		Seed:       seed,
@@ -171,7 +144,7 @@ func BuildPlan(spec MixSpec, seed uint64) *Plan {
 			w := p.Workers[rng.Intn(half)]
 			t := p.Tasks[rng.Intn(len(p.Tasks))]
 			c := &model.Contribution{
-				ID:          model.ContributionID(fmt.Sprintf("%slc%06d", spec.Prefix, contribSeq)),
+				ID:          model.ContributionID(fmt.Sprintf("lc%06d", contribSeq)),
 				Task:        t.ID,
 				Worker:      w.ID,
 				Text:        fmt.Sprintf("answer %d for %s", contribSeq, t.ID),
@@ -180,37 +153,34 @@ func BuildPlan(spec MixSpec, seed uint64) *Plan {
 			}
 			contribSeq++
 			p.Requests = append(p.Requests, Request{
-				Endpoint: EpContribution,
-				Method:   "POST",
-				Path:     "/v1/contributions",
-				Body:     mustJSON(c),
-				contrib:  c,
+				Method:  "POST",
+				Path:    "/v1/contributions",
+				Body:    mustJSON(c),
+				contrib: c,
 			})
 		case u < cum[1]:
 			idx := rng.Intn(len(p.Workers))
 			w := updatedWorker(p.Workers[idx], idx)
 			p.Requests = append(p.Requests, Request{
-				Endpoint: EpWorkerUpdate,
-				Method:   "PUT",
-				Path:     "/v1/workers/" + string(w.ID),
-				Body:     mustJSON(w),
-				worker:   w,
+				Method: "PUT",
+				Path:   "/v1/workers/" + string(w.ID),
+				Body:   mustJSON(w),
+				worker: w,
 			})
 		case u < cum[2]:
 			w := p.Workers[half+rng.Intn(len(p.Workers)-half)]
 			t := p.Tasks[rng.Intn(len(p.Tasks))]
 			o := &crowdfair.Offer{Task: t.ID, Worker: w.ID}
 			p.Requests = append(p.Requests, Request{
-				Endpoint: EpOffer,
-				Method:   "POST",
-				Path:     "/v1/offers",
-				Body:     mustJSON(o),
-				offer:    o,
+				Method: "POST",
+				Path:   "/v1/offers",
+				Body:   mustJSON(o),
+				offer:  o,
 			})
 		case u < cum[3]:
-			p.Requests = append(p.Requests, Request{Endpoint: EpAudit, Method: "GET", Path: "/v1/audit"})
+			p.Requests = append(p.Requests, Request{Method: "GET", Path: "/v1/audit"})
 		default:
-			p.Requests = append(p.Requests, Request{Endpoint: EpStats, Method: "GET", Path: "/statsz"})
+			p.Requests = append(p.Requests, Request{Method: "GET", Path: "/statsz"})
 		}
 	}
 	return p
@@ -282,7 +252,7 @@ func (p *Plan) Oracle(cfg crowdfair.AuditConfig) (string, error) {
 			err = pf.Offer(r.offer.Task, r.offer.Worker)
 		}
 		if err != nil {
-			return "", fmt.Errorf("load: oracle request %d (%s): %w", i, r.Endpoint, err)
+			return "", fmt.Errorf("load: oracle request %d (%s %s): %w", i, r.Method, r.Path, err)
 		}
 	}
 	return serve.AuditFingerprint(pf.AuditIncremental(cfg)), nil
@@ -302,16 +272,4 @@ func cloneTasks(ts []*model.Task) []*model.Task {
 		out[i] = t.Clone()
 	}
 	return out
-}
-
-// SLO declares the latency/error budget a run is judged against.
-type SLO struct {
-	// P99 is the per-endpoint p99 latency bound for admitted requests.
-	P99 time.Duration `json:"p99"`
-	// MaxErrorRate bounds non-2xx, non-429 responses (fraction of total).
-	MaxErrorRate float64 `json:"max_error_rate"`
-	// MaxShedRate bounds 429s (fraction of total): a rate the server only
-	// survives by shedding is not a sustained rate. The zero value tolerates
-	// no shedding.
-	MaxShedRate float64 `json:"max_shed_rate"`
 }

@@ -2,365 +2,82 @@ package load
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
-	"time"
-
-	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
-// EndpointStats aggregates one endpoint's outcomes over a run. Latencies
-// are reported in milliseconds; for open-loop runs they are measured from
-// the request's *scheduled* arrival instant, so queueing delay a lagging
-// generator would otherwise hide (coordinated omission) is charged to the
-// server.
-type EndpointStats struct {
-	Requests int     `json:"requests"`
-	OK       int     `json:"ok"`
-	Shed     int     `json:"shed"`   // HTTP 429
-	Errors   int     `json:"errors"` // non-2xx, non-429
-	P50MS    float64 `json:"p50_ms"`
-	P95MS    float64 `json:"p95_ms"`
-	P99MS    float64 `json:"p99_ms"`
-	MaxMS    float64 `json:"max_ms"`
-}
-
-// Result is the outcome of one load run.
+// Result counts the outcomes of one replay.
 type Result struct {
-	Schedule  string  `json:"schedule"`
-	WallMS    float64 `json:"wall_ms"`
-	Requests  int     `json:"requests"`
-	OK        int     `json:"ok"`
-	Shed      int     `json:"shed"`
-	Errors    int     `json:"errors"`
-	ShedRate  float64 `json:"shed_rate"`
-	ErrorRate float64 `json:"error_rate"`
-	// AchievedRate is completed requests per second of wall time.
-	AchievedRate float64                   `json:"achieved_rate"`
-	Endpoints    map[string]*EndpointStats `json:"endpoints"`
-	// SLOPass reports whether every mutation endpoint's p99 and the
-	// overall error rate met the SLO the run was judged against (always
-	// true when no SLO was supplied).
-	SLOPass bool `json:"slo_pass"`
-}
-
-// outcome is one request's measured result.
-type outcome struct {
-	endpoint string
-	latency  time.Duration
-	status   int
-	err      bool // transport failure
+	OK     int // 2xx
+	Shed   int // 429
+	Errors int // transport failures and every other status
 }
 
 // Runner replays a plan's measured requests against a base URL.
 type Runner struct {
-	Client *http.Client
-	Base   string
+	Base string
 }
 
-// defaultClient keeps enough idle connections for high-concurrency runs:
+// client keeps enough idle connections for every virtual client:
 // http.DefaultClient caps idle conns per host at 2, which turns every
-// closed-loop client beyond the second into a fresh TCP dial per request
-// and measures the dialer instead of the server.
-var defaultClient = &http.Client{
+// client beyond the second into a fresh TCP dial per request.
+var client = &http.Client{
 	Transport: &http.Transport{
 		MaxIdleConns:        1024,
 		MaxIdleConnsPerHost: 1024,
 	},
 }
 
-// PooledClient returns a client holding at most maxConns connections to a
-// host, reused aggressively. Open-loop overload runs need the bound: an
-// unbounded client answers a saturated server by dialing a new socket per
-// overflowing request, the listener's accept queue fills, and every
-// request — including the fast 429s admission control exists to produce —
-// stalls on SYN retransmits. A bounded pool is also what real front-end
-// proxies present to a backend.
-func PooledClient(maxConns int) *http.Client {
-	return &http.Client{
-		Transport: &http.Transport{
-			MaxConnsPerHost:     maxConns,
-			MaxIdleConns:        maxConns,
-			MaxIdleConnsPerHost: maxConns,
-		},
-	}
-}
-
-func (r *Runner) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
-	}
-	return defaultClient
-}
-
-// SeedHTTP applies the plan's seed phase through the HTTP API (for runs
-// against a remote server; in-process benchmarks seed the platform
-// directly with Plan.SeedPlatform).
-func (r *Runner) SeedHTTP(p *Plan) error {
-	for _, rq := range p.Requesters {
-		if err := r.post("/v1/requesters", mustJSON(rq)); err != nil {
-			return err
-		}
-	}
-	for _, w := range p.Workers {
-		if err := r.post("/v1/workers", mustJSON(w)); err != nil {
-			return err
-		}
-	}
-	for _, t := range p.Tasks {
-		if err := r.post("/v1/tasks", mustJSON(t)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// post issues one seed-phase request. Seeding is setup, not measurement,
-// so a 429 is retried after the server's advertised Retry-After instead of
-// failing the run — admission control throttles the seeder without
-// breaking it.
-func (r *Runner) post(path string, body []byte) error {
-	const maxRetries = 50
-	for attempt := 0; ; attempt++ {
-		resp, err := r.client().Post(r.Base+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < maxRetries {
-			delay := 50 * time.Millisecond
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				if secs, perr := strconv.ParseFloat(ra, 64); perr == nil && secs > 0 {
-					delay = time.Duration(secs * float64(time.Second))
-				}
+// Run replays the plan closed-loop: concurrency virtual clients each own
+// the stride i % concurrency of the request sequence and issue it back to
+// back.
+func (r *Runner) Run(p *Plan, concurrency int) Result {
+	status := make([]int, len(p.Requests)) // 0: transport failure
+	var wg sync.WaitGroup
+	for g := 0; g < concurrency; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(p.Requests); i += concurrency {
+				status[i] = r.issue(&p.Requests[i])
 			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			time.Sleep(delay)
-			continue
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			return fmt.Errorf("load: seed %s: %s: %s", path, resp.Status, msg)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
+		}(g)
 	}
+	wg.Wait()
+	var res Result
+	for _, s := range status {
+		switch {
+		case s/100 == 2:
+			res.OK++
+		case s == http.StatusTooManyRequests:
+			res.Shed++
+		default:
+			res.Errors++
+		}
+	}
+	return res
 }
 
-// Run replays the plan's measured requests under the arrival schedule and
-// aggregates outcomes. Closed-loop: Concurrency virtual clients each own
-// the stride i % C of the request sequence and issue back-to-back.
-// Open-loop: every request fires at its scheduled offset regardless of
-// outstanding responses, and latency includes any start lag.
-func (r *Runner) Run(p *Plan, sched workload.ArrivalSchedule, slo *SLO) *Result {
-	n := len(p.Requests)
-	outcomes := make([]outcome, n)
-	start := time.Now()
-	switch sched.Mode {
-	case workload.ArrivalClosed:
-		var wg sync.WaitGroup
-		c := sched.Concurrency
-		for g := 0; g < c; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < n; i += c {
-					outcomes[i] = r.issue(&p.Requests[i], time.Time{})
-				}
-			}(g)
-		}
-		wg.Wait()
-	case workload.ArrivalOpenPoisson:
-		if len(sched.Offsets) < n {
-			n = len(sched.Offsets)
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				due := start.Add(sched.Offsets[i])
-				time.Sleep(time.Until(due))
-				outcomes[i] = r.issue(&p.Requests[i], due)
-			}(i)
-		}
-		wg.Wait()
-	default:
-		panic(fmt.Sprintf("load: unknown arrival mode %q", sched.Mode))
-	}
-	wall := time.Since(start)
-	return aggregate(outcomes[:n], sched, wall, slo)
-}
-
-// issue fires one request. due, when non-zero, is the scheduled arrival
-// instant latency is measured from (open loop); otherwise latency is
-// response time alone (closed loop).
-func (r *Runner) issue(rq *Request, due time.Time) outcome {
-	o := outcome{endpoint: rq.Endpoint}
-	t0 := time.Now()
-	if !due.IsZero() {
-		t0 = due
-	}
+// issue fires one request and returns its status code, 0 if it never got
+// a response.
+func (r *Runner) issue(rq *Request) int {
 	var body io.Reader
 	if rq.Body != nil {
 		body = bytes.NewReader(rq.Body)
 	}
 	req, err := http.NewRequest(rq.Method, r.Base+rq.Path, body)
 	if err != nil {
-		o.err = true
-		return o
+		return 0
 	}
 	if rq.Body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := r.client().Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
-		o.err = true
-		o.latency = time.Since(t0)
-		return o
+		return 0
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	o.status = resp.StatusCode
-	o.latency = time.Since(t0)
-	return o
-}
-
-func aggregate(outcomes []outcome, sched workload.ArrivalSchedule, wall time.Duration, slo *SLO) *Result {
-	res := &Result{
-		Schedule:  sched.String(),
-		WallMS:    float64(wall.Microseconds()) / 1e3,
-		Requests:  len(outcomes),
-		Endpoints: map[string]*EndpointStats{},
-		SLOPass:   true,
-	}
-	lat := map[string][]float64{}
-	for i := range outcomes {
-		o := &outcomes[i]
-		es := res.Endpoints[o.endpoint]
-		if es == nil {
-			es = &EndpointStats{}
-			res.Endpoints[o.endpoint] = es
-		}
-		es.Requests++
-		ms := float64(o.latency.Microseconds()) / 1e3
-		switch {
-		case o.err:
-			es.Errors++
-			res.Errors++
-		case o.status == http.StatusTooManyRequests:
-			es.Shed++
-			res.Shed++
-		case o.status/100 == 2:
-			es.OK++
-			res.OK++
-			// Only admitted requests contribute to the latency
-			// distribution: a shed is a fast rejection by design and would
-			// flatter the percentiles it exists to protect.
-			lat[o.endpoint] = append(lat[o.endpoint], ms)
-		default:
-			es.Errors++
-			res.Errors++
-		}
-	}
-	for ep, xs := range lat {
-		es := res.Endpoints[ep]
-		es.P50MS = stats.Quantile(xs, 0.50)
-		es.P95MS = stats.Quantile(xs, 0.95)
-		es.P99MS = stats.Quantile(xs, 0.99)
-		sort.Float64s(xs)
-		es.MaxMS = xs[len(xs)-1]
-	}
-	if res.Requests > 0 {
-		res.ShedRate = float64(res.Shed) / float64(res.Requests)
-		res.ErrorRate = float64(res.Errors) / float64(res.Requests)
-	}
-	if wall > 0 {
-		res.AchievedRate = float64(res.OK+res.Shed) / wall.Seconds()
-	}
-	if slo != nil {
-		if res.ErrorRate > slo.MaxErrorRate {
-			res.SLOPass = false
-		}
-		if res.ShedRate > slo.MaxShedRate {
-			res.SLOPass = false
-		}
-		for _, es := range res.Endpoints {
-			if es.OK > 0 && time.Duration(es.P99MS*float64(time.Millisecond)) > slo.P99 {
-				res.SLOPass = false
-			}
-		}
-	}
-	return res
-}
-
-// CapacityResult is the outcome of a capacity search.
-type CapacityResult struct {
-	// SustainableRate is the highest probed offered rate (req/s) whose
-	// trial met the SLO.
-	SustainableRate float64 `json:"sustainable_rate"`
-	// FirstFailingRate is the lowest probed rate that missed the SLO (0 if
-	// even the upper bound passed).
-	FirstFailingRate float64 `json:"first_failing_rate"`
-	// Trials records every probe in search order.
-	Trials []CapacityTrial `json:"trials"`
-}
-
-// CapacityTrial is one probe of the capacity search.
-type CapacityTrial struct {
-	Rate       float64 `json:"rate"`
-	Pass       bool    `json:"pass"`
-	WorstP99MS float64 `json:"worst_p99_ms"`
-	ShedRate   float64 `json:"shed_rate"`
-}
-
-// SearchCapacity binary-searches the highest open-loop offered rate whose
-// run passes the SLO. trial must run one fresh, isolated open-loop trial at
-// the given rate and return its Result (the caller owns server lifecycle —
-// a fresh server per trial keeps probes comparable). The search probes lo
-// and hi first, then bisects for iters rounds.
-func SearchCapacity(lo, hi float64, iters int, trial func(rate float64) *Result) *CapacityResult {
-	if lo <= 0 || hi <= lo {
-		panic("load: SearchCapacity needs 0 < lo < hi")
-	}
-	cr := &CapacityResult{}
-	probe := func(rate float64) bool {
-		res := trial(rate)
-		worst := 0.0
-		for _, es := range res.Endpoints {
-			if es.OK > 0 && es.P99MS > worst {
-				worst = es.P99MS
-			}
-		}
-		cr.Trials = append(cr.Trials, CapacityTrial{Rate: rate, Pass: res.SLOPass, WorstP99MS: worst, ShedRate: res.ShedRate})
-		if res.SLOPass {
-			if rate > cr.SustainableRate {
-				cr.SustainableRate = rate
-			}
-		} else if cr.FirstFailingRate == 0 || rate < cr.FirstFailingRate {
-			cr.FirstFailingRate = rate
-		}
-		return res.SLOPass
-	}
-	if !probe(lo) {
-		return cr
-	}
-	if probe(hi) {
-		return cr
-	}
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		if probe(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return cr
+	return resp.StatusCode
 }

@@ -1,8 +1,7 @@
 // Package par provides the bounded parallel-for primitive behind every
 // fan-out in this repository: similarity pair scoring, detector
-// answer-matrix scoring, the audit engine's axiom task graph, and the
-// sweep engine's job pool all shard their index space over a bounded
-// goroutine pool through For and Do.
+// answer-matrix scoring and the audit engine's axiom task graph all shard
+// their index space over a bounded goroutine pool through For and Do.
 //
 // Determinism is preserved by construction: workers claim indices from a
 // shared atomic counter but write results only to caller-owned, disjoint
@@ -12,10 +11,10 @@
 // Nested fan-outs compose through a global token budget. The process owns
 // Workers()-1 extra-worker tokens; every For acquires tokens (without
 // blocking) for each worker beyond the caller's own goroutine and releases
-// them as those workers drain. When the sweep engine's outer job pool
-// holds the whole budget, the inner kernels it calls find no tokens and
-// run inline on their job's goroutine — total runnable goroutines stay at
-// the budget instead of multiplying per nesting level.
+// them as those workers drain. When an outer fan-out (the audit's axiom
+// task graph) holds the whole budget, the inner kernels it calls find no
+// tokens and run inline on their task's goroutine — total runnable
+// goroutines stay at the budget instead of multiplying per nesting level.
 package par
 
 import (
@@ -79,7 +78,7 @@ func SetMaxWorkers(n int) int {
 // index has been processed.
 //
 // For is meant for fine-grained kernels and runs small iteration counts
-// inline; use Do for coarse jobs (whole experiments) where even two
+// inline; use Do for coarse jobs (whole axiom passes) where even two
 // iterations are worth a goroutine.
 func For(n, workers int, fn func(i int)) {
 	if n < serialThreshold {
@@ -93,8 +92,8 @@ func For(n, workers int, fn func(i int)) {
 
 // Do is For without the small-n inline shortcut: it parallelises any n > 1
 // (budget permitting). Use it when each iteration is expensive enough —
-// a sweep job, an axiom pass, a whole experiment — that pool overhead
-// never dominates.
+// an axiom pass, one shard's share of a bulk write — that pool overhead never
+// dominates.
 func Do(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return

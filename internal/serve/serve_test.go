@@ -13,7 +13,6 @@ import (
 	"repro/internal/load"
 	"repro/internal/model"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 func newTestServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
@@ -244,7 +243,7 @@ func TestConcurrentServeMatchesSerialOracle(t *testing.T) {
 	defer ts.Close()
 
 	runner := &load.Runner{Base: ts.URL}
-	res := runner.Run(plan, workload.ClosedLoop(8), nil)
+	res := runner.Run(plan, 8)
 	if res.Errors != 0 || res.Shed != 0 {
 		t.Fatalf("run had %d errors, %d sheds (all requests must apply for the oracle comparison)", res.Errors, res.Shed)
 	}

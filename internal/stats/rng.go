@@ -33,20 +33,6 @@ func (r *RNG) Split() *RNG {
 	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
-// DeriveSeed deterministically mixes a base seed with shard coordinates
-// (experiment index, grid position, replicate number, ...) into an
-// independent-looking seed. Every distinct coordinate tuple yields a
-// distinct stream, and the derivation is pure: the sweep engine uses it to
-// hand each parallel shard a private RNG whose stream depends only on the
-// base seed and the shard's position in the grid, never on scheduling.
-func DeriveSeed(base uint64, parts ...uint64) uint64 {
-	r := RNG{state: base}
-	for _, p := range parts {
-		r.state ^= r.Uint64() + p
-	}
-	return r.Uint64()
-}
-
 // Uint64 returns the next value in the stream.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

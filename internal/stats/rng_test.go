@@ -242,26 +242,3 @@ func TestPickPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestDeriveSeedDeterministicAndDistinct(t *testing.T) {
-	a := DeriveSeed(42, 1, 2, 3)
-	if b := DeriveSeed(42, 1, 2, 3); a != b {
-		t.Fatalf("DeriveSeed not deterministic: %d vs %d", a, b)
-	}
-	seen := map[uint64][]uint64{}
-	for i := uint64(0); i < 50; i++ {
-		for j := uint64(0); j < 50; j++ {
-			s := DeriveSeed(42, i, j)
-			if prev, ok := seen[s]; ok {
-				t.Fatalf("collision: (%d,%d) and %v both derive %d", i, j, prev, s)
-			}
-			seen[s] = []uint64{i, j}
-		}
-	}
-	if DeriveSeed(1, 7) == DeriveSeed(2, 7) {
-		t.Fatal("distinct bases derived the same seed")
-	}
-	if DeriveSeed(1) == DeriveSeed(1, 0) {
-		t.Fatal("DeriveSeed ignores a zero coordinate")
-	}
-}

@@ -221,8 +221,8 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 	}
 	p := &Platform{st: st, log: log, dir: dir, auditorCfg: cfg}
 	if state != nil {
-		// Nor is a failed resume (e.g. the store reopened at a different
-		// shard width): the first AuditIncremental cold-starts.
+		// Nor is a failed resume (e.g. saved state that does not match the
+		// recovered store): the first AuditIncremental cold-starts.
 		if eng, err := audit.Resume(st, log, cfg, state); err == nil {
 			p.auditor = eng
 		}
@@ -313,14 +313,6 @@ func (p *Platform) AppendEvent(e Event) error {
 func (p *Platform) now() int64 {
 	return p.log.LastTime()
 }
-
-// Reshard changes the platform store's shard count online: entities are
-// handed off shard by shard under the write lock, readers and writers keep
-// running throughout, and on durable platforms the write-ahead layout and
-// manifest move to the new route epoch atomically with the cutover. A
-// warmed incremental auditor survives — its next AuditIncremental remaps
-// cursors onto the new layout and re-checks only the overlap.
-func (p *Platform) Reshard(n int) error { return p.st.Reshard(n) }
 
 // Store exposes the underlying store for advanced queries.
 func (p *Platform) Store() *store.Store { return p.st }

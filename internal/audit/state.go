@@ -303,7 +303,7 @@ func (e *Engine) State() *State {
 // cursors pick up where the checkpoint left them — so the next Audit call
 // is a delta pass over post-checkpoint changes only, with no full event
 // replay and no candidate-pair scan. If the store's changelog no longer
-// covers a cursor (deep tail loss, shard-width change), that first Audit
+// covers a cursor (deep tail loss), that first Audit
 // transparently falls back to the full rebuild; correctness never depends
 // on the state being fresh.
 //

@@ -8,19 +8,14 @@
 //
 // Bootstrap + tail: Open rebuilds the checkpointed state from the
 // manifest's snapshot (store.Bootstrap — no sinks attached, nothing on
-// disk is mutated), then CatchUp polls every WAL shard directory — sealed
-// segments and the growing active one, across every route epoch the
-// primary has lived through — decodes frames past the checkpoint, and
-// applies them in globally dense version order through store.Apply. A
-// frame still being appended (torn tail) parks the directory's offset and
-// is retried on the next pass; a version gap across directories simply
-// waits for the missing shard's flush. The event log is tailed the same
-// way from sequence 1 (event segments are never truncated).
-//
-// The replica's shard layout is its own: mutations are re-routed by id on
-// apply, so the follower works unchanged while the primary splits or
-// merges shards — a reshard just makes new epoch directories appear on a
-// later poll.
+// disk is mutated) at the manifest's shard width, and CatchUp polls that
+// width's WAL shard directories — sealed segments and the growing active
+// one — decodes frames past the checkpoint, and applies them in globally
+// dense version order through store.Apply. A frame still being appended
+// (torn tail) parks the directory's offset and is retried on the next
+// pass; a version gap across directories simply waits for the missing
+// shard's flush. The event log is tailed the same way from sequence 1
+// (event segments are never truncated).
 //
 // Staleness contract: AppliedVersion is monotonically non-decreasing;
 // Staleness reports (applied, observed, lag) where observed is the highest
@@ -174,7 +169,7 @@ type Replica struct {
 	applied  uint64
 	eventSeq uint64
 	observed uint64
-	tails    map[string]*dirTail
+	tails    []*dirTail // one per WAL shard directory, in shard order
 	events   *dirTail
 
 	stop chan struct{}
@@ -190,6 +185,10 @@ func Open(dir string) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
+	tails := make([]*dirTail, man.Shards)
+	for i := range tails {
+		tails[i] = &dirTail{dir: store.WALShardDir(dir, i)}
+	}
 	return &Replica{
 		dir:      dir,
 		st:       st,
@@ -197,7 +196,7 @@ func Open(dir string) (*Replica, error) {
 		man:      man,
 		applied:  man.Version,
 		observed: man.Version,
-		tails:    make(map[string]*dirTail),
+		tails:    tails,
 		events:   &dirTail{dir: store.EventsDir(dir)},
 	}, nil
 }
@@ -218,7 +217,7 @@ func (r *Replica) AppliedVersion() uint64 {
 }
 
 // Watermarks returns the replica store's per-shard applied versions (the
-// local layout's watermarks — the replica routes by its own table).
+// replica has the primary's width, and routes every id to the same shard).
 func (r *Replica) Watermarks() []uint64 {
 	out := make([]uint64, r.st.ShardCount())
 	for i := range out {
@@ -243,26 +242,7 @@ func (r *Replica) CatchUp() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	// Discover shard directories anew each pass: a primary reshard makes
-	// new epoch directories appear mid-tail.
-	walRoot := store.WALDir(r.dir)
-	if entries, err := os.ReadDir(walRoot); err == nil {
-		for _, e := range entries {
-			if e.IsDir() {
-				if _, ok := r.tails[e.Name()]; !ok {
-					r.tails[e.Name()] = &dirTail{dir: walRoot + string(os.PathSeparator) + e.Name()}
-				}
-			}
-		}
-	}
-
-	names := make([]string, 0, len(r.tails))
-	for name := range r.tails {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := r.tails[name]
+	for i, t := range r.tails {
 		maxKey, err := t.poll(func(key uint64, payload []byte) (record, bool, error) {
 			if key <= r.man.Version || key <= r.applied {
 				// Covered by the bootstrap snapshot or already applied
@@ -271,7 +251,7 @@ func (r *Replica) CatchUp() (int, error) {
 			}
 			m, err := store.DecodeWALMutation(key, payload)
 			if err != nil {
-				return record{}, false, fmt.Errorf("replica: %s: %w", name, err)
+				return record{}, false, fmt.Errorf("replica: shard %d: %w", i, err)
 			}
 			return record{key: key, mut: m}, true, nil
 		})
@@ -290,8 +270,7 @@ func (r *Replica) CatchUp() (int, error) {
 	applied := 0
 	for {
 		var next *dirTail
-		for _, name := range names {
-			t := r.tails[name]
+		for _, t := range r.tails {
 			for len(t.pending) > 0 && t.pending[0].key <= r.applied {
 				t.pending = t.pending[1:]
 			}
@@ -319,8 +298,7 @@ func (r *Replica) CatchUp() (int, error) {
 	// version we can never reach means the primary checkpointed past us.
 	if r.observed > r.applied {
 		stuck := true
-		for _, name := range names {
-			t := r.tails[name]
+		for _, t := range r.tails {
 			if len(t.pending) > 0 && t.pending[0].key == r.applied+1 {
 				stuck = false
 				break

@@ -13,6 +13,7 @@ import (
 	"repro/internal/load"
 	"repro/internal/model"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func newTestServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
@@ -256,6 +257,89 @@ func TestConcurrentServeMatchesSerialOracle(t *testing.T) {
 	}
 	if final.Fingerprint != want {
 		t.Fatalf("concurrent replay fingerprint %s != serial oracle %s", final.Fingerprint, want)
+	}
+}
+
+// TestCheckpointUnderServeMatchesSerialOracle is the serving oracle over a
+// durable platform: the same concurrent replay, with a checkpoint every 2 ms
+// racing the writes and the audit loop, must end in the serial oracle's
+// fingerprint — live, and again on the first audit pass after a reopen,
+// which warm-starts from the last checkpoint's auditor state.
+func TestCheckpointUnderServeMatchesSerialOracle(t *testing.T) {
+	plan := load.BuildPlan(load.MixSpec{Workers: 40, Tasks: 12, Requests: 400}, 12345)
+	cfg := crowdfair.DefaultAuditConfig()
+	want, err := plan.Oracle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	p, err := crowdfair.OpenPlatform(dir, plan.Universe, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.SeedPlatform(p); err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Config{Platform: p, Audit: cfg, AuditEvery: time.Millisecond})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	stop := make(chan struct{})
+	type outcome struct {
+		checkpoints int
+		err         error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		var o outcome
+		for {
+			select {
+			case <-stop:
+				done <- o
+				return
+			case <-tick.C:
+				if o.err = p.Checkpoint(); o.err != nil {
+					done <- o
+					return
+				}
+				o.checkpoints++
+			}
+		}
+	}()
+	res := (&load.Runner{Base: ts.URL}).Run(plan, 8)
+	close(stop)
+	o := <-done
+	if o.err != nil {
+		t.Fatalf("checkpoint %d under serve: %v", o.checkpoints+1, o.err)
+	}
+	if o.checkpoints == 0 {
+		t.Fatal("no checkpoint ran during the replay")
+	}
+	if res.Errors != 0 || res.Shed != 0 {
+		t.Fatalf("run had %d errors, %d sheds (all requests must apply for the oracle comparison)", res.Errors, res.Shed)
+	}
+	s.Stop()
+	if got := s.AuditNow().Fingerprint; got != want {
+		t.Fatalf("live fingerprint %s after %d checkpoints != serial oracle %s", got, o.checkpoints, want)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if man, err := store.ReadManifest(dir); err != nil || man.AuditFile == "" {
+		t.Fatalf("the last checkpoint carried no auditor state to warm-start from (%v)", err)
+	}
+
+	q, err := crowdfair.OpenPlatformWAL(dir, nil, cfg, crowdfair.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if got := q.AuditPass(cfg).Fingerprint; got != want {
+		t.Fatalf("warm first pass after reopen %s != serial oracle %s", got, want)
 	}
 }
 

@@ -83,11 +83,6 @@ type Config struct {
 	// unset AuditConfig.LSHSeed is derived from Seed, so the whole run
 	// stays a function of one root seed.
 	CandidateIndex string
-	// StoreShards sets the store's hash-partition count (0 or negative:
-	// store.DefaultShardCount). One shard reproduces the old single-lock
-	// layout; results are identical for every value — only contention
-	// changes.
-	StoreShards int
 	// PersistDir, when non-empty, makes the run durable: the store's
 	// changelog and the event trace are teed into segmented write-ahead
 	// logs under the directory while the simulation runs, and the run ends
@@ -185,15 +180,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	rng := stats.NewRNG(cfg.Seed + 0x5eed)
-	shards := cfg.StoreShards
-	if shards <= 0 {
-		shards = store.DefaultShardCount
-	}
 	var st *store.Store
 	var log *eventlog.Log
 	if cfg.PersistDir != "" {
 		var err error
-		st, err = store.NewDurable(cfg.Population.Universe, shards, cfg.PersistDir, cfg.PersistWAL)
+		st, err = store.NewDurable(cfg.Population.Universe, store.DefaultShardCount, cfg.PersistDir, cfg.PersistWAL)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
@@ -203,7 +194,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	} else {
-		st = store.NewSharded(cfg.Population.Universe, shards)
+		st = store.New(cfg.Population.Universe)
 		log = eventlog.New()
 	}
 	ledger := pay.NewLedger()

@@ -360,47 +360,6 @@ func TestRunWithInLoopAudits(t *testing.T) {
 	}
 }
 
-// TestRunStoreShardsInvariant pins that the store's shard count is purely a
-// concurrency knob: runs differing only in StoreShards produce identical
-// metrics, traces, and in-loop audit reports.
-func TestRunStoreShardsInvariant(t *testing.T) {
-	build := func(shards int) Config {
-		cfg := smallConfig(13)
-		cfg.Rounds = 4
-		cfg.AuditEvery = 2
-		cfg.FlagLowAcceptance = true
-		cfg.StoreShards = shards
-		return cfg
-	}
-	base, err := Run(build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{0, 5} { // 0 = DefaultShardCount
-		res, err := Run(build(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Metrics != base.Metrics {
-			t.Fatalf("shards=%d: metrics differ:\n%+v\n%+v", shards, res.Metrics, base.Metrics)
-		}
-		if res.Log.Len() != base.Log.Len() {
-			t.Fatalf("shards=%d: trace lengths differ", shards)
-		}
-		for i, rep := range res.AuditReports {
-			want := base.AuditReports[i]
-			if rep.Checked != want.Checked || len(rep.Violations) != len(want.Violations) {
-				t.Fatalf("shards=%d, %s: report differs", shards, rep.Axiom)
-			}
-			for j := range rep.Violations {
-				if rep.Violations[j].String() != want.Violations[j].String() {
-					t.Fatalf("shards=%d, %s: violation %d differs", shards, rep.Axiom, j)
-				}
-			}
-		}
-	}
-}
-
 // TestRunSimilarityFairUsesAuditKernel pins the pay-scheme/audit-kernel
 // routing: with in-loop audits on, a nil-PairScores SimilarityFair scheme
 // is rewired through the engine's scoring kernel, and the payments are

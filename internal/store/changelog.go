@@ -58,14 +58,8 @@ func (e Entity) String() string {
 // dirty sets without re-reading the entity.
 type Change struct {
 	Version uint64
-	// Epoch is the route-table generation that routed this mutation (see
-	// routetable.go); it records which shard layout the change was
-	// committed under. Routing metadata only: two stores reaching the
-	// same state through different reshard histories carry different
-	// epochs on otherwise identical changes.
-	Epoch  uint64
-	Op     Op
-	Entity Entity
+	Op      Op
+	Entity  Entity
 
 	Worker       model.WorkerID
 	Requester    model.RequesterID
@@ -98,12 +92,9 @@ const DefaultChangelogCap = 1 << 16
 // SetChangelogCap resizes every shard's retention window to at most n
 // records (n < 1 disables retention entirely: every ChangesSince for a past
 // version reports truncation). Existing records beyond the new cap are
-// dropped oldest-first per shard; shards created by a later Reshard inherit
-// the new cap.
+// dropped oldest-first per shard.
 func (s *Store) SetChangelogCap(n int) {
-	s.clogCap.Store(int64(n))
-	_, _, shs := s.view()
-	for _, sh := range shs {
+	for _, sh := range s.shards {
 		sh.setChangelogCap(n)
 	}
 }
@@ -124,12 +115,6 @@ func (s *Store) ChangesSince(v uint64) ([]Change, bool) {
 	shs, release := s.rlockView()
 	per := make([][]Change, len(shs))
 	for i, sh := range shs {
-		// A retired shard's records were merged into the successor
-		// epoch's rings at handoff (truncation signal included), so it
-		// contributes nothing here.
-		if sh.retired {
-			continue
-		}
 		if sh.ring.droppedMax > v {
 			release()
 			return nil, false
@@ -154,19 +139,17 @@ func (s *Store) ChangesSince(v uint64) ([]Change, bool) {
 // v, oldest first — the per-shard cursor API. Versions within the result
 // are strictly increasing but not consecutive (the global sequencer
 // interleaves shards). The boolean reports completeness for this shard:
-// false means its ring dropped a record past v, or the index no longer
-// names a live shard — an out-of-range index or a shard retired by a
-// concurrent Reshard reads as total truncation, pushing cursor-based
-// consumers onto their rescan/remap path instead of panicking.
+// false means its ring dropped a record past v, or the index names no
+// shard — an out-of-range index reads as total truncation, pushing
+// cursor-based consumers onto their rescan path instead of panicking.
 func (s *Store) ShardChangesSince(shard int, v uint64) ([]Change, bool) {
-	rt := s.table()
-	if shard < 0 || shard >= rt.width() {
+	if shard < 0 || shard >= len(s.shards) {
 		return nil, false
 	}
-	sh := rt.shards[shard]
+	sh := s.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sh.retired || sh.ring.droppedMax > v {
+	if sh.ring.droppedMax > v {
 		return nil, false
 	}
 	return sh.changesAfter(v), true
@@ -177,11 +160,10 @@ func (s *Store) ShardChangesSince(shard int, v uint64) ([]Change, bool) {
 // with a version at or below the watermark is visible to reads issued
 // after the call.
 func (s *Store) ShardVersion(shard int) uint64 {
-	rt := s.table()
-	if shard < 0 || shard >= rt.width() {
+	if shard < 0 || shard >= len(s.shards) {
 		return 0
 	}
-	sh := rt.shards[shard]
+	sh := s.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.applied

@@ -177,7 +177,7 @@ func TestShardChangesSinceCursorAtHead(t *testing.T) {
 // version just before its oldest retained record.
 func boundary(t *testing.T, s *Store, shard int) uint64 {
 	t.Helper()
-	sh := s.table().shards[shard]
+	sh := s.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.ring.droppedMax

@@ -2,11 +2,11 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/model"
@@ -23,8 +23,8 @@ import (
 //	  audit-<version>.bin     the incremental auditor's warm state at that
 //	                          checkpoint, opaque to the store (absent when
 //	                          the checkpoint carried none)
-//	  wal/shard-0000/...      per-shard segmented changelog WAL (epoch 1)
-//	  wal/e0002-shard-0000/.. per-shard WAL of later route epochs
+//	  wal/shard-0000/...      per-shard segmented changelog WAL, one
+//	                          directory per shard of the manifest's width
 //	  events/...              the event log's segments (internal/eventlog)
 //
 // NewDurable creates the layout and writes a version-0 manifest so Open
@@ -41,10 +41,12 @@ import (
 // merged version order, preserving original version numbers, stopping at
 // the first version gap (a torn record in any shard invalidates every
 // higher version) and physically truncating the discarded tail so appends
-// continue a dense log. A Reshard (reshard.go) starts writing under a new
-// epoch's directories and records the width change in the manifest's epoch
-// log, so recovery merges streams across the reshard boundary; directories
-// of earlier epochs persist until the next checkpoint covers their records.
+// continue a dense log. The width is fixed when NewDurable creates the
+// directory; Open and Bootstrap rebuild at the manifest's width.
+//
+// Online resharding, since removed, wrote manifests with an epoch above 1
+// and an epoch-change log, and epoch-qualified WAL directories. Such a
+// directory is refused (errResharded) rather than half-read.
 //
 // A format-2 directory (snapshot-<version>.json holding model.Snapshot's
 // JSON, the auditor state embedded in the manifest) still opens: the
@@ -53,23 +55,16 @@ import (
 // checkpoint writes format 3 and sweeps the JSON snapshot.
 
 // manifestFormat versions the on-disk layout. Format 2 added the route
-// epoch and the epoch-change log; format 3 moved the snapshot to the binary
-// frame codec and the auditor state out of the manifest into a sidecar.
-// Manifests are always written as manifestFormat; oldestManifestFormat is
-// the oldest still read.
+// epoch; format 3 moved the snapshot to the binary frame codec and the
+// auditor state out of the manifest into a sidecar. Manifests are always
+// written as manifestFormat; oldestManifestFormat is the oldest still read.
 const (
 	manifestFormat       = 3
 	oldestManifestFormat = 2
 )
 
-// EpochChange is one entry of the manifest's epoch log: a completed width
-// change and the sequencer value it happened at. Every version at or below
-// Version was routed by an earlier epoch; later versions may carry Epoch.
-type EpochChange struct {
-	Epoch   uint64 `json:"epoch"`
-	Width   int    `json:"width"`
-	Version uint64 `json:"version"`
-}
+// errResharded refuses a directory written by online resharding.
+var errResharded = errors.New("store: directory was resharded online; online resharding was removed and this layout is no longer readable")
 
 // Manifest is the checkpoint metadata of a durable store.
 type Manifest struct {
@@ -77,14 +72,12 @@ type Manifest struct {
 	Format int `json:"format"`
 	// Skills reproduces the universe so Open needs no out-of-band schema.
 	Skills []string `json:"skills"`
-	// Shards is the hash-partition count the current epoch's WAL
-	// directories correspond to.
+	// Shards is the store's fixed hash-partition count: the number of WAL
+	// shard directories.
 	Shards int `json:"shards"`
-	// Epoch is the route-table generation the store was last running under
-	// (1 for a store that never resharded).
+	// Epoch is always written as walEpoch, the only route epoch a
+	// readable directory has (0, from an old format-2 writer, reads as 1).
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Epochs is the log of completed width changes, oldest first.
-	Epochs []EpochChange `json:"epochs,omitempty"`
 	// Version is the global mutation sequencer at checkpoint; the snapshot
 	// reflects exactly the mutations with versions 1..Version.
 	Version uint64 `json:"version"`
@@ -128,15 +121,9 @@ func WALDir(dir string) string { return filepath.Join(dir, "wal") }
 // every layer agrees on the layout).
 func EventsDir(dir string) string { return filepath.Join(dir, "events") }
 
-// walShardDir names one shard's WAL directory. Epoch 1 keeps the bare
-// shard-%04d layout (what every pre-reshard store wrote); later epochs are
-// qualified so an 8→16 split cannot collide with the old epoch's still-live
-// directories of the same shard index.
-func walShardDir(dir string, epoch uint64, i int) string {
-	if epoch <= 1 {
-		return filepath.Join(WALDir(dir), fmt.Sprintf("shard-%04d", i))
-	}
-	return filepath.Join(WALDir(dir), fmt.Sprintf("e%04d-shard-%04d", epoch, i))
+// WALShardDir names shard i's WAL directory under a durable store directory.
+func WALShardDir(dir string, i int) string {
+	return filepath.Join(WALDir(dir), fmt.Sprintf("shard-%04d", i))
 }
 
 // writeFileAtomic writes data to path via a temp file, fsync, and rename,
@@ -167,27 +154,36 @@ func Exists(dir string) bool {
 	return err == nil
 }
 
-// ReadManifest loads the manifest of a durable store directory.
+// ReadManifest loads the manifest of a durable store directory. A manifest
+// that records online resharding — an epoch above 1 or an epoch-change
+// log — is refused with errResharded.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("store: read manifest: %w", err)
 	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	var doc struct {
+		Manifest
+		Epochs []json.RawMessage `json:"epochs"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("store: parse manifest: %w", err)
 	}
+	m := doc.Manifest
 	if m.Format < oldestManifestFormat || m.Format > manifestFormat {
 		return nil, fmt.Errorf("store: manifest format %d, want %d..%d", m.Format, oldestManifestFormat, manifestFormat)
 	}
 	if m.Shards < 1 {
 		return nil, fmt.Errorf("store: manifest shard count %d", m.Shards)
 	}
+	if m.Epoch > walEpoch || len(doc.Epochs) > 0 {
+		return nil, fmt.Errorf("%w (epoch %d, %d width changes)", errResharded, m.Epoch, len(doc.Epochs))
+	}
 	return &m, nil
 }
 
 func writeManifest(dir string, m *Manifest) error {
-	m.Format = manifestFormat
+	m.Format, m.Epoch = manifestFormat, walEpoch
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
@@ -209,20 +205,28 @@ func NewDurable(u *model.Universe, shards int, dir string, opts wal.Options) (*S
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
 	s := NewSharded(u, shards)
-	s.dir, s.walOpts = dir, opts
-	rt := s.table()
-	for i, sh := range rt.shards {
-		sink, err := newWALSink(walShardDir(dir, rt.epoch, i), opts)
-		if err != nil {
-			return nil, err
-		}
-		sh.wal = sink
+	if err := s.attachWAL(dir, opts); err != nil {
+		return nil, err
 	}
-	m := &Manifest{Skills: u.Names(), Shards: rt.width(), Epoch: rt.epoch}
+	m := &Manifest{Skills: u.Names(), Shards: len(s.shards)}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// attachWAL makes a not-yet-published store durable under dir: every shard
+// gets a write-ahead sink on its directory.
+func (s *Store) attachWAL(dir string, opts wal.Options) error {
+	s.dir = dir
+	for i, sh := range s.shards {
+		sink, err := newWALSink(WALShardDir(dir, i), opts)
+		if err != nil {
+			return err
+		}
+		sh.wal = sink
+	}
+	return nil
 }
 
 // Dir returns the persistence root ("" for a volatile store).
@@ -231,18 +235,9 @@ func (s *Store) Dir() string { return s.dir }
 // Durable reports whether mutations are teed into a write-ahead log.
 func (s *Store) Durable() bool { return s.dir != "" }
 
-// EpochLog returns the completed width changes of this store's lifetime,
-// oldest first (nil for a store that never resharded).
-func (s *Store) EpochLog() []EpochChange {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	return append([]EpochChange(nil), s.epochs...)
-}
-
 // SyncWAL flushes every shard's durable sink to stable storage.
 func (s *Store) SyncWAL() error {
-	_, _, shs := s.view()
-	for _, sh := range shs {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		var err error
 		if sh.wal != nil {
@@ -261,8 +256,7 @@ func (s *Store) SyncWAL() error {
 // group-commit amortisation.
 func (s *Store) WALStats() wal.WriterStats {
 	var agg wal.WriterStats
-	_, _, shs := s.view()
-	for _, sh := range shs {
+	for _, sh := range s.shards {
 		sh.mu.RLock()
 		if ws, ok := sh.wal.(*walSink); ok && ws != nil {
 			st := ws.Stats()
@@ -280,12 +274,12 @@ func (s *Store) WALStats() wal.WriterStats {
 // succeed — but durability ends: post-Close mutations are never written
 // to the WAL and will be absent after the next Open.
 func (s *Store) Close() error {
-	// ckptMu excludes a concurrent Reshard, which creates and rewires
-	// sinks; without it a mid-migration Close could miss a brand-new one.
+	// ckptMu excludes a concurrent Checkpoint, which rotates and truncates
+	// the sinks Close detaches.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	var firstErr error
-	for _, sh := range s.table().shards {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if sh.wal != nil {
 			if err := sh.wal.Close(); err != nil && firstErr == nil {
@@ -324,24 +318,12 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	// ckptMu excludes Reshard for its whole migration, so no successor
-	// table exists here: the current table's shards are the entire store.
-	rt := s.table()
-	shs := rt.shards
-	for _, sh := range shs {
-		sh.mu.RLock()
-	}
-	defer func() {
-		for _, sh := range shs {
-			sh.mu.RUnlock()
-		}
-	}()
+	shs, release := s.rlockView()
+	defer release()
 
 	m := &Manifest{
 		Skills:     s.universe.Names(),
 		Shards:     len(shs),
-		Epoch:      rt.epoch,
-		Epochs:     append([]EpochChange(nil), s.epochs...),
 		Version:    s.version.Load(),
 		Watermarks: make([]uint64, len(shs)),
 		LowWater:   make([]uint64, len(shs)),
@@ -389,9 +371,7 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 	// are dead. Rotate first so the active segment becomes truncatable too.
 	// All mutators are blocked on the shard locks, so touching the sinks
 	// here is race-free.
-	live := make(map[string]bool, len(shs))
 	for i, sh := range shs {
-		live[filepath.Base(walShardDir(s.dir, rt.epoch, i))] = true
 		ws, ok := sh.wal.(*walSink)
 		if !ok || ws == nil {
 			continue
@@ -404,18 +384,6 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 		}
 		if err := ws.w.TruncateBefore(m.LowWater[i]); err != nil {
 			return nil, err
-		}
-	}
-	// Directories of retired epochs (and of widths beyond the current one)
-	// hold only records the snapshot now covers: remove everything that is
-	// not a live sink's directory.
-	if dirs, err := os.ReadDir(WALDir(s.dir)); err == nil {
-		for _, e := range dirs {
-			if e.IsDir() && !live[e.Name()] {
-				if err := os.RemoveAll(filepath.Join(WALDir(s.dir), e.Name())); err != nil {
-					return nil, fmt.Errorf("store: drop retired shard wal: %w", err)
-				}
-			}
 		}
 	}
 	return m, nil
@@ -438,7 +406,7 @@ func (rs *replayStream) advance() error {
 	if err != nil {
 		return err
 	}
-	m, err := decodeMutation(key, payload)
+	m, err := decodeMutation(key, payload, walEpoch)
 	if err != nil {
 		// A CRC-valid but undecodable record is a hole just like a torn
 		// frame: stop this stream at the longest valid prefix.
@@ -453,21 +421,16 @@ func (rs *replayStream) advance() error {
 // primaryID returns the mutated entity's own id, the shard-routing key.
 func (m *Mutation) primaryID() string { return changePrimaryID(m.Change) }
 
-// setEpoch re-stamps a not-yet-published store (recovery only: no
-// concurrent access) with the given route epoch.
-func (s *Store) setEpoch(epoch uint64) {
-	rt := s.route.Load()
-	for _, sh := range rt.shards {
-		sh.epoch = epoch
-	}
-	s.route.Store(newRouteTable(epoch, rt.shards))
-}
-
 // openSnapshot rebuilds the checkpointed entity state (or an empty store)
-// from a manifest at the given shard width. The snapshot's file name picks
-// its decoder: .json is a format-2 directory's model.Snapshot document,
-// anything else the frame codec.
-func openSnapshot(dir string, man *Manifest, shards int) (*Store, error) {
+// from a manifest at its width, positioned exactly at the manifest: the
+// bulk loads consume sequencer values and seed rings with rebuild-local
+// versions that have nothing to do with the original numbering the WAL
+// tail carries, so the sequencer, every watermark and every ring's
+// truncation signal are reset to the manifest version. The snapshot's file
+// name picks its decoder: .json is a format-2 directory's model.Snapshot
+// document, anything else the frame codec.
+func openSnapshot(dir string, man *Manifest) (*Store, error) {
+	var s *Store
 	if man.Snapshot != "" {
 		data, err := os.ReadFile(filepath.Join(dir, man.Snapshot))
 		if err != nil {
@@ -481,76 +444,51 @@ func openSnapshot(dir string, man *Manifest, shards int) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
-		s, err := FromSnapshotSharded(snap, shards)
+		if s, err = FromSnapshotSharded(snap, man.Shards); err != nil {
+			return nil, fmt.Errorf("store: open: %w", err)
+		}
+	} else {
+		u, err := model.NewUniverse(man.Skills...)
 		if err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
-		return s, nil
+		s = NewSharded(u, man.Shards)
 	}
-	u, err := model.NewUniverse(man.Skills...)
-	if err != nil {
-		return nil, fmt.Errorf("store: open: %w", err)
+	for _, sh := range s.shards {
+		sh.ring = changeRing{cap: sh.ring.cap, droppedMax: man.Version}
+		sh.applied = man.Version
 	}
-	return NewSharded(u, shards), nil
+	s.version.Store(man.Version)
+	return s, nil
 }
 
-// Open recovers a durable store from dir: the checkpoint snapshot is
-// rebuilt through the bulk insert paths, then the WAL tail — every epoch's
-// shard directories — is replayed in globally merged version order with
-// original version numbers, re-seeding the in-memory changelog rings (so
-// warm-started audit cursors keep working) and stopping at the first
-// version gap; the longest globally valid prefix survives a torn or
-// corrupted final record. shards <= 0 reopens at the manifest's width; a
-// different width replays correctly but starts a new route epoch and
-// invalidates saved audit cursors (warm starts fall back to a full scan).
-// The returned store has live WAL sinks attached and continues appending
-// where the recovered log ends.
+// Open recovers a durable store from dir at its manifest's width: the
+// checkpoint snapshot is rebuilt through the bulk insert paths, then the
+// WAL tail of every shard directory is replayed in globally merged version
+// order with original version numbers, re-seeding the in-memory changelog
+// rings (so warm-started audit cursors keep working) and stopping at the
+// first version gap; the longest globally valid prefix survives a torn or
+// corrupted final record. shards must be 0 or the manifest's width — a
+// store keeps the width it was created with. The returned store has live
+// WAL sinks attached and continues appending where the recovered log ends.
 func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if shards <= 0 {
-		shards = man.Shards
+	if shards != 0 && shards != man.Shards {
+		return nil, nil, fmt.Errorf("store: open %s at %d shards: it was created with %d, and a store keeps its width", dir, shards, man.Shards)
 	}
-	sameLayout := shards == man.Shards &&
-		len(man.Watermarks) == shards && len(man.LowWater) == shards
-
-	epoch := man.Epoch
-	if epoch == 0 {
-		epoch = 1
-	}
-	s, err := openSnapshot(dir, man, shards)
+	s, err := openSnapshot(dir, man)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.dir, s.walOpts = dir, opts
-	s.epochs = append([]EpochChange(nil), man.Epochs...)
-	if shards != man.Shards {
-		// An explicit width change at reopen is a reshard performed at
-		// rest: it starts a fresh epoch so its WAL directories cannot
-		// collide with the manifest epoch's. The epoch-log entry is
-		// persisted by the next checkpoint or online Reshard.
-		epoch++
-		s.epochs = append(s.epochs, EpochChange{Epoch: epoch, Width: shards, Version: man.Version})
-	}
-	s.setEpoch(epoch)
-
-	// Reset the rebuild bookkeeping to the manifest's recovery baseline:
-	// the bulk loads above consumed sequencer values and seeded rings with
-	// rebuild-local versions that have nothing to do with the original
-	// numbering the WAL tail carries.
-	for i, sh := range s.table().shards {
-		sh.ring = changeRing{cap: sh.ring.cap}
-		if sameLayout {
+	if len(man.Watermarks) == man.Shards && len(man.LowWater) == man.Shards {
+		for i, sh := range s.shards {
 			sh.applied = man.Watermarks[i]
 			sh.ring.droppedMax = man.LowWater[i]
-		} else {
-			sh.applied = man.Version
-			sh.ring.droppedMax = man.Version
 		}
 	}
-	s.version.Store(man.Version)
 
 	lastApplied, preSnapshotTear, err := s.replayWAL(dir, man)
 	if err != nil {
@@ -560,7 +498,7 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 		// Corruption below the snapshot version: entity state is intact
 		// (the snapshot covers it) but the rings cannot promise continuity
 		// for saved cursors — force stale readers onto the full-scan path.
-		for _, sh := range s.table().shards {
+		for _, sh := range s.shards {
 			if sh.ring.droppedMax < man.Version {
 				sh.ring.droppedMax = man.Version
 			}
@@ -569,19 +507,13 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 
 	// Drop any records past the recovered prefix so reopened writers
 	// continue a dense log, then attach live sinks.
-	if dirs, err := os.ReadDir(WALDir(dir)); err == nil {
-		for _, e := range dirs {
-			if err := wal.TruncateAfter(filepath.Join(WALDir(dir), e.Name()), lastApplied); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for i, sh := range s.table().shards {
-		sink, err := newWALSink(walShardDir(dir, epoch, i), opts)
-		if err != nil {
+	for i := range s.shards {
+		if err := wal.TruncateAfter(WALShardDir(dir, i), lastApplied); err != nil {
 			return nil, nil, err
 		}
-		sh.wal = sink
+	}
+	if err := s.attachWAL(dir, opts); err != nil {
+		return nil, nil, err
 	}
 	return s, man, nil
 }
@@ -598,26 +530,15 @@ func Bootstrap(dir string) (*Store, *Manifest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := openSnapshot(dir, man, man.Shards)
+	s, err := openSnapshot(dir, man)
 	if err != nil {
 		return nil, nil, err
 	}
-	epoch := man.Epoch
-	if epoch == 0 {
-		epoch = 1
-	}
-	s.setEpoch(epoch)
-	s.epochs = append([]EpochChange(nil), man.Epochs...)
-	for i, sh := range s.table().shards {
-		sh.ring = changeRing{cap: sh.ring.cap}
-		sh.ring.droppedMax = man.Version
-		if len(man.Watermarks) == len(s.table().shards) {
+	if len(man.Watermarks) == man.Shards {
+		for i, sh := range s.shards {
 			sh.applied = man.Watermarks[i]
-		} else {
-			sh.applied = man.Version
 		}
 	}
-	s.version.Store(man.Version)
 	return s, man, nil
 }
 
@@ -625,11 +546,11 @@ func Bootstrap(dir string) (*Store, *Manifest, error) {
 // payload as written by the store's sinks) — the ingestion side of WAL
 // shipping.
 func DecodeWALMutation(key uint64, payload []byte) (Mutation, error) {
-	return decodeMutation(key, payload)
+	return decodeMutation(key, payload, walEpoch)
 }
 
-// Apply applies a decoded WAL mutation at its original version and epoch,
-// routed through the live table — the replication path: a follower tailing
+// Apply applies a decoded WAL mutation at its original version, routed by
+// its entity id — the replication path: a follower tailing
 // another process's log feeds records here in global version order. The
 // entity is validated like any live mutation; like the live mutators, the
 // durability wait of a durable replica happens after the shard lock is
@@ -643,31 +564,32 @@ func (s *Store) Apply(m Mutation) error {
 
 // replayWAL merges every shard directory's stream by version and applies
 // the tail. Returns the highest version surviving recovery and whether a
-// stream tore below the snapshot version.
+// stream tore below the snapshot version. A WAL directory other than the
+// width's shard directories was left by online resharding, and its records
+// would be lost unseen: the layout is refused instead.
 func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSnapshotTear bool, err error) {
 	lastApplied = man.Version
 	entries, err := os.ReadDir(WALDir(dir))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return lastApplied, false, nil
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return 0, false, fmt.Errorf("store: open wal: %w", err)
 	}
-	var names []string
+	shardDirs := make(map[string]bool, len(s.shards))
+	for i := range s.shards {
+		shardDirs[filepath.Base(WALShardDir(dir, i))] = true
+	}
 	for _, e := range entries {
-		if e.IsDir() {
-			names = append(names, e.Name())
+		if !shardDirs[e.Name()] {
+			return 0, false, fmt.Errorf("%w (wal directory %s)", errResharded, e.Name())
 		}
 	}
-	sort.Strings(names)
-	streams := make([]*replayStream, 0, len(names))
+	streams := make([]*replayStream, 0, len(s.shards))
 	defer func() {
 		for _, rs := range streams {
 			rs.r.Close()
 		}
 	}()
-	for _, name := range names {
-		r, err := wal.OpenDir(filepath.Join(WALDir(dir), name))
+	for i := range s.shards {
+		r, err := wal.OpenDir(WALShardDir(dir, i))
 		if err != nil {
 			return 0, false, err
 		}
@@ -708,7 +630,7 @@ func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSna
 			// The snapshot already holds this mutation's effect; re-seed
 			// the owning shard's ring so warm-started changelog cursors
 			// between low-water and watermark still read cleanly.
-			sh := s.table().shardFor(m.primaryID())
+			sh := s.shardFor(m.primaryID())
 			sh.ring.record(m.Change)
 			if v > sh.applied {
 				sh.applied = v
@@ -731,46 +653,46 @@ func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSna
 // locked helpers only assume the lock is held, they do not acquire it.
 // Sinks are not attached during replay, so the ticket is always zero.
 func (s *Store) applyReplay(m Mutation) error {
-	_, err := s.applyMutation(s.table().shardFor(m.primaryID()), m)
+	_, err := s.applyMutation(s.shardFor(m.primaryID()), m)
 	return err
 }
 
 // applyMutation applies one decoded mutation under the held (or not yet
-// shared) owning shard, preserving its original version and epoch, and
+// shared) owning shard, preserving its original version, and
 // returns the durability ticket of the re-recorded mutation.
 func (s *Store) applyMutation(sh *shard, m Mutation) (wal.Commit, error) {
-	v, e := m.Change.Version, m.Change.Epoch
+	v := m.Change.Version
 	switch {
 	case m.Change.Entity == EntityWorker && m.Change.Op == OpInsert:
 		if err := m.Worker.Validate(s.universe); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putWorkerLocked(sh, m.Worker, v, e)
+		return s.putWorkerLocked(sh, m.Worker, v)
 	case m.Change.Entity == EntityWorker && m.Change.Op == OpUpdate:
 		if err := m.Worker.Validate(s.universe); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.updateWorkerLocked(sh, m.Worker, v, e)
+		return s.updateWorkerLocked(sh, m.Worker, v)
 	case m.Change.Entity == EntityRequester:
 		if err := m.Requester.Validate(); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putRequesterLocked(sh, m.Requester, v, e)
+		return s.putRequesterLocked(sh, m.Requester, v)
 	case m.Change.Entity == EntityTask:
 		if err := m.Task.Validate(s.universe); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putTaskLocked(sh, m.Task, v, e)
+		return s.putTaskLocked(sh, m.Task, v)
 	case m.Change.Entity == EntityContribution && m.Change.Op == OpInsert:
 		if err := m.Contribution.Validate(); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putContributionLocked(sh, m.Contribution, v, e)
+		return s.putContributionLocked(sh, m.Contribution, v)
 	case m.Change.Entity == EntityContribution && m.Change.Op == OpUpdate:
 		if err := m.Contribution.Validate(); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.updateContributionLocked(sh, m.Contribution, v, e)
+		return s.updateContributionLocked(sh, m.Contribution, v)
 	}
 	return wal.Commit{}, fmt.Errorf("store: replay v%d: unknown mutation kind", v)
 }

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -213,11 +216,15 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenAtDifferentShardCount(t *testing.T) {
+// TestOpenRefusesForeignLayout pins the fixed width: a store reopens at its
+// manifest's width only, and a directory written by online resharding (an
+// epoch above 1, an epoch-change log, or an epoch-qualified WAL directory)
+// is refused by both Open and Bootstrap rather than half-read.
+func TestOpenRefusesForeignLayout(t *testing.T) {
 	u := testUniverse()
 	dir := t.TempDir()
 	steps := mutationScript(u, 40)
-	ds, err := NewDurable(u, 2, dir, wal.Options{})
+	ds, err := NewDurable(u, 4, dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,18 +236,67 @@ func TestOpenAtDifferentShardCount(t *testing.T) {
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Open(dir, 5, wal.Options{})
+	want := NewSharded(u, 4)
+	applySteps(t, want, steps, len(steps))
+
+	if _, _, err := Open(copyTree(t, dir), 5, wal.Options{}); err == nil ||
+		!strings.Contains(err.Error(), "at 5 shards") || !strings.Contains(err.Error(), "created with 4") {
+		t.Fatalf("Open at width 5 of a width-4 store: %v", err)
+	}
+	for _, shards := range []int{0, 4} {
+		got, _, err := Open(copyTree(t, dir), shards, wal.Options{})
+		if err != nil {
+			t.Fatalf("Open(dir, %d): %v", shards, err)
+		}
+		if got.ShardCount() != 4 || snapBytes(t, got) != snapBytes(t, want) {
+			t.Fatalf("Open(dir, %d): width %d or state differs", shards, got.ShardCount())
+		}
+		got.Close()
+	}
+
+	resharded := map[string]func(t *testing.T, dir string){
+		"epoch 2": func(t *testing.T, dir string) { editManifest(t, dir, "epoch", 2) },
+		"epoch log": func(t *testing.T, dir string) {
+			editManifest(t, dir, "epochs", []map[string]any{{"epoch": 2, "width": 5, "version": 25}})
+		},
+		"epoch directory": func(t *testing.T, dir string) {
+			if err := os.MkdirAll(filepath.Join(WALDir(dir), "e0002-shard-0000"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, damage := range resharded {
+		d := copyTree(t, dir)
+		damage(t, d)
+		if _, _, err := Open(d, 0, wal.Options{}); !errors.Is(err, errResharded) {
+			t.Fatalf("%s: Open: %v, want the resharding-removed error", name, err)
+		}
+		if name == "epoch directory" {
+			continue // Bootstrap reads only the manifest's shard directories
+		}
+		if _, _, err := Bootstrap(d); !errors.Is(err, errResharded) {
+			t.Fatalf("%s: Bootstrap: %v, want the resharding-removed error", name, err)
+		}
+	}
+}
+
+// editManifest sets one field of a durable directory's manifest.
+func editManifest(t *testing.T, dir, field string, value any) {
+	t.Helper()
+	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer got.Close()
-	if got.ShardCount() != 5 {
-		t.Fatalf("shard count %d", got.ShardCount())
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
 	}
-	want := NewSharded(u, 5)
-	applySteps(t, want, steps, len(steps))
-	if snapBytes(t, got) != snapBytes(t, want) {
-		t.Fatal("re-sharded recovery differs")
+	doc[field] = value
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

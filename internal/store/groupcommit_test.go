@@ -71,7 +71,7 @@ func walMutationsByVersion(t *testing.T, dir string) []Mutation {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := decodeMutation(key, append([]byte(nil), payload...))
+			m, err := decodeMutation(key, append([]byte(nil), payload...), walEpoch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,7 @@ func TestMaskRoutingMatchesModulo(t *testing.T) {
 	u := testUniverse()
 	for _, n := range []int{1, 2, 4, 8, 16, 64} {
 		s := NewSharded(u, n)
-		if !s.table().masked {
+		if !s.masked {
 			t.Fatalf("shards=%d: mask fast path not enabled", n)
 		}
 		for i := 0; i < 2000; i++ {
@@ -24,7 +24,7 @@ func TestMaskRoutingMatchesModulo(t *testing.T) {
 		}
 	}
 	for _, n := range []int{3, 5, 6, 7, 12, 13} {
-		if s := NewSharded(u, n); s.table().masked {
+		if s := NewSharded(u, n); s.masked {
 			t.Fatalf("shards=%d: mask fast path wrongly enabled", n)
 		}
 	}

@@ -32,14 +32,6 @@ import (
 type shard struct {
 	mu sync.RWMutex
 
-	// epoch is the route-table generation this shard belongs to; changes
-	// recorded here are stamped with it. retired marks a shard whose
-	// contents were handed off to the next epoch's layout by Reshard:
-	// routing falls through it (see lockOwner) and cross-shard readers
-	// skip it. Both are written only under mu.
-	epoch   uint64
-	retired bool
-
 	workers    map[model.WorkerID]*model.Worker
 	requesters map[model.RequesterID]*model.Requester
 	tasks      map[model.TaskID]*model.Task
@@ -63,9 +55,8 @@ type shard struct {
 	wal  LogSink
 }
 
-func newShard(skills, clogCap int, epoch uint64) *shard {
+func newShard(skills, clogCap int) *shard {
 	return &shard{
-		epoch:            epoch,
 		workers:          make(map[model.WorkerID]*model.Worker),
 		requesters:       make(map[model.RequesterID]*model.Requester),
 		tasks:            make(map[model.TaskID]*model.Task),

@@ -121,38 +121,6 @@ func (r *changeRing) setCap(n int) {
 	r.cap = n
 }
 
-// merge folds a version-sorted batch of records from another ring into
-// this one — the handoff path of Reshard, where a retiring shard's
-// retained changelog is redistributed to the successor layout. The merged
-// ring keeps the newest cap records; anything evicted, plus the source
-// ring's own truncation signal, raises droppedMax so cursor-based readers
-// still learn exactly what history is gone.
-func (r *changeRing) merge(recs []Change, srcDroppedMax uint64) {
-	if srcDroppedMax > r.droppedMax {
-		r.droppedMax = srcDroppedMax
-	}
-	if len(recs) == 0 {
-		return
-	}
-	if r.cap < 1 {
-		if v := recs[len(recs)-1].Version; v > r.droppedMax {
-			r.droppedMax = v
-		}
-		return
-	}
-	merged := mergeSorted([][]Change{r.changesAfter(0), recs},
-		func(a, b Change) bool { return a.Version < b.Version })
-	if drop := len(merged) - r.cap; drop > 0 {
-		if v := merged[drop-1].Version; v > r.droppedMax {
-			r.droppedMax = v
-		}
-		merged = merged[drop:]
-	}
-	r.buf = append([]Change(nil), merged...)
-	r.start = 0
-	r.n = len(r.buf)
-}
-
 // changesAfter copies the retained records with Version > v, oldest first.
 // The ring is version-sorted, so the suffix is found by binary search.
 func (r *changeRing) changesAfter(v uint64) []Change {
@@ -197,7 +165,7 @@ func newWALSink(dir string, opts wal.Options) (*walSink, error) {
 // Wait after unlocking). AppendAsync copies the frame into the batch
 // buffer synchronously, so reusing scratch across calls is safe.
 func (s *walSink) Append(m Mutation) (wal.Commit, error) {
-	s.scratch = encodeMutation(s.scratch[:0], m)
+	s.scratch = encodeMutation(s.scratch[:0], m, walEpoch)
 	return s.w.AppendAsync(m.Change.Version, s.scratch)
 }
 

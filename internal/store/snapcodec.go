@@ -51,7 +51,7 @@ func encodeSnapshotFrames(snap *model.Snapshot) []byte {
 		key++
 		m.Change.Version = key
 		m.Change = insertChange(m)
-		rec = encodeMutation(rec[:0], m)
+		rec = encodeMutation(rec[:0], m, snapshotEpoch)
 		out = wal.AppendFrame(out, key, rec)
 	}
 	for _, r := range snap.Requesters {
@@ -107,7 +107,7 @@ func decodeSnapshotFrames(data []byte) (*model.Snapshot, error) {
 			if err != nil || key != next {
 				return nil, fmt.Errorf("store: snapshot: record %d missing or damaged", next)
 			}
-			m, err := decodeMutation(key, payload)
+			m, err := decodeMutation(key, payload, snapshotEpoch)
 			if err != nil {
 				return nil, fmt.Errorf("store: snapshot: %w", err)
 			}

@@ -169,17 +169,17 @@ func TestCorruptSnapshotIsOpenError(t *testing.T) {
 	}
 }
 
-// Two checkpoints of one state write the same bytes, whatever route the
-// store took to that state (here: built live, and recovered at another
-// shard width).
+// Three checkpoints of one state write the same bytes, whatever route the
+// store took to that state (here: built live, recovered from disk, and
+// built live at another shard width).
 func TestCheckpointSnapshotIsDeterministic(t *testing.T) {
-	dir, _, _ := checkpointedDir(t, 50, 50)
+	dir, steps, _ := checkpointedDir(t, 50, 50)
 	man, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := readFile(t, filepath.Join(dir, man.Snapshot))
-	got, _, err := Open(dir, 5, wal.Options{})
+	got, _, err := Open(dir, 0, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +193,20 @@ func TestCheckpointSnapshotIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(readFile(t, filepath.Join(dir, man2.Snapshot)), first) {
 		t.Fatal("two checkpoints of one state differ")
+	}
+	wide := t.TempDir()
+	live, err := NewDurable(testUniverse(), 5, wide, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	applySteps(t, live, steps, 50)
+	man3, err := live.Checkpoint(CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, filepath.Join(wide, man3.Snapshot)), first) {
+		t.Fatal("checkpoints of one state at widths 3 and 5 differ")
 	}
 }
 
@@ -308,7 +322,7 @@ func TestSnapshotFramesRoundTrip(t *testing.T) {
 	for _, n := range []uint64{0, 1, 0, 0} {
 		hdr = wal.AppendUvarint(hdr, n)
 	}
-	bad := wal.AppendFrame(wal.AppendFrame(nil, 0, hdr), 1, encodeMutation(nil, m))
+	bad := wal.AppendFrame(wal.AppendFrame(nil, 0, hdr), 1, encodeMutation(nil, m, snapshotEpoch))
 	if _, err := decodeSnapshotFrames(bad); err == nil {
 		t.Fatal("non-canonical record header accepted")
 	}

@@ -69,9 +69,6 @@ func FromSnapshotSharded(snap *model.Snapshot, shards int) (*Store, error) {
 func skillBucket(shs []*shard, skill int) []*model.Worker {
 	per := make([][]*model.Worker, 0, len(shs))
 	for _, sh := range shs {
-		if sh.retired {
-			continue
-		}
 		ids := sh.workersBySkill[skill]
 		if len(ids) == 0 {
 			continue
@@ -161,9 +158,6 @@ func (s *Store) CandidateTaskPairs() [][2]model.TaskID {
 	for skill := 0; skill < s.universe.Size(); skill++ {
 		perShard = perShard[:0]
 		for _, sh := range shs {
-			if sh.retired {
-				continue
-			}
 			ids := sh.tasksBySkill[skill]
 			if len(ids) == 0 {
 				continue

@@ -11,23 +11,21 @@
 //
 // Concurrency model: the store is hash-partitioned into ShardCount shards
 // (see shard.go), each owning the entities whose id hashes to it together
-// with that partition's secondary indexes and changelog ring. Which shard owns which id is decided by an immutable, epoch-stamped
-// route table (routetable.go) swapped through an atomic pointer; Reshard
-// (reshard.go) migrates the store to a new shard width under live traffic
-// by publishing a successor table and handing shards off one at a time.
-// Every mutation takes exactly one shard's write lock — referenced entities
-// in other shards are probed under read locks, which is safe because
-// entities are never deleted — so writers to different shards never contend
-// and mutation throughput scales with cores. A single atomic sequencer
-// allocates global versions; allocation happens while the owning shard's
-// write lock is held, which yields the store's core visibility invariant:
-// every mutation with a version at or below Version() is fully applied and
-// visible to any subsequently acquired shard lock.
+// with that partition's secondary indexes and changelog ring. The width is
+// fixed when the store is built — a durable store reopens at its manifest's
+// width — so an id's shard never changes (route.go). Every mutation takes
+// exactly one shard's write lock — referenced entities in other shards are
+// probed under read locks, which is safe because entities are never
+// deleted — so writers to different shards never contend and mutation
+// throughput scales with cores. A single atomic sequencer allocates global
+// versions; allocation happens while the owning shard's write lock is held,
+// which yields the store's core visibility invariant: every mutation with a
+// version at or below Version() is fully applied and visible to any
+// subsequently acquired shard lock.
 //
 // Multi-shard readers (Workers, ChangesSince, the candidate-pair
-// generators) acquire a validated whole-key-space view (rlockView) so a
-// concurrent reshard can never hide or duplicate entities mid-scan; they
-// see a state at least as new as any version bracket they read first.
+// generators) read-lock every shard (rlockView); they see a state at least
+// as new as any version bracket they read first.
 // Incremental consumers — the delta-driven fairness audits of
 // internal/audit — read the per-shard changelogs through ShardChangesSince
 // (or the version-merged ChangesSince) to re-check only what moved.
@@ -61,15 +59,15 @@ var (
 	ErrInvalid   = errors.New("store: invalid entity")
 )
 
-// DefaultShardCount is the partition count used by New. It is a fixed
-// constant — not GOMAXPROCS-derived — so a trace replayed on any machine
-// lands entities in the same shards, and a *sequentially* replayed trace
-// produces the same merged changelog (the bulk fan-out paths interleave
-// version assignment across shards nondeterministically, so bulk-loaded
-// stores promise identical state but not identical change order). The
-// determinism tests pin that results are identical for every shard count,
-// so callers needing a different width (1 for strict single-lock
-// semantics, more for very wide machines) use NewSharded.
+// DefaultShardCount is the partition count used by New and by the durable
+// platform. It is a fixed constant — not GOMAXPROCS-derived — so a trace
+// replayed on any machine lands entities in the same shards, and a
+// *sequentially* replayed trace produces the same merged changelog (the
+// bulk fan-out paths interleave version assignment across shards
+// nondeterministically, so bulk-loaded stores promise identical state but
+// not identical change order). The determinism tests pin that results are
+// identical for every shard count, so trying another width is a change to
+// this one constant; a durable store keeps the width it was created with.
 const DefaultShardCount = 8
 
 // Store is the platform database. Construct with New or NewSharded for a
@@ -79,28 +77,18 @@ type Store struct {
 	universe *model.Universe
 	version  atomic.Uint64 // global mutation sequencer
 
-	// route is the current epoch's routing table (never nil); next holds
-	// its successor while a Reshard is migrating shards, and nil
-	// otherwise. Both are immutable once published — see routetable.go
-	// for the two-table handoff protocol.
-	route routePtr
-	next  routePtr
+	// shards are the hash partitions, fixed at construction (route.go).
+	// mask enables the power-of-two routing fast path; masked
+	// distinguishes a real mask of 0 (one shard) from "not a power of two".
+	shards []*shard
+	mask   uint64
+	masked bool
 
-	// clogCap remembers the per-shard changelog retention so shards
-	// created by a later Reshard inherit SetChangelogCap.
-	clogCap atomic.Int64
-
-	// dir is the persistence root of a durable store ("" when volatile);
-	// walOpts parameterises its segment writers. ckptMu serialises the
-	// whole-store maintenance operations — Checkpoint, Reshard, and Close
-	// — which all touch every shard's sink or the manifest at once.
-	dir     string
-	walOpts wal.Options
-	ckptMu  sync.Mutex
-
-	// epochs records completed width changes, oldest first (guarded by
-	// ckptMu; read via EpochLog).
-	epochs []EpochChange
+	// dir is the persistence root of a durable store ("" when volatile).
+	// ckptMu serialises Checkpoint and Close, which both touch every
+	// shard's sink at once.
+	dir    string
+	ckptMu sync.Mutex
 }
 
 // New returns an empty store over the given skill universe, partitioned
@@ -113,30 +101,27 @@ func NewSharded(u *model.Universe, shards int) *Store {
 	if shards < 1 {
 		shards = 1
 	}
-	s := &Store{universe: u}
-	s.clogCap.Store(DefaultChangelogCap)
-	shs := make([]*shard, shards)
-	for i := range shs {
-		shs[i] = newShard(u.Size(), DefaultChangelogCap, 1)
+	s := &Store{universe: u, shards: make([]*shard, shards)}
+	for i := range s.shards {
+		s.shards[i] = newShard(u.Size(), DefaultChangelogCap)
 	}
-	s.route.Store(newRouteTable(1, shs))
+	if shards&(shards-1) == 0 {
+		s.mask, s.masked = uint64(shards-1), true
+	}
 	return s
 }
 
 // Universe returns the skill universe the store was built over.
 func (s *Store) Universe() *model.Universe { return s.universe }
 
-// ShardCount returns the number of hash partitions in the current epoch.
-func (s *Store) ShardCount() int { return s.table().width() }
+// ShardCount returns the number of hash partitions.
+func (s *Store) ShardCount() int { return len(s.shards) }
 
 // Version returns the current mutation counter. Two equal versions bracket
 // an unchanged store, which lets long audits assert the trace did not move
 // under them; every mutation versioned at or below the returned value is
 // visible to reads issued after the call.
 func (s *Store) Version() uint64 { return s.version.Load() }
-
-// shardIndex routes an id under the current epoch's table.
-func (s *Store) shardIndex(id string) int { return s.table().index(id) }
 
 // allocVersion returns the version a mutation commits under: the next
 // sequencer value normally, or the forced original version during WAL
@@ -196,17 +181,15 @@ func (s *Store) PutWorker(w *model.Worker) error {
 	}
 	sh := s.lockOwner(string(w.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putWorkerLocked(sh, w, 0, 0)
+		return s.putWorkerLocked(sh, w, 0)
 	})
 }
 
 // putWorkerLocked inserts under the held shard lock. ver is 0 for live
 // mutations (allocate the next version) and the original version during
-// WAL replay; epoch likewise is 0 to stamp the owning shard's epoch and
-// the original epoch during replay. Like every *Locked mutator it returns
-// the record's durability ticket for the caller to Wait on after
-// unlocking.
-func (s *Store) putWorkerLocked(sh *shard, w *model.Worker, ver, epoch uint64) (wal.Commit, error) {
+// WAL replay. Like every *Locked mutator it returns the record's
+// durability ticket for the caller to Wait on after unlocking.
+func (s *Store) putWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.Commit, error) {
 	if _, dup := sh.workers[w.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("worker %s: %w", w.ID, ErrDuplicate)
 	}
@@ -216,11 +199,8 @@ func (s *Store) putWorkerLocked(sh *shard, w *model.Worker, ver, epoch uint64) (
 		sh.workersBySkill[i] = insertSortedID(sh.workersBySkill[i], c.ID)
 	}
 	v := s.allocVersion(ver)
-	if epoch == 0 {
-		epoch = sh.epoch
-	}
 	return sh.record(Mutation{
-		Change: Change{Version: v, Epoch: epoch, Op: OpInsert, Entity: EntityWorker, Worker: c.ID},
+		Change: Change{Version: v, Op: OpInsert, Entity: EntityWorker, Worker: c.ID},
 		Worker: c,
 	})
 }
@@ -232,11 +212,11 @@ func (s *Store) UpdateWorker(w *model.Worker) error {
 	}
 	sh := s.lockOwner(string(w.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.updateWorkerLocked(sh, w, 0, 0)
+		return s.updateWorkerLocked(sh, w, 0)
 	})
 }
 
-func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver, epoch uint64) (wal.Commit, error) {
+func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.Commit, error) {
 	old, ok := sh.workers[w.ID]
 	if !ok {
 		return wal.Commit{}, fmt.Errorf("worker %s: %w", w.ID, ErrNotFound)
@@ -252,11 +232,8 @@ func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver, epoch uint64
 	c := w.Clone()
 	sh.workers[w.ID] = c
 	v := s.allocVersion(ver)
-	if epoch == 0 {
-		epoch = sh.epoch
-	}
 	return sh.record(Mutation{
-		Change: Change{Version: v, Epoch: epoch, Op: OpUpdate, Entity: EntityWorker, Worker: w.ID},
+		Change: Change{Version: v, Op: OpUpdate, Entity: EntityWorker, Worker: w.ID},
 		Worker: c,
 	})
 }
@@ -336,9 +313,6 @@ func (s *Store) WorkersWithSkill(skill int) []model.WorkerID {
 	shs, release := s.rlockView()
 	per := make([][]model.WorkerID, len(shs))
 	for i, sh := range shs {
-		if sh.retired {
-			continue
-		}
 		per[i] = append([]model.WorkerID(nil), sh.workersBySkill[skill]...)
 	}
 	release()
@@ -358,7 +332,7 @@ func (s *Store) BulkPutWorkers(ws []*model.Worker) error {
 		}
 	}
 	return s.bulkApply(len(ws), func(k int) string { return string(ws[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.putWorkerLocked(sh, ws[k], 0, 0) })
+		func(sh *shard, k int) (wal.Commit, error) { return s.putWorkerLocked(sh, ws[k], 0) })
 }
 
 // BulkUpdateWorkers applies many worker updates, fanning out across shards
@@ -371,14 +345,11 @@ func (s *Store) BulkUpdateWorkers(ws []*model.Worker) error {
 		}
 	}
 	return s.bulkApply(len(ws), func(k int) string { return string(ws[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.updateWorkerLocked(sh, ws[k], 0, 0) })
+		func(sh *shard, k int) (wal.Commit, error) { return s.updateWorkerLocked(sh, ws[k], 0) })
 }
 
-// bulkApply groups n items by owning shard under the current route table
-// and applies each group under a single lock acquisition, in parallel
-// across shards. If a group's shard was retired by a concurrent reshard
-// between grouping and locking, that group falls back to per-item routed
-// application — correctness never depends on the grouping staying fresh.
+// bulkApply groups n items by owning shard and applies each group under a
+// single lock acquisition, in parallel across shards.
 //
 // Durability: each shard group waits only on its last item's ticket, after
 // releasing the shard lock. Within one writer batches seal and flush
@@ -386,10 +357,9 @@ func (s *Store) BulkUpdateWorkers(ws []*model.Worker) error {
 // so the last ticket's success covers every earlier append of the group
 // and its failure reports any earlier batch's failure.
 func (s *Store) bulkApply(n int, id func(k int) string, apply func(sh *shard, k int) (wal.Commit, error)) error {
-	rt := s.table()
-	groups := make([][]int, rt.width())
+	groups := make([][]int, len(s.shards))
 	for k := 0; k < n; k++ {
-		i := rt.index(id(k))
+		i := s.shardIndex(id(k))
 		groups[i] = append(groups[i], k)
 	}
 	errs := make([]error, len(groups))
@@ -397,24 +367,8 @@ func (s *Store) bulkApply(n int, id func(k int) string, apply func(sh *shard, k 
 		if len(groups[i]) == 0 {
 			return
 		}
-		sh := rt.shards[i]
+		sh := s.shards[i]
 		sh.mu.Lock()
-		if sh.retired {
-			sh.mu.Unlock()
-			for _, k := range groups[i] {
-				osh := s.lockOwner(id(k))
-				ack, err := apply(osh, k)
-				osh.mu.Unlock()
-				if err == nil {
-					err = ack.Wait()
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			return
-		}
 		var last wal.Commit
 		for _, k := range groups[i] {
 			ack, err := apply(sh, k)
@@ -441,22 +395,19 @@ func (s *Store) PutRequester(r *model.Requester) error {
 	}
 	sh := s.lockOwner(string(r.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putRequesterLocked(sh, r, 0, 0)
+		return s.putRequesterLocked(sh, r, 0)
 	})
 }
 
-func (s *Store) putRequesterLocked(sh *shard, r *model.Requester, ver, epoch uint64) (wal.Commit, error) {
+func (s *Store) putRequesterLocked(sh *shard, r *model.Requester, ver uint64) (wal.Commit, error) {
 	if _, dup := sh.requesters[r.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("requester %s: %w", r.ID, ErrDuplicate)
 	}
 	c := *r
 	sh.requesters[r.ID] = &c
 	v := s.allocVersion(ver)
-	if epoch == 0 {
-		epoch = sh.epoch
-	}
 	return sh.record(Mutation{
-		Change:    Change{Version: v, Epoch: epoch, Op: OpInsert, Entity: EntityRequester, Requester: r.ID},
+		Change:    Change{Version: v, Op: OpInsert, Entity: EntityRequester, Requester: r.ID},
 		Requester: &c,
 	})
 }
@@ -521,11 +472,11 @@ func (s *Store) PutTask(t *model.Task) error {
 	}
 	sh := s.lockOwner(string(t.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putTaskLocked(sh, t, 0, 0)
+		return s.putTaskLocked(sh, t, 0)
 	})
 }
 
-func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver, epoch uint64) (wal.Commit, error) {
+func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver uint64) (wal.Commit, error) {
 	if _, dup := sh.tasks[t.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("task %s: %w", t.ID, ErrDuplicate)
 	}
@@ -536,11 +487,8 @@ func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver, epoch uint64) (wal.
 	}
 	sh.tasksByReq[c.Requester] = insertSortedID(sh.tasksByReq[c.Requester], c.ID)
 	v := s.allocVersion(ver)
-	if epoch == 0 {
-		epoch = sh.epoch
-	}
 	return sh.record(Mutation{
-		Change: Change{Version: v, Epoch: epoch, Op: OpInsert, Entity: EntityTask, Task: c.ID, Requester: c.Requester},
+		Change: Change{Version: v, Op: OpInsert, Entity: EntityTask, Task: c.ID, Requester: c.Requester},
 		Task:   c,
 	})
 }
@@ -557,7 +505,7 @@ func (s *Store) BulkPutTasks(ts []*model.Task) error {
 		}
 	}
 	return s.bulkApply(len(ts), func(k int) string { return string(ts[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.putTaskLocked(sh, ts[k], 0, 0) })
+		func(sh *shard, k int) (wal.Commit, error) { return s.putTaskLocked(sh, ts[k], 0) })
 }
 
 // PeekTask returns the stored task itself, nil when absent (see PeekWorker).
@@ -638,9 +586,6 @@ func (s *Store) TasksWithSkill(skill int) []model.TaskID {
 	shs, release := s.rlockView()
 	per := make([][]model.TaskID, len(shs))
 	for i, sh := range shs {
-		if sh.retired {
-			continue
-		}
 		per[i] = append([]model.TaskID(nil), sh.tasksBySkill[skill]...)
 	}
 	release()
@@ -661,7 +606,7 @@ func (s *Store) PutContribution(c *model.Contribution) error {
 	}
 	sh := s.lockOwner(string(c.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putContributionLocked(sh, c, 0, 0)
+		return s.putContributionLocked(sh, c, 0)
 	})
 }
 
@@ -675,7 +620,7 @@ func (s *Store) checkContribRefs(c *model.Contribution) error {
 	return nil
 }
 
-func (s *Store) putContributionLocked(sh *shard, c *model.Contribution, ver, epoch uint64) (wal.Commit, error) {
+func (s *Store) putContributionLocked(sh *shard, c *model.Contribution, ver uint64) (wal.Commit, error) {
 	if _, dup := sh.contribs[c.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("contribution %s: %w", c.ID, ErrDuplicate)
 	}
@@ -684,12 +629,9 @@ func (s *Store) putContributionLocked(sh *shard, c *model.Contribution, ver, epo
 	sh.contribsByTask[cc.Task] = insertContribID(sh.contribsByTask[cc.Task], sh.contribs, cc.ID)
 	sh.contribsByWorker[cc.Worker] = insertContribID(sh.contribsByWorker[cc.Worker], sh.contribs, cc.ID)
 	v := s.allocVersion(ver)
-	if epoch == 0 {
-		epoch = sh.epoch
-	}
 	return sh.record(Mutation{
 		Change: Change{
-			Version: v, Epoch: epoch, Op: OpInsert, Entity: EntityContribution,
+			Version: v, Op: OpInsert, Entity: EntityContribution,
 			Contribution: cc.ID, Task: cc.Task, Worker: cc.Worker,
 		},
 		Contribution: cc,
@@ -708,7 +650,7 @@ func (s *Store) BulkPutContributions(cs []*model.Contribution) error {
 		}
 	}
 	return s.bulkApply(len(cs), func(k int) string { return string(cs[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.putContributionLocked(sh, cs[k], 0, 0) })
+		func(sh *shard, k int) (wal.Commit, error) { return s.putContributionLocked(sh, cs[k], 0) })
 }
 
 // UpdateContribution replaces an existing contribution (e.g. after the
@@ -719,11 +661,11 @@ func (s *Store) UpdateContribution(c *model.Contribution) error {
 	}
 	sh := s.lockOwner(string(c.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.updateContributionLocked(sh, c, 0, 0)
+		return s.updateContributionLocked(sh, c, 0)
 	})
 }
 
-func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver, epoch uint64) (wal.Commit, error) {
+func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver uint64) (wal.Commit, error) {
 	old, ok := sh.contribs[c.ID]
 	if !ok {
 		return wal.Commit{}, fmt.Errorf("contribution %s: %w", c.ID, ErrNotFound)
@@ -744,12 +686,9 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver, 
 		sh.contribs[c.ID] = cc
 	}
 	v := s.allocVersion(ver)
-	if epoch == 0 {
-		epoch = sh.epoch
-	}
 	return sh.record(Mutation{
 		Change: Change{
-			Version: v, Epoch: epoch, Op: OpUpdate, Entity: EntityContribution,
+			Version: v, Op: OpUpdate, Entity: EntityContribution,
 			Contribution: c.ID, Task: c.Task, Worker: c.Worker,
 		},
 		Contribution: cc,

@@ -9,8 +9,8 @@ import (
 
 // Compact binary codec for WAL mutation records. The record's version
 // travels as the WAL frame key, so the payload carries only the op, the
-// entity kind, the routing epoch, the touched ids, and the mutated
-// entity's post-image:
+// entity kind, the frame epoch, the touched ids, and the mutated entity's
+// post-image:
 //
 //	[op byte][entity byte][epoch uvarint]
 //	[worker][requester][task][contribution]   (length-prefixed id strings)
@@ -22,6 +22,17 @@ import (
 // is versioned implicitly by the manifest's format number; records are
 // validated structurally (Dec latches on truncation) and by the WAL frame
 // CRC underneath.
+
+// Frame epochs. The epoch uvarint once named the shard layout a record was
+// routed under, when a store could change width online. The layout is now
+// fixed, and the field keeps one value per frame kind so every directory
+// written before stays readable: walEpoch in WAL frames, snapshotEpoch in
+// snapshot frames. Decoding refuses any other value, so every accepted
+// record re-encodes to its own bytes.
+const (
+	walEpoch      = 1
+	snapshotEpoch = 0
+)
 
 // encodeAttrs appends an attribute set: uvarint(n+1) with 0 meaning a nil
 // map, then each field in sorted key order.
@@ -110,11 +121,12 @@ func decodeStrings(d *wal.Dec) []string {
 	return out
 }
 
-// encodeMutation appends the full WAL payload for m to b.
-func encodeMutation(b []byte, m Mutation) []byte {
+// encodeMutation appends the full record payload for m to b, stamped with
+// the frame kind's epoch (walEpoch or snapshotEpoch).
+func encodeMutation(b []byte, m Mutation, epoch uint64) []byte {
 	c := m.Change
 	b = append(b, byte(c.Op), byte(c.Entity))
-	b = wal.AppendUvarint(b, c.Epoch)
+	b = wal.AppendUvarint(b, epoch)
 	b = wal.AppendString(b, string(c.Worker))
 	b = wal.AppendString(b, string(c.Requester))
 	b = wal.AppendString(b, string(c.Task))
@@ -146,15 +158,17 @@ func encodeMutation(b []byte, m Mutation) []byte {
 	return b
 }
 
-// decodeMutation rebuilds a Mutation from a WAL frame (key = version,
-// payload = encodeMutation output).
-func decodeMutation(version uint64, payload []byte) (Mutation, error) {
+// decodeMutation rebuilds a Mutation from a frame (key = version, payload
+// = encodeMutation output) whose epoch must be the given frame kind's.
+func decodeMutation(version uint64, payload []byte, epoch uint64) (Mutation, error) {
 	d := wal.NewDec(payload)
 	var m Mutation
 	m.Change.Version = version
 	m.Change.Op = Op(d.Byte())
 	m.Change.Entity = Entity(d.Byte())
-	m.Change.Epoch = d.Uvarint()
+	if got := d.Uvarint(); got != epoch {
+		return Mutation{}, fmt.Errorf("store: wal record v%d: epoch %d, want %d", version, got, epoch)
+	}
 	m.Change.Worker = model.WorkerID(d.String())
 	m.Change.Requester = model.RequesterID(d.String())
 	m.Change.Task = model.TaskID(d.String())

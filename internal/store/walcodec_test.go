@@ -1,10 +1,13 @@
 package store
 
 import (
+	"encoding/hex"
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 func TestMutationCodecRoundTrip(t *testing.T) {
@@ -55,8 +58,8 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		},
 	}
 	for _, m := range muts {
-		payload := encodeMutation(nil, m)
-		got, err := decodeMutation(m.Change.Version, payload)
+		payload := encodeMutation(nil, m, walEpoch)
+		got, err := decodeMutation(m.Change.Version, payload, walEpoch)
 		if err != nil {
 			t.Fatalf("decode v%d: %v", m.Change.Version, err)
 		}
@@ -67,7 +70,79 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		// prefix can happen to parse as a complete shorter record — the WAL
 		// frame CRC, not the codec, is what rules that out in practice.)
 		for cut := 0; cut < len(payload); cut++ {
-			_, _ = decodeMutation(m.Change.Version, payload[:cut])
+			_, _ = decodeMutation(m.Change.Version, payload[:cut], walEpoch)
 		}
+	}
+}
+
+// TestOnDiskFormatGolden pins the bytes the store writes, so a codec or
+// manifest change that would strand existing directories fails here: the
+// WAL payloads of a worker insert, a task insert and a contribution update
+// (each carrying walEpoch), and the manifest NewDurable writes.
+func TestOnDiskFormatGolden(t *testing.T) {
+	muts := []struct {
+		m    Mutation
+		want string
+	}{
+		{
+			Mutation{
+				Change: Change{Version: 7, Op: OpInsert, Entity: EntityWorker, Worker: "w1"},
+				Worker: &model.Worker{
+					ID:       "w1",
+					Declared: model.Attributes{"country": model.Str("jp"), "age": model.Num(33)},
+					Computed: model.Attributes{"acceptance_ratio": model.Num(0.875)},
+					Skills:   model.SkillVector{true, false, true},
+				},
+			},
+			"000001027731000000030361676500000000000080404007636f756e74727901026a700210616363657074616e63655f726174696f00000000000000ec3f0305",
+		},
+		{
+			Mutation{
+				Change: Change{Version: 8, Op: OpInsert, Entity: EntityTask, Task: "t1", Requester: "r1"},
+				Task: &model.Task{
+					ID: "t1", Requester: "r1", Skills: model.SkillVector{false, true, false},
+					Reward: 2.5, Quota: 3, Published: 5, Title: "label images",
+				},
+			},
+			"00020100027231027431000302000000000000044003050c6c6162656c20696d61676573",
+		},
+		{
+			Mutation{
+				Change: Change{
+					Version: 9, Op: OpUpdate, Entity: EntityContribution,
+					Contribution: "c1", Task: "t1", Worker: "w1",
+				},
+				Contribution: &model.Contribution{
+					ID: "c1", Task: "t1", Worker: "w1",
+					Text: "an answer", Ranking: []string{"a", "b"}, Quality: 0.75, Accepted: true, Paid: 1.25, SubmittedAt: 42,
+				},
+			},
+			"0103010277310002743102633109616e20616e737765720301610162000000000000e83f01000000000000f43f54",
+		},
+	}
+	for _, tc := range muts {
+		got := encodeMutation(nil, tc.m, walEpoch)
+		if hex.EncodeToString(got) != tc.want {
+			t.Errorf("%s %s payload:\n got %x\nwant %s", tc.m.Change.Op, tc.m.Change.Entity, got, tc.want)
+		}
+		// The WAL decoder accepts exactly these bytes and refuses them as a
+		// snapshot record, whose epoch differs.
+		if m, err := decodeMutation(tc.m.Change.Version, got, walEpoch); err != nil || !reflect.DeepEqual(m, tc.m) {
+			t.Errorf("%s %s: decode = %+v, %v", tc.m.Change.Op, tc.m.Change.Entity, m, err)
+		}
+		if _, err := decodeMutation(tc.m.Change.Version, got, snapshotEpoch); err == nil {
+			t.Errorf("%s %s: WAL payload decoded as a snapshot record", tc.m.Change.Op, tc.m.Change.Entity)
+		}
+	}
+
+	dir := t.TempDir()
+	s, err := NewDurable(model.MustUniverse("go", "sql", "ml"), 4, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const wantManifest = `{"format":3,"skills":["go","sql","ml"],"shards":4,"epoch":1,"version":0}`
+	if got, err := os.ReadFile(manifestPath(dir)); err != nil || string(got) != wantManifest {
+		t.Fatalf("MANIFEST.json = %s (%v), want %s", got, err, wantManifest)
 	}
 }

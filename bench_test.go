@@ -446,16 +446,6 @@ func BenchmarkHungarian(b *testing.B) {
 	}
 }
 
-func BenchmarkCandidatePairs(b *testing.B) {
-	_, _, st := benchEnv(1000, 100)
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st.CandidateWorkerPairs()
-		}
-	})
-}
-
 func BenchmarkAxiom1Check(b *testing.B) {
 	pop, batch, st := benchEnv(400, 100)
 	res, err := (assign.FairRoundRobin{}).Assign(&assign.Problem{

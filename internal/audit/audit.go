@@ -289,19 +289,9 @@ func (e *Engine) PairScores(contribs []*model.Contribution) []float64 {
 // which touches no index state), so reads never race index maintenance.
 type engineProvider struct{ e *Engine }
 
-// WorkerPairs implements fairness.CandidateProvider.
-func (p engineProvider) WorkerPairs(yield func(a, b model.WorkerID)) {
-	p.e.workerIx.Pairs(func(a, b string) { yield(model.WorkerID(a), model.WorkerID(b)) })
-}
-
 // WorkerPartners implements fairness.CandidateProvider.
 func (p engineProvider) WorkerPartners(id model.WorkerID, yield func(q model.WorkerID)) {
 	p.e.workerIx.Partners(string(id), func(q string) { yield(model.WorkerID(q)) })
-}
-
-// TaskPairs implements fairness.CandidateProvider.
-func (p engineProvider) TaskPairs(yield func(a, b model.TaskID)) {
-	p.e.taskIx.Pairs(func(a, b string) { yield(model.TaskID(a), model.TaskID(b)) })
 }
 
 // TaskPartners implements fairness.CandidateProvider.
@@ -411,12 +401,12 @@ func (e *Engine) AuditPass() Pass {
 	par.Do(5, 0, func(t int) {
 		switch t {
 		case 0:
-			rep := fairness.CheckAxiom1DeltaIndexed(e.st, e.access, e.cfg, sc.w1)
+			rep := fairness.Axiom1Pairs(e.st, e.access, e.cfg, sc.w1)
 			e.ax1Census.dropDirty(sc.s1)
 			e.ax1Census.add(rep.CheckedPairs)
 			e.fold(0, touching(e.viol[0], sc.s1), rep.Violations)
 		case 1:
-			rep := fairness.CheckAxiom2DeltaIndexed(e.st, e.access, e.cfg, sc.t2)
+			rep := fairness.Axiom2Pairs(e.st, e.access, e.cfg, sc.t2)
 			e.ax2Census.dropDirty(sc.s2)
 			e.ax2Census.add(rep.CheckedPairs)
 			e.fold(1, touching(e.viol[1], sc.s2), rep.Violations)
@@ -445,9 +435,9 @@ func (e *Engine) publish() Pass {
 }
 
 // rebuild is the cold-start/catch-up path: consume the whole trace, run the
-// full-scan checkers over the maintained access index, and seed the
-// per-task and per-worker state for Axioms 3–4 (folded shard-parallel on
-// the bounded pool).
+// delta pass's scoped checkers with every worker and task in scope over the
+// maintained access index, and seed the per-task and per-worker state for
+// Axioms 3–4 (folded shard-parallel on the bounded pool).
 func (e *Engine) rebuild() Pass {
 	// Per-shard cursors are seeded from the shard watermarks, read before
 	// any entity scan: a mutation not yet covered by its watermark is
@@ -481,11 +471,11 @@ func (e *Engine) rebuild() Pass {
 	par.Do(5, 0, func(t int) {
 		switch t {
 		case 0:
-			rep := fairness.CheckAxiom1Indexed(e.st, e.access, e.cfg)
+			rep := fairness.Axiom1Pairs(e.st, e.access, e.cfg, allWorkers)
 			e.ax1Census.add(rep.CheckedPairs)
 			e.fold(0, nil, rep.Violations)
 		case 1:
-			rep := fairness.CheckAxiom2Indexed(e.st, e.access, e.cfg)
+			rep := fairness.Axiom2Pairs(e.st, e.access, e.cfg, allTasks)
 			e.ax2Census.add(rep.CheckedPairs)
 			e.fold(1, nil, rep.Violations)
 		case 2:

@@ -49,8 +49,9 @@ func E9Ablations(p E9Params) *Table {
 		Title:   fmt.Sprintf("Design ablations (%d workers, %d tasks)", p.Workers, p.Tasks),
 		Columns: []string{"section", "variant", "metric-1", "metric-2", "metric-3"},
 		Notes: []string{
-			"section A (axiom1-measure): variant = similarity measure; metrics = similar",
-			"pairs, violations, violation rate. Stricter measures shrink the audited set.",
+			"section A (axiom1-measure): variant = similarity measure; metrics = candidate",
+			"pairs checked (the same for every measure), violations, violation rate.",
+			"Stricter measures cut the violations, not the checked set.",
 			"section B (tradeoff): variant = lambda; metrics = requester utility, income",
 			"gini, axiom1 violations (always 0: visibility is full by construction).",
 			"section C (repair): variant = repaired object; metrics per row in place.",
@@ -59,9 +60,10 @@ func E9Ablations(p E9Params) *Table {
 
 	// --- Section A: Axiom-1 similarity-measure ablation -----------------
 	// A noisy population (workers flip one extra skill on occasionally) is
-	// what separates the measures: exact equality excludes every perturbed
-	// worker from the audited set, cosine/jaccard keep them with different
-	// strictness.
+	// what separates the measures: exact equality finds no perturbed worker
+	// similar to anyone, cosine/jaccard keep them with different strictness.
+	// The candidate pairs checked are the index's and do not depend on the
+	// measure.
 	rngA := stats.NewRNG(p.Seed + 0xa)
 	popA := workload.GeneratePopulation(workload.PopulationSpec{
 		Workers: p.Workers, SkillNoise: 0.5,

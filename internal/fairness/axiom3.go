@@ -21,22 +21,7 @@ import (
 // paper); pairs at/above cfg.ContributionThreshold must be paid within
 // cfg.PayTolerance (relative) of each other.
 func CheckAxiom3(st *store.Store, cfg Config) *Report {
-	tasks := st.Tasks()
-	ids := make([]model.TaskID, len(tasks))
-	for i, t := range tasks {
-		ids[i] = t.ID
-	}
-	return foldTaskAudits(CheckAxiom3Tasks(st, cfg, ids))
-}
-
-// CheckAxiom3Delta audits only the tasks in dirty — those whose
-// contribution sets gained members or payments since the last audit. The
-// per-task verdicts are exactly CheckAxiom3's, so replacing the stored
-// results for dirty tasks reproduces the full audit: contributions never
-// move between tasks, and a task with no changed contribution cannot change
-// status.
-func CheckAxiom3Delta(st *store.Store, cfg Config, dirty map[model.TaskID]bool) *Report {
-	return foldTaskAudits(CheckAxiom3Tasks(st, cfg, sortedIDList(dirty)))
+	return foldTaskAudits(CheckAxiom3Tasks(st, cfg, taskIDs(st)))
 }
 
 // TaskAudit is one task's Axiom 3 verdict, as produced by CheckAxiom3Tasks:
@@ -48,11 +33,13 @@ type TaskAudit struct {
 }
 
 // CheckAxiom3Tasks audits each listed task independently, fanning the
-// per-task checks out on the bounded pool into disjoint result slots —
-// the batch form incremental auditors fold from, replacing one
-// map-allocating delta call per dirty task. Slot k is always ids[k]'s
-// verdict, so output is byte-identical to a serial loop regardless of
-// scheduling; pass ids sorted for deterministic concatenation order.
+// per-task checks out on the bounded pool into disjoint result slots: every
+// task for the full scan, or the tasks whose contribution sets changed for
+// an incremental auditor, which folds the verdicts per task (contributions
+// never move between tasks, so an unchanged task cannot change status).
+// Slot k is always ids[k]'s verdict, so output is byte-identical to a
+// serial loop regardless of scheduling; pass ids sorted for deterministic
+// concatenation order.
 func CheckAxiom3Tasks(st *store.Store, cfg Config, ids []model.TaskID) []TaskAudit {
 	prov := cfg.provider(st)
 	out := make([]TaskAudit, len(ids))
@@ -79,7 +66,8 @@ func foldTaskAudits(audits []TaskAudit) *Report {
 // the provider) on the parallel kernel; the LSH backend scores only the
 // index's candidate pairs, walked in the same serial pair order. Both paths
 // score through one similarity.ContributionProfiles, so each text profile is
-// built once per task per call. Exhaustive mode forces the all-pairs path.
+// built once per task per call. Exhaustive mode's provider reports every
+// pair, which is the all-pairs path.
 func checkAxiom3Task(st *store.Store, cfg Config, prov CandidateProvider, tid model.TaskID) (int, []Violation) {
 	simThr := orDefault(cfg.ContributionThreshold, 0.8)
 	payTol := orDefault(cfg.PayTolerance, 0.01)
@@ -118,11 +106,7 @@ func checkAxiom3Task(st *store.Store, cfg Config, prov CandidateProvider, tid mo
 		})
 	}
 
-	var ks []int
-	pruned := false
-	if !cfg.Exhaustive {
-		ks, pruned = prov.ContribPairs(tid, contribs)
-	}
+	ks, pruned := prov.ContribPairs(tid, contribs)
 	if len(contribs) < 2 || (pruned && len(ks) == 0) {
 		return 0, nil // no pair to score: skip building profiles
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/model"
 	"repro/internal/par"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -25,21 +26,7 @@ import (
 // left entirely to requesters. The quantitative quality of detectors is
 // evaluated separately in experiment E4 (package detect).
 func CheckAxiom4(st *store.Store, log *eventlog.Log) *Report {
-	return checkAxiom4(st, FlaggedFromLog(log), nil, true)
-}
-
-// CheckAxiom4Delta re-judges only the workers in dirty — those whose
-// computed attributes changed or who were newly flagged since the last
-// audit. Per-worker verdicts are exactly CheckAxiom4's.
-func CheckAxiom4Delta(st *store.Store, log *eventlog.Log, dirty map[model.WorkerID]bool) *Report {
-	return checkAxiom4(st, FlaggedFromLog(log), dirty, false)
-}
-
-// CheckAxiom4Flagged is CheckAxiom4Delta over a caller-maintained flag set,
-// so long-lived auditors never replay the whole log. A nil dirty set with
-// full=false audits nothing.
-func CheckAxiom4Flagged(st *store.Store, flagged map[model.WorkerID]bool, dirty map[model.WorkerID]bool) *Report {
-	return checkAxiom4(st, flagged, dirty, false)
+	return foldWorkerAudits(CheckAxiom4Workers(st, FlaggedFromLog(log), workerIDs(st)))
 }
 
 // FlaggedFromLog collects the workers the platform ever flagged.
@@ -49,20 +36,6 @@ func FlaggedFromLog(log *eventlog.Log) map[model.WorkerID]bool {
 		flagged[e.Worker] = true
 	}
 	return flagged
-}
-
-func checkAxiom4(st *store.Store, flagged map[model.WorkerID]bool, dirty map[model.WorkerID]bool, full bool) *Report {
-	var ids []model.WorkerID
-	if full {
-		ws := st.Workers()
-		ids = make([]model.WorkerID, len(ws))
-		for i, w := range ws {
-			ids[i] = w.ID
-		}
-	} else {
-		ids = sortedIDList(dirty)
-	}
-	return foldWorkerAudits(CheckAxiom4Workers(st, flagged, ids))
 }
 
 // WorkerAudit is one worker's Axiom 4 verdict, as produced by
@@ -76,10 +49,11 @@ type WorkerAudit struct {
 
 // CheckAxiom4Workers judges each listed worker independently, fanning the
 // store fetches and judgements out on the bounded pool into disjoint result
-// slots — the batch form incremental auditors fold from, replacing one
-// map-allocating delta call per dirty worker. Slot k is always ids[k]'s
-// verdict, so output order is fixed by ids regardless of scheduling; flagged
-// is only read. Unknown ids yield empty audits.
+// slots: every worker for the full scan, or the workers whose computed
+// attributes or flags changed for an incremental auditor, which folds the
+// verdicts per worker. Slot k is always ids[k]'s verdict, so output order is
+// fixed by ids regardless of scheduling; flagged is only read. Unknown ids
+// yield empty audits.
 func CheckAxiom4Workers(st *store.Store, flagged map[model.WorkerID]bool, ids []model.WorkerID) []WorkerAudit {
 	out := make([]WorkerAudit, len(ids))
 	par.For(len(ids), 0, func(k int) {
@@ -275,52 +249,8 @@ func IncomeGini(st *store.Store, includeIdle bool) float64 {
 		incomes[c.Worker] += c.Paid
 	}
 	xs := make([]float64, 0, len(incomes))
-	ids := make([]model.WorkerID, 0, len(incomes))
-	for id := range incomes {
-		ids = append(ids, id)
+	for _, x := range incomes {
+		xs = append(xs, x) // stats.Gini sorts, so map order cannot matter
 	}
-	sortWorkerIDs(ids)
-	for _, id := range ids {
-		xs = append(xs, incomes[id])
-	}
-	return gini(xs)
-}
-
-func sortWorkerIDs(ids []model.WorkerID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-// gini duplicates stats.Gini locally to keep the fairness package free of a
-// stats dependency cycle risk; the two implementations are tested against
-// each other.
-func gini(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	for i := range s {
-		if s[i] < 0 {
-			s[i] = 0
-		}
-	}
-	// insertion sort (n is workload-scale, fine)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	n := float64(len(s))
-	var cum, total float64
-	for i, x := range s {
-		cum += float64(i+1) * x
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	return (2*cum)/(n*total) - (n+1)/n
+	return stats.Gini(xs)
 }

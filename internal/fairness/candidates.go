@@ -36,21 +36,18 @@ func (c *Config) CandidateKind() string {
 }
 
 // CandidateProvider supplies pruned candidate pairs to the Axiom 1–3
-// checkers. The full-pass enumerations and the per-entity Partners views
-// must describe the same pair set, and pair membership must depend only on
-// the two endpoints' current contents — the properties that keep delta
-// audits equivalent to full ones. internal/audit injects an incrementally
-// maintained provider; when Config.Candidates is nil the checkers build a
-// transient one per call from the store snapshot.
+// checkers. A pair's membership must depend only on its two endpoints'
+// current contents and be symmetric (b is a partner of a exactly when a is
+// one of b): that is what lets a pass over any scope of ids (see walkPairs)
+// find the same pairs a full scan does, and delta audits agree with full
+// ones. internal/audit injects an incrementally maintained provider; when
+// Config.Candidates is nil the checkers build a transient one per call from
+// the store snapshot.
 type CandidateProvider interface {
-	// WorkerPairs yields every candidate worker pair, a < b, each once.
-	WorkerPairs(yield func(a, b model.WorkerID))
 	// WorkerPartners yields every candidate partner of one worker, each
 	// once, never the worker itself.
 	WorkerPartners(id model.WorkerID, yield func(p model.WorkerID))
-	// TaskPairs yields every candidate task pair, a < b, each once.
-	TaskPairs(yield func(a, b model.TaskID))
-	// TaskPartners yields every candidate partner of one task.
+	// TaskPartners yields every candidate partner of one task, likewise.
 	TaskPartners(id model.TaskID, yield func(p model.TaskID))
 	// ContribPairs returns the candidate pairs among one task's
 	// contributions as ascending linear pair indices (similarity.PairAt
@@ -338,17 +335,38 @@ func (p IndexPlan) ContribCandidates(contribs []*model.Contribution) (ks []int, 
 	return ks, true
 }
 
-// provider resolves the candidate source for one checker pass: the injected
-// provider if any, otherwise a transient snapshot-built one.
+// provider resolves the candidate source for one checker pass: every pair
+// under Exhaustive, else the injected provider if any, else a transient
+// snapshot-built one.
 func (c *Config) provider(src snapshotSource) CandidateProvider {
-	if c.Candidates != nil {
+	switch {
+	case c.Exhaustive:
+		return allPairs{workers: sync.OnceValue(src.Workers), tasks: sync.OnceValue(src.Tasks)}
+	case c.Candidates != nil:
 		return c.Candidates
 	}
-	return &snapshotProvider{plan: c.Plan(), src: src}
+	plan := c.Plan()
+	return snapshotProvider{
+		plan: plan,
+		workers: sync.OnceValue(func() similarity.CandidateIndex {
+			ws := src.Workers()
+			ix := plan.NewWorkerIndex()
+			PopulateIndex(ix, len(ws), func(i int) string { return string(ws[i].ID) },
+				func(i int) []uint64 { return plan.WorkerTokens(ws[i]) })
+			return ix
+		}),
+		tasks: sync.OnceValue(func() similarity.CandidateIndex {
+			ts := src.Tasks()
+			ix := plan.NewTaskIndex()
+			PopulateIndex(ix, len(ts), func(i int) string { return string(ts[i].ID) },
+				func(i int) []uint64 { return plan.TaskTokens(ts[i]) })
+			return ix
+		}),
+	}
 }
 
-// snapshotSource is the slice of the store API the transient provider
-// needs (satisfied by *store.Store).
+// snapshotSource is the slice of the store API the transient providers
+// need (satisfied by *store.Store).
 type snapshotSource interface {
 	Workers() []*model.Worker
 	Tasks() []*model.Task
@@ -356,61 +374,55 @@ type snapshotSource interface {
 
 // snapshotProvider builds indexes on demand from the current store
 // snapshot — the candidate source for one-shot checker calls (CheckAll and
-// friends). Each index is built at most once per pass; the once-guards make
-// the lazy builds safe under the checkers' sharded Partners calls, which
-// may race to trigger the first build.
+// friends). Each index is built at most once per pass, on first use; the
+// once-guards make the lazy builds safe under the checkers' sharded
+// Partners calls, which may race to trigger the first build.
 type snapshotProvider struct {
-	plan       IndexPlan
-	src        snapshotSource
-	workerOnce sync.Once
-	taskOnce   sync.Once
-	workerIx   similarity.CandidateIndex
-	taskIx     similarity.CandidateIndex
-}
-
-func (sp *snapshotProvider) workers() similarity.CandidateIndex {
-	sp.workerOnce.Do(func() {
-		ws := sp.src.Workers()
-		ix := sp.plan.NewWorkerIndex()
-		PopulateIndex(ix, len(ws), func(i int) string { return string(ws[i].ID) },
-			func(i int) []uint64 { return sp.plan.WorkerTokens(ws[i]) })
-		sp.workerIx = ix
-	})
-	return sp.workerIx
-}
-
-func (sp *snapshotProvider) tasks() similarity.CandidateIndex {
-	sp.taskOnce.Do(func() {
-		ts := sp.src.Tasks()
-		ix := sp.plan.NewTaskIndex()
-		PopulateIndex(ix, len(ts), func(i int) string { return string(ts[i].ID) },
-			func(i int) []uint64 { return sp.plan.TaskTokens(ts[i]) })
-		sp.taskIx = ix
-	})
-	return sp.taskIx
-}
-
-// WorkerPairs implements CandidateProvider.
-func (sp *snapshotProvider) WorkerPairs(yield func(a, b model.WorkerID)) {
-	sp.workers().Pairs(func(a, b string) { yield(model.WorkerID(a), model.WorkerID(b)) })
+	plan           IndexPlan
+	workers, tasks func() similarity.CandidateIndex
 }
 
 // WorkerPartners implements CandidateProvider.
-func (sp *snapshotProvider) WorkerPartners(id model.WorkerID, yield func(p model.WorkerID)) {
+func (sp snapshotProvider) WorkerPartners(id model.WorkerID, yield func(p model.WorkerID)) {
 	sp.workers().Partners(string(id), func(p string) { yield(model.WorkerID(p)) })
 }
 
-// TaskPairs implements CandidateProvider.
-func (sp *snapshotProvider) TaskPairs(yield func(a, b model.TaskID)) {
-	sp.tasks().Pairs(func(a, b string) { yield(model.TaskID(a), model.TaskID(b)) })
-}
-
 // TaskPartners implements CandidateProvider.
-func (sp *snapshotProvider) TaskPartners(id model.TaskID, yield func(p model.TaskID)) {
+func (sp snapshotProvider) TaskPartners(id model.TaskID, yield func(p model.TaskID)) {
 	sp.tasks().Partners(string(id), func(p string) { yield(model.TaskID(p)) })
 }
 
 // ContribPairs implements CandidateProvider.
-func (sp *snapshotProvider) ContribPairs(_ model.TaskID, contribs []*model.Contribution) ([]int, bool) {
+func (sp snapshotProvider) ContribPairs(_ model.TaskID, contribs []*model.Contribution) ([]int, bool) {
 	return sp.plan.ContribCandidates(contribs)
 }
+
+// allPairs is Config.Exhaustive's candidate source, the O(n²) scan of the
+// E7 ablation: every other entity is a partner and every contribution pair
+// a candidate. Partners are streamed from one snapshot taken on first use,
+// never materialised per id.
+type allPairs struct {
+	workers func() []*model.Worker
+	tasks   func() []*model.Task
+}
+
+// WorkerPartners implements CandidateProvider.
+func (ap allPairs) WorkerPartners(id model.WorkerID, yield func(p model.WorkerID)) {
+	for _, w := range ap.workers() {
+		if w.ID != id {
+			yield(w.ID)
+		}
+	}
+}
+
+// TaskPartners implements CandidateProvider.
+func (ap allPairs) TaskPartners(id model.TaskID, yield func(p model.TaskID)) {
+	for _, t := range ap.tasks() {
+		if t.ID != id {
+			yield(t.ID)
+		}
+	}
+}
+
+// ContribPairs implements CandidateProvider.
+func (allPairs) ContribPairs(model.TaskID, []*model.Contribution) ([]int, bool) { return nil, false }

@@ -89,38 +89,62 @@ func requireSameReport(t *testing.T, name string, full, delta *Report) {
 	}
 }
 
-// An all-dirty delta pass must reproduce the full scan byte for byte —
-// the cold-start contract the incremental audit engine relies on.
+// Scoped passes must cover the full scan exactly — the cold-start and
+// delta contract the incremental audit engine relies on. Auditing every id
+// on its own (each a one-id dirty set) finds every full-scan violation and
+// nothing else, and examines each pair once from each endpoint, so the pair
+// checks sum to twice the full scan's; per-task and per-worker verdicts sum
+// to the full scan's.
 func TestDeltaAllDirtyMatchesFull(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		st, log := deltaTrace(t, 120, 40, seed)
-		cfg := DefaultConfig()
-
-		allWorkers := make(map[model.WorkerID]bool)
-		for _, w := range st.Workers() {
-			allWorkers[w.ID] = true
-		}
-		allTasks := make(map[model.TaskID]bool)
-		for _, task := range st.Tasks() {
-			allTasks[task.ID] = true
-		}
-
-		requireSameReport(t, "axiom1",
-			CheckAxiom1(st, log, cfg), CheckAxiom1Delta(st, log, cfg, allWorkers))
-		requireSameReport(t, "axiom2",
-			CheckAxiom2(st, log, cfg), CheckAxiom2Delta(st, log, cfg, allTasks))
-		requireSameReport(t, "axiom3",
-			CheckAxiom3(st, cfg), CheckAxiom3Delta(st, cfg, allTasks))
-		requireSameReport(t, "axiom4",
-			CheckAxiom4(st, log), CheckAxiom4Delta(st, log, allWorkers))
-
-		exh := cfg
+		ix := AccessIndexFromLog(log)
+		exh := DefaultConfig()
 		exh.Exhaustive = true
-		requireSameReport(t, "axiom1-exhaustive",
-			CheckAxiom1(st, log, exh), CheckAxiom1Delta(st, log, exh, allWorkers))
-		requireSameReport(t, "axiom2-exhaustive",
-			CheckAxiom2(st, log, exh), CheckAxiom2Delta(st, log, exh, allTasks))
+		for _, cfg := range []Config{DefaultConfig(), exh} {
+			ws, ts := workerIDs(st), taskIDs(st)
+			var one1, one2 []*Report
+			for _, id := range ws {
+				one1 = append(one1, Axiom1Pairs(st, ix, cfg, []model.WorkerID{id}))
+			}
+			for _, id := range ts {
+				one2 = append(one2, Axiom2Pairs(st, ix, cfg, []model.TaskID{id}))
+			}
+			requireCovers(t, "axiom1", CheckAxiom1(st, log, cfg), one1, 2)
+			requireCovers(t, "axiom2", CheckAxiom2(st, log, cfg), one2, 2)
+		}
+		cfg := DefaultConfig()
+		var one3, one4 []*Report
+		for _, id := range taskIDs(st) {
+			one3 = append(one3, foldTaskAudits(CheckAxiom3Tasks(st, cfg, []model.TaskID{id})))
+		}
+		for _, id := range workerIDs(st) {
+			one4 = append(one4, foldWorkerAudits(CheckAxiom4Workers(st, FlaggedFromLog(log), []model.WorkerID{id})))
+		}
+		requireCovers(t, "axiom3", CheckAxiom3(st, cfg), one3, 1)
+		requireCovers(t, "axiom4", CheckAxiom4(st, log), one4, 1)
 	}
+}
+
+// requireCovers checks that the scoped reports together find exactly the
+// full report's violations and examine mult times its units.
+func requireCovers(t *testing.T, name string, full *Report, scoped []*Report, mult int) {
+	t.Helper()
+	union := &Report{Axiom: full.Axiom}
+	seen := make(map[string]bool)
+	for _, r := range scoped {
+		union.Checked += r.Checked
+		for _, v := range r.Violations {
+			if !seen[v.String()] {
+				seen[v.String()] = true
+				union.Violations = append(union.Violations, v)
+			}
+		}
+	}
+	sortViolations(union.Violations)
+	want := *full
+	want.Checked *= mult
+	requireSameReport(t, name, &want, union)
 }
 
 // A violation found by the full scan must be found by a delta pass whose
@@ -128,17 +152,17 @@ func TestDeltaAllDirtyMatchesFull(t *testing.T) {
 func TestDeltaDirtySubsets(t *testing.T) {
 	st, log := deltaTrace(t, 90, 30, 3)
 	cfg := DefaultConfig()
+	ix := AccessIndexFromLog(log)
 	full := CheckAxiom1(st, log, cfg)
 	if len(full.Violations) == 0 {
 		t.Fatal("trace produced no Axiom 1 violations; test needs material")
 	}
-	empty := CheckAxiom1Delta(st, log, cfg, nil)
+	empty := Axiom1Pairs(st, ix, cfg, nil)
 	if empty.Checked != 0 || len(empty.Violations) != 0 {
 		t.Fatalf("empty dirty set still audited: %v", empty)
 	}
 	v := full.Violations[0]
-	dirty := map[model.WorkerID]bool{model.WorkerID(v.Subjects[0]): true}
-	delta := CheckAxiom1Delta(st, log, cfg, dirty)
+	delta := Axiom1Pairs(st, ix, cfg, []model.WorkerID{model.WorkerID(v.Subjects[0])})
 	found := false
 	for _, dv := range delta.Violations {
 		if dv.String() == v.String() {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/eventlog"
 	"repro/internal/model"
-	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -399,23 +398,6 @@ func TestIncomeGini(t *testing.T) {
 	withoutIdle := IncomeGini(s, false)
 	if withIdle <= withoutIdle {
 		t.Fatalf("idle workers should increase inequality: %v vs %v", withIdle, withoutIdle)
-	}
-}
-
-// The local gini must agree with stats.Gini on all inputs.
-func TestGiniMatchesStatsPackage(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, len(raw))
-		for i, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				x = 1
-			}
-			xs[i] = math.Mod(math.Abs(x), 1e6)
-		}
-		return math.Abs(gini(xs)-stats.Gini(xs)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

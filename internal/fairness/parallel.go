@@ -1,22 +1,21 @@
 package fairness
 
 import (
-	"sort"
 	"sync"
 
-	"repro/internal/model"
+	"repro/internal/par"
 )
 
 // Parallel pair-checking scaffolding shared by the Axiom 1 and 2 checkers.
 //
 // Every parallel path follows par's determinism-by-disjoint-slots contract:
-// the pair space is sharded by outer index (one pairSlot per worker/task or
-// per dirty id), workers append only to their own slot, and the slots are
-// folded into the report serially in index order. Because that order is
-// exactly the serial loop's emission order, the merged Checked count,
-// CheckedPairs sequence, and (post-sort) Violations are byte-identical to
-// a serial run regardless of scheduling — the property the audit engine's
-// determinism tests pin down.
+// the pair space is sharded by scope index (one pairSlot per id in scope),
+// workers append only to their own slot, and the slots are folded into the
+// report serially in index order. Because that order is exactly the serial
+// loop's emission order, the merged Checked count, CheckedPairs sequence,
+// and (post-sort) Violations are byte-identical to a serial run regardless
+// of scheduling — the property the audit engine's determinism tests pin
+// down.
 
 // pairSlot accumulates one shard's results: the pairs it examined, and the
 // violations it found, in the shard's serial emission order.
@@ -48,112 +47,104 @@ func mergeSlots(rep *Report, slots []pairSlot) {
 	}
 }
 
-// sortedIDList projects a dirty-id set onto the sorted slice form the delta
-// checkers consume.
-func sortedIDList[T ~string](m map[T]bool) []T {
-	ids := make([]T, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// slotPool recycles result slots, with their pair and violation buffers,
+// across walks. mergeSlots copies everything out, so a steady-state delta
+// pass allocates little beyond its findings.
+var slotPool = sync.Pool{New: func() any { return new([]pairSlot) }}
+
+// getSlots returns n empty slots that keep the capacity of earlier walks.
+func getSlots(n int) *[]pairSlot {
+	sp := slotPool.Get().(*[]pairSlot)
+	if cap(*sp) < n {
+		*sp = make([]pairSlot, n)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	*sp = (*sp)[:n]
+	for k := range *sp {
+		sl := &(*sp)[k]
+		sl.checked, sl.pairs, sl.viols = 0, sl.pairs[:0], sl.viols[:0]
+	}
+	return sp
 }
 
-// containsSorted reports membership of id in an ascending-sorted id slice.
-func containsSorted[T ~string](ids []T, id T) bool {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	return i < len(ids) && ids[i] == id
-}
+// walkChunk is how many scope ids walkPairs takes at a time. A chunk lists
+// its ids' partners, then judges them, each on the pool: two tight loops
+// measured faster on delta passes than judging inside the index walk, and a
+// chunk holds at most walkChunk·n partner ids even under the all-pairs
+// source, never n².
+const walkChunk = 256
 
-// deltaScratch is the reusable workspace of one pair checker's delta pass:
-// per-dirty-id partner lists, the table of the entities they name, the
-// per-shard result slots, and the backing array their pair records are
-// carved from. Everything keeps its capacity between passes (the pools
-// below recycle instances), so a steady-state delta audit's phase
-// bookkeeping settles at zero allocations — only the findings themselves
-// remain.
-type deltaScratch[ID ~string, E any] struct {
-	partners [][]ID
-	table    map[ID]*E
-	slots    []pairSlot
-	backing  [][2]string
-}
-
-// reset readies the scratch for a pass over n dirty ids, dropping last
-// pass's contents but keeping every buffer's capacity.
-func (s *deltaScratch[ID, E]) reset(n int) {
-	if cap(s.partners) >= n {
-		s.partners = s.partners[:n]
-	} else {
-		s.partners = make([][]ID, n)
+// walkPairs is the one pair enumeration behind Axioms 1 and 2. It judges
+// every candidate pair with at least one endpoint in scope (ids, ascending
+// and deduplicated) exactly once: a pair belongs to its smaller endpoint
+// when both are in scope, else to its one in-scope endpoint. A full scan is
+// the scope "every id"; a delta pass is the scope "every dirty id", since a
+// pair of two unchanged endpoints cannot have changed status.
+//
+// partners lists an id's candidates (never the id itself); get reads an
+// entity in place, nil when the store lacks it (deleted, or indexed ahead of
+// this pass, which the next pass then sees); judge examines one pair,
+// smaller id first, and reports whether the axiom quantifies over the pair
+// at all (only those count as checked) and its violation, the zero
+// Violation when the pair passes. Slot k holds ids[k]'s pairs in partner
+// order, so the merged report is the same whatever the pool's scheduling.
+func walkPairs[ID ~string, E any](ax Axiom, ids []ID, partners func(ID, func(ID)), get func(ID) *E,
+	record bool, judge func(a, b *E) (bool, Violation)) *Report {
+	// scope maps each in-scope id to its entity, so one read-only lookup per
+	// partner tells whether the partner's own slot owns the pair and, when
+	// it is in scope, which entity it is.
+	scope := make(map[ID]*E, len(ids))
+	for _, id := range ids {
+		scope[id] = get(id)
 	}
-	if cap(s.slots) >= n {
-		s.slots = s.slots[:n]
-	} else {
-		s.slots = make([]pairSlot, n)
-	}
-	for k := 0; k < n; k++ {
-		s.partners[k] = s.partners[k][:0]
-		s.slots[k].checked = 0
-		s.slots[k].pairs = nil
-		s.slots[k].viols = s.slots[k].viols[:0]
-	}
-	if s.table == nil {
-		s.table = make(map[ID]*E, 2*n)
-	} else {
-		clear(s.table)
-	}
-}
-
-// fetch resolves the dirty ids and every partner listed for them to their
-// entities through peek — the store's in-place read: the checkers only read,
-// and stored entities are immutable — one map lookup each; absent ids map to
-// nil. The filled table is read-only until the next reset, so concurrent
-// check shards can share it.
-func (s *deltaScratch[ID, E]) fetch(dirty []ID, peek func(ID) *E) map[ID]*E {
-	for _, id := range dirty {
-		s.table[id] = peek(id)
-	}
-	for _, ps := range s.partners {
-		for _, pid := range ps {
-			if _, ok := s.table[pid]; !ok {
-				s.table[pid] = peek(pid)
+	sp := getSlots(len(ids))
+	defer slotPool.Put(sp)
+	slots := *sp
+	lists := make([][]ID, min(walkChunk, len(ids)))
+	for off := 0; off < len(ids); off += walkChunk {
+		chunk := ids[off:min(off+walkChunk, len(ids))]
+		par.For(len(chunk), 0, func(k int) {
+			lists[k] = lists[k][:0]
+			if scope[chunk[k]] != nil {
+				partners(chunk[k], func(pid ID) { lists[k] = append(lists[k], pid) })
 			}
-		}
+		})
+		par.For(len(chunk), 0, func(k int) {
+			id, sl := chunk[k], &slots[off+k]
+			e := scope[id]
+			for _, pid := range lists[k] {
+				p, in := scope[pid]
+				if in && pid < id {
+					continue // the partner's own slot owns this pair
+				}
+				if !in {
+					p = get(pid)
+				}
+				if p == nil {
+					continue
+				}
+				lo, hi, a, b := id, pid, e, p
+				if pid < id {
+					lo, hi, a, b = pid, id, p, e
+				}
+				ok, v := judge(a, b)
+				if !ok {
+					continue
+				}
+				sl.checked++
+				if record {
+					sl.pairs = append(sl.pairs, [2]string{string(lo), string(hi)})
+				}
+				if v.Subjects != nil {
+					sl.viols = append(sl.viols, v)
+				}
+			}
+		})
 	}
-	return s.table
+	rep := &Report{Axiom: ax}
+	mergeSlots(rep, slots)
+	sortViolations(rep.Violations)
+	return rep
 }
-
-// carvePairs hands each slot a pair-record buffer sliced out of one shared
-// backing array. Slot k checks at most len(partners[k]) pairs, so the
-// full-cap three-index slices are disjoint by construction: a shard can
-// never grow into its neighbour, and the whole pass records its checked
-// pairs with at most one allocation.
-func (s *deltaScratch[ID, E]) carvePairs() {
-	total := 0
-	for _, ps := range s.partners {
-		total += len(ps)
-	}
-	if cap(s.backing) >= total {
-		s.backing = s.backing[:total]
-	} else {
-		s.backing = make([][2]string, total)
-	}
-	off := 0
-	for k := range s.slots {
-		n := len(s.partners[k])
-		s.slots[k].pairs = s.backing[off : off : off+n]
-		off += n
-	}
-}
-
-// Per-instantiation scratch pools: the worker checker (Axiom 1) and the
-// task checker (Axiom 2) each recycle their own delta workspaces, so the
-// engine's concurrent axiom passes never contend over one.
-var (
-	workerDeltaPool = sync.Pool{New: func() any { return new(deltaScratch[model.WorkerID, model.Worker]) }}
-	taskDeltaPool   = sync.Pool{New: func() any { return new(deltaScratch[model.TaskID, model.Task]) }}
-)
 
 // simsPool recycles the pair-score buffers the Axiom 3 kernel fills per
 // task per pass.

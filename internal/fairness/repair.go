@@ -32,16 +32,7 @@ type OfferGrant struct {
 // tasks away from workers, which trades one §3.1.1 harm for another).
 func RepairAxiom1(st *store.Store, offers map[model.WorkerID][]model.TaskID, cfg Config) []OfferGrant {
 	workers := st.Workers()
-	skillThr := orDefault(cfg.SkillThreshold, 0.9)
-	attrThr := orDefault(cfg.AttrThreshold, 0.9)
-	measure := cfg.skillMeasure()
-	policy := cfg.attrPolicy()
-
-	similar := func(a, b *model.Worker) bool {
-		return measure.Func(a.Skills, b.Skills) >= skillThr &&
-			policy.Similarity(a.Declared, b.Declared) >= attrThr &&
-			policy.Similarity(a.Computed, b.Computed) >= attrThr
-	}
+	similar := cfg.similarWorkers()
 
 	// Union-find over similar pairs (single-link closure, matching the
 	// transitive "same access" reading the checker enforces pairwise).
@@ -129,17 +120,7 @@ type AudienceGrant struct {
 // visibility.
 func RepairAxiom2(st *store.Store, audience map[model.TaskID][]model.WorkerID, cfg Config) []AudienceGrant {
 	tasks := st.Tasks()
-	skillThr := orDefault(cfg.SkillThreshold, 0.9)
-	rewardTol := orDefault(cfg.RewardTolerance, 0.1)
-	measure := cfg.skillMeasure()
-
-	comparable := func(a, b *model.Task) bool {
-		if a.Requester == b.Requester {
-			return false
-		}
-		return measure.Func(a.Skills, b.Skills) >= skillThr &&
-			comparableRewards(a.Reward, b.Reward, rewardTol)
-	}
+	comparable := cfg.comparableTasks()
 
 	parent := make([]int, len(tasks))
 	for i := range parent {
@@ -155,7 +136,7 @@ func RepairAxiom2(st *store.Store, audience map[model.TaskID][]model.WorkerID, c
 	}
 	for i := 0; i < len(tasks); i++ {
 		for j := i + 1; j < len(tasks); j++ {
-			if comparable(tasks[i], tasks[j]) {
+			if tasks[i].Requester != tasks[j].Requester && comparable(tasks[i], tasks[j]) {
 				ri, rj := find(i), find(j)
 				if ri != rj {
 					parent[rj] = ri

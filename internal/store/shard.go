@@ -16,10 +16,10 @@ import (
 // existence probes of referenced shards) and mutation throughput scales with
 // the shard count instead of serialising on a single store-wide mutex.
 //
-// Index invariants: workersBySkill / tasksBySkill / tasksByReq entries are
-// sorted ascending by id; contribsByTask / contribsByWorker entries are
-// sorted by (SubmittedAt, ID). Sorting is maintained at insert time so the
-// hot read paths merge pre-sorted runs instead of re-sorting per call.
+// Index invariants: tasksByReq entries are sorted ascending by id;
+// contribsByTask / contribsByWorker entries are sorted by (SubmittedAt, ID).
+// Sorting is maintained at insert time so the hot read paths merge
+// pre-sorted runs instead of re-sorting per call.
 // Every index lists only entities owned by this shard; store-level readers
 // merge across shards.
 //
@@ -37,8 +37,6 @@ type shard struct {
 	tasks      map[model.TaskID]*model.Task
 	contribs   map[model.ContributionID]*model.Contribution
 
-	workersBySkill   [][]model.WorkerID
-	tasksBySkill     [][]model.TaskID
 	tasksByReq       map[model.RequesterID][]model.TaskID
 	contribsByTask   map[model.TaskID][]model.ContributionID
 	contribsByWorker map[model.WorkerID][]model.ContributionID
@@ -55,14 +53,12 @@ type shard struct {
 	wal  LogSink
 }
 
-func newShard(skills, clogCap int) *shard {
+func newShard(clogCap int) *shard {
 	return &shard{
 		workers:          make(map[model.WorkerID]*model.Worker),
 		requesters:       make(map[model.RequesterID]*model.Requester),
 		tasks:            make(map[model.TaskID]*model.Task),
 		contribs:         make(map[model.ContributionID]*model.Contribution),
-		workersBySkill:   make([][]model.WorkerID, skills),
-		tasksBySkill:     make([][]model.TaskID, skills),
 		tasksByReq:       make(map[model.RequesterID][]model.TaskID),
 		contribsByTask:   make(map[model.TaskID][]model.ContributionID),
 		contribsByWorker: make(map[model.WorkerID][]model.ContributionID),
@@ -122,16 +118,6 @@ func insertSortedID[T ~string](ids []T, id T) []T {
 	ids = append(ids, id)
 	copy(ids[i+1:], ids[i:])
 	ids[i] = id
-	return ids
-}
-
-// removeSortedID removes id from an ascending id slice in place via binary
-// search (the old linear-scan removeWorkerID).
-func removeSortedID[T ~string](ids []T, id T) []T {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	if i < len(ids) && ids[i] == id {
-		return append(ids[:i], ids[i+1:]...)
-	}
 	return ids
 }
 

@@ -1,14 +1,10 @@
 package store
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/model"
-	"repro/internal/stats"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -31,9 +27,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Error("contributions differ after round trip")
 	}
 	// Indexes must be rebuilt, not just entity maps.
-	goIdx, _ := s.Universe().Index("go")
-	if !reflect.DeepEqual(s.WorkersWithSkill(goIdx), back.WorkersWithSkill(goIdx)) {
-		t.Error("skill index differs after round trip")
+	if !reflect.DeepEqual(s.ContributionsByTask("t1"), back.ContributionsByTask("t1")) {
+		t.Error("contribution index differs after round trip")
 	}
 }
 
@@ -48,134 +43,5 @@ func TestFromSnapshotRejectsBadData(t *testing.T) {
 	}
 	if _, err := FromSnapshot(snap); err == nil {
 		t.Error("orphan task accepted")
-	}
-}
-
-// exhaustivePairs computes the ground truth for CandidateWorkerPairs: all
-// pairs of workers sharing at least one skill.
-func exhaustivePairs(s *Store) [][2]model.WorkerID {
-	ws := s.Workers()
-	var out [][2]model.WorkerID
-	for i := 0; i < len(ws); i++ {
-		for j := i + 1; j < len(ws); j++ {
-			shared := false
-			for k := range ws[i].Skills {
-				if ws[i].Skills[k] && ws[j].Skills[k] {
-					shared = true
-					break
-				}
-			}
-			if shared {
-				a, b := ws[i].ID, ws[j].ID
-				if b < a {
-					a, b = b, a
-				}
-				out = append(out, [2]model.WorkerID{a, b})
-			}
-		}
-	}
-	return out
-}
-
-func sortPairs(ps [][2]model.WorkerID) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
-	})
-}
-
-func TestCandidateWorkerPairsMatchesExhaustive(t *testing.T) {
-	u := model.MustUniverse("a", "b", "c", "d")
-	s := New(u)
-	rng := stats.NewRNG(99)
-	for i := 0; i < 40; i++ {
-		skills := model.NewSkillVector(4)
-		for k := range skills {
-			skills[k] = rng.Bool(0.4)
-		}
-		w := &model.Worker{ID: model.WorkerID(fmt.Sprintf("w%02d", i)), Skills: skills}
-		if err := s.PutWorker(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.CandidateWorkerPairs()
-	want := exhaustivePairs(s)
-	sortPairs(got)
-	sortPairs(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("candidate pairs mismatch: got %d pairs, want %d", len(got), len(want))
-	}
-}
-
-func TestCandidateWorkerPairsNoDuplicates(t *testing.T) {
-	f := func(seed uint64) bool {
-		u := model.MustUniverse("a", "b", "c")
-		s := New(u)
-		rng := stats.NewRNG(seed)
-		n := 5 + rng.Intn(20)
-		for i := 0; i < n; i++ {
-			skills := model.NewSkillVector(3)
-			for k := range skills {
-				skills[k] = rng.Bool(0.5)
-			}
-			if err := s.PutWorker(&model.Worker{ID: model.WorkerID(fmt.Sprintf("w%02d", i)), Skills: skills}); err != nil {
-				return false
-			}
-		}
-		pairs := s.CandidateWorkerPairs()
-		seen := make(map[[2]model.WorkerID]bool, len(pairs))
-		for _, p := range pairs {
-			if p[0] >= p[1] {
-				return false // canonical order violated
-			}
-			if seen[p] {
-				return false // duplicate
-			}
-			seen[p] = true
-		}
-		return len(pairs) == len(exhaustivePairs(s))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCandidateTaskPairsExcludeSameRequester(t *testing.T) {
-	u := model.MustUniverse("a")
-	s := New(u)
-	for _, r := range []string{"r1", "r2"} {
-		if err := s.PutRequester(&model.Requester{ID: model.RequesterID(r)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk := func(id, req string) {
-		if err := s.PutTask(&model.Task{ID: model.TaskID(id), Requester: model.RequesterID(req), Skills: u.MustVector("a")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("t1", "r1")
-	mk("t2", "r1")
-	mk("t3", "r2")
-	pairs := s.CandidateTaskPairs()
-	// t1-t2 share a requester and must be excluded; t1-t3 and t2-t3 remain.
-	if len(pairs) != 2 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	for _, p := range pairs {
-		if p[0] == "t1" && p[1] == "t2" {
-			t.Fatal("same-requester pair included")
-		}
-	}
-}
-
-func TestCandidatePairsEmptyStore(t *testing.T) {
-	s := New(model.MustUniverse("a"))
-	if got := s.CandidateWorkerPairs(); len(got) != 0 {
-		t.Fatalf("empty store pairs = %v", got)
-	}
-	if got := s.CandidateTaskPairs(); len(got) != 0 {
-		t.Fatalf("empty store task pairs = %v", got)
 	}
 }

@@ -103,7 +103,7 @@ func NewSharded(u *model.Universe, shards int) *Store {
 	}
 	s := &Store{universe: u, shards: make([]*shard, shards)}
 	for i := range s.shards {
-		s.shards[i] = newShard(u.Size(), DefaultChangelogCap)
+		s.shards[i] = newShard(DefaultChangelogCap)
 	}
 	if shards&(shards-1) == 0 {
 		s.mask, s.masked = uint64(shards-1), true
@@ -195,9 +195,6 @@ func (s *Store) putWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.Com
 	}
 	c := w.Clone()
 	sh.workers[c.ID] = c
-	for _, i := range c.Skills.Indices() {
-		sh.workersBySkill[i] = insertSortedID(sh.workersBySkill[i], c.ID)
-	}
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
 		Change: Change{Version: v, Op: OpInsert, Entity: EntityWorker, Worker: c.ID},
@@ -217,17 +214,8 @@ func (s *Store) UpdateWorker(w *model.Worker) error {
 }
 
 func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.Commit, error) {
-	old, ok := sh.workers[w.ID]
-	if !ok {
+	if _, ok := sh.workers[w.ID]; !ok {
 		return wal.Commit{}, fmt.Errorf("worker %s: %w", w.ID, ErrNotFound)
-	}
-	if !old.Skills.Equal(w.Skills) {
-		for _, i := range old.Skills.Indices() {
-			sh.workersBySkill[i] = removeSortedID(sh.workersBySkill[i], w.ID)
-		}
-		for _, i := range w.Skills.Indices() {
-			sh.workersBySkill[i] = insertSortedID(sh.workersBySkill[i], w.ID)
-		}
 	}
 	c := w.Clone()
 	sh.workers[w.ID] = c
@@ -305,18 +293,6 @@ func (s *Store) WorkerCount() int {
 	}
 	release()
 	return n
-}
-
-// WorkersWithSkill returns the ids of workers whose vector sets the given
-// skill index, sorted. The result is a fresh slice owned by the caller.
-func (s *Store) WorkersWithSkill(skill int) []model.WorkerID {
-	shs, release := s.rlockView()
-	per := make([][]model.WorkerID, len(shs))
-	for i, sh := range shs {
-		per[i] = append([]model.WorkerID(nil), sh.workersBySkill[skill]...)
-	}
-	release()
-	return mergeSorted(per, func(a, b model.WorkerID) bool { return a < b })
 }
 
 // BulkPutWorkers inserts many workers, fanning the inserts out across
@@ -482,9 +458,6 @@ func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver uint64) (wal.Commit,
 	}
 	c := t.Clone()
 	sh.tasks[c.ID] = c
-	for _, i := range c.Skills.Indices() {
-		sh.tasksBySkill[i] = insertSortedID(sh.tasksBySkill[i], c.ID)
-	}
 	sh.tasksByReq[c.Requester] = insertSortedID(sh.tasksByReq[c.Requester], c.ID)
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
@@ -576,17 +549,6 @@ func (s *Store) TasksByRequester(id model.RequesterID) []model.TaskID {
 	per := make([][]model.TaskID, len(shs))
 	for i, sh := range shs {
 		per[i] = append([]model.TaskID(nil), sh.tasksByReq[id]...)
-	}
-	release()
-	return mergeSorted(per, func(a, b model.TaskID) bool { return a < b })
-}
-
-// TasksWithSkill returns ids of tasks requiring the given skill index, sorted.
-func (s *Store) TasksWithSkill(skill int) []model.TaskID {
-	shs, release := s.rlockView()
-	per := make([][]model.TaskID, len(shs))
-	for i, sh := range shs {
-		per[i] = append([]model.TaskID(nil), sh.tasksBySkill[skill]...)
 	}
 	release()
 	return mergeSorted(per, func(a, b model.TaskID) bool { return a < b })

@@ -95,14 +95,11 @@ func TestUpdateWorkerReindexes(t *testing.T) {
 	if err := s.UpdateWorker(w); err != nil {
 		t.Fatal(err)
 	}
-	goIdx, _ := u.Index("go")
-	nlpIdx, _ := u.Index("nlp")
-	if ids := s.WorkersWithSkill(goIdx); len(ids) != 0 {
-		t.Fatalf("stale index entry: %v", ids)
+	if got := s.PeekWorker("w1").Skills; !got.Equal(u.MustVector("nlp")) {
+		t.Fatalf("skills after update = %v", got)
 	}
-	ids := s.WorkersWithSkill(nlpIdx)
-	if len(ids) != 2 {
-		t.Fatalf("nlp workers = %v", ids)
+	if ws := s.Workers(); len(ws) != 2 || !ws[0].Skills.Equal(u.MustVector("nlp")) {
+		t.Fatalf("workers after update = %v", ws)
 	}
 }
 
@@ -143,13 +140,8 @@ func TestTasksByRequesterAndSkill(t *testing.T) {
 	if ids := s.TasksByRequester("r1"); len(ids) != 2 {
 		t.Fatalf("tasks by requester = %v", ids)
 	}
-	goIdx, _ := u.Index("go")
-	if ids := s.TasksWithSkill(goIdx); len(ids) != 2 {
-		t.Fatalf("tasks with go = %v", ids)
-	}
-	nlpIdx, _ := u.Index("nlp")
-	if ids := s.TasksWithSkill(nlpIdx); len(ids) != 1 || ids[0] != "t2" {
-		t.Fatalf("tasks with nlp = %v", ids)
+	if got := s.PeekTask("t2").Skills; !got.Equal(u.MustVector("go", "nlp")) {
+		t.Fatalf("t2 skills = %v", got)
 	}
 }
 

@@ -426,26 +426,6 @@ func BenchmarkAssigners(b *testing.B) {
 	}
 }
 
-func BenchmarkHungarian(b *testing.B) {
-	for _, n := range []int{10, 50, 100} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := stats.NewRNG(benchSeed)
-			gain := make([][]float64, n)
-			for i := range gain {
-				gain[i] = make([]float64, n)
-				for j := range gain[i] {
-					gain[i][j] = rng.Float64()
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				assign.MaxWeightMatching(gain)
-			}
-		})
-	}
-}
-
 func BenchmarkAxiom1Check(b *testing.B) {
 	pop, batch, st := benchEnv(400, 100)
 	res, err := (assign.FairRoundRobin{}).Assign(&assign.Problem{

@@ -28,7 +28,6 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
 	"repro/internal/model"
-	"repro/internal/similarity"
 	"repro/internal/store"
 	"repro/internal/transparency"
 	"repro/internal/wal"
@@ -142,9 +141,12 @@ type Platform struct {
 	// auditor is the lazily-created incremental audit engine; it is pinned
 	// to the config of the first AuditIncremental call (or resumed from a
 	// checkpoint by OpenPlatform) and discarded when the trace is replaced
-	// (LoadTrace) or the config changes.
+	// (LoadTrace) or the config's signature (audit.ConfigSig) changes.
+	// auditorCfg is kept for the checkpoint, which signs the engine's state
+	// with it; auditorSig is its signature.
 	auditor    *audit.Engine
 	auditorCfg AuditConfig
+	auditorSig string
 }
 
 // NewPlatform returns an empty in-memory platform over the universe.
@@ -182,7 +184,7 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 		if err != nil {
 			return nil, err
 		}
-		return &Platform{st: st, log: log, dir: dir, auditorCfg: cfg}, nil
+		return &Platform{st: st, log: log, dir: dir, auditorCfg: cfg, auditorSig: audit.ConfigSig(cfg)}, nil
 	}
 	man, err := store.ReadManifest(dir)
 	if err != nil {
@@ -219,7 +221,7 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 		}
 		return nil, errors.Join(err, logErr)
 	}
-	p := &Platform{st: st, log: log, dir: dir, auditorCfg: cfg}
+	p := &Platform{st: st, log: log, dir: dir, auditorCfg: cfg, auditorSig: audit.ConfigSig(cfg)}
 	if state != nil {
 		// Nor is a failed resume (e.g. saved state that does not match the
 		// recovered store): the first AuditIncremental cold-starts.
@@ -342,65 +344,11 @@ func (p *Platform) AuditIncremental(cfg AuditConfig) []*FairnessReport {
 // changed-violation count, both produced under the engine's lock with the
 // reports — what a serving tier publishes without re-reading them.
 func (p *Platform) AuditPass(cfg AuditConfig) audit.Pass {
-	if p.auditor == nil || !sameAuditConfig(p.auditorCfg, cfg) {
+	if sig := audit.ConfigSig(cfg); p.auditor == nil || sig != p.auditorSig {
 		p.auditor = audit.New(p.st, p.log, cfg)
-		p.auditorCfg = cfg
+		p.auditorCfg, p.auditorSig = cfg, sig
 	}
 	return p.auditor.AuditPass()
-}
-
-// sameAuditConfig compares the checker-relevant fields of two configs.
-// Measure functions are compared by name; Candidates is ignored — the
-// incremental engine installs its own provider either way. A config judged
-// different only costs a cold start, never correctness.
-func sameAuditConfig(a, b AuditConfig) bool {
-	return a.SkillMeasure.Name == b.SkillMeasure.Name &&
-		a.SkillThreshold == b.SkillThreshold &&
-		sameAttrPolicy(a.AttrPolicy, b.AttrPolicy) &&
-		a.AttrThreshold == b.AttrThreshold &&
-		a.AccessThreshold == b.AccessThreshold &&
-		a.RewardTolerance == b.RewardTolerance &&
-		a.ContributionThreshold == b.ContributionThreshold &&
-		a.PayTolerance == b.PayTolerance &&
-		a.Exhaustive == b.Exhaustive &&
-		a.CandidateKind() == b.CandidateKind() &&
-		(a.CandidateKind() != fairness.CandidateLSH || a.LSHSeed == b.LSHSeed)
-}
-
-// sameAttrPolicy deep-compares two attribute policies, including the
-// per-field tolerance overrides and the ignore set, so platforms auditing
-// under a custom policy keep reusing their warmed incremental engine
-// instead of silently cold-starting on every AuditIncremental call.
-func sameAttrPolicy(a, b *similarity.AttrPolicy) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	if a.NumTolerance != b.NumTolerance || a.MissingPenalty != b.MissingPenalty {
-		return false
-	}
-	if len(a.FieldTolerance) != len(b.FieldTolerance) {
-		return false
-	}
-	for k, v := range a.FieldTolerance {
-		if bv, ok := b.FieldTolerance[k]; !ok || bv != v {
-			return false
-		}
-	}
-	// IgnoreFields entries explicitly set to false mean the same as absent.
-	for k, on := range a.IgnoreFields {
-		if on != b.IgnoreFields[k] {
-			return false
-		}
-	}
-	for k, on := range b.IgnoreFields {
-		if on != a.IgnoreFields[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // AuditTransparency runs the Axiom 6 and 7 checkers against the trace,

@@ -25,7 +25,7 @@ type Replica struct {
 	rep *replica.Replica
 
 	auditor    *audit.Engine
-	auditorCfg AuditConfig
+	auditorSig string // audit.ConfigSig of the config auditor runs under
 }
 
 // OpenReplica bootstraps a read replica from the checkpoint in a durable
@@ -73,9 +73,9 @@ func (r *Replica) Store() *store.Store { return r.rep.Store() }
 // monitoring on the replica re-checks only what changed since the last
 // call.
 func (r *Replica) AuditIncremental(cfg AuditConfig) []*FairnessReport {
-	if r.auditor == nil || !sameAuditConfig(r.auditorCfg, cfg) {
+	if sig := audit.ConfigSig(cfg); r.auditor == nil || sig != r.auditorSig {
 		r.auditor = audit.New(r.rep.Store(), r.rep.Log(), cfg)
-		r.auditorCfg = cfg
+		r.auditorSig = sig
 	}
 	return r.auditor.Audit()
 }

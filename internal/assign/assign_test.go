@@ -194,7 +194,7 @@ func TestRequesterCentricPrefersHighUtilityWorkers(t *testing.T) {
 }
 
 func TestRequesterCentricOptimalAtLeastGreedy(t *testing.T) {
-	// On a matrix where greedy is suboptimal, the Hungarian variant must
+	// On a matrix where greedy is suboptimal, the exact matching must
 	// strictly beat it.
 	u := model.MustUniverse("s")
 	w := func(id string, ratio float64) *model.Worker {

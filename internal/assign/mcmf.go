@@ -8,12 +8,12 @@ import "container/heap"
 // maximised. Only strictly positive gains are ever matched. The result maps
 // each matched pair to true.
 //
-// The slot-expanded Hungarian reduction is *incorrect* for this problem —
-// it can match the same worker to the same task through two different
-// slots and count the gain twice — so the optimal requester-centric
-// assigner uses this min-cost max-flow formulation instead: successive
-// shortest augmenting paths on the residual graph with Johnson potentials
-// (costs are negated gains, so Dijkstra applies after the first
+// A slot-expanded Hungarian reduction would be *incorrect* for this
+// problem — it can match the same worker to the same task through two
+// different slots and count the gain twice — so the optimal
+// requester-centric assigner uses this min-cost max-flow formulation:
+// successive shortest augmenting paths on the residual graph with Johnson
+// potentials (costs are negated gains, so Dijkstra applies after the first
 // Bellman-Ford pass), stopping when no augmenting path has negative cost —
 // i.e. exactly at the maximum-weight (not maximum-cardinality) matching.
 func MaxWeightBMatching(gain [][]float64, workerCap, taskCap []int) map[[2]int]bool {

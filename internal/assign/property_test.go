@@ -152,7 +152,7 @@ func TestOptimalAtLeastGreedyProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		p := randomProblem(rng)
-		// Keep instances small: the Hungarian expansion is cubic.
+		// Keep instances small: the exact min-cost flow is the slow side.
 		if len(p.Workers) > 8 || len(p.Tasks) > 6 {
 			return true
 		}

@@ -13,12 +13,12 @@ import (
 //
 // With Optimal false the assigner is greedy: it sorts all (worker, task)
 // pairs by utility and takes them subject to capacity. With Optimal true it
-// solves the maximum-weight bipartite matching exactly via the Hungarian
-// algorithm (on worker-slot × task-slot expansion), which is the E-ablation
-// comparator for the greedy heuristic.
+// solves the capacitated maximum-weight bipartite matching exactly as a
+// min-cost flow (MaxWeightBMatching), which is the E-ablation comparator
+// for the greedy heuristic.
 type RequesterCentric struct {
-	// Optimal selects exact Hungarian matching instead of the greedy
-	// heuristic.
+	// Optimal selects the exact min-cost-flow matching instead of the
+	// greedy heuristic.
 	Optimal bool
 }
 

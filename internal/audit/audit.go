@@ -259,30 +259,6 @@ func (*Cache) Counters() CacheStats { return CacheStats{} }
 // Cache returns the empty remnant described at CacheStats.
 func (e *Engine) Cache() *Cache { return &Cache{} }
 
-// PairScores scores every contribution pair in similarity.PairAt order —
-// the hook pay.SimilarityFair.PairScores expects. With the exact backend it
-// is similarity.ContributionPairScores; with the LSH backend only the
-// index's candidate pairs are scored and the rest are zero (below any
-// threshold), so payment-side clustering reuses the same pruned candidate
-// generation as the audit. The pay scheme's similarity threshold must be at
-// or above the audit's ContributionThreshold for the pruning to be sound.
-func (e *Engine) PairScores(contribs []*model.Contribution) []float64 {
-	if e.plan.Kind != fairness.CandidateLSH {
-		return similarity.ContributionPairScores(contribs)
-	}
-	ks, _ := e.plan.ContribCandidates(contribs)
-	out := make([]float64, similarity.PairCount(len(contribs)))
-	if len(ks) == 0 {
-		return out
-	}
-	score := similarity.NewContributionProfiles(contribs).Similarity
-	par.For(len(ks), 0, func(x int) {
-		i, j := similarity.PairAt(len(contribs), ks[x])
-		out[ks[x]] = score(i, j)
-	})
-	return out
-}
-
 // engineProvider adapts the engine's maintained indexes to
 // fairness.CandidateProvider. It is only consulted by checkers the engine
 // itself invokes while holding e.mu (or from the per-task Axiom 3 fold,

@@ -7,7 +7,6 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
 	"repro/internal/model"
-	"repro/internal/similarity"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -346,56 +345,6 @@ func TestChangelogTruncationFallsBackToRebuild(t *testing.T) {
 		s.mutate()
 	}
 	requirePass(t, 1, eng.AuditPass(), fairness.CheckAll(s.st, s.log, cfg))
-}
-
-// TestEnginePairScoresMatchesKernel pins the pay-scheme hook: under the
-// exact backend Engine.PairScores is similarity.ContributionPairScores; under
-// LSH it agrees with that kernel on every pair ContribCandidates proposes
-// and is zero on every other pair.
-func TestEnginePairScoresMatchesKernel(t *testing.T) {
-	var cs []*model.Contribution
-	texts := []string{"the canonical answer", "the canonical answer!", "something else entirely",
-		"", "   ", "a completely unrelated reply about vision models", "the canonical answr"}
-	for i := 0; i < 21; i++ {
-		c := &model.Contribution{ID: model.ContributionID(fmt.Sprintf("c%02d", i)), Text: texts[i%len(texts)]}
-		if i%5 == 4 {
-			c.Ranking = []string{"x", "y", "z"}[:1+i%3]
-		}
-		cs = append(cs, c)
-	}
-	want := similarity.ContributionPairScores(cs)
-	same := func(label string, got []float64, keep func(k int) bool) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d scores, want %d", label, len(got), len(want))
-		}
-		for k := range got {
-			w := 0.0
-			if keep(k) {
-				w = want[k]
-			}
-			if got[k] != w {
-				i, j := similarity.PairAt(len(cs), k)
-				t.Fatalf("%s: pair (%d,%d) = %v, want %v", label, i, j, got[k], w)
-			}
-		}
-	}
-
-	st := store.New(model.MustUniverse("go"))
-	exact := New(st, eventlog.New(), fairness.DefaultConfig())
-	same("exact", exact.PairScores(cs), func(int) bool { return true })
-
-	cfg := lshConfig(7)
-	ks, pruned := cfg.Plan().ContribCandidates(cs)
-	if !pruned || len(ks) == 0 || len(ks) == len(want) {
-		t.Fatalf("test setup: LSH proposed %d of %d pairs (pruned %v); want a strict, non-empty subset", len(ks), len(want), pruned)
-	}
-	cand := make(map[int]bool, len(ks))
-	for _, k := range ks {
-		cand[k] = true
-	}
-	lsh := New(st, eventlog.New(), cfg)
-	same("lsh", lsh.PairScores(cs), func(k int) bool { return cand[k] })
 }
 
 // An audit pass between mutations must not disturb later equivalence even

@@ -207,15 +207,35 @@ func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 
 // ConfigSig must separate configs that differ only in candidate backend or
 // LSH seed — resuming LSH-computed verdicts under exact (or another seed)
-// must read as a config change, not a warm match.
+// must read as a config change, not a warm match. It must also separate
+// configs whose measure name or attribute-policy keys embed the
+// signature's own separators: printed unescaped, each pair below signs
+// alike.
 func TestConfigSigSeparatesCandidateBackends(t *testing.T) {
-	exact := fairness.DefaultConfig()
-	lshA := lshConfig(1)
-	lshB := lshConfig(2)
+	withTolerance := func(ft map[string]float64) fairness.Config {
+		cfg := fairness.DefaultConfig()
+		cfg.AttrPolicy = &similarity.AttrPolicy{FieldTolerance: ft}
+		return cfg
+	}
+	// The tail that follows the skill measure's name in an unescaped
+	// signature of a zero-threshold exact config.
+	const tail = "@0.9;attrT=0;access=0;reward=0;contrib=0;pay=0;exh=false;cand=exact"
+	ignoring := fairness.Config{
+		SkillMeasure: similarity.MeasureCosine, SkillThreshold: 0.9,
+		AttrPolicy: &similarity.AttrPolicy{IgnoreFields: map[string]bool{tail: true}},
+	}
+	named := fairness.Config{
+		SkillMeasure:   similarity.VectorMeasure{Name: "cosine" + tail + ";attr=0/0;ig.", Func: similarity.Cosine},
+		SkillThreshold: 0.9,
+	}
 	sigs := map[string]string{
-		"exact": ConfigSig(exact),
-		"lshA":  ConfigSig(lshA),
-		"lshB":  ConfigSig(lshB),
+		"exact":    ConfigSig(fairness.DefaultConfig()),
+		"lshA":     ConfigSig(lshConfig(1)),
+		"lshB":     ConfigSig(lshConfig(2)),
+		"ftTwo":    ConfigSig(withTolerance(map[string]float64{"a": 0.5, "b": 0.5})),
+		"ftOne":    ConfigSig(withTolerance(map[string]float64{"a=0.5;ft.b": 0.5})),
+		"ignoring": ConfigSig(ignoring),
+		"named":    ConfigSig(named),
 	}
 	for a, sa := range sigs {
 		for b, sb := range sigs {

@@ -12,9 +12,9 @@ import (
 	"repro/internal/store"
 )
 
-// BuildCheckpointOptions assembles the store.CheckpointOptions every
-// durable surface (crowdfair.Platform.Checkpoint, sim's end-of-run
-// checkpoint) hands to store.Checkpoint: the event count plus — when eng
+// BuildCheckpointOptions assembles the store.CheckpointOptions the one
+// durable surface, crowdfair.Platform.Checkpoint, hands to
+// store.Checkpoint: the event count plus — when eng
 // has completed at least one pass — the engine's encoded state, signed with
 // cfg's fingerprint, and the changelog cursors that protect its WAL records
 // from truncation. A nil or unprimed engine yields plain options.
@@ -35,16 +35,20 @@ func BuildCheckpointOptions(eng *Engine, cfg fairness.Config, events int) store.
 
 // ConfigSig deterministically fingerprints the checker-relevant fields of
 // a fairness.Config — measure names, every threshold and tolerance, and
-// the attribute policy's per-field maps in sorted order. Persisted audit
-// state carries the signature of the config it was computed under; a
-// resume is only warm when the signatures match (the function-valued
-// config cannot be compared directly).
+// the attribute policy's per-field maps in sorted order. Every string is
+// printed Go-quoted, so a measure name or map key that contains the
+// separators cannot make two configs sign alike. Persisted audit state
+// carries the signature of the config it was computed under, and a resume
+// is only warm when the signatures match; crowdfair.Platform compares
+// signatures the same way to decide whether its incremental engine is
+// still valid for a new config (the function-valued config cannot be
+// compared directly).
 func ConfigSig(cfg fairness.Config) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "skill=%s@%v;attrT=%v;access=%v;reward=%v;contrib=%v;pay=%v;exh=%v",
+	fmt.Fprintf(&b, "skill=%q@%v;attrT=%v;access=%v;reward=%v;contrib=%v;pay=%v;exh=%v",
 		cfg.SkillMeasure.Name, cfg.SkillThreshold, cfg.AttrThreshold, cfg.AccessThreshold,
 		cfg.RewardTolerance, cfg.ContributionThreshold, cfg.PayTolerance, cfg.Exhaustive)
-	fmt.Fprintf(&b, ";cand=%s", cfg.CandidateKind())
+	fmt.Fprintf(&b, ";cand=%q", cfg.CandidateKind())
 	if cfg.CandidateKind() == fairness.CandidateLSH {
 		fmt.Fprintf(&b, "@%d", cfg.LSHSeed)
 	}
@@ -56,7 +60,7 @@ func ConfigSig(cfg fairness.Config) string {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&b, ";ft.%s=%v", k, p.FieldTolerance[k])
+			fmt.Fprintf(&b, ";ft.%q=%v", k, p.FieldTolerance[k])
 		}
 		keys = keys[:0]
 		for k, on := range p.IgnoreFields {
@@ -66,7 +70,7 @@ func ConfigSig(cfg fairness.Config) string {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&b, ";ig.%s", k)
+			fmt.Fprintf(&b, ";ig.%q", k)
 		}
 	}
 	return b.String()

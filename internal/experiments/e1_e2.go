@@ -68,9 +68,9 @@ func E1Assignment(p E1Params) *Table {
 		Columns: []string{"algorithm", "axiom1-violation-rate", "requester-utility",
 			"income-gini", "jobless-rate", "assignments"},
 		Notes: []string{
-			"expected shape: requester-centric maximises utility with the worst fairness;",
-			"self-appointment and fair-round-robin have (near-)zero Axiom-1 violations;",
-			"online-greedy sits between the two regimes.",
+			"expected shape: self-appointment, worker-centric and fair-round-robin have zero",
+			"Axiom-1 violations; requester-centric violates Axiom 1 and earns at least",
+			"fair-round-robin's requester utility.",
 		},
 	}
 	cfg := fairness.DefaultConfig()

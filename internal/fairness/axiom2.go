@@ -60,8 +60,7 @@ func Axiom2Pairs(st *store.Store, ix *AccessIndex, cfg Config, ids []model.TaskI
 
 // comparableTasks is Axiom 2's premise on two tasks' content at cfg's
 // thresholds: similar required skills and comparable rewards. The axiom
-// applies it to tasks of distinct requesters only; RepairAxiom2 groups
-// tasks by the same predicate.
+// applies it to tasks of distinct requesters only.
 func (c *Config) comparableTasks() func(a, b *model.Task) bool {
 	skillThr := orDefault(c.SkillThreshold, 0.9)
 	rewardTol := orDefault(c.RewardTolerance, 0.1)

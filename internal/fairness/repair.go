@@ -105,91 +105,6 @@ func ApplyGrants(offers map[model.WorkerID][]model.TaskID, grants []OfferGrant) 
 	return out
 }
 
-// AudienceGrant is one additional worker a task must be shown to in order
-// to satisfy Axiom 2.
-type AudienceGrant struct {
-	Task   model.TaskID
-	Worker model.WorkerID
-}
-
-// RepairAxiom2 computes the minimal audience extensions that equalise the
-// visibility of comparable cross-requester tasks: tasks that are pairwise
-// comparable (similar skills, comparable rewards, per cfg) are grouped by
-// single-link closure and every task in a group is shown to the union of
-// the group's audiences. Like RepairAxiom1, the repair only ever *adds*
-// visibility.
-func RepairAxiom2(st *store.Store, audience map[model.TaskID][]model.WorkerID, cfg Config) []AudienceGrant {
-	tasks := st.Tasks()
-	comparable := cfg.comparableTasks()
-
-	parent := make([]int, len(tasks))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := 0; i < len(tasks); i++ {
-		for j := i + 1; j < len(tasks); j++ {
-			if tasks[i].Requester != tasks[j].Requester && comparable(tasks[i], tasks[j]) {
-				ri, rj := find(i), find(j)
-				if ri != rj {
-					parent[rj] = ri
-				}
-			}
-		}
-	}
-
-	groupAudience := make(map[int]map[model.WorkerID]bool)
-	for i, t := range tasks {
-		r := find(i)
-		set := groupAudience[r]
-		if set == nil {
-			set = make(map[model.WorkerID]bool)
-			groupAudience[r] = set
-		}
-		for _, w := range audience[t.ID] {
-			set[w] = true
-		}
-	}
-	var grants []AudienceGrant
-	for i, t := range tasks {
-		have := make(map[model.WorkerID]bool, len(audience[t.ID]))
-		for _, w := range audience[t.ID] {
-			have[w] = true
-		}
-		for w := range groupAudience[find(i)] {
-			if !have[w] {
-				grants = append(grants, AudienceGrant{Task: t.ID, Worker: w})
-			}
-		}
-	}
-	sort.Slice(grants, func(a, b int) bool {
-		if grants[a].Task != grants[b].Task {
-			return grants[a].Task < grants[b].Task
-		}
-		return grants[a].Worker < grants[b].Worker
-	})
-	return grants
-}
-
-// ApplyAudienceGrants returns a new audience map with the grants added.
-func ApplyAudienceGrants(audience map[model.TaskID][]model.WorkerID, grants []AudienceGrant) map[model.TaskID][]model.WorkerID {
-	out := make(map[model.TaskID][]model.WorkerID, len(audience))
-	for t, ws := range audience {
-		out[t] = append([]model.WorkerID(nil), ws...)
-	}
-	for _, g := range grants {
-		out[g.Task] = append(out[g.Task], g.Worker)
-	}
-	return out
-}
-
 // PayAdjustment is one top-up payment owed to bring a contribution's pay up
 // to its similarity cluster's maximum.
 type PayAdjustment struct {

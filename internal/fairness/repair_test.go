@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/eventlog"
 	"repro/internal/model"
 	"repro/internal/store"
 )
@@ -91,48 +90,6 @@ func TestRepairAxiom1TransitiveGroups(t *testing.T) {
 	rep := Axiom1FromOffers(s, ApplyGrants(offers, grants), DefaultConfig())
 	if !rep.Satisfied() {
 		t.Fatalf("transitive repair incomplete: %v", rep.Violations)
-	}
-}
-
-func TestRepairAxiom2EqualisesAudiences(t *testing.T) {
-	s := twinStore(t) // t1 (r1) and t2 (r2) are comparable
-	audience := map[model.TaskID][]model.WorkerID{
-		"t1": {"w1", "w2"},
-		"t2": {"w1"},
-	}
-	grants := RepairAxiom2(s, audience, DefaultConfig())
-	if len(grants) != 1 || grants[0].Task != "t2" || grants[0].Worker != "w2" {
-		t.Fatalf("grants = %v", grants)
-	}
-	// After applying, rebuild an offer log and verify Axiom 2 holds.
-	repaired := ApplyAudienceGrants(audience, grants)
-	log := eventlog.New()
-	for _, tid := range []model.TaskID{"t1", "t2", "t3"} {
-		for _, w := range repaired[tid] {
-			log.MustAppend(eventlog.Event{Type: eventlog.TaskOffered, Task: tid, Worker: w})
-		}
-	}
-	if rep := CheckAxiom2(s, log, DefaultConfig()); !rep.Satisfied() {
-		t.Fatalf("repair incomplete: %v", rep.Violations)
-	}
-	// The input map must be untouched.
-	if len(audience["t2"]) != 1 {
-		t.Fatal("input audience mutated")
-	}
-}
-
-func TestRepairAxiom2IgnoresIncomparable(t *testing.T) {
-	s := twinStore(t) // t3 has different skills and reward 5.0
-	audience := map[model.TaskID][]model.WorkerID{
-		"t1": {"w1"},
-		"t2": {"w1"},
-		"t3": {"w3"},
-	}
-	grants := RepairAxiom2(s, audience, DefaultConfig())
-	for _, g := range grants {
-		if g.Task == "t3" {
-			t.Fatalf("incomparable task repaired: %v", g)
-		}
 	}
 }
 

@@ -112,13 +112,6 @@ type SimilarityFair struct {
 	// same work" (default 0.8; a negative value means 0 — every pair
 	// clusters together).
 	Threshold float64
-	// PairScores overrides the pairwise similarity kernel (default
-	// similarity.ContributionPairScores, which builds each text profile once
-	// and scores the pairs in parallel). The simulator injects the audit
-	// engine's Engine.PairScores here so payment equalisation scores the
-	// same, possibly LSH-pruned, pair set as the audit. Results must be
-	// indexed in similarity.PairAt order.
-	PairScores func([]*model.Contribution) []float64
 }
 
 // Name implements Scheme.
@@ -140,11 +133,7 @@ func (s SimilarityFair) Pay(t *model.Task, contribs []*model.Contribution) []flo
 	// Single-link clustering via union-find over similar pairs. Pair
 	// similarities come from the shared parallel kernel instead of a serial
 	// nested loop — profile construction dominates on text-heavy tasks.
-	scorer := s.PairScores
-	if scorer == nil {
-		scorer = similarity.ContributionPairScores
-	}
-	sims := scorer(contribs)
+	sims := similarity.ContributionPairScores(contribs)
 
 	parent := make([]int, n)
 	for i := range parent {

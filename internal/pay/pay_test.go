@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/model"
-	"repro/internal/similarity"
 )
 
 func payTask() *model.Task {
@@ -316,38 +315,5 @@ func TestQualityBasedExplicitZeroSentinel(t *testing.T) {
 	perfect := &model.Contribution{ID: "c2", Task: "t1", Worker: "w2", Quality: 1, Accepted: true}
 	if got := qb.Pay(task, []*model.Contribution{perfect})[0]; got != 1.0 {
 		t.Fatalf("perfect quality paid %v, want full reward", got)
-	}
-}
-
-// SimilarityFair must produce identical payments through the parallel
-// pair-scoring kernel and through an injected scorer (the hook the
-// simulator wires to the audit engine's Engine.PairScores).
-func TestSimilarityFairInjectedScorerMatches(t *testing.T) {
-	task := &model.Task{ID: "t1", Requester: "r1", Reward: 2.0}
-	contribs := []*model.Contribution{
-		{ID: "c1", Task: "t1", Worker: "w1", Text: "the quick brown fox jumps", Quality: 0.9, Accepted: true},
-		{ID: "c2", Task: "t1", Worker: "w2", Text: "the quick brown fox jumps", Quality: 0.4, Accepted: true},
-		{ID: "c3", Task: "t1", Worker: "w3", Text: "entirely unrelated words here", Quality: 0.8, Accepted: true},
-	}
-	def := SimilarityFair{}.Pay(task, contribs)
-	calls := 0
-	injected := SimilarityFair{PairScores: func(cs []*model.Contribution) []float64 {
-		calls++
-		return similarity.ContributionPairScores(cs)
-	}}.Pay(task, contribs)
-	if calls != 1 {
-		t.Fatalf("injected scorer called %d times", calls)
-	}
-	for i := range def {
-		if def[i] != injected[i] {
-			t.Fatalf("payment %d: %v (default) vs %v (injected)", i, def[i], injected[i])
-		}
-	}
-	// The similar pair (c1, c2) must be equalised; the dissimilar c3 not.
-	if def[0] != def[1] {
-		t.Fatalf("similar contributions paid %v vs %v", def[0], def[1])
-	}
-	if def[2] == def[0] {
-		t.Fatal("dissimilar contribution was dragged into the cluster")
 	}
 }

@@ -6,26 +6,23 @@
 // according to a transparency policy (internal/transparency), while a
 // behavioural model (internal/retention) converts the fairness and
 // transparency treatment into the paper's objective measures: contribution
-// quality and worker retention. The full trace lands in a store.Store and
-// an eventlog.Log, ready for the fairness checkers.
+// quality and worker retention. The full trace lands in an in-memory
+// store.Store and eventlog.Log; auditing or persisting it is the caller's
+// job (crowdfair.Platform wraps the returned store and log for both).
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/assign"
-	"repro/internal/audit"
 	"repro/internal/complete"
 	"repro/internal/eventlog"
-	"repro/internal/fairness"
 	"repro/internal/model"
 	"repro/internal/pay"
 	"repro/internal/retention"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/transparency"
-	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -67,38 +64,6 @@ type Config struct {
 	BonusSeries     int
 	BonusAmount     float64
 	BonusHonourRate float64
-	// AuditEvery, when > 0, runs an incremental fairness audit
-	// (internal/audit) after every AuditEvery-th round — the continuous
-	// monitoring loop a live platform runs alongside traffic. The last
-	// audit's reports land in Result.AuditReports and the audit counters in
-	// Metrics.
-	AuditEvery int
-	// AuditConfig parameterises the in-loop audits (zero value: the
-	// DefaultConfig thresholds).
-	AuditConfig fairness.Config
-	// CandidateIndex selects the audit's candidate-generation backend —
-	// fairness.CandidateExact (the default) or fairness.CandidateLSH for
-	// sub-quadratic MinHash/LSH pruning. It overrides
-	// AuditConfig.CandidateIndex when non-empty; under the LSH backend an
-	// unset AuditConfig.LSHSeed is derived from Seed, so the whole run
-	// stays a function of one root seed.
-	CandidateIndex string
-	// PersistDir, when non-empty, makes the run durable: the store's
-	// changelog and the event trace are teed into segmented write-ahead
-	// logs under the directory while the simulation runs, and the run ends
-	// with a checkpoint (including the in-loop auditor's warm state when
-	// AuditEvery is set). A later store.Open / eventlog.OpenDurable — or
-	// crowdfair.OpenPlatform — recovers the full trace; the directory must
-	// not already hold a durable store. Simulation results are identical
-	// with and without persistence.
-	PersistDir string
-	// PersistWAL tunes the write-ahead logs (zero value: default segment
-	// size, no fsync). Sync selects the durability policy: wal.SyncNever /
-	// SyncOnRotate write through the page cache, wal.SyncInterval(d) and
-	// wal.SyncAlways commit through per-shard group commit (one fsync per
-	// batch of concurrent appends). Simulation results are byte-identical
-	// under every policy — durability never reorders the version stream.
-	PersistWAL wal.Options
 	// Seed drives all randomness in the run.
 	Seed uint64
 }
@@ -129,11 +94,6 @@ type Metrics struct {
 	// unless Config.BonusSeries was set).
 	BonusesPaid    int
 	BonusesReneged int
-	// AuditsRun counts the in-loop incremental audits (zero unless
-	// Config.AuditEvery was set); AuditViolations is the total violation
-	// count of the last audit.
-	AuditsRun       int
-	AuditViolations int
 }
 
 // Result bundles the artefacts of a run for auditing.
@@ -143,15 +103,6 @@ type Result struct {
 	Ledger    *pay.Ledger
 	Retention *retention.Model
 	Metrics   Metrics
-	// AuditReports holds the last in-loop audit's reports in axiom order
-	// (nil unless Config.AuditEvery was set).
-	AuditReports []*fairness.Report
-}
-
-// Close flushes and closes the write-ahead logs of a durable run (no-op
-// for in-memory runs). The in-memory trace stays readable.
-func (r *Result) Close() error {
-	return errors.Join(r.Store.Close(), r.Log.Close())
 }
 
 // Run executes the simulation. It returns an error only for structurally
@@ -180,23 +131,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	rng := stats.NewRNG(cfg.Seed + 0x5eed)
-	var st *store.Store
-	var log *eventlog.Log
-	if cfg.PersistDir != "" {
-		var err error
-		st, err = store.NewDurable(cfg.Population.Universe, store.DefaultShardCount, cfg.PersistDir, cfg.PersistWAL)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		log, err = eventlog.OpenDurable(store.EventsDir(cfg.PersistDir), cfg.PersistWAL)
-		if err != nil {
-			st.Close() // don't leak the store's per-shard WAL handles
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	} else {
-		st = store.New(cfg.Population.Universe)
-		log = eventlog.New()
-	}
+	st := store.New(cfg.Population.Universe)
+	log := eventlog.New()
 	ledger := pay.NewLedger()
 	score := 0.0
 	if cfg.Policy != nil {
@@ -214,25 +150,6 @@ func Run(cfg Config) (*Result, error) {
 		baseSkill: make(map[model.WorkerID]float64),
 		contracts: make(map[model.WorkerID]*pay.BonusContract),
 	}
-	if cfg.AuditEvery > 0 {
-		ac := cfg.AuditConfig
-		if cfg.CandidateIndex != "" {
-			ac.CandidateIndex = cfg.CandidateIndex
-		}
-		if ac.CandidateKind() == fairness.CandidateLSH && ac.LSHSeed == 0 {
-			ac.LSHSeed = cfg.Seed + 0x15b
-		}
-		r.cfg.AuditConfig = ac
-		r.auditor = audit.New(st, log, ac)
-		// Route similarity-fair payment equalisation through the audit
-		// engine's scoring kernel, so pay and audits cluster over the same
-		// (under LSH, candidate-pruned) pair set. Schemes with a
-		// caller-injected kernel are left alone.
-		if sf, ok := r.cfg.PayScheme.(pay.SimilarityFair); ok && sf.PairScores == nil {
-			sf.PairScores = r.auditor.PairScores
-			r.cfg.PayScheme = sf
-		}
-	}
 	if err := r.setup(); err != nil {
 		return nil, err
 	}
@@ -242,29 +159,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := r.settleBonuses(); err != nil {
 		return nil, err
 	}
-	res := r.finish()
-	if cfg.PersistDir != "" {
-		if err := r.checkpoint(); err != nil {
-			res.Close() // the error return discards the only WAL handles
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// checkpoint ends a durable run with a recovery point: snapshot, the
-// in-loop auditor's warm state when one ran, manifest, and truncated
-// write-ahead segments. The store and log stay open — Result.Close
-// releases them.
-func (r *runner) checkpoint() error {
-	o := audit.BuildCheckpointOptions(r.auditor, r.cfg.AuditConfig, r.log.Len())
-	if err := r.log.Sync(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if _, err := r.st.Checkpoint(o); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	return nil
+	return r.finish(), nil
 }
 
 type runner struct {
@@ -276,10 +171,6 @@ type runner struct {
 	ret    *retention.Model
 	score  float64
 	now    int64
-
-	auditor      *audit.Engine
-	auditReports []*fairness.Report
-	auditsRun    int
 
 	contribSeq     int
 	submitted      map[model.WorkerID]int
@@ -386,12 +277,6 @@ func (r *runner) runRounds() error {
 		}
 		if err := r.runRound(tasks[lo:hi]); err != nil {
 			return err
-		}
-		// Continuous monitoring: audit the live trace on the configured
-		// cadence — incrementally, so only this round's churn is re-checked.
-		if r.auditor != nil && (round+1)%r.cfg.AuditEvery == 0 {
-			r.auditReports = r.auditor.Audit()
-			r.auditsRun++
 		}
 	}
 	return nil
@@ -727,14 +612,7 @@ func (r *runner) finish() *Result {
 		m.MeanQuality = r.totalQuality / float64(r.totalSubmitted)
 		m.AcceptedRate = float64(r.totalAccepted) / float64(r.totalSubmitted)
 	}
-	m.AuditsRun = r.auditsRun
-	for _, rep := range r.auditReports {
-		m.AuditViolations += len(rep.Violations)
-	}
-	return &Result{
-		Store: r.st, Log: r.log, Ledger: r.ledger, Retention: r.ret, Metrics: m,
-		AuditReports: r.auditReports,
-	}
+	return &Result{Store: r.st, Log: r.log, Ledger: r.ledger, Retention: r.ret, Metrics: m}
 }
 
 // contributionText synthesises a textual payload whose n-gram similarity

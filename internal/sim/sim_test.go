@@ -309,82 +309,3 @@ func TestRunTraceIsWellFormed(t *testing.T) {
 		}
 	}
 }
-
-// In-loop incremental audits must run on the configured cadence and agree
-// with a from-scratch full audit of the final trace.
-func TestRunWithInLoopAudits(t *testing.T) {
-	rng := stats.NewRNG(77)
-	pop := workload.GeneratePopulation(workload.PopulationSpec{Workers: 40}, rng.Split())
-	batch := workload.GenerateTasks(workload.TaskSpec{Tasks: 40, Quota: 2}, pop, rng.Split())
-	res, err := Run(Config{
-		Population: pop, Batch: batch, Rounds: 4, Seed: 77,
-		AuditEvery: 2, FlagLowAcceptance: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.AuditsRun != 2 {
-		t.Fatalf("audits run = %d, want 2", res.Metrics.AuditsRun)
-	}
-	if len(res.AuditReports) != 5 {
-		t.Fatalf("audit reports = %d", len(res.AuditReports))
-	}
-	// The last in-loop audit saw the full trace (it ran after the final
-	// round), so its violations must match a fresh full audit.
-	full := fairness.CheckAll(res.Store, res.Log, fairness.Config{})
-	total := 0
-	for i, rep := range res.AuditReports {
-		if len(rep.Violations) != len(full[i].Violations) {
-			t.Fatalf("%s: %d violations (in-loop) vs %d (full)",
-				rep.Axiom, len(rep.Violations), len(full[i].Violations))
-		}
-		for j := range rep.Violations {
-			if rep.Violations[j].String() != full[i].Violations[j].String() {
-				t.Fatalf("%s: %s vs %s", rep.Axiom, rep.Violations[j], full[i].Violations[j])
-			}
-		}
-		total += len(rep.Violations)
-	}
-	if res.Metrics.AuditViolations != total {
-		t.Fatalf("AuditViolations = %d, want %d", res.Metrics.AuditViolations, total)
-	}
-	// Audits are pure observation: a run without them is byte-identical.
-	res2, err := Run(Config{
-		Population: pop, Batch: batch, Rounds: 4, Seed: 77, FlagLowAcceptance: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Log.Len() != res.Log.Len() || res2.Metrics.TotalPaid != res.Metrics.TotalPaid {
-		t.Fatal("in-loop audits perturbed the simulation")
-	}
-}
-
-// TestRunSimilarityFairUsesAuditKernel pins the pay-scheme/audit-kernel
-// routing: with in-loop audits on, a nil-PairScores SimilarityFair scheme
-// is rewired through the engine's scoring kernel, and the payments are
-// identical to the default kernel's.
-func TestRunSimilarityFairUsesAuditKernel(t *testing.T) {
-	build := func(scheme pay.Scheme, auditEvery int) Config {
-		cfg := smallConfig(29)
-		cfg.Rounds = 4
-		cfg.PayScheme = scheme
-		cfg.AuditEvery = auditEvery
-		return cfg
-	}
-	routed, err := Run(build(pay.SimilarityFair{}, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Run(build(pay.SimilarityFair{}, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if routed.Metrics.TotalPaid != direct.Metrics.TotalPaid ||
-		routed.Metrics.IncomeGini != direct.Metrics.IncomeGini {
-		t.Fatalf("audit-routed payments differ: %+v vs %+v", routed.Metrics, direct.Metrics)
-	}
-	if routed.Metrics.TotalPaid <= 0 {
-		t.Fatal("no payments issued; scenario exercises nothing")
-	}
-}

@@ -16,24 +16,6 @@ func DCG(gains []float64) float64 {
 	return dcg
 }
 
-// NDCG returns DCG normalised by the ideal (sorted-descending) DCG of the
-// same gains, yielding a score in [0,1]. All-zero gains yield 1 (the list
-// is trivially ideal).
-func NDCG(gains []float64) float64 {
-	ideal := append([]float64(nil), gains...)
-	// Insertion sort descending — gain lists are short.
-	for i := 1; i < len(ideal); i++ {
-		for j := i; j > 0 && ideal[j] > ideal[j-1]; j-- {
-			ideal[j], ideal[j-1] = ideal[j-1], ideal[j]
-		}
-	}
-	idcg := DCG(ideal)
-	if idcg == 0 {
-		return 1
-	}
-	return DCG(gains) / idcg
-}
-
 // RankingSimilarity compares a submitted ranked list against a reference
 // ranking using nDCG: items earn graded relevance by their position in the
 // reference (top item = |ref| ... last = 1, absent = 0), so agreement at the
@@ -73,42 +55,4 @@ func RankingSimilarity(submitted, reference []string) float64 {
 		s = 1
 	}
 	return s
-}
-
-// KendallTau returns the Kendall rank correlation of two rankings over the
-// same item set, mapped to [0,1] (1 = identical order, 0 = reversed).
-// Items present in only one list are ignored; if fewer than two shared
-// items exist the result is 1.
-func KendallTau(a, b []string) float64 {
-	posA := make(map[string]int, len(a))
-	for i, item := range a {
-		posA[item] = i
-	}
-	type pair struct{ pa, pb int }
-	var shared []pair
-	for j, item := range b {
-		if i, ok := posA[item]; ok {
-			shared = append(shared, pair{i, j})
-		}
-	}
-	n := len(shared)
-	if n < 2 {
-		return 1
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			da := shared[i].pa - shared[j].pa
-			db := shared[i].pb - shared[j].pb
-			switch {
-			case da*db > 0:
-				concordant++
-			case da*db < 0:
-				discordant++
-			}
-		}
-	}
-	total := n * (n - 1) / 2
-	tau := float64(concordant-discordant) / float64(total)
-	return (tau + 1) / 2
 }

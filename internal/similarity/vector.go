@@ -6,9 +6,8 @@
 // cosine similarity for skill vectors (Axiom 2), and for contributions
 // names n-grams for text [Damashek 1995] and Discounted Cumulative Gain for
 // ranked lists [Järvelin & Kekäläinen 2002] (Axiom 3). This package
-// provides all of those, plus Jaccard/Dice/Hamming companions, attribute-set
-// similarity with per-field tolerances, and a small registry so checkers can
-// be configured by measure name.
+// provides all of those, plus Jaccard/Dice/Hamming companions and
+// attribute-set similarity with per-field tolerances.
 package similarity
 
 import (
@@ -120,21 +119,3 @@ var (
 		return 0
 	}}
 )
-
-// VectorMeasureByName resolves a measure from its name; the boolean is
-// false for unknown names.
-func VectorMeasureByName(name string) (VectorMeasure, bool) {
-	switch name {
-	case "cosine":
-		return MeasureCosine, true
-	case "jaccard":
-		return MeasureJaccard, true
-	case "dice":
-		return MeasureDice, true
-	case "hamming":
-		return MeasureHamming, true
-	case "exact":
-		return MeasureExact, true
-	}
-	return VectorMeasure{}, false
-}

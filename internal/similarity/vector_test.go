@@ -96,18 +96,6 @@ func TestMeasureExact(t *testing.T) {
 	}
 }
 
-func TestVectorMeasureByName(t *testing.T) {
-	for _, name := range []string{"cosine", "jaccard", "dice", "hamming", "exact"} {
-		m, ok := VectorMeasureByName(name)
-		if !ok || m.Name != name {
-			t.Errorf("measure %q not resolvable", name)
-		}
-	}
-	if _, ok := VectorMeasureByName("nope"); ok {
-		t.Error("unknown measure resolved")
-	}
-}
-
 // Properties every measure must satisfy: symmetry, range [0,1], and
 // self-similarity 1.
 func TestMeasureProperties(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package stats provides deterministic random number generation and
-// descriptive statistics used throughout the crowdfair experiments.
+// Package stats provides deterministic random number generation and the
+// Gini inequality index used throughout the crowdfair experiments.
 //
 // All experiments in this repository must be reproducible bit-for-bit, so
 // the package deliberately avoids math/rand's global source and instead
@@ -58,24 +58,6 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a standard normal variate using the Box–Muller
-// transform. Two uniforms are consumed per call; no state is cached so the
-// stream position stays easy to reason about.
-func (r *RNG) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Gaussian returns a normal variate with the given mean and standard
-// deviation.
-func (r *RNG) Gaussian(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
 }
 
 // Exp returns an exponential variate with the given rate (lambda).

@@ -97,37 +97,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(8)
-	var sum, sq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestGaussianShift(t *testing.T) {
-	r := NewRNG(9)
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		sum += r.Gaussian(10, 2)
-	}
-	if mean := sum / n; math.Abs(mean-10) > 0.1 {
-		t.Fatalf("Gaussian(10,2) mean = %v", mean)
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	r := NewRNG(10)
 	var sum float64

@@ -1,107 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice and
-// panics if q is outside [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
+import "sort"
 
 // Gini returns the Gini coefficient of xs — the canonical inequality index
 // used in the E1 experiment to quantify income disparity across workers.
@@ -129,73 +28,4 @@ func Gini(xs []float64) float64 {
 		return 0
 	}
 	return (2*cum)/(n*total) - (n+1)/n
-}
-
-// DisparityRatio returns max/min over the positive values of xs; it is a
-// coarse fairness indicator (1 means perfectly equal). It returns 1 when
-// fewer than two positive values exist.
-func DisparityRatio(xs []float64) float64 {
-	var lo, hi float64
-	seen := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		if seen == 0 {
-			lo, hi = x, x
-		} else {
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		seen++
-	}
-	if seen < 2 || lo == 0 {
-		return 1
-	}
-	return hi / lo
-}
-
-// Summary bundles the descriptive statistics reported by the benchmark
-// harness for a series of observations.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P90    float64
-	Max    float64
-}
-
-// Describe computes a Summary for xs.
-func Describe(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		P50:    Quantile(xs, 0.5),
-		P90:    Quantile(xs, 0.9),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary as a single human-readable line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4f sd=%.4f min=%.4f p50=%.4f p90=%.4f max=%.4f",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P90, s.Max)
-}
-
-// ConfidenceInterval95 returns the half-width of the 95% normal-approximation
-// confidence interval for the mean of xs (1.96 * sd / sqrt(n)). It returns 0
-// for fewer than two samples.
-func ConfidenceInterval95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
 }

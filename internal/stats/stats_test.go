@@ -2,87 +2,11 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-
-func TestMean(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{1, 2, 3}, 2},
-		{[]float64{-1, 1}, 0},
-	}
-	for _, c := range cases {
-		if got := Mean(c.xs); !almost(got, c.want) {
-			t.Errorf("Mean(%v) = %v, want %v", c.xs, got, c.want)
-		}
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almost(got, 4) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almost(got, 2) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("variance of single sample should be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almost(got, c.want) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile([]float64{1, 2}, 0.5); !almost(got, 1.5) {
-		t.Errorf("interpolated median = %v, want 1.5", got)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-}
-
-func TestQuantilePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Quantile(1.5) did not panic")
-		}
-	}()
-	Quantile([]float64{1}, 1.5)
-}
-
-func TestQuantileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Fatalf("min/max/sum = %v/%v/%v", Min(xs), Max(xs), Sum(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 || Sum(nil) != 0 {
-		t.Fatal("empty slices should give 0")
-	}
-}
 
 func TestGiniKnownValues(t *testing.T) {
 	if got := Gini([]float64{1, 1, 1, 1}); !almost(got, 0) {
@@ -138,62 +62,6 @@ func TestGiniScaleInvariantProperty(t *testing.T) {
 			scaled[i] = 3 * x
 		}
 		return math.Abs(Gini(pos)-Gini(scaled)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDisparityRatio(t *testing.T) {
-	if got := DisparityRatio([]float64{2, 4, 8}); !almost(got, 4) {
-		t.Errorf("DisparityRatio = %v, want 4", got)
-	}
-	if DisparityRatio([]float64{5}) != 1 {
-		t.Error("single value should give 1")
-	}
-	if DisparityRatio([]float64{0, 0}) != 1 {
-		t.Error("no positive values should give 1")
-	}
-	if got := DisparityRatio([]float64{0, 3, 6}); !almost(got, 2) {
-		t.Errorf("zeros ignored: got %v, want 2", got)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	s := Describe([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || !almost(s.Mean, 3) || !almost(s.Min, 1) || !almost(s.Max, 5) || !almost(s.P50, 3) {
-		t.Fatalf("Describe = %+v", s)
-	}
-	if !strings.Contains(s.String(), "n=5") {
-		t.Errorf("Summary.String missing n: %s", s)
-	}
-}
-
-func TestConfidenceInterval95(t *testing.T) {
-	if ConfidenceInterval95([]float64{1}) != 0 {
-		t.Error("CI of single sample should be 0")
-	}
-	ci := ConfidenceInterval95([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	want := 1.96 * 2 / math.Sqrt(8)
-	if !almost(ci, want) {
-		t.Errorf("CI = %v, want %v", ci, want)
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		qa := math.Mod(math.Abs(a), 1)
-		qb := math.Mod(math.Abs(b), 1)
-		if qa > qb {
-			qa, qb = qb, qa
-		}
-		return Quantile(xs, qa) <= Quantile(xs, qb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -10,18 +10,16 @@ import (
 )
 
 // shard is one hash partition of the store: a full set of entity tables,
-// secondary indexes, and a changelog ring, guarded by its own
+// one secondary index, and a changelog ring, guarded by its own
 // RWMutex. Entities are assigned to shards by FNV-1a hash of their primary
 // id, so each mutation touches exactly one shard's lock (plus read-only
 // existence probes of referenced shards) and mutation throughput scales with
 // the shard count instead of serialising on a single store-wide mutex.
 //
-// Index invariants: tasksByReq entries are sorted ascending by id;
-// contribsByTask / contribsByWorker entries are sorted by (SubmittedAt, ID).
-// Sorting is maintained at insert time so the hot read paths merge
-// pre-sorted runs instead of re-sorting per call.
-// Every index lists only entities owned by this shard; store-level readers
-// merge across shards.
+// Index invariant: contribsByTask, the one secondary index, lists only
+// contributions owned by this shard, sorted by (SubmittedAt, ID). Sorting
+// is maintained at insert time so ContributionsByTask merges pre-sorted
+// per-shard runs instead of re-sorting per call.
 //
 // Every mutation is recorded through two LogSinks under the shard's write
 // lock: the always-present in-memory changelog ring (what ChangesSince and
@@ -37,9 +35,7 @@ type shard struct {
 	tasks      map[model.TaskID]*model.Task
 	contribs   map[model.ContributionID]*model.Contribution
 
-	tasksByReq       map[model.RequesterID][]model.TaskID
-	contribsByTask   map[model.TaskID][]model.ContributionID
-	contribsByWorker map[model.WorkerID][]model.ContributionID
+	contribsByTask map[model.TaskID][]model.ContributionID
 
 	// applied is the highest global version recorded in this shard — the
 	// shard's watermark. Every mutation with a version at or below applied
@@ -55,14 +51,12 @@ type shard struct {
 
 func newShard(clogCap int) *shard {
 	return &shard{
-		workers:          make(map[model.WorkerID]*model.Worker),
-		requesters:       make(map[model.RequesterID]*model.Requester),
-		tasks:            make(map[model.TaskID]*model.Task),
-		contribs:         make(map[model.ContributionID]*model.Contribution),
-		tasksByReq:       make(map[model.RequesterID][]model.TaskID),
-		contribsByTask:   make(map[model.TaskID][]model.ContributionID),
-		contribsByWorker: make(map[model.WorkerID][]model.ContributionID),
-		ring:             changeRing{cap: clogCap},
+		workers:        make(map[model.WorkerID]*model.Worker),
+		requesters:     make(map[model.RequesterID]*model.Requester),
+		tasks:          make(map[model.TaskID]*model.Task),
+		contribs:       make(map[model.ContributionID]*model.Contribution),
+		contribsByTask: make(map[model.TaskID][]model.ContributionID),
+		ring:           changeRing{cap: clogCap},
 	}
 }
 
@@ -109,16 +103,6 @@ func fnv64a(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// insertSortedID inserts id into an ascending id slice, preallocating only
-// the single appended slot (no re-sort).
-func insertSortedID[T ~string](ids []T, id T) []T {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	ids = append(ids, id)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
 }
 
 // contribPos finds the position of the (at, id) key in a contribution index

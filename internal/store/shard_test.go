@@ -298,7 +298,7 @@ func workerIDForShard(t *testing.T, s *Store, shard int, tag int) model.WorkerID
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		id := model.WorkerID(fmt.Sprintf("w%d-%04d", tag, i))
-		if s.WorkerShard(id) == shard {
+		if s.shardIndex(string(id)) == shard {
 			return id
 		}
 	}
@@ -320,7 +320,7 @@ func TestShardRingOverflowTruncation(t *testing.T) {
 	var req model.RequesterID
 	for i := 0; ; i++ {
 		id := model.RequesterID(fmt.Sprintf("r%03d", i))
-		if s.RequesterShard(id) == 1 {
+		if s.shardIndex(string(id)) == 1 {
 			req = id
 			break
 		}

@@ -159,18 +159,6 @@ func commitOutside(sh *shard, fn func() (wal.Commit, error)) error {
 	return ack.Wait()
 }
 
-// WorkerShard returns the index of the shard owning the worker id.
-func (s *Store) WorkerShard(id model.WorkerID) int { return s.shardIndex(string(id)) }
-
-// RequesterShard returns the index of the shard owning the requester id.
-func (s *Store) RequesterShard(id model.RequesterID) int { return s.shardIndex(string(id)) }
-
-// TaskShard returns the index of the shard owning the task id.
-func (s *Store) TaskShard(id model.TaskID) int { return s.shardIndex(string(id)) }
-
-// ContributionShard returns the index of the shard owning the contribution.
-func (s *Store) ContributionShard(id model.ContributionID) int { return s.shardIndex(string(id)) }
-
 // --- Workers ---
 
 // PutWorker validates and inserts a worker. The store keeps its own clone,
@@ -458,7 +446,6 @@ func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver uint64) (wal.Commit,
 	}
 	c := t.Clone()
 	sh.tasks[c.ID] = c
-	sh.tasksByReq[c.Requester] = insertSortedID(sh.tasksByReq[c.Requester], c.ID)
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
 		Change: Change{Version: v, Op: OpInsert, Entity: EntityTask, Task: c.ID, Requester: c.Requester},
@@ -543,17 +530,6 @@ func (s *Store) TaskCount() int {
 	return n
 }
 
-// TasksByRequester returns ids of tasks posted by the requester, sorted.
-func (s *Store) TasksByRequester(id model.RequesterID) []model.TaskID {
-	shs, release := s.rlockView()
-	per := make([][]model.TaskID, len(shs))
-	for i, sh := range shs {
-		per[i] = append([]model.TaskID(nil), sh.tasksByReq[id]...)
-	}
-	release()
-	return mergeSorted(per, func(a, b model.TaskID) bool { return a < b })
-}
-
 // --- Contributions ---
 
 // PutContribution validates and inserts a contribution; its task and worker
@@ -589,7 +565,6 @@ func (s *Store) putContributionLocked(sh *shard, c *model.Contribution, ver uint
 	cc := c.Clone()
 	sh.contribs[cc.ID] = cc
 	sh.contribsByTask[cc.Task] = insertContribID(sh.contribsByTask[cc.Task], sh.contribs, cc.ID)
-	sh.contribsByWorker[cc.Worker] = insertContribID(sh.contribsByWorker[cc.Worker], sh.contribs, cc.ID)
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
 		Change: Change{
@@ -638,12 +613,10 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver u
 	cc := c.Clone()
 	if old.SubmittedAt != c.SubmittedAt {
 		// The (SubmittedAt, ID) sort key moved: re-position the index
-		// entries before swapping in the new value.
+		// entry before swapping in the new value.
 		sh.contribsByTask[c.Task] = removeContribID(sh.contribsByTask[c.Task], sh.contribs, old.SubmittedAt, c.ID)
-		sh.contribsByWorker[c.Worker] = removeContribID(sh.contribsByWorker[c.Worker], sh.contribs, old.SubmittedAt, c.ID)
 		sh.contribs[c.ID] = cc
 		sh.contribsByTask[c.Task] = insertContribID(sh.contribsByTask[c.Task], sh.contribs, c.ID)
-		sh.contribsByWorker[c.Worker] = insertContribID(sh.contribsByWorker[c.Worker], sh.contribs, c.ID)
 	} else {
 		sh.contribs[c.ID] = cc
 	}
@@ -720,8 +693,8 @@ func (s *Store) ContributionCount() int {
 	return n
 }
 
-// contribOrderLess is the (SubmittedAt, ID) read order of the per-task and
-// per-worker contribution listings.
+// contribOrderLess is the (SubmittedAt, ID) read order of the per-task
+// contribution listing.
 func contribOrderLess(a, b *model.Contribution) bool {
 	if a.SubmittedAt != b.SubmittedAt {
 		return a.SubmittedAt < b.SubmittedAt
@@ -737,28 +710,6 @@ func (s *Store) ContributionsByTask(id model.TaskID) []*model.Contribution {
 	per := make([][]*model.Contribution, len(shs))
 	for i, sh := range shs {
 		ids := sh.contribsByTask[id]
-		out := make([]*model.Contribution, len(ids))
-		for k, cid := range ids {
-			out[k] = sh.contribs[cid]
-		}
-		per[i] = out
-	}
-	release()
-	for _, run := range per {
-		for k, c := range run {
-			run[k] = c.Clone()
-		}
-	}
-	return mergeSorted(per, contribOrderLess)
-}
-
-// ContributionsByWorker returns copies of the contributions by a worker,
-// ordered by submission time then id.
-func (s *Store) ContributionsByWorker(id model.WorkerID) []*model.Contribution {
-	shs, release := s.rlockView()
-	per := make([][]*model.Contribution, len(shs))
-	for i, sh := range shs {
-		ids := sh.contribsByWorker[id]
 		out := make([]*model.Contribution, len(ids))
 		for k, cid := range ids {
 			out[k] = sh.contribs[cid]

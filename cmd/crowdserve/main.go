@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	dir := fs.String("dir", "", "platform directory (empty: in-memory, no durability)")
-	walSync := fs.String("walsync", "interval:5ms", "WAL fsync policy with -dir (never|rotate|interval[:dur]|always)")
+	walSync := fs.String("walsync", "interval:5ms", "WAL sync policy with -dir: never (ack once written), interval[:dur] (fsync every dur), always (ack after fsync)")
 	skills := fs.Int("skills", 12, "skill-universe size when creating a fresh platform")
 	maxQueue := fs.Int("maxqueue", 4096, "bound on mutations in flight; arrivals beyond it shed with 429")
 	maxAuditLag := fs.Uint64("maxauditlag", 0, "shed mutations once the audit snapshot trails by more versions than this (0: disabled)")

@@ -95,23 +95,24 @@ type (
 	SyncPolicy = wal.SyncPolicy
 )
 
-// Sync policies for WALOptions.Sync, weakest to strongest. SyncAlways and
-// SyncInterval commit through per-shard group commit: one fsync covers
-// every append queued while the previous fsync ran, so durable throughput
-// stays within small-integer multiples of SyncNever under concurrency.
+// Sync policies for WALOptions.Sync, weakest to strongest. Every policy
+// appends through per-shard group commit: one write — and, for SyncAlways
+// and SyncInterval, one fsync — covers every append queued while the
+// previous one ran, so durable throughput stays within small-integer
+// multiples of SyncNever under concurrency.
 var (
-	// SyncNever leaves flushing to the OS: a process crash loses nothing,
-	// a power failure loses the unsynced tail.
+	// SyncNever acks a mutation once its batch is written to the segment
+	// file and leaves flushing to the OS: a process crash loses nothing
+	// acknowledged, a power failure loses the unsynced tail.
 	SyncNever = wal.SyncNever
-	// SyncOnRotate fsyncs each segment as it is sealed.
-	SyncOnRotate = wal.SyncOnRotate
 	// SyncAlways acks each mutation only after a covering group fsync.
 	SyncAlways = wal.SyncAlways
-	// SyncInterval(d) acks immediately and fsyncs the accumulated tail
-	// every d: a crash loses at most the last d of acknowledged writes.
+	// SyncInterval(d) acks immediately and writes and fsyncs the
+	// accumulated batch every d: a crash loses at most the last d of
+	// acknowledged writes.
 	SyncInterval = wal.SyncInterval
-	// ParseSyncPolicy parses "never", "rotate", "interval[:<dur>]", or
-	// "always" — the flag/config syntax.
+	// ParseSyncPolicy parses "never", "interval[:<dur>]", or "always" —
+	// the flag syntax.
 	ParseSyncPolicy = wal.ParseSyncPolicy
 )
 
@@ -167,8 +168,8 @@ func OpenPlatform(dir string, u *Universe, cfg AuditConfig) (*Platform, error) {
 
 // OpenPlatformWAL is OpenPlatform with explicit write-ahead log tuning:
 // wopts.Sync selects the durability/throughput trade (SyncNever,
-// SyncOnRotate, SyncInterval, SyncAlways) for both the store changelog and
-// the event trace, and wopts.SegmentBytes the rotation threshold. The
+// SyncInterval, SyncAlways) for both the store changelog and the event
+// trace, and wopts.SegmentBytes the rotation threshold. The
 // policy is an open-time property, not a stored one — the same directory
 // may be reopened under a different policy.
 func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions) (*Platform, error) {
@@ -257,49 +258,26 @@ func (p *Platform) Close() error {
 	return errors.Join(p.st.Close(), p.log.Close())
 }
 
-// AddWorker registers a worker and logs their arrival.
-func (p *Platform) AddWorker(w *Worker) error {
-	if err := p.st.PutWorker(w); err != nil {
-		return err
-	}
-	p.log.MustAppend(eventlog.Event{Time: p.now(), Type: eventlog.WorkerJoined, Worker: w.ID})
-	return nil
-}
+// AddWorker registers a worker and logs their arrival: AddWorkers with one
+// worker, so a write-ahead log error comes back as an error.
+func (p *Platform) AddWorker(w *Worker) error { return p.AddWorkers([]*Worker{w}) }
 
 // AddRequester registers a requester.
 func (p *Platform) AddRequester(r *Requester) error { return p.st.PutRequester(r) }
 
-// PostTask publishes a task and logs TaskPosted.
-func (p *Platform) PostTask(t *Task) error {
-	if err := p.st.PutTask(t); err != nil {
-		return err
-	}
-	p.log.MustAppend(eventlog.Event{Time: p.now(), Type: eventlog.TaskPosted, Task: t.ID, Requester: t.Requester})
-	return nil
-}
+// PostTask publishes a task and logs TaskPosted (PostTasks with one task).
+func (p *Platform) PostTask(t *Task) error { return p.PostTasks([]*Task{t}) }
 
 // Offer records that a task was made visible to a worker — the access
-// evidence Axioms 1 and 2 audit.
+// evidence Axioms 1 and 2 audit (OfferBatch with one offer).
 func (p *Platform) Offer(task TaskID, worker WorkerID) error {
-	t, err := p.offeredTask(task, worker)
-	if err != nil {
-		return err
-	}
-	p.log.MustAppend(eventlog.Event{
-		Time: p.now(), Type: eventlog.TaskOffered, Task: task, Worker: worker, Requester: t.Requester,
-	})
-	return nil
+	return p.OfferBatch([]Offer{{Task: task, Worker: worker}})
 }
 
-// RecordContribution stores a contribution and its submission event.
+// RecordContribution stores a contribution and its submission event
+// (RecordContributions with one contribution).
 func (p *Platform) RecordContribution(c *Contribution) error {
-	if err := p.st.PutContribution(c); err != nil {
-		return err
-	}
-	p.log.MustAppend(eventlog.Event{
-		Time: p.now(), Type: eventlog.TaskSubmitted, Task: c.Task, Worker: c.Worker, Contribution: c.ID,
-	})
-	return nil
+	return p.RecordContributions([]*Contribution{c})
 }
 
 // AppendEvent appends a raw trace event (for replaying external traces).

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/similarity"
+	"repro/internal/store"
 )
 
 // TestAuditIncrementalReusesEngineWithCustomAttrPolicy is the regression
@@ -190,6 +191,26 @@ func TestLoadTraceRefusedOnDurablePlatform(t *testing.T) {
 	defer p.Close()
 	if err := p.LoadTrace(nil); err == nil {
 		t.Fatal("LoadTrace succeeded on a durable platform")
+	}
+}
+
+// TestSingularMutatorsReturnWALErrors: on a durable platform a write-ahead
+// log error comes back from the single-entity mutators as an error, never
+// a panic. With one-byte segments every event batch rotates, and with the
+// events directory gone the rotation cannot open the next segment.
+func TestSingularMutatorsReturnWALErrors(t *testing.T) {
+	dir := t.TempDir()
+	u := NewUniverse("labeling")
+	p, err := OpenPlatformWAL(dir, u, DefaultAuditConfig(), WALOptions{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := os.RemoveAll(store.EventsDir(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddWorker(&Worker{ID: "w1", Skills: u.MustVector("labeling")}); err == nil {
+		t.Fatal("AddWorker reported success with the events directory gone")
 	}
 }
 

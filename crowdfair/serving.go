@@ -14,10 +14,11 @@ type Offer struct {
 	Worker WorkerID `json:"Worker"`
 }
 
-// The batch mutation entry points below are the serving hot path. No
-// front-end coalesces: the HTTP server calls them with one entity per
-// request, concurrently, because unlike the single-entity methods they
-// return a log error instead of panicking. The store fans a batch out by
+// The batch mutation entry points below are the serving hot path, and the
+// single-entity methods (AddWorker, PostTask, Offer, RecordContribution)
+// are their one-element calls. No front-end coalesces: the HTTP server
+// calls them with one entity per request, concurrently, and a write-ahead
+// log error comes back as an error. The store fans a batch out by
 // owning shard under a single lock acquisition per shard (store.bulkApply),
 // and concurrent callers share fsyncs in the WAL's group commit. Events are
 // appended after the entities land so a replayed trace never references an

@@ -103,7 +103,7 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	}
 	defer log2.Close()
 
-	warm := resumeFromManifest(t, st2, log2, cfg, man)
+	warm := resumeFromManifest(t, dir, st2, log2, cfg, man)
 	pass := warm.AuditPass()
 	warmReports, full := pass.Reports, fairness.CheckAll(st2, log2, cfg)
 	requirePass(t, 0, pass, full)

@@ -52,10 +52,11 @@ func checkpointWithAudit(tb testing.TB, st *store.Store, log *eventlog.Log, eng 
 	return man
 }
 
-// resumeFromManifest recovers the engine from the sidecar a manifest names.
-func resumeFromManifest(tb testing.TB, st *store.Store, log *eventlog.Log, cfg fairness.Config, man *store.Manifest) *Engine {
+// resumeFromManifest recovers the engine from the sidecar a manifest in
+// dir names.
+func resumeFromManifest(tb testing.TB, dir string, st *store.Store, log *eventlog.Log, cfg fairness.Config, man *store.Manifest) *Engine {
 	tb.Helper()
-	state, err := LoadState(st.Dir(), man, cfg)
+	state, err := LoadState(dir, man, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestResumeWarmEqualsCold(t *testing.T) {
 	}
 	defer log2.Close()
 
-	warm := resumeFromManifest(t, st2, log2, cfg, man)
+	warm := resumeFromManifest(t, dir, st2, log2, cfg, man)
 	pass := warm.AuditPass()
 	warmReports, full := pass.Reports, fairness.CheckAll(st2, log2, cfg)
 	requirePass(t, 0, pass, full)
@@ -166,7 +167,7 @@ func TestResumeAfterTornRecord(t *testing.T) {
 		t.Fatalf("recovered version %d below checkpoint %d", st2.Version(), man.Version)
 	}
 
-	warm := resumeFromManifest(t, st2, log2, cfg, man)
+	warm := resumeFromManifest(t, dir, st2, log2, cfg, man)
 	warmReports := warm.Audit()
 	full := fairness.CheckAll(st2, log2, cfg)
 	requireEquivalent(t, 0, warmReports, full)

@@ -175,7 +175,7 @@ func TestStateImageIsDeterministic(t *testing.T) {
 	if again := BuildCheckpointOptions(eng, cfg, s.log.Len()).Audit; !bytes.Equal(again, saved) {
 		t.Fatal("the same engine saved two different images")
 	}
-	warm := resumeFromManifest(t, s.st, s.log, cfg, man)
+	warm := resumeFromManifest(t, dir, s.st, s.log, cfg, man)
 	if again := BuildCheckpointOptions(warm, cfg, s.log.Len()).Audit; !bytes.Equal(again, saved) {
 		t.Fatal("a warm-started engine re-saved a different image")
 	}

@@ -126,13 +126,6 @@ func OpenDurable(dir string, opts wal.Options) (*Log, error) {
 	return l, nil
 }
 
-// Durable reports whether the log tees appends into a write-ahead log.
-func (l *Log) Durable() bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.sink != nil
-}
-
 // Sync flushes the durable tee to stable storage (no-op when volatile).
 func (l *Log) Sync() error {
 	l.mu.Lock()

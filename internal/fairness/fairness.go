@@ -213,33 +213,6 @@ func (r *Report) String() string {
 		r.Axiom, r.Checked, len(r.Violations), r.ViolationRate())
 }
 
-// jaccardIDs computes the Jaccard overlap of two id sets.
-func jaccardIDs[T ~string](a, b []T) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	set := make(map[T]bool, len(a))
-	for _, x := range a {
-		set[x] = true
-	}
-	shared := 0
-	setB := make(map[T]bool, len(b))
-	for _, x := range b {
-		if setB[x] {
-			continue
-		}
-		setB[x] = true
-		if set[x] {
-			shared++
-		}
-	}
-	union := len(set) + len(setB) - shared
-	if union == 0 {
-		return 1
-	}
-	return float64(shared) / float64(union)
-}
-
 // idSet is a precomputed id set with an order-independent fingerprint, so
 // the checkers can compare many offer sets pairwise without rebuilding maps
 // per pair and can shortcut the (common) identical-sets case.

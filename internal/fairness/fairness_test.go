@@ -130,22 +130,6 @@ func TestAxiom1IgnoresDissimilarWorkers(t *testing.T) {
 	}
 }
 
-func TestAxiom1ExhaustiveMatchesIndexed(t *testing.T) {
-	s := twinStore(t)
-	log := offerLog(map[string][]string{
-		"w1": {"t1", "t2"},
-		"w2": {"t1"},
-	})
-	cfg := DefaultConfig()
-	indexed := CheckAxiom1(s, log, cfg)
-	cfg.Exhaustive = true
-	exhaustive := CheckAxiom1(s, log, cfg)
-	if len(indexed.Violations) != len(exhaustive.Violations) {
-		t.Fatalf("indexed %d vs exhaustive %d violations",
-			len(indexed.Violations), len(exhaustive.Violations))
-	}
-}
-
 func TestAxiom1SkilllessWorkersCompared(t *testing.T) {
 	u := model.MustUniverse("s")
 	s := store.New(u)
@@ -399,6 +383,33 @@ func TestIncomeGini(t *testing.T) {
 	if withIdle <= withoutIdle {
 		t.Fatalf("idle workers should increase inequality: %v vs %v", withIdle, withoutIdle)
 	}
+}
+
+// jaccardIDs is the map-based reference Jaccard overlap of two id sets.
+func jaccardIDs[T ~string](a, b []T) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	set := make(map[T]bool, len(a))
+	for _, x := range a {
+		set[x] = true
+	}
+	shared := 0
+	setB := make(map[T]bool, len(b))
+	for _, x := range b {
+		if setB[x] {
+			continue
+		}
+		setB[x] = true
+		if set[x] {
+			shared++
+		}
+	}
+	union := len(set) + len(setB) - shared
+	if union == 0 {
+		return 1
+	}
+	return float64(shared) / float64(union)
 }
 
 // idSet.jaccard must agree with the reference jaccardIDs on random sets.

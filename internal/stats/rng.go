@@ -7,8 +7,6 @@
 // is safe to copy (value semantics are never relied upon; use New).
 package stats
 
-import "math"
-
 // RNG is a deterministic pseudo-random number generator based on
 // splitmix64 (Steele, Lea, Flood 2014). It is small, fast, passes BigCrush
 // for the intended workload sizes, and — unlike math/rand's default source —
@@ -60,19 +58,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Exp returns an exponential variate with the given rate (lambda).
-// It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exp called with non-positive rate")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // Perm returns a uniformly random permutation of [0, n) using
 // Fisher–Yates.
 func (r *RNG) Perm(n int) []int {
@@ -93,27 +78,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Pick returns a uniformly chosen index weighted by weights, which must be
-// non-negative and not all zero; it panics otherwise.
-func (r *RNG) Pick(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: Pick called with negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("stats: Pick called with all-zero weights")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

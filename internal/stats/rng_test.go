@@ -97,31 +97,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewRNG(10)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Exp(2)
-		if v < 0 {
-			t.Fatalf("Exp produced negative %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.02 {
-		t.Fatalf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestExpPanicsOnBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exp(0) did not panic")
-		}
-	}()
-	NewRNG(1).Exp(0)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(11)
 	for _, n := range []int{0, 1, 2, 10, 100} {
@@ -171,43 +146,5 @@ func TestShuffle(t *testing.T) {
 	}
 	if sum != 45 {
 		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
-func TestPickRespectsWeights(t *testing.T) {
-	r := NewRNG(14)
-	counts := [3]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Pick([]float64{1, 2, 1})]++
-	}
-	frac := float64(counts[1]) / n
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Fatalf("middle weight picked %v, want ~0.5", frac)
-	}
-}
-
-func TestPickZeroWeightNeverChosen(t *testing.T) {
-	r := NewRNG(15)
-	for i := 0; i < 10000; i++ {
-		if r.Pick([]float64{1, 0, 1}) == 1 {
-			t.Fatal("zero-weight index chosen")
-		}
-	}
-}
-
-func TestPickPanics(t *testing.T) {
-	for name, ws := range map[string][]float64{
-		"all-zero": {0, 0},
-		"negative": {1, -1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Pick(%s) did not panic", name)
-				}
-			}()
-			NewRNG(1).Pick(ws)
-		}()
 	}
 }

@@ -216,50 +216,28 @@ func NewDurable(u *model.Universe, shards int, dir string, opts wal.Options) (*S
 }
 
 // attachWAL makes a not-yet-published store durable under dir: every shard
-// gets a write-ahead sink on its directory.
+// gets a write-ahead log on its directory.
 func (s *Store) attachWAL(dir string, opts wal.Options) error {
 	s.dir = dir
 	for i, sh := range s.shards {
-		sink, err := newWALSink(WALShardDir(dir, i), opts)
+		w, err := wal.Create(WALShardDir(dir, i), opts)
 		if err != nil {
 			return err
 		}
-		sh.wal = sink
-	}
-	return nil
-}
-
-// Dir returns the persistence root ("" for a volatile store).
-func (s *Store) Dir() string { return s.dir }
-
-// Durable reports whether mutations are teed into a write-ahead log.
-func (s *Store) Durable() bool { return s.dir != "" }
-
-// SyncWAL flushes every shard's durable sink to stable storage.
-func (s *Store) SyncWAL() error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		var err error
-		if sh.wal != nil {
-			err = sh.wal.Sync()
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
+		sh.wal = w
 	}
 	return nil
 }
 
 // WALStats aggregates the append/batch/fsync counters of every live
-// shard sink — zero for volatile stores. Appends/Syncs is the realised
+// shard WAL — zero for volatile stores. Appends/Syncs is the realised
 // group-commit amortisation.
 func (s *Store) WALStats() wal.WriterStats {
 	var agg wal.WriterStats
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		if ws, ok := sh.wal.(*walSink); ok && ws != nil {
-			st := ws.Stats()
+		if sh.wal != nil {
+			st := sh.wal.Stats()
 			agg.Appends += st.Appends
 			agg.Batches += st.Batches
 			agg.Syncs += st.Syncs
@@ -269,13 +247,13 @@ func (s *Store) WALStats() wal.WriterStats {
 	return agg
 }
 
-// Close closes every shard's durable sink and detaches it. The store
+// Close closes every shard's WAL and detaches it. The store
 // stays fully usable in memory afterwards — reads and even mutations
 // succeed — but durability ends: post-Close mutations are never written
 // to the WAL and will be absent after the next Open.
 func (s *Store) Close() error {
 	// ckptMu excludes a concurrent Checkpoint, which rotates and truncates
-	// the sinks Close detaches.
+	// the logs Close detaches.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	var firstErr error
@@ -369,20 +347,19 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 
 	// The manifest is durable: segments at or below each shard's low-water
 	// are dead. Rotate first so the active segment becomes truncatable too.
-	// All mutators are blocked on the shard locks, so touching the sinks
+	// All mutators are blocked on the shard locks, so touching the logs
 	// here is race-free.
 	for i, sh := range shs {
-		ws, ok := sh.wal.(*walSink)
-		if !ok || ws == nil {
+		if sh.wal == nil {
 			continue
 		}
-		if err := ws.w.Sync(); err != nil {
+		if err := sh.wal.Sync(); err != nil {
 			return nil, err
 		}
-		if err := ws.w.Rotate(); err != nil {
+		if err := sh.wal.Rotate(); err != nil {
 			return nil, err
 		}
-		if err := ws.w.TruncateBefore(m.LowWater[i]); err != nil {
+		if err := sh.wal.TruncateBefore(m.LowWater[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -470,7 +447,7 @@ func openSnapshot(dir string, man *Manifest) (*Store, error) {
 // first version gap; the longest globally valid prefix survives a torn or
 // corrupted final record. shards must be 0 or the manifest's width — a
 // store keeps the width it was created with. The returned store has live
-// WAL sinks attached and continues appending where the recovered log ends.
+// WALs attached and continues appending where the recovered log ends.
 func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
@@ -506,7 +483,7 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 	}
 
 	// Drop any records past the recovered prefix so reopened writers
-	// continue a dense log, then attach live sinks.
+	// continue a dense log, then attach live writers.
 	for i := range s.shards {
 		if err := wal.TruncateAfter(WALShardDir(dir, i), lastApplied); err != nil {
 			return nil, nil, err
@@ -519,9 +496,9 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 }
 
 // Bootstrap rebuilds the checkpointed state of a durable store directory
-// without attaching WAL sinks, replaying the tail, or truncating anything
+// without attaching WAL writers, replaying the tail, or truncating anything
 // on disk — the read-only foundation a replica (internal/replica) builds
-// on. The returned store is volatile (Durable() == false) and positioned
+// on. The returned store is volatile (no WAL attached) and positioned
 // exactly at the manifest: Version() == manifest version, every ring empty
 // with droppedMax at the manifest version, so changelog consumers start
 // from the WAL tail the replica will feed through Apply.
@@ -543,7 +520,7 @@ func Bootstrap(dir string) (*Store, *Manifest, error) {
 }
 
 // DecodeWALMutation decodes one changelog WAL frame (key = version,
-// payload as written by the store's sinks) — the ingestion side of WAL
+// payload as written by the store's shards) — the ingestion side of WAL
 // shipping.
 func DecodeWALMutation(key uint64, payload []byte) (Mutation, error) {
 	return decodeMutation(key, payload, walEpoch)
@@ -651,7 +628,7 @@ func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSna
 // applyReplay applies one post-snapshot WAL mutation with its original
 // version. The store is not yet published, so no locks are needed; the
 // locked helpers only assume the lock is held, they do not acquire it.
-// Sinks are not attached during replay, so the ticket is always zero.
+// WALs are not attached during replay, so the ticket is always zero.
 func (s *Store) applyReplay(m Mutation) error {
 	_, err := s.applyMutation(s.shardFor(m.primaryID()), m)
 	return err

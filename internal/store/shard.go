@@ -21,11 +21,11 @@ import (
 // is maintained at insert time so ContributionsByTask merges pre-sorted
 // per-shard runs instead of re-sorting per call.
 //
-// Every mutation is recorded through two LogSinks under the shard's write
-// lock: the always-present in-memory changelog ring (what ChangesSince and
-// the incremental auditors read) and, on durable stores, a write-ahead sink
-// teeing the same stream — change plus entity post-image — to segmented
-// files (internal/wal). Appending under the lock is what keeps the on-disk
+// Every mutation is recorded twice under the shard's write lock: into the
+// always-present in-memory changelog ring (what ChangesSince and the
+// incremental auditors read) and, on durable stores, into the shard's
+// write-ahead log — change plus entity post-image, in segmented files
+// (internal/wal). Appending under the lock is what keeps the on-disk
 // record order identical to the version order.
 type shard struct {
 	mu sync.RWMutex
@@ -43,10 +43,12 @@ type shard struct {
 	// read.
 	applied uint64
 
-	// ring is the in-memory changelog sink; wal, when non-nil, is the
-	// durable write-ahead sink the same stream is teed into.
-	ring changeRing
-	wal  LogSink
+	// ring is the in-memory changelog; wal, when non-nil, is the durable
+	// write-ahead log the same stream is teed into, and scratch its
+	// record-encoding buffer.
+	ring    changeRing
+	wal     *wal.Writer
+	scratch []byte
 }
 
 func newShard(clogCap int) *shard {
@@ -60,25 +62,27 @@ func newShard(clogCap int) *shard {
 	}
 }
 
-// record tees a mutation into the shard's sinks under the already-held
-// write lock and advances the shard watermark. The in-memory state is
-// already applied when record runs; a WAL failure therefore leaves the
-// change live in memory but possibly not on disk, and the returned error
-// tells the mutator durability was not achieved. The returned ticket is
-// the durable sink's group-commit ack: mutators Wait on it after
-// releasing the shard lock, so the covering fsync never runs under the
-// lock.
+// record tees a mutation into the shard's ring and WAL under the
+// already-held write lock and advances the shard watermark. The in-memory
+// state is already applied when record runs; a WAL failure therefore
+// leaves the change live in memory but possibly not on disk, and the
+// returned error tells the mutator durability was not achieved. The
+// returned ticket is the WAL's group-commit ack: mutators Wait on it
+// after releasing the shard lock, so the batch write and its fsync never
+// run under the lock. AppendAsync copies the frame into its batch, so
+// scratch is free for the next record as soon as it returns.
 func (sh *shard) record(m Mutation) (wal.Commit, error) {
 	sh.applied = m.Change.Version
 	sh.ring.record(m.Change)
-	if sh.wal != nil {
-		ack, err := sh.wal.Append(m)
-		if err != nil {
-			return wal.Commit{}, fmt.Errorf("store: wal append: %w", err)
-		}
-		return ack, nil
+	if sh.wal == nil {
+		return wal.Commit{}, nil
 	}
-	return wal.Commit{}, nil
+	sh.scratch = encodeMutation(sh.scratch[:0], m, walEpoch)
+	ack, err := sh.wal.AppendAsync(m.Change.Version, sh.scratch)
+	if err != nil {
+		return wal.Commit{}, fmt.Errorf("store: wal append: %w", err)
+	}
+	return ack, nil
 }
 
 // setChangelogCap resizes this shard's retention window, dropping the oldest

@@ -30,10 +30,10 @@
 // internal/audit — read the per-shard changelogs through ShardChangesSince
 // (or the version-merged ChangesSince) to re-check only what moved.
 //
-// Durability: each shard's changelog is a LogSink pair — the in-memory
-// ring plus, on stores built with NewDurable or Open, a write-ahead sink
-// appending change + entity post-image to segmented files under the shard
-// lock (internal/wal), so the on-disk order equals the version order.
+// Durability: each shard records its changelog into the in-memory ring
+// and, on stores built with NewDurable or Open, into its own write-ahead
+// log, appending change + entity post-image to segmented files under the
+// shard lock (internal/wal), so the on-disk order equals the version order.
 // Checkpoint pins a snapshot and truncates dead segments; Open rebuilds
 // the snapshot and replays the WAL tail with original version numbers,
 // recovering the longest globally dense prefix after a torn final record
@@ -86,7 +86,7 @@ type Store struct {
 
 	// dir is the persistence root of a durable store ("" when volatile).
 	// ckptMu serialises Checkpoint and Close, which both touch every
-	// shard's sink at once.
+	// shard's WAL at once.
 	dir    string
 	ckptMu sync.Mutex
 }

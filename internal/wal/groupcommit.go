@@ -1,56 +1,55 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
-	"runtime"
 	"time"
 )
 
-// Group commit: the durable policies (SyncAlways, SyncInterval) never fsync
-// per append. AppendAsync frames the record into the writer's open batch
-// under qmu and returns a Commit ticket; durability happens when a leader
-// seals the batch, writes it with one Write call, issues one fsync, and
-// wakes every ticket the batch covered.
+// Group commit is the writer's one append path. AppendAsync frames the
+// record into the writer's open batch under qmu and returns a Commit
+// ticket; a leader later seals the batch, writes it with one Write call
+// (one per segment when it crosses a rotation), fsyncs it when the policy
+// is durable, and wakes every ticket the batch covered.
 //
-// Leader election is the flush mutex: under SyncAlways the first waiter to
-// acquire flushMu becomes the leader and followers piggyback (they block on
-// flushMu or the batch's done channel and find their batch already
-// committed); under SyncInterval a background committer drains the batch on
-// a ticker and appenders do not wait at all — the crash-loss window is the
-// tick.
+// The sync policy decides two things only. Whether the appender waits:
+// under SyncNever and SyncAlways the ticket is live and Wait makes its
+// caller the flush leader unless another leader covered the batch first
+// (followers block on flushMu or the batch's done channel and find their
+// batch already written); under SyncInterval the ticket is zero and a
+// background committer drains the batch on a ticker — the crash-loss
+// window is the tick. And whether a flush fsyncs: SyncInterval and
+// SyncAlways do, SyncNever leaves the written batch to the OS.
 //
 // Invariant (what makes "wait on the last ticket covers the whole group"
 // sound, see store.bulkApply): batches seal and complete strictly in append
-// order. cur is replaced only by flushLocked, which writes, fsyncs, and
-// closes the old batch's done channel before flushMu is released, so a
-// later batch can never commit — or fail — ahead of an earlier one. A
-// failed flush latches w.err, and every subsequent batch fails with that
-// sticky error without writing, so durability errors cannot be skipped
-// over.
+// order. cur is replaced only by flushLocked, which writes (and fsyncs)
+// and closes the old batch's done channel before flushMu is released, so
+// a later batch can never commit — or fail — ahead of an earlier one. A
+// failed flush latches w.err, and every subsequent append and batch fails
+// with that sticky error without writing, so write errors cannot be
+// skipped over.
 
 // batch is one group-commit unit: framed records from consecutive
-// AppendAsync calls, flushed with a single write+fsync.
+// AppendAsync calls, flushed together by writeBatch.
 type batch struct {
-	buf    []byte
-	count  int
-	maxKey uint64
-	done   chan struct{} // closed once the batch is committed or failed
-	err    error         // valid after done is closed
+	buf  []byte
+	done chan struct{} // closed once the batch is committed or failed
+	err  error         // valid after done is closed
 }
 
-// Commit is the durability ticket AppendAsync returns. The zero Commit is
-// already durable (ungrouped policies, memory sinks): Wait returns nil
-// immediately.
+// Commit is the ticket AppendAsync returns. The zero Commit (SyncInterval
+// appends) has nothing to wait for: Wait returns nil immediately.
 type Commit struct {
 	w *Writer
 	b *batch
 }
 
-// Wait blocks until the record's covering batch is fsynced (becoming the
-// flush leader if nobody else is) and returns the batch outcome. Safe to
-// call from any goroutine, at most once per ticket's appender plus any
-// number of observers; waiting on a later ticket from the same writer also
-// guarantees durability of every earlier one.
+// Wait blocks until the record's covering batch is written — and fsynced
+// under SyncAlways — becoming the flush leader if nobody else is, and
+// returns the batch outcome. Safe to call from any goroutine, at most
+// once per ticket's appender plus any number of observers; waiting on a
+// later ticket from the same writer also covers every earlier one.
 func (c Commit) Wait() error {
 	if c.b == nil {
 		return nil
@@ -58,22 +57,13 @@ func (c Commit) Wait() error {
 	return c.w.commitWait(c.b)
 }
 
-// AppendAsync frames and enqueues one record. Under ungrouped policies it
-// writes directly (page cache) and returns a zero Commit. Under SyncAlways
-// it returns a ticket the caller must Wait on for durability; under
-// SyncInterval it returns a zero Commit (the background committer makes the
-// record durable within the interval). Like Append, key must be
-// non-decreasing and calls must come from one goroutine at a time.
+// AppendAsync frames and enqueues one record into the open batch. Under
+// SyncNever and SyncAlways it returns a ticket the caller Waits on for the
+// batch write (and, under SyncAlways, its fsync); under SyncInterval it
+// returns a zero Commit (the background committer writes the record within
+// the interval). Like Append, key must be non-decreasing and calls must
+// come from one goroutine at a time.
 func (w *Writer) AppendAsync(key uint64, payload []byte) (Commit, error) {
-	if !w.opts.Sync.grouped() {
-		w.mu.Lock()
-		err := w.appendLocked(key, payload)
-		w.mu.Unlock()
-		if err == nil {
-			w.nAppends.Add(1)
-		}
-		return Commit{}, err
-	}
 	w.qmu.Lock()
 	if w.closed {
 		w.qmu.Unlock()
@@ -90,17 +80,16 @@ func (w *Writer) AppendAsync(key uint64, payload []byte) (Commit, error) {
 		w.cur = b
 	}
 	b.buf = AppendFrame(b.buf, key, payload)
-	b.count++
-	if key > b.maxKey {
-		b.maxKey = key
-	}
 	w.qmu.Unlock()
 	w.nAppends.Add(1)
-	if w.opts.Sync.mode == modeAlways {
-		return Commit{w: w, b: b}, nil
+	if w.opts.Sync.mode == modeInterval {
+		return Commit{}, nil
 	}
-	return Commit{}, nil
+	return Commit{w: w, b: b}, nil
 }
+
+// fsyncs reports whether the policy fsyncs each batch it writes.
+func (w *Writer) fsyncs() bool { return w.opts.Sync.mode != modeNever }
 
 // commitWait blocks until b is committed, flushing it as leader if it is
 // still pending once flushMu is acquired.
@@ -113,55 +102,25 @@ func (w *Writer) commitWait(b *batch) error {
 	w.flushMu.Lock()
 	select {
 	case <-b.done:
-		// A leader (or the interval committer) covered us while we queued.
+		// Another leader (or Sync, Rotate or Close) covered us while we
+		// queued.
 		w.flushMu.Unlock()
 		return b.err
 	default:
 	}
 	// Leader: while flushMu is held any uncommitted batch must still be
 	// w.cur (seal and completion happen without releasing flushMu), so
-	// flushing the current batch flushes b.
-	//
-	// Before sealing, linger while the batch is still growing: each yield
-	// lets the appenders the previous flush just woke (runnable but not yet
-	// scheduled) frame their records into this batch, so one fsync covers
-	// the whole convoy. Without it, a blocking fsync on a single-P runtime
-	// stalls every other appender and batches collapse to one record.
-	//
-	// The linger is adaptive: it stops once the batch reaches the writer's
-	// lifetime mean occupancy (appends per batch so far) — the batch has
-	// already collected a typical convoy, so further yields trade latency
-	// for marginal coverage — or the first time a yield adds nothing, with
-	// the fixed yield budget as a backstop. An uncontended writer's mean
-	// sits at one record per batch, so it skips the linger entirely; a
-	// convoyed writer's mean grows with the observed group size and keeps
-	// the full linger.
-	target := 1
-	if batches := w.nBatches.Load(); batches > 0 {
-		target = int(w.nAppends.Load() / batches)
-	}
-	w.qmu.Lock()
-	prev := b.count
-	w.qmu.Unlock()
-	for i := 0; i < 4 && prev < target; i++ {
-		runtime.Gosched()
-		w.qmu.Lock()
-		n := b.count
-		w.qmu.Unlock()
-		if n == prev {
-			break
-		}
-		prev = n
-	}
-	w.flushLocked()
+	// flushing the current batch flushes b. Appenders that arrive while
+	// the leader writes join the next batch.
+	w.flushLocked(w.fsyncs())
 	w.flushMu.Unlock()
 	return b.err
 }
 
-// flushLocked seals the open batch, writes it with one fsync, and wakes its
-// waiters. Caller holds flushMu. Returns the batch outcome (or the sticky
-// error when there is nothing to flush).
-func (w *Writer) flushLocked() error {
+// flushLocked seals the open batch, writes it (fsyncing it when fsync is
+// set), and wakes its waiters. Caller holds flushMu. Returns the batch
+// outcome (or the sticky error when there is nothing to flush).
+func (w *Writer) flushLocked(fsync bool) error {
 	w.qmu.Lock()
 	b := w.cur
 	w.cur = nil
@@ -171,7 +130,7 @@ func (w *Writer) flushLocked() error {
 		return err
 	}
 	if err == nil {
-		err = w.writeBatch(b)
+		err = w.writeBatch(b, fsync)
 		if err != nil {
 			w.qmu.Lock()
 			if w.err == nil {
@@ -185,30 +144,56 @@ func (w *Writer) flushLocked() error {
 	return err
 }
 
-// writeBatch writes a sealed batch under w.mu: one Write, one fsync, then
-// rotation if the segment crossed the threshold.
-func (w *Writer) writeBatch(b *batch) error {
+// writeBatch writes a sealed batch under w.mu and rotates the way a
+// record-at-a-time writer would: the active segment is sealed right after
+// the record that takes it to the threshold, so segment boundaries do not
+// depend on how appends were grouped, and a batch that crosses the
+// threshold is written in pieces. With fsync set every piece is fsynced
+// before its segment is sealed or the batch completes.
+func (w *Writer) writeBatch(b *batch, fsync bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("wal: append on closed writer")
 	}
-	if _, err := w.f.Write(b.buf); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	w.size += int64(len(b.buf))
-	if b.maxKey > w.maxKey {
-		w.maxKey = b.maxKey
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+	for buf := b.buf; len(buf) > 0; {
+		n, maxKey := w.piece(buf)
+		if _, err := w.f.Write(buf[:n]); err != nil {
+			return fmt.Errorf("wal: append: %w", err)
+		}
+		w.size += int64(n)
+		w.maxKey = max(w.maxKey, maxKey)
+		if fsync {
+			if err := w.f.Sync(); err != nil {
+				return fmt.Errorf("wal: sync: %w", err)
+			}
+			w.nSyncs.Add(1)
+		}
+		if w.size >= w.opts.segmentBytes() {
+			if err := w.rotateLocked(); err != nil {
+				return err
+			}
+		}
+		buf = buf[n:]
 	}
 	w.nBatches.Add(1)
-	w.nSyncs.Add(1)
-	if w.size >= w.opts.segmentBytes() {
-		return w.rotateLocked()
-	}
 	return nil
+}
+
+// piece returns the length of buf's leading frames up to and including the
+// first that brings the active segment to the rotation threshold (all of
+// buf when none does), and the highest key among them. Caller holds w.mu.
+func (w *Writer) piece(buf []byte) (n int, maxKey uint64) {
+	room := w.opts.segmentBytes() - w.size
+	for n < len(buf) {
+		key, _ := binary.Uvarint(buf[n+headerBytes:])
+		maxKey = max(maxKey, key)
+		n += headerBytes + int(binary.LittleEndian.Uint32(buf[n:]))
+		if int64(n) >= room {
+			break
+		}
+	}
+	return n, maxKey
 }
 
 // intervalLoop is the SyncInterval background committer: it drains the open
@@ -224,7 +209,7 @@ func (w *Writer) intervalLoop() {
 			return
 		case <-t.C:
 			w.flushMu.Lock()
-			w.flushLocked()
+			w.flushLocked(true)
 			w.flushMu.Unlock()
 		}
 	}

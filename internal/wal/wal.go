@@ -1,5 +1,5 @@
 // Package wal implements the segmented write-ahead log underneath the
-// store's durable changelog sinks and the event log's durable tee.
+// store's per-shard changelogs and the event log's durable tee.
 //
 // A log is a directory of append-only segment files (seg-00000001.wal,
 // seg-00000002.wal, ...). Each record is framed as
@@ -20,15 +20,15 @@
 // segment whose records are all at or below k — the per-shard low-water
 // version — without ever touching the active segment.
 //
-// Durability is a policy knob (Options.Sync): SyncNever leaves flushing to
-// the OS (fastest, loses the unsynced tail on power failure — process
-// crashes lose nothing), SyncOnRotate fsyncs each segment as it is sealed,
-// SyncInterval(d) fsyncs the accumulated tail at most every d (durable
-// within d), and SyncAlways acks each append only after a covering fsync.
-// The durable policies (SyncAlways, SyncInterval) run through per-writer
-// group commit — see groupcommit.go — so one fsync commits every record
-// queued while the previous fsync was in flight, instead of one fsync per
-// append.
+// Every append takes one path, group commit (groupcommit.go): the record
+// is framed into the writer's open batch, and one Write puts the whole
+// batch in the active segment. The sync policy (Options.Sync) decides only
+// whether the appender waits for that write and whether it fsyncs:
+// SyncNever waits for the write but never fsyncs (a process crash loses
+// nothing acknowledged, a power failure loses what the OS had not
+// flushed), SyncInterval(d) acks at once and a background committer
+// writes and fsyncs the batch every d (durable within d), and SyncAlways
+// waits for the write and its fsync.
 package wal
 
 import (
@@ -49,14 +49,14 @@ type syncMode uint8
 
 const (
 	modeNever syncMode = iota
-	modeOnRotate
 	modeInterval
 	modeAlways
 )
 
-// SyncPolicy selects when the writer fsyncs. Policies are comparable
-// values: use the package variables (SyncNever, SyncOnRotate, SyncAlways)
-// or the SyncInterval constructor.
+// SyncPolicy selects whether an appender waits for its batch's write and
+// whether a batch write fsyncs. Policies are comparable values: use the
+// package variables (SyncNever, SyncAlways) or the SyncInterval
+// constructor.
 type SyncPolicy struct {
 	mode     syncMode
 	interval time.Duration
@@ -64,12 +64,11 @@ type SyncPolicy struct {
 
 // Sync policies, weakest to strongest. The zero value is SyncNever.
 var (
-	// SyncNever never fsyncs explicitly while appending; the OS flushes at
-	// its leisure (Close still syncs the tail so checkpoints never manifest
-	// a watermark ahead of the disk).
+	// SyncNever acks an append once its batch is written to the segment
+	// file and never fsyncs while appending; the OS flushes at its leisure
+	// (Close still syncs the tail so checkpoints never manifest a
+	// watermark ahead of the disk).
 	SyncNever = SyncPolicy{mode: modeNever}
-	// SyncOnRotate fsyncs a segment when it is sealed (and on Sync/Close).
-	SyncOnRotate = SyncPolicy{mode: modeOnRotate}
 	// SyncAlways acks every append only after a covering group fsync: each
 	// record is durable when Append (or Commit.Wait) returns, but one fsync
 	// commits every record enqueued while the previous fsync ran.
@@ -81,8 +80,9 @@ var (
 const DefaultSyncInterval = 5 * time.Millisecond
 
 // SyncInterval returns the amortised-durability policy: appends ack
-// immediately and a background committer fsyncs the accumulated tail every
-// d, so a crash loses at most the last d of acknowledged appends.
+// immediately and a background committer writes and fsyncs the
+// accumulated batch every d, so a crash loses at most the last d of
+// acknowledged appends.
 func SyncInterval(d time.Duration) SyncPolicy {
 	if d <= 0 {
 		d = DefaultSyncInterval
@@ -90,18 +90,12 @@ func SyncInterval(d time.Duration) SyncPolicy {
 	return SyncPolicy{mode: modeInterval, interval: d}
 }
 
-// grouped reports whether the policy routes appends through the
-// group-commit queue rather than writing directly.
-func (p SyncPolicy) grouped() bool { return p.mode == modeInterval || p.mode == modeAlways }
-
 // String renders the policy for reports and flag parsing; SyncInterval
 // renders as "interval:<dur>".
 func (p SyncPolicy) String() string {
 	switch p.mode {
 	case modeAlways:
 		return "always"
-	case modeOnRotate:
-		return "rotate"
 	case modeInterval:
 		return "interval:" + p.interval.String()
 	default:
@@ -116,8 +110,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "never":
 		return SyncNever, nil
-	case "rotate":
-		return SyncOnRotate, nil
 	case "always":
 		return SyncAlways, nil
 	case "interval":
@@ -130,21 +122,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		}
 		return SyncInterval(d), nil
 	}
-	return SyncNever, fmt.Errorf("wal: unknown sync policy %q (want never|rotate|interval[:<dur>]|always)", s)
-}
-
-// MarshalText implements encoding.TextMarshaler so configs embedding a
-// policy serialise to the same string the flag layer parses.
-func (p SyncPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (p *SyncPolicy) UnmarshalText(text []byte) error {
-	parsed, err := ParseSyncPolicy(string(text))
-	if err != nil {
-		return err
-	}
-	*p = parsed
-	return nil
+	return SyncNever, fmt.Errorf("wal: unknown sync policy %q (want never|interval[:<dur>]|always)", s)
 }
 
 // DefaultSegmentBytes is the rotation threshold used when Options leaves
@@ -195,17 +173,15 @@ type Writer struct {
 	dir  string
 	opts Options
 
-	// mu guards the file/segment state below. Direct appends (ungrouped
-	// policies) and batch flushes both write under it.
-	mu      sync.Mutex
-	f       *os.File
-	seg     int   // active segment ordinal
-	size    int64 // bytes written to the active segment
-	maxKey  uint64
-	sealed  []segInfo // completed segments, ascending ordinal
-	scratch []byte
+	// mu guards the file/segment state below; batch flushes write under it.
+	mu     sync.Mutex
+	f      *os.File
+	seg    int   // active segment ordinal
+	size   int64 // bytes written to the active segment
+	maxKey uint64
+	sealed []segInfo // completed segments, ascending ordinal
 
-	// Group-commit state (grouped policies only); see groupcommit.go.
+	// Group-commit state; see groupcommit.go.
 	qmu     sync.Mutex // guards cur, err, closed
 	cur     *batch     // open batch accepting appends (nil when empty)
 	err     error      // sticky flush error; fails all later operations
@@ -219,8 +195,9 @@ type Writer struct {
 	nSyncs   atomic.Uint64
 }
 
-// WriterStats counts a writer's lifetime activity. Appends/Syncs is the
-// group-commit amortisation factor; for ungrouped policies Batches stays 0.
+// WriterStats counts a writer's lifetime activity. Appends/Batches is the
+// group-commit occupancy; Appends/Syncs the fsync amortisation factor
+// (SyncNever fsyncs only in Sync and Close).
 type WriterStats struct {
 	Appends uint64 // records accepted
 	Batches uint64 // group-commit batches written
@@ -262,25 +239,23 @@ func listSegments(dir string) ([]int, error) {
 }
 
 // scanSegment walks a segment file frame by frame, returning the byte
-// length of the longest valid prefix, the number of valid records, the
-// maximum key seen, and whether an invalid frame (torn tail, corruption)
-// cut the scan short.
-func scanSegment(path string) (validLen int64, records int, maxKey uint64, damaged bool, err error) {
+// length of the longest valid prefix, the maximum key seen, and whether an
+// invalid frame (torn tail, corruption) cut the scan short.
+func scanSegment(path string) (validLen int64, maxKey uint64, damaged bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, 0, false, fmt.Errorf("wal: scan %s: %w", path, err)
+		return 0, 0, false, fmt.Errorf("wal: scan %s: %w", path, err)
 	}
 	off := int64(0)
 	for {
 		payload, next, ok := nextFrame(data, off)
 		if !ok {
-			return off, records, maxKey, next != int64(len(data)) || off != int64(len(data)), nil
+			return off, maxKey, next != int64(len(data)) || off != int64(len(data)), nil
 		}
 		key, _, ok := recordKey(payload)
 		if !ok {
-			return off, records, maxKey, true, nil
+			return off, maxKey, true, nil
 		}
-		records++
 		if key > maxKey {
 			maxKey = key
 		}
@@ -336,7 +311,7 @@ func Create(dir string, opts Options) (*Writer, error) {
 	}
 	for i, ord := range ords {
 		path := segPath(dir, ord)
-		validLen, records, maxKey, damaged, err := scanSegment(path)
+		validLen, maxKey, damaged, err := scanSegment(path)
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +330,6 @@ func Create(dir string, opts Options) (*Writer, error) {
 		if maxKey > w.maxKey {
 			w.maxKey = maxKey
 		}
-		_ = records
 		if damaged {
 			break
 		}
@@ -399,8 +373,9 @@ func AppendFrame(dst []byte, key uint64, payload []byte) []byte {
 	return dst
 }
 
-// Append frames and writes one record and, under a durable policy, blocks
-// until the covering group fsync completes. key must be non-decreasing
+// Append frames one record into the open batch and waits as the policy
+// says: until the batch is written (SyncNever), written and fsynced
+// (SyncAlways), or not at all (SyncInterval). key must be non-decreasing
 // across appends (store versions and event sequence numbers are).
 // Equivalent to AppendAsync followed by Commit.Wait.
 func (w *Writer) Append(key uint64, payload []byte) error {
@@ -411,56 +386,30 @@ func (w *Writer) Append(key uint64, payload []byte) error {
 	return c.Wait()
 }
 
-// appendLocked writes one framed record directly (ungrouped policies).
-// Caller holds w.mu.
-func (w *Writer) appendLocked(key uint64, payload []byte) error {
-	if w.f == nil {
-		return fmt.Errorf("wal: append on closed writer")
-	}
-	w.scratch = AppendFrame(w.scratch[:0], key, payload)
-	if _, err := w.f.Write(w.scratch); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	w.size += int64(len(w.scratch))
-	if key > w.maxKey {
-		w.maxKey = key
-	}
-	if w.size >= w.opts.segmentBytes() {
-		return w.rotateLocked()
-	}
-	return nil
-}
-
 // Rotate seals the active segment and starts the next one, flushing any
 // pending group-commit batch first. Sealing an empty segment is a no-op.
 // Checkpoints rotate before truncating so the whole pre-checkpoint history
 // becomes eligible for TruncateBefore.
 func (w *Writer) Rotate() error {
-	if w.opts.Sync.grouped() {
-		w.flushMu.Lock()
-		defer w.flushMu.Unlock()
-		if err := w.flushLocked(); err != nil {
-			return err
-		}
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	if err := w.flushLocked(w.fsyncs()); err != nil {
+		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.rotateLocked()
 }
 
-// rotateLocked seals the active segment under the held w.mu.
+// rotateLocked seals the active segment under the held w.mu. It issues no
+// fsync: under a durable policy writeBatch fsynced every piece it wrote
+// into the segment.
 func (w *Writer) rotateLocked() error {
 	if w.f == nil {
 		return fmt.Errorf("wal: rotate on closed writer")
 	}
 	if w.size == 0 {
 		return nil
-	}
-	if w.opts.Sync.mode != modeNever {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync on rotate: %w", err)
-		}
-		w.nSyncs.Add(1)
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
@@ -541,29 +490,21 @@ func TruncateAfter(dir string, key uint64) error {
 	return nil
 }
 
-// Sync flushes everything accepted so far — pending group-commit batch
-// included — to stable storage regardless of policy.
+// Sync writes and fsyncs everything accepted so far — pending group-commit
+// batch included — regardless of policy.
 func (w *Writer) Sync() error {
-	if w.opts.Sync.grouped() {
-		w.flushMu.Lock()
-		defer w.flushMu.Unlock()
-		w.qmu.Lock()
-		pending := w.cur != nil
-		sticky := w.err
-		w.qmu.Unlock()
-		if pending {
-			return w.flushLocked() // flush writes and fsyncs the batch
-		}
-		if sticky != nil {
-			return sticky
-		}
-		return w.syncFile()
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	w.qmu.Lock()
+	pending := w.cur != nil
+	sticky := w.err
+	w.qmu.Unlock()
+	if pending {
+		return w.flushLocked(true)
 	}
-	return w.syncFile()
-}
-
-// syncFile fsyncs the active segment.
-func (w *Writer) syncFile() error {
+	if sticky != nil {
+		return sticky
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -576,25 +517,22 @@ func (w *Writer) syncFile() error {
 	return nil
 }
 
-// Close stops the background committer, flushes any pending batch, syncs
+// Close stops the background committer, writes any pending batch, syncs
 // the tail — regardless of policy, so a checkpoint manifest written after
 // Close never references a watermark ahead of what is durable on disk —
 // and closes the active segment. The writer is unusable afterwards.
 func (w *Writer) Close() error {
-	var flushErr error
-	if w.opts.Sync.grouped() {
-		w.qmu.Lock()
-		alreadyClosed := w.closed
-		w.closed = true
-		w.qmu.Unlock()
-		if !alreadyClosed && w.stop != nil {
-			close(w.stop)
-			<-w.done
-		}
-		w.flushMu.Lock()
-		flushErr = w.flushLocked()
-		w.flushMu.Unlock()
+	w.qmu.Lock()
+	alreadyClosed := w.closed
+	w.closed = true
+	w.qmu.Unlock()
+	if !alreadyClosed && w.stop != nil {
+		close(w.stop)
+		<-w.done
 	}
+	w.flushMu.Lock()
+	flushErr := w.flushLocked(w.fsyncs())
+	w.flushMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -616,26 +554,4 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("wal: close: %w", cerr)
 	}
 	return nil
-}
-
-// Dir returns the directory the writer appends into.
-func (w *Writer) Dir() string { return w.dir }
-
-// SegmentCount returns the number of on-disk segments (sealed + active).
-func (w *Writer) SegmentCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.sealed)
-	if w.size > 0 || n == 0 {
-		n++
-	}
-	return n
-}
-
-// MaxKey returns the highest key flushed to the log (appended or
-// recovered); records still queued in an unflushed batch do not count.
-func (w *Writer) MaxKey() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.maxKey
 }

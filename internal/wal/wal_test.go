@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // readAll drains a reader, returning keys and payload copies.
@@ -43,11 +45,11 @@ func TestWriterRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.SegmentCount() < 2 {
-		t.Fatalf("expected rotation with 64-byte segments, got %d segment(s)", w.SegmentCount())
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if segs, err := Segments(dir); err != nil || len(segs) < 2 {
+		t.Fatalf("expected rotation with 64-byte segments, got %d segment(s) (%v)", len(segs), err)
 	}
 	keys, payloads, damaged := readAll(t, dir)
 	if damaged {
@@ -84,8 +86,8 @@ func TestReopenContinuesAppending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.MaxKey() != 10 {
-		t.Fatalf("recovered MaxKey %d, want 10", w.MaxKey())
+	if w.maxKey != 10 {
+		t.Fatalf("recovered max key %d, want 10", w.maxKey)
 	}
 	for i := 10; i < 20; i++ {
 		if err := w.Append(uint64(i+1), []byte(fmt.Sprintf("a%d", i))); err != nil {
@@ -283,7 +285,7 @@ func TestCorruptByteTorture(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncNever, SyncOnRotate, SyncAlways} {
+	for _, pol := range []SyncPolicy{SyncNever, SyncInterval(time.Millisecond), SyncAlways} {
 		dir := t.TempDir()
 		w, err := Create(dir, Options{SegmentBytes: 64, Sync: pol})
 		if err != nil {
@@ -382,4 +384,198 @@ func TestDecIsCanonical(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// TestSyncPolicyAckContract holds each sync policy to what its ack
+// promises on the one group-commit append path: after Wait returns, a
+// fresh reader reads the record under SyncNever and SyncAlways, and under
+// SyncInterval after Sync (its committer here never ticks); every batch
+// written is fsynced except under SyncNever, which fsyncs only at Close;
+// a rotation adds no fsync of its own; and a failed write latches, failing
+// every later append.
+func TestSyncPolicyAckContract(t *testing.T) {
+	for _, tc := range []struct {
+		pol    SyncPolicy
+		waits  bool // Wait returns once the record is in the segment file
+		fsyncs bool // every batch written is fsynced
+	}{
+		{SyncNever, true, false},
+		{SyncInterval(time.Hour), false, true},
+		{SyncAlways, true, true},
+	} {
+		t.Run(tc.pol.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Create(dir, Options{SegmentBytes: 64, Sync: tc.pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 10
+			for i := 1; i <= n; i++ {
+				c, err := w.AppendAsync(uint64(i), []byte("ack-contract-record"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				if !tc.waits {
+					if keys, _, _ := readAll(t, dir); len(keys) != i-1 {
+						t.Fatalf("record %d is on disk before its interval flush", i)
+					}
+					if err := w.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				keys, _, damaged := readAll(t, dir)
+				if damaged || len(keys) != i || keys[i-1] != uint64(i) {
+					t.Fatalf("after record %d's ack a fresh reader reads %d records (damaged=%v)", i, len(keys), damaged)
+				}
+			}
+			if err := w.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := Segments(dir)
+			if err != nil || len(segs) < 3 {
+				t.Fatalf("%d segments (%v): the appends did not rotate", len(segs), err)
+			}
+			st := w.Stats()
+			wantSyncs := uint64(0)
+			if tc.fsyncs {
+				wantSyncs = st.Batches
+			}
+			if st.Appends != n || st.Batches != n || st.Syncs != wantSyncs {
+				t.Fatalf("stats %+v over %d rotations, want %d appends in %d batches and %d fsyncs",
+					st, len(segs)-1, n, n, wantSyncs)
+			}
+
+			// Break the active segment under the writer: the next write
+			// fails, and so does every append after it.
+			w.mu.Lock()
+			w.f.Close()
+			w.mu.Unlock()
+			c, err := w.AppendAsync(n+1, []byte("lost"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.waits {
+				err = c.Wait()
+			} else {
+				err = w.Sync()
+			}
+			if err == nil {
+				t.Fatal("a write to a closed segment succeeded")
+			}
+			for i := uint64(n + 2); i < n+4; i++ {
+				if _, err := w.AppendAsync(i, []byte("later")); err == nil {
+					t.Fatalf("append %d after a failed write succeeded", i)
+				}
+			}
+			if err := w.Close(); err == nil {
+				t.Fatal("Close after a failed write reported success")
+			}
+			if keys, _, damaged := readAll(t, dir); damaged || len(keys) != n {
+				t.Fatalf("log holds %d records (damaged=%v) after the failure, want the %d acknowledged", len(keys), damaged, n)
+			}
+		})
+	}
+}
+
+// TestBatchRotatesLikeSingleAppends pins that segment boundaries do not
+// depend on how appends were grouped: one batch of records leaves the same
+// segment files as the same records appended one at a time, under each
+// policy.
+func TestBatchRotatesLikeSingleAppends(t *testing.T) {
+	for _, pol := range []SyncPolicy{SyncNever, SyncInterval(time.Hour), SyncAlways} {
+		single, batched := t.TempDir(), t.TempDir()
+		ws, err := Create(single, Options{SegmentBytes: 100, Sync: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := Create(batched, Options{SegmentBytes: 100, Sync: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last Commit
+		for i := 1; i <= 20; i++ {
+			p := []byte(fmt.Sprintf("record-%d", i))
+			if err := ws.Append(uint64(i), p); err != nil {
+				t.Fatal(err)
+			}
+			if last, err = wb.AppendAsync(uint64(i), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := last.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []*Writer{ws, wb} {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, _ := Segments(single)
+		b, _ := Segments(batched)
+		if len(a) < 3 || len(a) != len(b) {
+			t.Fatalf("%s: %d segments appending singly, %d as one batch", pol, len(a), len(b))
+		}
+		for i := range a {
+			x, _ := os.ReadFile(a[i].Path)
+			y, _ := os.ReadFile(b[i].Path)
+			if !bytes.Equal(x, y) {
+				t.Fatalf("%s: segment %d differs: %d bytes appending singly, %d as one batch", pol, a[i].Ordinal, len(x), len(y))
+			}
+		}
+	}
+}
+
+// FuzzSegmentRecovery feeds arbitrary bytes in as a log's one segment.
+// Create must cut the segment to a prefix that a fresh reader reads in
+// full without damage, TruncateAfter at the prefix's highest key must
+// leave it unchanged, and nothing may panic.
+func FuzzSegmentRecovery(f *testing.F) {
+	two := AppendFrame(AppendFrame(nil, 1, []byte("a")), 2, []byte("bc"))
+	f.Add([]byte{})
+	f.Add(two)
+	f.Add(two[:len(two)-1])
+	f.Add(append(AppendFrame(nil, 7, []byte("x")), 0xff, 0, 0, 0))
+	f.Add(AppendFrame(AppendFrame(nil, 9, []byte("late")), 3, []byte("early")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		seg := segPath(dir, 1)
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := Create(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		prefix, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, prefix) {
+			t.Fatalf("Create left %d bytes that are not a prefix of the %d written", len(prefix), len(data))
+		}
+		keys, _, damaged := readAll(t, dir)
+		if damaged {
+			t.Fatalf("the %d-byte recovered prefix reads as damaged", len(prefix))
+		}
+		var maxKey uint64
+		for _, k := range keys {
+			maxKey = max(maxKey, k)
+		}
+		if err := TruncateAfter(dir, maxKey); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, prefix) {
+			t.Fatalf("TruncateAfter(%d) cut the recovered prefix from %d to %d bytes", maxKey, len(prefix), len(after))
+		}
+	})
 }

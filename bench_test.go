@@ -451,8 +451,8 @@ func BenchmarkAxiom1Check(b *testing.B) {
 
 func BenchmarkSimilarityMeasures(b *testing.B) {
 	u := model.MustUniverse("a", "b", "c", "d", "e", "f", "g", "h")
-	x := u.MustVector("a", "c", "e", "g")
-	y := u.MustVector("a", "c", "f", "h")
+	x := u.MustVector("a", "c", "e", "g").Pack()
+	y := u.MustVector("a", "c", "f", "h").Pack()
 	for _, m := range []similarity.VectorMeasure{
 		similarity.MeasureCosine, similarity.MeasureJaccard, similarity.MeasureHamming,
 	} {

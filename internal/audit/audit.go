@@ -428,19 +428,8 @@ func (e *Engine) rebuild() Pass {
 		}
 		e.ax5.Observe(ev)
 	}
-	e.buildIndexes()
+	allWorkers, allTasks := e.buildIndexes()
 	e.primed = true
-
-	allTasks := make([]model.TaskID, 0, 64)
-	allWorkers := make([]model.WorkerID, 0, 64)
-	for _, t := range e.st.Tasks() {
-		allTasks = append(allTasks, t.ID)
-	}
-	for _, w := range e.st.Workers() {
-		allWorkers = append(allWorkers, w.ID)
-	}
-	sort.Slice(allTasks, func(i, j int) bool { return allTasks[i] < allTasks[j] })
-	sort.Slice(allWorkers, func(i, j int) bool { return allWorkers[i] < allWorkers[j] })
 
 	// Same task-graph shape as the delta pass, as full passes over disjoint
 	// engine state; every fold starts from the empty standing set reset left.
@@ -467,20 +456,30 @@ func (e *Engine) rebuild() Pass {
 
 // buildIndexes constructs the worker and task candidate indexes from the
 // current store snapshots, fanning LSH signature hashing out on the
-// bounded pool. Any entity mutated after the snapshot is above a shard
-// watermark read earlier, so its change is re-delivered to the next pass
-// and the index upsert reconciles then.
-func (e *Engine) buildIndexes() {
+// bounded pool, and returns the snapshots' ids in ascending order. Any
+// entity mutated after the snapshot is above a shard watermark read
+// earlier, so its change is re-delivered to the next pass and the index
+// upsert reconciles then.
+func (e *Engine) buildIndexes() ([]model.WorkerID, []model.TaskID) {
 	ws := e.st.Workers()
+	wids := make([]model.WorkerID, len(ws))
+	for i, w := range ws {
+		wids[i] = w.ID
+	}
 	wix := e.plan.NewWorkerIndex()
-	fairness.PopulateIndex(wix, len(ws), func(i int) string { return string(ws[i].ID) },
+	fairness.PopulateIndex(wix, len(ws), func(i int) string { return string(wids[i]) },
 		func(i int) []uint64 { return e.plan.WorkerTokens(ws[i]) })
 	e.workerIx = wix
 	ts := e.st.Tasks()
+	tids := make([]model.TaskID, len(ts))
+	for i, t := range ts {
+		tids[i] = t.ID
+	}
 	tix := e.plan.NewTaskIndex()
-	fairness.PopulateIndex(tix, len(ts), func(i int) string { return string(ts[i].ID) },
+	fairness.PopulateIndex(tix, len(ts), func(i int) string { return string(tids[i]) },
 		func(i int) []uint64 { return e.plan.TaskTokens(ts[i]) })
 	e.taskIx = tix
+	return wids, tids
 }
 
 // refreshIndexes re-tokenises the entities one delta pass found changed:

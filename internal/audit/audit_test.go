@@ -368,3 +368,58 @@ func TestEmptyDeltaIsStable(t *testing.T) {
 		}
 	}
 }
+
+// A copy read back from the store carries its packed skills. Editing the
+// copy's []bool skills and writing it back through UpdateWorker must pack
+// them afresh, so the next pass judges the new skills and not the old.
+func TestUpdateWorkerRepacksSkills(t *testing.T) {
+	u := model.MustUniverse("go", "nlp")
+	st := store.New(u)
+	log := eventlog.New()
+	for _, w := range []*model.Worker{
+		{ID: "w1", Skills: u.MustVector("go")},
+		{ID: "w2", Skills: u.MustVector("nlp")},
+	} {
+		if err := st.PutWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.PutRequester(&model.Requester{ID: "r1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutTask(&model.Task{ID: "t1", Requester: "r1", Skills: u.MustVector("go"), Reward: 1}); err != nil {
+		t.Fatal(err)
+	}
+	log.MustAppend(eventlog.Event{Type: eventlog.TaskOffered, Worker: "w1", Task: "t1"})
+	cfg := fairness.DefaultConfig()
+	eng := New(st, log, cfg)
+
+	setSkills := func(skills ...string) {
+		t.Helper()
+		w, err := st.Worker("w2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(w.Skills, u.MustVector(skills...)) // in place, like a caller editing its copy
+		if err := st.UpdateWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round, tc := range []struct {
+		skills []string
+		want   int
+	}{
+		{nil, 0},
+		{[]string{"go"}, 1}, // w2 now shares w1's skills but saw none of its offers
+		{[]string{"nlp"}, 0},
+	} {
+		if tc.skills != nil {
+			setSkills(tc.skills...)
+		}
+		p := eng.AuditPass()
+		requirePass(t, round, p, fairness.CheckAll(st, log, cfg))
+		if got := len(p.Reports[0].Violations); got != tc.want {
+			t.Fatalf("round %d: w2 skills %v: %d Axiom 1 violations, want %d", round, tc.skills, got, tc.want)
+		}
+	}
+}

@@ -28,7 +28,7 @@ import (
 // token, so they pair with each other (they are trivially skill-similar)
 // and nothing else.
 func CheckAxiom1(st *store.Store, log *eventlog.Log, cfg Config) *Report {
-	return Axiom1Pairs(st, AccessIndexFromLog(log), cfg, workerIDs(st))
+	return Axiom1Pairs(st, AccessIndexFromLog(log), cfg, st.WorkerIDs())
 }
 
 // Axiom1Pairs audits, under CheckAxiom1's predicates and over a
@@ -71,21 +71,10 @@ func (c *Config) similarWorkers() func(a, b *model.Worker) bool {
 	measure := c.skillMeasure()
 	policy := c.attrPolicy()
 	return func(a, b *model.Worker) bool {
-		return measure.Func(a.Skills, b.Skills) >= skillThr &&
+		return measure.Func(a.SkillBits(), b.SkillBits()) >= skillThr &&
 			policy.Similarity(a.Declared, b.Declared) >= attrThr &&
 			policy.Similarity(a.Computed, b.Computed) >= attrThr
 	}
-}
-
-// workerIDs lists every stored worker's id in ascending order: the scope of
-// a full scan.
-func workerIDs(st *store.Store) []model.WorkerID {
-	ws := st.Workers()
-	ids := make([]model.WorkerID, len(ws))
-	for i, w := range ws {
-		ids[i] = w.ID
-	}
-	return ids
 }
 
 // Axiom1FromOffers is a convenience entry point for auditing an assignment
@@ -93,7 +82,7 @@ func workerIDs(st *store.Store) []model.WorkerID {
 // an offers map, for the store's workers, instead of an event log.
 func Axiom1FromOffers(st *store.Store, offers map[model.WorkerID][]model.TaskID, cfg Config) *Report {
 	ix := NewAccessIndex()
-	ids := workerIDs(st)
+	ids := st.WorkerIDs()
 	for _, w := range ids {
 		for _, t := range offers[w] {
 			ix.RestoreOffer(w, t)

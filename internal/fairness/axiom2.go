@@ -22,7 +22,7 @@ import (
 // comparable tasks whose audiences overlap (Jaccard) below
 // cfg.AccessThreshold is a violation.
 func CheckAxiom2(st *store.Store, log *eventlog.Log, cfg Config) *Report {
-	return Axiom2Pairs(st, AccessIndexFromLog(log), cfg, taskIDs(st))
+	return Axiom2Pairs(st, AccessIndexFromLog(log), cfg, st.TaskIDs())
 }
 
 // Axiom2Pairs audits, under CheckAxiom2's predicates and over a
@@ -66,19 +66,8 @@ func (c *Config) comparableTasks() func(a, b *model.Task) bool {
 	rewardTol := orDefault(c.RewardTolerance, 0.1)
 	measure := c.skillMeasure()
 	return func(a, b *model.Task) bool {
-		return measure.Func(a.Skills, b.Skills) >= skillThr && comparableRewards(a.Reward, b.Reward, rewardTol)
+		return measure.Func(a.SkillBits(), b.SkillBits()) >= skillThr && comparableRewards(a.Reward, b.Reward, rewardTol)
 	}
-}
-
-// taskIDs lists every stored task's id in ascending order: the scope of a
-// full scan.
-func taskIDs(st *store.Store) []model.TaskID {
-	ts := st.Tasks()
-	ids := make([]model.TaskID, len(ts))
-	for i, t := range ts {
-		ids[i] = t.ID
-	}
-	return ids
 }
 
 // comparableRewards reports whether two rewards differ relatively by at

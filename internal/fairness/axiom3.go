@@ -21,7 +21,7 @@ import (
 // paper); pairs at/above cfg.ContributionThreshold must be paid within
 // cfg.PayTolerance (relative) of each other.
 func CheckAxiom3(st *store.Store, cfg Config) *Report {
-	return foldTaskAudits(CheckAxiom3Tasks(st, cfg, taskIDs(st)))
+	return foldTaskAudits(CheckAxiom3Tasks(st, cfg, st.TaskIDs()))
 }
 
 // TaskAudit is one task's Axiom 3 verdict, as produced by CheckAxiom3Tasks:

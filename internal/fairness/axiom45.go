@@ -26,7 +26,7 @@ import (
 // left entirely to requesters. The quantitative quality of detectors is
 // evaluated separately in experiment E4 (package detect).
 func CheckAxiom4(st *store.Store, log *eventlog.Log) *Report {
-	return foldWorkerAudits(CheckAxiom4Workers(st, FlaggedFromLog(log), workerIDs(st)))
+	return foldWorkerAudits(CheckAxiom4Workers(st, FlaggedFromLog(log), st.WorkerIDs()))
 }
 
 // FlaggedFromLog collects the workers the platform ever flagged.

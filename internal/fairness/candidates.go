@@ -2,6 +2,7 @@ package fairness
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -157,7 +158,7 @@ var lshSkillSalts = [lshSkillWeight]uint64{
 // exact backend indexes plain skills alone, reproducing the store's
 // skill-sharing candidate generation byte-for-byte.
 func (p IndexPlan) WorkerTokens(w *model.Worker) []uint64 {
-	toks := skillTokens(w.Skills)
+	toks := skillTokens(w.SkillBits())
 	if p.Kind == CandidateLSH {
 		weighted := make([]uint64, 0, lshSkillWeight*len(toks)+8)
 		for _, t := range toks {
@@ -175,7 +176,7 @@ func (p IndexPlan) WorkerTokens(w *model.Worker) []uint64 {
 // skill-less sentinel). Rewards are not tokenised — reward comparability is
 // a cheap filter the Axiom 2 checker applies per candidate.
 func (p IndexPlan) TaskTokens(t *model.Task) []uint64 {
-	return skillTokens(t.Skills)
+	return skillTokens(t.SkillBits())
 }
 
 // ContribTokens tokenises a contribution: hashed ranking items for ranked
@@ -197,14 +198,17 @@ func (p IndexPlan) ContribTokens(c *model.Contribution) []uint64 {
 	return toks
 }
 
-func skillTokens(v model.SkillVector) []uint64 {
-	idx := v.Indices()
-	if len(idx) == 0 {
+// skillTokens lists the set skill positions, ascending, walking the packed
+// words one set bit at a time.
+func skillTokens(v model.SkillBits) []uint64 {
+	if v.Count() == 0 {
 		return []uint64{skilllessToken}
 	}
-	out := make([]uint64, len(idx))
-	for i, s := range idx {
-		out[i] = uint64(s)
+	out := make([]uint64, 0, v.Count())
+	for i, w := range v.Words() {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, uint64(i*64+bits.TrailingZeros64(w)))
+		}
 	}
 	return out
 }

@@ -102,7 +102,7 @@ func TestDeltaAllDirtyMatchesFull(t *testing.T) {
 		exh := DefaultConfig()
 		exh.Exhaustive = true
 		for _, cfg := range []Config{DefaultConfig(), exh} {
-			ws, ts := workerIDs(st), taskIDs(st)
+			ws, ts := st.WorkerIDs(), st.TaskIDs()
 			var one1, one2 []*Report
 			for _, id := range ws {
 				one1 = append(one1, Axiom1Pairs(st, ix, cfg, []model.WorkerID{id}))
@@ -115,10 +115,10 @@ func TestDeltaAllDirtyMatchesFull(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		var one3, one4 []*Report
-		for _, id := range taskIDs(st) {
+		for _, id := range st.TaskIDs() {
 			one3 = append(one3, foldTaskAudits(CheckAxiom3Tasks(st, cfg, []model.TaskID{id})))
 		}
-		for _, id := range workerIDs(st) {
+		for _, id := range st.WorkerIDs() {
 			one4 = append(one4, foldWorkerAudits(CheckAxiom4Workers(st, FlaggedFromLog(log), []model.WorkerID{id})))
 		}
 		requireCovers(t, "axiom3", CheckAxiom3(st, cfg), one3, 1)

@@ -39,6 +39,11 @@ type ContributionID string
 // SkillVector is the Boolean vector ⟨s1..sm⟩ of §3.2: for a task it marks
 // required skills, for a worker it marks interests/qualifications. The
 // indices refer to positions in a Universe.
+//
+// A []bool is the form callers write. The similarity measures read the
+// packed form (SkillBits), which Worker.Clone and Task.Clone derive from it
+// when an entity enters the store, so a caller that edits Skills hands the
+// edited entity back through a store mutation.
 type SkillVector []bool
 
 // NewSkillVector returns an all-false vector of length m.
@@ -96,6 +101,21 @@ func (v SkillVector) Indices() []int {
 	return out
 }
 
+// Pack returns the packed form of v.
+func (v SkillVector) Pack() SkillBits {
+	if len(v) == 0 {
+		return SkillBits{}
+	}
+	p := SkillBits{words: make([]uint64, (len(v)+63)/64), n: len(v)}
+	for i, set := range v {
+		if set {
+			p.words[i/64] |= 1 << (i % 64)
+			p.count++
+		}
+	}
+	return p
+}
+
 // String renders the vector as a compact bitstring, e.g. "10110".
 func (v SkillVector) String() string {
 	var b strings.Builder
@@ -108,6 +128,26 @@ func (v SkillVector) String() string {
 	}
 	return b.String()
 }
+
+// SkillBits is the packed form of a SkillVector: position i is bit i%64 of
+// word i/64, the bits past Len are zero, and the set count is cached. It is
+// derived (SkillVector.Pack) and never written; the zero value is the empty
+// vector.
+type SkillBits struct {
+	words []uint64
+	n     int
+	count int
+}
+
+// Len returns the length of the vector the bits were packed from.
+func (p SkillBits) Len() int { return p.n }
+
+// Count returns the number of set skills.
+func (p SkillBits) Count() int { return p.count }
+
+// Words returns the packed words, ⌈Len/64⌉ of them. The slice is shared:
+// callers must not modify it.
+func (p SkillBits) Words() []uint64 { return p.words }
 
 // Universe names the skill keywords S = {s1..sm} shared by all tasks and
 // workers on a platform. A Universe is immutable after construction.
@@ -275,6 +315,8 @@ type Task struct {
 	Published int
 	// Title is an optional human-readable label used in reports.
 	Title string
+
+	bits SkillBits // Skills packed by Clone
 }
 
 // Validate reports structural problems with the task relative to universe u.
@@ -314,11 +356,25 @@ func (t *Task) EffectivePublished() int {
 	return t.Published
 }
 
-// Clone returns a deep copy of the task.
+// SkillBits returns the packed required skills. A task that entered the
+// store (by Clone) carries them; any other task packs Skills on each call.
+func (t *Task) SkillBits() SkillBits { return t.bits.of(t.Skills) }
+
+// Clone returns a deep copy of the task, with its skills packed afresh.
 func (t *Task) Clone() *Task {
 	c := *t
 	c.Skills = t.Skills.Clone()
+	c.bits = c.Skills.Pack()
 	return &c
+}
+
+// of returns p when it was packed from a vector of v's length, else v
+// packed now.
+func (p SkillBits) of(v SkillVector) SkillBits {
+	if p.n == len(v) {
+		return p
+	}
+	return v.Pack()
 }
 
 // Worker is the tuple (id_w, A_w, C_w, S_w) of §3.2.
@@ -327,6 +383,8 @@ type Worker struct {
 	Declared Attributes  // A_w: self-declared (demographics, location, ...)
 	Computed Attributes  // C_w: platform-computed (acceptance ratio, ...)
 	Skills   SkillVector // S_w: interests/qualifications
+
+	bits SkillBits // Skills packed by Clone
 }
 
 // Validate reports structural problems with the worker relative to u.
@@ -341,12 +399,17 @@ func (w *Worker) Validate(u *Universe) error {
 	return nil
 }
 
-// Clone returns a deep copy of the worker.
+// SkillBits returns the packed skills. A worker that entered the store (by
+// Clone) carries them; any other worker packs Skills on each call.
+func (w *Worker) SkillBits() SkillBits { return w.bits.of(w.Skills) }
+
+// Clone returns a deep copy of the worker, with its skills packed afresh.
 func (w *Worker) Clone() *Worker {
 	c := *w
 	c.Declared = w.Declared.Clone()
 	c.Computed = w.Computed.Clone()
 	c.Skills = w.Skills.Clone()
+	c.bits = c.Skills.Pack()
 	return &c
 }
 

@@ -12,6 +12,7 @@ package similarity
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/model"
 )
@@ -19,89 +20,73 @@ import (
 // Cosine returns the cosine similarity of two Boolean skill vectors: the
 // number of shared skills over the geometric mean of the set counts. Two
 // all-false vectors are defined to be identical (1).
-func Cosine(a, b model.SkillVector) float64 {
-	shared, na, nb := overlap(a, b)
+func Cosine(a, b model.SkillBits) float64 {
+	na, nb := a.Count(), b.Count()
 	if na == 0 && nb == 0 {
 		return 1
 	}
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	return float64(shared) / math.Sqrt(float64(na)*float64(nb))
+	return float64(shared(a, b)) / math.Sqrt(float64(na)*float64(nb))
 }
 
 // Jaccard returns |a∩b| / |a∪b| for Boolean vectors; empty∪empty is 1.
-func Jaccard(a, b model.SkillVector) float64 {
-	shared, na, nb := overlap(a, b)
-	union := na + nb - shared
+func Jaccard(a, b model.SkillBits) float64 {
+	s := shared(a, b)
+	union := a.Count() + b.Count() - s
 	if union == 0 {
 		return 1
 	}
-	return float64(shared) / float64(union)
+	return float64(s) / float64(union)
 }
 
 // Dice returns 2|a∩b| / (|a|+|b|) for Boolean vectors; empty,empty is 1.
-func Dice(a, b model.SkillVector) float64 {
-	shared, na, nb := overlap(a, b)
-	if na+nb == 0 {
+func Dice(a, b model.SkillBits) float64 {
+	n := a.Count() + b.Count()
+	if n == 0 {
 		return 1
 	}
-	return 2 * float64(shared) / float64(na+nb)
+	return 2 * float64(shared(a, b)) / float64(n)
 }
 
 // Hamming returns 1 - (differing positions / vector length): an agreement
 // ratio in [0,1]. Vectors of differing length compare over the longer
 // length, with missing positions treated as false.
-func Hamming(a, b model.SkillVector) float64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
+func Hamming(a, b model.SkillBits) float64 {
+	n := max(a.Len(), b.Len())
 	if n == 0 {
 		return 1
 	}
-	diff := 0
-	for i := 0; i < n; i++ {
-		av := i < len(a) && a[i]
-		bv := i < len(b) && b[i]
-		if av != bv {
-			diff++
-		}
-	}
+	diff := a.Count() + b.Count() - 2*shared(a, b)
 	return 1 - float64(diff)/float64(n)
 }
 
-// overlap counts shared set bits and each vector's set count.
-func overlap(a, b model.SkillVector) (shared, na, nb int) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// shared counts the positions set in both vectors. Bits past a vector's
+// length are zero, so the shorter vector's words bound the walk.
+func shared(a, b model.SkillBits) int {
+	aw, bw := a.Words(), b.Words()
+	if len(bw) < len(aw) {
+		aw, bw = bw, aw
 	}
-	for i := 0; i < n; i++ {
-		if a[i] && b[i] {
-			shared++
-		}
+	bw = bw[:len(aw)]
+	n := 0
+	for i, w := range aw {
+		n += bits.OnesCount64(w & bw[i])
 	}
-	for _, v := range a {
-		if v {
-			na++
-		}
-	}
-	for _, v := range b {
-		if v {
-			nb++
-		}
-	}
-	return shared, na, nb
+	return n
 }
 
 // VectorMeasure is a named similarity function over skill vectors, the
-// pluggable parameter of Axioms 1 and 2.
+// pluggable parameter of Axioms 1 and 2. It reads the packed form a stored
+// worker or task carries (model.Worker.SkillBits, model.Task.SkillBits);
+// callers write skills as a []bool SkillVector, and Clone packs it when the
+// entity enters the store. Pack any other vector with SkillVector.Pack.
 type VectorMeasure struct {
 	// Name identifies the measure in configuration and reports.
 	Name string
 	// Func maps two vectors to a similarity in [0,1].
-	Func func(a, b model.SkillVector) float64
+	Func func(a, b model.SkillBits) float64
 }
 
 // Built-in vector measures.
@@ -112,10 +97,16 @@ var (
 	MeasureHamming = VectorMeasure{Name: "hamming", Func: Hamming}
 	// MeasureExact realises the "perfect equality" end of the paper's
 	// similarity spectrum: 1 if identical, else 0.
-	MeasureExact = VectorMeasure{Name: "exact", Func: func(a, b model.SkillVector) float64 {
-		if a.Equal(b) {
-			return 1
+	MeasureExact = VectorMeasure{Name: "exact", Func: func(a, b model.SkillBits) float64 {
+		if a.Len() != b.Len() || a.Count() != b.Count() {
+			return 0
 		}
-		return 0
+		bw := b.Words()
+		for i, w := range a.Words() {
+			if w != bw[i] {
+				return 0
+			}
+		}
+		return 1
 	}}
 )

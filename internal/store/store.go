@@ -283,6 +283,21 @@ func (s *Store) WorkerCount() int {
 	return n
 }
 
+// WorkerIDs returns every worker's id in ascending order without copying
+// the workers.
+func (s *Store) WorkerIDs() []model.WorkerID {
+	shs, release := s.rlockView()
+	var ids []model.WorkerID
+	for _, sh := range shs {
+		for id := range sh.workers {
+			ids = append(ids, id)
+		}
+	}
+	release()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
 // BulkPutWorkers inserts many workers, fanning the inserts out across
 // shards in parallel (insertion order within a shard follows ws order).
 // On error the store keeps every insert that succeeded: each shard stops
@@ -517,6 +532,21 @@ func (s *Store) tasksSlice(parallel bool, held []*shard) []*model.Task {
 	}
 	release()
 	return mergeSorted(per, func(a, b *model.Task) bool { return a.ID < b.ID })
+}
+
+// TaskIDs returns every task's id in ascending order without copying the
+// tasks.
+func (s *Store) TaskIDs() []model.TaskID {
+	shs, release := s.rlockView()
+	var ids []model.TaskID
+	for _, sh := range shs {
+		for id := range sh.tasks {
+			ids = append(ids, id)
+		}
+	}
+	release()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // TaskCount returns the number of tasks.

@@ -136,12 +136,12 @@ func encodeMutation(b []byte, m Mutation, epoch uint64) []byte {
 		w := m.Worker
 		b = encodeAttrs(b, w.Declared)
 		b = encodeAttrs(b, w.Computed)
-		b = wal.AppendBits(b, w.Skills)
+		b = appendSkills(b, w.SkillBits())
 	case EntityRequester:
 		b = wal.AppendString(b, m.Requester.Name)
 	case EntityTask:
 		t := m.Task
-		b = wal.AppendBits(b, t.Skills)
+		b = appendSkills(b, t.SkillBits())
 		b = wal.AppendFloat64(b, t.Reward)
 		b = wal.AppendUvarint(b, uint64(t.Quota))
 		b = wal.AppendUvarint(b, uint64(t.Published))
@@ -156,6 +156,11 @@ func encodeMutation(b []byte, m Mutation, epoch uint64) []byte {
 		b = wal.AppendVarint(b, ct.SubmittedAt)
 	}
 	return b
+}
+
+// appendSkills writes a skill vector from its packed form.
+func appendSkills(b []byte, p model.SkillBits) []byte {
+	return wal.AppendBits(b, p.Len(), p.Words())
 }
 
 // decodeMutation rebuilds a Mutation from a frame (key = version, payload

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"reflect"
@@ -145,4 +147,47 @@ func TestOnDiskFormatGolden(t *testing.T) {
 	if got, err := os.ReadFile(manifestPath(dir)); err != nil || string(got) != wantManifest {
 		t.Fatalf("MANIFEST.json = %s (%v), want %s", got, err, wantManifest)
 	}
+}
+
+// FuzzSkillBits round-trips a skill vector through the WAL codec: pack the
+// []bool, write the packed form as record bytes, decode them, and require
+// the bytes to be the one-bit-per-position layout the format pins and both
+// the decoded []bool and its packed form to equal the originals.
+func FuzzSkillBits(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1})
+	f.Add(bytes.Repeat([]byte{1}, 64))
+	f.Add(append(make([]byte, 699), 1))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		v := make(model.SkillVector, len(raw))
+		for i, b := range raw {
+			v[i] = b&1 != 0
+		}
+		p := v.Pack()
+		enc := appendSkills(nil, p)
+
+		want := binary.AppendUvarint(nil, uint64(len(v)))
+		want = append(want, make([]byte, (len(v)+7)/8)...)
+		body := want[len(want)-(len(v)+7)/8:]
+		for i, set := range v {
+			if set {
+				body[i/8] |= 1 << (i % 8)
+			}
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("%s encodes as %x, want %x", v, enc, want)
+		}
+
+		d := wal.NewDec(enc)
+		got := model.SkillVector(d.Bits())
+		if err := d.Err(); err != nil || !d.Done() {
+			t.Fatalf("%s: decode err %v, done %v", v, err, d.Done())
+		}
+		if !got.Equal(v) {
+			t.Fatalf("decoded %s, want %s", got, v)
+		}
+		if !reflect.DeepEqual(got.Pack(), p) {
+			t.Fatalf("%s: decoded vector packs as %+v, want %+v", v, got.Pack(), p)
+		}
+	})
 }

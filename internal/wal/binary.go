@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // Compact binary codec helpers shared by the WAL payload codecs
@@ -44,25 +45,16 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// AppendBits appends a bool slice as a uvarint length plus packed bits.
-func AppendBits(b []byte, bits []bool) []byte {
-	b = binary.AppendUvarint(b, uint64(len(bits)))
-	var cur byte
-	n := 0
-	for _, set := range bits {
-		if set {
-			cur |= 1 << n
-		}
-		n++
-		if n == 8 {
-			b = append(b, cur)
-			cur, n = 0, 0
-		}
+// AppendBits appends an n-position bit vector as a uvarint length plus
+// ⌈n/8⌉ bytes, position i at bit i%8 of byte i/8. The vector comes packed:
+// position i is bit i%64 of words[i/64], and the bits past n are zero.
+func AppendBits(b []byte, n int, words []uint64) []byte {
+	b = binary.AppendUvarint(b, uint64(n))
+	end := len(b) + (n+7)/8
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	if n > 0 {
-		b = append(b, cur)
-	}
-	return b
+	return b[:end]
 }
 
 // AppendUint32s appends a uvarint count followed by the values as raw
@@ -222,8 +214,10 @@ func (d *Dec) Bits() []bool {
 		return nil
 	}
 	out := make([]bool, n)
-	for i := uint64(0); i < n; i++ {
-		out[i] = d.b[i/8]&(1<<(i%8)) != 0
+	for i, by := range d.b[:bytes] {
+		for ; by != 0; by &= by - 1 {
+			out[i*8+bits.TrailingZeros8(by)] = true
+		}
 	}
 	d.b = d.b[bytes:]
 	return out

@@ -320,7 +320,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	b = AppendString(b, "")
 	b = AppendFloat64(b, 3.14159)
 	b = AppendBool(b, true)
-	b = AppendBits(b, []bool{true, false, true, true, false, false, true, false, true})
+	b = AppendBits(b, 9, []uint64{0b1_0100_1101}) // positions 0, 2, 3, 6, 8
 	d := NewDec(b)
 	if v := d.Uvarint(); v != 1<<40 {
 		t.Fatalf("uvarint: %d", v)

@@ -45,7 +45,7 @@ func TestGeneratePopulationArchetypesAreSimilar(t *testing.T) {
 			}
 		}
 	}
-	if similarity.Cosine(pop.Workers[0].Skills, pop.Workers[1].Skills) != 0 {
+	if similarity.Cosine(pop.Workers[0].SkillBits(), pop.Workers[1].SkillBits()) != 0 {
 		t.Fatal("adjacent workers should be different archetypes (round-robin)")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/eventlog"
 	"repro/internal/model"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -436,6 +437,30 @@ func TestAxiomStrings(t *testing.T) {
 	for a := Axiom1WorkerAssignment; a <= Axiom5NoInterruption; a++ {
 		if !strings.Contains(a.String(), "Axiom") {
 			t.Errorf("axiom %d string = %q", a, a.String())
+		}
+	}
+}
+
+// skillTokens walks the packed words; it must list exactly the set
+// positions of the []bool vector, ascending, across word boundaries, and
+// the skill-less sentinel alone for an all-false vector.
+func TestSkillTokensMatchIndices(t *testing.T) {
+	rng := stats.NewRNG(1)
+	for trial := 0; trial < 2000; trial++ {
+		v := model.NewSkillVector(rng.Intn(201))
+		p := []float64{0, 0.02, 0.5, 1}[rng.Intn(4)]
+		for i := range v {
+			v[i] = rng.Bool(p)
+		}
+		want := []uint64{skilllessToken}
+		if idx := v.Indices(); len(idx) > 0 {
+			want = want[:0]
+			for _, i := range idx {
+				want = append(want, uint64(i))
+			}
+		}
+		if got := skillTokens(v.Pack()); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("skillTokens(%s) = %v, want %v", v, got, want)
 		}
 	}
 }

@@ -103,9 +103,6 @@ func (v SkillVector) Indices() []int {
 
 // Pack returns the packed form of v.
 func (v SkillVector) Pack() SkillBits {
-	if len(v) == 0 {
-		return SkillBits{}
-	}
 	p := SkillBits{words: make([]uint64, (len(v)+63)/64), n: len(v)}
 	for i, set := range v {
 		if set {
@@ -148,6 +145,15 @@ func (p SkillBits) Count() int { return p.count }
 // Words returns the packed words, ⌈Len/64⌉ of them. The slice is shared:
 // callers must not modify it.
 func (p SkillBits) Words() []uint64 { return p.words }
+
+// of returns p when it was packed from a vector of v's length, else v
+// packed now.
+func (p SkillBits) of(v SkillVector) SkillBits {
+	if p.n == len(v) {
+		return p
+	}
+	return v.Pack()
+}
 
 // Universe names the skill keywords S = {s1..sm} shared by all tasks and
 // workers on a platform. A Universe is immutable after construction.
@@ -366,15 +372,6 @@ func (t *Task) Clone() *Task {
 	c.Skills = t.Skills.Clone()
 	c.bits = c.Skills.Pack()
 	return &c
-}
-
-// of returns p when it was packed from a vector of v's length, else v
-// packed now.
-func (p SkillBits) of(v SkillVector) SkillBits {
-	if p.n == len(v) {
-		return p
-	}
-	return v.Pack()
 }
 
 // Worker is the tuple (id_w, A_w, C_w, S_w) of §3.2.

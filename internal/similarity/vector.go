@@ -13,6 +13,7 @@ package similarity
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -98,15 +99,9 @@ var (
 	// MeasureExact realises the "perfect equality" end of the paper's
 	// similarity spectrum: 1 if identical, else 0.
 	MeasureExact = VectorMeasure{Name: "exact", Func: func(a, b model.SkillBits) float64 {
-		if a.Len() != b.Len() || a.Count() != b.Count() {
-			return 0
+		if a.Len() == b.Len() && slices.Equal(a.Words(), b.Words()) {
+			return 1
 		}
-		bw := b.Words()
-		for i, w := range a.Words() {
-			if w != bw[i] {
-				return 0
-			}
-		}
-		return 1
+		return 0
 	}}
 )

@@ -68,6 +68,9 @@ type (
 	AuditConfig = fairness.Config
 	// TransparencyReport is the outcome of checking Axiom 6 or 7.
 	TransparencyReport = transparency.AxiomReport
+	// TransparencyGap is one undisclosed (field, subject) pair of a
+	// TransparencyReport's Detail or a policy compliance audit.
+	TransparencyGap = transparency.Gap
 	// Policy is a parsed declarative transparency policy.
 	Policy = transparency.Policy
 	// Catalogue is the schema of disclosable fields.

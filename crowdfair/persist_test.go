@@ -11,10 +11,10 @@ import (
 	"repro/internal/store"
 )
 
-// TestAuditIncrementalReusesEngineWithCustomAttrPolicy is the regression
-// test for the sameAttrPolicy fix: a config with per-field tolerance
-// overrides and an ignore set must reuse the warmed engine across
-// AuditIncremental calls instead of silently cold-starting every time.
+// TestAuditIncrementalReusesEngineWithCustomAttrPolicy checks that engine
+// reuse, keyed by audit.ConfigSig, holds for a config with per-field
+// tolerance overrides and an ignore set: AuditIncremental calls must reuse
+// the warmed engine instead of silently cold-starting every time.
 func TestAuditIncrementalReusesEngineWithCustomAttrPolicy(t *testing.T) {
 	p := demoPlatform(t)
 	cfg := DefaultAuditConfig()

@@ -98,6 +98,9 @@ type Log struct {
 	// encode buffer, reused under mu.
 	sink    *wal.Writer
 	scratch []byte
+
+	// ledger is the disclosure state ReadLedger folds the trace into.
+	ledger Ledger
 }
 
 // ErrOutOfOrder is returned when an append's timestamp precedes the log's
@@ -221,6 +224,15 @@ func (l *Log) Events() []Event {
 	return append([]Event(nil), l.events...)
 }
 
+// Prefix returns the events appended so far without copying them. Events
+// are immutable once appended and the log only grows, so the result stays
+// valid while appends continue; callers must not modify it.
+func (l *Log) Prefix() []Event {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.events[:len(l.events):len(l.events)]
+}
+
 // Filter returns the events for which keep returns true, in order.
 func (l *Log) Filter(keep func(Event) bool) []Event {
 	l.mu.RLock()
@@ -237,16 +249,6 @@ func (l *Log) Filter(keep func(Event) bool) []Event {
 // ByType returns the events of the given type, in order.
 func (l *Log) ByType(t Type) []Event {
 	return l.Filter(func(e Event) bool { return e.Type == t })
-}
-
-// ByWorker returns the events touching the given worker, in order.
-func (l *Log) ByWorker(id model.WorkerID) []Event {
-	return l.Filter(func(e Event) bool { return e.Worker == id })
-}
-
-// ByTask returns the events touching the given task, in order.
-func (l *Log) ByTask(id model.TaskID) []Event {
-	return l.Filter(func(e Event) bool { return e.Task == id })
 }
 
 // WriteTo serialises the log as JSON lines. It implements io.WriterTo.

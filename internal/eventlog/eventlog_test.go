@@ -68,11 +68,11 @@ func TestFilters(t *testing.T) {
 	if got := l.ByType(TaskOffered); len(got) != 2 {
 		t.Fatalf("ByType = %d events", len(got))
 	}
-	if got := l.ByWorker("w1"); len(got) != 4 {
-		t.Fatalf("ByWorker = %d events", len(got))
+	if got := l.Filter(func(e Event) bool { return e.Worker == "w1" }); len(got) != 4 {
+		t.Fatalf("worker filter = %d events", len(got))
 	}
-	if got := l.ByTask("t2"); len(got) != 1 || got[0].Worker != "w2" {
-		t.Fatalf("ByTask = %v", got)
+	if got := l.Filter(func(e Event) bool { return e.Task == "t2" }); len(got) != 1 || got[0].Worker != "w2" {
+		t.Fatalf("task filter = %v", got)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestFilterPredicate(t *testing.T) {
 
 func TestByWorkerEmptyResult(t *testing.T) {
 	l := seededLog()
-	if got := l.ByWorker(model.WorkerID("ghost")); len(got) != 0 {
+	if got := l.Filter(func(e Event) bool { return e.Worker == model.WorkerID("ghost") }); len(got) != 0 {
 		t.Fatalf("ghost worker events = %v", got)
 	}
 }

@@ -113,7 +113,7 @@ func foldWorkerAudits(audits []WorkerAudit) *Report {
 // as a violation but does count as checked work.
 func CheckAxiom5(log *eventlog.Log) *Report {
 	s := NewAxiom5Stream()
-	for _, e := range log.Events() {
+	for _, e := range log.Prefix() {
 		s.Observe(e)
 	}
 	return s.Report()

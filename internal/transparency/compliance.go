@@ -2,7 +2,6 @@ package transparency
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/eventlog"
 	"repro/internal/model"
@@ -15,8 +14,8 @@ type AxiomReport struct {
 	Required []FieldRef
 	// Missing lists required refs the audited party never disclosed.
 	Missing []FieldRef
-	// Detail explains per-entity gaps.
-	Detail []string
+	// Detail lists the per-entity gaps.
+	Detail []Gap
 }
 
 // Satisfied reports whether the axiom held.
@@ -26,6 +25,36 @@ func (r *AxiomReport) Satisfied() bool { return len(r.Missing) == 0 && len(r.Det
 func (r *AxiomReport) String() string {
 	return fmt.Sprintf("Axiom %d: required=%d missing=%d gaps=%d",
 		r.Axiom, len(r.Required), len(r.Missing), len(r.Detail))
+}
+
+// Gap is one subject seen in a trace that was never disclosed one required
+// field: an Axiom 6 or 7 gap, or a broken always-rule of a policy.
+type Gap struct {
+	// Axiom is 6 or 7 for an axiom gap and 0 for a policy gap.
+	Axiom int
+	// Policy names the policy of a policy gap.
+	Policy string
+	// Field is the field never disclosed.
+	Field FieldRef
+	// Subject is the kind of entity that lacks it and ID its id.
+	Subject Subject
+	ID      string
+	// Owner is the requester of a task subject.
+	Owner model.RequesterID
+}
+
+// String renders the gap as one human-readable line.
+func (g Gap) String() string {
+	switch {
+	case g.Axiom == 0:
+		return fmt.Sprintf("policy %q promises %s to workers always, but worker %s never saw it", g.Policy, g.Field, g.ID)
+	case g.Subject == SubjectWorker:
+		return fmt.Sprintf("platform never disclosed %s to worker %s", g.Field, g.ID)
+	case g.Subject == SubjectTask:
+		return fmt.Sprintf("task %s (requester %s) never disclosed %s", g.ID, g.Owner, g.Field)
+	default:
+		return fmt.Sprintf("requester %s never disclosed %s", g.ID, g.Field)
+	}
 }
 
 // CheckAxiom6 audits requester transparency:
@@ -41,73 +70,16 @@ func (r *AxiomReport) String() string {
 // its task-subject fields disclosed.
 func CheckAxiom6(cat *Catalogue, log *eventlog.Log) *AxiomReport {
 	rep := &AxiomReport{Axiom: 6, Required: cat.RequiredFor(6)}
-
-	requesters := make(map[model.RequesterID]bool)
-	taskOwner := make(map[model.TaskID]model.RequesterID)
-	disclosedReq := make(map[model.RequesterID]map[string]bool)
-	disclosedTask := make(map[model.TaskID]map[string]bool)
-	for _, e := range log.Events() {
-		switch e.Type {
-		case eventlog.TaskPosted:
-			requesters[e.Requester] = true
-			taskOwner[e.Task] = e.Requester
-		case eventlog.Disclosure:
-			if e.Requester != "" && e.Task == "" {
-				m := disclosedReq[e.Requester]
-				if m == nil {
-					m = make(map[string]bool)
-					disclosedReq[e.Requester] = m
-				}
-				m[e.Field] = true
-			}
-			if e.Task != "" {
-				m := disclosedTask[e.Task]
-				if m == nil {
-					m = make(map[string]bool)
-					disclosedTask[e.Task] = m
-				}
-				m[e.Field] = true
-			}
-		}
-	}
-
-	missing := make(map[FieldRef]bool)
-	var reqIDs []model.RequesterID
-	for r := range requesters {
-		reqIDs = append(reqIDs, r)
-	}
-	sort.Slice(reqIDs, func(i, j int) bool { return reqIDs[i] < reqIDs[j] })
-	var taskIDs []model.TaskID
-	for t := range taskOwner {
-		taskIDs = append(taskIDs, t)
-	}
-	sort.Slice(taskIDs, func(i, j int) bool { return taskIDs[i] < taskIDs[j] })
-
+	var walks []walk
 	for _, ref := range rep.Required {
 		switch ref.Subject {
 		case SubjectRequester:
-			for _, r := range reqIDs {
-				if !disclosedReq[r][ref.String()] {
-					missing[ref] = true
-					rep.Detail = append(rep.Detail,
-						fmt.Sprintf("requester %s never disclosed %s", r, ref))
-				}
-			}
+			walks = append(walks, walk{Gap{Axiom: 6, Field: ref, Subject: SubjectRequester}, eventlog.KindRequester, eventlog.RolePosted})
 		case SubjectTask:
-			for _, t := range taskIDs {
-				if !disclosedTask[t][ref.String()] {
-					missing[ref] = true
-					rep.Detail = append(rep.Detail,
-						fmt.Sprintf("task %s (requester %s) never disclosed %s", t, taskOwner[t], ref))
-				}
-			}
+			walks = append(walks, walk{Gap{Axiom: 6, Field: ref, Subject: SubjectTask}, eventlog.KindTask, eventlog.RolePosted})
 		}
 	}
-	for _, ref := range rep.Required {
-		if missing[ref] {
-			rep.Missing = append(rep.Missing, ref)
-		}
-	}
+	rep.Detail, rep.Missing = gaps(log, walks)
 	return rep
 }
 
@@ -120,86 +92,28 @@ func CheckAxiom6(cat *Catalogue, log *eventlog.Log) *AxiomReport {
 // Axiom-7 field disclosed to them at least once.
 func CheckAxiom7(cat *Catalogue, log *eventlog.Log) *AxiomReport {
 	rep := &AxiomReport{Axiom: 7, Required: cat.RequiredFor(7)}
-
-	workers := make(map[model.WorkerID]bool)
-	disclosed := make(map[model.WorkerID]map[string]bool)
-	for _, e := range log.Events() {
-		switch e.Type {
-		case eventlog.WorkerJoined, eventlog.TaskStarted, eventlog.TaskSubmitted:
-			workers[e.Worker] = true
-		case eventlog.Disclosure:
-			if e.Worker != "" {
-				m := disclosed[e.Worker]
-				if m == nil {
-					m = make(map[string]bool)
-					disclosed[e.Worker] = m
-				}
-				m[e.Field] = true
-			}
-		}
-	}
-
-	var ids []model.WorkerID
-	for w := range workers {
-		ids = append(ids, w)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	missing := make(map[FieldRef]bool)
+	var walks []walk
 	for _, ref := range rep.Required {
-		if ref.Subject != SubjectWorker {
-			continue
-		}
-		for _, w := range ids {
-			if !disclosed[w][ref.String()] {
-				missing[ref] = true
-				rep.Detail = append(rep.Detail,
-					fmt.Sprintf("platform never disclosed %s to worker %s", ref, w))
-			}
+		if ref.Subject == SubjectWorker {
+			walks = append(walks, walk{Gap{Axiom: 7, Field: ref, Subject: SubjectWorker}, eventlog.KindWorker,
+				eventlog.RoleJoined | eventlog.RoleStarted | eventlog.RoleSubmitted})
 		}
 	}
-	for _, ref := range rep.Required {
-		if missing[ref] {
-			rep.Missing = append(rep.Missing, ref)
-		}
-	}
+	rep.Detail, rep.Missing = gaps(log, walks)
 	return rep
 }
 
 // PolicyCompliance audits an event trace against a specific policy: every
 // field the policy promises "always" to an audience must appear as a
 // Disclosure event at least once for each member of that audience seen in
-// the trace. It returns human-readable gap descriptions (empty = compliant).
+// the trace. It returns one gap per (rule, worker) left unmet, rule by rule
+// in policy order and workers in id order (empty = compliant).
 //
 // Conditional and triggered rules are not audited here — verifying them
 // requires replaying contexts, which the simulator does natively by only
 // emitting Disclosure events the policy mandates.
-func PolicyCompliance(p *Policy, log *eventlog.Log) []string {
-	var gaps []string
-
-	workers := make(map[model.WorkerID]bool)
-	disclosedToWorker := make(map[model.WorkerID]map[string]bool)
-	for _, e := range log.Events() {
-		switch e.Type {
-		case eventlog.WorkerJoined:
-			workers[e.Worker] = true
-		case eventlog.Disclosure:
-			if e.Worker != "" {
-				m := disclosedToWorker[e.Worker]
-				if m == nil {
-					m = make(map[string]bool)
-					disclosedToWorker[e.Worker] = m
-				}
-				m[e.Field] = true
-			}
-		}
-	}
-	var ids []model.WorkerID
-	for w := range workers {
-		ids = append(ids, w)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
+func PolicyCompliance(p *Policy, log *eventlog.Log) []Gap {
+	var walks []walk
 	for _, r := range p.Rules {
 		if r.On != TriggerAlways || r.When != nil {
 			continue
@@ -207,13 +121,44 @@ func PolicyCompliance(p *Policy, log *eventlog.Log) []string {
 		if r.To != AudienceWorkers && r.To != AudiencePublic {
 			continue
 		}
-		field := r.Field.String()
-		for _, w := range ids {
-			if !disclosedToWorker[w][field] {
-				gaps = append(gaps, fmt.Sprintf("policy %q promises %s to workers always, but worker %s never saw it",
-					p.Name, field, w))
+		walks = append(walks, walk{Gap{Policy: p.Name, Field: r.Field, Subject: SubjectWorker}, eventlog.KindWorker, eventlog.RoleJoined})
+	}
+	out, _ := gaps(log, walks)
+	return out
+}
+
+// walk is one required field checked against every subject of a kind
+// holding one of roles; proto is the gap each undisclosed subject yields.
+type walk struct {
+	proto Gap
+	kind  eventlog.Kind
+	roles eventlog.Role
+}
+
+// gaps reads the log's disclosure ledger once and returns the gaps of each
+// walk in order, subjects in id order, with the fields that had any.
+func gaps(log *eventlog.Log, walks []walk) (out []Gap, missing []FieldRef) {
+	if len(walks) == 0 {
+		return nil, nil
+	}
+	log.ReadLedger(func(d *eventlog.Ledger) {
+		n := 0
+		for _, w := range walks {
+			n += d.Missing(w.kind, w.roles, w.proto.Field.String(), nil)
+		}
+		if n == 0 {
+			return
+		}
+		out = make([]Gap, 0, n)
+		for _, w := range walks {
+			g := w.proto
+			if d.Missing(w.kind, w.roles, g.Field.String(), func(id string, owner model.RequesterID) {
+				g.ID, g.Owner = id, owner
+				out = append(out, g)
+			}) > 0 {
+				missing = append(missing, g.Field)
 			}
 		}
-	}
-	return gaps
+	})
+	return out, missing
 }

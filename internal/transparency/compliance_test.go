@@ -49,7 +49,7 @@ func TestAxiom6DetectsMissingRequesterField(t *testing.T) {
 	}
 	foundDetail := false
 	for _, d := range rep.Detail {
-		if strings.Contains(d, "payment_delay") {
+		if strings.Contains(d.String(), "payment_delay") {
 			foundDetail = true
 		}
 	}
@@ -114,7 +114,7 @@ func TestPolicyCompliance(t *testing.T) {
 	l := eventlog.New()
 	l.MustAppend(eventlog.Event{Time: 1, Type: eventlog.WorkerJoined, Worker: "w1"})
 	gaps := PolicyCompliance(pol, l)
-	if len(gaps) != 1 || !strings.Contains(gaps[0], "hourly_wage") {
+	if len(gaps) != 1 || !strings.Contains(gaps[0].String(), "hourly_wage") {
 		t.Fatalf("gaps = %v", gaps)
 	}
 	l.MustAppend(eventlog.Event{Time: 2, Type: eventlog.Disclosure, Worker: "w1", Field: "requester.hourly_wage"})

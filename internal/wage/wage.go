@@ -113,7 +113,7 @@ func FromLog(log *eventlog.Log) *Report {
 	// contribution for the payment pass.
 	byContribution := make(map[model.ContributionID]int) // index into rep.Episodes
 
-	for _, e := range log.Events() {
+	for _, e := range log.Prefix() {
 		switch e.Type {
 		case eventlog.TaskPosted:
 			taskOwner[e.Task] = e.Requester

@@ -14,8 +14,9 @@
 // violations a full fairness.CheckAll over the same trace reports (the
 // determinism tests pin this down pair by pair). Report.Checked is exact
 // for every axiom: Axioms 3–5 maintain per-unit counts, and Axioms 1–2
-// maintain a candidate-pair census (fairness.Report.CheckedPairs feeds an
-// adjacency set) so delta passes report the same Checked a full scan would.
+// maintain a candidate-pair census (fairness.Report.CheckedPairs feeds
+// per-subject sorted partner lists over dense slots) so delta passes report
+// the same Checked a full scan would.
 //
 // Publication costs what the pass changed, not what has accumulated: each
 // axiom's standing violations live in one report-ordered slice maintained by
@@ -34,6 +35,7 @@
 package audit
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -176,54 +178,85 @@ func containsSortedStr(ids []string, id string) bool {
 	return i < len(ids) && ids[i] == id
 }
 
-// pairSet is an adjacency-set census of the candidate pairs currently in
-// scope for one pair axiom. A delta pass first evicts every pair touching a
-// dirty subject, then folds in the pairs the pass actually examined
+// pairSet is the census of the candidate pairs currently in scope for one
+// pair axiom. A delta pass first evicts every pair touching a dirty subject,
+// then folds in the pairs the pass actually examined
 // (fairness.Report.CheckedPairs); pairs between two clean subjects cannot
 // have entered or left the candidate set, so the census count always equals
 // the Checked of a full scan over the current state.
+//
+// Subjects live in dense uint32 slots (an id table like
+// similarity.LSHIndex's), each with a sorted list of its partners' slots. A
+// subject whose list empties gives its slot back. Slot numbers depend on
+// insertion order; pairs() reports by id.
 type pairSet struct {
-	adj   map[string]map[string]bool
+	slots map[string]uint32
+	names []string
+	freed []uint32
+	adj   [][]uint32
 	count int
 }
 
-func newPairSet() *pairSet { return &pairSet{adj: make(map[string]map[string]bool)} }
+func newPairSet() *pairSet { return &pairSet{slots: make(map[string]uint32)} }
+
+// slot returns id's slot, giving it a fresh or freed one if it has none.
+func (p *pairSet) slot(id string) uint32 {
+	if s, ok := p.slots[id]; ok {
+		return s
+	}
+	var s uint32
+	if n := len(p.freed); n > 0 {
+		s = p.freed[n-1]
+		p.freed = p.freed[:n-1]
+		p.names[s] = id
+	} else {
+		s = uint32(len(p.names))
+		p.names = append(p.names, id)
+		p.adj = append(p.adj, nil)
+	}
+	p.slots[id] = s
+	return s
+}
+
+// release frees slot s, whose partner list is empty.
+func (p *pairSet) release(s uint32) {
+	delete(p.slots, p.names[s])
+	p.names[s] = ""
+	p.freed = append(p.freed, s)
+}
 
 // dropDirty evicts every pair with at least one endpoint in dirty.
 func (p *pairSet) dropDirty(dirty []string) {
 	for _, d := range dirty {
-		partners := p.adj[d]
-		if partners == nil {
+		s, ok := p.slots[d]
+		if !ok {
 			continue
 		}
-		for q := range partners {
+		for _, q := range p.adj[s] {
 			p.count--
-			if qa := p.adj[q]; qa != nil {
-				delete(qa, d)
-				if len(qa) == 0 {
-					delete(p.adj, q)
+			if i, ok := slices.BinarySearch(p.adj[q], s); ok {
+				p.adj[q] = slices.Delete(p.adj[q], i, i+1)
+				if len(p.adj[q]) == 0 {
+					p.release(q)
 				}
 			}
 		}
-		delete(p.adj, d)
+		p.adj[s] = p.adj[s][:0]
+		p.release(s)
 	}
 }
 
 // add folds in examined pairs, ignoring ones already present.
 func (p *pairSet) add(pairs [][2]string) {
 	for _, pr := range pairs {
-		a, b := pr[0], pr[1]
-		if p.adj[a][b] {
+		a, b := p.slot(pr[0]), p.slot(pr[1])
+		i, ok := slices.BinarySearch(p.adj[a], b)
+		if ok {
 			continue
 		}
-		if p.adj[a] == nil {
-			p.adj[a] = make(map[string]bool)
-		}
-		if p.adj[b] == nil {
-			p.adj[b] = make(map[string]bool)
-		}
-		p.adj[a][b] = true
-		p.adj[b][a] = true
+		p.adj[a] = slices.Insert(p.adj[a], i, b)
+		j, _ := slices.BinarySearch(p.adj[b], a)
+		p.adj[b] = slices.Insert(p.adj[b], j, a)
 		p.count++
 	}
 }

@@ -238,13 +238,14 @@ func restoreLSH(params similarity.LSHParams, t SigTable) (*similarity.LSHIndex, 
 	return x, true
 }
 
-// pairs lists the census adjacency set once per pair, deterministically
-// ordered, for serialisation; add() restores it.
+// pairs lists the census once per pair, deterministically ordered, for
+// serialisation; add() restores it.
 func (p *pairSet) pairs() [][2]string {
 	var out [][2]string
-	for a, partners := range p.adj {
-		for b := range partners {
-			if a < b {
+	for s, partners := range p.adj {
+		a := p.names[s]
+		for _, q := range partners {
+			if b := p.names[q]; a < b {
 				out = append(out, [2]string{a, b})
 			}
 		}

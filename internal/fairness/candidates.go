@@ -250,7 +250,8 @@ func (p IndexPlan) appendAttrTokens(out []uint64, side string, attrs model.Attri
 // recycled buffers, then bulk-installed: band hashing fans out per entity,
 // and bucket unlinks and inserts per band (see LSHIndex.BulkUpsert). For
 // exact indexes it upserts directly. The result is identical to n
-// sequential Upserts; ids must be distinct.
+// sequential Upserts; ids must be distinct (the LSH path panics on a
+// repeat).
 func PopulateIndex(ix similarity.CandidateIndex, n int, id func(int) string, tokens func(int) []uint64) {
 	if lsh, ok := ix.(*similarity.LSHIndex); ok {
 		ids := make([]string, n)

@@ -354,8 +354,9 @@ func TestLSHIndexBulkReplaceMatchesSerial(t *testing.T) {
 
 // A steady-state refresh of the same ids recycles storage instead of
 // allocating it: 50 rounds in which every id moves buckets allocate nothing
-// per entity and leave both freelists exactly as long as they were, and a
-// round in which nothing changed hands every signature buffer back.
+// per entity, leave the signature freelist exactly as long as it was and the
+// flat band-hash array at its capacity, and a round in which nothing changed
+// hands every signature buffer back.
 func TestLSHIndexBulkRefreshRecyclesStorage(t *testing.T) {
 	params := LSHParams{Bands: 8, Rows: 4, Seed: 21}
 	const n = 240
@@ -376,24 +377,25 @@ func TestLSHIndexBulkRefreshRecyclesStorage(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		refresh()
 	}
-	sigFree, bhFree := len(ix.sigFree), len(ix.bhFree)
-	if sigFree != n || bhFree != n {
-		t.Fatalf("after warm-up: freelists hold %d signatures / %d band hashes, want %d each", sigFree, bhFree, n)
+	sigFree, bhCap := len(ix.sigFree), cap(ix.bh)
+	if sigFree != n {
+		t.Fatalf("after warm-up: freelist holds %d signatures, want %d", sigFree, n)
 	}
 	allocs := testing.AllocsPerRun(50, refresh)
-	if len(ix.sigFree) != sigFree || len(ix.bhFree) != bhFree {
-		t.Fatalf("50 refresh rounds moved the freelists %d/%d -> %d/%d", sigFree, bhFree, len(ix.sigFree), len(ix.bhFree))
+	if len(ix.sigFree) != sigFree || cap(ix.bh) != bhCap {
+		t.Fatalf("50 refresh rounds moved the signature freelist %d -> %d, band-hash capacity %d -> %d",
+			sigFree, len(ix.sigFree), bhCap, cap(ix.bh))
 	}
-	// What remains is per call: the batch's index slices and the pool's
-	// fan-out bookkeeping (about 15).
+	// What remains is per call: the batch's bookkeeping slices and the
+	// pool's fan-out bookkeeping (about 15).
 	if allocs > n/8 {
 		t.Fatalf("a refresh of %d changed entities allocated %.0f times, want <= %d", n, allocs, n/8)
 	}
 	t.Logf("allocs per %d-entity refresh: %.0f", n, allocs)
 
 	ix.BulkUpsert(ids, tokens) // same round: nothing changed
-	if len(ix.sigFree) != sigFree || len(ix.bhFree) != bhFree {
-		t.Fatalf("an unchanged refresh moved the freelists %d/%d -> %d/%d", sigFree, bhFree, len(ix.sigFree), len(ix.bhFree))
+	if len(ix.sigFree) != sigFree {
+		t.Fatalf("an unchanged refresh moved the signature freelist %d -> %d", sigFree, len(ix.sigFree))
 	}
 	fresh := NewLSHIndex(params)
 	for i, id := range ids {

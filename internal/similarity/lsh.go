@@ -1,8 +1,9 @@
 package similarity
 
 import (
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -69,33 +70,46 @@ func ChooseLSHParams(threshold float64, seed uint64) LSHParams {
 
 // LSHIndex is the banded-MinHash CandidateIndex. Each entity's token set is
 // reduced to a signature once on Upsert; candidate generation then touches
-// only bucket maps, never token sets, so an entity update re-hashes exactly
-// one entity and full-pass enumeration is linear in the number of occupied
-// buckets plus emitted pairs.
+// only band hashes and buckets, never token sets, so an entity update
+// re-hashes exactly one entity and full-pass enumeration is linear in the
+// number of occupied buckets plus emitted pairs.
+//
+// Entities live in dense uint32 slots. A private id table maps each id to
+// its slot and back; Remove frees the slot for the next new id, and Reset
+// rewinds the table. Signatures are stored per slot, band hashes in one
+// flat array at slot*Bands, and buckets hold slots, so Partners and Pairs
+// read arrays and turn a slot back into its id only to yield it. Slot
+// numbers depend on install order, so nothing observable depends on them:
+// Pairs orders each pair by id, and Partners' order is unspecified.
 type LSHIndex struct {
 	params LSHParams
 	hasher *MinHasher
-	// sigs holds each id's full signature (kept for EstimateJaccard-style
-	// introspection and for serialization).
-	sigs map[string][]uint32
-	// bandHashes caches each id's per-band bucket keys so Remove and the
-	// first-shared-band dedup never recompute them.
-	bandHashes map[string][]uint64
-	// buckets[b] maps a band-b hash to the ids currently in that bucket,
+	// slots maps an id to its slot and names maps it back; freed holds
+	// released slots, whose names entry is "" and sigs entry nil.
+	slots map[string]uint32
+	names []string
+	freed []uint32
+	// sigs[s] is slot s's full signature (kept for the unchanged-upsert
+	// check and for serialization).
+	sigs [][]uint32
+	// bh[s*Bands+b] is slot s's band-b bucket key, cached so Remove and the
+	// first-shared-band dedup never recompute it. Freed slots keep stale
+	// rows that no bucket references.
+	bh []uint64
+	// buckets[b] maps a band-b hash to the slots currently in that bucket,
 	// kept sorted. Slices instead of member maps keep index construction
 	// allocation-light (one growing slice per occupied bucket rather than
-	// millions of small maps) and give Pairs pre-sorted members for free;
-	// buckets stay small under any reasonable banding, so the O(len)
-	// sorted insert and delete are cheaper than map bookkeeping.
-	buckets []map[uint64][]string
-	// sigFree/bhFree recycle the signature and band-hash storage of
-	// removed, replaced, or Reset entries, so a pooled transient index
-	// (fairness.ContribCandidates builds one per dirty task) re-upserts,
-	// and a long-lived one bulk-refreshes, without allocating per entity.
-	// Consequence of recycling: a slice returned by Signature/Signatures is
-	// valid only until its entity is re-upserted or removed.
+	// millions of small maps); buckets stay small under any reasonable
+	// banding, so the O(len) sorted insert and delete are cheaper than map
+	// bookkeeping.
+	buckets []map[uint64][]uint32
+	// sigFree recycles the signature storage of removed, replaced, or Reset
+	// entries, so a pooled transient index (fairness.ContribCandidates
+	// builds one per dirty task) re-upserts, and a long-lived one
+	// bulk-refreshes, without allocating per entity. Consequence of
+	// recycling: a slice returned by Signature/Signatures is valid only
+	// until its entity is re-upserted or removed.
 	sigFree [][]uint32
-	bhFree  [][]uint64
 }
 
 // NewLSHIndex returns an empty index with the given parameters.
@@ -104,14 +118,13 @@ func NewLSHIndex(params LSHParams) *LSHIndex {
 		panic("similarity: LSH bands and rows must be >= 1")
 	}
 	ix := &LSHIndex{
-		params:     params,
-		hasher:     NewMinHasher(params.K(), params.Seed),
-		sigs:       make(map[string][]uint32),
-		bandHashes: make(map[string][]uint64),
-		buckets:    make([]map[uint64][]string, params.Bands),
+		params:  params,
+		hasher:  NewMinHasher(params.K(), params.Seed),
+		slots:   make(map[string]uint32),
+		buckets: make([]map[uint64][]uint32, params.Bands),
 	}
 	for b := range ix.buckets {
-		ix.buckets[b] = make(map[uint64][]string)
+		ix.buckets[b] = make(map[uint64][]uint32)
 	}
 	return ix
 }
@@ -123,7 +136,7 @@ func (x *LSHIndex) Params() LSHParams { return x.params }
 func (x *LSHIndex) Name() string { return "lsh" }
 
 // Len implements CandidateIndex.
-func (x *LSHIndex) Len() int { return len(x.sigs) }
+func (x *LSHIndex) Len() int { return len(x.slots) }
 
 // Upsert implements CandidateIndex.
 func (x *LSHIndex) Upsert(id string, tokens []uint64) {
@@ -142,6 +155,37 @@ func take[T any](free *[][]T) []T {
 	return buf
 }
 
+// claim gives a new id a slot, reusing a freed one if any. The caller
+// stores its signature and, after grow, its band row.
+func (x *LSHIndex) claim(id string) uint32 {
+	var s uint32
+	if n := len(x.freed); n > 0 {
+		s = x.freed[n-1]
+		x.freed = x.freed[:n-1]
+		x.names[s] = id
+	} else {
+		s = uint32(len(x.names))
+		x.names = append(x.names, id)
+		x.sigs = append(x.sigs, nil)
+	}
+	x.slots[id] = s
+	return s
+}
+
+// grow extends the band-hash array to cover every slot, in one step however
+// many slots were claimed since the last call.
+func (x *LSHIndex) grow() {
+	if need := len(x.names) * x.params.Bands; need > len(x.bh) {
+		x.bh = append(x.bh, make([]uint64, need-len(x.bh))...)
+	}
+}
+
+// row is slot s's band-hash row.
+func (x *LSHIndex) row(s uint32) []uint64 {
+	i := int(s) * x.params.Bands
+	return x.bh[i : i+x.params.Bands : i+x.params.Bands]
+}
+
 // UpsertSignature installs one precomputed signature (as produced by this
 // index's Hasher); BulkUpsertSignatures is the batch form. It panics on
 // signature length mismatch.
@@ -149,33 +193,37 @@ func (x *LSHIndex) UpsertSignature(id string, sig []uint32) {
 	if len(sig) != x.params.K() {
 		panic("similarity: signature length does not match LSH params")
 	}
-	if old, ok := x.sigs[id]; ok {
+	s, ok := x.slots[id]
+	if ok {
+		old := x.sigs[s]
 		if sigsEqual(old, sig) {
 			return
 		}
-		x.dropFromBuckets(id)
+		x.unlinkRow(s)
 		x.sigFree = append(x.sigFree, old)
-		x.bhFree = append(x.bhFree, x.bandHashes[id])
+	} else {
+		s = x.claim(id)
+		x.grow()
 	}
-	bh := x.appendBandHashes(take(&x.bhFree), sig)
-	x.sigs[id] = sig
-	x.bandHashes[id] = bh
-	for b, h := range bh {
-		x.link(b, h, id)
+	x.sigs[s] = sig
+	row := x.row(s)
+	x.hashBands(row, sig)
+	for b, h := range row {
+		x.link(b, h, s)
 	}
 }
 
 // BulkUpsertSignatures installs many precomputed signatures at once — the
 // one install path behind cold builds, checkpoint restores and delta
 // refreshes (builds and refreshes through BulkUpsert). It is equivalent to
-// calling UpsertSignature(ids[i], sigs[i]) in order: a serial pre-pass skips
-// unchanged entries, band hashing fans out per entity on the parallel pool,
-// and then one goroutine per band unlinks each replaced entry from its old
-// bucket and links it into its new one. Buckets are kept sorted, so the
-// result is identical to the serial build's. Band-hash storage comes from
-// the freelist, and replaced storage goes back to it. ids must be distinct;
-// it panics on a length mismatch between ids and sigs or between a
-// signature and the index parameters.
+// calling UpsertSignature(ids[i], sigs[i]) in order: a serial pre-pass
+// gives new ids slots and skips unchanged entries, the band-hash array grows
+// once, band hashing fans out per entity on the parallel pool, and then one
+// goroutine per band unlinks each replaced entry from its old bucket and
+// links it into its new one. Buckets are kept sorted, so the result is
+// identical to the serial build's. It panics on a repeated id, on a length
+// mismatch between ids and sigs, or between a signature and the index
+// parameters; the index is unusable after such a panic.
 func (x *LSHIndex) BulkUpsertSignatures(ids []string, sigs [][]uint32) {
 	x.bulkInstall(ids, sigs, false)
 }
@@ -184,7 +232,7 @@ func (x *LSHIndex) BulkUpsertSignatures(ids []string, sigs [][]uint32) {
 // computed on the parallel pool into buffers taken from the index's
 // freelist, and the buffers of entries found unchanged go back to it, so
 // refreshing the same ids round after round neither allocates signature
-// storage nor grows the freelists.
+// storage nor grows the freelist.
 func (x *LSHIndex) BulkUpsert(ids []string, tokens func(i int) []uint64) {
 	sigs := make([][]uint32, len(ids))
 	for i := range sigs {
@@ -202,54 +250,66 @@ func (x *LSHIndex) bulkInstall(ids []string, sigs [][]uint32, owned bool) {
 	if len(ids) != len(sigs) {
 		panic("similarity: ids/sigs length mismatch")
 	}
-	// Serial pre-pass: validate, skip unchanged entries, take band-hash
-	// storage, and keep each replaced entry's old band hashes (nil for a new
-	// id) for the band pass.
-	keep := make([]int, 0, len(ids))
-	olds := make([][]uint64, 0, len(ids))
-	bhs := make([][]uint64, 0, len(ids))
+	// Serial pre-pass: validate, give new ids slots, skip unchanged
+	// entries, and copy each replaced entry's old band row (the band pass
+	// unlinks it; the row itself is about to be overwritten). in[k].old is
+	// that copy's row in olds, or -1 for an id new to the index. Every slot
+	// the batch touches is below len(names) + len(ids), so one bit per slot
+	// catches a repeated id.
+	type install struct {
+		slot uint32
+		old  int
+	}
+	bands := x.params.Bands
+	in := make([]install, 0, len(ids))
+	var olds []uint64
+	seen := make([]uint64, (len(x.names)+len(ids)+63)/64)
 	for i, id := range ids {
 		if len(sigs[i]) != x.params.K() {
 			panic("similarity: signature length does not match LSH params")
 		}
-		old, ok := x.sigs[id]
-		if ok && sigsEqual(old, sigs[i]) {
+		s, ok := x.slots[id]
+		if !ok {
+			s = x.claim(id)
+		}
+		if seen[s/64]&(1<<(s%64)) != 0 {
+			panic(fmt.Sprintf("similarity: id %q repeated in one bulk upsert", id))
+		}
+		seen[s/64] |= 1 << (s % 64)
+		old := x.sigs[s]
+		if sigsEqual(old, sigs[i]) {
 			if owned {
 				x.sigFree = append(x.sigFree, sigs[i])
 			}
 			continue
 		}
-		if ok {
+		at := -1
+		if old != nil {
 			x.sigFree = append(x.sigFree, old)
+			at = len(olds) / bands
+			olds = append(olds, x.row(s)...)
 		}
-		keep = append(keep, i)
-		olds = append(olds, x.bandHashes[id])
-		bhs = append(bhs, take(&x.bhFree))
+		x.sigs[s] = sigs[i]
+		in = append(in, install{s, at})
 	}
-	par.For(len(keep), 0, func(k int) {
-		bhs[k] = x.appendBandHashes(bhs[k], sigs[keep[k]])
+	x.grow()
+	par.For(len(in), 0, func(k int) {
+		s := in[k].slot
+		x.hashBands(x.row(s), x.sigs[s])
 	})
-	for k, i := range keep {
-		x.sigs[ids[i]] = sigs[i]
-		x.bandHashes[ids[i]] = bhs[k]
-	}
-	par.For(x.params.Bands, 0, func(b int) {
-		for k, i := range keep {
-			h := bhs[k][b]
-			if old := olds[k]; old != nil {
-				if old[b] == h {
+	par.For(bands, 0, func(b int) {
+		for _, e := range in {
+			h := x.bh[int(e.slot)*bands+b]
+			if e.old >= 0 {
+				o := olds[e.old*bands+b]
+				if o == h {
 					continue // this band of the signature did not move
 				}
-				x.unlink(b, old[b], ids[i])
+				x.unlink(b, o, e.slot)
 			}
-			x.link(b, h, ids[i])
+			x.link(b, h, e.slot)
 		}
 	})
-	for _, bh := range olds {
-		if bh != nil {
-			x.bhFree = append(x.bhFree, bh)
-		}
-	}
 }
 
 // Hasher exposes the index's hash family so callers can compute signatures
@@ -260,148 +320,151 @@ func (x *LSHIndex) Hasher() *MinHasher { return x.hasher }
 // returned slice is the index's own storage; callers must not mutate it,
 // and it is valid only until the entity is re-upserted or removed (its
 // backing array is then recycled).
-func (x *LSHIndex) Signature(id string) []uint32 { return x.sigs[id] }
+func (x *LSHIndex) Signature(id string) []uint32 {
+	if s, ok := x.slots[id]; ok {
+		return x.sigs[s]
+	}
+	return nil
+}
 
 // Signatures calls yield for every indexed (id, signature) pair, in
 // unspecified order — the export hook for serialising the index. The
 // yielded slices are the index's own storage; callers must not mutate or
 // retain them across mutations.
 func (x *LSHIndex) Signatures(yield func(id string, sig []uint32)) {
-	for id, sig := range x.sigs {
-		yield(id, sig)
+	for s, sig := range x.sigs {
+		if sig != nil {
+			yield(x.names[s], sig)
+		}
 	}
 }
 
 // Remove implements CandidateIndex.
 func (x *LSHIndex) Remove(id string) {
-	sig, ok := x.sigs[id]
+	s, ok := x.slots[id]
 	if !ok {
 		return
 	}
-	x.dropFromBuckets(id)
-	x.sigFree = append(x.sigFree, sig)
-	x.bhFree = append(x.bhFree, x.bandHashes[id])
-	delete(x.sigs, id)
-	delete(x.bandHashes, id)
+	x.unlinkRow(s)
+	x.sigFree = append(x.sigFree, x.sigs[s])
+	x.sigs[s], x.names[s] = nil, ""
+	delete(x.slots, id)
+	x.freed = append(x.freed, s)
 }
 
 // Reset empties the index in place, keeping its parameters, hasher, bucket
-// maps, and recycled signature storage. A Reset index is observationally
-// identical to a fresh NewLSHIndex with the same parameters; it exists so
-// transient per-task contribution indexes can be pooled instead of
-// reallocating ~Bands bucket maps and a hash family per audit.
+// maps, and recycled storage, and rewinds the slot table. A Reset index is
+// observationally identical to a fresh NewLSHIndex with the same
+// parameters; it exists so transient per-task contribution indexes can be
+// pooled instead of reallocating ~Bands bucket maps and a hash family per
+// audit.
 func (x *LSHIndex) Reset() {
 	for _, sig := range x.sigs {
-		x.sigFree = append(x.sigFree, sig)
+		if sig != nil {
+			x.sigFree = append(x.sigFree, sig)
+		}
 	}
-	for _, bh := range x.bandHashes {
-		x.bhFree = append(x.bhFree, bh)
-	}
-	clear(x.sigs)
-	clear(x.bandHashes)
+	clear(x.slots)
+	clear(x.names)
+	x.names, x.sigs, x.freed, x.bh = x.names[:0], x.sigs[:0], x.freed[:0], x.bh[:0]
 	for b := range x.buckets {
 		clear(x.buckets[b])
 	}
 }
 
-func (x *LSHIndex) dropFromBuckets(id string) {
-	for b, h := range x.bandHashes[id] {
-		x.unlink(b, h, id)
+// unlinkRow removes slot s from the bucket of each of its bands.
+func (x *LSHIndex) unlinkRow(s uint32) {
+	for b, h := range x.row(s) {
+		x.unlink(b, h, s)
 	}
 }
 
-// link inserts id into band b's bucket h, keeping the bucket sorted. It
+// link inserts slot s into band b's bucket h, keeping the bucket sorted. It
 // touches only band b's map, so distinct bands may be linked concurrently.
-func (x *LSHIndex) link(b int, h uint64, id string) {
+func (x *LSHIndex) link(b int, h uint64, s uint32) {
 	bucket := x.buckets[b][h]
-	i := sort.SearchStrings(bucket, id)
-	bucket = append(bucket, "")
-	copy(bucket[i+1:], bucket[i:])
-	bucket[i] = id
-	x.buckets[b][h] = bucket
+	i, _ := slices.BinarySearch(bucket, s)
+	x.buckets[b][h] = slices.Insert(bucket, i, s)
 }
 
-// unlink removes id from band b's bucket h, deleting the bucket once empty.
-func (x *LSHIndex) unlink(b int, h uint64, id string) {
+// unlink removes slot s from band b's bucket h, deleting the bucket once
+// empty.
+func (x *LSHIndex) unlink(b int, h uint64, s uint32) {
 	bucket := x.buckets[b][h]
-	i := sort.SearchStrings(bucket, id)
-	if i >= len(bucket) || bucket[i] != id {
+	i, ok := slices.BinarySearch(bucket, s)
+	if !ok {
 		return
 	}
 	if len(bucket) == 1 {
 		delete(x.buckets[b], h)
 		return
 	}
-	x.buckets[b][h] = append(bucket[:i], bucket[i+1:]...)
+	x.buckets[b][h] = slices.Delete(bucket, i, i+1)
 }
 
-// appendBandHashes collapses each band of a signature to one uint64 bucket
-// key via a running mix (band index seeds the chain so identical row values
-// in different bands hash apart), into caller-provided storage.
-func (x *LSHIndex) appendBandHashes(dst []uint64, sig []uint32) []uint64 {
-	bh := dst
-	if cap(bh) < x.params.Bands {
-		bh = make([]uint64, x.params.Bands)
-	} else {
-		bh = bh[:x.params.Bands]
-	}
-	for b := 0; b < x.params.Bands; b++ {
+// hashBands collapses each band of a signature to one uint64 bucket key via
+// a running mix (band index seeds the chain so identical row values in
+// different bands hash apart), into a slot's band row.
+func (x *LSHIndex) hashBands(row []uint64, sig []uint32) {
+	for b := range row {
 		h := mix64(uint64(b) + 0x51_7c_c1_b7_27_22_0a_95)
 		for r := 0; r < x.params.Rows; r++ {
 			h = mix64(h ^ uint64(sig[b*x.params.Rows+r]))
 		}
-		bh[b] = h
+		row[b] = h
 	}
-	return bh
 }
 
-// Pairs implements CandidateIndex. A pair sharing several bands is emitted
-// only from the first band it shares, so enumeration needs no cross-bucket
-// dedup set — per-pair dedup is an O(Bands) scan of the two cached
-// band-hash vectors. Buckets are maintained sorted, so members enumerate
-// in order with no per-bucket sort.
+// sharedBefore reports whether slots s and m agree on some band below b. A
+// pair sharing several bands is emitted only from the first band it shares,
+// so Pairs and Partners need no dedup set — this O(b) compare of two band
+// rows is the whole dedup.
+func (x *LSHIndex) sharedBefore(s, m uint32, b int) bool {
+	rs := x.bh[int(s)*x.params.Bands:][:b]
+	rm := x.bh[int(m)*x.params.Bands:][:b]
+	for i := range rs {
+		if rs[i] == rm[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// Pairs implements CandidateIndex. Each pair comes from the first band it
+// shares (see sharedBefore) and is ordered by id.
 func (x *LSHIndex) Pairs(yield func(a, b string)) {
 	for b, bandBuckets := range x.buckets {
 		for _, members := range bandBuckets {
-			for i := 0; i < len(members); i++ {
-				bhI := x.bandHashes[members[i]]
-				for j := i + 1; j < len(members); j++ {
-					if firstSharedBand(bhI, x.bandHashes[members[j]]) == b {
-						yield(members[i], members[j])
+			for i, s := range members {
+				for _, m := range members[i+1:] {
+					if x.sharedBefore(s, m, b) {
+						continue
 					}
+					p, q := x.names[s], x.names[m]
+					if q < p {
+						p, q = q, p
+					}
+					yield(p, q)
 				}
 			}
 		}
 	}
 }
 
-// Partners implements CandidateIndex.
+// Partners implements CandidateIndex. Each partner comes from the first band
+// it shares with id (see sharedBefore).
 func (x *LSHIndex) Partners(id string, yield func(partner string)) {
-	bh, ok := x.bandHashes[id]
+	s, ok := x.slots[id]
 	if !ok {
 		return
 	}
-	seen := getSeen(id)
-	defer putSeen(seen)
-	for b, h := range bh {
-		for _, p := range x.buckets[b][h] {
-			if !seen[p] {
-				seen[p] = true
-				yield(p)
+	for b, h := range x.row(s) {
+		for _, m := range x.buckets[b][h] {
+			if m != s && !x.sharedBefore(s, m, b) {
+				yield(x.names[m])
 			}
 		}
 	}
-}
-
-// firstSharedBand returns the lowest band index at which the two band-hash
-// vectors agree, or -1 if none.
-func firstSharedBand(a, b []uint64) int {
-	for i := range a {
-		if a[i] == b[i] {
-			return i
-		}
-	}
-	return -1
 }
 
 func sigsEqual(a, b []uint32) bool {

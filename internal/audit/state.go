@@ -122,13 +122,16 @@ type State struct {
 // For the LSH backend it carries every entity's MinHash signature, ids
 // sorted, signatures concatenated in id order — encoded as one raw
 // little-endian uint32 run per table — so Resume restores the banded
-// buckets by re-bucketing stored signatures: linear in entity count, with
-// no token re-hashing and no pairwise work. For the exact backend only the
-// kind is recorded: rebuilding the inverted index from store snapshots is
-// already linear, and its token lists are bulkier than the entities
-// themselves. If the recorded shape (kind, seed, band/row geometry, run
-// length) does not match the resuming config's plan, Resume falls back to a
-// from-scratch build — correctness never depends on the image being usable.
+// buckets with one bulk install of the stored signatures into a fresh
+// index: band hashing per entity, then one presized bucket map per band,
+// where an entity alone in its bucket costs no allocation. That is linear
+// in entity count, with no token re-hashing and no pairwise work. For the
+// exact backend only the kind is recorded: rebuilding the inverted index
+// from store snapshots is already linear, and its token lists are bulkier
+// than the entities themselves. If the recorded shape (kind, seed,
+// band/row geometry, run length) does not match the resuming config's
+// plan, Resume falls back to a from-scratch build — correctness never
+// depends on the image being usable.
 type IndexState struct {
 	Kind string
 	Seed uint64

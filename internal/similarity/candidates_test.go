@@ -361,7 +361,8 @@ func TestLSHIndexBulkRefreshRecyclesStorage(t *testing.T) {
 	params := LSHParams{Bands: 8, Rows: 4, Seed: 21}
 	const n = 240
 	// Three variants, rotated per round: every id changes every round, and
-	// no bucket ever empties, so bucket slices settle at their capacity.
+	// no bucket ever empties or drops to one member, so every bucket stays
+	// in its band's arena and its member list settles at its capacity.
 	variants := [3][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
 	ids := make([]string, n)
 	for i := range ids {

@@ -72,7 +72,7 @@ func ChooseLSHParams(threshold float64, seed uint64) LSHParams {
 // reduced to a signature once on Upsert; candidate generation then touches
 // only band hashes and buckets, never token sets, so an entity update
 // re-hashes exactly one entity and full-pass enumeration is linear in the
-// number of occupied buckets plus emitted pairs.
+// number of shared buckets plus emitted pairs.
 //
 // Entities live in dense uint32 slots. A private id table maps each id to
 // its slot and back; Remove frees the slot for the next new id, and Reset
@@ -81,6 +81,11 @@ func ChooseLSHParams(threshold float64, seed uint64) LSHParams {
 // read arrays and turn a slot back into its id only to yield it. Slot
 // numbers depend on install order, so nothing observable depends on them:
 // Pairs orders each pair by id, and Partners' order is unspecified.
+//
+// Under any useful banding most buckets hold one entity, so a bucket map
+// stores a lone member's slot inline and only a shared bucket gets a
+// member list, in its band's arena. The maps hold no pointers and a
+// singleton bucket allocates nothing.
 type LSHIndex struct {
 	params LSHParams
 	hasher *MinHasher
@@ -96,13 +101,17 @@ type LSHIndex struct {
 	// first-shared-band dedup never recompute it. Freed slots keep stale
 	// rows that no bucket references.
 	bh []uint64
-	// buckets[b] maps a band-b hash to the slots currently in that bucket,
-	// kept sorted. Slices instead of member maps keep index construction
-	// allocation-light (one growing slice per occupied bucket rather than
-	// millions of small maps); buckets stay small under any reasonable
-	// banding, so the O(len) sorted insert and delete are cheaper than map
-	// bookkeeping.
-	buckets []map[uint64][]uint32
+	// buckets[b] maps a band-b hash to its bucket. A value without the
+	// sharedTag bit is the slot of the bucket's one member; a tagged value
+	// v is a bucket of two or more, whose members are multi[b][v&^sharedTag],
+	// kept sorted by slot. A bucket that shrinks to one member goes back
+	// inline and its arena entry, emptied but keeping its capacity, onto
+	// multiFree[b]; Reset truncates both and keeps their storage. Everything
+	// of band b is touched only by whoever links band b, so bands may be
+	// linked concurrently.
+	buckets   []map[uint64]uint32
+	multi     [][][]uint32
+	multiFree [][]uint32
 	// sigFree recycles the signature storage of removed, replaced, or Reset
 	// entries, so a pooled transient index (fairness.ContribCandidates
 	// builds one per dirty task) re-upserts, and a long-lived one
@@ -112,19 +121,25 @@ type LSHIndex struct {
 	sigFree [][]uint32
 }
 
+// sharedTag marks a bucket map value as an arena index rather than a slot;
+// claim keeps every slot below it.
+const sharedTag = 1 << 31
+
 // NewLSHIndex returns an empty index with the given parameters.
 func NewLSHIndex(params LSHParams) *LSHIndex {
 	if params.Bands < 1 || params.Rows < 1 {
 		panic("similarity: LSH bands and rows must be >= 1")
 	}
 	ix := &LSHIndex{
-		params:  params,
-		hasher:  NewMinHasher(params.K(), params.Seed),
-		slots:   make(map[string]uint32),
-		buckets: make([]map[uint64][]uint32, params.Bands),
+		params:    params,
+		hasher:    NewMinHasher(params.K(), params.Seed),
+		slots:     make(map[string]uint32),
+		buckets:   make([]map[uint64]uint32, params.Bands),
+		multi:     make([][][]uint32, params.Bands),
+		multiFree: make([][]uint32, params.Bands),
 	}
 	for b := range ix.buckets {
-		ix.buckets[b] = make(map[uint64][]uint32)
+		ix.buckets[b] = make(map[uint64]uint32)
 	}
 	return ix
 }
@@ -156,7 +171,8 @@ func take[T any](free *[][]T) []T {
 }
 
 // claim gives a new id a slot, reusing a freed one if any. The caller
-// stores its signature and, after grow, its band row.
+// stores its signature and, after grow, its band row. It panics rather than
+// hand out a slot that would read as sharedTag.
 func (x *LSHIndex) claim(id string) uint32 {
 	var s uint32
 	if n := len(x.freed); n > 0 {
@@ -164,6 +180,9 @@ func (x *LSHIndex) claim(id string) uint32 {
 		x.freed = x.freed[:n-1]
 		x.names[s] = id
 	} else {
+		if uint64(len(x.names)) >= sharedTag {
+			panic("similarity: LSH index is full")
+		}
 		s = uint32(len(x.names))
 		x.names = append(x.names, id)
 		x.sigs = append(x.sigs, nil)
@@ -173,10 +192,11 @@ func (x *LSHIndex) claim(id string) uint32 {
 }
 
 // grow extends the band-hash array to cover every slot, in one step however
-// many slots were claimed since the last call.
+// many slots were claimed since the last call. The new rows are not zeroed:
+// every caller hashes a claimed slot's row before reading it.
 func (x *LSHIndex) grow() {
 	if need := len(x.names) * x.params.Bands; need > len(x.bh) {
-		x.bh = append(x.bh, make([]uint64, need-len(x.bh))...)
+		x.bh = slices.Grow(x.bh, need-len(x.bh))[:need]
 	}
 }
 
@@ -298,6 +318,11 @@ func (x *LSHIndex) bulkInstall(ids []string, sigs [][]uint32, owned bool) {
 		x.hashBands(x.row(s), x.sigs[s])
 	})
 	par.For(bands, 0, func(b int) {
+		if len(x.buckets[b]) == 0 {
+			// A cold build or restore: size the band's map for the batch
+			// once instead of growing it through every doubling.
+			x.buckets[b] = make(map[uint64]uint32, len(in))
+		}
 		for _, e := range in {
 			h := x.bh[int(e.slot)*bands+b]
 			if e.old >= 0 {
@@ -353,11 +378,11 @@ func (x *LSHIndex) Remove(id string) {
 }
 
 // Reset empties the index in place, keeping its parameters, hasher, bucket
-// maps, and recycled storage, and rewinds the slot table. A Reset index is
-// observationally identical to a fresh NewLSHIndex with the same
+// maps, arenas and recycled storage, and rewinds the slot table. A Reset
+// index is observationally identical to a fresh NewLSHIndex with the same
 // parameters; it exists so transient per-task contribution indexes can be
 // pooled instead of reallocating ~Bands bucket maps and a hash family per
-// audit.
+// audit, and refilled without allocating bucket storage.
 func (x *LSHIndex) Reset() {
 	for _, sig := range x.sigs {
 		if sig != nil {
@@ -369,6 +394,7 @@ func (x *LSHIndex) Reset() {
 	x.names, x.sigs, x.freed, x.bh = x.names[:0], x.sigs[:0], x.freed[:0], x.bh[:0]
 	for b := range x.buckets {
 		clear(x.buckets[b])
+		x.multi[b], x.multiFree[b] = x.multi[b][:0], x.multiFree[b][:0]
 	}
 }
 
@@ -380,26 +406,62 @@ func (x *LSHIndex) unlinkRow(s uint32) {
 }
 
 // link inserts slot s into band b's bucket h, keeping the bucket sorted. It
-// touches only band b's map, so distinct bands may be linked concurrently.
+// touches only band b's state, so distinct bands may be linked concurrently.
 func (x *LSHIndex) link(b int, h uint64, s uint32) {
-	bucket := x.buckets[b][h]
-	i, _ := slices.BinarySearch(bucket, s)
-	x.buckets[b][h] = slices.Insert(bucket, i, s)
+	v, ok := x.buckets[b][h]
+	switch {
+	case !ok:
+		x.buckets[b][h] = s
+	case v&sharedTag == 0:
+		i := x.newShared(b)
+		x.multi[b][i] = append(x.multi[b][i][:0], min(v, s), max(v, s))
+		x.buckets[b][h] = sharedTag | i
+	default:
+		members := x.multi[b][v&^sharedTag]
+		i, _ := slices.BinarySearch(members, s)
+		x.multi[b][v&^sharedTag] = slices.Insert(members, i, s)
+	}
 }
 
-// unlink removes slot s from band b's bucket h, deleting the bucket once
-// empty.
+// newShared returns a free index into band b's arena: one a shrunk bucket
+// gave back, else the next one, whose slice Reset may have left behind.
+func (x *LSHIndex) newShared(b int) uint32 {
+	if n := len(x.multiFree[b]); n > 0 {
+		i := x.multiFree[b][n-1]
+		x.multiFree[b] = x.multiFree[b][:n-1]
+		return i
+	}
+	i := len(x.multi[b])
+	if i < cap(x.multi[b]) {
+		x.multi[b] = x.multi[b][:i+1]
+	} else {
+		x.multi[b] = append(x.multi[b], nil)
+	}
+	return uint32(i)
+}
+
+// unlink removes slot s from band b's bucket h, which holds it, deleting
+// the bucket once empty and moving it back inline once it holds one member.
 func (x *LSHIndex) unlink(b int, h uint64, s uint32) {
-	bucket := x.buckets[b][h]
-	i, ok := slices.BinarySearch(bucket, s)
+	v := x.buckets[b][h]
+	if v&sharedTag == 0 {
+		delete(x.buckets[b], h) // s was its one member
+		return
+	}
+	a := v &^ sharedTag
+	members := x.multi[b][a]
+	i, ok := slices.BinarySearch(members, s)
 	if !ok {
 		return
 	}
-	if len(bucket) == 1 {
-		delete(x.buckets[b], h)
+	members = slices.Delete(members, i, i+1)
+	if len(members) > 1 {
+		x.multi[b][a] = members
 		return
 	}
-	x.buckets[b][h] = slices.Delete(bucket, i, i+1)
+	x.buckets[b][h] = members[0]
+	x.multi[b][a] = members[:0]
+	x.multiFree[b] = append(x.multiFree[b], a)
 }
 
 // hashBands collapses each band of a signature to one uint64 bucket key via
@@ -431,10 +493,11 @@ func (x *LSHIndex) sharedBefore(s, m uint32, b int) bool {
 }
 
 // Pairs implements CandidateIndex. Each pair comes from the first band it
-// shares (see sharedBefore) and is ordered by id.
+// shares (see sharedBefore) and is ordered by id. Only shared buckets hold
+// pairs, so it walks the arenas alone; a freed arena entry is empty.
 func (x *LSHIndex) Pairs(yield func(a, b string)) {
-	for b, bandBuckets := range x.buckets {
-		for _, members := range bandBuckets {
+	for b, arena := range x.multi {
+		for _, members := range arena {
 			for i, s := range members {
 				for _, m := range members[i+1:] {
 					if x.sharedBefore(s, m, b) {
@@ -452,14 +515,19 @@ func (x *LSHIndex) Pairs(yield func(a, b string)) {
 }
 
 // Partners implements CandidateIndex. Each partner comes from the first band
-// it shares with id (see sharedBefore).
+// it shares with id (see sharedBefore). An inline bucket of id's can hold
+// only id itself.
 func (x *LSHIndex) Partners(id string, yield func(partner string)) {
 	s, ok := x.slots[id]
 	if !ok {
 		return
 	}
 	for b, h := range x.row(s) {
-		for _, m := range x.buckets[b][h] {
+		v := x.buckets[b][h]
+		if v&sharedTag == 0 {
+			continue
+		}
+		for _, m := range x.multi[b][v&^sharedTag] {
 			if m != s && !x.sharedBefore(s, m, b) {
 				yield(x.names[m])
 			}

@@ -9,10 +9,12 @@ import (
 )
 
 // clusteredTokenSets builds n token sets in clusters of size: every member
-// of a cluster shares its base tokens but one, which it replaces with a token
+// of a cluster shares its base tokens but own, which it replaces with tokens
 // of its own, and clusters share no token. Under the worker plan's banding
-// (90 bands × 6 rows) each id's candidate partners are then its cluster mates.
-func clusteredTokenSets(n, size, width int) (ids []string, sets [][]uint64) {
+// (90 bands × 6 rows) and own = 1, each id's candidate partners are its
+// cluster mates, which also share most of its buckets; own = 3 keeps the
+// partners but leaves most of each id's buckets to itself.
+func clusteredTokenSets(n, size, width, own int) (ids []string, sets [][]uint64) {
 	ids = make([]string, n)
 	sets = make([][]uint64, n)
 	for i := range ids {
@@ -22,7 +24,9 @@ func clusteredTokenSets(n, size, width int) (ids []string, sets [][]uint64) {
 		for t := range toks {
 			toks[t] = base + uint64(t)
 		}
-		toks[i%size%width] = 1<<40 + uint64(i)
+		for t := 0; t < own; t++ {
+			toks[(i%size*own+t)%width] = 1<<40 + uint64(i*own+t)
+		}
 		sets[i] = toks
 	}
 	return ids, sets
@@ -30,9 +34,20 @@ func clusteredTokenSets(n, size, width int) (ids []string, sets [][]uint64) {
 
 // BenchmarkLSHPartners times one Partners walk at the audit_churn worker
 // index's shape: 30k ids in clusters of 20 under 90 bands × 6 rows, about 19
-// partners each.
+// partners each, sharing most of an id's buckets with its cluster.
 func BenchmarkLSHPartners(b *testing.B) {
-	ids, sets := clusteredTokenSets(30_000, 20, 26)
+	benchmarkPartners(b, 20, 1)
+}
+
+// BenchmarkLSHPartnersSparse is BenchmarkLSHPartners with clusters of 10 and
+// three own tokens per id: about 9 partners each, and an id is alone in
+// about three in four of its bands.
+func BenchmarkLSHPartnersSparse(b *testing.B) {
+	benchmarkPartners(b, 10, 3)
+}
+
+func benchmarkPartners(b *testing.B, size, own int) {
+	ids, sets := clusteredTokenSets(30_000, size, 26, own)
 	ix := NewLSHIndex(ChooseLSHParams(0.9, 1))
 	ix.BulkUpsert(ids, func(i int) []uint64 { return sets[i] })
 	found := 0
@@ -43,6 +58,25 @@ func BenchmarkLSHPartners(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(found)/float64(b.N), "partners/op")
+}
+
+// BenchmarkLSHBulkBuild times a cold install of 30k precomputed signatures
+// into a new index under 90 bands × 6 rows — what a checkpoint restore does,
+// and a cold build after hashing. Clusters of 10 with two own tokens per id
+// leave about 86 % of the buckets with one member.
+func BenchmarkLSHBulkBuild(b *testing.B) {
+	ids, sets := clusteredTokenSets(30_000, 10, 26, 2)
+	params := ChooseLSHParams(0.9, 1)
+	h := NewMinHasher(params.K(), params.Seed)
+	sigs := make([][]uint32, len(ids))
+	for i := range sigs {
+		sigs[i] = h.Signature(sets[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewLSHIndex(params).BulkUpsertSignatures(ids, sigs)
+	}
 }
 
 // naiveBandPartners reports whether two signatures agree on all Rows slots of
@@ -206,6 +240,146 @@ func requireNaiveBanding(t *testing.T, label string, ix *LSHIndex, model map[str
 	if got := collectPartners(t, ix, "never-indexed"); len(got) != 0 {
 		t.Fatalf("%s: Partners of an unknown id = %v", label, got)
 	}
+}
+
+// TestLSHIndexBucketTransitionsMatchNaiveBanding scripts one bucket — A's
+// in band 0 — through every transition of its storage: 0→1 (inline), 1→2
+// (into the arena), 2→3 (sorted insert), 3→2, 2→1 (back inline, its arena
+// entry freed) and 1→0, through Upsert, BulkUpsert, BulkUpsertSignatures, a
+// re-upsert to another signature and Remove. It then installs a new id into
+// a freed slot while the arena entry is on the freelist, refills the entry,
+// and Resets with shared buckets live. An entity p shares bands 1 and 3 with
+// A but not band 0, so A's other buckets take their own paths. After every
+// step, Partners and Pairs must equal naive banding.
+func TestLSHIndexBucketTransitionsMatchNaiveBanding(t *testing.T) {
+	params := LSHParams{Bands: 8, Rows: 2, Seed: 31}
+	ix := NewLSHIndex(params)
+	ref := NewMinHasher(params.K(), params.Seed)
+	A, B := []uint64{1, 2, 3}, []uint64{7, 8, 9}
+	sigA, sigB := ref.Signature(A), ref.Signature(B)
+	sigP := ref.Signature(A)
+	for i := range sigP {
+		if band := i / params.Rows; band != 1 && band != 3 {
+			sigP[i] ^= 0x9e37
+		}
+	}
+	rowA := make([]uint64, params.Bands)
+	ix.hashBands(rowA, sigA)
+	// size reads the member count of A's band-0 bucket off the index.
+	size := func() int {
+		v, ok := ix.buckets[0][rowA[0]]
+		switch {
+		case !ok:
+			return 0
+		case v&sharedTag == 0:
+			return 1
+		}
+		return len(ix.multi[0][v&^sharedTag])
+	}
+	model := make(map[string][]uint32)
+	clone := func(sig []uint32) []uint32 { return append([]uint32(nil), sig...) }
+	upsertSigs := func(ids []string, sigs ...[]uint32) {
+		own := make([][]uint32, len(sigs))
+		for i, id := range ids {
+			model[id], own[i] = clone(sigs[i]), clone(sigs[i])
+		}
+		ix.BulkUpsertSignatures(ids, own)
+	}
+	var cSlot uint32
+	arenaLen := 0
+	for _, st := range []struct {
+		name string
+		do   func()
+		want int
+	}{
+		{"BulkUpsertSignatures p", func() { upsertSigs([]string{"p"}, sigP) }, 0},
+		{"Upsert a:A", func() { ix.Upsert("a", A); model["a"] = sigA }, 1},
+		{"BulkUpsert b:A q:B", func() {
+			sets := [][]uint64{A, B}
+			ix.BulkUpsert([]string{"b", "q"}, func(i int) []uint64 { return sets[i] })
+			model["b"], model["q"] = sigA, sigB
+		}, 2},
+		{"BulkUpsertSignatures c:A", func() { upsertSigs([]string{"c"}, sigA) }, 3},
+		{"Upsert b:B", func() { ix.Upsert("b", B); model["b"] = sigB }, 2},
+		{"BulkUpsertSignatures a:B p unchanged", func() {
+			upsertSigs([]string{"p", "a"}, sigP, sigB)
+			arenaLen = len(ix.multi[0])
+		}, 1},
+		{"Remove c", func() {
+			cSlot = ix.slots["c"]
+			ix.Remove("c")
+			ix.Remove("never-indexed")
+			delete(model, "c")
+		}, 0},
+		{"Upsert d:A into c's slot", func() {
+			ix.Upsert("d", A)
+			model["d"] = sigA
+			if ix.slots["d"] != cSlot {
+				t.Fatalf("d took slot %d, want c's freed slot %d", ix.slots["d"], cSlot)
+			}
+		}, 1},
+		{"BulkUpsert e:A from the freelist", func() {
+			ix.BulkUpsert([]string{"e"}, func(int) []uint64 { return A })
+			model["e"] = sigA
+			if len(ix.multi[0]) != arenaLen {
+				t.Fatalf("band-0 arena grew %d -> %d with an entry on its freelist", arenaLen, len(ix.multi[0]))
+			}
+		}, 2},
+		{"Reset", func() { ix.Reset(); clear(model) }, 0},
+		{"BulkUpsertSignatures a b c:A p after Reset", func() {
+			upsertSigs([]string{"c", "a", "p", "b"}, sigA, sigA, sigP, sigA)
+		}, 3},
+		{"Remove b", func() { ix.Remove("b"); delete(model, "b") }, 2},
+	} {
+		st.do()
+		requireNaiveBanding(t, st.name, ix, model)
+		if got := size(); got != st.want {
+			t.Fatalf("%s: A's band-0 bucket holds %d, want %d", st.name, got, st.want)
+		}
+	}
+}
+
+// Refilling a Reset index with the same token sets — the pooled Axiom 3
+// contribution index's cycle — reuses its bucket storage: the cleared maps,
+// the arena entries Reset left past the arenas' length and the freelists.
+// Buckets are counted from the band rows; about a third are shared.
+func TestLSHIndexResetRecyclesBuckets(t *testing.T) {
+	params := LSHParams{Bands: 8, Rows: 2, Seed: 29}
+	ids, sets := clusteredTokenSets(240, 6, 10, 1)
+	ix := NewLSHIndex(params)
+	fill := func() {
+		ix.Reset()
+		for i, id := range ids {
+			ix.Upsert(id, sets[i])
+		}
+	}
+	fill()
+	members := make(map[[2]uint64]int)
+	for s := range ix.names {
+		for b, h := range ix.row(uint32(s)) {
+			members[[2]uint64{uint64(b), h}]++
+		}
+	}
+	shared := 0
+	for _, n := range members {
+		if n > 1 {
+			shared++
+		}
+	}
+	if shared < len(members)/4 {
+		t.Fatalf("%d of %d buckets shared: too few to exercise the arenas", shared, len(members))
+	}
+	allocs := testing.AllocsPerRun(20, fill)
+	if allocs > float64(len(members))/50 {
+		t.Fatalf("a Reset and refill into %d buckets (%d shared) allocated %.0f times, want <= %d",
+			len(members), shared, allocs, len(members)/50)
+	}
+	t.Logf("allocs per Reset and refill of %d buckets (%d shared): %.0f", len(members), shared, allocs)
+	fresh := NewLSHIndex(params)
+	for i, id := range ids {
+		fresh.Upsert(id, sets[i])
+	}
+	requireSameLSH(t, "after refills", ix, fresh)
 }
 
 // A repeated id in one bulk call would be linked into its buckets twice, so

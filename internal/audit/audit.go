@@ -517,13 +517,13 @@ func (e *Engine) buildIndexes() ([]model.WorkerID, []model.TaskID) {
 
 // refreshIndexes re-tokenises the entities one delta pass found changed:
 // removed ones leave the index, and the rest go through the same
-// fairness.PopulateIndex path as the cold build — tokens and signatures on
-// the bounded pool, bucket moves band-parallel — so a warm restart's first
-// pass over thousands of replayed updates uses every core. Signatures are
-// pure functions of entity content (plus the seed), so the refresh leaves
-// the index exactly as a from-scratch build over the current state would —
-// the property that keeps delta audits equal to full ones and warm restarts
-// equal to cold starts.
+// fairness.PopulateIndex path as the cold build — tokens, signatures and
+// band keys on the bounded pool, bucket moves band-parallel — so a warm
+// restart's first pass over thousands of replayed updates uses every core.
+// Band keys are pure functions of entity content (plus the seed), so the
+// refresh leaves the index exactly as a from-scratch build over the current
+// state would — the property that keeps delta audits equal to full ones and
+// warm restarts equal to cold starts.
 func (e *Engine) refreshIndexes(workers map[model.WorkerID]bool, tasks map[model.TaskID]bool) {
 	refreshIndex(e.workerIx, workers, e.st.PeekWorker, e.plan.WorkerTokens)
 	refreshIndex(e.taskIx, tasks, e.st.PeekTask, e.plan.TaskTokens)

@@ -151,18 +151,24 @@ func TestDeltaRefreshEqualsColdBuildLSH(t *testing.T) {
 }
 
 // requireSameLSHIndex fails unless two LSH indexes hold the same ids with
-// bit-identical signatures and enumerate the same candidate pairs.
+// bit-identical band rows and enumerate the same candidate pairs.
 func requireSameLSHIndex(t *testing.T, kind string, got, want similarity.CandidateIndex) {
 	t.Helper()
 	g, w := got.(*similarity.LSHIndex), want.(*similarity.LSHIndex)
 	if g.Len() != w.Len() {
 		t.Fatalf("%s index: %d entries, cold build %d", kind, g.Len(), w.Len())
 	}
-	w.Signatures(func(id string, sig []uint32) {
-		if !slices.Equal(g.Signature(id), sig) {
-			t.Fatalf("%s index: signature of %s differs from the cold build's", kind, id)
+	gIDs, gRows := g.BandRows()
+	wIDs, wRows := w.BandRows()
+	if !slices.Equal(gIDs, wIDs) {
+		t.Fatalf("%s index: ids differ from the cold build's", kind)
+	}
+	bands := w.Params().Bands
+	for i, id := range wIDs {
+		if !slices.Equal(gRows[i*bands:(i+1)*bands], wRows[i*bands:(i+1)*bands]) {
+			t.Fatalf("%s index: band row of %s differs from the cold build's", kind, id)
 		}
-	})
+	}
 	pairs := func(ix *similarity.LSHIndex) (out []string) {
 		ix.Pairs(func(a, b string) { out = append(out, a+"|"+b) })
 		sort.Strings(out)
@@ -174,7 +180,7 @@ func requireSameLSHIndex(t *testing.T, kind string, got, want similarity.Candida
 }
 
 // A state saved under one LSH seed resumed under another must fall back to
-// a from-scratch index build (stored signatures are useless under a
+// a from-scratch index build (stored band rows are useless under a
 // different hash family) and still audit correctly.
 func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 	s := newScenario(t, 8)
@@ -186,14 +192,14 @@ func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Another seed, then (same seed) a signature run one slot short: both
+	// Another seed, then (same seed) a band-key run one key short: both
 	// must route to buildIndexes without error.
 	cfg2 := lshConfig(2)
 	warm, err := Resume(s.st, s.log, cfg2, state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state.Index.Workers.Sigs = state.Index.Workers.Sigs[1:]
+	state.Index.Workers.Rows = state.Index.Workers.Rows[1:]
 	short, err := Resume(s.st, s.log, cfg, state)
 	if err != nil {
 		t.Fatal(err)

@@ -119,19 +119,19 @@ type State struct {
 }
 
 // IndexState is the warm-start image of the engine's candidate indexes.
-// For the LSH backend it carries every entity's MinHash signature, ids
-// sorted, signatures concatenated in id order — encoded as one raw
-// little-endian uint32 run per table — so Resume restores the banded
-// buckets with one bulk install of the stored signatures into a fresh
-// index: band hashing per entity, then one presized bucket map per band,
-// where an entity alone in its bucket costs no allocation. That is linear
-// in entity count, with no token re-hashing and no pairwise work. For the
-// exact backend only the kind is recorded: rebuilding the inverted index
-// from store snapshots is already linear, and its token lists are bulkier
-// than the entities themselves. If the recorded shape (kind, seed,
-// band/row geometry, run length) does not match the resuming config's
-// plan, Resume falls back to a from-scratch build — correctness never
-// depends on the image being usable.
+// For the LSH backend it carries every entity's band row — the Bands bucket
+// keys its MinHash signature hashes to, which is all that decides its
+// buckets — ids sorted, rows concatenated in id order, encoded as one raw
+// little-endian uint64 run per table. Resume restores the banded buckets
+// with one bulk install of the stored rows into a fresh index: no token or
+// signature hashing, one presized bucket map per band, and an entity alone
+// in its bucket costs no allocation. That is linear in entity count, with
+// no pairwise work. For the exact backend only the kind is recorded:
+// rebuilding the inverted index from store snapshots is already linear, and
+// its token lists are bulkier than the entities themselves. If the
+// recorded shape (kind, seed, band/row geometry, run length) does not match
+// the resuming config's plan, Resume falls back to a from-scratch build —
+// correctness never depends on the image being usable.
 type IndexState struct {
 	Kind string
 	Seed uint64
@@ -139,32 +139,19 @@ type IndexState struct {
 	WorkerBands, WorkerRows int
 	TaskBands, TaskRows     int
 
-	// Workers and Tasks hold the signatures (LSH only).
-	Workers, Tasks SigTable
+	// Workers and Tasks hold the band rows (LSH only).
+	Workers, Tasks RowTable
 
 	// workerIx and taskIx are the indexes restore rebuilt from the runs,
 	// until Resume claims them (both set or both nil).
 	workerIx, taskIx *similarity.LSHIndex
 }
 
-// SigTable is one LSH index's signatures: IDs strictly ascending, and
-// IDs[i]'s k-slot signature at Sigs[i*k : (i+1)*k].
-type SigTable struct {
+// RowTable is one LSH index's band rows: IDs strictly ascending, and
+// IDs[i]'s row of Bands keys at Rows[i*Bands : (i+1)*Bands].
+type RowTable struct {
 	IDs  []string
-	Sigs []uint32
-}
-
-// sigTable exports an index's signatures in id order (copied: the index
-// recycles signature storage on the next mutation).
-func sigTable(x *similarity.LSHIndex) SigTable {
-	t := SigTable{IDs: make([]string, 0, x.Len())}
-	x.Signatures(func(id string, _ []uint32) { t.IDs = append(t.IDs, id) })
-	sort.Strings(t.IDs)
-	t.Sigs = make([]uint32, 0, len(t.IDs)*x.Params().K())
-	for _, id := range t.IDs {
-		t.Sigs = append(t.Sigs, x.Signature(id)...)
-	}
-	return t
+	Rows []uint64
 }
 
 // indexState exports the engine's candidate indexes for serialisation.
@@ -178,24 +165,23 @@ func (e *Engine) indexState() *IndexState {
 	ix.WorkerBands, ix.WorkerRows = e.plan.Worker.Bands, e.plan.Worker.Rows
 	ix.TaskBands, ix.TaskRows = e.plan.Task.Bands, e.plan.Task.Rows
 	if w, ok := e.workerIx.(*similarity.LSHIndex); ok {
-		ix.Workers = sigTable(w)
+		ix.Workers.IDs, ix.Workers.Rows = w.BandRows()
 	}
 	if t, ok := e.taskIx.(*similarity.LSHIndex); ok {
-		ix.Tasks = sigTable(t)
+		ix.Tasks.IDs, ix.Tasks.Rows = t.BandRows()
 	}
 	return ix
 }
 
 // restore rebuilds the LSH indexes the image holds, when it was saved under
 // plan's shape; otherwise — another backend or seed, other band geometry, a
-// signature run of the wrong length, an exact image (which carries no
-// payload) — it leaves them nil and Resume builds from the store. Linear in
-// entity count either way; neither enumerates pairs.
+// row run of the wrong length, an exact image (which carries no payload) —
+// it leaves them nil and Resume builds from the store. Linear in entity
+// count either way; neither hashes nor enumerates pairs.
 //
-// An index recycles signature storage as entities change, so the runs move
-// into the new indexes and the image is blanked: a State warm-starts one
-// engine, and a second Resume from it rebuilds from the store instead of
-// aliasing the first engine's signatures.
+// The image is blanked once restored, so the decoded runs are not held
+// alongside the indexes built from them: a State warm-starts one engine,
+// and a second Resume from it rebuilds from the store.
 func (ix *IndexState) restore(plan fairness.IndexPlan) {
 	if ix.Kind != plan.Kind || plan.Kind != fairness.CandidateLSH || ix.Seed != plan.Seed ||
 		ix.WorkerBands != plan.Worker.Bands || ix.WorkerRows != plan.Worker.Rows ||
@@ -223,21 +209,15 @@ func (ix *IndexState) claim(plan fairness.IndexPlan) (wix, tix *similarity.LSHIn
 	return wix, tix
 }
 
-// restoreLSH bulk-installs a signature table into a fresh index (band
-// hashing and bucket insertion on the parallel pool), which takes over
-// t.Sigs. ok is false when the run length does not match the plan's
-// signature width.
-func restoreLSH(params similarity.LSHParams, t SigTable) (*similarity.LSHIndex, bool) {
-	k := params.K()
-	if len(t.Sigs) != len(t.IDs)*k {
+// restoreLSH installs a row table into a fresh index (bucket insertion on
+// the parallel pool, no hashing). ok is false when the run length is not
+// len(IDs)·Bands.
+func restoreLSH(params similarity.LSHParams, t RowTable) (*similarity.LSHIndex, bool) {
+	if len(t.Rows) != len(t.IDs)*params.Bands {
 		return nil, false
 	}
-	sigs := make([][]uint32, len(t.IDs))
-	for i := range sigs {
-		sigs[i] = t.Sigs[i*k : (i+1)*k : (i+1)*k]
-	}
 	x := similarity.NewLSHIndex(params)
-	x.BulkUpsertSignatures(t.IDs, sigs)
+	x.BulkUpsertRows(t.IDs, t.Rows)
 	return x, true
 }
 

@@ -22,17 +22,24 @@ import (
 //	[offers][flagged][axiom 5 stream]
 //	[axiom 1 violations, pairs][axiom 2 violations, pairs]
 //	[axiom 3 violations, checked][axiom 4 violations, eligible]
-//	[index shape][worker ids, signature run][task ids, signature run]
+//	[index shape][worker ids, band-key run][task ids, band-key run]
 //	[4-byte LE CRC32-IEEE of everything above]
 //
 // Every list is a uvarint count followed by its elements; maps are written
 // in ascending key order and must read back that way, so a State has
 // exactly one encoding: two checkpoints of one state are byte-identical and
 // every image that decodes re-encodes to itself. Nil and empty collections
-// share an encoding and decode as nil.
+// share an encoding and decode as nil. A band-key run is a uvarint count
+// followed by that many raw little-endian uint64 keys, Bands per id in id
+// order (IndexState).
 
-// stateFormat versions the image layout.
-const stateFormat = 1
+// stateFormat versions the image layout. Format 2 replaced the signature
+// runs of format 1 with band-key runs; an image of another format fails
+// DecodeState, so its auditor cold-starts. The band keys are
+// similarity.LSHIndex's hashBands over MinHasher signatures, so a change to
+// either is a change to this format and must bump it
+// (similarity.TestLSHBandKeysGolden pins them).
+const stateFormat = 2
 
 // Minimum encoded sizes, for bounding a count by the bytes that remain
 // before allocating from it.
@@ -82,8 +89,8 @@ func appendPair(b []byte, p [2]string) []byte {
 	return wal.AppendString(wal.AppendString(b, p[0]), p[1])
 }
 
-func appendSigTable(b []byte, t SigTable) []byte {
-	return wal.AppendUint32s(appendIDs(b, t.IDs), t.Sigs)
+func appendRowTable(b []byte, t RowTable) []byte {
+	return wal.AppendUint64s(appendIDs(b, t.IDs), t.Rows)
 }
 
 // Encode renders the state's binary image (layout above).
@@ -96,7 +103,7 @@ func (s *State) Encode() []byte {
 	if ax5 == nil {
 		ax5 = &fairness.Axiom5State{}
 	}
-	b := make([]byte, 0, 4*(len(ix.Workers.Sigs)+len(ix.Tasks.Sigs))+4096)
+	b := make([]byte, 0, 8*(len(ix.Workers.Rows)+len(ix.Tasks.Rows))+4096)
 	b = append(b, stateFormat)
 	b = wal.AppendString(b, s.ConfigSig)
 	b = appendList(b, s.Cursors, wal.AppendUvarint)
@@ -124,8 +131,8 @@ func (s *State) Encode() []byte {
 	for _, n := range []int{ix.WorkerBands, ix.WorkerRows, ix.TaskBands, ix.TaskRows} {
 		b = appendCount(b, n)
 	}
-	b = appendSigTable(b, ix.Workers)
-	b = appendSigTable(b, ix.Tasks)
+	b = appendRowTable(b, ix.Workers)
+	b = appendRowTable(b, ix.Tasks)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
@@ -194,8 +201,8 @@ func (d stateDec) pairs() [][2]string {
 	return readList(d, 2*minStringBytes, func() [2]string { return [2]string{d.String(), d.String()} })
 }
 
-func (d stateDec) sigTable() SigTable {
-	t := SigTable{IDs: readIDs[string](d), Sigs: d.Uint32s()}
+func (d stateDec) rowTable() RowTable {
+	t := RowTable{IDs: readIDs[string](d), Rows: d.Uint64s()}
 	for i := 1; i < len(t.IDs); i++ {
 		if t.IDs[i] <= t.IDs[i-1] {
 			d.Fail()
@@ -246,8 +253,8 @@ func DecodeState(data []byte) (*State, error) {
 	for _, n := range []*int{&ix.WorkerBands, &ix.WorkerRows, &ix.TaskBands, &ix.TaskRows} {
 		*n = d.count()
 	}
-	ix.Workers = d.sigTable()
-	ix.Tasks = d.sigTable()
+	ix.Workers = d.rowTable()
+	ix.Tasks = d.rowTable()
 	if !d.Done() {
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("audit: state image: %w", err)

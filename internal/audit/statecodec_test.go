@@ -3,14 +3,17 @@ package audit
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/eventlog"
 	"repro/internal/fairness"
 	"repro/internal/model"
+	"repro/internal/similarity"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -71,8 +74,8 @@ func fixtureState() *State {
 		Index: &IndexState{
 			Kind: fairness.CandidateLSH, Seed: 777,
 			WorkerBands: 2, WorkerRows: 1, TaskBands: 1, TaskRows: 2,
-			Workers: SigTable{IDs: []string{"w1", "w2", "w3"}, Sigs: []uint32{1, 2, 3, 4, 5, 1 << 31}},
-			Tasks:   SigTable{IDs: []string{"t1", "t2"}, Sigs: []uint32{9, 8, 7, 6}},
+			Workers: RowTable{IDs: []string{"w1", "w2", "w3"}, Rows: []uint64{1, 2, 3, 4, 5, 1 << 63}},
+			Tasks:   RowTable{IDs: []string{"t1", "t2"}, Rows: []uint64{9, 8}},
 		},
 	}
 }
@@ -182,7 +185,8 @@ func TestStateImageIsDeterministic(t *testing.T) {
 }
 
 // LoadState's error cases are all "cold-start": no sidecar named, the file
-// gone, cut short or flipped, and a state saved under another config.
+// gone, cut short or flipped, a state saved under another config, and a
+// format-1 image (signature runs) under a valid checksum.
 func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	dir := t.TempDir()
 	s := durableScenario(t, 5, dir, wal.Options{})
@@ -209,7 +213,9 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	}
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0x40
-	for name, data := range map[string][]byte{"truncated": good[:len(good)/2], "bit flip": flipped} {
+	format1 := append([]byte(nil), good...)
+	format1[0] = 1
+	for name, data := range map[string][]byte{"truncated": good[:len(good)/2], "bit flip": flipped, "format 1": resum(format1)} {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -222,5 +228,53 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	}
 	if _, err := LoadState(dir, man, cfg); err == nil {
 		t.Error("missing: loaded")
+	}
+}
+
+// BenchmarkLoadState times reading a warm-start sidecar shaped like a
+// recover_restart checkpoint's — 10k workers under the 90 bands × 6 rows
+// worker plan, 1k tasks, in clusters of 20 sharing all but one of 26
+// tokens — and rebuilding its candidate indexes: what OpenPlatformWAL runs
+// beside the store's recovery. The image holds only the indexes, exported
+// by the engine itself.
+func BenchmarkLoadState(b *testing.B) {
+	cfg := lshConfig(44)
+	eng := New(store.New(nil), eventlog.New(), cfg)
+	build := func(params similarity.LSHParams, n int) similarity.CandidateIndex {
+		ix := similarity.NewLSHIndex(params)
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("e%06d", i)
+		}
+		ix.BulkUpsert(ids, func(i int) []uint64 {
+			toks := make([]uint64, 26)
+			for t := range toks {
+				toks[t] = uint64(i/20*26 + t)
+			}
+			toks[i%20%26] = 1<<40 + uint64(i)
+			return toks
+		})
+		return ix
+	}
+	eng.workerIx = build(eng.plan.Worker, 10_000)
+	eng.taskIx = build(eng.plan.Task, 1_000)
+	eng.primed = true
+	st := eng.State()
+	st.ConfigSig = ConfigSig(cfg)
+	dir := b.TempDir()
+	man := &store.Manifest{AuditFile: "audit.bin"}
+	if err := os.WriteFile(filepath.Join(dir, man.AuditFile), st.Encode(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, err := LoadState(dir, man, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if wix, _ := loaded.Index.claim(eng.plan); wix == nil || wix.Len() != 10_000 {
+			b.Fatal("the sidecar's indexes were not restored")
+		}
 	}
 }

@@ -107,6 +107,31 @@ type Log struct {
 // latest timestamp.
 var ErrOutOfOrder = errors.New("eventlog: timestamp out of order")
 
+// timeOrder is the one time-order rule of every append path — Append,
+// AppendBatch and OpenDurable's replay: an event may not precede the one
+// before it, and the first event of a log may carry any time.
+type timeOrder struct {
+	last    int64
+	started bool
+}
+
+// orderAfter returns the rule's state after the given events.
+func orderAfter(events []Event) timeOrder {
+	if n := len(events); n > 0 {
+		return timeOrder{last: events[n-1].Time, started: true}
+	}
+	return timeOrder{}
+}
+
+// admit checks an event at time t against the rule and records it.
+func (o *timeOrder) admit(t int64) error {
+	if o.started && t < o.last {
+		return fmt.Errorf("%w: %d < %d", ErrOutOfOrder, t, o.last)
+	}
+	o.last, o.started = t, true
+	return nil
+}
+
 // New returns an empty log.
 func New() *Log { return &Log{} }
 
@@ -120,10 +145,10 @@ func New() *Log { return &Log{} }
 // durability as an error.
 func (l *Log) Append(e Event) (Event, error) {
 	l.mu.Lock()
-	if n := len(l.events); n > 0 && e.Time < l.events[n-1].Time {
-		last := l.events[n-1].Time
+	order := orderAfter(l.events)
+	if err := order.admit(e.Time); err != nil {
 		l.mu.Unlock()
-		return Event{}, fmt.Errorf("%w: %d < %d", ErrOutOfOrder, e.Time, last)
+		return Event{}, err
 	}
 	e.Seq = uint64(len(l.events) + 1)
 	l.events = append(l.events, e)
@@ -158,8 +183,8 @@ func (l *Log) MustAppend(e Event) Event {
 // batch. WAL batches seal and flush strictly in append order with a sticky
 // error (wal/groupcommit.go), so the last append's ack covers every earlier
 // one: one fsync wait covers the entire batch, and concurrent callers share
-// fsyncs through the WAL's group commit. Timestamps must be
-// non-decreasing across the batch; on a violation nothing is appended.
+// fsyncs through the WAL's group commit. Timestamps follow Append's rule
+// across the batch; on a violation nothing is appended.
 // The stored events (with sequence numbers assigned) are written back into
 // events.
 func (l *Log) AppendBatch(events []Event) error {
@@ -167,16 +192,12 @@ func (l *Log) AppendBatch(events []Event) error {
 		return nil
 	}
 	l.mu.Lock()
-	last := int64(0)
-	if n := len(l.events); n > 0 {
-		last = l.events[n-1].Time
-	}
+	order := orderAfter(l.events)
 	for i := range events {
-		if events[i].Time < last {
+		if err := order.admit(events[i].Time); err != nil {
 			l.mu.Unlock()
-			return fmt.Errorf("%w: %d < %d", ErrOutOfOrder, events[i].Time, last)
+			return err
 		}
-		last = events[i].Time
 	}
 	var ack wal.Commit
 	var err error

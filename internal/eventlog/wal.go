@@ -65,21 +65,32 @@ func decodeEvent(seq uint64, payload []byte) (Event, error) {
 	return e, nil
 }
 
+// replayChunk is the number of events OpenDurable decodes into each of its
+// chunks before it allocates the trace once, at its exact length.
+const replayChunk = 4096
+
 // OpenDurable opens (or creates) a durable event log rooted at dir: the
 // existing segments are replayed into memory — a torn or corrupt tail
 // recovers the longest valid prefix, and the attached writer truncates the
 // damaged bytes so appends continue a dense log. Sequence numbers are
 // reassigned on replay (they always equal the append position, so a clean
-// log round-trips identically).
+// log round-trips identically), and the events must keep Append's time
+// order. Replay decodes into fixed-size chunks and then copies them into
+// one slice of the trace's exact length.
 func OpenDurable(dir string, opts wal.Options) (*Log, error) {
 	r, err := wal.OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	l := New()
-	poisoned := false
+	var (
+		chunks   [][]Event
+		chunk    []Event
+		order    timeOrder
+		n        int
+		poisoned bool
+	)
 	for {
-		seq, payload, err := r.Next()
+		_, payload, err := r.Next()
 		if err == io.EOF {
 			break
 		}
@@ -87,7 +98,7 @@ func OpenDurable(dir string, opts wal.Options) (*Log, error) {
 			r.Close()
 			return nil, err
 		}
-		e, err := decodeEvent(seq, payload)
+		e, err := decodeEvent(uint64(n+1), payload)
 		if err != nil {
 			// CRC-valid but undecodable: treat like a torn frame — stop at
 			// the longest valid prefix. The record must also be physically
@@ -97,16 +108,29 @@ func OpenDurable(dir string, opts wal.Options) (*Log, error) {
 			poisoned = true
 			break
 		}
-		if _, err := l.Append(Event{
-			Time: e.Time, Type: e.Type,
-			Worker: e.Worker, Task: e.Task, Requester: e.Requester, Contribution: e.Contribution,
-			Amount: e.Amount, Field: e.Field, Note: e.Note,
-		}); err != nil {
+		if err := order.admit(e.Time); err != nil {
 			r.Close()
 			return nil, fmt.Errorf("eventlog: replay: %w", err)
 		}
+		if len(chunk) == cap(chunk) {
+			if chunk != nil {
+				chunks = append(chunks, chunk)
+			}
+			chunk = make([]Event, 0, replayChunk)
+		}
+		chunk = append(chunk, e)
+		n++
 	}
 	r.Close()
+	l := New()
+	if n > 0 {
+		chunks = append(chunks, chunk)
+		l.events = make([]Event, 0, n)
+		for i, c := range chunks {
+			l.events = append(l.events, c...)
+			chunks[i] = nil // collectable once copied
+		}
+	}
 	if poisoned {
 		// Keys are the dense sequence numbers 1..Len, so cutting after the
 		// last replayed one removes the undecodable record and everything

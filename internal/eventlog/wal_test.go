@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -219,5 +220,132 @@ func TestDurableAppendBatchRoundTrip(t *testing.T) {
 	defer re.Close()
 	if got := re.Events(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %d events != appended %d", len(got), len(want))
+	}
+}
+
+// Append, AppendBatch (on an empty and on a non-empty log) and
+// OpenDurable's replay apply one time-order rule: an event may not precede
+// the one before it, and a log's first event may carry any time, negative
+// included. The replay input is written as CRC-valid frames straight to the
+// segments, so a record that goes back in time reaches the decoder and must
+// fail the open with an error wrapping ErrOutOfOrder.
+func TestAppendPathsShareOutOfOrderRule(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		times []int64
+		bad   int // index of the first event out of order, -1 for none
+	}{
+		{"negative first", []int64{-5, -5, 0}, -1},
+		{"ties", []int64{3, 3, 3}, -1},
+		{"rising", []int64{0, 1, 7}, -1},
+		{"negative first then earlier", []int64{-5, -6}, 1},
+		{"back in time", []int64{1, 5, 4}, 2},
+		{"back in time then forward", []int64{0, 2, 1, 3}, 2},
+	} {
+		events := make([]Event, len(tc.times))
+		for i, at := range tc.times {
+			events[i] = Event{Time: at, Type: TaskOffered, Worker: "w1", Task: "t1"}
+		}
+		check := func(path string, l *Log, err error) {
+			t.Helper()
+			if tc.bad >= 0 {
+				if !errors.Is(err, ErrOutOfOrder) {
+					t.Errorf("%s, %s: err = %v, want ErrOutOfOrder", tc.name, path, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Errorf("%s, %s: %v", tc.name, path, err)
+				return
+			}
+			got := l.Events()
+			if len(got) != len(events) {
+				t.Errorf("%s, %s: %d events, want %d", tc.name, path, len(got), len(events))
+				return
+			}
+			for i, e := range got {
+				if e.Seq != uint64(i+1) || e.Time != tc.times[i] {
+					t.Errorf("%s, %s: event %d = seq %d time %d, want seq %d time %d",
+						tc.name, path, i, e.Seq, e.Time, i+1, tc.times[i])
+				}
+			}
+		}
+
+		l := New()
+		var err error
+		for i, e := range events {
+			if _, err = l.Append(e); err != nil {
+				if i != tc.bad {
+					t.Errorf("%s, Append: event %d refused, want %d", tc.name, i, tc.bad)
+				}
+				break
+			}
+		}
+		check("Append", l, err)
+
+		l = New()
+		err = l.AppendBatch(append([]Event(nil), events...))
+		if err != nil && l.Len() != 0 {
+			t.Errorf("%s, AppendBatch: %d events appended by a refused batch", tc.name, l.Len())
+		}
+		check("AppendBatch", l, err)
+
+		if tc.bad != 0 {
+			l = New()
+			l.MustAppend(events[0])
+			err = l.AppendBatch(append([]Event(nil), events[1:]...))
+			if err != nil && l.Len() != 1 {
+				t.Errorf("%s, Append then AppendBatch: %d events after a refused batch, want 1", tc.name, l.Len())
+			}
+			check("Append then AppendBatch", l, err)
+		}
+
+		dir := t.TempDir()
+		w, err := wal.Create(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range events {
+			if err := w.Append(uint64(i+1), encodeEvent(nil, e)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l, err = OpenDurable(dir, wal.Options{})
+		check("OpenDurable", l, err)
+		if err == nil {
+			l.Close()
+		}
+	}
+}
+
+// BenchmarkOpenDurable times recovering a trace of about 87k events, the
+// length of a recover_restart directory's event log: segment reads, decode,
+// and building the in-memory trace.
+func BenchmarkOpenDurable(b *testing.B) {
+	dir := b.TempDir()
+	l, err := OpenDurable(dir, wal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := l.AppendBatch(demoEvents(87_000)); err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := OpenDurable(dir, wal.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if l.Len() != 87_000 {
+			b.Fatalf("recovered %d events", l.Len())
+		}
+		l.Close()
 	}
 }

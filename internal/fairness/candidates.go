@@ -245,10 +245,10 @@ func (p IndexPlan) appendAttrTokens(out []uint64, side string, attrs model.Attri
 
 // PopulateIndex upserts n entities into an index — the one install path for
 // a cold build, a snapshot provider's build and a delta pass's refresh of
-// the entities it found changed. For LSH indexes, tokens and signatures are
-// computed on the parallel pool (signature hashing dominates LSH cost) into
-// recycled buffers, then bulk-installed: band hashing fans out per entity,
-// and bucket unlinks and inserts per band (see LSHIndex.BulkUpsert). For
+// the entities it found changed. For LSH indexes, tokens, signatures and
+// band keys are computed on the parallel pool (signature hashing dominates
+// LSH cost), then bulk-installed: bucket unlinks and inserts fan out per
+// band (see LSHIndex.BulkUpsert). For
 // exact indexes it upserts directly. The result is identical to n
 // sequential Upserts; ids must be distinct (the LSH path panics on a
 // repeat).
@@ -269,7 +269,7 @@ func PopulateIndex(ix similarity.CandidateIndex, n int, id func(int) string, tok
 // contribIxPool recycles transient contribution LSH indexes, one pool per
 // parameter set (parameters are derived from the config, so a process
 // typically cycles through one or two). Recycled indexes keep their bucket
-// maps and signature freelists warm, so the per-task rebuild in
+// maps, arenas and band-key storage warm, so the per-task rebuild in
 // ContribCandidates allocates almost nothing in steady state. sync.Pool is
 // concurrency-safe, which matters now that CheckAxiom3Tasks fans tasks out.
 var contribIxPool sync.Map // similarity.LSHParams → *sync.Pool of *LSHIndex
@@ -303,8 +303,8 @@ var posPool = sync.Pool{New: func() any { return make(map[string]int, 32) }}
 // transient by design: contributions are only ever compared within one
 // task, and a dirty task is always re-audited against its current
 // contribution set, so there is no cross-pass state to maintain — but its
-// storage is pooled, and upserting serially into a recycled index reuses
-// the freelisted signature buffers (tasks themselves are already fanned out
+// storage is pooled, and upserting serially into a recycled index hashes
+// each signature in a stack buffer (tasks themselves are already fanned out
 // by CheckAxiom3Tasks, so intra-task parallel hashing would only fight the
 // outer shards for the same pool).
 func (p IndexPlan) ContribCandidates(contribs []*model.Contribution) (ks []int, pruned bool) {

@@ -41,9 +41,9 @@ type ContributionID string
 // indices refer to positions in a Universe.
 //
 // A []bool is the form callers write. The similarity measures read the
-// packed form (SkillBits), which Worker.Clone and Task.Clone derive from it
-// when an entity enters the store, so a caller that edits Skills hands the
-// edited entity back through a store mutation.
+// packed form (SkillBits), which PackSkills derives from it when an entity
+// enters the store (Clone packs its copy), so a caller that edits Skills
+// hands the edited entity back through a store mutation.
 type SkillVector []bool
 
 // NewSkillVector returns an all-false vector of length m.
@@ -322,7 +322,7 @@ type Task struct {
 	// Title is an optional human-readable label used in reports.
 	Title string
 
-	bits SkillBits // Skills packed by Clone
+	bits SkillBits // Skills packed by PackSkills
 }
 
 // Validate reports structural problems with the task relative to universe u.
@@ -363,14 +363,18 @@ func (t *Task) EffectivePublished() int {
 }
 
 // SkillBits returns the packed required skills. A task that entered the
-// store (by Clone) carries them; any other task packs Skills on each call.
+// store carries them; any other task packs Skills on each call.
 func (t *Task) SkillBits() SkillBits { return t.bits.of(t.Skills) }
+
+// PackSkills derives the packed form SkillBits returns from Skills, in
+// place. The store runs it on every task it installs.
+func (t *Task) PackSkills() { t.bits = t.Skills.Pack() }
 
 // Clone returns a deep copy of the task, with its skills packed afresh.
 func (t *Task) Clone() *Task {
 	c := *t
 	c.Skills = t.Skills.Clone()
-	c.bits = c.Skills.Pack()
+	c.PackSkills()
 	return &c
 }
 
@@ -381,7 +385,7 @@ type Worker struct {
 	Computed Attributes  // C_w: platform-computed (acceptance ratio, ...)
 	Skills   SkillVector // S_w: interests/qualifications
 
-	bits SkillBits // Skills packed by Clone
+	bits SkillBits // Skills packed by PackSkills
 }
 
 // Validate reports structural problems with the worker relative to u.
@@ -396,9 +400,13 @@ func (w *Worker) Validate(u *Universe) error {
 	return nil
 }
 
-// SkillBits returns the packed skills. A worker that entered the store (by
-// Clone) carries them; any other worker packs Skills on each call.
+// SkillBits returns the packed skills. A worker that entered the store
+// carries them; any other worker packs Skills on each call.
 func (w *Worker) SkillBits() SkillBits { return w.bits.of(w.Skills) }
+
+// PackSkills derives the packed form SkillBits returns from Skills, in
+// place. The store runs it on every worker it installs.
+func (w *Worker) PackSkills() { w.bits = w.Skills.Pack() }
 
 // Clone returns a deep copy of the worker, with its skills packed afresh.
 func (w *Worker) Clone() *Worker {
@@ -406,7 +414,7 @@ func (w *Worker) Clone() *Worker {
 	c.Declared = w.Declared.Clone()
 	c.Computed = w.Computed.Clone()
 	c.Skills = w.Skills.Clone()
-	c.bits = c.Skills.Pack()
+	c.PackSkills()
 	return &c
 }
 

@@ -3,6 +3,7 @@ package similarity
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -220,11 +221,16 @@ func TestLSHIndexUpsertSignatureMatchesUpsert(t *testing.T) {
 	if got, want := collectPairs(t, viaSig), collectPairs(t, direct); !equalStrings(got, want) {
 		t.Fatalf("UpsertSignature pairs %d != Upsert pairs %d", len(got), len(want))
 	}
-	if direct.Signature("e000") == nil {
-		t.Fatal("Signature lookup returned nil for an indexed id")
+	ids, rows := direct.BandRows()
+	sigIDs, sigRows := viaSig.BandRows()
+	if !slices.Equal(sigIDs, ids) || !slices.Equal(sigRows, rows) {
+		t.Fatal("UpsertSignature stored other band rows than Upsert")
 	}
-	if direct.Signature("missing") != nil {
-		t.Fatal("Signature lookup returned non-nil for an unknown id")
+	if !slices.Contains(ids, "e000") || len(rows) != len(ids)*params.Bands {
+		t.Fatalf("BandRows: %d ids (e000 among them: %v), %d keys", len(ids), slices.Contains(ids, "e000"), len(rows))
+	}
+	if slices.Contains(ids, "missing") {
+		t.Fatal("BandRows lists an unknown id")
 	}
 }
 
@@ -272,20 +278,21 @@ func TestLSHIndexBulkUpsertMatchesSerial(t *testing.T) {
 }
 
 // requireSameLSH fails unless two indexes hold the same ids with the same
-// signatures and describe the same candidate pairs and partners.
+// band rows and describe the same candidate pairs and partners.
 func requireSameLSH(t *testing.T, label string, got, want *LSHIndex) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: Len %d, want %d", label, got.Len(), want.Len())
 	}
-	want.Signatures(func(id string, sig []uint32) {
-		if !sigsEqual(got.Signature(id), sig) {
-			t.Fatalf("%s: Signature(%q) differs", label, id)
+	wantIDs, _ := want.BandRows()
+	for _, id := range wantIDs {
+		if !slices.Equal(storedRow(got, id), storedRow(want, id)) {
+			t.Fatalf("%s: band row of %q differs", label, id)
 		}
 		if g, w := collectPartners(t, got, id), collectPartners(t, want, id); !equalStrings(g, w) {
 			t.Fatalf("%s: Partners(%q) = %v, want %v", label, id, g, w)
 		}
-	})
+	}
 	if g, w := collectPairs(t, got), collectPairs(t, want); !equalStrings(g, w) {
 		t.Fatalf("%s: %d pairs, want %d", label, len(g), len(w))
 	}
@@ -354,9 +361,7 @@ func TestLSHIndexBulkReplaceMatchesSerial(t *testing.T) {
 
 // A steady-state refresh of the same ids recycles storage instead of
 // allocating it: 50 rounds in which every id moves buckets allocate nothing
-// per entity, leave the signature freelist exactly as long as it was and the
-// flat band-hash array at its capacity, and a round in which nothing changed
-// hands every signature buffer back.
+// per entity and leave the flat band-key array at its capacity.
 func TestLSHIndexBulkRefreshRecyclesStorage(t *testing.T) {
 	params := LSHParams{Bands: 8, Rows: 4, Seed: 21}
 	const n = 240
@@ -378,26 +383,19 @@ func TestLSHIndexBulkRefreshRecyclesStorage(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		refresh()
 	}
-	sigFree, bhCap := len(ix.sigFree), cap(ix.bh)
-	if sigFree != n {
-		t.Fatalf("after warm-up: freelist holds %d signatures, want %d", sigFree, n)
-	}
+	bhCap := cap(ix.bh)
 	allocs := testing.AllocsPerRun(50, refresh)
-	if len(ix.sigFree) != sigFree || cap(ix.bh) != bhCap {
-		t.Fatalf("50 refresh rounds moved the signature freelist %d -> %d, band-hash capacity %d -> %d",
-			sigFree, len(ix.sigFree), bhCap, cap(ix.bh))
+	if cap(ix.bh) != bhCap {
+		t.Fatalf("50 refresh rounds moved the band-key capacity %d -> %d", bhCap, cap(ix.bh))
 	}
-	// What remains is per call: the batch's bookkeeping slices and the
-	// pool's fan-out bookkeeping (about 15).
+	// What remains is per call: the batch's row array and bookkeeping
+	// slices and the pool's fan-out bookkeeping (about 15).
 	if allocs > n/8 {
 		t.Fatalf("a refresh of %d changed entities allocated %.0f times, want <= %d", n, allocs, n/8)
 	}
 	t.Logf("allocs per %d-entity refresh: %.0f", n, allocs)
 
 	ix.BulkUpsert(ids, tokens) // same round: nothing changed
-	if len(ix.sigFree) != sigFree {
-		t.Fatalf("an unchanged refresh moved the signature freelist %d -> %d", sigFree, len(ix.sigFree))
-	}
 	fresh := NewLSHIndex(params)
 	for i, id := range ids {
 		fresh.Upsert(id, tokens(i))
@@ -502,7 +500,7 @@ func contains(sorted []string, s string) bool {
 }
 
 func TestLSHIndexResetBehavesLikeFresh(t *testing.T) {
-	// Reset recycles signature/band-hash storage for the transient-index
+	// Reset recycles band-key and bucket storage for the transient-index
 	// pool; a Reset index must be observationally identical to a fresh one
 	// with the same parameters, across several reuse generations.
 	params := LSHParams{Bands: 8, Rows: 4, Seed: 7}
@@ -523,8 +521,8 @@ func TestLSHIndexResetBehavesLikeFresh(t *testing.T) {
 			t.Fatalf("gen %d: pooled index yields %d pairs, fresh %d", gen, len(gp), len(gf))
 		}
 		for id := range sets {
-			if !sigsEqual(pooled.Signature(id), fresh.Signature(id)) {
-				t.Fatalf("gen %d: signature mismatch for %q after reuse", gen, id)
+			if !slices.Equal(storedRow(pooled, id), storedRow(fresh, id)) {
+				t.Fatalf("gen %d: band row mismatch for %q after reuse", gen, id)
 			}
 			break
 		}

@@ -68,19 +68,24 @@ func ChooseLSHParams(threshold float64, seed uint64) LSHParams {
 	return LSHParams{Bands: bands, Rows: rows, Seed: seed}
 }
 
-// LSHIndex is the banded-MinHash CandidateIndex. Each entity's token set is
-// reduced to a signature once on Upsert; candidate generation then touches
-// only band hashes and buckets, never token sets, so an entity update
-// re-hashes exactly one entity and full-pass enumeration is linear in the
-// number of shared buckets plus emitted pairs.
+// LSHIndex is the banded-MinHash CandidateIndex. Upsert reduces each
+// entity's token set to a row of Bands bucket keys, one per band of its
+// MinHash signature, and keeps only that row: the signature lives in a
+// buffer of the call that hashes it. Candidate generation then touches only
+// band keys and buckets, never token sets, so an entity update re-hashes
+// exactly one entity and full-pass enumeration is linear in the number of
+// shared buckets plus emitted pairs. An upsert whose row equals the stored
+// one is a no-op, which is exactly when no bucket would move. BandRows
+// exports the rows and BulkUpsertRows installs them, so a checkpoint keeps
+// rows and a restore hashes nothing.
 //
 // Entities live in dense uint32 slots. A private id table maps each id to
 // its slot and back; Remove frees the slot for the next new id, and Reset
-// rewinds the table. Signatures are stored per slot, band hashes in one
-// flat array at slot*Bands, and buckets hold slots, so Partners and Pairs
-// read arrays and turn a slot back into its id only to yield it. Slot
-// numbers depend on install order, so nothing observable depends on them:
-// Pairs orders each pair by id, and Partners' order is unspecified.
+// rewinds the table. Band keys sit in one flat array at slot*Bands, and
+// buckets hold slots, so Partners and Pairs read arrays and turn a slot
+// back into its id only to yield it. Slot numbers depend on install order,
+// so nothing observable depends on them: Pairs orders each pair by id, and
+// Partners' order is unspecified.
 //
 // Under any useful banding most buckets hold one entity, so a bucket map
 // stores a lone member's slot inline and only a shared bucket gets a
@@ -90,18 +95,17 @@ type LSHIndex struct {
 	params LSHParams
 	hasher *MinHasher
 	// slots maps an id to its slot and names maps it back; freed holds
-	// released slots, whose names entry is "" and sigs entry nil.
+	// released slots, whose names entry is "".
 	slots map[string]uint32
 	names []string
 	freed []uint32
-	// sigs[s] is slot s's full signature (kept for the unchanged-upsert
-	// check and for serialization).
-	sigs [][]uint32
-	// bh[s*Bands+b] is slot s's band-b bucket key, cached so Remove and the
-	// first-shared-band dedup never recompute it. Freed slots keep stale
+	// bh[s*Bands+b] is slot s's band-b bucket key. Freed slots keep stale
 	// rows that no bucket references.
 	bh []uint64
-	// buckets[b] maps a band-b hash to its bucket. A value without the
+	// spare is the row Upsert and UpsertSignature hash into before
+	// comparing it with the stored one.
+	spare []uint64
+	// buckets[b] maps a band-b key to its bucket. A value without the
 	// sharedTag bit is the slot of the bucket's one member; a tagged value
 	// v is a bucket of two or more, whose members are multi[b][v&^sharedTag],
 	// kept sorted by slot. A bucket that shrinks to one member goes back
@@ -112,18 +116,16 @@ type LSHIndex struct {
 	buckets   []map[uint64]uint32
 	multi     [][][]uint32
 	multiFree [][]uint32
-	// sigFree recycles the signature storage of removed, replaced, or Reset
-	// entries, so a pooled transient index (fairness.ContribCandidates
-	// builds one per dirty task) re-upserts, and a long-lived one
-	// bulk-refreshes, without allocating per entity. Consequence of
-	// recycling: a slice returned by Signature/Signatures is valid only
-	// until its entity is re-upserted or removed.
-	sigFree [][]uint32
 }
 
 // sharedTag marks a bucket map value as an arena index rather than a slot;
 // claim keeps every slot below it.
 const sharedTag = 1 << 31
+
+// maxStackK is the longest signature hashTokens keeps on the stack.
+// ChooseLSHParams never exceeds 128 × 8; longer signatures, which explicit
+// LSHParams may ask for, go to the heap.
+const maxStackK = 1024
 
 // NewLSHIndex returns an empty index with the given parameters.
 func NewLSHIndex(params LSHParams) *LSHIndex {
@@ -134,6 +136,7 @@ func NewLSHIndex(params LSHParams) *LSHIndex {
 		params:    params,
 		hasher:    NewMinHasher(params.K(), params.Seed),
 		slots:     make(map[string]uint32),
+		spare:     make([]uint64, params.Bands),
 		buckets:   make([]map[uint64]uint32, params.Bands),
 		multi:     make([][][]uint32, params.Bands),
 		multiFree: make([][]uint32, params.Bands),
@@ -155,24 +158,25 @@ func (x *LSHIndex) Len() int { return len(x.slots) }
 
 // Upsert implements CandidateIndex.
 func (x *LSHIndex) Upsert(id string, tokens []uint64) {
-	x.UpsertSignature(id, x.hasher.AppendSignature(take(&x.sigFree), tokens))
+	x.hashTokens(x.spare, tokens)
+	x.upsertRow(id, x.spare)
 }
 
-// take pops a recycled buffer off a freelist (nil when it is empty; the
-// Append* helpers then allocate).
-func take[T any](free *[][]T) []T {
-	n := len(*free)
-	if n == 0 {
-		return nil
+// hashTokens hashes a token set's signature into a band row. The signature
+// lives only in this call's buffer: on the stack up to maxStackK slots,
+// else on the heap.
+func (x *LSHIndex) hashTokens(row []uint64, tokens []uint64) {
+	var buf [maxStackK]uint32
+	sig := buf[:0]
+	if x.params.K() > maxStackK {
+		sig = nil // AppendSignature allocates
 	}
-	buf := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return buf
+	x.hashBands(row, x.hasher.AppendSignature(sig, tokens))
 }
 
 // claim gives a new id a slot, reusing a freed one if any. The caller
-// stores its signature and, after grow, its band row. It panics rather than
-// hand out a slot that would read as sharedTag.
+// stores its band row after grow. It panics rather than hand out a slot
+// that would read as sharedTag.
 func (x *LSHIndex) claim(id string) uint32 {
 	var s uint32
 	if n := len(x.freed); n > 0 {
@@ -185,22 +189,21 @@ func (x *LSHIndex) claim(id string) uint32 {
 		}
 		s = uint32(len(x.names))
 		x.names = append(x.names, id)
-		x.sigs = append(x.sigs, nil)
 	}
 	x.slots[id] = s
 	return s
 }
 
-// grow extends the band-hash array to cover every slot, in one step however
+// grow extends the band-key array to cover every slot, in one step however
 // many slots were claimed since the last call. The new rows are not zeroed:
-// every caller hashes a claimed slot's row before reading it.
+// every caller writes a claimed slot's row before reading it.
 func (x *LSHIndex) grow() {
 	if need := len(x.names) * x.params.Bands; need > len(x.bh) {
 		x.bh = slices.Grow(x.bh, need-len(x.bh))[:need]
 	}
 }
 
-// row is slot s's band-hash row.
+// row is slot s's band-key row.
 func (x *LSHIndex) row(s uint32) []uint64 {
 	i := int(s) * x.params.Bands
 	return x.bh[i : i+x.params.Bands : i+x.params.Bands]
@@ -213,81 +216,60 @@ func (x *LSHIndex) UpsertSignature(id string, sig []uint32) {
 	if len(sig) != x.params.K() {
 		panic("similarity: signature length does not match LSH params")
 	}
+	x.hashBands(x.spare, sig)
+	x.upsertRow(id, x.spare)
+}
+
+// upsertRow gives id the band row row, moving it between buckets only when
+// the row differs from the stored one.
+func (x *LSHIndex) upsertRow(id string, row []uint64) {
 	s, ok := x.slots[id]
 	if ok {
-		old := x.sigs[s]
-		if sigsEqual(old, sig) {
+		if slices.Equal(x.row(s), row) {
 			return
 		}
 		x.unlinkRow(s)
-		x.sigFree = append(x.sigFree, old)
 	} else {
 		s = x.claim(id)
 		x.grow()
 	}
-	x.sigs[s] = sig
-	row := x.row(s)
-	x.hashBands(row, sig)
+	copy(x.row(s), row)
 	for b, h := range row {
 		x.link(b, h, s)
 	}
 }
 
-// BulkUpsertSignatures installs many precomputed signatures at once — the
-// one install path behind cold builds, checkpoint restores and delta
-// refreshes (builds and refreshes through BulkUpsert). It is equivalent to
-// calling UpsertSignature(ids[i], sigs[i]) in order: a serial pre-pass
-// gives new ids slots and skips unchanged entries, the band-hash array grows
-// once, band hashing fans out per entity on the parallel pool, and then one
-// goroutine per band unlinks each replaced entry from its old bucket and
-// links it into its new one. Buckets are kept sorted, so the result is
-// identical to the serial build's. It panics on a repeated id, on a length
-// mismatch between ids and sigs, or between a signature and the index
-// parameters; the index is unusable after such a panic.
-func (x *LSHIndex) BulkUpsertSignatures(ids []string, sigs [][]uint32) {
-	x.bulkInstall(ids, sigs, false)
-}
-
-// BulkUpsert is BulkUpsertSignatures over token sets: signatures are
-// computed on the parallel pool into buffers taken from the index's
-// freelist, and the buffers of entries found unchanged go back to it, so
-// refreshing the same ids round after round neither allocates signature
-// storage nor grows the freelist.
-func (x *LSHIndex) BulkUpsert(ids []string, tokens func(i int) []uint64) {
-	sigs := make([][]uint32, len(ids))
-	for i := range sigs {
-		sigs[i] = take(&x.sigFree)
+// BulkUpsertRows installs many band rows at once — the one install path
+// behind cold builds and delta refreshes (through BulkUpsert) and
+// checkpoint restores, which install the rows BandRows exported and hash
+// nothing. ids[i]'s row is rows[i*Bands:(i+1)*Bands]. It is equivalent to
+// upserting each row in order: a serial pre-pass gives new ids slots and
+// skips entries whose row is unchanged, the band-key array grows once and
+// takes the new rows, and then one goroutine per band unlinks each
+// replaced entry from its old bucket and links it into its new one.
+// Buckets are kept sorted, so the result is identical to the serial
+// build's. It panics on a repeated id or when len(rows) != len(ids)*Bands;
+// the index is unusable after such a panic.
+func (x *LSHIndex) BulkUpsertRows(ids []string, rows []uint64) {
+	bands := x.params.Bands
+	if len(rows) != len(ids)*bands {
+		panic("similarity: band rows do not match ids and LSH params")
 	}
-	par.For(len(ids), 0, func(i int) {
-		sigs[i] = x.hasher.AppendSignature(sigs[i], tokens(i))
-	})
-	x.bulkInstall(ids, sigs, true)
-}
-
-// bulkInstall is BulkUpsertSignatures; owned says the index may recycle the
-// signatures it skips as unchanged (BulkUpsert took them from its freelist).
-func (x *LSHIndex) bulkInstall(ids []string, sigs [][]uint32, owned bool) {
-	if len(ids) != len(sigs) {
-		panic("similarity: ids/sigs length mismatch")
-	}
-	// Serial pre-pass: validate, give new ids slots, skip unchanged
-	// entries, and copy each replaced entry's old band row (the band pass
-	// unlinks it; the row itself is about to be overwritten). in[k].old is
-	// that copy's row in olds, or -1 for an id new to the index. Every slot
-	// the batch touches is below len(names) + len(ids), so one bit per slot
-	// catches a repeated id.
+	// Serial pre-pass: give new ids slots, skip unchanged entries, and copy
+	// each replaced entry's old band row (the band pass unlinks it; the row
+	// itself is about to be overwritten). in[k].old is that copy's row in
+	// olds, or -1 for an id new to the index. Every slot the batch touches
+	// is below len(names) + len(ids), so one bit per slot catches a
+	// repeated id.
 	type install struct {
 		slot uint32
+		row  int // the entry's row in rows
 		old  int
 	}
-	bands := x.params.Bands
 	in := make([]install, 0, len(ids))
 	var olds []uint64
 	seen := make([]uint64, (len(x.names)+len(ids)+63)/64)
 	for i, id := range ids {
-		if len(sigs[i]) != x.params.K() {
-			panic("similarity: signature length does not match LSH params")
-		}
 		s, ok := x.slots[id]
 		if !ok {
 			s = x.claim(id)
@@ -296,27 +278,20 @@ func (x *LSHIndex) bulkInstall(ids []string, sigs [][]uint32, owned bool) {
 			panic(fmt.Sprintf("similarity: id %q repeated in one bulk upsert", id))
 		}
 		seen[s/64] |= 1 << (s % 64)
-		old := x.sigs[s]
-		if sigsEqual(old, sigs[i]) {
-			if owned {
-				x.sigFree = append(x.sigFree, sigs[i])
-			}
-			continue
-		}
 		at := -1
-		if old != nil {
-			x.sigFree = append(x.sigFree, old)
+		if ok {
+			if slices.Equal(x.row(s), rows[i*bands:(i+1)*bands]) {
+				continue
+			}
 			at = len(olds) / bands
 			olds = append(olds, x.row(s)...)
 		}
-		x.sigs[s] = sigs[i]
-		in = append(in, install{s, at})
+		in = append(in, install{s, i, at})
 	}
 	x.grow()
-	par.For(len(in), 0, func(k int) {
-		s := in[k].slot
-		x.hashBands(x.row(s), x.sigs[s])
-	})
+	for _, e := range in {
+		copy(x.row(e.slot), rows[e.row*bands:(e.row+1)*bands])
+	}
 	par.For(bands, 0, func(b int) {
 		if len(x.buckets[b]) == 0 {
 			// A cold build or restore: size the band's map for the batch
@@ -337,31 +312,59 @@ func (x *LSHIndex) bulkInstall(ids []string, sigs [][]uint32, owned bool) {
 	})
 }
 
+// BulkUpsertSignatures installs many precomputed signatures at once: band
+// hashing fans out per entity on the parallel pool into a transient row
+// array, which BulkUpsertRows installs. It panics on a length mismatch
+// between ids and sigs or between a signature and the index parameters,
+// and on a repeated id.
+func (x *LSHIndex) BulkUpsertSignatures(ids []string, sigs [][]uint32) {
+	if len(ids) != len(sigs) {
+		panic("similarity: ids/sigs length mismatch")
+	}
+	for _, sig := range sigs {
+		if len(sig) != x.params.K() {
+			panic("similarity: signature length does not match LSH params")
+		}
+	}
+	bands := x.params.Bands
+	rows := make([]uint64, len(ids)*bands)
+	par.For(len(ids), 0, func(i int) {
+		x.hashBands(rows[i*bands:(i+1)*bands], sigs[i])
+	})
+	x.BulkUpsertRows(ids, rows)
+}
+
+// BulkUpsert is BulkUpsertSignatures over token sets: each entity's
+// signature is computed and band-hashed on the parallel pool into a
+// transient row array (see hashTokens), which BulkUpsertRows installs.
+func (x *LSHIndex) BulkUpsert(ids []string, tokens func(i int) []uint64) {
+	bands := x.params.Bands
+	rows := make([]uint64, len(ids)*bands)
+	par.For(len(ids), 0, func(i int) {
+		x.hashTokens(rows[i*bands:(i+1)*bands], tokens(i))
+	})
+	x.BulkUpsertRows(ids, rows)
+}
+
 // Hasher exposes the index's hash family so callers can compute signatures
 // in parallel and feed them to UpsertSignature.
 func (x *LSHIndex) Hasher() *MinHasher { return x.hasher }
 
-// Signature returns the stored signature for id (nil if absent). The
-// returned slice is the index's own storage; callers must not mutate it,
-// and it is valid only until the entity is re-upserted or removed (its
-// backing array is then recycled).
-func (x *LSHIndex) Signature(id string) []uint32 {
-	if s, ok := x.slots[id]; ok {
-		return x.sigs[s]
+// BandRows returns every indexed id in ascending order with its band row:
+// ids[i]'s row is rows[i*Bands:(i+1)*Bands]. Both are copies. Handed to
+// BulkUpsertRows of a fresh index with the same parameters, they rebuild
+// this index's buckets.
+func (x *LSHIndex) BandRows() (ids []string, rows []uint64) {
+	ids = make([]string, 0, len(x.slots))
+	for id := range x.slots {
+		ids = append(ids, id)
 	}
-	return nil
-}
-
-// Signatures calls yield for every indexed (id, signature) pair, in
-// unspecified order — the export hook for serialising the index. The
-// yielded slices are the index's own storage; callers must not mutate or
-// retain them across mutations.
-func (x *LSHIndex) Signatures(yield func(id string, sig []uint32)) {
-	for s, sig := range x.sigs {
-		if sig != nil {
-			yield(x.names[s], sig)
-		}
+	slices.Sort(ids)
+	rows = make([]uint64, 0, len(ids)*x.params.Bands)
+	for _, id := range ids {
+		rows = append(rows, x.row(x.slots[id])...)
 	}
+	return ids, rows
 }
 
 // Remove implements CandidateIndex.
@@ -371,27 +374,21 @@ func (x *LSHIndex) Remove(id string) {
 		return
 	}
 	x.unlinkRow(s)
-	x.sigFree = append(x.sigFree, x.sigs[s])
-	x.sigs[s], x.names[s] = nil, ""
+	x.names[s] = ""
 	delete(x.slots, id)
 	x.freed = append(x.freed, s)
 }
 
 // Reset empties the index in place, keeping its parameters, hasher, bucket
-// maps, arenas and recycled storage, and rewinds the slot table. A Reset
+// maps, arenas and band-key storage, and rewinds the slot table. A Reset
 // index is observationally identical to a fresh NewLSHIndex with the same
 // parameters; it exists so transient per-task contribution indexes can be
 // pooled instead of reallocating ~Bands bucket maps and a hash family per
 // audit, and refilled without allocating bucket storage.
 func (x *LSHIndex) Reset() {
-	for _, sig := range x.sigs {
-		if sig != nil {
-			x.sigFree = append(x.sigFree, sig)
-		}
-	}
 	clear(x.slots)
 	clear(x.names)
-	x.names, x.sigs, x.freed, x.bh = x.names[:0], x.sigs[:0], x.freed[:0], x.bh[:0]
+	x.names, x.freed, x.bh = x.names[:0], x.freed[:0], x.bh[:0]
 	for b := range x.buckets {
 		clear(x.buckets[b])
 		x.multi[b], x.multiFree[b] = x.multi[b][:0], x.multiFree[b][:0]
@@ -466,7 +463,10 @@ func (x *LSHIndex) unlink(b int, h uint64, s uint32) {
 
 // hashBands collapses each band of a signature to one uint64 bucket key via
 // a running mix (band index seeds the chain so identical row values in
-// different bands hash apart), into a slot's band row.
+// different bands hash apart), into a band row. The keys are on-disk
+// format: the audit sidecar persists rows, not signatures, so a change
+// here or in MinHasher must bump the sidecar's stateFormat
+// (internal/audit); TestLSHBandKeysGolden fails until it is.
 func (x *LSHIndex) hashBands(row []uint64, sig []uint32) {
 	for b := range row {
 		h := mix64(uint64(b) + 0x51_7c_c1_b7_27_22_0a_95)
@@ -533,16 +533,4 @@ func (x *LSHIndex) Partners(id string, yield func(partner string)) {
 			}
 		}
 	}
-}
-
-func sigsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,11 @@
 package similarity
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -60,23 +63,41 @@ func benchmarkPartners(b *testing.B, size, own int) {
 	b.ReportMetric(float64(found)/float64(b.N), "partners/op")
 }
 
-// BenchmarkLSHBulkBuild times a cold install of 30k precomputed signatures
-// into a new index under 90 bands × 6 rows — what a checkpoint restore does,
-// and a cold build after hashing. Clusters of 10 with two own tokens per id
-// leave about 86 % of the buckets with one member.
+// BenchmarkLSHBulkBuild times a cold install of 30k band rows into a new
+// index under 90 bands × 6 rows — what a checkpoint restore does, and a
+// cold build after hashing. Clusters of 10 with two own tokens per id leave
+// about 86 % of the buckets with one member.
 func BenchmarkLSHBulkBuild(b *testing.B) {
 	ids, sets := clusteredTokenSets(30_000, 10, 26, 2)
 	params := ChooseLSHParams(0.9, 1)
-	h := NewMinHasher(params.K(), params.Seed)
-	sigs := make([][]uint32, len(ids))
-	for i := range sigs {
-		sigs[i] = h.Signature(sets[i])
-	}
+	built := NewLSHIndex(params)
+	built.BulkUpsert(ids, func(i int) []uint64 { return sets[i] })
+	ids, rows := built.BandRows()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewLSHIndex(params).BulkUpsertSignatures(ids, sigs)
+		NewLSHIndex(params).BulkUpsertRows(ids, rows)
 	}
+}
+
+func sigsEqual(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// storedRow is the band row ix keeps for id, nil when id is not indexed.
+func storedRow(ix *LSHIndex, id string) []uint64 {
+	if s, ok := ix.slots[id]; ok {
+		return ix.row(s)
+	}
+	return nil
 }
 
 // naiveBandPartners reports whether two signatures agree on all Rows slots of
@@ -95,7 +116,7 @@ func naiveBandPartners(p LSHParams, a, b []uint32) bool {
 // TestLSHIndexMatchesNaiveBanding drives seeded storms of every mutation —
 // Upsert, BulkUpsert, BulkUpsertSignatures, Remove, Reset — against a model
 // that holds each live id's signature from an independent hasher, and after
-// every step checks the stored signatures, Partners of every id and the full
+// every step checks the stored band rows, Partners of every id and the full
 // Pairs set against naive banding. Storms free slots and then install new
 // ids into them, move ids to other signatures, and re-upsert ids unchanged.
 func TestLSHIndexMatchesNaiveBanding(t *testing.T) {
@@ -202,9 +223,9 @@ func TestLSHIndexMatchesNaiveBanding(t *testing.T) {
 	}
 }
 
-// requireNaiveBanding fails unless ix holds exactly model's ids and
-// signatures and its Partners and Pairs views both equal naive banding over
-// them.
+// requireNaiveBanding fails unless ix holds exactly model's ids, each with
+// the band row of its model signature, and its Partners and Pairs views
+// both equal naive banding over the signatures.
 func requireNaiveBanding(t *testing.T, label string, ix *LSHIndex, model map[string][]uint32) {
 	t.Helper()
 	p := ix.Params()
@@ -217,9 +238,11 @@ func requireNaiveBanding(t *testing.T, label string, ix *LSHIndex, model map[str
 	}
 	sort.Strings(ids)
 	var wantPairs []string
+	row := make([]uint64, p.Bands)
 	for i, a := range ids {
-		if !sigsEqual(ix.Signature(a), model[a]) {
-			t.Fatalf("%s: Signature(%q) differs from the model's", label, a)
+		ix.hashBands(row, model[a])
+		if !slices.Equal(storedRow(ix, a), row) {
+			t.Fatalf("%s: band row of %q differs from the model's", label, a)
 		}
 		var want []string
 		for j, b := range ids {
@@ -419,5 +442,49 @@ func TestLSHIndexBulkUpsertRejectsRepeatedIDs(t *testing.T) {
 				ix.BulkUpsert(tc.batch, toks)
 			}
 		})
+	}
+}
+
+// TestLSHBandKeysGolden pins the MinHash signature and the band row of one
+// token set under one seed at the worker plan's 90 bands × 6 rows. Band
+// rows are on-disk format — the audit sidecar persists them in place of
+// signatures — so a change to MinHasher or hashBands fails here until the
+// sidecar's stateFormat is bumped and these values with it.
+func TestLSHBandKeysGolden(t *testing.T) {
+	params := LSHParams{Bands: 90, Rows: 6, Seed: 1}
+	toks := make([]uint64, 26)
+	for i := range toks {
+		toks[i] = uint64(i + 1)
+	}
+	digest := func(vals []uint64, width int) uint64 {
+		h := fnv.New64a()
+		b := make([]byte, 8)
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(b, v)
+			h.Write(b[:width])
+		}
+		return h.Sum64()
+	}
+
+	sig := NewMinHasher(params.K(), params.Seed).Signature(toks)
+	wide := make([]uint64, len(sig))
+	for i, v := range sig {
+		wide[i] = uint64(v)
+	}
+	if got, want := [4]uint32{sig[0], sig[1], sig[2], sig[539]}, [4]uint32{0x96d19e5, 0x230b782, 0x98dc70c, 0x713fea2}; got != want {
+		t.Fatalf("signature slots 0, 1, 2, 539 = %#x, want %#x", got, want)
+	}
+	if got := digest(wide, 4); got != 0x2b099e6561785500 {
+		t.Fatalf("signature digest %#x, want 0x2b099e6561785500", got)
+	}
+
+	ix := NewLSHIndex(params)
+	ix.Upsert("w", toks)
+	_, row := ix.BandRows()
+	if got, want := [3]uint64{row[0], row[1], row[89]}, [3]uint64{0x20b6e673bb9b88d2, 0xb8896a5911f5f9cc, 0x14af0f764c356f5f}; got != want {
+		t.Fatalf("band keys 0, 1, 89 = %#x, want %#x", got, want)
+	}
+	if got := digest(row, 8); got != 0x744d16198fb0a821 {
+		t.Fatalf("band row digest %#x, want 0x744d16198fb0a821", got)
 	}
 }

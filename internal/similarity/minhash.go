@@ -84,8 +84,8 @@ func (m *MinHasher) Signature(tokens []uint64) []uint32 {
 
 // AppendSignature is Signature into caller-provided storage: dst is resized
 // (reallocating only when capacity is short) and returned. It lets index
-// code recycle signature buffers through a freelist instead of allocating
-// one slice per hashed entity.
+// code hash into a stack buffer instead of allocating one slice per hashed
+// entity.
 //
 // The loop is slot-major: each token is mixed once into a buffer (on the
 // stack up to 64 tokens), then every slot's minimum is kept in a register

@@ -399,7 +399,8 @@ func (rs *replayStream) advance() error {
 func (m *Mutation) primaryID() string { return changePrimaryID(m.Change) }
 
 // openSnapshot rebuilds the checkpointed entity state (or an empty store)
-// from a manifest at its width, positioned exactly at the manifest: the
+// from a manifest at its width, storing the entities it decodes themselves
+// once their skills are packed, positioned exactly at the manifest: the
 // bulk loads consume sequencer values and seed rings with rebuild-local
 // versions that have nothing to do with the original numbering the WAL
 // tail carries, so the sequencer, every watermark and every ring's
@@ -421,7 +422,13 @@ func openSnapshot(dir string, man *Manifest) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
-		if s, err = FromSnapshotSharded(snap, man.Shards); err != nil {
+		for _, w := range snap.Workers {
+			w.PackSkills()
+		}
+		for _, t := range snap.Tasks {
+			t.PackSkills()
+		}
+		if s, err = adoptSnapshot(snap, man.Shards); err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	} else {
@@ -529,10 +536,11 @@ func DecodeWALMutation(key uint64, payload []byte) (Mutation, error) {
 // Apply applies a decoded WAL mutation at its original version, routed by
 // its entity id — the replication path: a follower tailing
 // another process's log feeds records here in global version order. The
-// entity is validated like any live mutation; like the live mutators, the
-// durability wait of a durable replica happens after the shard lock is
-// released.
+// entity is validated like any live mutation, and the store keeps a clone
+// of it; like the live mutators, the durability wait of a durable replica
+// happens after the shard lock is released.
 func (s *Store) Apply(m Mutation) error {
+	m = m.clone()
 	sh := s.lockOwner(m.primaryID())
 	return commitOutside(sh, func() (wal.Commit, error) {
 		return s.applyMutation(sh, m)
@@ -626,17 +634,44 @@ func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSna
 }
 
 // applyReplay applies one post-snapshot WAL mutation with its original
-// version. The store is not yet published, so no locks are needed; the
-// locked helpers only assume the lock is held, they do not acquire it.
-// WALs are not attached during replay, so the ticket is always zero.
+// version, storing the entity replay decoded once its skills are packed.
+// The store is not yet published, so no locks are needed; the locked
+// helpers only assume the lock is held, they do not acquire it. WALs are
+// not attached during replay, so the ticket is always zero.
 func (s *Store) applyReplay(m Mutation) error {
+	if m.Worker != nil {
+		m.Worker.PackSkills()
+	}
+	if m.Task != nil {
+		m.Task.PackSkills()
+	}
 	_, err := s.applyMutation(s.shardFor(m.primaryID()), m)
 	return err
 }
 
+// clone returns m carrying private copies of its entities, for a caller
+// that keeps m.
+func (m Mutation) clone() Mutation {
+	if m.Worker != nil {
+		m.Worker = m.Worker.Clone()
+	}
+	if m.Requester != nil {
+		r := *m.Requester
+		m.Requester = &r
+	}
+	if m.Task != nil {
+		m.Task = m.Task.Clone()
+	}
+	if m.Contribution != nil {
+		m.Contribution = m.Contribution.Clone()
+	}
+	return m
+}
+
 // applyMutation applies one decoded mutation under the held (or not yet
 // shared) owning shard, preserving its original version, and
-// returns the durability ticket of the re-recorded mutation.
+// returns the durability ticket of the re-recorded mutation. Like the
+// *Locked mutators it stores m's entity itself.
 func (s *Store) applyMutation(sh *shard, m Mutation) (wal.Commit, error) {
 	v := m.Change.Version
 	switch {

@@ -561,3 +561,123 @@ func TestNewDurableRefusesExistingStore(t *testing.T) {
 		t.Fatal("NewDurable over an existing store must fail")
 	}
 }
+
+// TestCheckpointOpenAdoptsDecodedEntities: recovery stores the workers and
+// tasks it decodes themselves, so each must arrive with its skills packed —
+// from the snapshot frames, from the WAL tail, and through Bootstrap —
+// or SkillBits would silently pack on every pair judgment. The entry points
+// that take a caller's value (PutWorker, UpdateWorker, Apply) still keep a
+// clone: mutating the value afterwards leaves the store as it was.
+func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
+	u := testUniverse()
+	dir := t.TempDir()
+	steps := mutationScript(u, 80)
+	ds, err := NewDurable(u, 3, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applySteps(t, ds, steps, 50)
+	man, err := ds.Checkpoint(CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applySteps(t, ds, steps[50:], 30)
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	requirePacked := func(label string, s *Store, fromTail map[string]bool) {
+		t.Helper()
+		var snapshot, tail int
+		for _, id := range s.WorkerIDs() {
+			w := s.PeekWorker(id)
+			if n := testing.AllocsPerRun(10, func() { w.SkillBits() }); n != 0 {
+				t.Fatalf("%s: worker %s: SkillBits allocated %.0f times, want 0", label, id, n)
+			}
+			if fromTail[string(id)] {
+				tail++
+			} else {
+				snapshot++
+			}
+		}
+		for _, id := range s.TaskIDs() {
+			task := s.PeekTask(id)
+			if n := testing.AllocsPerRun(10, func() { task.SkillBits() }); n != 0 {
+				t.Fatalf("%s: task %s: SkillBits allocated %.0f times, want 0", label, id, n)
+			}
+			if fromTail[string(id)] {
+				tail++
+			} else {
+				snapshot++
+			}
+		}
+		if snapshot == 0 || (fromTail != nil && tail == 0) {
+			t.Fatalf("%s: %d entities from the snapshot, %d from the WAL tail: both paths must be covered", label, snapshot, tail)
+		}
+	}
+
+	got, _, err := Open(dir, 0, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	changes, ok := got.ChangesSince(man.Version)
+	if !ok {
+		t.Fatal("ChangesSince(checkpoint) truncated")
+	}
+	fromTail := make(map[string]bool)
+	for _, c := range changes {
+		switch c.Entity {
+		case EntityWorker:
+			fromTail[string(c.Worker)] = true
+		case EntityTask:
+			fromTail[string(c.Task)] = true
+		}
+	}
+	requirePacked("Open", got, fromTail)
+
+	boot, _, err := Bootstrap(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requirePacked("Bootstrap", boot, nil)
+
+	// A caller's value, mutated after the call, leaves the store unchanged.
+	unchanged := func(label string, s *Store, mutate func()) {
+		t.Helper()
+		before := snapBytes(t, s)
+		mutate()
+		if snapBytes(t, s) != before {
+			t.Fatalf("%s: mutating the caller's value changed the store", label)
+		}
+	}
+	w := &model.Worker{ID: "wput", Declared: model.Attributes{"country": model.Str("fr")}, Skills: u.MustVector("go")}
+	if err := got.PutWorker(w); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("PutWorker", got, func() { w.Skills[1] = true; w.Declared["country"] = model.Str("de") })
+	up, err := got.Worker("wput")
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.Skills = u.MustVector("nlp")
+	if err := got.UpdateWorker(up); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("UpdateWorker", got, func() { up.Skills[0] = true; up.Declared["country"] = model.Str("it") })
+	m := Mutation{
+		Change: Change{Version: boot.Version() + 1, Op: OpInsert, Entity: EntityWorker, Worker: "wapply"},
+		Worker: &model.Worker{ID: "wapply", Computed: model.Attributes{"completed": model.Num(3)}, Skills: u.MustVector("sql")},
+	}
+	if err := boot.Apply(m); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("Apply", boot, func() { m.Worker.Skills[2] = false; m.Worker.Computed["completed"] = model.Num(4) })
+	for _, s := range []*Store{got, boot} {
+		for _, id := range s.WorkerIDs() {
+			if w := s.PeekWorker(id); w.SkillBits().Count() != w.Skills.Count() {
+				t.Fatalf("worker %s: packed skills disagree with its vector", id)
+			}
+		}
+	}
+}

@@ -38,8 +38,22 @@ func FromSnapshot(snap *model.Snapshot) (*Store, error) {
 }
 
 // FromSnapshotSharded is FromSnapshot with an explicit hash-partition
-// count (recovery rebuilds a checkpointed store at its manifest's width).
+// count. The store keeps clones, so snap stays the caller's.
 func FromSnapshotSharded(snap *model.Snapshot, shards int) (*Store, error) {
+	return adoptSnapshot(&model.Snapshot{
+		Skills:        snap.Skills,
+		Workers:       cloneAll(snap.Workers, (*model.Worker).Clone),
+		Requesters:    snap.Requesters, // PutRequester copies
+		Tasks:         cloneAll(snap.Tasks, (*model.Task).Clone),
+		Contributions: cloneAll(snap.Contributions, (*model.Contribution).Clone),
+	}, shards)
+}
+
+// adoptSnapshot is FromSnapshotSharded storing the snapshot's workers,
+// tasks and contributions themselves: their skills must be packed, and
+// nobody may touch them afterwards (see putWorkerLocked). Recovery
+// (openSnapshot) hands it what it just decoded.
+func adoptSnapshot(snap *model.Snapshot, shards int) (*Store, error) {
 	u, err := snap.Universe()
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot universe: %w", err)
@@ -50,14 +64,17 @@ func FromSnapshotSharded(snap *model.Snapshot, shards int) (*Store, error) {
 			return nil, fmt.Errorf("store: load snapshot: %w", err)
 		}
 	}
-	if err := s.BulkPutWorkers(snap.Workers); err != nil {
-		return nil, fmt.Errorf("store: load snapshot: %w", err)
-	}
-	if err := s.BulkPutTasks(snap.Tasks); err != nil {
-		return nil, fmt.Errorf("store: load snapshot: %w", err)
-	}
-	if err := s.BulkPutContributions(snap.Contributions); err != nil {
-		return nil, fmt.Errorf("store: load snapshot: %w", err)
+	for _, load := range []func() error{
+		func() error { return s.validWorkers(snap.Workers) },
+		func() error { return s.adoptWorkers(snap.Workers) },
+		func() error { return s.validTasks(snap.Tasks) },
+		func() error { return s.adoptTasks(snap.Tasks) },
+		func() error { return s.validContributions(snap.Contributions) },
+		func() error { return s.adoptContributions(snap.Contributions) },
+	} {
+		if err := load(); err != nil {
+			return nil, fmt.Errorf("store: load snapshot: %w", err)
+		}
 	}
 	return s, nil
 }

@@ -167,37 +167,42 @@ func (s *Store) PutWorker(w *model.Worker) error {
 	if err := w.Validate(s.universe); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	sh := s.lockOwner(string(w.ID))
+	c := w.Clone()
+	sh := s.lockOwner(string(c.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putWorkerLocked(sh, w, 0)
+		return s.putWorkerLocked(sh, c, 0)
 	})
 }
 
 // putWorkerLocked inserts under the held shard lock. ver is 0 for live
 // mutations (allocate the next version) and the original version during
-// WAL replay. Like every *Locked mutator it returns the record's
-// durability ticket for the caller to Wait on after unlocking.
+// WAL replay. Like every *Locked mutator it stores the entity it is given,
+// which must have its skills packed and which nobody may touch afterwards:
+// an entry point holding a caller's value passes a clone, and recovery
+// passes what it decoded. It returns the record's durability ticket for
+// the caller to Wait on after unlocking.
 func (s *Store) putWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.Commit, error) {
 	if _, dup := sh.workers[w.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("worker %s: %w", w.ID, ErrDuplicate)
 	}
-	c := w.Clone()
-	sh.workers[c.ID] = c
+	sh.workers[w.ID] = w
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
-		Change: Change{Version: v, Op: OpInsert, Entity: EntityWorker, Worker: c.ID},
-		Worker: c,
+		Change: Change{Version: v, Op: OpInsert, Entity: EntityWorker, Worker: w.ID},
+		Worker: w,
 	})
 }
 
-// UpdateWorker replaces an existing worker's attributes and skills.
+// UpdateWorker replaces an existing worker's attributes and skills with a
+// clone of w.
 func (s *Store) UpdateWorker(w *model.Worker) error {
 	if err := w.Validate(s.universe); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	sh := s.lockOwner(string(w.ID))
+	c := w.Clone()
+	sh := s.lockOwner(string(c.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.updateWorkerLocked(sh, w, 0)
+		return s.updateWorkerLocked(sh, c, 0)
 	})
 }
 
@@ -205,12 +210,11 @@ func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.
 	if _, ok := sh.workers[w.ID]; !ok {
 		return wal.Commit{}, fmt.Errorf("worker %s: %w", w.ID, ErrNotFound)
 	}
-	c := w.Clone()
-	sh.workers[w.ID] = c
+	sh.workers[w.ID] = w
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
 		Change: Change{Version: v, Op: OpUpdate, Entity: EntityWorker, Worker: w.ID},
-		Worker: c,
+		Worker: w,
 	})
 }
 
@@ -305,11 +309,25 @@ func (s *Store) WorkerIDs() []model.WorkerID {
 // if they hash to other shards — callers must not retry a failed batch
 // wholesale.
 func (s *Store) BulkPutWorkers(ws []*model.Worker) error {
+	if err := s.validWorkers(ws); err != nil {
+		return err
+	}
+	return s.adoptWorkers(cloneAll(ws, (*model.Worker).Clone))
+}
+
+// validWorkers validates workers before a bulk insert or update.
+func (s *Store) validWorkers(ws []*model.Worker) error {
 	for _, w := range ws {
 		if err := w.Validate(s.universe); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
 	}
+	return nil
+}
+
+// adoptWorkers is BulkPutWorkers after validation, storing the given
+// workers themselves (see putWorkerLocked).
+func (s *Store) adoptWorkers(ws []*model.Worker) error {
 	return s.bulkApply(len(ws), func(k int) string { return string(ws[k].ID) },
 		func(sh *shard, k int) (wal.Commit, error) { return s.putWorkerLocked(sh, ws[k], 0) })
 }
@@ -318,13 +336,22 @@ func (s *Store) BulkPutWorkers(ws []*model.Worker) error {
 // in parallel. On error, updates that succeeded before each shard's own
 // first failure remain applied (see BulkPutWorkers).
 func (s *Store) BulkUpdateWorkers(ws []*model.Worker) error {
-	for _, w := range ws {
-		if err := w.Validate(s.universe); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalid, err)
-		}
+	if err := s.validWorkers(ws); err != nil {
+		return err
 	}
-	return s.bulkApply(len(ws), func(k int) string { return string(ws[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.updateWorkerLocked(sh, ws[k], 0) })
+	cs := cloneAll(ws, (*model.Worker).Clone)
+	return s.bulkApply(len(cs), func(k int) string { return string(cs[k].ID) },
+		func(sh *shard, k int) (wal.Commit, error) { return s.updateWorkerLocked(sh, cs[k], 0) })
+}
+
+// cloneAll returns a clone of every entity in xs, for the bulk entry points
+// that hand a caller's values to the *Locked mutators.
+func cloneAll[T any](xs []*T, clone func(*T) *T) []*T {
+	out := make([]*T, len(xs))
+	for i, x := range xs {
+		out[i] = clone(x)
+	}
+	return out
 }
 
 // bulkApply groups n items by owning shard and applies each group under a
@@ -367,14 +394,15 @@ func (s *Store) bulkApply(n int, id func(k int) string, apply func(sh *shard, k 
 
 // --- Requesters ---
 
-// PutRequester validates and inserts a requester.
+// PutRequester validates and inserts a copy of a requester.
 func (s *Store) PutRequester(r *model.Requester) error {
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	sh := s.lockOwner(string(r.ID))
+	c := *r
+	sh := s.lockOwner(string(c.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putRequesterLocked(sh, r, 0)
+		return s.putRequesterLocked(sh, &c, 0)
 	})
 }
 
@@ -382,12 +410,11 @@ func (s *Store) putRequesterLocked(sh *shard, r *model.Requester, ver uint64) (w
 	if _, dup := sh.requesters[r.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("requester %s: %w", r.ID, ErrDuplicate)
 	}
-	c := *r
-	sh.requesters[r.ID] = &c
+	sh.requesters[r.ID] = r
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
 		Change:    Change{Version: v, Op: OpInsert, Entity: EntityRequester, Requester: r.ID},
-		Requester: &c,
+		Requester: r,
 	})
 }
 
@@ -449,9 +476,10 @@ func (s *Store) PutTask(t *model.Task) error {
 	if !s.hasRequester(t.Requester) {
 		return fmt.Errorf("task %s: requester %s: %w", t.ID, t.Requester, ErrNotFound)
 	}
-	sh := s.lockOwner(string(t.ID))
+	c := t.Clone()
+	sh := s.lockOwner(string(c.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putTaskLocked(sh, t, 0)
+		return s.putTaskLocked(sh, c, 0)
 	})
 }
 
@@ -459,18 +487,26 @@ func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver uint64) (wal.Commit,
 	if _, dup := sh.tasks[t.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("task %s: %w", t.ID, ErrDuplicate)
 	}
-	c := t.Clone()
-	sh.tasks[c.ID] = c
+	sh.tasks[t.ID] = t
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
-		Change: Change{Version: v, Op: OpInsert, Entity: EntityTask, Task: c.ID, Requester: c.Requester},
-		Task:   c,
+		Change: Change{Version: v, Op: OpInsert, Entity: EntityTask, Task: t.ID, Requester: t.Requester},
+		Task:   t,
 	})
 }
 
 // BulkPutTasks inserts many tasks, probing the referenced requesters up
 // front and fanning the inserts out across shards in parallel.
 func (s *Store) BulkPutTasks(ts []*model.Task) error {
+	if err := s.validTasks(ts); err != nil {
+		return err
+	}
+	return s.adoptTasks(cloneAll(ts, (*model.Task).Clone))
+}
+
+// validTasks validates tasks and probes their requesters before a bulk
+// insert.
+func (s *Store) validTasks(ts []*model.Task) error {
 	for _, t := range ts {
 		if err := t.Validate(s.universe); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -479,6 +515,12 @@ func (s *Store) BulkPutTasks(ts []*model.Task) error {
 			return fmt.Errorf("task %s: requester %s: %w", t.ID, t.Requester, ErrNotFound)
 		}
 	}
+	return nil
+}
+
+// adoptTasks is BulkPutTasks after validation, storing the given tasks
+// themselves (see putWorkerLocked).
+func (s *Store) adoptTasks(ts []*model.Task) error {
 	return s.bulkApply(len(ts), func(k int) string { return string(ts[k].ID) },
 		func(sh *shard, k int) (wal.Commit, error) { return s.putTaskLocked(sh, ts[k], 0) })
 }
@@ -572,9 +614,10 @@ func (s *Store) PutContribution(c *model.Contribution) error {
 	if err := s.checkContribRefs(c); err != nil {
 		return err
 	}
-	sh := s.lockOwner(string(c.ID))
+	cc := c.Clone()
+	sh := s.lockOwner(string(cc.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putContributionLocked(sh, c, 0)
+		return s.putContributionLocked(sh, cc, 0)
 	})
 }
 
@@ -592,22 +635,30 @@ func (s *Store) putContributionLocked(sh *shard, c *model.Contribution, ver uint
 	if _, dup := sh.contribs[c.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("contribution %s: %w", c.ID, ErrDuplicate)
 	}
-	cc := c.Clone()
-	sh.contribs[cc.ID] = cc
-	sh.contribsByTask[cc.Task] = insertContribID(sh.contribsByTask[cc.Task], sh.contribs, cc.ID)
+	sh.contribs[c.ID] = c
+	sh.contribsByTask[c.Task] = insertContribID(sh.contribsByTask[c.Task], sh.contribs, c.ID)
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
 		Change: Change{
 			Version: v, Op: OpInsert, Entity: EntityContribution,
-			Contribution: cc.ID, Task: cc.Task, Worker: cc.Worker,
+			Contribution: c.ID, Task: c.Task, Worker: c.Worker,
 		},
-		Contribution: cc,
+		Contribution: c,
 	})
 }
 
 // BulkPutContributions inserts many contributions, probing referenced tasks
 // and workers up front and fanning out across shards in parallel.
 func (s *Store) BulkPutContributions(cs []*model.Contribution) error {
+	if err := s.validContributions(cs); err != nil {
+		return err
+	}
+	return s.adoptContributions(cloneAll(cs, (*model.Contribution).Clone))
+}
+
+// validContributions validates contributions and probes their tasks and
+// workers before a bulk insert.
+func (s *Store) validContributions(cs []*model.Contribution) error {
 	for _, c := range cs {
 		if err := c.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -616,6 +667,12 @@ func (s *Store) BulkPutContributions(cs []*model.Contribution) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// adoptContributions is BulkPutContributions after validation, storing the
+// given contributions themselves (see putWorkerLocked).
+func (s *Store) adoptContributions(cs []*model.Contribution) error {
 	return s.bulkApply(len(cs), func(k int) string { return string(cs[k].ID) },
 		func(sh *shard, k int) (wal.Commit, error) { return s.putContributionLocked(sh, cs[k], 0) })
 }
@@ -626,9 +683,10 @@ func (s *Store) UpdateContribution(c *model.Contribution) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	sh := s.lockOwner(string(c.ID))
+	cc := c.Clone()
+	sh := s.lockOwner(string(cc.ID))
 	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.updateContributionLocked(sh, c, 0)
+		return s.updateContributionLocked(sh, cc, 0)
 	})
 }
 
@@ -640,15 +698,14 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver u
 	if old.Task != c.Task || old.Worker != c.Worker {
 		return wal.Commit{}, fmt.Errorf("contribution %s: task/worker are immutable: %w", c.ID, ErrInvalid)
 	}
-	cc := c.Clone()
 	if old.SubmittedAt != c.SubmittedAt {
 		// The (SubmittedAt, ID) sort key moved: re-position the index
 		// entry before swapping in the new value.
 		sh.contribsByTask[c.Task] = removeContribID(sh.contribsByTask[c.Task], sh.contribs, old.SubmittedAt, c.ID)
-		sh.contribs[c.ID] = cc
+		sh.contribs[c.ID] = c
 		sh.contribsByTask[c.Task] = insertContribID(sh.contribsByTask[c.Task], sh.contribs, c.ID)
 	} else {
-		sh.contribs[c.ID] = cc
+		sh.contribs[c.ID] = c
 	}
 	v := s.allocVersion(ver)
 	return sh.record(Mutation{
@@ -656,7 +713,7 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver u
 			Version: v, Op: OpUpdate, Entity: EntityContribution,
 			Contribution: c.ID, Task: c.Task, Worker: c.Worker,
 		},
-		Contribution: cc,
+		Contribution: c,
 	})
 }
 

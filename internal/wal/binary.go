@@ -57,13 +57,13 @@ func AppendBits(b []byte, n int, words []uint64) []byte {
 	return b[:end]
 }
 
-// AppendUint32s appends a uvarint count followed by the values as raw
-// little-endian words — the bulk form for fixed-width numeric runs (MinHash
-// signatures) where per-value varints would cost more than they save.
-func AppendUint32s(b []byte, vs []uint32) []byte {
+// AppendUint64s appends a uvarint count followed by the values as raw
+// little-endian words — the bulk form for fixed-width numeric runs (LSH
+// band keys) where per-value varints would cost more than they save.
+func AppendUint64s(b []byte, vs []uint64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(vs)))
 	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint32(b, v)
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	return b
 }
@@ -223,20 +223,20 @@ func (d *Dec) Bits() []bool {
 	return out
 }
 
-// Uint32s reads a run written by AppendUint32s (nil for an empty run).
-func (d *Dec) Uint32s() []uint32 {
+// Uint64s reads a run written by AppendUint64s (nil for an empty run).
+func (d *Dec) Uint64s() []uint64 {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	if n > uint64(len(d.b))/4 {
+	if n > uint64(len(d.b))/8 {
 		d.fail()
 		return nil
 	}
-	out := make([]uint32, n)
+	out := make([]uint64, n)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(d.b[4*i:])
+		out[i] = binary.LittleEndian.Uint64(d.b[8*i:])
 	}
-	d.b = d.b[4*n:]
+	d.b = d.b[8*n:]
 	return out
 }

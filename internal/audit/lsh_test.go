@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
+	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/similarity"
 	"repro/internal/store"
@@ -158,8 +159,8 @@ func requireSameLSHIndex(t *testing.T, kind string, got, want similarity.Candida
 	if g.Len() != w.Len() {
 		t.Fatalf("%s index: %d entries, cold build %d", kind, g.Len(), w.Len())
 	}
-	gIDs, gRows := g.BandRows()
-	wIDs, wRows := w.BandRows()
+	gIDs, gRows, _ := g.BandRows()
+	wIDs, wRows, _ := w.BandRows()
 	if !slices.Equal(gIDs, wIDs) {
 		t.Fatalf("%s index: ids differ from the cold build's", kind)
 	}
@@ -176,6 +177,60 @@ func requireSameLSHIndex(t *testing.T, kind string, got, want similarity.Candida
 	}
 	if gp, wp := pairs(g), pairs(w); !slices.Equal(gp, wp) {
 		t.Fatalf("%s index: %d candidate pairs, cold build %d", kind, len(gp), len(wp))
+	}
+}
+
+// A warm resume restores each entity's token digest with its band row, so
+// re-upserting every unchanged worker and task after Resume signs nothing
+// and leaves the indexes equal to a cold build's. The same refresh after a
+// resume from an image with zeroed digest runs signs every entity.
+func TestResumeSkipsSigningUnchangedEntities(t *testing.T) {
+	s := newScenario(t, 17)
+	s.seed(80, 40, 200, 40)
+	cfg := lshConfig(99)
+	eng := New(s.st, s.log, cfg)
+	eng.Audit()
+	image := eng.State().Encode()
+	workers, tasks := make(map[model.WorkerID]bool), make(map[model.TaskID]bool)
+	for _, w := range s.st.Workers() {
+		workers[w.ID] = true
+	}
+	for _, tk := range s.st.Tasks() {
+		tasks[tk.ID] = true
+	}
+	signed := func(e *Engine) int {
+		return e.workerIx.(*similarity.LSHIndex).Signed() + e.taskIx.(*similarity.LSHIndex).Signed()
+	}
+	cold := New(s.st, s.log, cfg)
+	cold.Audit()
+	for _, tc := range []struct {
+		name string
+		zero bool
+		want int
+	}{
+		{"digests restored", false, 0},
+		{"digests zeroed", true, len(workers) + len(tasks)},
+	} {
+		state, err := DecodeState(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.zero {
+			clear(state.Index.Workers.Digests)
+			clear(state.Index.Tasks.Digests)
+		}
+		warm, err := Resume(s.st, s.log, cfg, state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := signed(warm)
+		warm.refreshIndexes(workers, tasks)
+		if got := signed(warm) - before; got != tc.want {
+			t.Fatalf("%s: re-upserting %d unchanged entities signed %d, want %d",
+				tc.name, len(workers)+len(tasks), got, tc.want)
+		}
+		requireSameLSHIndex(t, "worker", warm.workerIx, cold.workerIx)
+		requireSameLSHIndex(t, "task", warm.taskIx, cold.taskIx)
 	}
 }
 

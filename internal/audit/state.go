@@ -121,17 +121,20 @@ type State struct {
 // IndexState is the warm-start image of the engine's candidate indexes.
 // For the LSH backend it carries every entity's band row — the Bands bucket
 // keys its MinHash signature hashes to, which is all that decides its
-// buckets — ids sorted, rows concatenated in id order, encoded as one raw
-// little-endian uint64 run per table. Resume restores the banded buckets
-// with one bulk install of the stored rows into a fresh index: no token or
-// signature hashing, one presized bucket map per band, and an entity alone
-// in its bucket costs no allocation. That is linear in entity count, with
-// no pairwise work. For the exact backend only the kind is recorded:
-// rebuilding the inverted index from store snapshots is already linear, and
-// its token lists are bulkier than the entities themselves. If the
-// recorded shape (kind, seed, band/row geometry, run length) does not match
-// the resuming config's plan, Resume falls back to a from-scratch build —
-// correctness never depends on the image being usable.
+// buckets — and the token digest of the set it was signed from, ids sorted,
+// rows and digests in id order, each encoded as one raw little-endian
+// uint64 run per table. Resume restores the banded buckets with one bulk
+// install of the stored rows into a fresh index: no token or signature
+// hashing, one presized bucket map per band, and an entity alone in its
+// bucket costs no allocation. That is linear in entity count, with no
+// pairwise work. The digests let the first delta pass after the resume
+// skip signing every entity whose tokens did not change. For the exact
+// backend only the kind is recorded: rebuilding the inverted index from
+// store snapshots is already linear, and its token lists are bulkier than
+// the entities themselves. If the recorded shape (kind, seed, band/row
+// geometry, run lengths) does not match the resuming config's plan, Resume
+// falls back to a from-scratch build — correctness never depends on the
+// image being usable.
 type IndexState struct {
 	Kind string
 	Seed uint64
@@ -147,11 +150,13 @@ type IndexState struct {
 	workerIx, taskIx *similarity.LSHIndex
 }
 
-// RowTable is one LSH index's band rows: IDs strictly ascending, and
-// IDs[i]'s row of Bands keys at Rows[i*Bands : (i+1)*Bands].
+// RowTable is one LSH index's band rows: IDs strictly ascending, IDs[i]'s
+// row of Bands keys at Rows[i*Bands : (i+1)*Bands] and its token digest at
+// Digests[i] (0 when unknown).
 type RowTable struct {
-	IDs  []string
-	Rows []uint64
+	IDs     []string
+	Rows    []uint64
+	Digests []uint64
 }
 
 // indexState exports the engine's candidate indexes for serialisation.
@@ -165,19 +170,19 @@ func (e *Engine) indexState() *IndexState {
 	ix.WorkerBands, ix.WorkerRows = e.plan.Worker.Bands, e.plan.Worker.Rows
 	ix.TaskBands, ix.TaskRows = e.plan.Task.Bands, e.plan.Task.Rows
 	if w, ok := e.workerIx.(*similarity.LSHIndex); ok {
-		ix.Workers.IDs, ix.Workers.Rows = w.BandRows()
+		ix.Workers.IDs, ix.Workers.Rows, ix.Workers.Digests = w.BandRows()
 	}
 	if t, ok := e.taskIx.(*similarity.LSHIndex); ok {
-		ix.Tasks.IDs, ix.Tasks.Rows = t.BandRows()
+		ix.Tasks.IDs, ix.Tasks.Rows, ix.Tasks.Digests = t.BandRows()
 	}
 	return ix
 }
 
 // restore rebuilds the LSH indexes the image holds, when it was saved under
 // plan's shape; otherwise — another backend or seed, other band geometry, a
-// row run of the wrong length, an exact image (which carries no payload) —
-// it leaves them nil and Resume builds from the store. Linear in entity
-// count either way; neither hashes nor enumerates pairs.
+// row or digest run of the wrong length, an exact image (which carries no
+// payload) — it leaves them nil and Resume builds from the store. Linear in
+// entity count either way; neither hashes nor enumerates pairs.
 //
 // The image is blanked once restored, so the decoded runs are not held
 // alongside the indexes built from them: a State warm-starts one engine,
@@ -210,14 +215,14 @@ func (ix *IndexState) claim(plan fairness.IndexPlan) (wix, tix *similarity.LSHIn
 }
 
 // restoreLSH installs a row table into a fresh index (bucket insertion on
-// the parallel pool, no hashing). ok is false when the run length is not
-// len(IDs)·Bands.
+// the parallel pool, no hashing). ok is false when the row run is not
+// len(IDs)·Bands long or the digest run not len(IDs).
 func restoreLSH(params similarity.LSHParams, t RowTable) (*similarity.LSHIndex, bool) {
-	if len(t.Rows) != len(t.IDs)*params.Bands {
+	if len(t.Rows) != len(t.IDs)*params.Bands || len(t.Digests) != len(t.IDs) {
 		return nil, false
 	}
 	x := similarity.NewLSHIndex(params)
-	x.BulkUpsertRows(t.IDs, t.Rows)
+	x.BulkUpsertRows(t.IDs, t.Rows, t.Digests)
 	return x, true
 }
 

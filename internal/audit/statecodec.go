@@ -22,7 +22,8 @@ import (
 //	[offers][flagged][axiom 5 stream]
 //	[axiom 1 violations, pairs][axiom 2 violations, pairs]
 //	[axiom 3 violations, checked][axiom 4 violations, eligible]
-//	[index shape][worker ids, band-key run][task ids, band-key run]
+//	[index shape][worker ids, band-key run, digest run]
+//	[task ids, band-key run, digest run]
 //	[4-byte LE CRC32-IEEE of everything above]
 //
 // Every list is a uvarint count followed by its elements; maps are written
@@ -31,15 +32,16 @@ import (
 // every image that decodes re-encodes to itself. Nil and empty collections
 // share an encoding and decode as nil. A band-key run is a uvarint count
 // followed by that many raw little-endian uint64 keys, Bands per id in id
-// order (IndexState).
+// order (IndexState); a digest run is the same with one token digest per id.
 
 // stateFormat versions the image layout. Format 2 replaced the signature
-// runs of format 1 with band-key runs; an image of another format fails
-// DecodeState, so its auditor cold-starts. The band keys are
-// similarity.LSHIndex's hashBands over MinHasher signatures, so a change to
-// either is a change to this format and must bump it
+// runs of format 1 with band-key runs, and format 3 added a token-digest
+// run after each; an image of another format fails DecodeState, so its
+// auditor cold-starts. The band keys are similarity.LSHIndex's hashBands
+// over MinHasher signatures and the digests its tokenDigest, so a change to
+// any of them is a change to this format and must bump it
 // (similarity.TestLSHBandKeysGolden pins them).
-const stateFormat = 2
+const stateFormat = 3
 
 // Minimum encoded sizes, for bounding a count by the bytes that remain
 // before allocating from it.
@@ -90,7 +92,7 @@ func appendPair(b []byte, p [2]string) []byte {
 }
 
 func appendRowTable(b []byte, t RowTable) []byte {
-	return wal.AppendUint64s(appendIDs(b, t.IDs), t.Rows)
+	return wal.AppendUint64s(wal.AppendUint64s(appendIDs(b, t.IDs), t.Rows), t.Digests)
 }
 
 // Encode renders the state's binary image (layout above).
@@ -103,7 +105,8 @@ func (s *State) Encode() []byte {
 	if ax5 == nil {
 		ax5 = &fairness.Axiom5State{}
 	}
-	b := make([]byte, 0, 8*(len(ix.Workers.Rows)+len(ix.Tasks.Rows))+4096)
+	runs := len(ix.Workers.Rows) + len(ix.Workers.Digests) + len(ix.Tasks.Rows) + len(ix.Tasks.Digests)
+	b := make([]byte, 0, 8*runs+4096)
 	b = append(b, stateFormat)
 	b = wal.AppendString(b, s.ConfigSig)
 	b = appendList(b, s.Cursors, wal.AppendUvarint)
@@ -202,7 +205,7 @@ func (d stateDec) pairs() [][2]string {
 }
 
 func (d stateDec) rowTable() RowTable {
-	t := RowTable{IDs: readIDs[string](d), Rows: d.Uint64s()}
+	t := RowTable{IDs: readIDs[string](d), Rows: d.Uint64s(), Digests: d.Uint64s()}
 	for i := 1; i < len(t.IDs); i++ {
 		if t.IDs[i] <= t.IDs[i-1] {
 			d.Fail()

@@ -74,8 +74,8 @@ func fixtureState() *State {
 		Index: &IndexState{
 			Kind: fairness.CandidateLSH, Seed: 777,
 			WorkerBands: 2, WorkerRows: 1, TaskBands: 1, TaskRows: 2,
-			Workers: RowTable{IDs: []string{"w1", "w2", "w3"}, Rows: []uint64{1, 2, 3, 4, 5, 1 << 63}},
-			Tasks:   RowTable{IDs: []string{"t1", "t2"}, Rows: []uint64{9, 8}},
+			Workers: RowTable{IDs: []string{"w1", "w2", "w3"}, Rows: []uint64{1, 2, 3, 4, 5, 1 << 63}, Digests: []uint64{11, 0, 1 << 62}},
+			Tasks:   RowTable{IDs: []string{"t1", "t2"}, Rows: []uint64{9, 8}, Digests: []uint64{7, 6}},
 		},
 	}
 }
@@ -186,7 +186,9 @@ func TestStateImageIsDeterministic(t *testing.T) {
 
 // LoadState's error cases are all "cold-start": no sidecar named, the file
 // gone, cut short or flipped, a state saved under another config, and a
-// format-1 image (signature runs) under a valid checksum.
+// format-1 image (signature runs) or format-2 image (no digest runs) under
+// a valid checksum. An LSH image whose digest run is one short loads, but
+// its indexes are rebuilt from the store rather than restored.
 func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	dir := t.TempDir()
 	s := durableScenario(t, 5, dir, wal.Options{})
@@ -215,7 +217,11 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	flipped[len(flipped)/3] ^= 0x40
 	format1 := append([]byte(nil), good...)
 	format1[0] = 1
-	for name, data := range map[string][]byte{"truncated": good[:len(good)/2], "bit flip": flipped, "format 1": resum(format1)} {
+	format2 := append([]byte(nil), good...)
+	format2[0] = 2
+	for name, data := range map[string][]byte{
+		"truncated": good[:len(good)/2], "bit flip": flipped, "format 1": resum(format1), "format 2": resum(format2),
+	} {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -228,6 +234,23 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	}
 	if _, err := LoadState(dir, man, cfg); err == nil {
 		t.Error("missing: loaded")
+	}
+
+	lsh := lshConfig(7)
+	eng = New(s.st, s.log, lsh)
+	eng.Audit()
+	state := eng.State()
+	state.ConfigSig = ConfigSig(lsh)
+	state.Index.Workers.Digests = state.Index.Workers.Digests[1:]
+	if err := os.WriteFile(path, state.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadState(dir, man, lsh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wix, _ := loaded.Index.claim(lsh.Plan()); wix != nil {
+		t.Error("short digest run: restored the indexes")
 	}
 }
 

@@ -224,6 +224,43 @@ func TestAckCarriesPostWriteVersion(t *testing.T) {
 	}
 }
 
+// TestOfferOnlyTrafficIsAudited: an offer appends a trace event and leaves
+// the store version alone, yet it moves Axiom 1 (here, one of two
+// identical workers is offered the task), so the background loop must
+// re-audit on it. The served fingerprint has to reach a fresh full audit's.
+func TestOfferOnlyTrafficIsAudited(t *testing.T) {
+	p := crowdfair.NewPlatform(crowdfair.NewUniverse("s0", "s1"))
+	cfg := crowdfair.DefaultAuditConfig()
+	s, ts := newTestServer(t, serve.Config{Platform: p, Audit: cfg, AuditEvery: 2 * time.Millisecond})
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/requesters", &model.Requester{ID: "r1"}), 200)
+	for _, id := range []model.WorkerID{"w1", "w2"} {
+		wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/workers", &model.Worker{ID: id, Skills: model.SkillVector{true, false}}), 200)
+	}
+	task := &model.Task{ID: "t1", Requester: "r1", Skills: model.SkillVector{true, false}, Reward: 1}
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/tasks", task), 200)
+	ver := p.Version()
+	for deadline := time.Now().Add(5 * time.Second); s.Snapshot().Version != ver; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the audit loop never caught up with the writes")
+		}
+	}
+
+	before := s.Snapshot().Fingerprint
+	wantStatus(t, doJSON(t, "POST", ts.URL+"/v1/offers", &crowdfair.Offer{Task: "t1", Worker: "w1"}), 200)
+	if p.Version() != ver {
+		t.Fatalf("an offer moved the store version %d -> %d", ver, p.Version())
+	}
+	want := serve.AuditFingerprint(p.AuditFairness(cfg))
+	if before == want {
+		t.Fatal("the offer did not change the audit: the test shows nothing")
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.Snapshot().Fingerprint != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("served fingerprint %s never reached the full audit's %s after an offer", s.Snapshot().Fingerprint, want)
+		}
+	}
+}
+
 // TestConcurrentServeMatchesSerialOracle is the serving determinism gate
 // (run under -race in CI): a closed-loop concurrent replay of a seeded
 // plan — mutation HTTP requests racing the in-loop incremental auditor —

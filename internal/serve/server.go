@@ -101,10 +101,12 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	// snapshot is the cached audit result reads are served from; audited
-	// is the store version stamped into it (the admission lag baseline).
-	snapshot atomic.Pointer[AuditSnapshot]
-	audited  atomic.Uint64
-	auditMu  sync.Mutex // serialises AuditNow with the background loop
+	// is the store version stamped into it (the admission lag baseline)
+	// and auditedEvents the trace length read with that version.
+	snapshot      atomic.Pointer[AuditSnapshot]
+	audited       atomic.Uint64
+	auditedEvents atomic.Int64
+	auditMu       sync.Mutex // serialises AuditNow with the background loop
 
 	// Counters, exported through /statsz and /debug/vars (applied through
 	// BatchStats).
@@ -237,7 +239,7 @@ func (s *Server) AuditLag() uint64 {
 func (s *Server) AuditNow() *AuditSnapshot {
 	s.auditMu.Lock()
 	defer s.auditMu.Unlock()
-	ver := s.p.Version()
+	ver, events := s.p.Version(), s.p.Log().Len()
 	start := time.Now()
 	pass := s.p.AuditPass(s.cfg.Audit)
 	took := time.Since(start)
@@ -257,13 +259,16 @@ func (s *Server) AuditNow() *AuditSnapshot {
 	}
 	s.snapshot.Store(snap)
 	s.audited.Store(ver)
+	s.auditedEvents.Store(int64(events))
 	s.changed.Store(uint64(pass.Changed))
 	s.publishUS.Store(uint64((time.Since(start) - took).Microseconds()))
 	return snap
 }
 
 // auditLoop refreshes the audit snapshot on the configured cadence,
-// skipping passes while the store version is unchanged.
+// skipping a pass only while neither the store version nor the trace
+// length moved since the last one: offers append trace events without
+// bumping the version, and they move Axioms 1, 2 and 5.
 func (s *Server) auditLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.AuditEvery)
@@ -273,7 +278,7 @@ func (s *Server) auditLoop() {
 		case <-s.stopc:
 			return
 		case <-t.C:
-			if s.p.Version() != s.audited.Load() {
+			if s.p.Version() != s.audited.Load() || int64(s.p.Log().Len()) != s.auditedEvents.Load() {
 				s.AuditNow()
 			}
 		}

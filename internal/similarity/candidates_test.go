@@ -221,8 +221,8 @@ func TestLSHIndexUpsertSignatureMatchesUpsert(t *testing.T) {
 	if got, want := collectPairs(t, viaSig), collectPairs(t, direct); !equalStrings(got, want) {
 		t.Fatalf("UpsertSignature pairs %d != Upsert pairs %d", len(got), len(want))
 	}
-	ids, rows := direct.BandRows()
-	sigIDs, sigRows := viaSig.BandRows()
+	ids, rows, _ := direct.BandRows()
+	sigIDs, sigRows, _ := viaSig.BandRows()
 	if !slices.Equal(sigIDs, ids) || !slices.Equal(sigRows, rows) {
 		t.Fatal("UpsertSignature stored other band rows than Upsert")
 	}
@@ -284,7 +284,7 @@ func requireSameLSH(t *testing.T, label string, got, want *LSHIndex) {
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: Len %d, want %d", label, got.Len(), want.Len())
 	}
-	wantIDs, _ := want.BandRows()
+	wantIDs, _, _ := want.BandRows()
 	for _, id := range wantIDs {
 		if !slices.Equal(storedRow(got, id), storedRow(want, id)) {
 			t.Fatalf("%s: band row of %q differs", label, id)

@@ -79,6 +79,12 @@ func ChooseLSHParams(threshold float64, seed uint64) LSHParams {
 // exports the rows and BulkUpsertRows installs them, so a checkpoint keeps
 // rows and a restore hashes nothing.
 //
+// Each row also keeps the token digest of the set it was signed from (see
+// tokenDigest), so Upsert and BulkUpsert sign only token sets that changed:
+// a re-upsert whose digest matches the stored one keeps the stored row.
+// BandRows exports the digests beside the rows, so an index restored from
+// a checkpoint skips unchanged entities as well.
+//
 // Entities live in dense uint32 slots. A private id table maps each id to
 // its slot and back; Remove frees the slot for the next new id, and Reset
 // rewinds the table. Band keys sit in one flat array at slot*Bands, and
@@ -90,7 +96,9 @@ func ChooseLSHParams(threshold float64, seed uint64) LSHParams {
 // Under any useful banding most buckets hold one entity, so a bucket map
 // stores a lone member's slot inline and only a shared bucket gets a
 // member list, in its band's arena. The maps hold no pointers and a
-// singleton bucket allocates nothing.
+// singleton bucket allocates nothing. Each slot keeps a row of bucket
+// handles beside its band keys, naming the arena entries of its shared
+// buckets, so Partners reads arrays and probes no map.
 type LSHIndex struct {
 	params LSHParams
 	hasher *MinHasher
@@ -102,6 +110,17 @@ type LSHIndex struct {
 	// bh[s*Bands+b] is slot s's band-b bucket key. Freed slots keep stale
 	// rows that no bucket references.
 	bh []uint64
+	// hd[s*Bands+b] is slot s's handle on its band-b bucket: 0 while s is
+	// the bucket's one member, else the tagged arena index buckets[b] maps
+	// bh[s*Bands+b] to. Only link and unlink write it, and only column b, so
+	// bands may still be linked concurrently. A freed slot's row is all 0.
+	hd []uint32
+	// dig[s] is the token digest of the set slot s's row was signed from,
+	// or 0 when the row came from a signature. Every install writes the
+	// digest of each slot it touches, so a reused slot never inherits one.
+	dig []uint64
+	// signed counts the token sets Upsert and BulkUpsert have signed.
+	signed int
 	// spare is the row Upsert and UpsertSignature hash into before
 	// comparing it with the stored one.
 	spare []uint64
@@ -156,10 +175,44 @@ func (x *LSHIndex) Name() string { return "lsh" }
 // Len implements CandidateIndex.
 func (x *LSHIndex) Len() int { return len(x.slots) }
 
-// Upsert implements CandidateIndex.
+// Upsert implements CandidateIndex. A re-upsert of a token set whose digest
+// matches the stored one signs nothing.
 func (x *LSHIndex) Upsert(id string, tokens []uint64) {
+	d := tokenDigest(tokens)
+	if s, ok := x.slots[id]; ok && x.dig[s] == d {
+		return
+	}
 	x.hashTokens(x.spare, tokens)
-	x.upsertRow(id, x.spare)
+	x.signed++
+	x.upsertRow(id, x.spare, d)
+}
+
+// Signed returns how many token sets Upsert and BulkUpsert have MinHash-
+// signed since the index was made; a re-upsert skipped for an unchanged
+// token digest is not counted, and Reset does not rewind the count.
+func (x *LSHIndex) Signed() int { return x.signed }
+
+// digestSalt keys tokenDigest's mix, so a digest is not the sum of the
+// tokens' MinHash base hashes.
+const digestSalt = 0x2545_f491_4f6c_dd1d
+
+// tokenDigest fingerprints a token list as the wrapping sum of
+// mix64(t ^ digestSalt) over its tokens, 0 reserved for "unknown" (a sum of
+// 0 reads 1). The sum ignores token order, so lists built by ranging over a
+// map digest alike, and it needs no sort and no allocation. A repeated
+// token changes the digest, which only costs a needless re-sign. Two
+// different lists share a digest with probability about 2⁻⁶⁴ per re-upsert;
+// such a re-upsert would keep the stale row. Digests are on-disk format
+// beside the band keys (see hashBands).
+func tokenDigest(tokens []uint64) uint64 {
+	var d uint64
+	for _, t := range tokens {
+		d += mix64(t ^ digestSalt)
+	}
+	if d == 0 {
+		d = 1
+	}
+	return d
 }
 
 // hashTokens hashes a token set's signature into a band row. The signature
@@ -194,12 +247,20 @@ func (x *LSHIndex) claim(id string) uint32 {
 	return s
 }
 
-// grow extends the band-key array to cover every slot, in one step however
-// many slots were claimed since the last call. The new rows are not zeroed:
-// every caller writes a claimed slot's row before reading it.
+// grow extends the band-key, handle and digest arrays to cover every slot,
+// in one step however many slots were claimed since the last call. New key
+// rows and digests are not zeroed: every caller writes a claimed slot's
+// before reading them. New handles are, because link writes only shared
+// buckets' and a Reset leaves stale words behind the truncated length.
 func (x *LSHIndex) grow() {
 	if need := len(x.names) * x.params.Bands; need > len(x.bh) {
 		x.bh = slices.Grow(x.bh, need-len(x.bh))[:need]
+		old := len(x.hd)
+		x.hd = slices.Grow(x.hd, need-old)[:need]
+		clear(x.hd[old:])
+	}
+	if n := len(x.names); n > len(x.dig) {
+		x.dig = slices.Grow(x.dig, n-len(x.dig))[:n]
 	}
 }
 
@@ -217,21 +278,23 @@ func (x *LSHIndex) UpsertSignature(id string, sig []uint32) {
 		panic("similarity: signature length does not match LSH params")
 	}
 	x.hashBands(x.spare, sig)
-	x.upsertRow(id, x.spare)
+	x.upsertRow(id, x.spare, 0)
 }
 
-// upsertRow gives id the band row row, moving it between buckets only when
-// the row differs from the stored one.
-func (x *LSHIndex) upsertRow(id string, row []uint64) {
+// upsertRow gives id the band row row and the token digest digest, moving
+// it between buckets only when the row differs from the stored one.
+func (x *LSHIndex) upsertRow(id string, row []uint64, digest uint64) {
 	s, ok := x.slots[id]
+	if !ok {
+		s = x.claim(id)
+		x.grow()
+	}
+	x.dig[s] = digest
 	if ok {
 		if slices.Equal(x.row(s), row) {
 			return
 		}
 		x.unlinkRow(s)
-	} else {
-		s = x.claim(id)
-		x.grow()
 	}
 	copy(x.row(s), row)
 	for b, h := range row {
@@ -242,18 +305,23 @@ func (x *LSHIndex) upsertRow(id string, row []uint64) {
 // BulkUpsertRows installs many band rows at once — the one install path
 // behind cold builds and delta refreshes (through BulkUpsert) and
 // checkpoint restores, which install the rows BandRows exported and hash
-// nothing. ids[i]'s row is rows[i*Bands:(i+1)*Bands]. It is equivalent to
-// upserting each row in order: a serial pre-pass gives new ids slots and
+// nothing. ids[i]'s row is rows[i*Bands:(i+1)*Bands] and its token digest
+// digests[i]; nil digests record every entry's as unknown. It is equivalent
+// to upserting each row in order: a serial pre-pass gives new ids slots and
 // skips entries whose row is unchanged, the band-key array grows once and
 // takes the new rows, and then one goroutine per band unlinks each
 // replaced entry from its old bucket and links it into its new one.
 // Buckets are kept sorted, so the result is identical to the serial
-// build's. It panics on a repeated id or when len(rows) != len(ids)*Bands;
-// the index is unusable after such a panic.
-func (x *LSHIndex) BulkUpsertRows(ids []string, rows []uint64) {
+// build's. It panics on a repeated id, when len(rows) != len(ids)*Bands or
+// when digests is neither nil nor len(ids) long; the index is unusable
+// after such a panic.
+func (x *LSHIndex) BulkUpsertRows(ids []string, rows, digests []uint64) {
 	bands := x.params.Bands
-	if len(rows) != len(ids)*bands {
+	if len(rows) != len(ids)*bands || digests != nil && len(digests) != len(ids) {
 		panic("similarity: band rows do not match ids and LSH params")
+	}
+	if digests == nil {
+		digests = make([]uint64, len(ids))
 	}
 	// Serial pre-pass: give new ids slots, skip unchanged entries, and copy
 	// each replaced entry's old band row (the band pass unlinks it; the row
@@ -281,6 +349,7 @@ func (x *LSHIndex) BulkUpsertRows(ids []string, rows []uint64) {
 		at := -1
 		if ok {
 			if slices.Equal(x.row(s), rows[i*bands:(i+1)*bands]) {
+				x.dig[s] = digests[i]
 				continue
 			}
 			at = len(olds) / bands
@@ -291,6 +360,7 @@ func (x *LSHIndex) BulkUpsertRows(ids []string, rows []uint64) {
 	x.grow()
 	for _, e := range in {
 		copy(x.row(e.slot), rows[e.row*bands:(e.row+1)*bands])
+		x.dig[e.slot] = digests[e.row]
 	}
 	par.For(bands, 0, func(b int) {
 		if len(x.buckets[b]) == 0 {
@@ -314,9 +384,9 @@ func (x *LSHIndex) BulkUpsertRows(ids []string, rows []uint64) {
 
 // BulkUpsertSignatures installs many precomputed signatures at once: band
 // hashing fans out per entity on the parallel pool into a transient row
-// array, which BulkUpsertRows installs. It panics on a length mismatch
-// between ids and sigs or between a signature and the index parameters,
-// and on a repeated id.
+// array, which BulkUpsertRows installs with unknown token digests. It
+// panics on a length mismatch between ids and sigs or between a signature
+// and the index parameters, and on a repeated id.
 func (x *LSHIndex) BulkUpsertSignatures(ids []string, sigs [][]uint32) {
 	if len(ids) != len(sigs) {
 		panic("similarity: ids/sigs length mismatch")
@@ -331,40 +401,62 @@ func (x *LSHIndex) BulkUpsertSignatures(ids []string, sigs [][]uint32) {
 	par.For(len(ids), 0, func(i int) {
 		x.hashBands(rows[i*bands:(i+1)*bands], sigs[i])
 	})
-	x.BulkUpsertRows(ids, rows)
+	x.BulkUpsertRows(ids, rows, nil)
 }
 
-// BulkUpsert is BulkUpsertSignatures over token sets: each entity's
-// signature is computed and band-hashed on the parallel pool into a
-// transient row array (see hashTokens), which BulkUpsertRows installs.
+// BulkUpsert is BulkUpsertSignatures over token sets: each entity's tokens
+// are digested, and signed and band-hashed (see hashTokens) on the parallel
+// pool into a transient row array, which BulkUpsertRows installs with the
+// digests. An indexed entity whose digest matches its stored one is not
+// signed: its stored row is copied instead, and the install's pre-pass
+// drops it as unchanged.
 func (x *LSHIndex) BulkUpsert(ids []string, tokens func(i int) []uint64) {
 	bands := x.params.Bands
 	rows := make([]uint64, len(ids)*bands)
+	digests := make([]uint64, len(ids))
+	signed := make([]bool, len(ids))
 	par.For(len(ids), 0, func(i int) {
-		x.hashTokens(rows[i*bands:(i+1)*bands], tokens(i))
+		toks := tokens(i)
+		digests[i] = tokenDigest(toks)
+		row := rows[i*bands : (i+1)*bands]
+		if s, ok := x.slots[ids[i]]; ok && x.dig[s] == digests[i] {
+			copy(row, x.row(s))
+			return
+		}
+		x.hashTokens(row, toks)
+		signed[i] = true
 	})
-	x.BulkUpsertRows(ids, rows)
+	for _, ok := range signed {
+		if ok {
+			x.signed++
+		}
+	}
+	x.BulkUpsertRows(ids, rows, digests)
 }
 
 // Hasher exposes the index's hash family so callers can compute signatures
 // in parallel and feed them to UpsertSignature.
 func (x *LSHIndex) Hasher() *MinHasher { return x.hasher }
 
-// BandRows returns every indexed id in ascending order with its band row:
-// ids[i]'s row is rows[i*Bands:(i+1)*Bands]. Both are copies. Handed to
+// BandRows returns every indexed id in ascending order with its band row
+// and token digest: ids[i]'s row is rows[i*Bands:(i+1)*Bands] and its
+// digest digests[i] (0 when unknown). All three are copies. Handed to
 // BulkUpsertRows of a fresh index with the same parameters, they rebuild
-// this index's buckets.
-func (x *LSHIndex) BandRows() (ids []string, rows []uint64) {
+// this index's buckets and digests.
+func (x *LSHIndex) BandRows() (ids []string, rows, digests []uint64) {
 	ids = make([]string, 0, len(x.slots))
 	for id := range x.slots {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	rows = make([]uint64, 0, len(ids)*x.params.Bands)
+	digests = make([]uint64, 0, len(ids))
 	for _, id := range ids {
-		rows = append(rows, x.row(x.slots[id])...)
+		s := x.slots[id]
+		rows = append(rows, x.row(s)...)
+		digests = append(digests, x.dig[s])
 	}
-	return ids, rows
+	return ids, rows, digests
 }
 
 // Remove implements CandidateIndex.
@@ -388,7 +480,8 @@ func (x *LSHIndex) Remove(id string) {
 func (x *LSHIndex) Reset() {
 	clear(x.slots)
 	clear(x.names)
-	x.names, x.freed, x.bh = x.names[:0], x.freed[:0], x.bh[:0]
+	x.names, x.freed = x.names[:0], x.freed[:0]
+	x.bh, x.hd, x.dig = x.bh[:0], x.hd[:0], x.dig[:0]
 	for b := range x.buckets {
 		clear(x.buckets[b])
 		x.multi[b], x.multiFree[b] = x.multi[b][:0], x.multiFree[b][:0]
@@ -402,8 +495,9 @@ func (x *LSHIndex) unlinkRow(s uint32) {
 	}
 }
 
-// link inserts slot s into band b's bucket h, keeping the bucket sorted. It
-// touches only band b's state, so distinct bands may be linked concurrently.
+// link inserts slot s into band b's bucket h, keeping the bucket sorted and
+// the members' band-b handles current. It touches only band b's state, so
+// distinct bands may be linked concurrently.
 func (x *LSHIndex) link(b int, h uint64, s uint32) {
 	v, ok := x.buckets[b][h]
 	switch {
@@ -413,12 +507,18 @@ func (x *LSHIndex) link(b int, h uint64, s uint32) {
 		i := x.newShared(b)
 		x.multi[b][i] = append(x.multi[b][i][:0], min(v, s), max(v, s))
 		x.buckets[b][h] = sharedTag | i
+		x.hd[x.at(v, b)] = sharedTag | i
+		x.hd[x.at(s, b)] = sharedTag | i
 	default:
 		members := x.multi[b][v&^sharedTag]
 		i, _ := slices.BinarySearch(members, s)
 		x.multi[b][v&^sharedTag] = slices.Insert(members, i, s)
+		x.hd[x.at(s, b)] = v
 	}
 }
+
+// at is the position of slot s's band-b key in bh and handle in hd.
+func (x *LSHIndex) at(s uint32, b int) int { return int(s)*x.params.Bands + b }
 
 // newShared returns a free index into band b's arena: one a shrunk bucket
 // gave back, else the next one, whose slice Reset may have left behind.
@@ -452,11 +552,13 @@ func (x *LSHIndex) unlink(b int, h uint64, s uint32) {
 		return
 	}
 	members = slices.Delete(members, i, i+1)
+	x.hd[x.at(s, b)] = 0
 	if len(members) > 1 {
 		x.multi[b][a] = members
 		return
 	}
 	x.buckets[b][h] = members[0]
+	x.hd[x.at(members[0], b)] = 0
 	x.multi[b][a] = members[:0]
 	x.multiFree[b] = append(x.multiFree[b], a)
 }
@@ -464,9 +566,10 @@ func (x *LSHIndex) unlink(b int, h uint64, s uint32) {
 // hashBands collapses each band of a signature to one uint64 bucket key via
 // a running mix (band index seeds the chain so identical row values in
 // different bands hash apart), into a band row. The keys are on-disk
-// format: the audit sidecar persists rows, not signatures, so a change
-// here or in MinHasher must bump the sidecar's stateFormat
-// (internal/audit); TestLSHBandKeysGolden fails until it is.
+// format: the audit sidecar persists rows, not signatures, and their token
+// digests, so a change here, in MinHasher or in tokenDigest must bump the
+// sidecar's stateFormat (internal/audit); TestLSHBandKeysGolden fails until
+// it is.
 func (x *LSHIndex) hashBands(row []uint64, sig []uint32) {
 	for b := range row {
 		h := mix64(uint64(b) + 0x51_7c_c1_b7_27_22_0a_95)
@@ -515,16 +618,17 @@ func (x *LSHIndex) Pairs(yield func(a, b string)) {
 }
 
 // Partners implements CandidateIndex. Each partner comes from the first band
-// it shares with id (see sharedBefore). An inline bucket of id's can hold
-// only id itself.
+// it shares with id (see sharedBefore). It walks id's handle row, so it
+// reads only the arena entries of id's shared buckets: an inline bucket
+// can hold only id itself.
 func (x *LSHIndex) Partners(id string, yield func(partner string)) {
 	s, ok := x.slots[id]
 	if !ok {
 		return
 	}
-	for b, h := range x.row(s) {
-		v := x.buckets[b][h]
-		if v&sharedTag == 0 {
+	i := x.at(s, 0)
+	for b, v := range x.hd[i : i+x.params.Bands] {
+		if v == 0 {
 			continue
 		}
 		for _, m := range x.multi[b][v&^sharedTag] {

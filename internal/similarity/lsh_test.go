@@ -72,11 +72,39 @@ func BenchmarkLSHBulkBuild(b *testing.B) {
 	params := ChooseLSHParams(0.9, 1)
 	built := NewLSHIndex(params)
 	built.BulkUpsert(ids, func(i int) []uint64 { return sets[i] })
-	ids, rows := built.BandRows()
+	ids, rows, digests := built.BandRows()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewLSHIndex(params).BulkUpsertRows(ids, rows)
+		NewLSHIndex(params).BulkUpsertRows(ids, rows, digests)
+	}
+}
+
+// BenchmarkLSHBulkRefresh times one delta refresh at the audit_churn worker
+// index's shape: 30k ids in clusters of 20 installed under 90 bands × 6
+// rows, then 150 of them re-upserted in one BulkUpsert. 110 come back with
+// their token sets unchanged and 40 with one token swapped, alternating
+// between two sets so every iteration changes the same 40.
+func BenchmarkLSHBulkRefresh(b *testing.B) {
+	ids, sets := clusteredTokenSets(30_000, 20, 26, 1)
+	ix := NewLSHIndex(ChooseLSHParams(0.9, 1))
+	ix.BulkUpsert(ids, func(i int) []uint64 { return sets[i] })
+	const refreshed, changed = 150, 40
+	batch := make([]string, refreshed)
+	toks := make([][2][]uint64, refreshed)
+	for k := range batch {
+		i := k * len(ids) / refreshed
+		batch[k] = ids[i]
+		toks[k] = [2][]uint64{sets[i], sets[i]}
+		if k < changed {
+			toks[k][1] = slices.Clone(sets[i])
+			toks[k][1][0] = 1<<41 + uint64(i)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		ix.BulkUpsert(batch, func(k int) []uint64 { return toks[k][(n+1)%2] })
 	}
 }
 
@@ -224,7 +252,8 @@ func TestLSHIndexMatchesNaiveBanding(t *testing.T) {
 }
 
 // requireNaiveBanding fails unless ix holds exactly model's ids, each with
-// the band row of its model signature, and its Partners and Pairs views
+// the band row of its model signature and a handle on each of its shared
+// buckets (and none on an inline one), and its Partners and Pairs views
 // both equal naive banding over the signatures.
 func requireNaiveBanding(t *testing.T, label string, ix *LSHIndex, model map[string][]uint32) {
 	t.Helper()
@@ -243,6 +272,18 @@ func requireNaiveBanding(t *testing.T, label string, ix *LSHIndex, model map[str
 		ix.hashBands(row, model[a])
 		if !slices.Equal(storedRow(ix, a), row) {
 			t.Fatalf("%s: band row of %q differs from the model's", label, a)
+		}
+		// Each band's handle names the bucket's arena entry exactly when
+		// the bucket is shared.
+		s := ix.slots[a]
+		for b, h := range ix.row(s) {
+			want := ix.buckets[b][h]
+			if want&sharedTag == 0 {
+				want = 0
+			}
+			if got := ix.hd[ix.at(s, b)]; got != want {
+				t.Fatalf("%s: band-%d handle of %q is %#x, want %#x", label, b, a, got, want)
+			}
 		}
 		var want []string
 		for j, b := range ids {
@@ -362,6 +403,74 @@ func TestLSHIndexBucketTransitionsMatchNaiveBanding(t *testing.T) {
 	}
 }
 
+// TestLSHIndexSkipsUnchangedTokenSets: Upsert and BulkUpsert sign a token
+// set only when its digest differs from the one stored for the id, so a
+// permuted list signs nothing, a changed or repeated token signs again, and
+// no id keeps a digest its row was not signed from — not one that took a
+// freed slot, not one last installed from a signature. After every step
+// the index must equal a fresh one built from the same sets.
+func TestLSHIndexSkipsUnchangedTokenSets(t *testing.T) {
+	params := LSHParams{Bands: 8, Rows: 2, Seed: 37}
+	T, U := []uint64{1, 2, 3, 4, 5}, []uint64{41, 42, 43}
+	ix := NewLSHIndex(params)
+	sets := make(map[string][]uint64)
+	bulk := func(ids []string, toks ...[]uint64) {
+		for i, id := range ids {
+			sets[id] = toks[i]
+		}
+		ix.BulkUpsert(ids, func(i int) []uint64 { return toks[i] })
+	}
+	for _, st := range []struct {
+		name string
+		do   func()
+		sign int
+	}{
+		{"BulkUpsert a:T b:U c:T", func() { bulk([]string{"a", "b", "c"}, T, U, T) }, 3},
+		{"BulkUpsert a, b, c permuted", func() {
+			bulk([]string{"c", "b", "a"}, []uint64{5, 4, 3, 2, 1}, []uint64{43, 41, 42}, []uint64{2, 1, 4, 3, 5})
+		}, 0},
+		{"Upsert a permuted", func() { ix.Upsert("a", []uint64{3, 1, 5, 2, 4}) }, 0},
+		{"BulkUpsert a with one token changed, b unchanged", func() {
+			bulk([]string{"b", "a"}, U, []uint64{1, 2, 3, 4, 6})
+		}, 1},
+		{"Upsert c with one token changed", func() { ix.Upsert("c", []uint64{1, 2, 3, 4, 7}); sets["c"] = []uint64{1, 2, 3, 4, 7} }, 1},
+		{"BulkUpsert b with a token repeated", func() { bulk([]string{"b"}, []uint64{41, 42, 43, 42}) }, 1},
+		{"Upsert b with a token repeated", func() { ix.Upsert("b", []uint64{41, 41, 42, 43}); sets["b"] = []uint64{41, 41, 42, 43} }, 1},
+		{"Remove a, then d:U by signature into its slot", func() {
+			slot := ix.slots["a"]
+			ix.Remove("a")
+			delete(sets, "a")
+			ix.BulkUpsertSignatures([]string{"d"}, [][]uint32{ix.Hasher().Signature(U)})
+			sets["d"] = U
+			if ix.slots["d"] != slot {
+				t.Fatalf("d took slot %d, want a's freed slot %d", ix.slots["d"], slot)
+			}
+		}, 0},
+		{"BulkUpsert d:T, a's tokens, into the reused slot", func() { bulk([]string{"d"}, T) }, 1},
+		{"UpsertSignature d:T", func() { ix.UpsertSignature("d", ix.Hasher().Signature(T)) }, 0},
+		{"BulkUpsert d:T after its signature", func() { bulk([]string{"d"}, T) }, 1},
+		{"BulkUpsertSignatures c:T", func() {
+			ix.BulkUpsertSignatures([]string{"c"}, [][]uint32{ix.Hasher().Signature(T)})
+			sets["c"] = T
+		}, 0},
+		{"Upsert c:T after its signature", func() { ix.Upsert("c", T) }, 1},
+	} {
+		before := ix.signed
+		st.do()
+		if got := ix.signed - before; got != st.sign {
+			t.Fatalf("%s: signed %d token sets, want %d", st.name, got, st.sign)
+		}
+		if ix.Signed() != ix.signed {
+			t.Fatalf("%s: Signed() = %d, want %d", st.name, ix.Signed(), ix.signed)
+		}
+		fresh := NewLSHIndex(params)
+		for id, toks := range sets {
+			fresh.Upsert(id, toks)
+		}
+		requireSameLSH(t, st.name, ix, fresh)
+	}
+}
+
 // Refilling a Reset index with the same token sets — the pooled Axiom 3
 // contribution index's cycle — reuses its bucket storage: the cleared maps,
 // the arena entries Reset left past the arenas' length and the freelists.
@@ -445,11 +554,12 @@ func TestLSHIndexBulkUpsertRejectsRepeatedIDs(t *testing.T) {
 	}
 }
 
-// TestLSHBandKeysGolden pins the MinHash signature and the band row of one
-// token set under one seed at the worker plan's 90 bands × 6 rows. Band
-// rows are on-disk format — the audit sidecar persists them in place of
-// signatures — so a change to MinHasher or hashBands fails here until the
-// sidecar's stateFormat is bumped and these values with it.
+// TestLSHBandKeysGolden pins the MinHash signature, the band row and the
+// token digest of one token set under one seed at the worker plan's 90
+// bands × 6 rows. Band rows and digests are on-disk format — the audit
+// sidecar persists them in place of signatures — so a change to MinHasher,
+// hashBands or tokenDigest fails here until the sidecar's stateFormat is
+// bumped and these values with it.
 func TestLSHBandKeysGolden(t *testing.T) {
 	params := LSHParams{Bands: 90, Rows: 6, Seed: 1}
 	toks := make([]uint64, 26)
@@ -480,11 +590,14 @@ func TestLSHBandKeysGolden(t *testing.T) {
 
 	ix := NewLSHIndex(params)
 	ix.Upsert("w", toks)
-	_, row := ix.BandRows()
+	_, row, digests := ix.BandRows()
 	if got, want := [3]uint64{row[0], row[1], row[89]}, [3]uint64{0x20b6e673bb9b88d2, 0xb8896a5911f5f9cc, 0x14af0f764c356f5f}; got != want {
 		t.Fatalf("band keys 0, 1, 89 = %#x, want %#x", got, want)
 	}
 	if got := digest(row, 8); got != 0x744d16198fb0a821 {
 		t.Fatalf("band row digest %#x, want 0x744d16198fb0a821", got)
+	}
+	if got := digests[0]; got != 0x6b04487496fa6d0b {
+		t.Fatalf("token digest %#x, want 0x6b04487496fa6d0b", got)
 	}
 }

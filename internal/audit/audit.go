@@ -43,7 +43,6 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/model"
 	"repro/internal/par"
-	"repro/internal/similarity"
 	"repro/internal/store"
 )
 
@@ -68,13 +67,12 @@ type Engine struct {
 
 	// Candidate indexes for the Axiom 1/2 checkers, owned by the engine
 	// and advanced incrementally from the same per-shard changelog deltas
-	// that drive the dirty sets — an entity mutation re-tokenises exactly
-	// that entity. Built shard-parallel on rebuild, serialised in State
-	// for warm restarts, and keyed by entity id. Contribution candidates
-	// are generated transiently per dirty task (see
-	// fairness.IndexPlan.ContribCandidates) and need no engine state.
-	workerIx similarity.CandidateIndex
-	taskIx   similarity.CandidateIndex
+	// that drive the dirty sets — an entity mutation re-indexes exactly
+	// that entity's skills. Built from the store in place on rebuild and
+	// Resume, and keyed by entity id; both nil when the plan is not
+	// indexed (every pair is then a candidate).
+	workerIx fairness.SkillIndex
+	taskIx   fairness.SkillIndex
 
 	// Maintained verdicts. viol[i] is Axiom i+1's standing violations in
 	// report order and sums[i] their digest; both move only through fold
@@ -186,7 +184,7 @@ func containsSortedStr(ids []string, id string) bool {
 // the Checked of a full scan over the current state.
 //
 // Subjects live in dense uint32 slots (an id table like
-// similarity.LSHIndex's), each with a sorted list of its partners' slots. A
+// similarity.SkillJoin's), each with a sorted list of its partners' slots. A
 // subject whose list empties gives its slot back. Slot numbers depend on
 // insertion order; pairs() reports by id.
 type pairSet struct {
@@ -294,8 +292,7 @@ func (e *Engine) Cache() *Cache { return &Cache{} }
 
 // engineProvider adapts the engine's maintained indexes to
 // fairness.CandidateProvider. It is only consulted by checkers the engine
-// itself invokes while holding e.mu (or from the per-task Axiom 3 fold,
-// which touches no index state), so reads never race index maintenance.
+// itself invokes while holding e.mu, so reads never race index maintenance.
 type engineProvider struct{ e *Engine }
 
 // WorkerPartners implements fairness.CandidateProvider.
@@ -306,11 +303,6 @@ func (p engineProvider) WorkerPartners(id model.WorkerID, yield func(q model.Wor
 // TaskPartners implements fairness.CandidateProvider.
 func (p engineProvider) TaskPartners(id model.TaskID, yield func(q model.TaskID)) {
 	p.e.taskIx.Partners(string(id), func(q string) { yield(model.TaskID(q)) })
-}
-
-// ContribPairs implements fairness.CandidateProvider.
-func (p engineProvider) ContribPairs(_ model.TaskID, contribs []*model.Contribution) ([]int, bool) {
-	return p.e.plan.ContribCandidates(contribs)
 }
 
 func (e *Engine) reset() {
@@ -374,9 +366,9 @@ func (e *Engine) AuditPass() Pass {
 			sc.dirtyT3[c.Task] = true // contribution set moved
 		}
 	}
-	// Re-tokenise exactly the entities the changelog touched, before any
+	// Re-index exactly the entities the changelog touched, before any
 	// checker consults the indexes. Offer events (below) dirty workers and
-	// tasks too, but offers never change an entity's tokens, so only
+	// tasks too, but offers never change an entity's skills, so only
 	// changelog deltas reach the indexes.
 	e.refreshIndexes(sc.dirtyW1, sc.dirtyT2)
 	for _, ev := range e.cursor.Next() {
@@ -487,62 +479,43 @@ func (e *Engine) rebuild() Pass {
 	return e.publish()
 }
 
-// buildIndexes constructs the worker and task candidate indexes from the
-// current store snapshots, fanning LSH signature hashing out on the
-// bounded pool, and returns the snapshots' ids in ascending order. Any
-// entity mutated after the snapshot is above a shard watermark read
-// earlier, so its change is re-delivered to the next pass and the index
-// upsert reconciles then.
+// buildIndexes builds the worker and task candidate indexes from the
+// store, reading each entity in place, and returns the ids it read in
+// ascending order. Any entity mutated after its id was listed is above a
+// shard watermark read earlier, so its change is re-delivered to the next
+// pass and the index upsert reconciles then.
 func (e *Engine) buildIndexes() ([]model.WorkerID, []model.TaskID) {
-	ws := e.st.Workers()
-	wids := make([]model.WorkerID, len(ws))
-	for i, w := range ws {
-		wids[i] = w.ID
+	wids, tids := e.st.WorkerIDs(), e.st.TaskIDs()
+	e.workerIx, e.taskIx = e.plan.NewIndex(), e.plan.NewIndex()
+	if e.workerIx != nil {
+		fairness.PopulateIndex(e.workerIx, wids, e.st.PeekWorker, (*model.Worker).SkillBits)
+		fairness.PopulateIndex(e.taskIx, tids, e.st.PeekTask, (*model.Task).SkillBits)
 	}
-	wix := e.plan.NewWorkerIndex()
-	fairness.PopulateIndex(wix, len(ws), func(i int) string { return string(wids[i]) },
-		func(i int) []uint64 { return e.plan.WorkerTokens(ws[i]) })
-	e.workerIx = wix
-	ts := e.st.Tasks()
-	tids := make([]model.TaskID, len(ts))
-	for i, t := range ts {
-		tids[i] = t.ID
-	}
-	tix := e.plan.NewTaskIndex()
-	fairness.PopulateIndex(tix, len(ts), func(i int) string { return string(tids[i]) },
-		func(i int) []uint64 { return e.plan.TaskTokens(ts[i]) })
-	e.taskIx = tix
 	return wids, tids
 }
 
-// refreshIndexes re-tokenises the entities one delta pass found changed:
+// refreshIndexes re-indexes the entities one delta pass found changed:
 // removed ones leave the index, and the rest go through the same
-// fairness.PopulateIndex path as the cold build — tokens, signatures and
-// band keys on the bounded pool, bucket moves band-parallel — so a warm
-// restart's first pass over thousands of replayed updates uses every core.
-// Band keys are pure functions of entity content (plus the seed), so the
-// refresh leaves the index exactly as a from-scratch build over the current
-// state would — the property that keeps delta audits equal to full ones and
-// warm restarts equal to cold starts.
+// fairness.PopulateIndex path as the cold build. Candidacy is a pure
+// function of two entities' skills, so the refresh leaves the index
+// answering exactly as a from-scratch build over the current state would —
+// the property that keeps delta audits equal to full ones and warm
+// restarts equal to cold starts.
 func (e *Engine) refreshIndexes(workers map[model.WorkerID]bool, tasks map[model.TaskID]bool) {
-	refreshIndex(e.workerIx, workers, e.st.PeekWorker, e.plan.WorkerTokens)
-	refreshIndex(e.taskIx, tasks, e.st.PeekTask, e.plan.TaskTokens)
+	if e.workerIx == nil {
+		return
+	}
+	fairness.PopulateIndex(e.workerIx, mapKeys(workers), e.st.PeekWorker, (*model.Worker).SkillBits)
+	fairness.PopulateIndex(e.taskIx, mapKeys(tasks), e.st.PeekTask, (*model.Task).SkillBits)
 }
 
-// refreshIndex is refreshIndexes for one entity kind.
-func refreshIndex[ID ~string, E any](ix similarity.CandidateIndex, dirty map[ID]bool, peek func(ID) *E, tokens func(*E) []uint64) {
-	ids := make([]string, 0, len(dirty))
-	live := make([]*E, 0, len(dirty))
-	for id := range dirty {
-		if ent := peek(id); ent != nil {
-			ids = append(ids, string(id))
-			live = append(live, ent)
-		} else {
-			ix.Remove(string(id))
-		}
+// mapKeys lists a dirty set's ids in map order.
+func mapKeys[ID ~string](m map[ID]bool) []ID {
+	ids := make([]ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
-	fairness.PopulateIndex(ix, len(live), func(i int) string { return ids[i] },
-		func(i int) []uint64 { return tokens(live[i]) })
+	return ids
 }
 
 // fold moves one axiom's standing slice and sum by a pass's delta (see apply).

@@ -8,14 +8,14 @@ import (
 
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
-	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/similarity"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
 
-// lshConfig is the default config switched to the LSH candidate backend.
+// lshConfig is the default config switched to the lsh candidate kind, the
+// exact skill join (the seed changes nothing but ConfigSig).
 func lshConfig(seed uint64) fairness.Config {
 	cfg := fairness.DefaultConfig()
 	cfg.CandidateIndex = fairness.CandidateLSH
@@ -23,11 +23,11 @@ func lshConfig(seed uint64) fairness.Config {
 	return cfg
 }
 
-// The engine's incrementally maintained LSH indexes must generate exactly
-// the candidate sets the checkers' transient per-call indexes generate —
-// signatures are pure functions of entity content plus the seed — so the
-// incremental engine under LSH matches fairness.CheckAll under LSH across
-// arbitrary mutation streams, violations and Checked counts alike.
+// The engine's incrementally maintained skill joins must generate exactly
+// the candidate sets the checkers' transient per-call joins generate —
+// candidacy is a pure function of two entities' skills — so the
+// incremental engine under the lsh kind matches fairness.CheckAll under it
+// across arbitrary mutation streams, violations and Checked counts alike.
 func TestIncrementalLSHMatchesCheckAllLSH(t *testing.T) {
 	for _, seed := range []uint64{4, 23} {
 		seed := seed
@@ -54,10 +54,10 @@ func TestIncrementalLSHMatchesCheckAllLSH(t *testing.T) {
 	}
 }
 
-// A warm restart under the LSH backend must equal a cold start: the
-// serialised signatures restore the banded index without re-tokenising a
-// single entity, and the first warm delta pass reports exactly what a cold
-// full scan reports.
+// A warm restart under the lsh kind must equal a cold start: Resume builds
+// the skill joins from the recovered store (the sidecar holds no index
+// image), the first warm delta pass reports exactly what a cold full scan
+// reports, and the warm engine's joins hold exactly a cold build's pairs.
 func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	dir := t.TempDir()
 	opts := wal.Options{SegmentBytes: 8 << 10}
@@ -70,17 +70,6 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 		s.mutate()
 	}
 	eng.Audit()
-
-	// The saved image must actually carry the signatures (the warm path),
-	// not just the kind tag.
-	state := eng.State()
-	if state.Index == nil || state.Index.Kind != fairness.CandidateLSH {
-		t.Fatalf("state.Index = %+v, want LSH image", state.Index)
-	}
-	if len(state.Index.Workers.IDs) != s.wn || len(state.Index.Tasks.IDs) != s.tn {
-		t.Fatalf("index image has %d workers / %d tasks, store has %d / %d",
-			len(state.Index.Workers.IDs), len(state.Index.Tasks.IDs), s.wn, s.tn)
-	}
 
 	checkpointWithAudit(t, s.st, s.log, eng, cfg)
 	for i := 0; i < 40; i++ {
@@ -105,6 +94,10 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	defer log2.Close()
 
 	warm := resumeFromManifest(t, dir, st2, log2, cfg, man)
+	cold := New(st2, log2, cfg)
+	cold.buildIndexes()
+	requireSameJoin(t, "worker", warm.workerIx, cold.workerIx)
+	requireSameJoin(t, "task", warm.taskIx, cold.taskIx)
 	pass := warm.AuditPass()
 	warmReports, full := pass.Reports, fairness.CheckAll(st2, log2, cfg)
 	requirePass(t, 0, pass, full)
@@ -116,12 +109,11 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	}
 }
 
-// Delta passes refresh the LSH indexes through the same bulk install path as
-// the cold build, signatures hashed and buckets moved on the pool: after
-// seeded churn rounds at pool widths 1 and 2 (each round re-hashing well over
-// par's inline threshold of workers and tasks), the engine's indexes hold
-// exactly the signatures and candidate pairs of a fresh engine's cold build
-// over the final store.
+// Delta passes refresh the skill joins through the same install path as the
+// cold build: after seeded churn rounds at pool widths 1 and 2 (each round
+// re-indexing well over par's inline threshold of workers and tasks), the
+// engine's joins hold exactly the entities and pairs of a fresh engine's
+// cold build over the final store.
 func TestDeltaRefreshEqualsColdBuildLSH(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	for _, workers := range []int{1, 2} {
@@ -145,98 +137,33 @@ func TestDeltaRefreshEqualsColdBuildLSH(t *testing.T) {
 			}
 			cold := New(s.st, s.log, cfg)
 			cold.Audit()
-			requireSameLSHIndex(t, "worker", eng.workerIx, cold.workerIx)
-			requireSameLSHIndex(t, "task", eng.taskIx, cold.taskIx)
+			requireSameJoin(t, "worker", eng.workerIx, cold.workerIx)
+			requireSameJoin(t, "task", eng.taskIx, cold.taskIx)
 		})
 	}
 }
 
-// requireSameLSHIndex fails unless two LSH indexes hold the same ids with
-// bit-identical band rows and enumerate the same candidate pairs.
-func requireSameLSHIndex(t *testing.T, kind string, got, want similarity.CandidateIndex) {
+// requireSameJoin fails unless two skill joins hold the same number of
+// entities and enumerate the same pairs.
+func requireSameJoin(t *testing.T, kind string, got, want fairness.SkillIndex) {
 	t.Helper()
-	g, w := got.(*similarity.LSHIndex), want.(*similarity.LSHIndex)
+	g, w := got.(*similarity.SkillJoin), want.(*similarity.SkillJoin)
 	if g.Len() != w.Len() {
-		t.Fatalf("%s index: %d entries, cold build %d", kind, g.Len(), w.Len())
+		t.Fatalf("%s join: %d entries, cold build %d", kind, g.Len(), w.Len())
 	}
-	gIDs, gRows, _ := g.BandRows()
-	wIDs, wRows, _ := w.BandRows()
-	if !slices.Equal(gIDs, wIDs) {
-		t.Fatalf("%s index: ids differ from the cold build's", kind)
-	}
-	bands := w.Params().Bands
-	for i, id := range wIDs {
-		if !slices.Equal(gRows[i*bands:(i+1)*bands], wRows[i*bands:(i+1)*bands]) {
-			t.Fatalf("%s index: band row of %s differs from the cold build's", kind, id)
-		}
-	}
-	pairs := func(ix *similarity.LSHIndex) (out []string) {
-		ix.Pairs(func(a, b string) { out = append(out, a+"|"+b) })
+	pairs := func(x *similarity.SkillJoin) (out []string) {
+		x.Pairs(func(a, b string) { out = append(out, a+"|"+b) })
 		sort.Strings(out)
 		return out
 	}
 	if gp, wp := pairs(g), pairs(w); !slices.Equal(gp, wp) {
-		t.Fatalf("%s index: %d candidate pairs, cold build %d", kind, len(gp), len(wp))
+		t.Fatalf("%s join: %d pairs, cold build %d", kind, len(gp), len(wp))
 	}
 }
 
-// A warm resume restores each entity's token digest with its band row, so
-// re-upserting every unchanged worker and task after Resume signs nothing
-// and leaves the indexes equal to a cold build's. The same refresh after a
-// resume from an image with zeroed digest runs signs every entity.
-func TestResumeSkipsSigningUnchangedEntities(t *testing.T) {
-	s := newScenario(t, 17)
-	s.seed(80, 40, 200, 40)
-	cfg := lshConfig(99)
-	eng := New(s.st, s.log, cfg)
-	eng.Audit()
-	image := eng.State().Encode()
-	workers, tasks := make(map[model.WorkerID]bool), make(map[model.TaskID]bool)
-	for _, w := range s.st.Workers() {
-		workers[w.ID] = true
-	}
-	for _, tk := range s.st.Tasks() {
-		tasks[tk.ID] = true
-	}
-	signed := func(e *Engine) int {
-		return e.workerIx.(*similarity.LSHIndex).Signed() + e.taskIx.(*similarity.LSHIndex).Signed()
-	}
-	cold := New(s.st, s.log, cfg)
-	cold.Audit()
-	for _, tc := range []struct {
-		name string
-		zero bool
-		want int
-	}{
-		{"digests restored", false, 0},
-		{"digests zeroed", true, len(workers) + len(tasks)},
-	} {
-		state, err := DecodeState(image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.zero {
-			clear(state.Index.Workers.Digests)
-			clear(state.Index.Tasks.Digests)
-		}
-		warm, err := Resume(s.st, s.log, cfg, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := signed(warm)
-		warm.refreshIndexes(workers, tasks)
-		if got := signed(warm) - before; got != tc.want {
-			t.Fatalf("%s: re-upserting %d unchanged entities signed %d, want %d",
-				tc.name, len(workers)+len(tasks), got, tc.want)
-		}
-		requireSameLSHIndex(t, "worker", warm.workerIx, cold.workerIx)
-		requireSameLSHIndex(t, "task", warm.taskIx, cold.taskIx)
-	}
-}
-
-// A state saved under one LSH seed resumed under another must fall back to
-// a from-scratch index build (stored band rows are useless under a
-// different hash family) and still audit correctly.
+// A state saved under one LSH seed resumed under another audits exactly
+// like a cold start under the other: the seed decides no candidate, and
+// Resume builds the joins from the store whatever the image held.
 func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 	s := newScenario(t, 8)
 	s.seed(40, 20, 150, 30)
@@ -247,15 +174,8 @@ func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Another seed, then (same seed) a band-key run one key short: both
-	// must route to buildIndexes without error.
 	cfg2 := lshConfig(2)
 	warm, err := Resume(s.st, s.log, cfg2, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state.Index.Workers.Rows = state.Index.Workers.Rows[1:]
-	short, err := Resume(s.st, s.log, cfg, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +183,6 @@ func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
 		s.mutate()
 	}
 	requireEquivalent(t, 0, warm.Audit(), fairness.CheckAll(s.st, s.log, cfg2))
-	requireEquivalent(t, 1, short.Audit(), fairness.CheckAll(s.st, s.log, cfg))
 }
 
 // ConfigSig must separate configs that differ only in candidate backend or

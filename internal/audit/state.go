@@ -8,7 +8,6 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
 	"repro/internal/model"
-	"repro/internal/similarity"
 	"repro/internal/store"
 )
 
@@ -50,6 +49,8 @@ func ConfigSig(cfg fairness.Config) string {
 		cfg.RewardTolerance, cfg.ContributionThreshold, cfg.PayTolerance, cfg.Exhaustive)
 	fmt.Fprintf(&b, ";cand=%q", cfg.CandidateKind())
 	if cfg.CandidateKind() == fairness.CandidateLSH {
+		// The seed no longer changes any verdict, but signing it keeps the
+		// signatures of existing configurations apart as they were.
 		fmt.Fprintf(&b, "@%d", cfg.LSHSeed)
 	}
 	if p := cfg.AttrPolicy; p != nil {
@@ -81,8 +82,9 @@ func ConfigSig(cfg fairness.Config) string {
 // workers, the Axiom 5 stream), and every maintained verdict. Checkpoint
 // stores its binary encoding (Encode) in the audit-<version>.bin sidecar the
 // manifest names, so a restarted auditor replays only post-checkpoint deltas
-// — no full event replay, no candidate-pair scan. Pair similarity scores are
-// not part of it: the engine keeps none across passes.
+// — no full event replay, no candidate-pair scan. Pair similarity scores and
+// candidate indexes are not part of it: the engine keeps no scores across
+// passes, and Resume rebuilds the indexes from the store.
 type State struct {
 	// ConfigSig fingerprints the fairness.Config the verdicts were computed
 	// under; LoadState compares it before a resume and callers cold-start on
@@ -112,118 +114,6 @@ type State struct {
 
 	Ax4Violations map[model.WorkerID]fairness.Violation
 	Ax4Eligible   []model.WorkerID
-
-	// Index is the candidate-index image (nil reads as "none saved": Resume
-	// then rebuilds linearly).
-	Index *IndexState
-}
-
-// IndexState is the warm-start image of the engine's candidate indexes.
-// For the LSH backend it carries every entity's band row — the Bands bucket
-// keys its MinHash signature hashes to, which is all that decides its
-// buckets — and the token digest of the set it was signed from, ids sorted,
-// rows and digests in id order, each encoded as one raw little-endian
-// uint64 run per table. Resume restores the banded buckets with one bulk
-// install of the stored rows into a fresh index: no token or signature
-// hashing, one presized bucket map per band, and an entity alone in its
-// bucket costs no allocation. That is linear in entity count, with no
-// pairwise work. The digests let the first delta pass after the resume
-// skip signing every entity whose tokens did not change. For the exact
-// backend only the kind is recorded: rebuilding the inverted index from
-// store snapshots is already linear, and its token lists are bulkier than
-// the entities themselves. If the recorded shape (kind, seed, band/row
-// geometry, run lengths) does not match the resuming config's plan, Resume
-// falls back to a from-scratch build — correctness never depends on the
-// image being usable.
-type IndexState struct {
-	Kind string
-	Seed uint64
-
-	WorkerBands, WorkerRows int
-	TaskBands, TaskRows     int
-
-	// Workers and Tasks hold the band rows (LSH only).
-	Workers, Tasks RowTable
-
-	// workerIx and taskIx are the indexes restore rebuilt from the runs,
-	// until Resume claims them (both set or both nil).
-	workerIx, taskIx *similarity.LSHIndex
-}
-
-// RowTable is one LSH index's band rows: IDs strictly ascending, IDs[i]'s
-// row of Bands keys at Rows[i*Bands : (i+1)*Bands] and its token digest at
-// Digests[i] (0 when unknown).
-type RowTable struct {
-	IDs     []string
-	Rows    []uint64
-	Digests []uint64
-}
-
-// indexState exports the engine's candidate indexes for serialisation.
-// Caller holds e.mu.
-func (e *Engine) indexState() *IndexState {
-	ix := &IndexState{Kind: e.plan.Kind}
-	if e.plan.Kind != fairness.CandidateLSH {
-		return ix
-	}
-	ix.Seed = e.plan.Seed
-	ix.WorkerBands, ix.WorkerRows = e.plan.Worker.Bands, e.plan.Worker.Rows
-	ix.TaskBands, ix.TaskRows = e.plan.Task.Bands, e.plan.Task.Rows
-	if w, ok := e.workerIx.(*similarity.LSHIndex); ok {
-		ix.Workers.IDs, ix.Workers.Rows, ix.Workers.Digests = w.BandRows()
-	}
-	if t, ok := e.taskIx.(*similarity.LSHIndex); ok {
-		ix.Tasks.IDs, ix.Tasks.Rows, ix.Tasks.Digests = t.BandRows()
-	}
-	return ix
-}
-
-// restore rebuilds the LSH indexes the image holds, when it was saved under
-// plan's shape; otherwise — another backend or seed, other band geometry, a
-// row or digest run of the wrong length, an exact image (which carries no
-// payload) — it leaves them nil and Resume builds from the store. Linear in
-// entity count either way; neither hashes nor enumerates pairs.
-//
-// The image is blanked once restored, so the decoded runs are not held
-// alongside the indexes built from them: a State warm-starts one engine,
-// and a second Resume from it rebuilds from the store.
-func (ix *IndexState) restore(plan fairness.IndexPlan) {
-	if ix.Kind != plan.Kind || plan.Kind != fairness.CandidateLSH || ix.Seed != plan.Seed ||
-		ix.WorkerBands != plan.Worker.Bands || ix.WorkerRows != plan.Worker.Rows ||
-		ix.TaskBands != plan.Task.Bands || ix.TaskRows != plan.Task.Rows {
-		return
-	}
-	wix, wok := restoreLSH(plan.Worker, ix.Workers)
-	tix, tok := restoreLSH(plan.Task, ix.Tasks)
-	*ix = IndexState{}
-	if wok && tok {
-		ix.workerIx, ix.taskIx = wix, tix
-	}
-}
-
-// claim hands Resume the indexes restore built — restoring now unless
-// LoadState already has — or nils when the image (possibly nil) was not
-// usable under plan.
-func (ix *IndexState) claim(plan fairness.IndexPlan) (wix, tix *similarity.LSHIndex) {
-	if ix == nil {
-		return nil, nil
-	}
-	ix.restore(plan)
-	wix, tix = ix.workerIx, ix.taskIx
-	ix.workerIx, ix.taskIx = nil, nil
-	return wix, tix
-}
-
-// restoreLSH installs a row table into a fresh index (bucket insertion on
-// the parallel pool, no hashing). ok is false when the row run is not
-// len(IDs)·Bands long or the digest run not len(IDs).
-func restoreLSH(params similarity.LSHParams, t RowTable) (*similarity.LSHIndex, bool) {
-	if len(t.Rows) != len(t.IDs)*params.Bands || len(t.Digests) != len(t.IDs) {
-		return nil, false
-	}
-	x := similarity.NewLSHIndex(params)
-	x.BulkUpsertRows(t.IDs, t.Rows, t.Digests)
-	return x, true
 }
 
 // pairs lists the census once per pair, deterministically ordered, for
@@ -268,7 +158,6 @@ func (e *Engine) State() *State {
 		Ax3Violations: make(map[model.TaskID][]fairness.Violation, len(e.ax3)),
 		Ax3Checked:    make(map[model.TaskID]int, len(e.ax3Checked)),
 		Ax4Violations: make(map[model.WorkerID]fairness.Violation, len(e.ax4)),
-		Index:         e.indexState(),
 	}
 	for id, vs := range e.ax3 {
 		st.Ax3Violations[id] = append([]fairness.Violation(nil), vs...)
@@ -300,9 +189,12 @@ func (e *Engine) State() *State {
 // transparently falls back to the full rebuild; correctness never depends
 // on the state being fresh.
 //
+// The candidate indexes are not part of the image: Resume builds them from
+// the recovered store, reading each entity in place, which is linear in the
+// entity count and hashes nothing but skill positions.
+//
 // The caller is responsible for checking State.ConfigSig against cfg (the
 // engine cannot compare the function-valued config itself; LoadState does).
-// Resume consumes state's index image (see IndexState.restore).
 func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *State) (*Engine, error) {
 	if state == nil {
 		return nil, fmt.Errorf("audit: resume from nil state")
@@ -347,11 +239,7 @@ func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *Stat
 	for _, id := range state.Ax4Eligible {
 		e.ax4Eligible[id] = true
 	}
-	if wix, tix := state.Index.claim(e.plan); wix != nil {
-		e.workerIx, e.taskIx = wix, tix
-	} else {
-		e.buildIndexes()
-	}
+	e.buildIndexes()
 	e.primed, e.flat = true, false
 	return e, nil
 }

@@ -22,26 +22,20 @@ import (
 //	[offers][flagged][axiom 5 stream]
 //	[axiom 1 violations, pairs][axiom 2 violations, pairs]
 //	[axiom 3 violations, checked][axiom 4 violations, eligible]
-//	[index shape][worker ids, band-key run, digest run]
-//	[task ids, band-key run, digest run]
 //	[4-byte LE CRC32-IEEE of everything above]
 //
 // Every list is a uvarint count followed by its elements; maps are written
 // in ascending key order and must read back that way, so a State has
 // exactly one encoding: two checkpoints of one state are byte-identical and
 // every image that decodes re-encodes to itself. Nil and empty collections
-// share an encoding and decode as nil. A band-key run is a uvarint count
-// followed by that many raw little-endian uint64 keys, Bands per id in id
-// order (IndexState); a digest run is the same with one token digest per id.
+// share an encoding and decode as nil.
 
-// stateFormat versions the image layout. Format 2 replaced the signature
-// runs of format 1 with band-key runs, and format 3 added a token-digest
-// run after each; an image of another format fails DecodeState, so its
-// auditor cold-starts. The band keys are similarity.LSHIndex's hashBands
-// over MinHasher signatures and the digests its tokenDigest, so a change to
-// any of them is a change to this format and must bump it
-// (similarity.TestLSHBandKeysGolden pins them).
-const stateFormat = 3
+// stateFormat versions the image layout. Formats 1–3 ended in an image of
+// the MinHash/LSH candidate indexes (signature runs, then band-key runs,
+// then band keys with token digests); format 4 holds no index image, since
+// Resume builds the candidate indexes from the store. An image of another
+// format fails DecodeState, so its auditor cold-starts.
+const stateFormat = 4
 
 // Minimum encoded sizes, for bounding a count by the bytes that remain
 // before allocating from it.
@@ -91,22 +85,13 @@ func appendPair(b []byte, p [2]string) []byte {
 	return wal.AppendString(wal.AppendString(b, p[0]), p[1])
 }
 
-func appendRowTable(b []byte, t RowTable) []byte {
-	return wal.AppendUint64s(wal.AppendUint64s(appendIDs(b, t.IDs), t.Rows), t.Digests)
-}
-
 // Encode renders the state's binary image (layout above).
 func (s *State) Encode() []byte {
-	ix := s.Index
-	if ix == nil {
-		ix = &IndexState{}
-	}
 	ax5 := s.Ax5
 	if ax5 == nil {
 		ax5 = &fairness.Axiom5State{}
 	}
-	runs := len(ix.Workers.Rows) + len(ix.Workers.Digests) + len(ix.Tasks.Rows) + len(ix.Tasks.Digests)
-	b := make([]byte, 0, 8*runs+4096)
+	b := make([]byte, 0, 4096)
 	b = append(b, stateFormat)
 	b = wal.AppendString(b, s.ConfigSig)
 	b = appendList(b, s.Cursors, wal.AppendUvarint)
@@ -128,14 +113,6 @@ func (s *State) Encode() []byte {
 	b = appendMap(b, s.Ax3Checked, appendCount)
 	b = appendMap(b, s.Ax4Violations, appendViolation)
 	b = appendIDs(b, s.Ax4Eligible)
-
-	b = wal.AppendString(b, ix.Kind)
-	b = wal.AppendUvarint(b, ix.Seed)
-	for _, n := range []int{ix.WorkerBands, ix.WorkerRows, ix.TaskBands, ix.TaskRows} {
-		b = appendCount(b, n)
-	}
-	b = appendRowTable(b, ix.Workers)
-	b = appendRowTable(b, ix.Tasks)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
@@ -204,16 +181,6 @@ func (d stateDec) pairs() [][2]string {
 	return readList(d, 2*minStringBytes, func() [2]string { return [2]string{d.String(), d.String()} })
 }
 
-func (d stateDec) rowTable() RowTable {
-	t := RowTable{IDs: readIDs[string](d), Rows: d.Uint64s(), Digests: d.Uint64s()}
-	for i := 1; i < len(t.IDs); i++ {
-		if t.IDs[i] <= t.IDs[i-1] {
-			d.Fail()
-		}
-	}
-	return t
-}
-
 // DecodeState parses an image written by Encode. It verifies the CRC before
 // anything else, bounds every count by the bytes that remain, and rejects
 // trailing bytes and non-canonical encodings.
@@ -250,14 +217,7 @@ func DecodeState(data []byte) (*State, error) {
 		Ax3Checked:    readMap[model.TaskID](d, 1, d.count),
 		Ax4Violations: readMap[model.WorkerID](d, minViolationBytes, d.violation),
 		Ax4Eligible:   readIDs[model.WorkerID](d),
-		Index:         &IndexState{Kind: d.String(), Seed: d.Uvarint()},
 	}
-	ix := s.Index
-	for _, n := range []*int{&ix.WorkerBands, &ix.WorkerRows, &ix.TaskBands, &ix.TaskRows} {
-		*n = d.count()
-	}
-	ix.Workers = d.rowTable()
-	ix.Tasks = d.rowTable()
 	if !d.Done() {
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("audit: state image: %w", err)
@@ -267,12 +227,12 @@ func DecodeState(data []byte) (*State, error) {
 	return s, nil
 }
 
-// LoadState reads the auditor state a checkpoint manifest names, checks it
-// was saved under cfg, and rebuilds its candidate indexes — everything a
-// warm start needs that does not depend on the store or the event log, so a
-// caller can run it alongside their recovery. Any error — no state recorded (a format-2
-// directory, or a checkpoint taken before the first audit), a missing or
-// damaged sidecar, a different config — means the caller cold-starts.
+// LoadState reads the auditor state a checkpoint manifest names and checks
+// it was saved under cfg — everything a warm start needs that does not
+// depend on the store or the event log, so a caller can run it alongside
+// their recovery. Any error — no state recorded (a checkpoint taken before
+// the first audit), a missing or damaged sidecar, an image of another
+// format, a different config — means the caller cold-starts.
 func LoadState(dir string, man *store.Manifest, cfg fairness.Config) (*State, error) {
 	if man.AuditFile == "" {
 		return nil, errors.New("audit: checkpoint carries no auditor state")
@@ -288,6 +248,5 @@ func LoadState(dir string, man *store.Manifest, cfg fairness.Config) (*State, er
 	if s.ConfigSig != ConfigSig(cfg) {
 		return nil, errors.New("audit: state was saved under a different audit config")
 	}
-	s.Index.restore(cfg.Plan())
 	return s, nil
 }

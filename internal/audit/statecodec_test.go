@@ -13,7 +13,6 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
 	"repro/internal/model"
-	"repro/internal/similarity"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -46,8 +45,7 @@ func resum(data []byte) []byte {
 	return out
 }
 
-// fixtureState is a small hand-built state with every field populated —
-// including an index image, which the decoder does not need to be LSH-sized.
+// fixtureState is a small hand-built state with every field populated.
 func fixtureState() *State {
 	v := func(a fairness.Axiom, detail string, subjects ...string) fairness.Violation {
 		return fairness.Violation{Axiom: a, Subjects: subjects, Detail: detail, Severity: 0.5}
@@ -71,20 +69,14 @@ func fixtureState() *State {
 		Ax3Checked:    map[model.TaskID]int{"t1": 1, "t2": 0},
 		Ax4Violations: map[model.WorkerID]fairness.Violation{"w2": v(fairness.Axiom4MaliciousDetection, "undetected", "w2")},
 		Ax4Eligible:   []model.WorkerID{"w1", "w2"},
-		Index: &IndexState{
-			Kind: fairness.CandidateLSH, Seed: 777,
-			WorkerBands: 2, WorkerRows: 1, TaskBands: 1, TaskRows: 2,
-			Workers: RowTable{IDs: []string{"w1", "w2", "w3"}, Rows: []uint64{1, 2, 3, 4, 5, 1 << 63}, Digests: []uint64{11, 0, 1 << 62}},
-			Tasks:   RowTable{IDs: []string{"t1", "t2"}, Rows: []uint64{9, 8}, Digests: []uint64{7, 6}},
-		},
 	}
 }
 
 // FuzzDecodeState: the decoder never panics, never allocates from a count
 // the input cannot back, and accepts only canonical images — what it
 // accepts re-encodes to the same bytes. Seeds stay small (the engine's own
-// image of a six-worker population; real LSH images run to ~2 KB per
-// entity), or the fuzzer spends its budget minimising them.
+// image of a six-worker population), or the fuzzer spends its budget
+// minimising them.
 func FuzzDecodeState(f *testing.F) {
 	hand := fixtureState().Encode()
 	f.Add(hand)
@@ -161,8 +153,7 @@ func TestDecodeStateRejectsDamageAndNonCanonicalImages(t *testing.T) {
 }
 
 // A checkpoint's sidecar is byte-deterministic: the engine that wrote it
-// and an engine warm-started from it (whose LSH index was rebuilt from the
-// runs, not from the store) both re-save exactly the same image.
+// and an engine warm-started from it both re-save exactly the same image.
 func TestStateImageIsDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	s := durableScenario(t, 31, dir, wal.Options{})
@@ -185,10 +176,9 @@ func TestStateImageIsDeterministic(t *testing.T) {
 }
 
 // LoadState's error cases are all "cold-start": no sidecar named, the file
-// gone, cut short or flipped, a state saved under another config, and a
-// format-1 image (signature runs) or format-2 image (no digest runs) under
-// a valid checksum. An LSH image whose digest run is one short loads, but
-// its indexes are rebuilt from the store rather than restored.
+// gone, cut short or flipped, a state saved under another config, and an
+// image of formats 1–3 (which ended in an LSH index image) under a valid
+// checksum.
 func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	dir := t.TempDir()
 	s := durableScenario(t, 5, dir, wal.Options{})
@@ -219,8 +209,11 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	format1[0] = 1
 	format2 := append([]byte(nil), good...)
 	format2[0] = 2
+	format3 := append([]byte(nil), good...)
+	format3[0] = 3
 	for name, data := range map[string][]byte{
-		"truncated": good[:len(good)/2], "bit flip": flipped, "format 1": resum(format1), "format 2": resum(format2),
+		"truncated": good[:len(good)/2], "bit flip": flipped,
+		"format 1": resum(format1), "format 2": resum(format2), "format 3": resum(format3),
 	} {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -236,68 +229,46 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 		t.Error("missing: loaded")
 	}
 
-	lsh := lshConfig(7)
-	eng = New(s.st, s.log, lsh)
-	eng.Audit()
-	state := eng.State()
-	state.ConfigSig = ConfigSig(lsh)
-	state.Index.Workers.Digests = state.Index.Workers.Digests[1:]
-	if err := os.WriteFile(path, state.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadState(dir, man, lsh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wix, _ := loaded.Index.claim(lsh.Plan()); wix != nil {
-		t.Error("short digest run: restored the indexes")
-	}
 }
 
-// BenchmarkLoadState times reading a warm-start sidecar shaped like a
-// recover_restart checkpoint's — 10k workers under the 90 bands × 6 rows
-// worker plan, 1k tasks, in clusters of 20 sharing all but one of 26
-// tokens — and rebuilding its candidate indexes: what OpenPlatformWAL runs
-// beside the store's recovery. The image holds only the indexes, exported
-// by the engine itself.
-func BenchmarkLoadState(b *testing.B) {
-	cfg := lshConfig(44)
-	eng := New(store.New(nil), eventlog.New(), cfg)
-	build := func(params similarity.LSHParams, n int) similarity.CandidateIndex {
-		ix := similarity.NewLSHIndex(params)
-		ids := make([]string, n)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("e%06d", i)
-		}
-		ix.BulkUpsert(ids, func(i int) []uint64 {
-			toks := make([]uint64, 26)
-			for t := range toks {
-				toks[t] = uint64(i/20*26 + t)
-			}
-			toks[i%20%26] = 1<<40 + uint64(i)
-			return toks
-		})
-		return ix
+// BenchmarkBuildIndexes times the candidate-index build Resume and a
+// cold rebuild run, over a store shaped like a recover_restart checkpoint's:
+// 10k workers and 1k tasks under the lsh kind's cosine 0.9 skill join, in
+// clusters of 20 sharing all but one of 26 skills. Entities are read in
+// place (store.PeekWorker), never cloned.
+func BenchmarkBuildIndexes(b *testing.B) {
+	names := make([]string, 1200)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%04d", i)
 	}
-	eng.workerIx = build(eng.plan.Worker, 10_000)
-	eng.taskIx = build(eng.plan.Task, 1_000)
-	eng.primed = true
-	st := eng.State()
-	st.ConfigSig = ConfigSig(cfg)
-	dir := b.TempDir()
-	man := &store.Manifest{AuditFile: "audit.bin"}
-	if err := os.WriteFile(filepath.Join(dir, man.AuditFile), st.Encode(), 0o644); err != nil {
+	u := model.MustUniverse(names...)
+	st := store.New(u)
+	skills := func(i int) model.SkillVector {
+		v := model.NewSkillVector(len(names))
+		for k := 0; k < 26; k++ {
+			v[(i/20*26+k)%1000] = true
+		}
+		v[i%20] = false
+		v[1000+i%200] = true
+		return v
+	}
+	if err := st.PutRequester(&model.Requester{ID: "r1"}); err != nil {
 		b.Fatal(err)
 	}
+	for i := 0; i < 10_000; i++ {
+		if err := st.PutWorker(&model.Worker{ID: model.WorkerID(fmt.Sprintf("w%06d", i)), Skills: skills(i)}); err != nil {
+			b.Fatal(err)
+		}
+		if i%10 == 0 {
+			if err := st.PutTask(&model.Task{ID: model.TaskID(fmt.Sprintf("t%06d", i)), Requester: "r1", Skills: skills(i), Reward: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	eng := New(st, eventlog.New(), lshConfig(44))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		loaded, err := LoadState(dir, man, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if wix, _ := loaded.Index.claim(eng.plan); wix == nil || wix.Len() != 10_000 {
-			b.Fatal("the sidecar's indexes were not restored")
-		}
+		eng.buildIndexes()
 	}
 }

@@ -21,12 +21,12 @@ import (
 // Offer sets are deduplicated: repeating the same offer neither changes the
 // overlap nor the reported set sizes.
 //
-// Candidate pairs come from the config's candidate index (an exact
-// inverted token index by default, MinHash/LSH pruning when
-// cfg.CandidateIndex selects it), or from every pair when cfg.Exhaustive
-// forces the O(n²) scan. Workers with empty skill vectors carry a sentinel
-// token, so they pair with each other (they are trivially skill-similar)
-// and nothing else.
+// Candidate pairs come from the config's candidate index (the workers that
+// share a skill by default, the exact skill join when cfg.CandidateIndex
+// selects it), or from every pair when cfg.Exhaustive forces the O(n²) scan
+// or the skill measure has no prefix bound (see IndexPlan.Indexed). Workers
+// with empty skill vectors pair with each other (they are trivially
+// skill-similar) and nothing else.
 func CheckAxiom1(st *store.Store, log *eventlog.Log, cfg Config) *Report {
 	return Axiom1Pairs(st, AccessIndexFromLog(log), cfg, st.WorkerIDs())
 }

@@ -41,10 +41,9 @@ type TaskAudit struct {
 // serial loop regardless of scheduling; pass ids sorted for deterministic
 // concatenation order.
 func CheckAxiom3Tasks(st *store.Store, cfg Config, ids []model.TaskID) []TaskAudit {
-	prov := cfg.provider(st)
 	out := make([]TaskAudit, len(ids))
 	par.For(len(ids), 0, func(k int) {
-		checked, vs := checkAxiom3Task(st, cfg, prov, ids[k])
+		checked, vs := checkAxiom3Task(st, cfg, ids[k])
 		out[k] = TaskAudit{Task: ids[k], Checked: checked, Violations: vs}
 	})
 	return out
@@ -62,32 +61,35 @@ func foldTaskAudits(audits []TaskAudit) *Report {
 }
 
 // checkAxiom3Task runs the pairwise compensation audit over one task's
-// contributions. The exact backend scores every pair (pruned=false from
-// the provider) on the parallel kernel; the LSH backend scores only the
-// index's candidate pairs, walked in the same serial pair order. Both paths
-// score through one similarity.ContributionProfiles, so each text profile is
-// built once per task per call. Exhaustive mode's provider reports every
-// pair, which is the all-pairs path.
-func checkAxiom3Task(st *store.Store, cfg Config, prov CandidateProvider, tid model.TaskID) (int, []Violation) {
+// contributions: every pair under every candidate kind, scored on the
+// parallel kernel through one similarity.ContributionProfiles (so each text
+// profile is built once per task per call), then walked in the kernel's
+// serial pair order so the report is identical to the nested loop.
+func checkAxiom3Task(st *store.Store, cfg Config, tid model.TaskID) (int, []Violation) {
 	simThr := orDefault(cfg.ContributionThreshold, 0.8)
 	payTol := orDefault(cfg.PayTolerance, 0.01)
 	contribs := st.ContributionsByTask(tid)
+	if len(contribs) < 2 {
+		return 0, nil // no pair to score: skip building profiles
+	}
+	// The score buffer is pooled: delta audits run this per dirty task per
+	// pass.
+	buf := getSims()
+	defer putSims(buf)
+	sims := similarity.ScorePairsInto((*buf)[:0], len(contribs), similarity.NewContributionProfiles(contribs).Similarity)
+	*buf = sims
 
-	// emit scores one pair against the thresholds.
 	checked := 0
 	var out []Violation
-	emit := func(k int, sim float64) {
+	for k, sim := range sims {
 		i, j := similarity.PairAt(len(contribs), k)
 		a, b := contribs[i], contribs[j]
 		if a.Worker == b.Worker {
-			return // the axiom quantifies over distinct workers
+			continue // the axiom quantifies over distinct workers
 		}
 		checked++
-		if sim < simThr {
-			return
-		}
-		if equalPay(a.Paid, b.Paid, payTol) {
-			return
+		if sim < simThr || equalPay(a.Paid, b.Paid, payTol) {
+			continue
 		}
 		gap := math.Abs(a.Paid - b.Paid)
 		hi := math.Max(a.Paid, b.Paid)
@@ -104,42 +106,6 @@ func checkAxiom3Task(st *store.Store, cfg Config, prov CandidateProvider, tid mo
 				tid, sim*100, a.Paid, b.Paid),
 			Severity: sev,
 		})
-	}
-
-	ks, pruned := prov.ContribPairs(tid, contribs)
-	if len(contribs) < 2 || (pruned && len(ks) == 0) {
-		return 0, nil // no pair to score: skip building profiles
-	}
-	score := similarity.NewContributionProfiles(contribs).Similarity
-	buf := getSims()
-	defer putSims(buf)
-	if !pruned {
-		// Score every pair up front on the parallel kernel, then walk the
-		// scores in the kernel's serial pair order so the report is identical
-		// to the old nested loop. The score buffer is pooled: delta audits run
-		// this per dirty task per pass.
-		sims := similarity.ScorePairsInto((*buf)[:0], len(contribs), score)
-		*buf = sims
-		for k := range sims {
-			emit(k, sims[k])
-		}
-		return checked, out
-	}
-	// Pruned path: score only the candidate pairs, still on the parallel
-	// pool, then walk them in ascending pair order.
-	sims := (*buf)[:0]
-	if cap(sims) < len(ks) {
-		sims = make([]float64, len(ks))
-	} else {
-		sims = sims[:len(ks)]
-	}
-	*buf = sims
-	par.For(len(ks), 0, func(x int) {
-		i, j := similarity.PairAt(len(contribs), ks[x])
-		sims[x] = score(i, j)
-	})
-	for x, k := range ks {
-		emit(k, sims[x])
 	}
 	return checked, out
 }

@@ -108,16 +108,18 @@ type Config struct {
 	// candidate generation (the E7 ablation switch). It overrides
 	// CandidateIndex and Candidates.
 	Exhaustive bool
-	// CandidateIndex selects the candidate-generation backend for the
-	// Axiom 1–3 checkers: CandidateExact (the default; inverted token
-	// index, full recall, byte-identical reports to the inline scans it
-	// replaced) or CandidateLSH (MinHash/LSH banding, sub-quadratic, with
-	// band/row parameters derived from the configured thresholds for
-	// recall ≥ ~0.98 on violating pairs). Ignored when Exhaustive is set.
+	// CandidateIndex selects where the Axiom 1–2 checkers find candidate
+	// pairs: CandidateExact (the default; every pair that shares a skill)
+	// or CandidateLSH (the exact skill join: exactly the pairs whose skills
+	// meet SkillMeasure at SkillThreshold). Both report the same
+	// violations; Report.Checked differs (see there). Under Hamming, a
+	// measure that is not built in, or a threshold <= 0, similar pairs need
+	// not share a skill, and both kinds examine every pair. Ignored when
+	// Exhaustive is set.
 	CandidateIndex string
-	// LSHSeed seeds the MinHash hash families when CandidateIndex is
-	// CandidateLSH. The same seed and config give byte-identical candidate
-	// sets — and therefore byte-identical reports — run to run.
+	// LSHSeed is ignored: no candidate source is randomised any more. It
+	// remains because configurations set it, and ConfigSig (internal/audit)
+	// still signs it under CandidateLSH.
 	LSHSeed uint64
 	// Candidates, when non-nil, supplies candidate pairs directly instead
 	// of a transient per-call index build — internal/audit injects its
@@ -129,11 +131,8 @@ type Config struct {
 	// pair they examine in Report.CheckedPairs. Incremental auditors
 	// (internal/audit) use the lists to maintain an exact candidate-pair
 	// census across delta passes, so their reported Checked counts stay
-	// equal to a full scan's. The census is of *candidate* pairs, not all
-	// pairs: when pruning is active (CandidateLSH) a pair appears iff the
-	// index currently proposes it, so the census — like Checked — shrinks
-	// with the pruned candidate set, and delta and full passes still agree
-	// because a pair's candidacy depends only on its two endpoints.
+	// equal to a full scan's: a pair's candidacy depends only on its two
+	// endpoints, so pairs of two unchanged endpoints keep their status.
 	RecordCheckedPairs bool
 }
 
@@ -183,10 +182,12 @@ func orDefault(v, def float64) float64 {
 type Report struct {
 	Axiom Axiom
 	// Checked is the number of candidate units examined (pairs for Axioms
-	// 1–3, workers/starts for 4–5). Under pruned candidate generation
-	// (Config.CandidateIndex = CandidateLSH) this counts only the pairs
-	// the index proposed — a deterministic subset of the exact backend's
-	// count, not the number of all entity pairs.
+	// 1–3, workers/starts for 4–5). For Axioms 1–2 it counts the candidate
+	// pairs the axiom quantifies over: under CandidateExact the pairs that
+	// share a skill, under CandidateLSH the pairs that meet the skill
+	// premise, and every pair under Exhaustive or a plan that is not
+	// indexed (see IndexPlan.Indexed). Axiom 3 counts every pair of
+	// contributions by distinct workers to one task, under every kind.
 	Checked int
 	// Violations lists every failure found, deterministically ordered.
 	Violations []Violation

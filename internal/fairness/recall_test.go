@@ -16,8 +16,8 @@ import (
 // (an extra skill, a nudged acceptance ratio), offers are biased so twins
 // see different tasks, and contributions jitter a per-task template text
 // and pay. The jitter matters: violating pairs sit near the similarity
-// thresholds rather than being byte-identical, which is exactly where LSH
-// recall is earned rather than trivial.
+// thresholds rather than being byte-identical, which is exactly where an
+// approximate candidate source would lose recall first.
 func recallPopulation(tb testing.TB, seed uint64, workers, tasks int) (*store.Store, *eventlog.Log) {
 	tb.Helper()
 	skillNames := make([]string, 30)
@@ -134,11 +134,10 @@ func violationKeys(reports []*Report) map[string]bool {
 	return keys
 }
 
-// TestLSHRecallBound is the acceptance-criterion recall test: across five
-// seeds at each of two population scales, the LSH backend must report at
-// least 98% of the violating pairs the exact backend reports (aggregated
-// per scale), and must never report a violation the exact backend does not
-// — LSH prunes candidates, it cannot invent similarity.
+// TestLSHRecallBound is the recall test of the lsh kind: across five seeds
+// at each of two population scales, it must report every violating pair
+// the exact kind reports and nothing else. The kind was a MinHash/LSH index
+// held to recall >= 0.98; it is now the exact skill join, whose recall is 1.
 func TestLSHRecallBound(t *testing.T) {
 	for _, scale := range []struct{ workers, tasks int }{
 		{120, 48},
@@ -161,7 +160,7 @@ func TestLSHRecallBound(t *testing.T) {
 				}
 				for k := range lsh {
 					if !exact[k] {
-						t.Errorf("seed %d: LSH reported %s, exact did not", seed, k)
+						t.Errorf("seed %d: the lsh kind reported %s, the exact kind did not", seed, k)
 					}
 				}
 				exactTotal += len(exact)
@@ -173,8 +172,8 @@ func TestLSHRecallBound(t *testing.T) {
 			}
 			recall := float64(found) / float64(exactTotal)
 			t.Logf("recall %d/%d = %.4f", found, exactTotal, recall)
-			if recall < 0.98 {
-				t.Fatalf("LSH recall %.4f below 0.98 bound (%d of %d exact violations)",
+			if found != exactTotal {
+				t.Fatalf("lsh kind recall %.4f below 1 (%d of %d exact violations)",
 					recall, found, exactTotal)
 			}
 		})

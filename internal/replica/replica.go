@@ -10,8 +10,9 @@
 // manifest's snapshot (store.Bootstrap — no sinks attached, nothing on
 // disk is mutated) at the manifest's shard width, and CatchUp polls that
 // width's WAL shard directories — sealed segments and the growing active
-// one — decodes frames past the checkpoint, and applies them in globally
-// dense version order through store.Apply. A frame still being appended
+// one — queues frames past the checkpoint, and applies them in globally
+// dense version order through store.ApplyWALFrame, which keeps the entity
+// it decodes instead of cloning it. A frame still being appended
 // (torn tail) parks the directory's offset and is retried on the next
 // pass; a version gap across directories simply waits for the missing
 // shard's flush. The event log is tailed the same way from sequence 1
@@ -62,12 +63,14 @@ type Staleness struct {
 	Lag uint64
 }
 
-// record is one decoded-but-unapplied WAL record queued on a directory
-// tail (version order within a tail, by construction of the log).
+// record is one unapplied WAL record queued on a directory tail (version
+// order within a tail, by construction of the log): a store frame's
+// payload, which pins the segment buffer it was read from until it is
+// applied, or a decoded event.
 type record struct {
-	key uint64
-	mut store.Mutation
-	ev  eventlog.Event
+	key     uint64
+	payload []byte
+	ev      eventlog.Event
 }
 
 // dirTail tracks the replica's read position in one segment directory:
@@ -242,18 +245,14 @@ func (r *Replica) CatchUp() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	for i, t := range r.tails {
+	for _, t := range r.tails {
 		maxKey, err := t.poll(func(key uint64, payload []byte) (record, bool, error) {
 			if key <= r.man.Version || key <= r.applied {
 				// Covered by the bootstrap snapshot or already applied
 				// (a truncation jump re-read the segment).
 				return record{}, false, nil
 			}
-			m, err := store.DecodeWALMutation(key, payload)
-			if err != nil {
-				return record{}, false, fmt.Errorf("replica: shard %d: %w", i, err)
-			}
-			return record{key: key, mut: m}, true, nil
+			return record{key: key, payload: payload}, true, nil
 		})
 		if err != nil {
 			return 0, err
@@ -282,7 +281,7 @@ func (r *Replica) CatchUp() (int, error) {
 		if next == nil {
 			break
 		}
-		if err := r.st.Apply(next.pending[0].mut); err != nil {
+		if err := r.st.ApplyWALFrame(next.pending[0].key, next.pending[0].payload); err != nil {
 			return applied, fmt.Errorf("replica: apply v%d: %w", next.pending[0].key, err)
 		}
 		next.pending = next.pending[1:]

@@ -91,11 +91,6 @@ func (p AttrPolicy) Similarity(a, b model.Attributes) float64 {
 	return total / float64(union)
 }
 
-// ExactAttrPolicy demands perfect equality on every shared field and
-// penalises asymmetric fields fully — the strict end of the paper's
-// similarity spectrum.
-func ExactAttrPolicy() AttrPolicy { return AttrPolicy{} }
-
 // TolerantAttrPolicy returns a policy with the given default numeric
 // tolerance, suitable for computed attributes like acceptance ratios where
 // small differences should not distinguish workers.

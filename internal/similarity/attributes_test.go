@@ -130,3 +130,8 @@ func TestAttrSimilarityProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ExactAttrPolicy demands perfect equality on every shared field and
+// penalises asymmetric fields fully — the strict end of the paper's
+// similarity spectrum.
+func ExactAttrPolicy() AttrPolicy { return AttrPolicy{} }

@@ -4,22 +4,20 @@ import "sort"
 
 // CandidateIndex generates the candidate pairs a similarity audit examines,
 // replacing the O(n²) all-pairs scan. An index holds one entry per entity
-// id, described by a token set (skill indices, attribute buckets, n-gram
-// hashes — the caller chooses the tokenisation), and answers two queries:
-// every candidate pair currently in scope (Pairs, the full-scan path) and
-// the candidate partners of one entity (Partners, the delta path). Both
-// views are guaranteed to describe the same pair set, which is what lets an
-// incremental auditor's candidate-pair census stay equal to a full scan's.
+// id, described by a token set (the caller chooses the tokenisation), and
+// answers two queries: every candidate pair currently in scope (Pairs, the
+// full-scan path) and the candidate partners of one entity (Partners, the
+// delta path). Both views describe the same pair set, which is what lets
+// an incremental auditor's candidate-pair census stay equal to a full
+// scan's. ExactIndex implements it; SkillJoin answers the same two
+// queries over packed skill sets, its Upsert taking a model.SkillBits.
 //
 // Upsert is incremental: re-describing an entity re-indexes only that
-// entity. Implementations are deterministic — the candidate pair SET is a
-// pure function of the current entries (and, for LSHIndex, the seed) —
-// but enumeration ORDER is unspecified; consumers must not depend on it.
-// Indexes are not safe for concurrent mutation; the audit engine serialises
-// access behind its own lock.
+// entity. The candidate pair SET is a pure function of the current
+// entries, but enumeration ORDER is unspecified; consumers must not depend
+// on it. Indexes are not safe for concurrent mutation; the audit engine
+// serialises access behind its own lock.
 type CandidateIndex interface {
-	// Name identifies the implementation ("exact" or "lsh").
-	Name() string
 	// Upsert adds or re-describes an entity. The previous token set, if
 	// any, is fully replaced.
 	Upsert(id string, tokens []uint64)
@@ -36,10 +34,12 @@ type CandidateIndex interface {
 
 // ExactIndex is the inverted-token-index CandidateIndex: a pair is a
 // candidate iff the two entities share at least one token. With skill
-// indices as tokens this reproduces the store's skill-sharing candidate
-// generation exactly — the escape hatch and determinism oracle the pruned
-// index is validated against. Recall is 1 by construction (for token
-// schemes where similar entities always share a token).
+// positions as tokens (and one sentinel token for an empty skill set) it
+// is the exact candidate kind's skill-sharing index. It finds every pair
+// that is similar under a measure that needs a shared skill — cosine,
+// Jaccard, Dice and exact, at a threshold above 0 — but not every pair
+// Hamming rates similar, since Hamming counts the skills both lack as
+// agreement (see Joinable).
 type ExactIndex struct {
 	// tokens holds each id's sorted, deduplicated token set.
 	tokens map[string][]uint64
@@ -54,9 +54,6 @@ func NewExactIndex() *ExactIndex {
 		buckets: make(map[uint64]map[string]bool),
 	}
 }
-
-// Name implements CandidateIndex.
-func (x *ExactIndex) Name() string { return "exact" }
 
 // Len implements CandidateIndex.
 func (x *ExactIndex) Len() int { return len(x.tokens) }
@@ -192,4 +189,26 @@ func tokensEqual(a, b []uint64) bool {
 		}
 	}
 	return true
+}
+
+// mix64 is the splitmix64 finalizer: an invertible avalanche mix whose
+// output behaves as a uniform hash of its input.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// HashToken maps an arbitrary string to a uint64 token (FNV-1a folded
+// through mix64, so short strings still spread over the full word).
+func HashToken(s string) uint64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return mix64(h)
 }

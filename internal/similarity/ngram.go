@@ -44,9 +44,6 @@ func NewNGramProfile(text string, n int) *NGramProfile {
 // N returns the n-gram size.
 func (p *NGramProfile) N() int { return p.n }
 
-// Grams returns the number of distinct n-grams in the profile.
-func (p *NGramProfile) Grams() int { return len(p.counts) }
-
 // Similarity returns the cosine similarity between two profiles, in [0,1].
 // Profiles of different n compare as 0; two empty texts compare as 1.
 func (p *NGramProfile) Similarity(q *NGramProfile) float64 {
@@ -71,19 +68,6 @@ func (p *NGramProfile) Similarity(q *NGramProfile) float64 {
 		}
 	}
 	return dot / (p.norm * q.norm)
-}
-
-// TextNGramTokens returns the hashed distinct n-grams of text under the
-// same preprocessing as NewNGramProfile — the token-set view of a text
-// that candidate indexes consume. An empty (or whitespace-only) text
-// yields no tokens.
-func TextNGramTokens(text string, n int) []uint64 {
-	p := NewNGramProfile(text, n)
-	out := make([]uint64, 0, len(p.counts))
-	for g := range p.counts {
-		out = append(out, HashToken(g))
-	}
-	return out
 }
 
 // TextSimilarity is a convenience wrapper: the n-gram cosine similarity of

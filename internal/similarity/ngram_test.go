@@ -121,3 +121,6 @@ func TestNGramRepetitionInsensitive(t *testing.T) {
 		t.Errorf("repeated text similarity = %v, want >= 0.5", got)
 	}
 }
+
+// Grams returns the number of distinct n-grams in the profile.
+func (p *NGramProfile) Grams() int { return len(p.counts) }

@@ -40,16 +40,6 @@ func PairAt(n, k int) (i, j int) {
 	return i, i + 1 + k - pairRowStart(n, i)
 }
 
-// PairIndex is the inverse of PairAt: it maps coordinates (i, j) with
-// 0 <= i < j < n back to the linear pair index k such that
-// PairAt(n, k) == (i, j). It panics if the coordinates are out of range.
-func PairIndex(n, i, j int) int {
-	if i < 0 || j <= i || j >= n {
-		panic("similarity: pair coordinates out of range")
-	}
-	return pairRowStart(n, i) + j - i - 1
-}
-
 // ScorePairs evaluates score(i, j) for every unordered pair over n items,
 // fanning the pair space out across a GOMAXPROCS-sized pool. The result is
 // indexed by the linear pair order of PairAt, so the output is

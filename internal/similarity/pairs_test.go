@@ -121,3 +121,13 @@ func TestContributionPairScoresMatchesDirectCalls(t *testing.T) {
 		}
 	}
 }
+
+// PairIndex is the inverse of PairAt: it maps coordinates (i, j) with
+// 0 <= i < j < n back to the linear pair index k such that
+// PairAt(n, k) == (i, j). It panics if the coordinates are out of range.
+func PairIndex(n, i, j int) int {
+	if i < 0 || j <= i || j >= n {
+		panic("similarity: pair coordinates out of range")
+	}
+	return pairRowStart(n, i) + j - i - 1
+}

@@ -526,21 +526,32 @@ func Bootstrap(dir string) (*Store, *Manifest, error) {
 	return s, man, nil
 }
 
-// DecodeWALMutation decodes one changelog WAL frame (key = version,
-// payload as written by the store's shards) — the ingestion side of WAL
-// shipping.
-func DecodeWALMutation(key uint64, payload []byte) (Mutation, error) {
-	return decodeMutation(key, payload, walEpoch)
+// ApplyWALFrame decodes one changelog WAL frame (key = version, payload as
+// written by the store's shards) and applies it at its original version,
+// routed by its entity id — the ingestion side of WAL shipping: a follower
+// tailing another process's log feeds frames here in global version order.
+// The entity is validated like any live mutation, and the store keeps the
+// one it decoded, its skills packed, as recovery does: no caller holds it,
+// so nothing is cloned. Like the live mutators, the durability wait of a
+// durable replica happens after the shard lock is released.
+func (s *Store) ApplyWALFrame(key uint64, payload []byte) error {
+	m, err := decodeMutation(key, payload, walEpoch)
+	if err != nil {
+		return err
+	}
+	m.packSkills()
+	return s.commitMutation(m)
 }
 
-// Apply applies a decoded WAL mutation at its original version, routed by
-// its entity id — the replication path: a follower tailing
-// another process's log feeds records here in global version order. The
-// entity is validated like any live mutation, and the store keeps a clone
-// of it; like the live mutators, the durability wait of a durable replica
-// happens after the shard lock is released.
+// Apply applies a mutation at its original version, routed by its entity
+// id, like ApplyWALFrame; the store keeps a clone of the caller's entity.
 func (s *Store) Apply(m Mutation) error {
-	m = m.clone()
+	return s.commitMutation(m.clone())
+}
+
+// commitMutation applies m, whose entities the store may keep, under its
+// owning shard's lock and waits on its durability ticket outside it.
+func (s *Store) commitMutation(m Mutation) error {
 	sh := s.lockOwner(m.primaryID())
 	return commitOutside(sh, func() (wal.Commit, error) {
 		return s.applyMutation(sh, m)
@@ -639,14 +650,20 @@ func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSna
 // helpers only assume the lock is held, they do not acquire it. WALs are
 // not attached during replay, so the ticket is always zero.
 func (s *Store) applyReplay(m Mutation) error {
+	m.packSkills()
+	_, err := s.applyMutation(s.shardFor(m.primaryID()), m)
+	return err
+}
+
+// packSkills packs the skills of the worker or task m carries, for a store
+// that keeps the entity as decoded.
+func (m Mutation) packSkills() {
 	if m.Worker != nil {
 		m.Worker.PackSkills()
 	}
 	if m.Task != nil {
 		m.Task.PackSkills()
 	}
-	_, err := s.applyMutation(s.shardFor(m.primaryID()), m)
-	return err
 }
 
 // clone returns m carrying private copies of its entities, for a caller

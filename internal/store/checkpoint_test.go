@@ -681,3 +681,69 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyWALFrameAdoptsDecodedEntity: a replica's ApplyWALFrame stores
+// the entity it decodes, skills packed, where decoding a frame and passing
+// it to Apply stores a clone — so per frame it allocates what a clone does
+// less, bar the one allocation of packing the skills, which both paths
+// make, and it leaves the store exactly as the Apply path does.
+func TestApplyWALFrameAdoptsDecodedEntity(t *testing.T) {
+	u := testUniverse()
+	const runs = 50
+	frames := make([][]byte, runs+2)
+	for i := range frames {
+		op := OpUpdate
+		if i == 0 {
+			op = OpInsert
+		}
+		frames[i] = encodeMutation(nil, Mutation{
+			Change: Change{Version: uint64(i + 1), Op: op, Entity: EntityWorker, Worker: "w1"},
+			Worker: &model.Worker{
+				ID:       "w1",
+				Declared: model.Attributes{"country": model.Str("fr")},
+				Computed: model.Attributes{"completed": model.Num(float64(i))},
+				Skills:   u.MustVector([]string{"go", "sql"}[i%2]),
+			},
+		}, walEpoch)
+	}
+	adopt, copied := New(u), New(u)
+	for _, s := range []*Store{adopt, copied} {
+		if err := s.ApplyWALFrame(1, frames[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 1
+	frame := testing.AllocsPerRun(runs, func() {
+		if err := adopt.ApplyWALFrame(uint64(next+1), frames[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	next = 1
+	viaApply := testing.AllocsPerRun(runs, func() {
+		m, err := decodeMutation(uint64(next+1), frames[next], walEpoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := copied.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	m, err := decodeMutation(2, frames[1], walEpoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := testing.AllocsPerRun(runs, func() { m.clone() })
+	if clone == 0 || viaApply-frame < clone-1 {
+		t.Fatalf("ApplyWALFrame allocates %.0f per frame, decode+Apply %.0f, a clone %.0f: the frame path must save the clone",
+			frame, viaApply, clone)
+	}
+	if snapBytes(t, adopt) != snapBytes(t, copied) {
+		t.Fatal("ApplyWALFrame and decode+Apply left different stores")
+	}
+	w := adopt.PeekWorker("w1")
+	if n := testing.AllocsPerRun(10, func() { w.SkillBits() }); n != 0 {
+		t.Fatalf("the applied worker's SkillBits allocated %.0f times, want 0", n)
+	}
+}

@@ -117,7 +117,31 @@ func (e *NumberExpr) exprString() string {
 type StringExpr struct{ Value string }
 
 func (e *StringExpr) isExpr()            {}
-func (e *StringExpr) exprString() string { return strconv.Quote(e.Value) }
+func (e *StringExpr) exprString() string { return quote(e.Value) }
+
+// quote renders s as a policy-language string literal: the lexer knows only
+// the escapes \", \\, \n and \t and takes every other byte as it stands,
+// so those four are escaped and nothing else is (strconv.Quote would write
+// \x and \u escapes that Parse rejects).
+func quote(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
+}
 
 // Rule is one "disclose" statement.
 type Rule struct {
@@ -160,7 +184,7 @@ type Policy struct {
 // re-parsing (the parser round-trips it).
 func (p *Policy) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "policy %q {\n", p.Name)
+	fmt.Fprintf(&b, "policy %s {\n", quote(p.Name))
 	for _, r := range p.Rules {
 		fmt.Fprintf(&b, "    %s\n", r)
 	}

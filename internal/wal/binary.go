@@ -57,17 +57,6 @@ func AppendBits(b []byte, n int, words []uint64) []byte {
 	return b[:end]
 }
 
-// AppendUint64s appends a uvarint count followed by the values as raw
-// little-endian words — the bulk form for fixed-width numeric runs (LSH
-// band keys) where per-value varints would cost more than they save.
-func AppendUint64s(b []byte, vs []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	return b
-}
-
 // Dec consumes a payload produced with the Append helpers. The zero value
 // over a payload slice is ready to use; after the first decoding error all
 // further reads return zero values and Err reports the failure.
@@ -220,23 +209,5 @@ func (d *Dec) Bits() []bool {
 		}
 	}
 	d.b = d.b[bytes:]
-	return out
-}
-
-// Uint64s reads a run written by AppendUint64s (nil for an empty run).
-func (d *Dec) Uint64s() []uint64 {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.b))/8 {
-		d.fail()
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(d.b[8*i:])
-	}
-	d.b = d.b[8*n:]
 	return out
 }

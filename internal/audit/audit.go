@@ -43,6 +43,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/model"
 	"repro/internal/par"
+	"repro/internal/similarity"
 	"repro/internal/store"
 )
 
@@ -71,8 +72,8 @@ type Engine struct {
 	// that entity's skills. Built from the store in place on rebuild and
 	// Resume, and keyed by entity id; both nil when the plan is not
 	// indexed (every pair is then a candidate).
-	workerIx fairness.SkillIndex
-	taskIx   fairness.SkillIndex
+	workerIx *similarity.SkillJoin
+	taskIx   *similarity.SkillJoin
 
 	// Maintained verdicts. viol[i] is Axiom i+1's standing violations in
 	// report order and sums[i] their digest; both move only through fold

@@ -145,9 +145,8 @@ func TestDeltaRefreshEqualsColdBuildLSH(t *testing.T) {
 
 // requireSameJoin fails unless two skill joins hold the same number of
 // entities and enumerate the same pairs.
-func requireSameJoin(t *testing.T, kind string, got, want fairness.SkillIndex) {
+func requireSameJoin(t *testing.T, kind string, g, w *similarity.SkillJoin) {
 	t.Helper()
-	g, w := got.(*similarity.SkillJoin), want.(*similarity.SkillJoin)
 	if g.Len() != w.Len() {
 		t.Fatalf("%s join: %d entries, cold build %d", kind, g.Len(), w.Len())
 	}
@@ -161,36 +160,64 @@ func requireSameJoin(t *testing.T, kind string, got, want fairness.SkillIndex) {
 	}
 }
 
-// A state saved under one LSH seed resumed under another audits exactly
-// like a cold start under the other: the seed decides no candidate, and
-// Resume builds the joins from the store whatever the image held.
+// LSHSeed is ignored and not signed, so a state saved under one seed is
+// warm under another: LoadState accepts it, and the resumed engine audits
+// exactly like CheckAll under the other seed.
 func TestResumeLSHSeedMismatchFallsBack(t *testing.T) {
-	s := newScenario(t, 8)
+	dir := t.TempDir()
+	s := durableScenario(t, 8, dir, wal.Options{})
 	s.seed(40, 20, 150, 30)
 	cfg := lshConfig(1)
 	eng := New(s.st, s.log, cfg)
 	eng.Audit()
-	state, err := DecodeState(eng.State().Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	man := checkpointWithAudit(t, s.st, s.log, eng, cfg)
 	cfg2 := lshConfig(2)
-	warm, err := Resume(s.st, s.log, cfg2, state)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := resumeFromManifest(t, dir, s.st, s.log, cfg2, man)
 	for i := 0; i < 20; i++ {
 		s.mutate()
 	}
 	requireEquivalent(t, 0, warm.Audit(), fairness.CheckAll(s.st, s.log, cfg2))
 }
 
-// ConfigSig must separate configs that differ only in candidate backend or
-// LSH seed — resuming LSH-computed verdicts under exact (or another seed)
-// must read as a config change, not a warm match. It must also separate
-// configs whose measure name or attribute-policy keys embed the
-// signature's own separators: printed unescaped, each pair below signs
-// alike.
+// A sidecar signed with a candidate kind, as the exact kind's default
+// signature below, was computed over a census of skill-sharing pairs:
+// LoadState refuses it, and the cold engine's first pass equals CheckAll,
+// Checked included.
+func TestResumeKindSignedStateColdStarts(t *testing.T) {
+	const exactKindSig = `skill="cosine"@0.9;attrT=0.9;access=1;reward=0.1;contrib=0.8;pay=0.01;exh=false;cand="exact";attr=0.1/0`
+	dir := t.TempDir()
+	s := durableScenario(t, 9, dir, wal.Options{})
+	s.seed(40, 20, 150, 30)
+	cfg := fairness.DefaultConfig()
+	eng := New(s.st, s.log, cfg)
+	eng.Audit()
+	state := eng.State()
+	state.ConfigSig = exactKindSig
+	o := BuildCheckpointOptions(nil, cfg, s.log.Len())
+	o.Audit, o.AuditCursors = state.Encode(), state.Cursors
+	man, err := s.st.Checkpoint(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadState(dir, man, cfg); err == nil {
+		t.Fatalf("loaded a state signed %q under %q", exactKindSig, ConfigSig(cfg))
+	}
+	for i := 0; i < 20; i++ {
+		s.mutate()
+	}
+	pass, full := New(s.st, s.log, cfg).AuditPass(), fairness.CheckAll(s.st, s.log, cfg)
+	requirePass(t, 0, pass, full)
+	for i := range full {
+		if pass.Reports[i].Checked != full[i].Checked {
+			t.Fatalf("%s: checked %d, full %d", full[i].Axiom, pass.Reports[i].Checked, full[i].Checked)
+		}
+	}
+}
+
+// ConfigSig must separate configs whose measure name or attribute-policy
+// keys embed the signature's own separators: printed unescaped, each pair
+// below signs alike. It ignores the candidate kind and the LSH seed, which
+// decide nothing.
 func TestConfigSigSeparatesCandidateBackends(t *testing.T) {
 	withTolerance := func(ft map[string]float64) fairness.Config {
 		cfg := fairness.DefaultConfig()
@@ -198,8 +225,8 @@ func TestConfigSigSeparatesCandidateBackends(t *testing.T) {
 		return cfg
 	}
 	// The tail that follows the skill measure's name in an unescaped
-	// signature of a zero-threshold exact config.
-	const tail = "@0.9;attrT=0;access=0;reward=0;contrib=0;pay=0;exh=false;cand=exact"
+	// signature of a zero-threshold config.
+	const tail = "@0.9;attrT=0;access=0;reward=0;contrib=0;pay=0;exh=false"
 	ignoring := fairness.Config{
 		SkillMeasure: similarity.MeasureCosine, SkillThreshold: 0.9,
 		AttrPolicy: &similarity.AttrPolicy{IgnoreFields: map[string]bool{tail: true}},
@@ -209,9 +236,7 @@ func TestConfigSigSeparatesCandidateBackends(t *testing.T) {
 		SkillThreshold: 0.9,
 	}
 	sigs := map[string]string{
-		"exact":    ConfigSig(fairness.DefaultConfig()),
-		"lshA":     ConfigSig(lshConfig(1)),
-		"lshB":     ConfigSig(lshConfig(2)),
+		"default":  ConfigSig(fairness.DefaultConfig()),
 		"ftTwo":    ConfigSig(withTolerance(map[string]float64{"a": 0.5, "b": 0.5})),
 		"ftOne":    ConfigSig(withTolerance(map[string]float64{"a=0.5;ft.b": 0.5})),
 		"ignoring": ConfigSig(ignoring),
@@ -223,5 +248,8 @@ func TestConfigSigSeparatesCandidateBackends(t *testing.T) {
 				t.Fatalf("ConfigSig(%s) == ConfigSig(%s): %q", a, b, sa)
 			}
 		}
+	}
+	if a, b := ConfigSig(lshConfig(1)), ConfigSig(lshConfig(2)); a != sigs["default"] || b != a {
+		t.Fatalf("the candidate kind or seed changed the signature: %q, %q, %q", sigs["default"], a, b)
 	}
 }

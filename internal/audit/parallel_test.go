@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fairness"
 	"repro/internal/par"
+	"repro/internal/similarity"
 )
 
 // renderReports serialises a report set to a stable byte form: axiom,
@@ -29,18 +30,20 @@ func renderReports(reps []*fairness.Report) string {
 // lockstep — one audited with the worker budget pinned to 1 (every fan-out
 // runs inline, i.e. the serial pipeline), one with a multi-worker budget —
 // must render byte-identical reports every round, across seeds, shard
-// widths, and both candidate backends. Run with -race to also pin down
-// that the parallel passes share no unsynchronised state.
+// widths, and both candidate sources: the skill join (lsh) and, under
+// Hamming, which has no prefix bound, the all-pairs scan. Run with -race
+// to also pin down that the parallel passes share no unsynchronised state.
 func TestParallelAuditMatchesSerial(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	for _, seed := range []uint64{7, 41} {
 		for _, shards := range []int{1, 4} {
-			for _, backend := range []string{fairness.CandidateExact, fairness.CandidateLSH} {
+			for _, backend := range []string{"hamming", "lsh"} {
 				seed, shards, backend := seed, shards, backend
 				t.Run(fmt.Sprintf("seed=%d/shards=%d/%s", seed, shards, backend), func(t *testing.T) {
-					cfg := fairness.DefaultConfig()
-					if backend == fairness.CandidateLSH {
-						cfg = lshConfig(seed * 2027)
+					cfg := lshConfig(seed * 2027)
+					if backend == "hamming" {
+						cfg = fairness.DefaultConfig()
+						cfg.SkillMeasure = similarity.MeasureHamming
 					}
 					// Two identical scenarios: same seed, same RNG, so the
 					// mutation streams are byte-for-byte the same trace.

@@ -34,25 +34,22 @@ func BuildCheckpointOptions(eng *Engine, cfg fairness.Config, events int) store.
 
 // ConfigSig deterministically fingerprints the checker-relevant fields of
 // a fairness.Config — measure names, every threshold and tolerance, and
-// the attribute policy's per-field maps in sorted order. Every string is
-// printed Go-quoted, so a measure name or map key that contains the
-// separators cannot make two configs sign alike. Persisted audit state
-// carries the signature of the config it was computed under, and a resume
-// is only warm when the signatures match; crowdfair.Platform compares
-// signatures the same way to decide whether its incremental engine is
-// still valid for a new config (the function-valued config cannot be
-// compared directly).
+// the attribute policy's per-field maps in sorted order. The ignored
+// CandidateIndex and LSHSeed are not signed, and no signature it produces
+// holds ";cand=": state signed with a candidate kind may hold a census of
+// skill-sharing pairs rather than of the pairs meeting the skill premise,
+// so it must cold-start. Every string is printed Go-quoted, so a measure
+// name or map key that contains the separators cannot make two configs
+// sign alike. Persisted audit state carries the signature of the config it
+// was computed under, and a resume is only warm when the signatures match;
+// crowdfair.Platform compares signatures the same way to decide whether
+// its incremental engine is still valid for a new config (the
+// function-valued config cannot be compared directly).
 func ConfigSig(cfg fairness.Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "skill=%q@%v;attrT=%v;access=%v;reward=%v;contrib=%v;pay=%v;exh=%v",
 		cfg.SkillMeasure.Name, cfg.SkillThreshold, cfg.AttrThreshold, cfg.AccessThreshold,
 		cfg.RewardTolerance, cfg.ContributionThreshold, cfg.PayTolerance, cfg.Exhaustive)
-	fmt.Fprintf(&b, ";cand=%q", cfg.CandidateKind())
-	if cfg.CandidateKind() == fairness.CandidateLSH {
-		// The seed no longer changes any verdict, but signing it keeps the
-		// signatures of existing configurations apart as they were.
-		fmt.Fprintf(&b, "@%d", cfg.LSHSeed)
-	}
 	if p := cfg.AttrPolicy; p != nil {
 		fmt.Fprintf(&b, ";attr=%v/%v", p.NumTolerance, p.MissingPenalty)
 		keys := make([]string, 0, len(p.FieldTolerance))

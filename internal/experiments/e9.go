@@ -49,9 +49,9 @@ func E9Ablations(p E9Params) *Table {
 		Title:   fmt.Sprintf("Design ablations (%d workers, %d tasks)", p.Workers, p.Tasks),
 		Columns: []string{"section", "variant", "metric-1", "metric-2", "metric-3"},
 		Notes: []string{
-			"section A (axiom1-measure): variant = similarity measure; metrics = candidate",
-			"pairs checked (the same for every measure), violations, violation rate.",
-			"Stricter measures cut the violations, not the checked set.",
+			"section A (axiom1-measure): variant = similarity measure; metrics = worker",
+			"pairs checked (the pairs whose skills meet the measure), violations,",
+			"violation rate. Stricter measures check fewer pairs and find fewer violations.",
 			"section B (tradeoff): variant = lambda; metrics = requester utility, income",
 			"gini, axiom1 violations (always 0: visibility is full by construction).",
 			"section C (repair): variant = repaired object; metrics per row in place.",
@@ -62,8 +62,8 @@ func E9Ablations(p E9Params) *Table {
 	// A noisy population (workers flip one extra skill on occasionally) is
 	// what separates the measures: exact equality finds no perturbed worker
 	// similar to anyone, cosine/jaccard keep them with different strictness.
-	// The candidate pairs checked are the index's and do not depend on the
-	// measure.
+	// The pairs checked are those the skill join finds under the measure,
+	// so they shrink with it.
 	rngA := stats.NewRNG(p.Seed + 0xa)
 	popA := workload.GeneratePopulation(workload.PopulationSpec{
 		Workers: p.Workers, SkillNoise: 0.5,

@@ -21,10 +21,10 @@ import (
 // Offer sets are deduplicated: repeating the same offer neither changes the
 // overlap nor the reported set sizes.
 //
-// Candidate pairs come from the config's candidate index (the workers that
-// share a skill by default, the exact skill join when cfg.CandidateIndex
-// selects it), or from every pair when cfg.Exhaustive forces the O(n²) scan
-// or the skill measure has no prefix bound (see IndexPlan.Indexed). Workers
+// Candidate pairs come from the skill join (the workers whose skills meet
+// the skill premise), or from every pair when cfg.Exhaustive forces the
+// O(n²) scan or the skill measure has no prefix bound (see
+// IndexPlan.Indexed). Workers
 // with empty skill vectors pair with each other (they are trivially
 // skill-similar) and nothing else.
 func CheckAxiom1(st *store.Store, log *eventlog.Log, cfg Config) *Report {

@@ -61,7 +61,7 @@ func foldTaskAudits(audits []TaskAudit) *Report {
 }
 
 // checkAxiom3Task runs the pairwise compensation audit over one task's
-// contributions: every pair under every candidate kind, scored on the
+// contributions: every pair, scored on the
 // parallel kernel through one similarity.ContributionProfiles (so each text
 // profile is built once per task per call), then walked in the kernel's
 // serial pair order so the report is identical to the nested loop.

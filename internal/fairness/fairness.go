@@ -104,22 +104,18 @@ type Config struct {
 	// PayTolerance is the relative pay difference tolerated between
 	// similar contributions (Axiom 3; default 0.01).
 	PayTolerance float64
-	// Exhaustive forces the O(n²) pair scan instead of the index-pruned
-	// candidate generation (the E7 ablation switch). It overrides
-	// CandidateIndex and Candidates.
+	// Exhaustive forces the O(n²) pair scan instead of the skill join's
+	// candidates (the E7 ablation switch). It overrides Candidates.
 	Exhaustive bool
-	// CandidateIndex selects where the Axiom 1–2 checkers find candidate
-	// pairs: CandidateExact (the default; every pair that shares a skill)
-	// or CandidateLSH (the exact skill join: exactly the pairs whose skills
-	// meet SkillMeasure at SkillThreshold). Both report the same
-	// violations; Report.Checked differs (see there). Under Hamming, a
-	// measure that is not built in, or a threshold <= 0, similar pairs need
-	// not share a skill, and both kinds examine every pair. Ignored when
-	// Exhaustive is set.
+	// CandidateIndex is ignored. Axiom 1–2 candidates come from the exact
+	// skill join (similarity.SkillJoin): exactly the pairs whose skills meet
+	// SkillMeasure at SkillThreshold. Under Hamming, a measure that is not
+	// built in, or a threshold <= 0, similar pairs need not share a skill,
+	// and every pair is examined. The field remains because the crowdbench
+	// harness (bench/) sets it.
 	CandidateIndex string
-	// LSHSeed is ignored: no candidate source is randomised any more. It
-	// remains because configurations set it, and ConfigSig (internal/audit)
-	// still signs it under CandidateLSH.
+	// LSHSeed is ignored: no candidate source is randomised. It remains
+	// because the crowdbench harness (bench/) sets it.
 	LSHSeed uint64
 	// Candidates, when non-nil, supplies candidate pairs directly instead
 	// of a transient per-call index build — internal/audit injects its
@@ -182,12 +178,11 @@ func orDefault(v, def float64) float64 {
 type Report struct {
 	Axiom Axiom
 	// Checked is the number of candidate units examined (pairs for Axioms
-	// 1–3, workers/starts for 4–5). For Axioms 1–2 it counts the candidate
-	// pairs the axiom quantifies over: under CandidateExact the pairs that
-	// share a skill, under CandidateLSH the pairs that meet the skill
-	// premise, and every pair under Exhaustive or a plan that is not
-	// indexed (see IndexPlan.Indexed). Axiom 3 counts every pair of
-	// contributions by distinct workers to one task, under every kind.
+	// 1–3, workers/starts for 4–5). For Axioms 1–2 it counts the pairs the
+	// axiom quantifies over: the pairs that meet the skill premise, or every
+	// pair under Exhaustive or a plan that is not indexed (see
+	// IndexPlan.Indexed). Axiom 3 counts every pair of contributions by
+	// distinct workers to one task.
 	Checked int
 	// Violations lists every failure found, deterministically ordered.
 	Violations []Violation

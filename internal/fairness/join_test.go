@@ -112,13 +112,14 @@ func skillPremisePairs(st *store.Store, m similarity.VectorMeasure, th float64) 
 	return workers, tasks
 }
 
-// TestJoinBackendMatchesExact holds the lsh kind — the exact skill join —
-// to the exact kind: CheckAll reports the same violations bit for bit
+// TestJoinMatchesExhaustive holds the skill join, the one candidate index,
+// to the all-pairs scan: CheckAll reports the same violations bit for bit
 // (subjects, detail and severity) on every axiom, over the reference
 // fixtures and over a 5k-worker clustered population like the bench's, and
 // its Axiom 1/2 Checked equals the naive count of pairs that meet the skill
-// premise. Axioms 3–5 do not depend on the kind, Checked included.
-func TestJoinBackendMatchesExact(t *testing.T) {
+// premise. Axioms 3–5 do not depend on the candidate source, Checked
+// included.
+func TestJoinMatchesExhaustive(t *testing.T) {
 	type fixture struct {
 		name string
 		st   *store.Store
@@ -136,21 +137,21 @@ func TestJoinBackendMatchesExact(t *testing.T) {
 	fixtures = append(fixtures, fixture{"clustered 5k", st, log})
 
 	for _, fx := range fixtures {
-		exactCfg := fairness.DefaultConfig()
-		joinCfg := exactCfg
-		joinCfg.CandidateIndex = fairness.CandidateLSH
-		exact, join := fairness.CheckAll(fx.st, fx.log, exactCfg), fairness.CheckAll(fx.st, fx.log, joinCfg)
-		for ax := range exact {
-			if !reflect.DeepEqual(join[ax].Violations, exact[ax].Violations) {
-				t.Fatalf("%s, %s: the join reported %d violations, the exact kind %d",
-					fx.name, exact[ax].Axiom, len(join[ax].Violations), len(exact[ax].Violations))
+		joinCfg := fairness.DefaultConfig()
+		exhCfg := joinCfg
+		exhCfg.Exhaustive = true
+		join, exh := fairness.CheckAll(fx.st, fx.log, joinCfg), fairness.CheckAll(fx.st, fx.log, exhCfg)
+		for ax := range exh {
+			if !reflect.DeepEqual(join[ax].Violations, exh[ax].Violations) {
+				t.Fatalf("%s, %s: the join reported %d violations, the all-pairs scan %d",
+					fx.name, exh[ax].Axiom, len(join[ax].Violations), len(exh[ax].Violations))
 			}
-			if ax >= 2 && join[ax].Checked != exact[ax].Checked {
-				t.Fatalf("%s, %s: checked %d under the join, %d under the exact kind",
-					fx.name, exact[ax].Axiom, join[ax].Checked, exact[ax].Checked)
+			if ax >= 2 && join[ax].Checked != exh[ax].Checked {
+				t.Fatalf("%s, %s: checked %d under the join, %d under the all-pairs scan",
+					fx.name, exh[ax].Axiom, join[ax].Checked, exh[ax].Checked)
 			}
 		}
-		if len(exact[0].Violations) == 0 {
+		if len(exh[0].Violations) == 0 {
 			t.Fatalf("%s: no Axiom 1 violation to compare", fx.name)
 		}
 		w, ts := skillPremisePairs(fx.st, similarity.MeasureCosine, 0.9)
@@ -158,16 +159,16 @@ func TestJoinBackendMatchesExact(t *testing.T) {
 			t.Fatalf("%s: the join checked %d worker and %d task pairs, %d and %d meet the skill premise",
 				fx.name, join[0].Checked, join[1].Checked, w, ts)
 		}
-		if exact[0].Checked < w {
-			t.Fatalf("%s: the exact kind checked %d worker pairs, fewer than the %d similar ones", fx.name, exact[0].Checked, w)
+		if exh[0].Checked < w {
+			t.Fatalf("%s: the all-pairs scan checked %d worker pairs, fewer than the %d similar ones", fx.name, exh[0].Checked, w)
 		}
 	}
 }
 
 // Hamming counts the skills two workers both lack as agreement, so
 // workers with no skill in common can be similar: w1 {s01} and w2 {s02}
-// agree on 18 of 20 positions. Neither candidate kind may drop them: with
-// no prefix bound, both examine every pair, like the exhaustive scan.
+// agree on 18 of 20 positions. The checker may not drop them: with no
+// prefix bound, it examines every pair, like the exhaustive scan.
 func TestHammingPairsWithoutSharedSkillsAreChecked(t *testing.T) {
 	names := make([]string, 20)
 	for i := range names {
@@ -197,19 +198,16 @@ func TestHammingPairsWithoutSharedSkillsAreChecked(t *testing.T) {
 		}
 		log.MustAppend(eventlog.Event{Type: eventlog.TaskOffered, Worker: model.WorkerID(o[0]), Task: model.TaskID(o[1])})
 	}
-	for _, kind := range []string{"", fairness.CandidateExact, fairness.CandidateLSH} {
-		cfg := fairness.DefaultConfig()
-		cfg.SkillMeasure = similarity.MeasureHamming
-		cfg.CandidateIndex = kind
-		exh := cfg
-		exh.Exhaustive = true
-		got, want := fairness.CheckAxiom1(st, log, cfg), fairness.CheckAxiom1(st, log, exh)
-		if len(want.Violations) != 1 || !reflect.DeepEqual(want.Violations[0].Subjects, []string{"w1", "w2"}) {
-			t.Fatalf("exhaustive scan reported %v, want [w1 w2]", want.Violations)
-		}
-		if !reflect.DeepEqual(got.Violations, want.Violations) || got.Checked != want.Checked {
-			t.Errorf("kind %q: reported %v (checked %d), exhaustive %v (checked %d)",
-				kind, got.Violations, got.Checked, want.Violations, want.Checked)
-		}
+	cfg := fairness.DefaultConfig()
+	cfg.SkillMeasure = similarity.MeasureHamming
+	exh := cfg
+	exh.Exhaustive = true
+	got, want := fairness.CheckAxiom1(st, log, cfg), fairness.CheckAxiom1(st, log, exh)
+	if len(want.Violations) != 1 || !reflect.DeepEqual(want.Violations[0].Subjects, []string{"w1", "w2"}) {
+		t.Fatalf("exhaustive scan reported %v, want [w1 w2]", want.Violations)
+	}
+	if !reflect.DeepEqual(got.Violations, want.Violations) || got.Checked != want.Checked {
+		t.Errorf("reported %v (checked %d), exhaustive %v (checked %d)",
+			got.Violations, got.Checked, want.Violations, want.Checked)
 	}
 }

@@ -134,10 +134,11 @@ func violationKeys(reports []*Report) map[string]bool {
 	return keys
 }
 
-// TestLSHRecallBound is the recall test of the lsh kind: across five seeds
-// at each of two population scales, it must report every violating pair
-// the exact kind reports and nothing else. The kind was a MinHash/LSH index
-// held to recall >= 0.98; it is now the exact skill join, whose recall is 1.
+// TestLSHRecallBound is the recall test of the skill join: across five
+// seeds at each of two population scales, it must report every violating
+// pair the all-pairs scan reports and nothing else. The candidate source
+// was once a MinHash/LSH index held to recall >= 0.98; the exact skill
+// join that replaced it has recall 1.
 func TestLSHRecallBound(t *testing.T) {
 	for _, scale := range []struct{ workers, tasks int }{
 		{120, 48},
@@ -145,36 +146,34 @@ func TestLSHRecallBound(t *testing.T) {
 	} {
 		scale := scale
 		t.Run(fmt.Sprintf("workers=%d", scale.workers), func(t *testing.T) {
-			var exactTotal, found int
+			var exhTotal, found int
 			for _, seed := range []uint64{1, 2, 3, 4, 5} {
 				st, log := recallPopulation(t, seed, scale.workers, scale.tasks)
-				exactCfg := DefaultConfig()
-				lshCfg := DefaultConfig()
-				lshCfg.CandidateIndex = CandidateLSH
-				lshCfg.LSHSeed = seed * 7919
+				exhCfg := DefaultConfig()
+				exhCfg.Exhaustive = true
 
-				exact := violationKeys(CheckAll(st, log, exactCfg))
-				lsh := violationKeys(CheckAll(st, log, lshCfg))
-				if len(exact) == 0 {
-					t.Fatalf("seed %d: exact backend found no violations — population generator is broken", seed)
+				exh := violationKeys(CheckAll(st, log, exhCfg))
+				join := violationKeys(CheckAll(st, log, DefaultConfig()))
+				if len(exh) == 0 {
+					t.Fatalf("seed %d: the all-pairs scan found no violations — population generator is broken", seed)
 				}
-				for k := range lsh {
-					if !exact[k] {
-						t.Errorf("seed %d: the lsh kind reported %s, the exact kind did not", seed, k)
+				for k := range join {
+					if !exh[k] {
+						t.Errorf("seed %d: the join reported %s, the all-pairs scan did not", seed, k)
 					}
 				}
-				exactTotal += len(exact)
-				for k := range exact {
-					if lsh[k] {
+				exhTotal += len(exh)
+				for k := range exh {
+					if join[k] {
 						found++
 					}
 				}
 			}
-			recall := float64(found) / float64(exactTotal)
-			t.Logf("recall %d/%d = %.4f", found, exactTotal, recall)
-			if found != exactTotal {
-				t.Fatalf("lsh kind recall %.4f below 1 (%d of %d exact violations)",
-					recall, found, exactTotal)
+			recall := float64(found) / float64(exhTotal)
+			t.Logf("recall %d/%d = %.4f", found, exhTotal, recall)
+			if found != exhTotal {
+				t.Fatalf("join recall %.4f below 1 (%d of %d violations)",
+					recall, found, exhTotal)
 			}
 		})
 	}

@@ -94,9 +94,8 @@ func joinFactor(m VectorMeasure, t float64) (f float64, ok bool) {
 }
 
 // Joinable reports whether pairs meeting measure m at threshold t share a
-// skill (or are both empty), so a SkillJoin — or any index of skill-sharing
-// pairs — finds all of them. When it is false, every pair has to be
-// examined.
+// skill (or are both empty), so a SkillJoin finds all of them. When it is
+// false, every pair has to be examined.
 func Joinable(m VectorMeasure, t float64) bool {
 	_, ok := joinFactor(m, t)
 	return ok
@@ -211,6 +210,18 @@ func appendRanks(dst []uint64, v model.SkillBits) []uint64 {
 	}
 	slices.Sort(dst)
 	return dst
+}
+
+// mix64 is the splitmix64 finalizer: an invertible avalanche mix whose
+// output behaves as a uniform hash of its input, so it ranks skills in an
+// order unrelated to their positions.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // prefixLen is the prefix length of a set of size n: n − ⌈f·n⌉ + 1, with

@@ -50,6 +50,28 @@ func naiveJoin(m VectorMeasure, th float64, live map[string]model.SkillBits) []s
 	return out
 }
 
+// collectPartners drains Partners(id) into a sorted list, failing on
+// duplicates or self-emission.
+func collectPartners(t *testing.T, x *SkillJoin, id string) []string {
+	t.Helper()
+	seen := make(map[string]bool)
+	x.Partners(id, func(p string) {
+		if p == id {
+			t.Fatalf("Partners(%q) yielded the id itself", id)
+		}
+		if seen[p] {
+			t.Fatalf("Partners(%q) yielded %q twice", id, p)
+		}
+		seen[p] = true
+	})
+	out := make([]string, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // requireJoinMatches holds Pairs and every live id's Partners to the naive
 // join: each pair once, ordered, and nothing else.
 func requireJoinMatches(t *testing.T, label string, x *SkillJoin, m VectorMeasure, th float64, live map[string]model.SkillBits) {
@@ -69,7 +91,7 @@ func requireJoinMatches(t *testing.T, label string, x *SkillJoin, m VectorMeasur
 		got = append(got, key)
 	})
 	sort.Strings(got)
-	if !equalStrings(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("%s: Pairs gave %d pairs, the naive join %d\n got: %v\nwant: %v", label, len(got), len(want), got, want)
 	}
 	partners := make(map[string][]string)
@@ -81,7 +103,7 @@ func requireJoinMatches(t *testing.T, label string, x *SkillJoin, m VectorMeasur
 	for id := range live {
 		w := partners[id]
 		sort.Strings(w)
-		if ps := collectPartners(t, x, id); !equalStrings(ps, w) {
+		if ps := collectPartners(t, x, id); !slices.Equal(ps, w) {
 			t.Fatalf("%s: Partners(%s) = %v, want %v", label, id, ps, w)
 		}
 	}
@@ -328,7 +350,7 @@ func TestLSHIndexIncrementalEqualsBatch(t *testing.T) {
 				inc.Upsert(id, sets[id])
 			}
 			gb, gi := joinPairs(batch), joinPairs(inc)
-			if !equalStrings(gb, gi) {
+			if !slices.Equal(gb, gi) {
 				t.Fatalf("%s: batch build yields %d pairs, incremental %d", label, len(gb), len(gi))
 			}
 			requireJoinMatches(t, label+" incremental", inc, m, th, sets)
@@ -336,11 +358,11 @@ func TestLSHIndexIncrementalEqualsBatch(t *testing.T) {
 			for _, id := range ids {
 				again.Upsert(id, sets[id])
 			}
-			if ga := joinPairs(again); !equalStrings(ga, gb) {
+			if ga := joinPairs(again); !slices.Equal(ga, gb) {
 				t.Fatalf("%s: identical data gave different pair sets", label)
 			}
 			for _, id := range ids {
-				if pb, pi := collectPartners(t, batch, id), collectPartners(t, inc, id); !equalStrings(pb, pi) {
+				if pb, pi := collectPartners(t, batch, id), collectPartners(t, inc, id); !slices.Equal(pb, pi) {
 					t.Fatalf("%s: Partners(%s) batch %v, incremental %v", label, id, pb, pi)
 				}
 			}
@@ -440,7 +462,7 @@ func TestLSHIndexSkipsUnchangedTokenSets(t *testing.T) {
 		for id, v := range live {
 			fresh.Upsert(id, v)
 		}
-		if gx, gf := joinPairs(x), joinPairs(fresh); !equalStrings(gx, gf) {
+		if gx, gf := joinPairs(x), joinPairs(fresh); !slices.Equal(gx, gf) {
 			t.Fatalf("%s: index yields %v, a fresh one %v", st.name, gx, gf)
 		}
 	}
@@ -473,7 +495,7 @@ func TestLSHIndexResetBehavesLikeFresh(t *testing.T) {
 		if len(reused.names) != len(live) {
 			t.Fatalf("gen %d: %d slots for %d sets", gen, len(reused.names), len(live))
 		}
-		if gr, gf := joinPairs(reused), joinPairs(fresh); !equalStrings(gr, gf) {
+		if gr, gf := joinPairs(reused), joinPairs(fresh); !slices.Equal(gr, gf) {
 			t.Fatalf("gen %d: reused index yields %d pairs, fresh %d", gen, len(gr), len(gf))
 		}
 		requireJoinMatches(t, fmt.Sprintf("gen %d", gen), reused, MeasureCosine, 0.8, live)

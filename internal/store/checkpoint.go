@@ -508,7 +508,7 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 // on. The returned store is volatile (no WAL attached) and positioned
 // exactly at the manifest: Version() == manifest version, every ring empty
 // with droppedMax at the manifest version, so changelog consumers start
-// from the WAL tail the replica will feed through Apply.
+// from the WAL tail the replica will feed through ApplyWALFrame.
 func Bootstrap(dir string) (*Store, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
@@ -540,18 +540,6 @@ func (s *Store) ApplyWALFrame(key uint64, payload []byte) error {
 		return err
 	}
 	m.packSkills()
-	return s.commitMutation(m)
-}
-
-// Apply applies a mutation at its original version, routed by its entity
-// id, like ApplyWALFrame; the store keeps a clone of the caller's entity.
-func (s *Store) Apply(m Mutation) error {
-	return s.commitMutation(m.clone())
-}
-
-// commitMutation applies m, whose entities the store may keep, under its
-// owning shard's lock and waits on its durability ticket outside it.
-func (s *Store) commitMutation(m Mutation) error {
 	sh := s.lockOwner(m.primaryID())
 	return commitOutside(sh, func() (wal.Commit, error) {
 		return s.applyMutation(sh, m)
@@ -664,25 +652,6 @@ func (m Mutation) packSkills() {
 	if m.Task != nil {
 		m.Task.PackSkills()
 	}
-}
-
-// clone returns m carrying private copies of its entities, for a caller
-// that keeps m.
-func (m Mutation) clone() Mutation {
-	if m.Worker != nil {
-		m.Worker = m.Worker.Clone()
-	}
-	if m.Requester != nil {
-		r := *m.Requester
-		m.Requester = &r
-	}
-	if m.Task != nil {
-		m.Task = m.Task.Clone()
-	}
-	if m.Contribution != nil {
-		m.Contribution = m.Contribution.Clone()
-	}
-	return m
 }
 
 // applyMutation applies one decoded mutation under the held (or not yet

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -566,8 +567,8 @@ func TestNewDurableRefusesExistingStore(t *testing.T) {
 // tasks it decodes themselves, so each must arrive with its skills packed —
 // from the snapshot frames, from the WAL tail, and through Bootstrap —
 // or SkillBits would silently pack on every pair judgment. The entry points
-// that take a caller's value (PutWorker, UpdateWorker, Apply) still keep a
-// clone: mutating the value afterwards leaves the store as it was.
+// that take a caller's value (PutWorker, UpdateWorker) still keep a clone:
+// mutating the value afterwards leaves the store as it was.
 func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 	u := testUniverse()
 	dir := t.TempDir()
@@ -665,14 +666,6 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 		t.Fatal(err)
 	}
 	unchanged("UpdateWorker", got, func() { up.Skills[0] = true; up.Declared["country"] = model.Str("it") })
-	m := Mutation{
-		Change: Change{Version: boot.Version() + 1, Op: OpInsert, Entity: EntityWorker, Worker: "wapply"},
-		Worker: &model.Worker{ID: "wapply", Computed: model.Attributes{"completed": model.Num(3)}, Skills: u.MustVector("sql")},
-	}
-	if err := boot.Apply(m); err != nil {
-		t.Fatal(err)
-	}
-	unchanged("Apply", boot, func() { m.Worker.Skills[2] = false; m.Worker.Computed["completed"] = model.Num(4) })
 	for _, s := range []*Store{got, boot} {
 		for _, id := range s.WorkerIDs() {
 			if w := s.PeekWorker(id); w.SkillBits().Count() != w.Skills.Count() {
@@ -683,10 +676,9 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 }
 
 // TestApplyWALFrameAdoptsDecodedEntity: a replica's ApplyWALFrame stores
-// the entity it decodes, skills packed, where decoding a frame and passing
-// it to Apply stores a clone — so per frame it allocates what a clone does
-// less, bar the one allocation of packing the skills, which both paths
-// make, and it leaves the store exactly as the Apply path does.
+// the entity it decodes, skills packed, and copies nothing: per frame it
+// allocates what decoding the frame does plus one, the packing of the
+// skills, and the stored worker is the frame's.
 func TestApplyWALFrameAdoptsDecodedEntity(t *testing.T) {
 	u := testUniverse()
 	const runs = 50
@@ -706,11 +698,9 @@ func TestApplyWALFrameAdoptsDecodedEntity(t *testing.T) {
 			},
 		}, walEpoch)
 	}
-	adopt, copied := New(u), New(u)
-	for _, s := range []*Store{adopt, copied} {
-		if err := s.ApplyWALFrame(1, frames[0]); err != nil {
-			t.Fatal(err)
-		}
+	adopt := New(u)
+	if err := adopt.ApplyWALFrame(1, frames[0]); err != nil {
+		t.Fatal(err)
 	}
 	next := 1
 	frame := testing.AllocsPerRun(runs, func() {
@@ -719,30 +709,24 @@ func TestApplyWALFrameAdoptsDecodedEntity(t *testing.T) {
 		}
 		next++
 	})
-	next = 1
-	viaApply := testing.AllocsPerRun(runs, func() {
-		m, err := decodeMutation(uint64(next+1), frames[next], walEpoch)
-		if err != nil {
+	decode := testing.AllocsPerRun(runs, func() {
+		if _, err := decodeMutation(2, frames[1], walEpoch); err != nil {
 			t.Fatal(err)
 		}
-		if err := copied.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-		next++
 	})
-	m, err := decodeMutation(2, frames[1], walEpoch)
+	if frame > decode+1 {
+		t.Fatalf("ApplyWALFrame allocates %.0f per frame, decoding one %.0f: the frame path may add only the skill packing",
+			frame, decode)
+	}
+	last, err := decodeMutation(uint64(next), frames[next-1], walEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := testing.AllocsPerRun(runs, func() { m.clone() })
-	if clone == 0 || viaApply-frame < clone-1 {
-		t.Fatalf("ApplyWALFrame allocates %.0f per frame, decode+Apply %.0f, a clone %.0f: the frame path must save the clone",
-			frame, viaApply, clone)
-	}
-	if snapBytes(t, adopt) != snapBytes(t, copied) {
-		t.Fatal("ApplyWALFrame and decode+Apply left different stores")
-	}
+	last.packSkills()
 	w := adopt.PeekWorker("w1")
+	if !reflect.DeepEqual(w, last.Worker) {
+		t.Fatalf("the store holds %+v, the last frame carried %+v", w, last.Worker)
+	}
 	if n := testing.AllocsPerRun(10, func() { w.SkillBits() }); n != 0 {
 		t.Fatalf("the applied worker's SkillBits allocated %.0f times, want 0", n)
 	}

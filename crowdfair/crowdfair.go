@@ -408,21 +408,3 @@ func LintPolicy(pol *Policy) []string {
 	}
 	return out
 }
-
-// EncodePolicyJSON serialises a policy to its JSON interchange form.
-func EncodePolicyJSON(pol *Policy) ([]byte, error) {
-	return pol.MarshalJSON()
-}
-
-// DecodePolicyJSON parses a policy from its JSON interchange form and
-// statically checks it against the standard catalogue.
-func DecodePolicyJSON(data []byte) (*Policy, error) {
-	pol, err := transparency.DecodePolicy(data)
-	if err != nil {
-		return nil, err
-	}
-	if errs := transparency.StandardCatalogue().Check(pol); len(errs) > 0 {
-		return nil, fmt.Errorf("crowdfair: policy %q: %d check error(s), first: %w", pol.Name, len(errs), errs[0])
-	}
-	return pol, nil
-}

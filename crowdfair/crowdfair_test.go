@@ -222,31 +222,6 @@ func TestLintPolicyFacade(t *testing.T) {
 	}
 }
 
-func TestPolicyJSONFacade(t *testing.T) {
-	pol, err := ParsePolicy(`policy "x" {
-		disclose requester.hourly_wage to workers when worker.completed >= 3;
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodePolicyJSON(pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodePolicyJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.String() != pol.String() {
-		t.Fatalf("round trip mismatch:\n%s\n%s", pol, back)
-	}
-	// The JSON decoder also enforces the catalogue.
-	bad := []byte(`{"name":"x","rules":[{"field":"worker.shoe_size","to":"workers","on":"always"}]}`)
-	if _, err := DecodePolicyJSON(bad); err == nil {
-		t.Fatal("uncatalogued JSON policy accepted")
-	}
-}
-
 func TestAuditIncrementalTracksAuditFairness(t *testing.T) {
 	p := demoPlatform(t)
 	if err := p.Offer("t1", "w1"); err != nil {

@@ -84,15 +84,15 @@ func TestReviewsFromTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if board.Count("good") != 2 || board.Count("bad") != 2 {
-		t.Fatalf("counts = %d/%d", board.Count("good"), board.Count("bad"))
+	goodAgg, _ := board.Aggregate("good")
+	badAgg, _ := board.Aggregate("bad")
+	if goodAgg.Reviews != 2 || badAgg.Reviews != 2 {
+		t.Fatalf("counts = %d/%d", goodAgg.Reviews, badAgg.Reviews)
 	}
 	rank := board.Rank()
 	if len(rank) != 2 || rank[0].Requester != "good" {
 		t.Fatalf("rank = %v", rank)
 	}
-	goodAgg, _ := board.Aggregate("good")
-	badAgg, _ := board.Aggregate("bad")
 	if goodAgg.Mean[AxisPay] <= badAgg.Mean[AxisPay] {
 		t.Fatalf("pay ratings inverted: %v vs %v", goodAgg.Mean[AxisPay], badAgg.Mean[AxisPay])
 	}

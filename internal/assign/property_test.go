@@ -2,6 +2,7 @@ package assign
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,7 +188,7 @@ func TestFullVisibilityOffersProperty(t *testing.T) {
 			for i := 0; i < len(p.Workers); i++ {
 				for j := i + 1; j < len(p.Workers); j++ {
 					wi, wj := p.Workers[i], p.Workers[j]
-					if !wi.Skills.Equal(wj.Skills) {
+					if !slices.Equal(wi.Skills, wj.Skills) {
 						continue
 					}
 					if !sameTaskSet(res.Offers[wi.ID], res.Offers[wj.ID]) {

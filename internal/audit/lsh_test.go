@@ -57,7 +57,8 @@ func TestIncrementalLSHMatchesCheckAllLSH(t *testing.T) {
 // A warm restart under the lsh kind must equal a cold start: Resume builds
 // the skill joins from the recovered store (the sidecar holds no index
 // image), the first warm delta pass reports exactly what a cold full scan
-// reports, and the warm engine's joins hold exactly a cold build's pairs.
+// reports, and the warm engine's joins give every entity a cold build's
+// partners.
 func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	dir := t.TempDir()
 	opts := wal.Options{SegmentBytes: 8 << 10}
@@ -96,8 +97,8 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 	warm := resumeFromManifest(t, dir, st2, log2, cfg, man)
 	cold := New(st2, log2, cfg)
 	cold.buildIndexes()
-	requireSameJoin(t, "worker", warm.workerIx, cold.workerIx)
-	requireSameJoin(t, "task", warm.taskIx, cold.taskIx)
+	requireSameJoin(t, "worker", warm.workerIx, cold.workerIx, st2.WorkerIDs())
+	requireSameJoin(t, "task", warm.taskIx, cold.taskIx, st2.TaskIDs())
 	pass := warm.AuditPass()
 	warmReports, full := pass.Reports, fairness.CheckAll(st2, log2, cfg)
 	requirePass(t, 0, pass, full)
@@ -112,8 +113,8 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 // Delta passes refresh the skill joins through the same install path as the
 // cold build: after seeded churn rounds at pool widths 1 and 2 (each round
 // re-indexing well over par's inline threshold of workers and tasks), the
-// engine's joins hold exactly the entities and pairs of a fresh engine's
-// cold build over the final store.
+// engine's joins hold as many entities as a fresh engine's cold build over
+// the final store and give every entity the same partners.
 func TestDeltaRefreshEqualsColdBuildLSH(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	for _, workers := range []int{1, 2} {
@@ -137,26 +138,28 @@ func TestDeltaRefreshEqualsColdBuildLSH(t *testing.T) {
 			}
 			cold := New(s.st, s.log, cfg)
 			cold.Audit()
-			requireSameJoin(t, "worker", eng.workerIx, cold.workerIx)
-			requireSameJoin(t, "task", eng.taskIx, cold.taskIx)
+			requireSameJoin(t, "worker", eng.workerIx, cold.workerIx, s.st.WorkerIDs())
+			requireSameJoin(t, "task", eng.taskIx, cold.taskIx, s.st.TaskIDs())
 		})
 	}
 }
 
 // requireSameJoin fails unless two skill joins hold the same number of
-// entities and enumerate the same pairs.
-func requireSameJoin(t *testing.T, kind string, g, w *similarity.SkillJoin) {
+// entities and give every id the same partners.
+func requireSameJoin[ID ~string](t *testing.T, kind string, g, w *similarity.SkillJoin, ids []ID) {
 	t.Helper()
 	if g.Len() != w.Len() {
 		t.Fatalf("%s join: %d entries, cold build %d", kind, g.Len(), w.Len())
 	}
-	pairs := func(x *similarity.SkillJoin) (out []string) {
-		x.Pairs(func(a, b string) { out = append(out, a+"|"+b) })
+	partners := func(x *similarity.SkillJoin, id ID) (out []string) {
+		x.Partners(string(id), func(p string) { out = append(out, p) })
 		sort.Strings(out)
 		return out
 	}
-	if gp, wp := pairs(g), pairs(w); !slices.Equal(gp, wp) {
-		t.Fatalf("%s join: %d pairs, cold build %d", kind, len(gp), len(wp))
+	for _, id := range ids {
+		if gp, wp := partners(g, id), partners(w, id); !slices.Equal(gp, wp) {
+			t.Fatalf("%s join: %s has partners %v, cold build %v", kind, id, gp, wp)
+		}
 	}
 }
 

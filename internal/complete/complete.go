@@ -135,9 +135,6 @@ func NewEngine(policy CancellationPolicy, log *eventlog.Log) *Engine {
 	}
 }
 
-// Policy returns the engine's cancellation policy.
-func (e *Engine) Policy() CancellationPolicy { return e.policy }
-
 // Now returns the engine's current logical time.
 func (e *Engine) Now() int64 { return e.now }
 

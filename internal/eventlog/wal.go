@@ -34,15 +34,11 @@ func encodeEvent(b []byte, e Event) []byte {
 	return b
 }
 
-// DecodeWALEvent decodes one event-log WAL frame (key = sequence number,
-// payload as written by a durable Log) — the ingestion side of WAL
-// shipping, used by replicas tailing another process's events directory.
+// DecodeWALEvent rebuilds an event from one event-log WAL frame (key =
+// sequence number, payload as written by a durable Log): OpenDurable's
+// replay, and the ingestion side of WAL shipping, used by replicas tailing
+// another process's events directory.
 func DecodeWALEvent(seq uint64, payload []byte) (Event, error) {
-	return decodeEvent(seq, payload)
-}
-
-// decodeEvent rebuilds an event from a WAL frame.
-func decodeEvent(seq uint64, payload []byte) (Event, error) {
 	d := wal.NewDec(payload)
 	e := Event{
 		Seq:          seq,
@@ -98,7 +94,7 @@ func OpenDurable(dir string, opts wal.Options) (*Log, error) {
 			r.Close()
 			return nil, err
 		}
-		e, err := decodeEvent(uint64(n+1), payload)
+		e, err := DecodeWALEvent(uint64(n+1), payload)
 		if err != nil {
 			// CRC-valid but undecodable: treat like a torn frame — stop at
 			// the longest valid prefix. The record must also be physically

@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -151,7 +152,11 @@ func TestDurableLogPoisonRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(11, []byte{0xff}); err != nil {
+	c, err := w.AppendAsync(11, []byte{0xff})
+	if err == nil {
+		err = c.Wait()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -306,7 +311,11 @@ func TestAppendPathsShareOutOfOrderRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, e := range events {
-			if err := w.Append(uint64(i+1), encodeEvent(nil, e)); err != nil {
+			c, err := w.AppendAsync(uint64(i+1), encodeEvent(nil, e))
+			if err == nil {
+				err = c.Wait()
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -348,4 +357,57 @@ func BenchmarkOpenDurable(b *testing.B) {
 		}
 		l.Close()
 	}
+}
+
+// walPayloads are encoded events of every shape the trace holds: empty
+// ids, a payment amount, a field and note, a negative time.
+func walPayloads() [][]byte {
+	events := append(demoEvents(4),
+		Event{Time: -3, Type: PaymentIssued, Worker: "w9", Task: "t9", Contribution: "c9", Amount: 1.25},
+		Event{Time: 7, Type: TaskPosted, Task: "t2", Requester: "r2", Field: "task.reward", Note: "ünïcode"},
+		Event{})
+	var out [][]byte
+	for _, e := range events {
+		out = append(out, encodeEvent(nil, e))
+	}
+	return out
+}
+
+// Every proper prefix of a payload and every payload with a byte appended
+// is refused: a frame holds exactly one event.
+func TestDecodeWALEventRejectsTruncation(t *testing.T) {
+	for _, p := range walPayloads() {
+		for n := 0; n < len(p); n++ {
+			if e, err := DecodeWALEvent(1, p[:n]); err == nil {
+				t.Fatalf("%d of %d bytes decoded to %+v", n, len(p), e)
+			}
+		}
+		if e, err := DecodeWALEvent(1, append(p[:len(p):len(p)], 0)); err == nil {
+			t.Fatalf("payload plus a trailing byte decoded to %+v", e)
+		}
+	}
+}
+
+// FuzzDecodeWALEvent: the decoder a replica runs on another process's files
+// and OpenDurable runs on recovery never panics, and what it accepts is
+// canonical: the event it decodes re-encodes to the same bytes and keeps
+// the frame's sequence number.
+func FuzzDecodeWALEvent(f *testing.F) {
+	for _, p := range walPayloads() {
+		f.Add(uint64(1), p)
+		f.Add(uint64(1), p[:len(p)/2])
+	}
+	f.Add(uint64(0), []byte{})
+	f.Fuzz(func(t *testing.T, seq uint64, payload []byte) {
+		e, err := DecodeWALEvent(seq, payload)
+		if err != nil {
+			return
+		}
+		if e.Seq != seq {
+			t.Fatalf("decoded seq %d, frame key %d", e.Seq, seq)
+		}
+		if again := encodeEvent(nil, e); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload re-encodes differently (%d bytes in, %d out)", len(payload), len(again))
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/model"
 	"repro/internal/par"
-	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -232,25 +231,4 @@ func (s *Axiom5Stream) Report() *Report {
 	}
 	sortViolations(rep.Violations)
 	return rep
-}
-
-// IncomeGini returns the Gini coefficient over per-worker incomes recorded
-// in the store's contributions — the inequality index E1 reports next to
-// the violation rates. Workers with no contributions count as zero income
-// only if includeIdle is set.
-func IncomeGini(st *store.Store, includeIdle bool) float64 {
-	incomes := make(map[model.WorkerID]float64)
-	if includeIdle {
-		for _, w := range st.Workers() {
-			incomes[w.ID] = 0
-		}
-	}
-	for _, c := range st.Contributions() {
-		incomes[c.Worker] += c.Paid
-	}
-	xs := make([]float64, 0, len(incomes))
-	for _, x := range incomes {
-		xs = append(xs, x) // stats.Gini sorts, so map order cannot matter
-	}
-	return stats.Gini(xs)
 }

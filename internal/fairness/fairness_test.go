@@ -366,25 +366,6 @@ func TestReportViolationRate(t *testing.T) {
 	}
 }
 
-func TestIncomeGini(t *testing.T) {
-	s := twinStore(t)
-	for i, paid := range []float64{3, 1} {
-		c := &model.Contribution{
-			ID: model.ContributionID(fmt.Sprintf("c%d", i)), Task: "t1",
-			Worker: model.WorkerID(fmt.Sprintf("w%d", i+1)),
-			Text:   "x", Quality: 0.5, Paid: paid,
-		}
-		if err := s.PutContribution(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	withIdle := IncomeGini(s, true) // w3 has zero income
-	withoutIdle := IncomeGini(s, false)
-	if withIdle <= withoutIdle {
-		t.Fatalf("idle workers should increase inequality: %v vs %v", withIdle, withoutIdle)
-	}
-}
-
 // jaccardIDs is the map-based reference Jaccard overlap of two id sets.
 func jaccardIDs[T ~string](a, b []T) float64 {
 	if len(a) == 0 && len(b) == 0 {

@@ -1,6 +1,7 @@
 package fairness_test
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -31,9 +32,9 @@ func rebuildTrace(tb testing.TB, st *store.Store, log *eventlog.Log, seed uint64
 		must(out.PutRequester(r))
 	}
 	ws, ts, cs := st.Workers(), st.Tasks(), st.Contributions()
-	rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
-	rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
-	rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+	shuffle(rng, ws)
+	shuffle(rng, ts)
+	shuffle(rng, cs)
 	for _, w := range ws {
 		w.ID = model.WorkerID(ren(string(w.ID)))
 		must(out.PutWorker(w))
@@ -56,12 +57,20 @@ func rebuildTrace(tb testing.TB, st *store.Store, log *eventlog.Log, seed uint64
 			ordered = append(ordered, e)
 		}
 	}
-	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	shuffle(rng, free)
 	outLog := eventlog.New()
 	for _, e := range append(free, ordered...) {
 		outLog.MustAppend(e)
 	}
 	return out, outLog
+}
+
+// shuffle reorders s into the random permutation rng.Perm draws.
+func shuffle[T any](rng *stats.RNG, s []T) {
+	src := slices.Clone(s)
+	for i, k := range rng.Perm(len(s)) {
+		s[i] = src[k]
+	}
 }
 
 // canonicalKeys renders each axiom's violations as sorted subject sets with

@@ -3,6 +3,10 @@
 // them closed-loop against a serve.Server, and checks the resulting state
 // against a serially-applied oracle.
 //
+// It is test support: internal/serve's tests are its only importer, and
+// no command, example or the crowdfair facade may link it (a CI step
+// checks with go list -deps).
+//
 // Plans are deterministic by construction, not by locking:
 //
 //   - every measured mutation references only seed-phase entities, so a

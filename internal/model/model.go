@@ -54,17 +54,6 @@ func (v SkillVector) Clone() SkillVector {
 	return append(SkillVector(nil), v...)
 }
 
-// Count returns the number of set skills.
-func (v SkillVector) Count() int {
-	n := 0
-	for _, b := range v {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // Covers reports whether v has every skill set in req — the qualification
 // predicate "worker v qualifies for task req".
 func (v SkillVector) Covers(req SkillVector) bool {
@@ -74,31 +63,6 @@ func (v SkillVector) Covers(req SkillVector) bool {
 		}
 	}
 	return true
-}
-
-// Equal reports whether two vectors are identical bit-for-bit (and in
-// length).
-func (v SkillVector) Equal(o SkillVector) bool {
-	if len(v) != len(o) {
-		return false
-	}
-	for i := range v {
-		if v[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Indices returns the positions of set skills, ascending.
-func (v SkillVector) Indices() []int {
-	var out []int
-	for i, b := range v {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Pack returns the packed form of v.
@@ -196,9 +160,6 @@ func MustUniverse(names ...string) *Universe {
 // Size returns m, the number of skill keywords.
 func (u *Universe) Size() int { return len(u.names) }
 
-// Name returns the keyword at index i.
-func (u *Universe) Name(i int) string { return u.names[i] }
-
 // Names returns a copy of all keyword names in index order.
 func (u *Universe) Names() []string { return append([]string(nil), u.names...) }
 
@@ -262,17 +223,6 @@ func Num(x float64) AttrValue { return AttrValue{Kind: AttrNum, Num: x} }
 
 // Str returns a categorical attribute value.
 func Str(s string) AttrValue { return AttrValue{Kind: AttrStr, Str: s} }
-
-// Equal reports exact equality of two values.
-func (a AttrValue) Equal(b AttrValue) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Kind == AttrNum {
-		return a.Num == b.Num
-	}
-	return a.Str == b.Str
-}
 
 // String renders the value for logs and reports.
 func (a AttrValue) String() string {

@@ -13,8 +13,8 @@ func TestNewUniverse(t *testing.T) {
 	if u.Size() != 3 {
 		t.Fatalf("size = %d", u.Size())
 	}
-	if u.Name(1) != "b" {
-		t.Fatalf("Name(1) = %q", u.Name(1))
+	if got := u.Names()[1]; got != "b" {
+		t.Fatalf("Names()[1] = %q", got)
 	}
 	i, err := u.Index("c")
 	if err != nil || i != 2 {
@@ -90,19 +90,6 @@ func TestSkillVectorCoversLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestSkillVectorEqual(t *testing.T) {
-	a := SkillVector{true, false}
-	if !a.Equal(SkillVector{true, false}) {
-		t.Error("equal vectors reported unequal")
-	}
-	if a.Equal(SkillVector{true, true}) {
-		t.Error("unequal vectors reported equal")
-	}
-	if a.Equal(SkillVector{true}) {
-		t.Error("different lengths reported equal")
-	}
-}
-
 func TestSkillVectorCloneIndependence(t *testing.T) {
 	a := SkillVector{true, false}
 	b := a.Clone()
@@ -112,27 +99,7 @@ func TestSkillVectorCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSkillVectorCountIndices(t *testing.T) {
-	v := SkillVector{true, false, true, true}
-	if v.Count() != 3 {
-		t.Fatalf("count = %d", v.Count())
-	}
-	idx := v.Indices()
-	if len(idx) != 3 || idx[0] != 0 || idx[1] != 2 || idx[2] != 3 {
-		t.Fatalf("indices = %v", idx)
-	}
-}
-
 func TestAttrValue(t *testing.T) {
-	if !Num(1.5).Equal(Num(1.5)) || Num(1).Equal(Num(2)) {
-		t.Error("numeric equality broken")
-	}
-	if !Str("x").Equal(Str("x")) || Str("x").Equal(Str("y")) {
-		t.Error("string equality broken")
-	}
-	if Num(1).Equal(Str("1")) {
-		t.Error("cross-kind equality should be false")
-	}
 	if Num(2.5).String() != "2.5" || Str("hi").String() != "hi" {
 		t.Error("String rendering broken")
 	}

@@ -9,9 +9,10 @@
 // byte-identical to the serial one regardless of scheduling order.
 //
 // Nested fan-outs compose through a global token budget. The process owns
-// Workers()-1 extra-worker tokens; every For acquires tokens (without
-// blocking) for each worker beyond the caller's own goroutine and releases
-// them as those workers drain. When an outer fan-out (the audit's axiom
+// one token fewer than its pool ceiling (GOMAXPROCS unless SetMaxWorkers
+// overrode it); every For acquires tokens (without blocking) for each
+// worker beyond the caller's own goroutine and releases them as those
+// workers drain. When an outer fan-out (the audit's axiom
 // task graph) holds the whole budget, the inner kernels it calls find no
 // tokens and run inline on their task's goroutine — total runnable
 // goroutines stay at the budget instead of multiplying per nesting level.
@@ -50,12 +51,6 @@ func newBudget(workers int) *budget {
 	return &budget{workers: workers, tokens: make(chan struct{}, workers-1)}
 }
 
-// Workers returns the current pool ceiling used by For and Do: GOMAXPROCS
-// unless SetMaxWorkers overrode it.
-func Workers() int {
-	return curBudget.Load().workers
-}
-
 // SetMaxWorkers replaces the process-wide parallelism budget with n total
 // workers (the caller's goroutine plus n-1 pool workers); n <= 0 restores
 // the GOMAXPROCS default. It returns the previous ceiling. The new budget
@@ -72,10 +67,10 @@ func SetMaxWorkers(n int) int {
 }
 
 // For runs fn(i) for every i in [0, n) on the caller's goroutine plus up
-// to workers-1 extra pool workers (workers <= 0 means Workers()), subject
-// to the process-wide token budget. fn must be safe to call concurrently
-// and must confine its writes to per-index state; For returns when every
-// index has been processed.
+// to workers-1 extra pool workers (workers <= 0 means the pool ceiling),
+// subject to the process-wide token budget. fn must be safe to call
+// concurrently and must confine its writes to per-index state; For returns
+// when every index has been processed.
 //
 // For is meant for fine-grained kernels and runs small iteration counts
 // inline; use Do for coarse jobs (whole axiom passes) where even two

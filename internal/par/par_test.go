@@ -35,8 +35,8 @@ func TestForDeterministicOutputSlots(t *testing.T) {
 }
 
 func TestWorkersPositive(t *testing.T) {
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d, want >= 1", Workers())
+	if got := curBudget.Load().workers; got < 1 {
+		t.Fatalf("pool ceiling = %d, want >= 1", got)
 	}
 }
 
@@ -159,8 +159,8 @@ func TestSetMaxWorkersBoundsConcurrency(t *testing.T) {
 	// restore the default cleanly.
 	for _, w := range []int{1, 2, 3} {
 		prev := SetMaxWorkers(w)
-		if got := Workers(); got != w {
-			t.Fatalf("Workers() = %d after SetMaxWorkers(%d)", got, w)
+		if got := curBudget.Load().workers; got != w {
+			t.Fatalf("pool ceiling = %d after SetMaxWorkers(%d)", got, w)
 		}
 		// Concurrency is sampled in the innermost kernel only: a nested For
 		// that degrades to inline runs on its caller's goroutine, so the
@@ -185,7 +185,7 @@ func TestSetMaxWorkersBoundsConcurrency(t *testing.T) {
 			t.Fatalf("budget %d: observed concurrency %d", w, got)
 		}
 	}
-	if got := Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers() = %d after restore, want GOMAXPROCS", got)
+	if got := curBudget.Load().workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("pool ceiling = %d after restore, want GOMAXPROCS", got)
 	}
 }

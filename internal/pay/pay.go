@@ -243,13 +243,6 @@ func (l *Ledger) Total() float64 {
 	return t
 }
 
-// WorkerIncome returns the total paid to a worker.
-func (l *Ledger) WorkerIncome(id model.WorkerID) float64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.byWorker[id]
-}
-
 // Incomes returns every worker's total income, sorted by worker id.
 func (l *Ledger) Incomes() []float64 {
 	l.mu.RLock()
@@ -264,13 +257,6 @@ func (l *Ledger) Incomes() []float64 {
 		out[i] = l.byWorker[id]
 	}
 	return out
-}
-
-// Payments returns a copy of all entries in record order.
-func (l *Ledger) Payments() []Payment {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]Payment(nil), l.payments...)
 }
 
 // BonusContract models the §3.1.1 scenario where "a requester promises to
@@ -322,9 +308,3 @@ func (b *BonusContract) Settle(l *Ledger, honour bool, now int64) (bool, error) 
 	b.paid = true
 	return true, nil
 }
-
-// Reneged reports whether the contract was dishonoured.
-func (b *BonusContract) Reneged() bool { return b.reneged }
-
-// Paid reports whether the bonus was paid.
-func (b *BonusContract) Paid() bool { return b.paid }

@@ -25,9 +25,6 @@ func TestJoinAndBaseline(t *testing.T) {
 	if m.Active("ghost") {
 		t.Fatal("unknown worker active")
 	}
-	if m.Joined() != 1 {
-		t.Fatalf("joined = %d", m.Joined())
-	}
 	// Double join must not reset satisfaction.
 	m.OnPayment("w1")
 	s := m.Satisfaction("w1")
@@ -73,9 +70,6 @@ func TestRejectionsChurnOpaqueWorkers(t *testing.T) {
 	if m.RetentionRate() != 0 {
 		t.Fatalf("retention = %v", m.RetentionRate())
 	}
-	if m.Churned() != 1 {
-		t.Fatalf("churned = %d", m.Churned())
-	}
 }
 
 func TestTransparencyDampensShocks(t *testing.T) {
@@ -99,18 +93,6 @@ func TestExplainedRejectionHurtsLess(t *testing.T) {
 	b.OnRejection("w1", false)
 	if a.Satisfaction("w1") <= b.Satisfaction("w1") {
 		t.Fatal("explained rejection did not hurt less")
-	}
-}
-
-func TestInterruptionAndRenegeShocks(t *testing.T) {
-	m := newModel(0)
-	m.Join("w1")
-	m.Join("w2")
-	m.OnInterruption("w1")
-	m.OnRenege("w2")
-	// Renege (0.25) must hurt more than interruption (0.2).
-	if m.Satisfaction("w2") >= m.Satisfaction("w1") {
-		t.Fatalf("renege %v vs interrupt %v", m.Satisfaction("w2"), m.Satisfaction("w1"))
 	}
 }
 

@@ -113,13 +113,6 @@ func (b *Board) Post(r Review) error {
 	return nil
 }
 
-// Count returns the number of reviews for a requester.
-func (b *Board) Count(id model.RequesterID) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.reviews[id])
-}
-
 // Aggregate is the averaged rating of one requester.
 type Aggregate struct {
 	Requester model.RequesterID

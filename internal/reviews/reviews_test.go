@@ -47,8 +47,8 @@ func TestPostIsIdempotentPerWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.Count("r1") != 1 {
-		t.Fatalf("count = %d, want 1 (revisions, not stacking)", b.Count("r1"))
+	if agg, _ := b.Aggregate("r1"); agg.Reviews != 1 {
+		t.Fatalf("count = %d, want 1 (revisions, not stacking)", agg.Reviews)
 	}
 	// A revised review replaces the old scores.
 	if err := b.Post(Review{Worker: "w1", Requester: "r1", Scores: [4]int{5, 5, 5, 5}}); err != nil {
@@ -167,8 +167,8 @@ func TestBoardConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	total := 0
-	for i := 0; i < 4; i++ {
-		total += b.Count(model.RequesterID(fmt.Sprintf("r%d", i)))
+	for _, agg := range b.Rank() {
+		total += agg.Reviews
 	}
 	if total != 400 {
 		t.Fatalf("reviews = %d, want 400", total)

@@ -9,7 +9,7 @@ import (
 )
 
 // SkillJoin is an exact similarity join over packed skill sets: Partners
-// and Pairs yield exactly the pairs whose measure(a, b) >= threshold, the
+// yields exactly the partners whose measure(a, b) >= threshold, the
 // skill premise of Axioms 1 and 2. It finds them by prefix filtering with
 // verification (Bayardo, Ma & Srikant, WWW 2007; Xiao et al., WWW 2008):
 //
@@ -33,12 +33,12 @@ import (
 // in f or in the measure can only lengthen a prefix or widen the length
 // bound: a candidate too many costs one verification, and a pair is never
 // lost. The result is a pure function of the stored sets: slot numbers and
-// posting order depend on install order, Partners' order is unspecified and
-// Pairs orders each pair by id.
+// posting order depend on install order, and Partners' order is
+// unspecified.
 //
 // A SkillJoin keeps each set's packed words as given (model.SkillBits is
 // immutable once packed) and is not safe for concurrent mutation; Partners
-// and Pairs may run concurrently with each other.
+// calls may run concurrently with each other.
 type SkillJoin struct {
 	measure VectorMeasure
 	t, f    float64
@@ -286,22 +286,4 @@ func sharesBefore(a, b []prefixToken, r uint64) bool {
 		}
 	}
 	return false
-}
-
-// Pairs calls yield once for every stored pair that meets the threshold,
-// ordered a < b. Each pair is produced from its lower slot; a freed slot
-// posts nothing, so it produces none.
-func (x *SkillJoin) Pairs(yield func(a, b string)) {
-	for s, name := range x.names {
-		x.partners(uint32(s), func(m uint32) {
-			if m < uint32(s) {
-				return
-			}
-			a, b := name, x.names[m]
-			if b < a {
-				a, b = b, a
-			}
-			yield(a, b)
-		})
-	}
 }

@@ -13,6 +13,24 @@ import (
 	"repro/internal/model"
 )
 
+// Pairs calls yield once for every stored pair that meets the threshold,
+// ordered a < b. Each pair is produced from its lower slot; a freed slot
+// posts nothing, so it produces none.
+func (x *SkillJoin) Pairs(yield func(a, b string)) {
+	for s, name := range x.names {
+		x.partners(uint32(s), func(m uint32) {
+			if m < uint32(s) {
+				return
+			}
+			a, b := name, x.names[m]
+			if b < a {
+				a, b = b, a
+			}
+			yield(a, b)
+		})
+	}
+}
+
 // skillSet packs the positions on into a vector of length n.
 func skillSet(n int, on ...int) model.SkillBits {
 	v := model.NewSkillVector(n)

@@ -41,9 +41,6 @@ func NewNGramProfile(text string, n int) *NGramProfile {
 	return p
 }
 
-// N returns the n-gram size.
-func (p *NGramProfile) N() int { return p.n }
-
 // Similarity returns the cosine similarity between two profiles, in [0,1].
 // Profiles of different n compare as 0; two empty texts compare as 1.
 func (p *NGramProfile) Similarity(q *NGramProfile) float64 {

@@ -67,9 +67,6 @@ func TestNGramDifferentN(t *testing.T) {
 	if p2.Similarity(p3) != 0 {
 		t.Error("different n should compare as 0")
 	}
-	if p2.N() != 2 || p3.N() != 3 {
-		t.Error("N accessor broken")
-	}
 }
 
 func TestNGramPanicsOnBadN(t *testing.T) {

@@ -135,16 +135,3 @@ func TestPermIsShuffled(t *testing.T) {
 		t.Fatalf("identity permutation appeared %d/%d times", identity, trials)
 	}
 }
-
-func TestShuffle(t *testing.T) {
-	r := NewRNG(13)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 45 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}

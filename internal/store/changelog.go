@@ -50,12 +50,11 @@ func (e Entity) String() string {
 // mutation appends exactly one Change — to the changelog ring of the shard
 // owning the mutated entity — whose Version is the value of the global
 // sequencer after the mutation. Versions are globally dense: merging every
-// shard's log yields consecutive integers, which is how ChangesSince tells
-// a complete suffix from one still missing in-flight appends. Id fields
-// beyond the mutated entity's own are the touched neighbours: a
-// contribution change carries its task and worker, a task change its
-// requester. Incremental consumers (internal/audit) use them to compute
-// dirty sets without re-reading the entity.
+// shard's log yields consecutive integers. Id fields beyond the mutated
+// entity's own are the touched neighbours: a contribution change carries
+// its task and worker, a task change its requester. Incremental consumers
+// (internal/audit) use them to compute dirty sets without re-reading the
+// entity.
 type Change struct {
 	Version uint64
 	Op      Op
@@ -90,49 +89,13 @@ func changePrimaryID(c Change) string {
 const DefaultChangelogCap = 1 << 16
 
 // SetChangelogCap resizes every shard's retention window to at most n
-// records (n < 1 disables retention entirely: every ChangesSince for a past
-// version reports truncation). Existing records beyond the new cap are
+// records (n < 1 disables retention entirely: every ShardChangesSince for a
+// past version reports truncation). Existing records beyond the new cap are
 // dropped oldest-first per shard.
 func (s *Store) SetChangelogCap(n int) {
 	for _, sh := range s.shards {
 		sh.setChangelogCap(n)
 	}
-}
-
-// ChangesSince returns every mutation recorded after version v, merged
-// across shards into one version-ordered, gap-free stream, oldest first.
-// The boolean reports completeness: false means at least one shard's ring
-// has dropped a record past v (the caller missed changes and must fall back
-// to a full scan). A v at or beyond the current version returns (nil, true).
-//
-// Under concurrent mutation the merged suffix can transiently miss an
-// allocated-but-not-yet-appended version; the result is trimmed at the
-// first such gap, so what is returned is always a dense prefix and the
-// trimmed-off tail is re-delivered by the next call. Shard-local consumers
-// that track one cursor per shard (internal/audit) should prefer
-// ShardChangesSince, which needs no cross-shard merge.
-func (s *Store) ChangesSince(v uint64) ([]Change, bool) {
-	shs, release := s.rlockView()
-	per := make([][]Change, len(shs))
-	for i, sh := range shs {
-		if sh.ring.droppedMax > v {
-			release()
-			return nil, false
-		}
-		per[i] = sh.changesAfter(v)
-	}
-	release()
-	merged := mergeSorted(per, func(a, b Change) bool { return a.Version < b.Version })
-	for i := range merged {
-		if merged[i].Version != v+1+uint64(i) {
-			merged = merged[:i]
-			break
-		}
-	}
-	if len(merged) == 0 {
-		return nil, true
-	}
-	return merged, true
 }
 
 // ShardChangesSince returns the changes recorded in one shard after version

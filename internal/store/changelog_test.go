@@ -17,6 +17,40 @@ func changelogStore(t *testing.T) *Store {
 	return s
 }
 
+// ChangesSince is the tests' whole-store view of the per-shard changelogs:
+// every mutation recorded after version v, merged across shards into one
+// version-ordered, gap-free stream, oldest first. The boolean reports
+// completeness: false means at least one shard's ring has dropped a record
+// past v. A v at or beyond the current version returns (nil, true).
+//
+// Under concurrent mutation the merged suffix can transiently miss an
+// allocated-but-not-yet-appended version; the result is trimmed at the
+// first such gap, so what is returned is always a dense prefix and the
+// trimmed-off tail is re-delivered by the next call.
+func (s *Store) ChangesSince(v uint64) ([]Change, bool) {
+	shs, release := s.rlockView()
+	per := make([][]Change, len(shs))
+	for i, sh := range shs {
+		if sh.ring.droppedMax > v {
+			release()
+			return nil, false
+		}
+		per[i] = sh.changesAfter(v)
+	}
+	release()
+	merged := mergeSorted(per, func(a, b Change) bool { return a.Version < b.Version })
+	for i := range merged {
+		if merged[i].Version != v+1+uint64(i) {
+			merged = merged[:i]
+			break
+		}
+	}
+	if len(merged) == 0 {
+		return nil, true
+	}
+	return merged, true
+}
+
 func TestChangelogRecordsEveryMutation(t *testing.T) {
 	s := changelogStore(t)
 	w := &model.Worker{ID: "w1", Skills: s.Universe().MustVector("a")}

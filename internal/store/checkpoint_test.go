@@ -39,7 +39,7 @@ func mutationScript(u *model.Universe, n int) []scriptStep {
 					ID:       model.WorkerID(fmt.Sprintf("w%03d", i)),
 					Declared: model.Attributes{"country": model.Str("jp")},
 					Computed: model.Attributes{"acceptance_ratio": model.Num(float64(i%10) / 10)},
-					Skills:   u.MustVector(u.Name(i % u.Size())),
+					Skills:   u.MustVector(u.Names()[i%u.Size()]),
 				})
 			})
 		case 1:
@@ -50,7 +50,7 @@ func mutationScript(u *model.Universe, n int) []scriptStep {
 				}
 				return s.PutTask(&model.Task{
 					ID: model.TaskID(fmt.Sprintf("t%03d", i)), Requester: req,
-					Skills: u.MustVector(u.Name(i % u.Size())), Reward: 1 + float64(i%3),
+					Skills: u.MustVector(u.Names()[i%u.Size()]), Reward: 1 + float64(i%3),
 				})
 			})
 		case 2:
@@ -668,7 +668,7 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 	unchanged("UpdateWorker", got, func() { up.Skills[0] = true; up.Declared["country"] = model.Str("it") })
 	for _, s := range []*Store{got, boot} {
 		for _, id := range s.WorkerIDs() {
-			if w := s.PeekWorker(id); w.SkillBits().Count() != w.Skills.Count() {
+			if w := s.PeekWorker(id); w.SkillBits().Count() != w.Skills.Pack().Count() {
 				t.Fatalf("worker %s: packed skills disagree with its vector", id)
 			}
 		}

@@ -31,7 +31,7 @@ func groupCommitWorkload(t *testing.T, s *Store, u *model.Universe, appenders, o
 					ID:       model.WorkerID(fmt.Sprintf("gw%02d-%03d", g, i)),
 					Declared: model.Attributes{"country": model.Str("jp")},
 					Computed: model.Attributes{"acceptance_ratio": model.Num(float64((g+i)%10) / 10)},
-					Skills:   u.MustVector(u.Name((g + i) % u.Size())),
+					Skills:   u.MustVector(u.Names()[(g+i)%u.Size()]),
 				}
 				if err := s.PutWorker(w); err != nil {
 					errs[g] = err

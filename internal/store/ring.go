@@ -17,7 +17,7 @@ type Mutation struct {
 }
 
 // changeRing is the bounded per-shard changelog ring that incremental
-// auditors read through ChangesSince. Versions within one ring are
+// auditors read through ShardChangesSince. Versions within one ring are
 // strictly increasing (appends happen under the shard lock) but not
 // consecutive — the global sequencer interleaves shards.
 type changeRing struct {
@@ -33,7 +33,7 @@ type changeRing struct {
 
 // record appends a change, evicting the oldest when full. With retention
 // disabled (cap < 1) every change counts as immediately dropped so
-// ChangesSince keeps reporting truncation.
+// ShardChangesSince keeps reporting truncation.
 func (r *changeRing) record(c Change) {
 	if r.cap < 1 {
 		if c.Version > r.droppedMax {

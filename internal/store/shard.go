@@ -22,7 +22,7 @@ import (
 // per-shard runs instead of re-sorting per call.
 //
 // Every mutation is recorded twice under the shard's write lock: into the
-// always-present in-memory changelog ring (what ChangesSince and the
+// always-present in-memory changelog ring (what ShardChangesSince and the
 // incremental auditors read) and, on durable stores, into the shard's
 // write-ahead log — change plus entity post-image, in segmented files
 // (internal/wal). Appending under the lock is what keeps the on-disk

@@ -6,20 +6,9 @@ import (
 	"repro/internal/model"
 )
 
-// Snapshot captures the entire store as a serialisable model.Snapshot.
-// Workers, tasks, and contributions — the tables that grow with traffic —
-// are gathered shard-parallel (each shard's entities are cloned and sorted
-// on its own goroutine, then merged), so snapshotting a large sharded
-// store scales with cores; the small requester table is gathered serially.
-func (s *Store) Snapshot() *model.Snapshot {
-	shs, release := s.rlockView()
-	defer release()
-	return s.snapshot(shs)
-}
-
 // snapshot gathers the full state under a held whole-key-space view (the
-// caller — Snapshot or Checkpoint — pins the shard locks for a consistent
-// cut across all four tables).
+// caller — Checkpoint — pins the shard locks for a consistent cut across
+// all four tables).
 func (s *Store) snapshot(held []*shard) *model.Snapshot {
 	return &model.Snapshot{
 		Skills:        s.universe.Names(),

@@ -23,12 +23,12 @@
 // version at or below Version() is fully applied and visible to any
 // subsequently acquired shard lock.
 //
-// Multi-shard readers (Workers, ChangesSince, the candidate-pair
+// Multi-shard readers (Workers, Contributions, the candidate-pair
 // generators) read-lock every shard (rlockView); they see a state at least
 // as new as any version bracket they read first.
 // Incremental consumers — the delta-driven fairness audits of
 // internal/audit — read the per-shard changelogs through ShardChangesSince
-// (or the version-merged ChangesSince) to re-check only what moved.
+// to re-check only what moved.
 //
 // Durability: each shard records its changelog into the in-memory ring
 // and, on stores built with NewDurable or Open, into its own write-ahead
@@ -416,18 +416,6 @@ func (s *Store) putRequesterLocked(sh *shard, r *model.Requester, ver uint64) (w
 		Change:    Change{Version: v, Op: OpInsert, Entity: EntityRequester, Requester: r.ID},
 		Requester: r,
 	})
-}
-
-// Requester returns a copy of the requester with the given id.
-func (s *Store) Requester(id model.RequesterID) (*model.Requester, error) {
-	sh := s.rlockOwner(string(id))
-	r, ok := sh.requesters[id]
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("requester %s: %w", id, ErrNotFound)
-	}
-	c := *r
-	return &c, nil
 }
 
 // Requesters returns copies of all requesters sorted by id.

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -95,10 +96,10 @@ func TestUpdateWorkerReindexes(t *testing.T) {
 	if err := s.UpdateWorker(w); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PeekWorker("w1").Skills; !got.Equal(u.MustVector("nlp")) {
+	if got := s.PeekWorker("w1").Skills; !slices.Equal(got, u.MustVector("nlp")) {
 		t.Fatalf("skills after update = %v", got)
 	}
-	if ws := s.Workers(); len(ws) != 2 || !ws[0].Skills.Equal(u.MustVector("nlp")) {
+	if ws := s.Workers(); len(ws) != 2 || !slices.Equal(ws[0].Skills, u.MustVector("nlp")) {
 		t.Fatalf("workers after update = %v", ws)
 	}
 }
@@ -146,7 +147,7 @@ func TestTasksByRequesterAndSkill(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("tasks by requester = %d", n)
 	}
-	if got := s.PeekTask("t2").Skills; !got.Equal(u.MustVector("go", "nlp")) {
+	if got := s.PeekTask("t2").Skills; !slices.Equal(got, u.MustVector("go", "nlp")) {
 		t.Fatalf("t2 skills = %v", got)
 	}
 }

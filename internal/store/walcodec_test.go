@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -183,7 +184,7 @@ func FuzzSkillBits(f *testing.F) {
 		if err := d.Err(); err != nil || !d.Done() {
 			t.Fatalf("%s: decode err %v, done %v", v, err, d.Done())
 		}
-		if !got.Equal(v) {
+		if !slices.Equal(got, v) {
 			t.Fatalf("decoded %s, want %s", got, v)
 		}
 		if !reflect.DeepEqual(got.Pack(), p) {

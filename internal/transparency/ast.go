@@ -203,16 +203,3 @@ func (p *Policy) RulesFor(a Audience) []*Rule {
 	}
 	return out
 }
-
-// Fields returns the distinct disclosed field references in rule order.
-func (p *Policy) Fields() []FieldRef {
-	seen := make(map[FieldRef]bool)
-	var out []FieldRef
-	for _, r := range p.Rules {
-		if !seen[r.Field] {
-			seen[r.Field] = true
-			out = append(out, r.Field)
-		}
-	}
-	return out
-}

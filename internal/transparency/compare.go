@@ -33,8 +33,8 @@ type WeakerDisclosure struct {
 // Compare diffs two policies field-by-field.
 func Compare(a, b *Policy) *Comparison {
 	cmp := &Comparison{A: a.Name, B: b.Name}
-	fieldsA := bestRules(a)
-	fieldsB := bestRules(b)
+	fieldsA := bestRules(a.Rules)
+	fieldsB := bestRules(b.Rules)
 
 	var refs []FieldRef
 	seen := make(map[FieldRef]bool)
@@ -84,10 +84,11 @@ func Compare(a, b *Policy) *Comparison {
 	return cmp
 }
 
-// bestRules returns, per field, the least-restrictive rule disclosing it.
-func bestRules(p *Policy) map[FieldRef]*Rule {
+// bestRules returns, per field, the least-restrictive rule among rules
+// that discloses it.
+func bestRules(rules []*Rule) map[FieldRef]*Rule {
 	out := make(map[FieldRef]*Rule)
-	for _, r := range p.Rules {
+	for _, r := range rules {
 		cur, ok := out[r.Field]
 		if !ok || strictness(r) < strictness(cur) {
 			out[r.Field] = r
@@ -148,18 +149,20 @@ func writeRefList(b *strings.Builder, label string, refs []FieldRef) {
 
 // TransparencyScore quantifies how much a policy discloses, as the share of
 // catalogue fields it discloses to workers weighted by openness (ungated
-// rules count 1, triggered 0.75, conditional 0.5). The §4.1 experiment E6
-// sweeps this score against worker retention. Scores are in [0,1].
+// rules count 1, triggered 0.75, conditional 0.5). Each field counts its
+// most open worker or public rule, so rules for other audiences never
+// change the score and adding a rule never lowers it. The §4.1 experiment
+// E6 sweeps this score against worker retention. Scores are in [0,1].
 func TransparencyScore(p *Policy, cat *Catalogue) float64 {
 	entries := cat.Entries()
 	if len(entries) == 0 {
 		return 0
 	}
-	best := bestRules(p)
+	best := bestRules(p.RulesFor(AudienceWorkers))
 	var total float64
 	for _, e := range entries {
 		r, ok := best[e.Ref]
-		if !ok || (r.To != AudienceWorkers && r.To != AudiencePublic) {
+		if !ok {
 			continue
 		}
 		switch strictness(r) {

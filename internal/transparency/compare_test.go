@@ -3,6 +3,8 @@ package transparency
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestCompareDisjointAndShared(t *testing.T) {
@@ -79,6 +81,46 @@ func TestTransparencyScoreMonotone(t *testing.T) {
 	}
 }
 
+// Adding a rule never lowers the score: every catalogue field × audience ×
+// trigger, with and without a condition, appended to fixed and random
+// policies. In particular a less gated rule for requesters must not
+// displace a field's worker rule.
+func TestTransparencyScoreAddingARuleNeverLowersIt(t *testing.T) {
+	cat := StandardCatalogue()
+	triggerOnly := MustParse(`policy "a" { disclose task.reward to workers on task_view; }`)
+	withRequesterRule := MustParse(`policy "a" {
+		disclose task.reward to workers on task_view;
+		disclose task.reward to requesters always;
+	}`)
+	if got, want := TransparencyScore(withRequesterRule, cat), TransparencyScore(triggerOnly, cat); got != want || want == 0 {
+		t.Fatalf("adding a requester rule moved the score %v -> %v", want, got)
+	}
+
+	when := MustParse(`policy "c" { disclose task.reward to workers when worker.completed >= 1; }`).Rules[0].When
+	audiences := []Audience{AudienceWorkers, AudienceRequesters, AudiencePublic}
+	triggers := []Trigger{TriggerAlways, TriggerTaskView, TriggerSubmission, TriggerRejection, TriggerPayment, TriggerSignup}
+	bases := []*Policy{{Name: "empty"}, triggerOnly, withRequesterRule}
+	for seed := uint64(1); seed <= 20; seed++ {
+		bases = append(bases, randomPolicy(stats.NewRNG(seed)))
+	}
+	for _, base := range bases {
+		before := TransparencyScore(base, cat)
+		for _, e := range cat.Entries() {
+			for _, a := range audiences {
+				for _, on := range triggers {
+					for _, cond := range []Expr{nil, when} {
+						r := &Rule{Field: e.Ref, To: a, On: on, When: cond}
+						grown := &Policy{Name: base.Name, Rules: append(append([]*Rule(nil), base.Rules...), r)}
+						if after := TransparencyScore(grown, cat); after < before {
+							t.Fatalf("adding %q to %q lowered the score %v -> %v", r, base.Name, before, after)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTransparencyScoreFullPolicy(t *testing.T) {
 	cat := StandardCatalogue()
 	full := &Policy{Name: "full"}
@@ -106,7 +148,7 @@ func TestPolicyFieldsAndRulesFor(t *testing.T) {
 		disclose task.reward to requesters always;
 		disclose platform.requester_rating to public always;
 	}`)
-	if got := len(pol.Fields()); got != 2 {
+	if got := len(Compare(pol, pol).Shared); got != 2 {
 		t.Fatalf("fields = %d", got)
 	}
 	if got := len(pol.RulesFor(AudienceWorkers)); got != 2 { // worker rule + public rule

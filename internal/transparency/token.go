@@ -18,10 +18,10 @@
 //
 // The package provides the full pipeline: lexer (this file), parser and AST
 // (ast.go, parser.go), static checking against the disclosure catalogue
-// (check.go), evaluation against a disclosure context (eval.go), rendering
-// to human-readable text (render.go), compliance auditing of event traces
-// including Axioms 6 and 7 (compliance.go), and policy comparison
-// (compare.go).
+// (catalogue.go), evaluation against a disclosure context (eval.go),
+// rendering to human-readable text (render.go), compliance auditing of
+// event traces including Axioms 6 and 7 (compliance.go), and policy
+// comparison (compare.go).
 package transparency
 
 import (

@@ -61,8 +61,9 @@ func (c Commit) Wait() error {
 // SyncNever and SyncAlways it returns a ticket the caller Waits on for the
 // batch write (and, under SyncAlways, its fsync); under SyncInterval it
 // returns a zero Commit (the background committer writes the record within
-// the interval). Like Append, key must be non-decreasing and calls must
-// come from one goroutine at a time.
+// the interval). key must be non-decreasing across appends (store versions
+// and event sequence numbers are), and calls must come from one goroutine
+// at a time.
 func (w *Writer) AppendAsync(key uint64, payload []byte) (Commit, error) {
 	w.qmu.Lock()
 	if w.closed {
@@ -198,7 +199,7 @@ func (w *Writer) piece(buf []byte) (n int, maxKey uint64) {
 
 // intervalLoop is the SyncInterval background committer: it drains the open
 // batch every tick. Flush errors latch w.err and surface on the next
-// Append/Sync/Close.
+// AppendAsync, Sync or Close.
 func (w *Writer) intervalLoop() {
 	defer close(w.done)
 	t := time.NewTicker(w.opts.Sync.interval)

@@ -70,7 +70,7 @@ var (
 	// watermark ahead of the disk).
 	SyncNever = SyncPolicy{mode: modeNever}
 	// SyncAlways acks every append only after a covering group fsync: each
-	// record is durable when Append (or Commit.Wait) returns, but one fsync
+	// record is durable when its Commit.Wait returns, but one fsync
 	// commits every record enqueued while the previous fsync ran.
 	SyncAlways = SyncPolicy{mode: modeAlways}
 )
@@ -159,9 +159,9 @@ type segInfo struct {
 	maxKey  uint64
 }
 
-// Writer appends records to a segment directory. AppendAsync/Append may be
+// Writer appends records to a segment directory. AppendAsync may be
 // called from one goroutine at a time (the store serialises appends under
-// each shard's lock), but they run concurrently with the group-commit
+// each shard's lock), but it runs concurrently with the group-commit
 // flusher and with Commit.Wait from any goroutine; the maintenance methods
 // (Sync, Rotate, TruncateBefore, Close, Stats) are safe to call from any
 // goroutine as well.
@@ -371,19 +371,6 @@ func AppendFrame(dst []byte, key uint64, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(dst[base+4:], crc32.ChecksumIEEE(body))
 	return dst
-}
-
-// Append frames one record into the open batch and waits as the policy
-// says: until the batch is written (SyncNever), written and fsynced
-// (SyncAlways), or not at all (SyncInterval). key must be non-decreasing
-// across appends (store versions and event sequence numbers are).
-// Equivalent to AppendAsync followed by Commit.Wait.
-func (w *Writer) Append(key uint64, payload []byte) error {
-	c, err := w.AppendAsync(key, payload)
-	if err != nil {
-		return err
-	}
-	return c.Wait()
 }
 
 // Rotate seals the active segment and starts the next one, flushing any

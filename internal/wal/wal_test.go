@@ -10,6 +10,17 @@ import (
 	"time"
 )
 
+// Append is AppendAsync followed by Commit.Wait: it waits as the policy
+// says, until the batch is written (SyncNever), written and fsynced
+// (SyncAlways), or not at all (SyncInterval).
+func (w *Writer) Append(key uint64, payload []byte) error {
+	c, err := w.AppendAsync(key, payload)
+	if err != nil {
+		return err
+	}
+	return c.Wait()
+}
+
 // readAll drains a reader, returning keys and payload copies.
 func readAll(t *testing.T, dir string) (keys []uint64, payloads [][]byte, damaged bool) {
 	t.Helper()

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -40,7 +41,7 @@ func TestGeneratePopulationArchetypesAreSimilar(t *testing.T) {
 	}
 	for arch, idxs := range byArch {
 		for _, i := range idxs[1:] {
-			if !pop.Workers[idxs[0]].Skills.Equal(pop.Workers[i].Skills) {
+			if !slices.Equal(pop.Workers[idxs[0]].Skills, pop.Workers[i].Skills) {
 				t.Fatalf("archetype %d skills differ", arch)
 			}
 		}
@@ -96,7 +97,7 @@ func TestGenerateTasksComparableCrossRequesterPairsExist(t *testing.T) {
 	for i := 0; i < len(batch.Tasks) && !found; i++ {
 		for j := i + 1; j < len(batch.Tasks); j++ {
 			a, b := batch.Tasks[i], batch.Tasks[j]
-			if a.Requester != b.Requester && a.Skills.Equal(b.Skills) {
+			if a.Requester != b.Requester && slices.Equal(a.Skills, b.Skills) {
 				found = true
 				break
 			}

@@ -16,6 +16,14 @@
 // paper's §3.3.2 (see ParsePolicy), rendered to human-readable text, and
 // audited against the platform's event trace. Full marketplace simulations
 // (the controlled experiments of §4.1) run through Simulate.
+//
+// A durable platform (OpenPlatform) can be followed by read replicas
+// (OpenReplica) in other processes. A replica is recovery's read side:
+// each CatchUp pass re-reads the primary's retained write-ahead log
+// through the replays OpenPlatform runs and applies what is past the
+// replica's version. A pass that races a checkpoint's segment truncation
+// returns a retryable error, and ErrGap reports a replica that fell behind
+// a truncation and must be re-opened.
 package crowdfair
 
 import (

@@ -6,6 +6,12 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/eventlog"
+	"repro/internal/fairness"
+	"repro/internal/stats"
+	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // clusterPairs lists, once each and ordered lo < hi, the pairs of n subjects
@@ -161,5 +167,100 @@ func BenchmarkPairSetDelta(b *testing.B) {
 	b.StopTimer()
 	if ps.count != want {
 		b.Fatalf("census holds %d pairs after the rounds, want %d", ps.count, want)
+	}
+}
+
+// moveSkills gives n random workers a skill pattern other than the one they
+// hold, so their Axiom 1–2 candidate pairs change.
+func (s *scenario) moveSkills(n int) {
+	for i := 0; i < n; i++ {
+		w, err := s.st.Worker(s.randomWorker())
+		if err != nil {
+			s.tb.Fatal(err)
+		}
+		for {
+			skills := s.u.MustVector(skillPatterns[s.rng.Intn(len(skillPatterns))]...)
+			if !slices.Equal(skills, w.Skills) {
+				w.Skills = skills
+				break
+			}
+		}
+		if err := s.st.UpdateWorker(w); err != nil {
+			s.tb.Fatal(err)
+		}
+	}
+}
+
+// requireCensusPass holds a pass to CheckAll over the same state: reports,
+// fingerprint and every axiom's Checked count.
+func requireCensusPass(t *testing.T, label string, p Pass, st *store.Store, log *eventlog.Log, cfg fairness.Config) {
+	t.Helper()
+	full := fairness.CheckAll(st, log, cfg)
+	requirePass(t, 0, p, full)
+	for i := range p.Reports {
+		if p.Reports[i].Checked != full[i].Checked {
+			t.Fatalf("%s, %s: checked %d, CheckAll %d", label, p.Reports[i].Axiom, p.Reports[i].Checked, full[i].Checked)
+		}
+	}
+}
+
+// TestSkillMovesReachCensus moves workers' skills between delta passes and
+// between a checkpoint and a warm Resume: the census of Axiom 1–2
+// candidate pairs must follow every move, so each pass — delta, the first
+// warm one, and delta passes after it — reports what CheckAll reports,
+// fingerprint and Checked counts included, under the default config and
+// the lsh kind.
+func TestSkillMovesReachCensus(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  fairness.Config
+	}{{"default", fairness.DefaultConfig()}, {"lsh", lshConfig(515)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := wal.Options{SegmentBytes: 8 << 10}
+			s := durableScenario(t, 53, dir, opts)
+			s.seed(60, 30, 300, 50)
+			eng := New(s.st, s.log, tc.cfg)
+			requireCensusPass(t, "cold", eng.AuditPass(), s.st, s.log, tc.cfg)
+			for round := 0; round < 4; round++ {
+				s.moveSkills(6)
+				for i := 0; i < 10; i++ {
+					s.mutate()
+				}
+				requireCensusPass(t, fmt.Sprintf("delta %d", round), eng.AuditPass(), s.st, s.log, tc.cfg)
+			}
+			checkpointWithAudit(t, s.st, s.log, eng, tc.cfg)
+			// Moves after the checkpoint: the sidecar's census is stale for
+			// these workers, and the warm restart must notice.
+			s.moveSkills(12)
+			for i := 0; i < 10; i++ {
+				s.mutate()
+			}
+			if err := s.st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st2, man, err := store.Open(dir, 0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			log2, err := eventlog.OpenDurable(store.EventsDir(dir), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log2.Close()
+			warm := resumeFromManifest(t, dir, st2, log2, tc.cfg, man)
+			requireCensusPass(t, "warm", warm.AuditPass(), st2, log2, tc.cfg)
+			s2 := &scenario{tb: t, st: st2, log: log2, rng: stats.NewRNG(91), u: s.u, reqs: s.reqs}
+			s2.wn, s2.tn, s2.cn = s.wn, s.tn, s.cn
+			for round := 0; round < 3; round++ {
+				s2.moveSkills(6)
+				requireCensusPass(t, fmt.Sprintf("warm delta %d", round), warm.AuditPass(), st2, log2, tc.cfg)
+			}
+		})
 	}
 }

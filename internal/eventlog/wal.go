@@ -14,6 +14,9 @@ import (
 // the store's changelog WAL, event segments are never truncated by
 // checkpoints: a cold audit rebuild replays the entire trace (the access
 // index and Axiom 5 are temporal), so the whole history stays replayable.
+// The same replay feeds a replica's trace: CatchUp re-reads another
+// process's event log and appends the events past the trace's length, so
+// a pass reads the whole retained log and decodes only what is new.
 //
 // The binary codec is the compact counterpart of the JSON-lines form
 // (WriteTo/Read): the sequence number travels as the WAL frame key and the
@@ -35,9 +38,8 @@ func encodeEvent(b []byte, e Event) []byte {
 }
 
 // DecodeWALEvent rebuilds an event from one event-log WAL frame (key =
-// sequence number, payload as written by a durable Log): OpenDurable's
-// replay, and the ingestion side of WAL shipping, used by replicas tailing
-// another process's events directory.
+// sequence number, payload as written by a durable Log): the decoder of
+// the one event replay, which OpenDurable and CatchUp share.
 func DecodeWALEvent(seq uint64, payload []byte) (Event, error) {
 	d := wal.NewDec(payload)
 	e := Event{
@@ -61,52 +63,47 @@ func DecodeWALEvent(seq uint64, payload []byte) (Event, error) {
 	return e, nil
 }
 
-// replayChunk is the number of events OpenDurable decodes into each of its
-// chunks before it allocates the trace once, at its exact length.
+// replayChunk is the number of events replay decodes into each of its
+// chunks before it allocates the result once, at its exact length.
 const replayChunk = 4096
 
-// OpenDurable opens (or creates) a durable event log rooted at dir: the
-// existing segments are replayed into memory — a torn or corrupt tail
-// recovers the longest valid prefix, and the attached writer truncates the
-// damaged bytes so appends continue a dense log. Sequence numbers are
-// reassigned on replay (they always equal the append position, so a clean
-// log round-trips identically), and the events must keep Append's time
-// order. Replay decodes into fixed-size chunks and then copies them into
-// one slice of the trace's exact length.
-func OpenDurable(dir string, opts wal.Options) (*Log, error) {
+// replay is the one event replay: it reads the segmented log in dir and
+// decodes every event after the first from (which it skips undecoded),
+// numbering each by its position and checking it against order, the time
+// rule's state after those from events. It stops at the longest valid
+// prefix: a torn frame ends the stream, and so does a CRC-valid but
+// undecodable record, which it reports as poisoned. The events are decoded
+// into fixed-size chunks and then copied into one slice of their exact
+// length (nil when there are none).
+func replay(dir string, from int, order timeOrder) (events []Event, poisoned bool, err error) {
 	r, err := wal.OpenDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	defer r.Close()
 	var (
-		chunks   [][]Event
-		chunk    []Event
-		order    timeOrder
-		n        int
-		poisoned bool
+		chunks [][]Event
+		chunk  []Event
+		n      int
 	)
-	for {
+	for pos := 0; ; pos++ {
 		_, payload, err := r.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			r.Close()
-			return nil, err
+			return nil, false, err
 		}
-		e, err := DecodeWALEvent(uint64(n+1), payload)
+		if pos < from {
+			continue
+		}
+		e, err := DecodeWALEvent(uint64(pos+1), payload)
 		if err != nil {
-			// CRC-valid but undecodable: treat like a torn frame — stop at
-			// the longest valid prefix. The record must also be physically
-			// removed below: wal.Create only truncates CRC-invalid tails,
-			// and appending behind a poison record would strand every
-			// later event on the next recovery.
 			poisoned = true
 			break
 		}
 		if err := order.admit(e.Time); err != nil {
-			r.Close()
-			return nil, fmt.Errorf("eventlog: replay: %w", err)
+			return nil, false, fmt.Errorf("eventlog: replay: %w", err)
 		}
 		if len(chunk) == cap(chunk) {
 			if chunk != nil {
@@ -117,17 +114,35 @@ func OpenDurable(dir string, opts wal.Options) (*Log, error) {
 		chunk = append(chunk, e)
 		n++
 	}
-	r.Close()
-	l := New()
 	if n > 0 {
 		chunks = append(chunks, chunk)
-		l.events = make([]Event, 0, n)
+		events = make([]Event, 0, n)
 		for i, c := range chunks {
-			l.events = append(l.events, c...)
+			events = append(events, c...)
 			chunks[i] = nil // collectable once copied
 		}
 	}
+	return events, poisoned, nil
+}
+
+// OpenDurable opens (or creates) a durable event log rooted at dir: the
+// existing segments are replayed into memory from position 0 — a torn or
+// corrupt tail recovers the longest valid prefix, and the attached writer
+// truncates the damaged bytes so appends continue a dense log. Sequence
+// numbers are reassigned on replay (they always equal the append position,
+// so a clean log round-trips identically), and the events must keep
+// Append's time order. The trace is allocated once, at its exact length.
+func OpenDurable(dir string, opts wal.Options) (*Log, error) {
+	events, poisoned, err := replay(dir, 0, timeOrder{})
+	if err != nil {
+		return nil, err
+	}
+	l := New()
+	l.events = events
 	if poisoned {
+		// The record must be physically removed: wal.Create only
+		// truncates CRC-invalid tails, and appending behind a poison
+		// record would strand every later event on the next recovery.
 		// Keys are the dense sequence numbers 1..Len, so cutting after the
 		// last replayed one removes the undecodable record and everything
 		// behind it.
@@ -144,6 +159,29 @@ func OpenDurable(dir string, opts wal.Options) (*Log, error) {
 	}
 	l.sink = w
 	return l, nil
+}
+
+// CatchUp is a replica's shipping pass over another process's event-log
+// directory: it runs OpenDurable's replay from the log's length and appends
+// the events found past it. A torn tail waits for a later pass; an
+// undecodable record fails the pass, since the primary's next recovery
+// cuts it. The log must be a volatile one that only CatchUp appends to.
+// Returns the number of events appended.
+func (l *Log) CatchUp(dir string) (int, error) {
+	l.mu.RLock()
+	from, order := len(l.events), orderAfter(l.events)
+	l.mu.RUnlock()
+	events, poisoned, err := replay(dir, from, order)
+	if err != nil {
+		return 0, err
+	}
+	l.mu.Lock()
+	l.events = append(l.events, events...)
+	l.mu.Unlock()
+	if poisoned {
+		return len(events), fmt.Errorf("eventlog: catch up: record %d is undecodable", from+len(events)+1)
+	}
+	return len(events), nil
 }
 
 // Sync flushes the durable tee to stable storage (no-op when volatile).

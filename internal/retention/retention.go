@@ -5,7 +5,7 @@
 //
 // The model is a per-worker satisfaction process: satisfaction starts at a
 // baseline and is moved by platform events (payments raise it; wrongful
-// rejections and reneged bonuses lower it), while
+// rejections, interruptions, and reneged bonuses lower it), while
 // transparency damps the negative shocks — the mechanism the literature the
 // paper cites reports (requester transparency increases engagement [16],
 // workflow transparency increases contributions [13], feedback increases
@@ -39,6 +39,9 @@ type Params struct {
 	// (default 0.15); with full transparency the loss is scaled by
 	// (1 - TransparencyRelief * transparencyScore).
 	RejectionShock float64
+	// InterruptShock is the loss when in-progress work is cancelled
+	// (default 0.2).
+	InterruptShock float64
 	// RenegeShock is the loss when a promised bonus is not paid
 	// (default 0.25).
 	RenegeShock float64
@@ -66,6 +69,7 @@ func (p Params) WithDefaults() Params {
 	p.ChurnPoint = orDefault(p.ChurnPoint, 0.3)
 	p.PaymentBoost = orDefault(p.PaymentBoost, 0.02)
 	p.RejectionShock = orDefault(p.RejectionShock, 0.15)
+	p.InterruptShock = orDefault(p.InterruptShock, 0.2)
 	p.RenegeShock = orDefault(p.RenegeShock, 0.25)
 	p.TransparencyRelief = orDefault(p.TransparencyRelief, 0.6)
 	p.QualityCoupling = orDefault(p.QualityCoupling, 0.3)
@@ -170,6 +174,11 @@ func (m *Model) OnRejection(id model.WorkerID, explained bool) bool {
 		shock /= 2
 	}
 	return m.shift(id, -shock)
+}
+
+// OnInterruption records cancelled in-progress work (the Axiom 5 injury).
+func (m *Model) OnInterruption(id model.WorkerID) bool {
+	return m.shift(id, -m.relief(m.params.InterruptShock))
 }
 
 // OnRenege records a dishonoured bonus promise.

@@ -361,6 +361,9 @@ func (r *runner) runRound(tasks []*model.Task) error {
 	engine.Advance(1)
 	r.now = engine.Now()
 
+	// Interruptions come only from submissions that fill a quota, so the
+	// events the loop below appends hold every TaskInterrupted of the round.
+	mark := r.log.Len()
 	var roundContribs []pendingContrib
 	for _, i := range order {
 		a := res.Assignments[i]
@@ -388,6 +391,14 @@ func (r *runner) runRound(tasks []*model.Task) error {
 		roundContribs = append(roundContribs, pendingContrib{a, c})
 		engine.Advance(1)
 		r.now = engine.Now()
+	}
+
+	// Each interruption (the Axiom 5 injury) reaches the worker's
+	// satisfaction.
+	for _, e := range r.log.Prefix()[mark:] {
+		if e.Type == eventlog.TaskInterrupted && r.ret.OnInterruption(e.Worker) {
+			r.log.MustAppend(eventlog.Event{Time: r.now, Type: eventlog.WorkerLeft, Worker: e.Worker, Note: "interrupted"})
+		}
 	}
 
 	// Requester decisions, payment, and behavioural feedback.

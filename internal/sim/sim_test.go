@@ -7,7 +7,9 @@ import (
 	"repro/internal/complete"
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
+	"repro/internal/model"
 	"repro/internal/pay"
+	"repro/internal/retention"
 	"repro/internal/stats"
 	"repro/internal/transparency"
 	"repro/internal/workload"
@@ -152,6 +154,44 @@ func TestRunCancelOnQuotaProducesInterruptions(t *testing.T) {
 	if len(rep.Violations) != res.Metrics.Interrupted {
 		t.Fatalf("checker found %d violations, engine counted %d",
 			len(rep.Violations), res.Metrics.Interrupted)
+	}
+}
+
+// TestInterruptionsReachRetention isolates the interruption shock: with
+// every other satisfaction move switched off, exactly the workers the
+// completion engine interrupted fall below the baseline, and each one that
+// churned left the trace a WorkerLeft event.
+func TestInterruptionsReachRetention(t *testing.T) {
+	cfg := smallConfig(5)
+	cfg.Cancellation = complete.CancelOnQuota
+	cfg.RetentionParams = retention.Params{PaymentBoost: -1, RejectionShock: -1, RenegeShock: -1, OpacityDrag: -1}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interrupted := make(map[model.WorkerID]bool)
+	for _, e := range res.Log.ByType(eventlog.TaskInterrupted) {
+		interrupted[e.Worker] = true
+	}
+	if len(interrupted) == 0 {
+		t.Fatal("over-published tasks under on-quota cancellation produced no interruptions")
+	}
+	left := make(map[model.WorkerID]bool)
+	for _, e := range res.Log.ByType(eventlog.WorkerLeft) {
+		left[e.Worker] = true
+	}
+	baseline := retention.Params{}.WithDefaults().Baseline
+	for _, w := range res.Store.Workers() {
+		got := res.Retention.Satisfaction(w.ID)
+		if interrupted[w.ID] && got >= baseline {
+			t.Errorf("interrupted worker %s kept satisfaction %.3f, baseline %.3f", w.ID, got, baseline)
+		}
+		if !interrupted[w.ID] && got != baseline {
+			t.Errorf("worker %s was never interrupted but has satisfaction %.3f, baseline %.3f", w.ID, got, baseline)
+		}
+		if !res.Retention.Active(w.ID) && !left[w.ID] {
+			t.Errorf("worker %s churned without a WorkerLeft event", w.ID)
+		}
 	}
 }
 

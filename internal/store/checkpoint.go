@@ -366,11 +366,14 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 	return m, nil
 }
 
-// replayStream is one shard directory's decoded mutation stream during
-// recovery, consumed in version order by the k-way merge.
+// replayStream is one shard directory's record stream during a replay,
+// consumed in version order by the k-way merge. The head record is decoded
+// only when the merge applies or re-seeds it, so records a catch-up pass
+// already holds are skipped undecoded.
 type replayStream struct {
 	r       *wal.Reader
-	head    Mutation
+	key     uint64
+	payload []byte
 	hasHead bool
 }
 
@@ -383,15 +386,7 @@ func (rs *replayStream) advance() error {
 	if err != nil {
 		return err
 	}
-	m, err := decodeMutation(key, payload, walEpoch)
-	if err != nil {
-		// A CRC-valid but undecodable record is a hole just like a torn
-		// frame: stop this stream at the longest valid prefix.
-		rs.hasHead = false
-		return nil
-	}
-	rs.head = m
-	rs.hasHead = true
+	rs.key, rs.payload, rs.hasHead = key, payload, true
 	return nil
 }
 
@@ -474,7 +469,7 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 		}
 	}
 
-	lastApplied, preSnapshotTear, err := s.replayWAL(dir, man)
+	lastApplied, _, preSnapshotTear, err := s.replayWAL(dir, man.Version, s.applyReplay, s.seedRing)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -504,11 +499,11 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 
 // Bootstrap rebuilds the checkpointed state of a durable store directory
 // without attaching WAL writers, replaying the tail, or truncating anything
-// on disk — the read-only foundation a replica (internal/replica) builds
-// on. The returned store is volatile (no WAL attached) and positioned
-// exactly at the manifest: Version() == manifest version, every ring empty
-// with droppedMax at the manifest version, so changelog consumers start
-// from the WAL tail the replica will feed through ApplyWALFrame.
+// on disk — the read-only foundation of a replica, which then follows the
+// tail with CatchUp. The returned store is volatile (no WAL attached) and
+// positioned exactly at the manifest: Version() == manifest version, every
+// ring empty with droppedMax at the manifest version, so changelog
+// consumers start from the records CatchUp applies.
 func Bootstrap(dir string) (*Store, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
@@ -526,19 +521,29 @@ func Bootstrap(dir string) (*Store, *Manifest, error) {
 	return s, man, nil
 }
 
-// ApplyWALFrame decodes one changelog WAL frame (key = version, payload as
-// written by the store's shards) and applies it at its original version,
-// routed by its entity id — the ingestion side of WAL shipping: a follower
-// tailing another process's log feeds frames here in global version order.
-// The entity is validated like any live mutation, and the store keeps the
-// one it decoded, its skills packed, as recovery does: no caller holds it,
+// CatchUp is a replica's shipping pass over another process's durable
+// directory: it replays the retained WAL of every shard directory through
+// the same merge Open runs and applies, under the shard locks, every record
+// above the store's version up to the first version gap. A record still
+// being appended reads as a torn tail and ends its stream, so it waits for
+// a later pass; so does a version some shard has not flushed yet. Returns
+// the number of records applied and the highest version seen on disk. A
+// segment the primary's checkpoint removes while the pass reads the
+// directory fails the pass with an error; the next pass lists the
+// directory afresh. The store must be a volatile one (Bootstrap) that only
+// CatchUp mutates.
+func (s *Store) CatchUp(dir string) (applied int, observed uint64, err error) {
+	from := s.Version()
+	last, observed, _, err := s.replayWAL(dir, from, s.applyFrame, nil)
+	return int(last - from), observed, err
+}
+
+// applyFrame applies one decoded WAL mutation at its original version under
+// its owning shard's lock — a replica's apply path. The store keeps the
+// entity decoded, its skills packed, as recovery does: no caller holds it,
 // so nothing is cloned. Like the live mutators, the durability wait of a
-// durable replica happens after the shard lock is released.
-func (s *Store) ApplyWALFrame(key uint64, payload []byte) error {
-	m, err := decodeMutation(key, payload, walEpoch)
-	if err != nil {
-		return err
-	}
+// store with WALs attached happens after the shard lock is released.
+func (s *Store) applyFrame(m Mutation) error {
 	m.packSkills()
 	sh := s.lockOwner(m.primaryID())
 	return commitOutside(sh, func() (wal.Commit, error) {
@@ -546,16 +551,23 @@ func (s *Store) ApplyWALFrame(key uint64, payload []byte) error {
 	})
 }
 
-// replayWAL merges every shard directory's stream by version and applies
-// the tail. Returns the highest version surviving recovery and whether a
-// stream tore below the snapshot version. A WAL directory other than the
-// width's shard directories was left by online resharding, and its records
-// would be lost unseen: the layout is refused instead.
-func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSnapshotTear bool, err error) {
-	lastApplied = man.Version
+// replayWAL is the one merge of the shard WAL streams, shared by recovery
+// (Open) and a replica's CatchUp. It merges every shard directory's stream
+// by version; a record above from goes to apply when it extends the dense
+// version order, and the first version gap (a torn or undecodable record in
+// some shard) ends what is applied — the longest globally dense prefix
+// wins, and the records behind the gap are only counted in observed. A
+// record at or below from goes to seed, or is skipped undecoded when seed
+// is nil. Returns the highest version applied (from when none), the
+// highest version seen, and whether a stream tore at or below from. A WAL
+// directory other than the width's shard directories was left by online
+// resharding, and its records would be lost unseen: the layout is refused
+// instead.
+func (s *Store) replayWAL(dir string, from uint64, apply func(Mutation) error, seed func(Mutation)) (last, observed uint64, tornBelow bool, err error) {
+	last = from
 	entries, err := os.ReadDir(WALDir(dir))
 	if err != nil && !os.IsNotExist(err) {
-		return 0, false, fmt.Errorf("store: open wal: %w", err)
+		return last, 0, false, fmt.Errorf("store: open wal: %w", err)
 	}
 	shardDirs := make(map[string]bool, len(s.shards))
 	for i := range s.shards {
@@ -563,7 +575,7 @@ func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSna
 	}
 	for _, e := range entries {
 		if !shardDirs[e.Name()] {
-			return 0, false, fmt.Errorf("%w (wal directory %s)", errResharded, e.Name())
+			return last, 0, false, fmt.Errorf("%w (wal directory %s)", errResharded, e.Name())
 		}
 	}
 	streams := make([]*replayStream, 0, len(s.shards))
@@ -575,61 +587,68 @@ func (s *Store) replayWAL(dir string, man *Manifest) (lastApplied uint64, preSna
 	for i := range s.shards {
 		r, err := wal.OpenDir(WALShardDir(dir, i))
 		if err != nil {
-			return 0, false, err
+			return last, 0, false, err
 		}
 		rs := &replayStream{r: r}
-		if err := rs.advance(); err != nil {
-			return 0, false, err
-		}
 		streams = append(streams, rs)
+		if err := rs.advance(); err != nil {
+			return last, 0, false, err
+		}
 	}
 
 	for {
-		best := -1
-		for i, rs := range streams {
-			if !rs.hasHead {
-				continue
-			}
-			if best < 0 || rs.head.Change.Version < streams[best].head.Change.Version {
-				best = i
+		var rs *replayStream
+		for _, c := range streams {
+			if c.hasHead && (rs == nil || c.key < rs.key) {
+				rs = c
 			}
 		}
-		if best < 0 {
+		if rs == nil {
 			break
 		}
-		m := streams[best].head
-		v := m.Change.Version
-		if v > man.Version {
-			if v != lastApplied+1 {
-				// Version gap: a record was lost (torn tail in some
-				// shard). Everything from the gap on is discarded — the
-				// longest globally dense prefix wins.
-				break
+		v := rs.key
+		if v > observed {
+			observed = v
+		}
+		if v == last+1 || (v <= from && seed != nil) {
+			m, err := decodeMutation(v, rs.payload, walEpoch)
+			if err != nil {
+				// A CRC-valid but undecodable record is a hole just like
+				// a torn frame: stop this stream at the longest valid
+				// prefix.
+				rs.hasHead = false
+				continue
 			}
-			if err := s.applyReplay(m); err != nil {
-				return 0, false, err
-			}
-			lastApplied = v
-		} else {
-			// The snapshot already holds this mutation's effect; re-seed
-			// the owning shard's ring so warm-started changelog cursors
-			// between low-water and watermark still read cleanly.
-			sh := s.shardFor(m.primaryID())
-			sh.ring.record(m.Change)
-			if v > sh.applied {
-				sh.applied = v
+			if v > from {
+				if err := apply(m); err != nil {
+					return last, observed, false, err
+				}
+				last = v
+			} else {
+				seed(m)
 			}
 		}
-		if err := streams[best].advance(); err != nil {
-			return 0, false, err
+		if err := rs.advance(); err != nil {
+			return last, observed, false, err
 		}
 	}
 	for _, rs := range streams {
-		if rs.r.Damaged() && rs.head.Change.Version <= man.Version {
-			preSnapshotTear = true
+		if rs.r.Damaged() && rs.key <= from {
+			tornBelow = true
 		}
 	}
-	return lastApplied, preSnapshotTear, nil
+	return last, observed, tornBelow, nil
+}
+
+// seedRing re-records a WAL mutation the snapshot already holds in its
+// owning shard's ring, so warm-started changelog cursors between low-water
+// and watermark still read cleanly.
+func (s *Store) seedRing(m Mutation) {
+	sh := s.shardFor(m.primaryID())
+	sh.ring.record(m.Change)
+	if v := m.Change.Version; v > sh.applied {
+		sh.applied = v
+	}
 }
 
 // applyReplay applies one post-snapshot WAL mutation with its original

@@ -675,6 +675,17 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 	}
 }
 
+// ApplyWALFrame decodes one changelog WAL frame (key = version, payload as
+// written by the store's shards) and applies it through CatchUp's apply
+// path.
+func (s *Store) ApplyWALFrame(key uint64, payload []byte) error {
+	m, err := decodeMutation(key, payload, walEpoch)
+	if err != nil {
+		return err
+	}
+	return s.applyFrame(m)
+}
+
 // TestApplyWALFrameAdoptsDecodedEntity: a replica's ApplyWALFrame stores
 // the entity it decodes, skills packed, and copies nothing: per frame it
 // allocates what decoding the frame does plus one, the packing of the

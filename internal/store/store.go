@@ -37,7 +37,12 @@
 // Checkpoint pins a snapshot and truncates dead segments; Open rebuilds
 // the snapshot and replays the WAL tail with original version numbers,
 // recovering the longest globally dense prefix after a torn final record
-// (see checkpoint.go).
+// (see checkpoint.go). That replay, the one merge of the shard WAL
+// streams, also feeds a replica: Bootstrap rebuilds a volatile store from
+// the checkpoint of another process's directory, and each CatchUp pass
+// re-reads the retained WAL and applies, under the shard locks, what lies
+// above the store's version up to the first version gap. A segment the
+// primary truncates during a pass fails it with a retryable error.
 package store
 
 import (

@@ -7,7 +7,8 @@ import (
 )
 
 // Reader iterates every record in a segment directory in append order —
-// the sequential replay path of store.Open and eventlog.OpenDurable. The
+// the one replay path over a directory's records: recovery (store.Open,
+// eventlog.OpenDurable) and a replica's catch-up passes. The
 // whole current segment is read into memory and frames are sliced out of
 // the buffer (an mmap-style zero-copy scan: returned payloads alias the
 // segment buffer and must not be retained across Close).

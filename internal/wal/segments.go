@@ -6,12 +6,11 @@ import (
 	"os"
 )
 
-// Exported segment-level access to a WAL directory: enough for an external
-// tailer (internal/replica) to ship a live log without re-implementing the
-// directory layout or the frame scan. Reader (reader.go) remains the whole-
-// log replay path; Segments/SegmentReader expose the per-segment structure —
-// which files exist, which are sealed, and incremental reads from a byte
-// offset so the active segment can be polled as it grows.
+// Segment-level access to a WAL: Segments lists the files of a directory
+// (bench tooling sizes logs with it), and SegmentReader scans one segment
+// image held in memory — the store's checkpoint snapshot is written as
+// such an image. Reader (reader.go) is the one replay path over a
+// directory's records.
 
 // SegmentInfo describes one on-disk segment file.
 type SegmentInfo struct {
@@ -48,36 +47,21 @@ func Segments(dir string) ([]SegmentInfo, error) {
 	return out, nil
 }
 
-// SegmentReader iterates the records of a single segment file starting at
-// a byte offset — the polling read of a live log tail. Unlike Reader, a
-// torn frame is not latched as damage: Next returns io.EOF and Offset
-// stays at the start of the incomplete frame, so the caller re-opens at
-// the same offset after the writer finishes (or repairs) it.
+// SegmentReader iterates the records of one segment image in memory. Unlike
+// Reader, a torn frame is not latched as damage: Next returns io.EOF,
+// Offset stays at the start of the incomplete frame, and Clean reports
+// false.
 type SegmentReader struct {
 	data []byte
 	off  int64
-}
-
-// OpenSegmentReader opens one segment for reading from the given byte
-// offset (0 reads the whole segment). The file is snapshotted in memory at
-// open time: records appended afterwards are picked up by the next open.
-func OpenSegmentReader(path string, offset int64) (*SegmentReader, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: read segment: %w", err)
-	}
-	if offset < 0 || offset > int64(len(data)) {
-		return nil, fmt.Errorf("wal: segment offset %d out of range [0,%d]", offset, len(data))
-	}
-	return &SegmentReader{data: data, off: offset}, nil
 }
 
 // NewSegmentReader reads a segment image already in memory from its start.
 func NewSegmentReader(data []byte) *SegmentReader { return &SegmentReader{data: data} }
 
 // Next returns the next record, or io.EOF when no complete valid frame
-// remains at the current offset (clean end of the snapshot, a frame still
-// being appended, or a corrupt one — Offset distinguishes a clean end).
+// remains at the current offset (a clean end of the image, or a partial or
+// corrupt frame — Clean distinguishes the two).
 func (r *SegmentReader) Next() (key uint64, payload []byte, err error) {
 	if r.off >= int64(len(r.data)) {
 		return 0, nil, io.EOF
@@ -94,16 +78,9 @@ func (r *SegmentReader) Next() (key uint64, payload []byte, err error) {
 	return k, rest, nil
 }
 
-// Offset returns the byte position after the last complete record read —
-// the resume point for the next OpenSegmentReader over the same file.
+// Offset returns the byte position after the last complete record read.
 func (r *SegmentReader) Offset() int64 { return r.off }
 
-// Clean reports whether the reader consumed its snapshot exactly to the
-// end: false after io.EOF means a partial or invalid frame sits at Offset.
+// Clean reports whether the reader consumed its image exactly to the end:
+// false after io.EOF means a partial or invalid frame sits at Offset.
 func (r *SegmentReader) Clean() bool { return r.off == int64(len(r.data)) }
-
-// Close releases the segment buffer.
-func (r *SegmentReader) Close() error {
-	r.data = nil
-	return nil
-}

@@ -47,10 +47,11 @@ func TestSegmentsListing(t *testing.T) {
 	// Reading every segment end to end yields the full key sequence.
 	var keys []uint64
 	for _, sg := range segs {
-		r, err := OpenSegmentReader(sg.Path, 0)
+		data, err := os.ReadFile(sg.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := NewSegmentReader(data)
 		for {
 			k, payload, err := r.Next()
 			if err == io.EOF {
@@ -67,7 +68,6 @@ func TestSegmentsListing(t *testing.T) {
 		if !r.Clean() {
 			t.Fatalf("segment %d: unclean end at offset %d", sg.Ordinal, r.Offset())
 		}
-		r.Close()
 	}
 	if len(keys) != n {
 		t.Fatalf("read %d records, want %d", len(keys), n)
@@ -87,44 +87,17 @@ func TestSegmentsListing(t *testing.T) {
 	}
 }
 
-// TestSegmentReaderResume pins the polling contract: Offset after a partial
-// read is a valid resume point, and a torn tail reads as io.EOF with
-// Clean() == false, leaving Offset at the incomplete frame.
+// TestSegmentReaderResume pins the torn-tail contract of a segment image:
+// a partial final frame reads as io.EOF with Clean() == false, leaving
+// Offset at the incomplete frame, so the bytes from Offset on hold no
+// complete record.
 func TestSegmentReaderResume(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 10; i++ {
-		if err := w.Append(uint64(i), []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := Segments(dir)
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("want 1 segment, got %d (err %v)", len(segs), err)
-	}
-	path := segs[0].Path
-
-	r, err := OpenSegmentReader(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, _, err := r.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mid := r.Offset()
-	r.Close()
-
-	// More records arrive; resuming at the saved offset sees exactly the
-	// remainder.
-	for i := 11; i <= 12; i++ {
+	for i := 1; i <= 12; i++ {
 		if err := w.Append(uint64(i), []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
@@ -132,41 +105,17 @@ func TestSegmentReaderResume(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err = OpenSegmentReader(path, mid)
+	segs, err := Segments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want 1 segment, got %d (err %v)", len(segs), err)
+	}
+	data, err := os.ReadFile(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var got []uint64
-	for {
-		k, _, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, k)
-	}
-	if !r.Clean() {
-		t.Fatalf("unclean end at %d", r.Offset())
-	}
-	r.Close()
-	if len(got) != 8 || got[0] != 5 || got[len(got)-1] != 12 {
-		t.Fatalf("resume read %v, want keys 5..12", got)
 	}
 
-	// Tear the tail: chop the last 3 bytes off the final frame.
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-	r, err = OpenSegmentReader(path, mid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The whole image reads cleanly.
+	r := NewSegmentReader(data)
 	n := 0
 	for {
 		if _, _, err := r.Next(); err == io.EOF {
@@ -174,27 +123,35 @@ func TestSegmentReaderResume(t *testing.T) {
 		}
 		n++
 	}
-	if n != 7 {
-		t.Fatalf("torn tail: read %d complete records, want 7", n)
+	if n != 12 || !r.Clean() || r.Offset() != int64(len(data)) {
+		t.Fatalf("clean image: read %d records, clean %v at %d of %d", n, r.Clean(), r.Offset(), len(data))
+	}
+
+	// Tear the tail: chop the last 3 bytes off the final frame.
+	torn := data[:len(data)-3]
+	r = NewSegmentReader(torn)
+	n = 0
+	for {
+		if _, _, err := r.Next(); err == io.EOF {
+			break
+		}
+		n++
+	}
+	if n != 11 {
+		t.Fatalf("torn tail: read %d complete records, want 11", n)
 	}
 	if r.Clean() {
 		t.Fatal("torn tail reported clean")
 	}
 	tornAt := r.Offset()
-	r.Close()
 
-	// The offset parks at the incomplete frame, so a reader opened there
-	// sees it immediately.
-	r, err = OpenSegmentReader(path, tornAt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The offset parks at the incomplete frame: the bytes from there on
+	// hold no complete record.
+	r = NewSegmentReader(torn[tornAt:])
 	if _, _, err := r.Next(); err != io.EOF {
 		t.Fatalf("read past torn frame: %v", err)
 	}
-	r.Close()
-
-	if _, err := OpenSegmentReader(path, 1<<30); err == nil {
-		t.Fatal("out-of-range offset accepted")
+	if r.Clean() {
+		t.Fatal("incomplete frame reported clean")
 	}
 }

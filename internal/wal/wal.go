@@ -29,6 +29,13 @@
 // flushed), SyncInterval(d) acks at once and a background committer
 // writes and fsyncs the batch every d (durable within d), and SyncAlways
 // waits for the write and its fsync.
+//
+// Readers: Reader replays a directory from its first retained segment; it
+// is how recovery and a replica's catch-up read another process's log. A
+// reader over a live log sees a frame still being written as a torn tail
+// and stops before it, and a segment a writer's TruncateBefore unlinks
+// between the reader's listing and its read fails the read with an error
+// the caller retries.
 package wal
 
 import (

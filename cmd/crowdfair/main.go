@@ -5,7 +5,7 @@
 //
 // Subcommands:
 //
-//	crowdfair simulate -workers 200 -tasks 100 -assigner requester-centric -policy policy.tp
+//	crowdfair simulate -workers 200 -tasks 100 -assigner requester-centric -policy policy.tp -trace trace.jsonl -snapshot snapshot.json
 //	crowdfair audit -trace trace.jsonl -snapshot snapshot.json
 //	crowdfair policy -render policy.tp
 //	crowdfair policy -compare a.tp b.tp
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 func usage(stderr io.Writer) {
 	fmt.Fprintln(stderr, `usage:
-  crowdfair simulate [-workers N] [-tasks N] [-rounds N] [-assigner NAME] [-pay NAME] [-cancel NAME] [-policy FILE] [-seed N] [-trace FILE]
+  crowdfair simulate [-workers N] [-tasks N] [-rounds N] [-assigner NAME] [-pay NAME] [-cancel NAME] [-policy FILE] [-seed N] [-trace FILE] [-snapshot FILE]
   crowdfair audit -trace FILE [-snapshot FILE]
   crowdfair policy (-render FILE | -compare FILE FILE | -check FILE)
   crowdfair wages -trace FILE
@@ -136,6 +136,7 @@ func runSimulate(args []string, stdout, stderr io.Writer) error {
 	policyFile := fs.String("policy", "", "transparency policy file (empty = opaque)")
 	seed := fs.Uint64("seed", 42, "seed")
 	traceOut := fs.String("trace", "", "write the event trace to this file")
+	snapOut := fs.String("snapshot", "", "write the final platform snapshot (JSON) to this file")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -188,6 +189,16 @@ func runSimulate(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(stdout, "trace written to", *traceOut)
+	}
+	if *snapOut != "" {
+		data, err := res.Platform.Store().Snapshot().Encode()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*snapOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "snapshot written to", *snapOut)
 	}
 	return nil
 }

@@ -98,3 +98,31 @@ func lineWith(out, substr string) string {
 	}
 	return ""
 }
+
+// TestSimulateSnapshotAuditRoundTrip writes a simulation's trace and final
+// snapshot and audits them back: every fairness and transparency summary
+// line must match the simulation's own audit, Axioms 1–4 included, which
+// need the snapshot's workers, tasks and contributions.
+func TestSimulateSnapshotAuditRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	trace, snap := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "snapshot.json")
+	sim, _, code := cli("simulate", "-workers", "40", "-tasks", "20", "-assigner", "online-greedy", "-trace", trace, "-snapshot", snap)
+	if code != 0 || !strings.Contains(sim, "snapshot written to "+snap) {
+		t.Fatalf("simulate: exit %d\n%s", code, sim)
+	}
+	audit, _, code := cli("audit", "-trace", trace, "-snapshot", snap)
+	if code != 0 {
+		t.Fatalf("audit: exit %d", code)
+	}
+	violations := false
+	for _, axiom := range []string{"Axiom 1 ", "Axiom 2 ", "Axiom 3 ", "Axiom 4 ", "Axiom 5 ", "Axiom 6:", "Axiom 7:"} {
+		want, got := lineWith(sim, axiom), lineWith(audit, axiom)
+		if want == "" || got != want {
+			t.Errorf("%s: audit of trace and snapshot %q, simulation %q", axiom, got, want)
+		}
+		violations = violations || (strings.Contains(want, "violations=") && !strings.Contains(want, "violations=0 "))
+	}
+	if !violations {
+		t.Fatalf("the simulation found no fairness violation, so the round trip shows little:\n%s", sim)
+	}
+}

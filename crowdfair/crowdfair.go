@@ -76,8 +76,8 @@ type (
 	AuditConfig = fairness.Config
 	// TransparencyReport is the outcome of checking Axiom 6 or 7.
 	TransparencyReport = transparency.AxiomReport
-	// TransparencyGap is one undisclosed (field, subject) pair of a
-	// TransparencyReport's Detail or a policy compliance audit.
+	// TransparencyGap is one undisclosed (field, subject) pair, as a
+	// TransparencyReport's Detail.At returns it.
 	TransparencyGap = transparency.Gap
 	// Policy is a parsed declarative transparency policy.
 	Policy = transparency.Policy

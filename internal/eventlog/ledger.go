@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -79,38 +80,51 @@ func (l *Log) ReadLedger(fn func(*Ledger)) {
 	fn(d)
 }
 
-// Missing counts the subjects of kind k holding any role in roles that
-// were never disclosed field. A non-nil fn is also called for each of them
-// in id order, with the task's owner when k is KindTask.
-func (d *Ledger) Missing(k Kind, roles Role, field string, fn func(id string, owner model.RequesterID)) int {
+// Undisclosed returns the dense index of every subject of kind k holding
+// any role in roles that was never disclosed field, in id order. The slice
+// is the caller's; IDs resolves its indexes and, for KindTask, Owners the
+// tasks' requesters.
+func (d *Ledger) Undisclosed(k Kind, roles Role, field string) []int32 {
 	s := &d.kinds[k]
-	var bits []uint64
+	var set []uint64
 	if f, ok := d.fields[field]; ok && f < len(s.disclosed) {
-		bits = s.disclosed[f]
+		set = s.disclosed[f]
 	}
-	missing := func(i int32) bool {
-		if s.roles[i]&roles == 0 {
-			return false
-		}
-		w := int(i) / 64
-		return w >= len(bits) || bits[w]&(1<<(uint(i)%64)) == 0
+	// No disclosed subject is missing, so this bounds the answer: one
+	// allocation of about its size, without a counting pass.
+	bound := len(s.sorted)
+	for _, w := range set {
+		bound -= bits.OnesCount64(w)
 	}
-	n := 0
+	var out []int32
 	for _, i := range s.sorted {
-		if !missing(i) {
+		if s.roles[i]&roles == 0 {
 			continue
 		}
-		n++
-		if fn != nil {
-			var owner model.RequesterID
-			if k == KindTask {
-				owner = d.owner[i]
-			}
-			fn(s.ids[i], owner)
+		if w := int(i) / 64; w < len(set) && set[w]&(1<<(uint(i)%64)) != 0 {
+			continue
 		}
+		if out == nil {
+			out = make([]int32, 0, bound)
+		}
+		out = append(out, i)
 	}
-	return n
+	return out
 }
+
+// IDs returns kind k's id table: IDs(k)[i] is the id of dense index i. The
+// table is append-only — an interned id never moves or changes — so the
+// returned slice, capped at its length, stays valid after ReadLedger
+// returns.
+func (d *Ledger) IDs(k Kind) []string {
+	ids := d.kinds[k].ids
+	return ids[:len(ids):len(ids)]
+}
+
+// Owners returns each task's requester by dense task index. A later
+// TaskPosted re-owns a task in place, so a caller keeping owners past
+// ReadLedger must copy them.
+func (d *Ledger) Owners() []model.RequesterID { return d.owner }
 
 func (d *Ledger) fold(events []Event) {
 	if d.fields == nil {

@@ -235,10 +235,10 @@ func TestRunFullPolicySatisfiesTransparencyAxioms(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep := transparency.CheckAxiom6(cat, res.Log); !rep.Satisfied() {
-		t.Fatalf("full policy violated Axiom 6: %v", rep.Detail[0])
+		t.Fatalf("full policy violated Axiom 6: %v", rep.Detail.At(0))
 	}
 	if rep := transparency.CheckAxiom7(cat, res.Log); !rep.Satisfied() {
-		t.Fatalf("full policy violated Axiom 7: %v", rep.Detail[0])
+		t.Fatalf("full policy violated Axiom 7: %v", rep.Detail.At(0))
 	}
 	if res.Metrics.TransparencyScore != 1 {
 		t.Fatalf("score = %v", res.Metrics.TransparencyScore)

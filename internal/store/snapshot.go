@@ -6,6 +6,15 @@ import (
 	"repro/internal/model"
 )
 
+// Snapshot captures the entire store as a serialisable model.Snapshot
+// under one consistent cut — what Checkpoint writes, in the JSON
+// interchange form of model.Snapshot.Encode.
+func (s *Store) Snapshot() *model.Snapshot {
+	shs, release := s.rlockView()
+	defer release()
+	return s.snapshot(shs)
+}
+
 // snapshot gathers the full state under a held whole-key-space view (the
 // caller — Checkpoint — pins the shard locks for a consistent cut across
 // all four tables).

@@ -7,14 +7,6 @@ import (
 	"repro/internal/model"
 )
 
-// Snapshot captures the entire store as a serialisable model.Snapshot
-// under one consistent cut: the tests' view of what Checkpoint writes.
-func (s *Store) Snapshot() *model.Snapshot {
-	shs, release := s.rlockView()
-	defer release()
-	return s.snapshot(shs)
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := seeded(t)
 	if err := s.PutContribution(&model.Contribution{ID: "c1", Task: "t1", Worker: "w1", Quality: 0.5}); err != nil {

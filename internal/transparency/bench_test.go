@@ -64,8 +64,11 @@ func churnTrace() []eventlog.Event {
 	return evs
 }
 
-// gapSink keeps the benchmarked calls' results live.
-var gapSink []Gap
+// gapSink and reportSink keep the benchmarked calls' results live.
+var (
+	gapSink    Gaps
+	reportSink *AxiomReport
+)
 
 // BenchmarkPolicyCompliance audits the audit_churn policy against a
 // ~158k-event trace: cold is a log's first read, which folds the whole
@@ -106,4 +109,33 @@ func BenchmarkPolicyCompliance(b *testing.B) {
 			gapSink = PolicyCompliance(pol, l)
 		}
 	})
+}
+
+// BenchmarkTransparencyRound is one audit_churn transparency round on a
+// warm ledger: CheckAxiom6 and CheckAxiom7 over the standard catalogue
+// and PolicyCompliance of the platform policy, after 15 more disclosures.
+func BenchmarkTransparencyRound(b *testing.B) {
+	cat, pol := StandardCatalogue(), MustParse(churnPolicy)
+	l := eventlog.New()
+	if err := l.AppendBatch(churnTrace()); err != nil {
+		b.Fatal(err)
+	}
+	PolicyCompliance(pol, l)
+	rng := rand.New(rand.NewSource(2))
+	more := make([]eventlog.Event, 15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range more {
+			more[j] = eventlog.Event{Type: eventlog.Disclosure, Worker: model.WorkerID(fmt.Sprintf("w%06d", rng.Intn(30000))), Field: "worker.performance"}
+		}
+		if err := l.AppendBatch(more); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		reportSink = CheckAxiom6(cat, l)
+		reportSink = CheckAxiom7(cat, l)
+		gapSink = PolicyCompliance(pol, l)
+	}
 }

@@ -14,17 +14,17 @@ type AxiomReport struct {
 	Required []FieldRef
 	// Missing lists required refs the audited party never disclosed.
 	Missing []FieldRef
-	// Detail lists the per-entity gaps.
-	Detail []Gap
+	// Detail holds the per-entity gaps.
+	Detail Gaps
 }
 
 // Satisfied reports whether the axiom held.
-func (r *AxiomReport) Satisfied() bool { return len(r.Missing) == 0 && len(r.Detail) == 0 }
+func (r *AxiomReport) Satisfied() bool { return len(r.Missing) == 0 && r.Detail.Len() == 0 }
 
 // String renders a one-line summary.
 func (r *AxiomReport) String() string {
 	return fmt.Sprintf("Axiom %d: required=%d missing=%d gaps=%d",
-		r.Axiom, len(r.Required), len(r.Missing), len(r.Detail))
+		r.Axiom, len(r.Required), len(r.Missing), r.Detail.Len())
 }
 
 // Gap is one subject seen in a trace that was never disclosed one required
@@ -107,12 +107,12 @@ func CheckAxiom7(cat *Catalogue, log *eventlog.Log) *AxiomReport {
 // field the policy promises "always" to an audience must appear as a
 // Disclosure event at least once for each member of that audience seen in
 // the trace. It returns one gap per (rule, worker) left unmet, rule by rule
-// in policy order and workers in id order (empty = compliant).
+// in policy order and workers in id order (none = compliant).
 //
 // Conditional and triggered rules are not audited here — verifying them
 // requires replaying contexts, which the simulator does natively by only
 // emitting Disclosure events the policy mandates.
-func PolicyCompliance(p *Policy, log *eventlog.Log) []Gap {
+func PolicyCompliance(p *Policy, log *eventlog.Log) Gaps {
 	var walks []walk
 	for _, r := range p.Rules {
 		if r.On != TriggerAlways || r.When != nil {
@@ -135,29 +135,69 @@ type walk struct {
 	roles eventlog.Role
 }
 
+// Gaps is the gaps of an audit, in walk order and then subject id order,
+// as the trace stood when the audit read it: later appends change nothing
+// in it. Each walk's gaps are kept as indexes into the ledger's id table,
+// so a call costs four bytes a gap rather than a Gap. The zero value holds
+// no gaps.
+type Gaps struct {
+	parts []gapPart
+	n     int
+}
+
+// gapPart is one walk's gaps: proto with ID set to ids[i], and Owner to
+// owners[j] for a task walk, for the j-th index i of idx.
+type gapPart struct {
+	proto  Gap
+	ids    []string
+	idx    []int32
+	owners []model.RequesterID
+}
+
+// Len returns the number of gaps.
+func (g Gaps) Len() int { return g.n }
+
+// At returns gap i, 0 <= i < Len().
+func (g Gaps) At(i int) Gap {
+	j := i
+	for _, p := range g.parts {
+		if j >= 0 && j < len(p.idx) {
+			gap := p.proto
+			gap.ID = p.ids[p.idx[j]]
+			if p.owners != nil {
+				gap.Owner = p.owners[j]
+			}
+			return gap
+		}
+		j -= len(p.idx)
+	}
+	panic(fmt.Sprintf("transparency: gap index %d out of range [0:%d]", i, g.n))
+}
+
 // gaps reads the log's disclosure ledger once and returns the gaps of each
-// walk in order, subjects in id order, with the fields that had any.
-func gaps(log *eventlog.Log, walks []walk) (out []Gap, missing []FieldRef) {
+// walk, with the fields that had any.
+func gaps(log *eventlog.Log, walks []walk) (out Gaps, missing []FieldRef) {
 	if len(walks) == 0 {
-		return nil, nil
+		return Gaps{}, nil
 	}
 	log.ReadLedger(func(d *eventlog.Ledger) {
-		n := 0
 		for _, w := range walks {
-			n += d.Missing(w.kind, w.roles, w.proto.Field.String(), nil)
-		}
-		if n == 0 {
-			return
-		}
-		out = make([]Gap, 0, n)
-		for _, w := range walks {
-			g := w.proto
-			if d.Missing(w.kind, w.roles, g.Field.String(), func(id string, owner model.RequesterID) {
-				g.ID, g.Owner = id, owner
-				out = append(out, g)
-			}) > 0 {
-				missing = append(missing, g.Field)
+			idx := d.Undisclosed(w.kind, w.roles, w.proto.Field.String())
+			if len(idx) == 0 {
+				continue
 			}
+			p := gapPart{proto: w.proto, ids: d.IDs(w.kind), idx: idx}
+			if w.kind == eventlog.KindTask {
+				// The ledger re-owns a task in place; copy what the gaps show.
+				owner := d.Owners()
+				p.owners = make([]model.RequesterID, len(idx))
+				for j, t := range idx {
+					p.owners[j] = owner[t]
+				}
+			}
+			out.parts = append(out.parts, p)
+			out.n += len(idx)
+			missing = append(missing, w.proto.Field)
 		}
 	})
 	return out, missing

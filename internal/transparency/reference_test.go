@@ -122,6 +122,15 @@ func refCompliance(p *Policy, log *eventlog.Log) []string {
 	return out
 }
 
+// list copies gaps out of a Gaps snapshot, in order.
+func list(g Gaps) []Gap {
+	var out []Gap
+	for i := 0; i < g.Len(); i++ {
+		out = append(out, g.At(i))
+	}
+	return out
+}
+
 func rendered(gaps []Gap) []string {
 	var out []string
 	for _, g := range gaps {
@@ -261,7 +270,7 @@ func checkAgainstReference(t *testing.T, cat *Catalogue, pol *Policy, l *eventlo
 		{CheckAxiom6(cat, l), refAxiom6(cat, l)},
 		{CheckAxiom7(cat, l), refAxiom7(cat, l)},
 	} {
-		if got := rendered(c.got.Detail); !reflect.DeepEqual(got, c.want.detail) {
+		if got := rendered(list(c.got.Detail)); !reflect.DeepEqual(got, c.want.detail) {
 			t.Fatalf("Axiom %d after %d events:\n got %q\nwant %q", c.got.Axiom, l.Len(), got, c.want.detail)
 		}
 		if !reflect.DeepEqual(c.got.Missing, c.want.missing) {
@@ -271,7 +280,7 @@ func checkAgainstReference(t *testing.T, cat *Catalogue, pol *Policy, l *eventlo
 			t.Fatalf("Axiom %d Satisfied = %v with %d reference gaps", c.got.Axiom, c.got.Satisfied(), len(c.want.detail))
 		}
 	}
-	if got, want := rendered(PolicyCompliance(pol, l)), refCompliance(pol, l); !reflect.DeepEqual(got, want) {
+	if got, want := rendered(list(PolicyCompliance(pol, l))), refCompliance(pol, l); !reflect.DeepEqual(got, want) {
 		t.Fatalf("compliance after %d events:\n got %q\nwant %q", l.Len(), got, want)
 	}
 }
@@ -322,9 +331,9 @@ func TestTransparencyMatchesReference(t *testing.T) {
 func TestTransparencyMetamorphic(t *testing.T) {
 	cat, pol := refCatalogue(t), refPolicy()
 	checkers := []func(*eventlog.Log) []Gap{
-		func(l *eventlog.Log) []Gap { return CheckAxiom6(cat, l).Detail },
-		func(l *eventlog.Log) []Gap { return CheckAxiom7(cat, l).Detail },
-		func(l *eventlog.Log) []Gap { return PolicyCompliance(pol, l) },
+		func(l *eventlog.Log) []Gap { return list(CheckAxiom6(cat, l).Detail) },
+		func(l *eventlog.Log) []Gap { return list(CheckAxiom7(cat, l).Detail) },
+		func(l *eventlog.Log) []Gap { return list(PolicyCompliance(pol, l)) },
 	}
 	closed := 0
 	for seed := int64(1); seed <= 40; seed++ {

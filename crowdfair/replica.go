@@ -3,8 +3,6 @@ package crowdfair
 import (
 	"errors"
 	"fmt"
-	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -52,16 +50,8 @@ type Replica struct {
 	st  *store.Store
 	log *eventlog.Log
 
-	mu       sync.Mutex // serialises CatchUp passes; guards observed and listed
+	mu       sync.Mutex // serialises CatchUp passes; guards observed
 	observed uint64
-	// dirs are the directories a pass reads: the platform directory (its
-	// manifest), the WAL root, each shard's WAL and the event log.
-	dirs []string
-	// listed is dirs' listing as the last pass took it before reading,
-	// and clean whether that pass read everything without an error; spare
-	// is the buffer the next listing fills.
-	listed, spare []fileStamp
-	clean         bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -78,41 +68,7 @@ func OpenReplica(dir string) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	dirs := []string{dir, store.WALDir(dir)}
-	for i := 0; i < st.ShardCount(); i++ {
-		dirs = append(dirs, store.WALShardDir(dir, i))
-	}
-	dirs = append(dirs, store.EventsDir(dir))
-	return &Replica{dir: dir, st: st, log: eventlog.New(), observed: man.Version, dirs: dirs}, nil
-}
-
-// fileStamp is one directory entry as a listing saw it.
-type fileStamp struct {
-	name string
-	size int64
-	mod  int64
-}
-
-// list appends a stamp of every entry of r.dirs to buf, directory by
-// directory; a missing directory lists as empty.
-func (r *Replica) list(buf []fileStamp) ([]fileStamp, error) {
-	for _, d := range r.dirs {
-		entries, err := os.ReadDir(d)
-		if err != nil && !os.IsNotExist(err) {
-			return buf, err
-		}
-		buf = append(buf, fileStamp{name: d, size: int64(len(entries))})
-		for _, e := range entries {
-			// An entry removed since ReadDir keeps size -1: the next
-			// listing lacks it, so differs.
-			st := fileStamp{name: e.Name(), size: -1}
-			if fi, err := e.Info(); err == nil {
-				st.size, st.mod = fi.Size(), fi.ModTime().UnixNano()
-			}
-			buf = append(buf, st)
-		}
-	}
-	return buf, nil
+	return &Replica{dir: dir, st: st, log: eventlog.New(), observed: man.Version}, nil
 }
 
 // CatchUp runs one shipping pass over the primary's write-ahead
@@ -124,35 +80,19 @@ func (r *Replica) list(buf []fileStamp) ([]fileStamp, error) {
 // for a later pass. After the primary stops writing and syncs its logs,
 // one pass converges the replica exactly. A pass that races a checkpoint's
 // segment truncation returns that error; the next pass lists the
-// directories afresh. A pass that finds every file as the last error-free
-// pass listed it reads none of them: it applies nothing, as a full pass
-// would, and still checks for ErrGap.
+// directories afresh.
 func (r *Replica) CatchUp() (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// WAL segments and the event log only grow, and a checkpoint rewrites
-	// the manifest: when no entry's name, size or modification time moved
-	// since the last error-free pass listed them, that pass read what a
-	// new one would read, and a new one would apply nothing.
-	listed, listErr := r.list(r.spare[:0])
-	r.spare = listed
-	applied := 0
-	if listErr != nil || !r.clean || !slices.Equal(listed, r.listed) {
-		r.clean = false
-		n, observed, err := r.st.CatchUp(r.dir)
-		applied = n
-		if observed > r.observed {
-			r.observed = observed
-		}
-		if err != nil {
-			return applied, fmt.Errorf("replica: %w", err)
-		}
-		if _, err := r.log.CatchUp(store.EventsDir(r.dir)); err != nil {
-			return applied, fmt.Errorf("replica: %w", err)
-		}
-		if listErr == nil {
-			r.listed, r.spare, r.clean = listed, r.listed, true
-		}
+	applied, observed, err := r.st.CatchUp(r.dir)
+	if observed > r.observed {
+		r.observed = observed
+	}
+	if err != nil {
+		return applied, fmt.Errorf("replica: %w", err)
+	}
+	if _, err := r.log.CatchUp(store.EventsDir(r.dir)); err != nil {
+		return applied, fmt.Errorf("replica: %w", err)
 	}
 	// Versions on disk past the applied one that this pass could not reach
 	// are either unflushed on some shard or checkpointed away. Only a newer

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/crowdfair"
@@ -541,94 +540,5 @@ func TestReplicaWaitsOnTornTail(t *testing.T) {
 	}
 	if got := r.EventCount(); got != events {
 		t.Fatalf("after the tails were restored the replica holds %d events, the primary %d", got, events)
-	}
-}
-
-// TestIdleReplicaPassReadsNothing pins a converged replica's pass over
-// unchanged directories: it lists them and reads no segment, so it applies
-// nothing, leaves the staleness as it was, and allocates a few objects per
-// listed file and a fraction of the logs' bytes, where a reading pass
-// loads every segment whole; a write on the primary after idle passes
-// still ships on the next one.
-func TestIdleReplicaPassReadsNothing(t *testing.T) {
-	dir := t.TempDir()
-	u := crowdfair.NewUniverse("go", "sql")
-	p, err := crowdfair.OpenPlatform(dir, u, crowdfair.DefaultAuditConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.AddRequester(&crowdfair.Requester{ID: "r1"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		w := &crowdfair.Worker{ID: crowdfair.WorkerID(fmt.Sprintf("w%04d", i)), Skills: u.MustVector([]string{"go", "sql"}[i%2])}
-		if err := p.AddWorker(w); err != nil {
-			t.Fatal(err)
-		}
-		task := &crowdfair.Task{ID: crowdfair.TaskID(fmt.Sprintf("t%04d", i)), Requester: "r1", Skills: w.Skills, Reward: 1}
-		if err := p.PostTask(task); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Offer(task.ID, w.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	r, err := crowdfair.OpenReplica(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	drain(t, r)
-	// A pass that reads the logs loads every segment into memory whole.
-	logDirs := []string{store.EventsDir(dir)}
-	for i := 0; i < p.Store().ShardCount(); i++ {
-		logDirs = append(logDirs, store.WALShardDir(dir, i))
-	}
-	var logBytes int64
-	for _, logDir := range logDirs {
-		segs, err := wal.Segments(logDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range segs {
-			logBytes += s.Size
-		}
-	}
-	before, events := r.Staleness(), r.EventCount()
-	idle := func() {
-		if n, err := r.CatchUp(); n != 0 || err != nil {
-			t.Fatalf("idle pass applied %d (%v)", n, err)
-		}
-	}
-	allocs := testing.AllocsPerRun(5, idle)
-	read := logBytes
-	for run := 0; run < 3; run++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		idle()
-		runtime.ReadMemStats(&m1)
-		read = min(read, int64(m1.TotalAlloc-m0.TotalAlloc))
-	}
-	t.Logf("idle pass: %.0f allocs, %d bytes; the logs hold %d bytes", allocs, read, logBytes)
-	if allocs > 200 || read > logBytes/2 {
-		t.Fatalf("an idle pass allocates %.0f times, %d bytes over %d bytes of logs: it reads records it already applied", allocs, read, logBytes)
-	}
-	if got := r.Staleness(); got != before || r.EventCount() != events {
-		t.Fatalf("idle passes moved the replica: %+v, %d events, was %+v, %d events", got, r.EventCount(), before, events)
-	}
-
-	if err := p.AddWorker(&crowdfair.Worker{ID: "late", Skills: u.MustVector("go")}); err != nil {
-		t.Fatal(err)
-	}
-	if n := drain(t, r); n != 1 {
-		t.Fatalf("a write after idle passes shipped %d mutations, want 1", n)
-	}
-	if got, want := r.AppliedVersion(), p.Version(); got != want {
-		t.Fatalf("replica at %d, primary at %d", got, want)
-	}
-	if got := r.EventCount(); got != events+1 {
-		t.Fatalf("replica holds %d events after the late join, want %d", got, events+1)
 	}
 }

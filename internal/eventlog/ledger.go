@@ -82,8 +82,8 @@ func (l *Log) ReadLedger(fn func(*Ledger)) {
 
 // Undisclosed returns the dense index of every subject of kind k holding
 // any role in roles that was never disclosed field, in id order. The slice
-// is the caller's; IDs resolves its indexes and, for KindTask, Owners the
-// tasks' requesters.
+// is the caller's; IDs resolves its indexes and, for KindTask, OwnersOf
+// the tasks' requesters.
 func (d *Ledger) Undisclosed(k Kind, roles Role, field string) []int32 {
 	s := &d.kinds[k]
 	var set []uint64
@@ -121,10 +121,16 @@ func (d *Ledger) IDs(k Kind) []string {
 	return ids[:len(ids):len(ids)]
 }
 
-// Owners returns each task's requester by dense task index. A later
-// TaskPosted re-owns a task in place, so a caller keeping owners past
-// ReadLedger must copy them.
-func (d *Ledger) Owners() []model.RequesterID { return d.owner }
+// OwnersOf returns the requester of each dense task index in idx, in
+// idx's order. The slice is the caller's: a later TaskPosted re-owns a
+// task in the ledger, not in it.
+func (d *Ledger) OwnersOf(idx []int32) []model.RequesterID {
+	out := make([]model.RequesterID, len(idx))
+	for j, t := range idx {
+		out[j] = d.owner[t]
+	}
+	return out
+}
 
 func (d *Ledger) fold(events []Event) {
 	if d.fields == nil {

@@ -188,12 +188,7 @@ func gaps(log *eventlog.Log, walks []walk) (out Gaps, missing []FieldRef) {
 			}
 			p := gapPart{proto: w.proto, ids: d.IDs(w.kind), idx: idx}
 			if w.kind == eventlog.KindTask {
-				// The ledger re-owns a task in place; copy what the gaps show.
-				owner := d.Owners()
-				p.owners = make([]model.RequesterID, len(idx))
-				for j, t := range idx {
-					p.owners[j] = owner[t]
-				}
+				p.owners = d.OwnersOf(idx)
 			}
 			out.parts = append(out.parts, p)
 			out.n += len(idx)

@@ -26,7 +26,6 @@ import (
 	"repro/crowdfair"
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/store"
 )
 
 // errUsage reports a command line that was already answered with a usage
@@ -224,32 +223,8 @@ func runAudit(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		st, err := store.FromSnapshot(snap)
-		if err != nil {
+		if p, err = crowdfair.NewPlatformFromSnapshot(snap); err != nil {
 			return err
-		}
-		u := st.Universe()
-		p = crowdfair.NewPlatform(u)
-		// Rebuild the platform over the snapshot store by reloading it.
-		for _, r := range snap.Requesters {
-			if err := p.AddRequester(r); err != nil {
-				return err
-			}
-		}
-		for _, w := range snap.Workers {
-			if err := p.AddWorker(w); err != nil {
-				return err
-			}
-		}
-		for _, t := range snap.Tasks {
-			if err := p.PostTask(t); err != nil {
-				return err
-			}
-		}
-		for _, c := range snap.Contributions {
-			if err := p.RecordContribution(c); err != nil {
-				return err
-			}
 		}
 	} else {
 		p = crowdfair.NewPlatform(crowdfair.NewUniverse("unspecified"))

@@ -166,6 +166,17 @@ func NewPlatform(u *Universe) *Platform {
 	return &Platform{st: store.New(u), log: eventlog.New()}
 }
 
+// NewPlatformFromSnapshot returns an in-memory platform over a store
+// snapshot, such as `crowdfair simulate -snapshot` writes, with an empty
+// event trace. The platform keeps copies, so snap stays the caller's.
+func NewPlatformFromSnapshot(snap *model.Snapshot) (*Platform, error) {
+	st, err := store.FromSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	return &Platform{st: st, log: eventlog.New()}, nil
+}
+
 // OpenPlatform opens the durable platform rooted at dir, creating it over
 // the universe u when the directory holds no platform yet. Recovery
 // rebuilds the store from its last checkpoint plus the write-ahead tail

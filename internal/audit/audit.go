@@ -112,6 +112,18 @@ type Pass struct {
 	// Changed counts the violations the pass retracted plus those it added
 	// (everything standing, on a rebuild or the first pass after Resume).
 	Changed int
+	// Cost is the work the pass did. It is not part of the fingerprint.
+	Cost Cost
+}
+
+// Cost is the work one audit pass did, counted where it was done. The
+// counts depend only on the trace and the passes before, so tests assert
+// them exactly.
+type Cost struct {
+	// WorkerJoin and TaskJoin are the work of the pass's Axiom 1 and
+	// Axiom 2 partner walks over the skill joins; zero when the plan is not
+	// indexed.
+	WorkerJoin, TaskJoin similarity.JoinWork
 }
 
 // scratch is the engine's per-pass workspace: the changelog buffer, the four
@@ -428,6 +440,9 @@ func (e *Engine) AuditPass() Pass {
 func (e *Engine) publish() Pass {
 	checked := [5]int{e.ax1Census.count, e.ax2Census.count, e.ax3Total, len(e.ax4Eligible), e.ax5.Checked()}
 	p := Pass{Reports: make([]*fairness.Report, 5)}
+	if e.workerIx != nil {
+		p.Cost = Cost{WorkerJoin: e.workerIx.TakeWork(), TaskJoin: e.taskIx.TakeWork()}
+	}
 	for i := range p.Reports {
 		p.Reports[i] = &fairness.Report{Axiom: fairness.Axiom(i + 1), Checked: checked[i], Violations: e.viol[i]}
 		p.Changed += e.scr.changed[i]

@@ -7,6 +7,7 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/fairness"
 	"repro/internal/model"
+	"repro/internal/similarity"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -372,6 +373,67 @@ func TestEmptyDeltaIsStable(t *testing.T) {
 			t.Errorf("%s: empty delta reported checked %d, cold start %d",
 				second[i].Axiom, second[i].Checked, first[i].Checked)
 		}
+	}
+}
+
+// TestPassCostCountsJoinWork: a pass publishes its skill joins' work. The
+// cold pass probes every worker and task, so it yields each pair that
+// meets the skill premise once from each side; a quiet pass does no join
+// work; a pass after one worker's update yields exactly that worker's
+// partners and walks no task posting.
+func TestPassCostCountsJoinWork(t *testing.T) {
+	s := newScenario(t, 31)
+	s.seed(30, 12, 100, 15)
+	eng := New(s.st, s.log, fairness.DefaultConfig())
+	similar := func(a, b model.SkillBits) bool { return similarity.Cosine(a, b) >= 0.9 }
+	partners := func(w model.WorkerID) (n uint64) {
+		for _, o := range s.st.WorkerIDs() {
+			if o != w && similar(s.st.PeekWorker(w).SkillBits(), s.st.PeekWorker(o).SkillBits()) {
+				n++
+			}
+		}
+		return n
+	}
+	var workerYield, taskYield uint64
+	for _, w := range s.st.WorkerIDs() {
+		workerYield += partners(w)
+	}
+	tids := s.st.TaskIDs()
+	for _, a := range tids {
+		for _, b := range tids {
+			if a != b && similar(s.st.PeekTask(a).SkillBits(), s.st.PeekTask(b).SkillBits()) {
+				taskYield++
+			}
+		}
+	}
+	if workerYield == 0 || taskYield == 0 {
+		t.Fatalf("the fixture has %d similar worker and %d similar task partners; too few to show anything", workerYield, taskYield)
+	}
+
+	cold := eng.AuditPass().Cost
+	if cold.WorkerJoin.Yielded != workerYield || cold.TaskJoin.Yielded != taskYield {
+		t.Fatalf("cold pass yielded %d worker and %d task partners, want %d and %d", cold.WorkerJoin.Yielded, cold.TaskJoin.Yielded, workerYield, taskYield)
+	}
+	for _, w := range []similarity.JoinWork{cold.WorkerJoin, cold.TaskJoin} {
+		if w.Verified < w.Yielded || w.Probed < w.Verified {
+			t.Fatalf("cold pass work %+v: fewer verified than yielded or fewer probed than verified", w)
+		}
+	}
+	if quiet := eng.AuditPass().Cost; quiet != (Cost{}) {
+		t.Fatalf("quiet pass cost %+v, want none", quiet)
+	}
+	w := s.randomWorker()
+	u, err := s.st.Worker(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Computed[model.AttrAcceptanceRatio] = model.Num(0.5)
+	if err := s.st.UpdateWorker(u); err != nil {
+		t.Fatal(err)
+	}
+	delta := eng.AuditPass().Cost
+	if delta.WorkerJoin.Yielded != partners(w) || delta.TaskJoin != (similarity.JoinWork{}) {
+		t.Fatalf("pass after updating %s cost %+v, want %d worker partners and no task work", w, delta, partners(w))
 	}
 }
 

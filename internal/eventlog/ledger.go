@@ -96,20 +96,30 @@ func (d *Ledger) Undisclosed(k Kind, roles Role, field string) []int32 {
 	for _, w := range set {
 		bound -= bits.OnesCount64(w)
 	}
-	var out []int32
-	for _, i := range s.sorted {
-		if s.roles[i]&roles == 0 {
-			continue
-		}
-		if w := int(i) / 64; w < len(set) && set[w]&(1<<(uint(i)%64)) != 0 {
-			continue
-		}
-		if out == nil {
-			out = make([]int32, 0, bound)
-		}
-		out = append(out, i)
+	if bound == 0 {
+		return nil
 	}
-	return out
+	// Whether a subject is kept follows no pattern a branch predictor could
+	// learn, so the walk does not branch on it: every subject is written at
+	// out[n], and n moves past only the kept ones (at most bound).
+	out := make([]int32, bound+1)
+	n := 0
+	for _, i := range s.sorted {
+		var disclosed uint64
+		if w := int(i) / 64; w < len(set) {
+			disclosed = set[w] >> (uint(i) % 64) & 1
+		}
+		var held uint64
+		if s.roles[i]&roles != 0 {
+			held = 1
+		}
+		out[n] = i
+		n += int(held &^ disclosed)
+	}
+	if n == 0 {
+		return nil
+	}
+	return out[:n]
 }
 
 // IDs returns kind k's id table: IDs(k)[i] is the id of dense index i. The

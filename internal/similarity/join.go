@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -24,40 +25,70 @@ import (
 //   - A set posts its prefix, its first a − ⌈f·a⌉ + 1 tokens: two sets that
 //     share that many tokens share a prefix token, in the order every set
 //     uses.
+//   - Every posting entry carries its set's size and a 64-bit signature,
+//     bit rank%64 set for each of the set's tokens (the rank is mix64 of
+//     the skill, so the bit is a hash of it). Each signature bit of one
+//     set that the other's lacks marks a token of the first set the second
+//     does not hold, and distinct bits mark distinct tokens, so two sets of
+//     sizes a and b with signatures sa and sb share at most
+//     min(a − popcount(sa &^ sb), b − popcount(sb &^ sa)) tokens (the
+//     overlap bound). The measure fixes the least overlap that can meet
+//     the threshold: cosine t·√(ab), Jaccard t(a+b)/(1+t), Dice t(a+b)/2,
+//     exact a (= b).
 //   - A probe walks the postings of its own prefix only, drops partners
-//     that fail the length bound or that an earlier prefix token already
-//     produced, and verifies the rest by calling the measure itself on the
-//     packed words, so no pair is yielded that the checker would reject.
+//     that fail the length bound or the overlap bound, both read off the
+//     posting entry, or that an earlier prefix token already produced, and
+//     verifies the rest by calling the measure itself on the packed words,
+//     so no pair is yielded that the checker would reject.
 //
 // The bounds are computed with a relative slack of joinSlack, so rounding
-// in f or in the measure can only lengthen a prefix or widen the length
-// bound: a candidate too many costs one verification, and a pair is never
-// lost. The result is a pure function of the stored sets: slot numbers and
-// posting order depend on install order, and Partners' order is
-// unspecified.
+// in f, g or the measure can only lengthen a prefix or widen the length
+// and overlap bounds: a candidate too many costs one verification, and a
+// pair is never lost. The result is a pure function of the stored sets:
+// slot numbers and posting order depend on install order, and Partners'
+// order is unspecified.
 //
 // A SkillJoin keeps each set's packed words as given (model.SkillBits is
 // immutable once packed) and is not safe for concurrent mutation; Partners
-// calls may run concurrently with each other.
+// calls may run concurrently with each other. It counts the work its
+// Partners calls do (see TakeWork).
 type SkillJoin struct {
 	measure VectorMeasure
 	t, f    float64
+	// g is the least overlap per token of a+b (Jaccard, Dice, exact); 0
+	// for cosine, whose least overlap is √(f·ab).
+	g float64
 	// slots maps an id to its slot and names maps it back; freed holds
 	// released slots, whose names entry is "".
 	slots map[string]uint32
 	names []string
 	freed []uint32
 	sets  []joinSet
-	// post maps a token's rank to the slots whose prefix holds it.
-	post map[uint64][]uint32
+	// post maps a token's rank to the entries of the sets whose prefix
+	// holds it.
+	post map[uint64][]posting
+	// probed, verified and yielded count the Partners walks' posting
+	// entries, measure calls and partners.
+	probed, verified, yielded atomic.Uint64
 }
 
-// joinSet is one slot's skill set: its packed words, its token count and
-// its prefix in rank order, each token with its position in post[rank].
+// joinSet is one slot's skill set: its packed words, its token count, its
+// signature and its prefix in rank order, each token with its position in
+// post[rank].
 type joinSet struct {
 	bits   model.SkillBits
 	size   int
+	sig    uint64
 	prefix []prefixToken
+}
+
+// posting is one set's entry in the posting of a prefix token: its slot,
+// and the size and signature the length and overlap bounds read, so a
+// candidate those reject is never loaded.
+type posting struct {
+	slot uint32
+	size uint32
+	sig  uint64
 }
 
 type prefixToken struct {
@@ -69,49 +100,51 @@ type prefixToken struct {
 // this large).
 const emptySkills = math.MaxUint64
 
-// joinSlack is the relative slack of the prefix and length bounds.
+// joinSlack is the relative slack of the prefix, length and overlap
+// bounds.
 const joinSlack = 1e-9
 
-// joinFactor is the factor f of the measure m at threshold t (see
-// SkillJoin), or ok=false when m has no such bound: Hamming, whose
-// agreement counts the skills both sets lack, any measure not built in, and
-// every measure at t <= 0, which every pair meets.
-func joinFactor(m VectorMeasure, t float64) (f float64, ok bool) {
+// joinFactor is the factor f of the measure m at threshold t and its
+// least overlap per token of a+b, g (0 for cosine; see SkillJoin), or
+// ok=false when m has no such bound: Hamming, whose agreement counts the
+// skills both sets lack, any measure not built in, and every measure at
+// t <= 0, which every pair meets.
+func joinFactor(m VectorMeasure, t float64) (f, g float64, ok bool) {
 	if t <= 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	switch m.Name {
 	case MeasureCosine.Name:
-		return t * t, true
+		return t * t, 0, true
 	case MeasureJaccard.Name:
-		return t, true
+		return t, t / (1 + t), true
 	case MeasureDice.Name:
-		return t / (2 - t), true
+		return t / (2 - t), t / 2, true
 	case MeasureExact.Name:
-		return 1, true
+		return 1, 0.5, true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // Joinable reports whether pairs meeting measure m at threshold t share a
 // skill (or are both empty), so a SkillJoin finds all of them. When it is
 // false, every pair has to be examined.
 func Joinable(m VectorMeasure, t float64) bool {
-	_, ok := joinFactor(m, t)
+	_, _, ok := joinFactor(m, t)
 	return ok
 }
 
 // NewSkillJoin returns an empty join for measure m at threshold t. It
 // panics unless Joinable(m, t).
 func NewSkillJoin(m VectorMeasure, t float64) *SkillJoin {
-	f, ok := joinFactor(m, t)
+	f, g, ok := joinFactor(m, t)
 	if !ok {
 		panic("similarity: no prefix bound for measure " + m.Name)
 	}
 	return &SkillJoin{
-		measure: m, t: t, f: f,
+		measure: m, t: t, f: f, g: g,
 		slots: make(map[string]uint32),
-		post:  make(map[uint64][]uint32),
+		post:  make(map[uint64][]posting),
 	}
 }
 
@@ -136,11 +169,16 @@ func (x *SkillJoin) Upsert(id string, v model.SkillBits) {
 	var buf [64]uint64
 	ranks := appendRanks(buf[:0], v)
 	e.size = len(ranks)
+	e.sig = 0
+	for _, r := range ranks {
+		e.sig |= 1 << (r % 64)
+	}
 	n := x.prefixLen(e.size)
 	e.prefix = slices.Grow(e.prefix[:0], n)[:n]
+	entry := posting{slot: s, size: uint32(e.size), sig: e.sig}
 	for i, r := range ranks[:n] {
 		e.prefix[i] = prefixToken{rank: r, at: uint32(len(x.post[r]))}
-		x.post[r] = append(x.post[r], s)
+		x.post[r] = append(x.post[r], entry)
 	}
 }
 
@@ -182,8 +220,8 @@ func (x *SkillJoin) unpost(s uint32) {
 		last := len(list) - 1
 		if moved := list[last]; int(p.at) != last {
 			list[p.at] = moved
-			for i := range x.sets[moved].prefix {
-				if q := &x.sets[moved].prefix[i]; q.rank == p.rank {
+			for i := range x.sets[moved.slot].prefix {
+				if q := &x.sets[moved.slot].prefix[i]; q.rank == p.rank {
 					q.at = p.at
 					break
 				}
@@ -239,6 +277,39 @@ func (x *SkillJoin) sizesFit(a, b int) bool {
 	return x.f*hi-lo <= joinSlack*hi
 }
 
+// candidateFits reports whether the set behind posting entry q passes the
+// length and overlap bounds against set e. The overlap bound holds when
+// the most tokens the signatures let the sets share reaches the measure's
+// least overlap, up to the slack; cosine compares squares, so neither
+// bound takes a square root or divides.
+func (x *SkillJoin) candidateFits(e *joinSet, q posting) bool {
+	a, b := e.size, int(q.size)
+	if !x.sizesFit(a, b) {
+		return false
+	}
+	o := float64(min(a-bits.OnesCount64(e.sig&^q.sig), b-bits.OnesCount64(q.sig&^e.sig)))
+	if x.g == 0 {
+		need := x.f * float64(a) * float64(b)
+		return need-o*o <= joinSlack*need
+	}
+	need := x.g * float64(a+b)
+	return need-o <= joinSlack*need
+}
+
+// JoinWork counts a SkillJoin's work: the posting entries its Partners
+// walks probed (never the probing set's own), the candidates that passed
+// every bound and were verified by the measure, and the partners yielded.
+// Each pair that meets the threshold is yielded once from each side.
+type JoinWork struct {
+	Probed, Verified, Yielded uint64
+}
+
+// TakeWork returns the work of the Partners calls since the last TakeWork
+// and zeroes the counts. It must not run concurrently with Partners.
+func (x *SkillJoin) TakeWork() JoinWork {
+	return JoinWork{Probed: x.probed.Swap(0), Verified: x.verified.Swap(0), Yielded: x.yielded.Swap(0)}
+}
+
 // Partners calls yield once for every stored set that meets the threshold
 // with id's (never id itself); a no-op for unknown ids.
 func (x *SkillJoin) Partners(id string, yield func(partner string)) {
@@ -252,23 +323,33 @@ func (x *SkillJoin) Partners(id string, yield func(partner string)) {
 // partners walks slot s's prefix postings. A partner met at prefix token i
 // is skipped when its prefix also holds one of s's tokens before i: it was
 // met there first. Both prefixes are in rank order, so that is a merge of
-// two short lists.
+// two short lists. It reads a candidate's set only once the length and
+// overlap bounds have passed on its posting entry, and adds its work to
+// the counts once per call.
 func (x *SkillJoin) partners(s uint32, yield func(m uint32)) {
 	e := &x.sets[s]
+	var probed, verified, yielded uint64
 	for i, p := range e.prefix {
-		for _, m := range x.post[p.rank] {
-			if m == s {
+		list := x.post[p.rank]
+		probed += uint64(len(list) - 1) // every posting of s's prefix holds s
+		for _, q := range list {
+			if q.slot == s || !x.candidateFits(e, q) {
 				continue
 			}
-			o := &x.sets[m]
-			if !x.sizesFit(e.size, o.size) || sharesBefore(e.prefix[:i], o.prefix, p.rank) {
+			c := &x.sets[q.slot]
+			if sharesBefore(e.prefix[:i], c.prefix, p.rank) {
 				continue
 			}
-			if x.measure.Func(e.bits, o.bits) >= x.t {
-				yield(m)
+			verified++
+			if x.measure.Func(e.bits, c.bits) >= x.t {
+				yielded++
+				yield(q.slot)
 			}
 		}
 	}
+	x.probed.Add(probed)
+	x.verified.Add(verified)
+	x.yielded.Add(yielded)
 }
 
 // sharesBefore reports whether a and b, both in rank order, share a token

@@ -223,6 +223,77 @@ func TestSkillJoinMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestSignatureBoundNeverPrunesAMeetingPair holds the length and overlap
+// bounds a probe reads off a posting entry (candidateFits) to the measure:
+// every pair whose measure meets the threshold passes them, both ways
+// round. Pairs are drawn over a 700-skill universe with set sizes 0 to 300,
+// so most signatures have all 64 bits set and many skills, shared ones
+// among them, hash to one bit; the second set keeps a random share of the
+// first's skills and adds a few, so pairs land on both sides of every
+// threshold. The exact ties of TestSkillJoinMatchesBruteForce are checked
+// too. The entry tested is the one the join stores in a posting.
+func TestSignatureBoundNeverPrunesAMeetingPair(t *testing.T) {
+	const n = 700
+	type pair struct{ a, b model.SkillBits }
+	x25 := span(0, 25)
+	slices.SortFunc(x25, func(a, b int) int { return cmp.Compare(mix64(uint64(a)), mix64(uint64(b))) })
+	pairs := []pair{
+		{skillSet(n, span(0, 10)...), skillSet(n, span(1, 11)...)},  // cosine, Dice 9/10
+		{skillSet(n, span(0, 10)...), skillSet(n, span(0, 9)...)},   // Jaccard 9/10
+		{skillSet(n, span(0, 100)...), skillSet(n, span(0, 81)...)}, // cosine 81/90
+		{skillSet(n, x25...), skillSet(n, x25[9:]...)},              // cosine 16/20
+		{skillSet(n), skillSet(n)}, {skillSet(n), skillSet(n, 3)},   // empty sets
+		{skillSet(n, span(0, 300)...), skillSet(n, span(0, 300)...)}, // exact
+	}
+	rng := rand.New(rand.NewSource(7))
+	for len(pairs) < 1500 {
+		perm := rng.Perm(n)
+		a := rng.Intn(301)
+		if rng.Intn(2) == 0 {
+			a = rng.Intn(40) // signatures far from full, where the bound prunes
+		}
+		keep, extra := a-rng.Intn(a/4+1), rng.Intn(a/8+2)
+		if rng.Intn(2) == 0 {
+			keep, extra = rng.Intn(a+1), rng.Intn(a/2+2)
+		}
+		b := append(slices.Clone(perm[:keep]), perm[a:a+extra]...)
+		if rng.Intn(10) == 0 {
+			b = perm[:a]
+		}
+		pairs = append(pairs, pair{skillSet(n, perm[:a]...), skillSet(n, b...)})
+	}
+	for _, m := range []VectorMeasure{MeasureCosine, MeasureJaccard, MeasureDice, MeasureExact} {
+		for _, th := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1} {
+			x := NewSkillJoin(m, th)
+			meeting, pruned := 0, 0
+			for i, p := range pairs {
+				x.Upsert("a", p.a)
+				x.Upsert("b", p.b)
+				ea, eb := &x.sets[x.slots["a"]], &x.sets[x.slots["b"]]
+				entry := func(e *joinSet) posting { return x.post[e.prefix[0].rank][e.prefix[0].at] }
+				fits := x.candidateFits(ea, entry(eb))
+				if fits != x.candidateFits(eb, entry(ea)) {
+					t.Fatalf("%s@%v pair %d: the bounds disagree with themselves the other way round", m.Name, th, i)
+				}
+				if m.Func(p.a, p.b) < th {
+					if !fits {
+						pruned++
+					}
+					continue
+				}
+				meeting++
+				if !fits {
+					t.Fatalf("%s@%v pair %d: sizes %d and %d (%d shared, %v) meet the threshold, but the bounds prune them",
+						m.Name, th, i, p.a.Count(), p.b.Count(), shared(p.a, p.b), m.Func(p.a, p.b))
+				}
+			}
+			if meeting < 100 || pruned < 100 {
+				t.Fatalf("%s@%v: %d pairs meet the threshold and the bounds prune %d others; too few to show anything", m.Name, th, meeting, pruned)
+			}
+		}
+	}
+}
+
 // clusteredSkillSets builds n skill sets shaped like the audit_churn worker
 // population: 100 popular and 600 niche skills, clusters of 20 sharing a
 // 3-skill niche core (dealt without replacement while the niche pool
@@ -265,6 +336,7 @@ func BenchmarkSkillJoinPartners(b *testing.B) {
 	for i, id := range ids {
 		x.Upsert(id, sets[i])
 	}
+	x.TakeWork()
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
@@ -272,6 +344,38 @@ func BenchmarkSkillJoinPartners(b *testing.B) {
 		x.Partners(ids[i*7919%len(ids)], func(string) { n++ })
 	}
 	b.ReportMetric(float64(n)/float64(b.N), "partners/op")
+	b.ReportMetric(float64(x.TakeWork().Verified)/float64(b.N), "verified/op")
+}
+
+// TestJoinWorkCounts pins the work of a full probe (Partners for every id)
+// of a cosine 0.9 join over 2,000 clustered skill sets (seed 1): the counts
+// are a pure function of the stored sets, each pair that meets the
+// threshold is yielded once from each side, so the yield is twice the
+// naive O(n²) join's, and TakeWork zeroes them.
+func TestJoinWorkCounts(t *testing.T) {
+	ids, sets := clusteredSkillSets(2000, rand.New(rand.NewSource(1)))
+	x := NewSkillJoin(MeasureCosine, 0.9)
+	live := make(map[string]model.SkillBits, len(ids))
+	for i, id := range ids {
+		x.Upsert(id, sets[i])
+		live[id] = sets[i]
+	}
+	if w := x.TakeWork(); w != (JoinWork{}) {
+		t.Fatalf("Upsert counted work: %+v", w)
+	}
+	for _, id := range ids {
+		x.Partners(id, func(string) {})
+	}
+	got := x.TakeWork()
+	if want := (JoinWork{Probed: 30980, Verified: 11648, Yielded: 11202}); got != want {
+		t.Fatalf("work %+v, want %+v", got, want)
+	}
+	if pairs := len(naiveJoin(MeasureCosine, 0.9, live)); got.Yielded != 2*uint64(pairs) {
+		t.Fatalf("yielded %d partners, want twice the naive join's %d pairs", got.Yielded, pairs)
+	}
+	if w := x.TakeWork(); w != (JoinWork{}) {
+		t.Fatalf("TakeWork left %+v", w)
+	}
 }
 
 // joinPairs drains Pairs into sorted "a|b" keys.
@@ -393,11 +497,11 @@ func TestLSHIndexIncrementalEqualsBatch(t *testing.T) {
 type joinImage struct {
 	slots map[string]uint32
 	sets  []joinSet
-	post  map[uint64][]uint32
+	post  map[uint64][]posting
 }
 
 func imageOf(x *SkillJoin) joinImage {
-	im := joinImage{slots: maps.Clone(x.slots), post: make(map[uint64][]uint32, len(x.post))}
+	im := joinImage{slots: maps.Clone(x.slots), post: make(map[uint64][]posting, len(x.post))}
 	for _, e := range x.sets {
 		e.prefix = slices.Clone(e.prefix)
 		im.sets = append(im.sets, e)
@@ -414,7 +518,7 @@ func (im joinImage) equal(x *SkillJoin) bool {
 	}
 	for i, e := range im.sets {
 		o := x.sets[i]
-		if e.size != o.size || e.bits.Len() != o.bits.Len() || !slices.Equal(e.bits.Words(), o.bits.Words()) || !slices.Equal(e.prefix, o.prefix) {
+		if e.size != o.size || e.sig != o.sig || e.bits.Len() != o.bits.Len() || !slices.Equal(e.bits.Words(), o.bits.Words()) || !slices.Equal(e.prefix, o.prefix) {
 			return false
 		}
 	}

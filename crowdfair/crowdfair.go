@@ -215,7 +215,9 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 	}
 	// The store, the event trace and the auditor's saved state recover from
 	// disjoint files and share no data until audit.Resume joins them, so
-	// the three run side by side.
+	// the three run side by side. The trace's goroutine also folds the
+	// recovered trace into its ledger, which the first audit would
+	// otherwise fold.
 	var (
 		wg     sync.WaitGroup
 		log    *eventlog.Log
@@ -225,7 +227,9 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		log, logErr = eventlog.OpenDurable(store.EventsDir(dir), wopts)
+		if log, logErr = eventlog.OpenDurable(store.EventsDir(dir), wopts); logErr == nil {
+			log.ReadLedger(func(*eventlog.Ledger) {})
+		}
 	}()
 	go func() {
 		defer wg.Done()

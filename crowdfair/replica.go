@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/eventlog"
@@ -53,16 +52,13 @@ type Replica struct {
 	mu       sync.Mutex // serialises CatchUp passes; guards observed
 	observed uint64
 
-	stop chan struct{}
-	done chan struct{}
-
 	auditor    *audit.Engine
 	auditorSig string // audit.ConfigSig of the config auditor runs under
 }
 
 // OpenReplica bootstraps a read replica from the checkpoint in a durable
 // platform directory. Nothing under dir is written; the primary may keep
-// running. Call CatchUp (or Follow) to ship the write-ahead tail.
+// running. Call CatchUp to ship the write-ahead tail.
 func OpenReplica(dir string) (*Replica, error) {
 	st, man, err := store.Bootstrap(dir)
 	if err != nil {
@@ -103,43 +99,6 @@ func (r *Replica) CatchUp() (int, error) {
 		}
 	}
 	return applied, nil
-}
-
-// Follow starts a background poller that calls CatchUp every interval
-// (50ms when interval <= 0) until Unfollow. Errors go to onErr (nil to
-// ignore); polling continues after an error — a race with the primary's
-// truncation heals on the next pass.
-func (r *Replica) Follow(interval time.Duration, onErr func(error)) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	go func() {
-		defer close(r.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-tick.C:
-				if _, err := r.CatchUp(); err != nil && onErr != nil {
-					onErr(err)
-				}
-			}
-		}
-	}()
-}
-
-// Unfollow stops the poller started by Follow (no-op otherwise).
-func (r *Replica) Unfollow() {
-	if r.stop == nil {
-		return
-	}
-	close(r.stop)
-	<-r.done
-	r.stop, r.done = nil, nil
 }
 
 // AppliedVersion returns the highest global store version applied so far
@@ -188,8 +147,6 @@ func (r *Replica) AuditFairness(cfg AuditConfig) []*FairnessReport {
 	return fairness.CheckAll(r.st, r.log, cfg)
 }
 
-// Close stops any poller. The replica's in-memory state stays readable.
-func (r *Replica) Close() error {
-	r.Unfollow()
-	return nil
-}
+// Close releases nothing: the replica holds no files or goroutines, and
+// its in-memory state stays readable.
+func (r *Replica) Close() error { return nil }

@@ -4,11 +4,12 @@
 // candidate pair on every call — quadratic per tick, untenable alongside
 // live traffic. Engine instead subscribes to the store's per-shard
 // changelogs (store.ShardChangesSince, one cursor per shard so no
-// cross-shard merge is ever needed) and the event log's cursor, computes
-// per-axiom dirty sets — workers whose attributes or offer sets moved,
-// tasks whose audiences or contribution sets moved — and re-checks only
-// pairs with at least one dirty endpoint, maintaining the violation set
-// across passes.
+// cross-shard merge is ever needed) and the event log's ledger (the one
+// fold of the trace: offers, flags, interrupted starts, each reader
+// reading what arrived since its own position), computes per-axiom dirty
+// sets — workers whose attributes or offer sets moved, tasks whose
+// audiences or contribution sets moved — and re-checks only pairs with at
+// least one dirty endpoint, maintaining the violation set across passes.
 //
 // Guarantee: after any sequence of mutations, Audit reports exactly the
 // violations a full fairness.CheckAll over the same trace reports (the
@@ -61,10 +62,9 @@ type Engine struct {
 
 	primed  bool
 	cursors []uint64 // per-shard changelog positions
-	cursor  *eventlog.Cursor
-	access  *fairness.AccessIndex
-	flagged map[model.WorkerID]bool
-	ax5     *fairness.Axiom5Stream
+	// pos is the number of trace events the verdicts cover: what the
+	// ledger's since-lists hold from pos on is new to the next pass.
+	pos int
 
 	// Candidate indexes for the Axiom 1/2 checkers, owned by the engine
 	// and advanced incrementally from the same per-shard changelog deltas
@@ -84,7 +84,8 @@ type Engine struct {
 	// Axiom 1/2 Checked counts equal to a full scan's; Axiom 3's per-task
 	// results and Checked counts with their running total; Axiom 4's
 	// per-worker results plus the eligibility set that makes its Checked
-	// exact; how much of the Axiom 5 stream is folded in.
+	// exact; Axiom 5's violations in the ledger's interruption order, one
+	// per interruption folded in.
 	viol        [5][]fairness.Violation
 	sums        [5]vsum
 	flat        bool
@@ -95,7 +96,7 @@ type Engine struct {
 	ax3Total    int
 	ax4         map[model.WorkerID]fairness.Violation
 	ax4Eligible map[model.WorkerID]bool
-	ax5Seen     int
+	ax5         []fairness.Violation
 
 	scr scratch
 }
@@ -323,10 +324,7 @@ func (e *Engine) reset() {
 	e.workerIx = nil
 	e.taskIx = nil
 	e.cursors = make([]uint64, e.st.ShardCount())
-	e.cursor = eventlog.NewCursor(e.log)
-	e.access = fairness.NewAccessIndex()
-	e.flagged = make(map[model.WorkerID]bool)
-	e.ax5 = fairness.NewAxiom5Stream()
+	e.pos = 0
 	e.viol, e.sums, e.flat = [5][]fairness.Violation{}, [5]vsum{}, true
 	e.ax1Census = newPairSet()
 	e.ax2Census = newPairSet()
@@ -334,7 +332,7 @@ func (e *Engine) reset() {
 	e.ax3Checked = make(map[model.TaskID]int)
 	e.ax4 = make(map[model.WorkerID]fairness.Violation)
 	e.ax4Eligible = make(map[model.WorkerID]bool)
-	e.ax3Total, e.ax5Seen = 0, 0
+	e.ax3Total, e.ax5 = 0, nil
 }
 
 // Audit brings the engine up to date with the trace and returns the five
@@ -344,15 +342,22 @@ func (e *Engine) reset() {
 func (e *Engine) Audit() []*fairness.Report { return e.AuditPass().Reports }
 
 // AuditPass is Audit with the pass's fingerprint and change count, for
-// callers that publish the result (internal/serve).
-func (e *Engine) AuditPass() Pass {
+// callers that publish the result (internal/serve). The pass runs under
+// the ledger's lock, so no fold moves the access sets, flags and
+// interruptions it judges.
+func (e *Engine) AuditPass() (p Pass) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.log.ReadLedger(func(d *eventlog.Ledger) { p = e.pass(d) })
+	return p
+}
+
+func (e *Engine) pass(d *eventlog.Ledger) Pass {
 	sc := &e.scr
 	sc.begin()
 
 	if !e.primed {
-		return e.rebuild()
+		return e.rebuild(d)
 	}
 	for i := range e.cursors {
 		ch, ok := e.st.ShardChangesSince(i, e.cursors[i])
@@ -360,7 +365,7 @@ func (e *Engine) AuditPass() Pass {
 			// Fell behind this shard's retention window: mutations were
 			// lost, dirty sets would be incomplete. Start over.
 			e.reset()
-			return e.rebuild()
+			return e.rebuild(d)
 		}
 		if len(ch) > 0 {
 			e.cursors[i] = ch[len(ch)-1].Version
@@ -380,21 +385,19 @@ func (e *Engine) AuditPass() Pass {
 		}
 	}
 	// Re-index exactly the entities the changelog touched, before any
-	// checker consults the indexes. Offer events (below) dirty workers and
-	// tasks too, but offers never change an entity's skills, so only
+	// checker consults the indexes. New access edges (below) dirty workers
+	// and tasks too, but offers never change an entity's skills, so only
 	// changelog deltas reach the indexes.
 	e.refreshIndexes(sc.dirtyW1, sc.dirtyT2)
-	for _, ev := range e.cursor.Next() {
-		if e.access.Observe(ev) {
-			sc.dirtyW1[ev.Worker] = true
-			sc.dirtyT2[ev.Task] = true
-		}
-		if ev.Type == eventlog.WorkerFlagged && !e.flagged[ev.Worker] {
-			e.flagged[ev.Worker] = true
-			sc.dirtyW4[ev.Worker] = true
-		}
-		e.ax5.Observe(ev)
+	workers, tasks := d.IDs(eventlog.KindWorker), d.IDs(eventlog.KindTask)
+	for _, a := range d.EdgesSince(e.pos) {
+		sc.dirtyW1[model.WorkerID(workers[a.Worker])] = true
+		sc.dirtyT2[model.TaskID(tasks[a.Task])] = true
 	}
+	for _, f := range d.FlagsSince(e.pos) {
+		sc.dirtyW4[model.WorkerID(workers[f.Worker])] = true
+	}
+	e.pos = d.Pos()
 	sc.w1 = sortedIDs(sc.w1, sc.dirtyW1)
 	sc.t2 = sortedIDs(sc.t2, sc.dirtyT2)
 	sc.t3 = sortedIDs(sc.t3, sc.dirtyT3)
@@ -406,8 +409,8 @@ func (e *Engine) AuditPass() Pass {
 	}
 
 	// The five axiom passes form a task graph over disjoint engine state —
-	// task t reads the shared immutable prologue products (access index,
-	// candidate indexes, flag set, dirty slices) and writes only its own
+	// task t reads the shared immutable prologue products (the ledger,
+	// candidate indexes, dirty slices) and writes only its own
 	// axiom's verdicts — so they fan out on the bounded pool. Each task's
 	// internal fan-outs nest under the same token budget; on a saturated
 	// pool they simply run inline. All task outputs are deterministic, so
@@ -415,30 +418,30 @@ func (e *Engine) AuditPass() Pass {
 	par.Do(5, 0, func(t int) {
 		switch t {
 		case 0:
-			rep := fairness.Axiom1Pairs(e.st, e.access, e.cfg, sc.w1)
+			rep := fairness.Axiom1Pairs(e.st, d, e.cfg, sc.w1)
 			e.ax1Census.dropDirty(sc.s1)
 			e.ax1Census.add(rep.CheckedPairs)
 			e.fold(0, touching(e.viol[0], sc.s1), rep.Violations)
 		case 1:
-			rep := fairness.Axiom2Pairs(e.st, e.access, e.cfg, sc.t2)
+			rep := fairness.Axiom2Pairs(e.st, d, e.cfg, sc.t2)
 			e.ax2Census.dropDirty(sc.s2)
 			e.ax2Census.add(rep.CheckedPairs)
 			e.fold(1, touching(e.viol[1], sc.s2), rep.Violations)
 		case 2:
 			e.foldTasks(sc.t3)
 		case 3:
-			e.foldWorkers(sc.w4)
+			e.foldWorkers(d, sc.w4)
 		case 4:
-			e.foldAxiom5()
+			e.foldAxiom5(d)
 		}
 	})
-	return e.publish()
+	return e.publish(d)
 }
 
 // publish assembles the pass's reports over the standing slices and reads
 // the fingerprint off the running sums.
-func (e *Engine) publish() Pass {
-	checked := [5]int{e.ax1Census.count, e.ax2Census.count, e.ax3Total, len(e.ax4Eligible), e.ax5.Checked()}
+func (e *Engine) publish(d *eventlog.Ledger) Pass {
+	checked := [5]int{e.ax1Census.count, e.ax2Census.count, e.ax3Total, len(e.ax4Eligible), d.Starts()}
 	p := Pass{Reports: make([]*fairness.Report, 5)}
 	if e.workerIx != nil {
 		p.Cost = Cost{WorkerJoin: e.workerIx.TakeWork(), TaskJoin: e.taskIx.TakeWork()}
@@ -451,24 +454,18 @@ func (e *Engine) publish() Pass {
 	return p
 }
 
-// rebuild is the cold-start/catch-up path: consume the whole trace, run the
-// delta pass's scoped checkers with every worker and task in scope over the
-// maintained access index, and seed the per-task and per-worker state for
-// Axioms 3–4 (folded shard-parallel on the bounded pool).
-func (e *Engine) rebuild() Pass {
+// rebuild is the cold-start/catch-up path: take in the whole ledger, run the
+// delta pass's scoped checkers with every worker and task in scope, and seed
+// the per-task and per-worker state for Axioms 3–4 (folded shard-parallel on
+// the bounded pool).
+func (e *Engine) rebuild(d *eventlog.Ledger) Pass {
 	// Per-shard cursors are seeded from the shard watermarks, read before
 	// any entity scan: a mutation not yet covered by its watermark is
 	// re-delivered on the next pass, never skipped.
 	for i := range e.cursors {
 		e.cursors[i] = e.st.ShardVersion(i)
 	}
-	for _, ev := range e.cursor.Next() {
-		e.access.Observe(ev)
-		if ev.Type == eventlog.WorkerFlagged {
-			e.flagged[ev.Worker] = true
-		}
-		e.ax5.Observe(ev)
-	}
+	e.pos = d.Pos()
 	allWorkers, allTasks := e.buildIndexes()
 	e.primed = true
 
@@ -477,22 +474,22 @@ func (e *Engine) rebuild() Pass {
 	par.Do(5, 0, func(t int) {
 		switch t {
 		case 0:
-			rep := fairness.Axiom1Pairs(e.st, e.access, e.cfg, allWorkers)
+			rep := fairness.Axiom1Pairs(e.st, d, e.cfg, allWorkers)
 			e.ax1Census.add(rep.CheckedPairs)
 			e.fold(0, nil, rep.Violations)
 		case 1:
-			rep := fairness.Axiom2Pairs(e.st, e.access, e.cfg, allTasks)
+			rep := fairness.Axiom2Pairs(e.st, d, e.cfg, allTasks)
 			e.ax2Census.add(rep.CheckedPairs)
 			e.fold(1, nil, rep.Violations)
 		case 2:
 			e.foldTasks(allTasks)
 		case 3:
-			e.foldWorkers(allWorkers)
+			e.foldWorkers(d, allWorkers)
 		case 4:
-			e.foldAxiom5()
+			e.foldAxiom5(d)
 		}
 	})
-	return e.publish()
+	return e.publish(d)
 }
 
 // buildIndexes builds the worker and task candidate indexes from the
@@ -583,9 +580,9 @@ func (e *Engine) foldTasks(ids []model.TaskID) {
 // foldWorkers replaces the stored Axiom 4 verdict of every worker in ids
 // (sorted ascending, so gone and fresh come out in report order), fanning
 // the per-worker checks out like foldTasks.
-func (e *Engine) foldWorkers(ids []model.WorkerID) {
+func (e *Engine) foldWorkers(d *eventlog.Ledger, ids []model.WorkerID) {
 	var gone, fresh []fairness.Violation
-	audits := fairness.CheckAxiom4Workers(e.st, e.flagged, ids)
+	audits := fairness.CheckAxiom4Workers(e.st, d, ids)
 	for i := range audits {
 		a := &audits[i]
 		if a.Checked > 0 {
@@ -606,27 +603,30 @@ func (e *Engine) foldWorkers(ids []model.WorkerID) {
 	e.fold(3, gone, fresh)
 }
 
-// foldAxiom5 folds in what the stream found since the last pass. Axiom 5 is
-// append-only, and ViolationLess ties on its subjects (two interruptions of
-// one worker), so it bypasses apply: the sum takes the tail, and the slice is
-// the stream's own report order, re-read only when the tail is non-empty.
-func (e *Engine) foldAxiom5() {
-	tail := e.ax5.Since(e.ax5Seen)
+// foldAxiom5 folds in the interruptions the ledger recorded since the last
+// pass. Axiom 5 is append-only, and ViolationLess ties on its subjects (two
+// interruptions of one worker), so it bypasses apply: the sum takes the
+// tail, and the published slice is the whole list in interruption order,
+// sorted afresh only when the tail is non-empty.
+func (e *Engine) foldAxiom5(d *eventlog.Ledger) {
+	tail := fairness.Axiom5Violations(d, d.Interruptions()[len(e.ax5):])
 	if len(tail) == 0 {
 		return
 	}
 	for _, v := range tail {
 		e.sums[4].add(v)
 	}
-	e.ax5Seen += len(tail)
+	e.ax5 = append(e.ax5, tail...)
 	e.scr.changed[4] += len(tail)
-	e.viol[4] = e.ax5.Report().Violations
+	e.viol[4] = slices.Clone(e.ax5)
+	fairness.SortViolations(e.viol[4])
 }
 
 // flatten runs once, on the first pass after Resume: it rebuilds what the
 // saved image does not carry — Axiom 3/4's flat slices, Axiom 3's running
 // Checked, every sum — from the restored verdicts (Axiom 5 follows through
-// foldAxiom5, whose cursor Resume left at zero).
+// foldAxiom5, which after Resume starts from the ledger's first
+// interruption).
 func (e *Engine) flatten() {
 	flat := [4][]fairness.Violation{e.viol[0], e.viol[1]}
 	for _, vs := range e.ax3 {

@@ -75,13 +75,14 @@ func ConfigSig(cfg fairness.Config) string {
 }
 
 // State is the warm-start image of an Engine: the changelog cursors, the
-// event-log position, the temporal indexes (deduplicated offer sets, flagged
-// workers, the Axiom 5 stream), and every maintained verdict. Checkpoint
-// stores its binary encoding (Encode) in the audit-<version>.bin sidecar the
-// manifest names, so a restarted auditor replays only post-checkpoint deltas
-// — no full event replay, no candidate-pair scan. Pair similarity scores and
-// candidate indexes are not part of it: the engine keeps no scores across
-// passes, and Resume rebuilds the indexes from the store.
+// event-log position, and every maintained verdict. Checkpoint stores its
+// binary encoding (Encode) in the audit-<version>.bin sidecar the manifest
+// names, so a restarted auditor re-checks only post-checkpoint deltas — no
+// candidate-pair scan. The trace's temporal state (offers, flags,
+// interrupted starts) is not part of it: the recovered log's ledger folds
+// the whole trace, and the engine reads what it holds past EventPos. Nor
+// are pair similarity scores or candidate indexes: the engine keeps no
+// scores across passes, and Resume rebuilds the indexes from the store.
 type State struct {
 	// ConfigSig fingerprints the fairness.Config the verdicts were computed
 	// under; LoadState compares it before a resume and callers cold-start on
@@ -89,17 +90,9 @@ type State struct {
 	ConfigSig string
 	// Cursors are the per-shard changelog positions at save time.
 	Cursors []uint64
-	// EventPos is the event-log cursor position at save time.
+	// EventPos is the number of trace events the verdicts covered at save
+	// time.
 	EventPos int
-
-	// Offers are the access index's deduplicated per-worker offer sets
-	// (the task-audience direction is derived on restore); Flagged lists
-	// the workers the platform ever flagged; Ax5 is the streaming Axiom 5
-	// checker's image. Together they stand in for replaying the event
-	// prefix [0, EventPos).
-	Offers  map[model.WorkerID][]model.TaskID
-	Flagged []model.WorkerID
-	Ax5     *fairness.Axiom5State
 
 	Ax1Violations []fairness.Violation
 	Ax1Pairs      [][2]string
@@ -145,9 +138,7 @@ func (e *Engine) State() *State {
 	}
 	st := &State{
 		Cursors:       append([]uint64(nil), e.cursors...),
-		EventPos:      e.cursor.Pos(),
-		Offers:        e.access.Offers(),
-		Ax5:           e.ax5.Save(),
+		EventPos:      e.pos,
 		Ax1Violations: append([]fairness.Violation(nil), e.viol[0]...),
 		Ax1Pairs:      e.ax1Census.pairs(),
 		Ax2Violations: append([]fairness.Violation(nil), e.viol[1]...),
@@ -169,19 +160,15 @@ func (e *Engine) State() *State {
 		st.Ax4Eligible = append(st.Ax4Eligible, id)
 	}
 	sort.Slice(st.Ax4Eligible, func(i, j int) bool { return st.Ax4Eligible[i] < st.Ax4Eligible[j] })
-	for id := range e.flagged {
-		st.Flagged = append(st.Flagged, id)
-	}
-	sort.Slice(st.Flagged, func(i, j int) bool { return st.Flagged[i] < st.Flagged[j] })
 	return st
 }
 
-// Resume rebuilds a warm engine over a recovered trace: the temporal
-// state (access index, flagged set, Axiom 5 stream) and the maintained
-// verdicts are restored from the saved image, and the changelog and event
-// cursors pick up where the checkpoint left them — so the next Audit call
-// is a delta pass over post-checkpoint changes only, with no full event
-// replay and no candidate-pair scan. If the store's changelog no longer
+// Resume rebuilds a warm engine over a recovered trace: the maintained
+// verdicts are restored from the saved image, and the changelog cursors
+// and event position pick up where the checkpoint left them — so the next
+// Audit call is a delta pass over post-checkpoint changes only (what the
+// log's ledger holds past the event position), with no candidate-pair
+// scan. If the store's changelog no longer
 // covers a cursor (deep tail loss), that first Audit
 // transparently falls back to the full rebuild; correctness never depends
 // on the state being fresh.
@@ -208,16 +195,7 @@ func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *Stat
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	for w, tasks := range state.Offers {
-		for _, t := range tasks {
-			e.access.RestoreOffer(w, t)
-		}
-	}
-	for _, w := range state.Flagged {
-		e.flagged[w] = true
-	}
-	e.ax5 = fairness.RestoreAxiom5Stream(state.Ax5)
-	e.cursor = eventlog.NewCursorAt(log, state.EventPos)
+	e.pos = state.EventPos
 	copy(e.cursors, state.Cursors)
 
 	e.viol[0] = append([]fairness.Violation(nil), state.Ax1Violations...)

@@ -19,7 +19,6 @@ import (
 //
 //	[format byte]
 //	[config sig][cursors][event pos]
-//	[offers][flagged][axiom 5 stream]
 //	[axiom 1 violations, pairs][axiom 2 violations, pairs]
 //	[axiom 3 violations, checked][axiom 4 violations, eligible]
 //	[4-byte LE CRC32-IEEE of everything above]
@@ -33,9 +32,11 @@ import (
 // stateFormat versions the image layout. Formats 1–3 ended in an image of
 // the MinHash/LSH candidate indexes (signature runs, then band-key runs,
 // then band keys with token digests); format 4 holds no index image, since
-// Resume builds the candidate indexes from the store. An image of another
-// format fails DecodeState, so its auditor cold-starts.
-const stateFormat = 4
+// Resume builds the candidate indexes from the store, but still carried
+// the trace's offer sets, flagged workers and Axiom 5 stream; format 5
+// drops those, since the recovered log's ledger folds them. An image of
+// another format fails DecodeState, so its auditor cold-starts.
+const stateFormat = 5
 
 // Minimum encoded sizes, for bounding a count by the bytes that remain
 // before allocating from it.
@@ -87,23 +88,11 @@ func appendPair(b []byte, p [2]string) []byte {
 
 // Encode renders the state's binary image (layout above).
 func (s *State) Encode() []byte {
-	ax5 := s.Ax5
-	if ax5 == nil {
-		ax5 = &fairness.Axiom5State{}
-	}
 	b := make([]byte, 0, 4096)
 	b = append(b, stateFormat)
 	b = wal.AppendString(b, s.ConfigSig)
 	b = appendList(b, s.Cursors, wal.AppendUvarint)
 	b = appendCount(b, s.EventPos)
-
-	b = appendMap(b, s.Offers, appendIDs[model.TaskID])
-	b = appendIDs(b, s.Flagged)
-	b = appendList(b, ax5.InFlight, func(b []byte, f fairness.Axiom5Start) []byte {
-		return wal.AppendVarint(appendID(appendID(b, f.Worker), f.Task), f.Time)
-	})
-	b = appendCount(b, ax5.Checked)
-	b = appendViolations(b, ax5.Violations)
 
 	b = appendViolations(b, s.Ax1Violations)
 	b = appendList(b, s.Ax1Pairs, appendPair)
@@ -197,18 +186,9 @@ func DecodeState(data []byte) (*State, error) {
 	}
 	d := stateDec{wal.NewDec(body[1:])}
 	s := &State{
-		ConfigSig: d.String(),
-		Cursors:   readList(d, 1, d.Uvarint),
-		EventPos:  d.count(),
-		Offers:    readMap[model.WorkerID](d, 1, func() []model.TaskID { return readIDs[model.TaskID](d) }),
-		Flagged:   readIDs[model.WorkerID](d),
-		Ax5: &fairness.Axiom5State{
-			InFlight: readList(d, 2*minStringBytes+1, func() fairness.Axiom5Start {
-				return fairness.Axiom5Start{Worker: model.WorkerID(d.String()), Task: model.TaskID(d.String()), Time: d.Varint()}
-			}),
-			Checked:    d.count(),
-			Violations: d.violations(),
-		},
+		ConfigSig:     d.String(),
+		Cursors:       readList(d, 1, d.Uvarint),
+		EventPos:      d.count(),
 		Ax1Violations: d.violations(),
 		Ax1Pairs:      d.pairs(),
 		Ax2Violations: d.violations(),

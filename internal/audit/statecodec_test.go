@@ -51,16 +51,9 @@ func fixtureState() *State {
 		return fairness.Violation{Axiom: a, Subjects: subjects, Detail: detail, Severity: 0.5}
 	}
 	return &State{
-		ConfigSig: "skill=cosine@0.9",
-		Cursors:   []uint64{7, 0, 300},
-		EventPos:  42,
-		Offers:    map[model.WorkerID][]model.TaskID{"w1": {"t1", "t2"}, "w2": {"t1"}, "w3": nil},
-		Flagged:   []model.WorkerID{"w2"},
-		Ax5: &fairness.Axiom5State{
-			InFlight:   []fairness.Axiom5Start{{Worker: "w1", Task: "t2", Time: -3}},
-			Checked:    9,
-			Violations: []fairness.Violation{v(fairness.Axiom5NoInterruption, "interrupted", "w3")},
-		},
+		ConfigSig:     "skill=cosine@0.9",
+		Cursors:       []uint64{7, 0, 300},
+		EventPos:      42,
 		Ax1Violations: []fairness.Violation{v(fairness.Axiom1WorkerAssignment, "access gap", "w1", "w2")},
 		Ax1Pairs:      [][2]string{{"w1", "w2"}, {"w1", "w3"}},
 		Ax2Violations: []fairness.Violation{v(fairness.Axiom2RequesterAssignment, "audience gap", "t1", "t2")},
@@ -81,6 +74,7 @@ func FuzzDecodeState(f *testing.F) {
 	hand := fixtureState().Encode()
 	f.Add(hand)
 	f.Add(hand[:len(hand)/2])
+	f.Add(resum(append([]byte{stateFormat - 1}, hand[1:]...))) // an older format
 	f.Add(stateFixture(f, 9, 6, fairness.DefaultConfig()))
 	f.Add((&State{}).Encode())
 	f.Add([]byte{})
@@ -177,8 +171,8 @@ func TestStateImageIsDeterministic(t *testing.T) {
 
 // LoadState's error cases are all "cold-start": no sidecar named, the file
 // gone, cut short or flipped, a state saved under another config, and an
-// image of formats 1–3 (which ended in an LSH index image) under a valid
-// checksum.
+// image of formats 1–4 (1–3 ended in an LSH index image, 4 carried the
+// trace's offer sets, flags and Axiom 5 stream) under a valid checksum.
 func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	dir := t.TempDir()
 	s := durableScenario(t, 5, dir, wal.Options{})
@@ -205,16 +199,13 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	}
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0x40
-	format1 := append([]byte(nil), good...)
-	format1[0] = 1
-	format2 := append([]byte(nil), good...)
-	format2[0] = 2
-	format3 := append([]byte(nil), good...)
-	format3[0] = 3
-	for name, data := range map[string][]byte{
-		"truncated": good[:len(good)/2], "bit flip": flipped,
-		"format 1": resum(format1), "format 2": resum(format2), "format 3": resum(format3),
-	} {
+	images := map[string][]byte{"truncated": good[:len(good)/2], "bit flip": flipped}
+	for format := byte(1); format <= 4; format++ {
+		old := append([]byte(nil), good...)
+		old[0] = format
+		images[fmt.Sprintf("format %d", format)] = resum(old)
+	}
+	for name, data := range images {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -99,7 +99,7 @@ type Log struct {
 	sink    *wal.Writer
 	scratch []byte
 
-	// ledger is the disclosure state ReadLedger folds the trace into.
+	// ledger is the one fold of the trace, advanced by ReadLedger.
 	ledger Ledger
 }
 
@@ -328,44 +328,4 @@ func Read(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("eventlog: read: %w", err)
 	}
 	return l, nil
-}
-
-// Cursor iterates a log incrementally; each Next call returns events
-// appended since the previous call. It is the mechanism the retention model
-// uses to consume the trace online during simulation.
-type Cursor struct {
-	log *Log
-	pos int
-}
-
-// NewCursor returns a cursor positioned at the start of l.
-func NewCursor(l *Log) *Cursor { return &Cursor{log: l} }
-
-// NewCursorAt returns a cursor positioned after the first pos events —
-// how a warm-started auditor resumes where its checkpointed cursor left
-// off. pos is clamped to the current log length.
-func NewCursorAt(l *Log, pos int) *Cursor {
-	if pos < 0 {
-		pos = 0
-	}
-	if n := l.Len(); pos > n {
-		pos = n
-	}
-	return &Cursor{log: l, pos: pos}
-}
-
-// Pos returns the number of events the cursor has consumed — the value to
-// persist in a checkpoint and hand back to NewCursorAt.
-func (c *Cursor) Pos() int { return c.pos }
-
-// Next returns all events appended since the last call (possibly none).
-func (c *Cursor) Next() []Event {
-	c.log.mu.RLock()
-	defer c.log.mu.RUnlock()
-	if c.pos >= len(c.log.events) {
-		return nil
-	}
-	out := append([]Event(nil), c.log.events[c.pos:]...)
-	c.pos = len(c.log.events)
-	return out
 }

@@ -127,28 +127,6 @@ func TestReadSkipsBlankLines(t *testing.T) {
 	}
 }
 
-func TestCursor(t *testing.T) {
-	l := New()
-	c := NewCursor(l)
-	if got := c.Next(); got != nil {
-		t.Fatalf("empty cursor returned %v", got)
-	}
-	l.MustAppend(Event{Time: 1, Type: WorkerJoined, Worker: "w1"})
-	l.MustAppend(Event{Time: 2, Type: WorkerJoined, Worker: "w2"})
-	first := c.Next()
-	if len(first) != 2 {
-		t.Fatalf("first batch = %d", len(first))
-	}
-	if got := c.Next(); got != nil {
-		t.Fatalf("drained cursor returned %v", got)
-	}
-	l.MustAppend(Event{Time: 3, Type: WorkerLeft, Worker: "w1"})
-	second := c.Next()
-	if len(second) != 1 || second[0].Type != WorkerLeft {
-		t.Fatalf("second batch = %v", second)
-	}
-}
-
 func TestFilterPredicate(t *testing.T) {
 	l := seededLog()
 	paid := l.Filter(func(e Event) bool { return e.Amount > 0 })

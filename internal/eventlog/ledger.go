@@ -3,13 +3,14 @@ package eventlog
 import (
 	"math/bits"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/model"
 )
 
-// Kind names one of the subject namespaces the disclosure ledger tracks.
+// Kind names one of the subject namespaces the ledger interns.
 type Kind uint8
 
 // Ledger subject kinds.
@@ -32,12 +33,24 @@ const (
 	RolePosted
 )
 
-// Ledger is the trace folded into "who was ever disclosed what", the state
-// the transparency audit (Axioms 6 and 7, policy compliance) reads.
-// Disclosure is monotone over an append-only log — no later event retracts
-// one — so folding only the events appended since the last read is exact.
-// A disclosure event is recorded to a worker (Worker != ""), about a task
-// (Task != ""), and about a requester (Requester != "" and Task == "").
+// Ledger is the one fold of the trace: every question the audits ask of
+// the history, answered from state keyed by the dense indexes it interns
+// per subject kind.
+//   - Access (Axioms 1 and 2): the tasks ever offered to each worker and the
+//     workers each task was ever offered to, deduplicated and sorted.
+//   - Flags (Axiom 4): the workers the platform ever flagged.
+//   - Starts (Axiom 5): the starts not yet submitted or interrupted, the
+//     count of all starts, and every interrupted start.
+//   - Disclosures (Axioms 6 and 7, policy compliance): who was ever
+//     disclosed what, and each subject's roles.
+//
+// Every fact is monotone over an append-only log — no later event retracts
+// an offer, a flag, an interruption or a disclosure — so folding only the
+// events appended since the last read is exact. A disclosure event is
+// recorded to a worker (Worker != ""), about a task (Task != ""), and about
+// a requester (Requester != "" and Task == ""). What an incremental reader
+// has not seen yet is what the since-lists (EdgesSince, FlagsSince, and
+// Interruptions past a count) hold beyond its last position.
 //
 // Each Log holds one Ledger, built on the first ReadLedger and advanced by
 // later ones; appends and WAL replay never touch it.
@@ -48,6 +61,42 @@ type Ledger struct {
 	kinds  [numKinds]subjects
 	// owner[i] is task i's requester; the last TaskPosted wins.
 	owner []model.RequesterID
+
+	// offers[w] lists the tasks ever offered to worker w, audience[t] the
+	// workers task t was ever offered to, both sorted; edges lists each
+	// (worker, task) pair once, in fold order.
+	offers   [][]int32
+	audience [][]int32
+	edges    []Edge
+	// flagged is the bit set of flagged workers; flags lists each once.
+	flagged []uint64
+	flags   []Flag
+	// open maps each started (worker, task) pair, until its submission or
+	// interruption, to the start's time.
+	open          map[uint64]int64
+	starts        int
+	interruptions []Interruption
+}
+
+// Edge is an access edge: task Task was first offered to worker Worker by
+// the event at index At of the trace.
+type Edge struct {
+	Worker, Task int32
+	At           int
+}
+
+// Flag records that the event at index At first flagged worker Worker.
+type Flag struct {
+	Worker int32
+	At     int
+}
+
+// Interruption is an interrupted start — an Axiom 5 violation: worker
+// Worker started task Task at time Start, and the task was interrupted at
+// time End before the worker submitted it.
+type Interruption struct {
+	Worker, Task int32
+	Start, End   int64
 }
 
 // subjects interns one namespace's ids to dense indexes.
@@ -62,9 +111,10 @@ type subjects struct {
 	disclosed [][]uint64
 }
 
-// ReadLedger brings the log's disclosure ledger up to date with every
-// event appended so far and calls fn with it under the ledger's lock. fn
-// must not keep the ledger or call back into ReadLedger.
+// ReadLedger brings the log's ledger up to date with every event appended
+// so far and calls fn with it under the ledger's lock, so no fold moves
+// what fn reads. fn may read the ledger from several goroutines, but must
+// not keep it or call back into ReadLedger.
 func (l *Log) ReadLedger(fn func(*Ledger)) {
 	d := &l.ledger
 	d.mu.Lock()
@@ -142,9 +192,58 @@ func (d *Ledger) OwnersOf(idx []int32) []model.RequesterID {
 	return out
 }
 
+// Pos returns the number of events folded in: the position from which
+// the next ReadLedger's since-lists grow.
+func (d *Ledger) Pos() int { return d.pos }
+
+// Offers returns the dense indexes of the tasks ever offered to worker w,
+// sorted (nil if none). The slice is the ledger's: read it under the lock.
+func (d *Ledger) Offers(w model.WorkerID) []int32 {
+	return d.listOf(KindWorker, string(w), d.offers)
+}
+
+// Audience returns the dense indexes of the workers task t was ever offered
+// to, sorted (nil if none), under Offers' terms.
+func (d *Ledger) Audience(t model.TaskID) []int32 {
+	return d.listOf(KindTask, string(t), d.audience)
+}
+
+func (d *Ledger) listOf(k Kind, id string, lists [][]int32) []int32 {
+	if i, ok := d.kinds[k].index[id]; ok && int(i) < len(lists) {
+		return lists[i]
+	}
+	return nil
+}
+
+// Flagged reports whether the platform ever flagged worker w.
+func (d *Ledger) Flagged(w model.WorkerID) bool {
+	i, ok := d.kinds[KindWorker].index[string(w)]
+	return ok && hasBit(d.flagged, i)
+}
+
+// EdgesSince returns, in fold order, the access edges first made by an
+// event at index p or later.
+func (d *Ledger) EdgesSince(p int) []Edge {
+	return d.edges[sort.Search(len(d.edges), func(i int) bool { return d.edges[i].At >= p }):]
+}
+
+// FlagsSince returns, in fold order, the workers first flagged by an event
+// at index p or later.
+func (d *Ledger) FlagsSince(p int) []Flag {
+	return d.flags[sort.Search(len(d.flags), func(i int) bool { return d.flags[i].At >= p }):]
+}
+
+// Starts returns the number of TaskStarted events folded in.
+func (d *Ledger) Starts() int { return d.starts }
+
+// Interruptions returns every interrupted start in fold order. The list
+// only grows, so a reader that has seen n of them reads the rest past n.
+func (d *Ledger) Interruptions() []Interruption { return d.interruptions }
+
 func (d *Ledger) fold(events []Event) {
 	if d.fields == nil {
 		d.fields = make(map[string]int)
+		d.open = make(map[uint64]int64)
 		for k := range d.kinds {
 			d.kinds[k].index = make(map[string]int32)
 		}
@@ -155,16 +254,44 @@ func (d *Ledger) fold(events []Event) {
 		switch e.Type {
 		case WorkerJoined:
 			workers.mark(string(e.Worker), RoleJoined)
+		case TaskOffered:
+			w, t := workers.mark(string(e.Worker), 0), tasks.mark(string(e.Task), 0)
+			d.offers = cover(d.offers, w)
+			var fresh bool
+			if d.offers[w], fresh = insertSorted(d.offers[w], t); fresh {
+				d.audience = cover(d.audience, t)
+				d.audience[t], _ = insertSorted(d.audience[t], w)
+				d.edges = append(d.edges, Edge{Worker: w, Task: t, At: d.pos + i})
+			}
+		case WorkerFlagged:
+			w := workers.mark(string(e.Worker), 0)
+			var fresh bool
+			if d.flagged, fresh = setBit(d.flagged, w); fresh {
+				d.flags = append(d.flags, Flag{Worker: w, At: d.pos + i})
+			}
 		case TaskStarted:
-			workers.mark(string(e.Worker), RoleStarted)
+			w, t := workers.mark(string(e.Worker), RoleStarted), tasks.mark(string(e.Task), 0)
+			d.open[pairKey(w, t)] = e.Time
+			d.starts++
 		case TaskSubmitted:
-			workers.mark(string(e.Worker), RoleSubmitted)
+			w := workers.mark(string(e.Worker), RoleSubmitted)
+			if t, ok := tasks.index[string(e.Task)]; ok {
+				delete(d.open, pairKey(w, t))
+			}
+		case TaskInterrupted:
+			w, okW := workers.index[string(e.Worker)]
+			t, okT := tasks.index[string(e.Task)]
+			if !okW || !okT {
+				continue
+			}
+			if t0, ok := d.open[pairKey(w, t)]; ok {
+				d.interruptions = append(d.interruptions, Interruption{Worker: w, Task: t, Start: t0, End: e.Time})
+				delete(d.open, pairKey(w, t))
+			}
 		case TaskPosted:
 			t := tasks.mark(string(e.Task), RolePosted)
 			requesters.mark(string(e.Requester), RolePosted)
-			for int(t) >= len(d.owner) {
-				d.owner = append(d.owner, "")
-			}
+			d.owner = cover(d.owner, t)
 			d.owner[t] = e.Requester
 		case Disclosure:
 			f, ok := d.fields[e.Field]
@@ -184,6 +311,42 @@ func (d *Ledger) fold(events []Event) {
 	}
 }
 
+// pairKey packs a (worker, task) index pair into one map key.
+func pairKey(w, t int32) uint64 { return uint64(uint32(w))<<32 | uint64(uint32(t)) }
+
+// cover extends s with zero values until index i exists.
+func cover[T any](s []T, i int32) []T {
+	if n := int(i) + 1 - len(s); n > 0 {
+		s = append(s, make([]T, n)...)
+	}
+	return s
+}
+
+// insertSorted inserts x into the ascending list s, reporting whether it
+// was absent.
+func insertSorted(s []int32, x int32) ([]int32, bool) {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s, false
+	}
+	return slices.Insert(s, i, x), true
+}
+
+// setBit sets bit i of set, reporting whether it was clear.
+func setBit(set []uint64, i int32) ([]uint64, bool) {
+	if hasBit(set, i) {
+		return set, false
+	}
+	set = cover(set, i/64)
+	set[i/64] |= 1 << (uint(i) % 64)
+	return set, true
+}
+
+func hasBit(set []uint64, i int32) bool {
+	w := int(i) / 64
+	return w < len(set) && set[w]>>(uint(i)%64)&1 != 0
+}
+
 // mark interns id and adds role to it, returning its index.
 func (s *subjects) mark(id string, role Role) int32 {
 	i, ok := s.index[id]
@@ -200,14 +363,8 @@ func (s *subjects) mark(id string, role Role) int32 {
 // disclose records field f as disclosed to or about id.
 func (s *subjects) disclose(id string, f int) {
 	i := s.mark(id, 0)
-	for f >= len(s.disclosed) {
-		s.disclosed = append(s.disclosed, nil)
-	}
-	w := int(i) / 64
-	for w >= len(s.disclosed[f]) {
-		s.disclosed[f] = append(s.disclosed[f], 0)
-	}
-	s.disclosed[f][w] |= 1 << (uint(i) % 64)
+	s.disclosed = cover(s.disclosed, int32(f))
+	s.disclosed[f], _ = setBit(s.disclosed[f], i)
 }
 
 // sortNew merges the subjects interned since the last call into the id

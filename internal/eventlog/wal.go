@@ -12,8 +12,8 @@ import (
 // dir (recovering the longest valid prefix after a torn tail), attaches a
 // writer, and returns a Log whose Append tees every event to disk. Unlike
 // the store's changelog WAL, event segments are never truncated by
-// checkpoints: a cold audit rebuild replays the entire trace (the access
-// index and Axiom 5 are temporal), so the whole history stays replayable.
+// checkpoints: the ledger (ledger.go) folds the entire trace (access,
+// flags and Axiom 5 are temporal), so the whole history stays replayable.
 // The same replay feeds a replica's trace: CatchUp re-reads another
 // process's event log and appends the events past the trace's length, so
 // a pass reads the whole retained log and decodes only what is new.

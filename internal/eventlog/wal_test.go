@@ -183,24 +183,6 @@ func TestDurableLogPoisonRecord(t *testing.T) {
 	}
 }
 
-func TestCursorAtAndPos(t *testing.T) {
-	l := New()
-	for i := 0; i < 10; i++ {
-		l.MustAppend(Event{Time: int64(i), Type: TaskPosted, Task: "t", Requester: "r"})
-	}
-	c := NewCursor(l)
-	if got := c.Next(); len(got) != 10 || c.Pos() != 10 {
-		t.Fatalf("cursor drained %d, pos %d", len(got), c.Pos())
-	}
-	c2 := NewCursorAt(l, 7)
-	if got := c2.Next(); len(got) != 3 || got[0].Seq != 8 {
-		t.Fatalf("resumed cursor read %d events (first seq %d)", len(got), got[0].Seq)
-	}
-	if c3 := NewCursorAt(l, 99); c3.Pos() != 10 {
-		t.Fatalf("clamp failed: %d", c3.Pos())
-	}
-}
-
 func TestDurableAppendBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenDurable(dir, wal.Options{SegmentBytes: 256, Sync: wal.SyncAlways})

@@ -27,19 +27,20 @@ import (
 // IndexPlan.Indexed). Workers
 // with empty skill vectors pair with each other (they are trivially
 // skill-similar) and nothing else.
-func CheckAxiom1(st *store.Store, log *eventlog.Log, cfg Config) *Report {
-	return Axiom1Pairs(st, AccessIndexFromLog(log), cfg, st.WorkerIDs())
+func CheckAxiom1(st *store.Store, log *eventlog.Log, cfg Config) (rep *Report) {
+	log.ReadLedger(func(d *eventlog.Ledger) { rep = Axiom1Pairs(st, d, cfg, st.WorkerIDs()) })
+	return rep
 }
 
-// Axiom1Pairs audits, under CheckAxiom1's predicates and over a
-// caller-maintained AccessIndex, every candidate pair with at least one
+// Axiom1Pairs audits, under CheckAxiom1's predicates and over the offer
+// sets of the trace's ledger, every candidate pair with at least one
 // endpoint in ids (sorted ascending, deduplicated). Every worker id is the
 // full scan. An incremental auditor (internal/audit) passes the workers whose
 // attributes, skills or offer sets changed since its last pass: re-checking
 // their pairs, and dropping the standing violations that touch them,
 // reproduces the full scan, because pairs of two unchanged workers cannot
 // have changed status. Report.Checked counts the pairs examined.
-func Axiom1Pairs(st *store.Store, ix *AccessIndex, cfg Config, ids []model.WorkerID) *Report {
+func Axiom1Pairs(st *store.Store, d *eventlog.Ledger, cfg Config, ids []model.WorkerID) *Report {
 	similar := cfg.similarWorkers()
 	accessThr := orDefault(cfg.AccessThreshold, 1.0)
 	return walkPairs(Axiom1WorkerAssignment, ids, cfg.provider(st).WorkerPartners, st.PeekWorker, cfg.RecordCheckedPairs,
@@ -47,8 +48,8 @@ func Axiom1Pairs(st *store.Store, ix *AccessIndex, cfg Config, ids []model.Worke
 			if !similar(a, b) {
 				return true, Violation{}
 			}
-			aSet, bSet := ix.offerSet(a.ID), ix.offerSet(b.ID)
-			overlap := aSet.jaccard(bSet)
+			aSet, bSet := d.Offers(a.ID), d.Offers(b.ID)
+			overlap := jaccard(aSet, bSet)
 			if overlap >= accessThr {
 				return true, Violation{}
 			}
@@ -56,7 +57,7 @@ func Axiom1Pairs(st *store.Store, ix *AccessIndex, cfg Config, ids []model.Worke
 				Axiom:    Axiom1WorkerAssignment,
 				Subjects: []string{string(a.ID), string(b.ID)},
 				Detail: fmt.Sprintf("similar workers saw different tasks: offer overlap %.2f < %.2f (|offers| %d vs %d)",
-					overlap, accessThr, aSet.size(), bSet.size()),
+					overlap, accessThr, len(aSet), len(bSet)),
 				Severity: accessThr - overlap,
 			}
 		})
@@ -78,15 +79,18 @@ func (c *Config) similarWorkers() func(a, b *model.Worker) bool {
 }
 
 // Axiom1FromOffers is a convenience entry point for auditing an assignment
-// result directly (before any simulation): it fills the access index from
-// an offers map, for the store's workers, instead of an event log.
+// result directly (before any simulation): it audits a trace that offers
+// the store's workers their tasks in offers.
 func Axiom1FromOffers(st *store.Store, offers map[model.WorkerID][]model.TaskID, cfg Config) *Report {
-	ix := NewAccessIndex()
-	ids := st.WorkerIDs()
-	for _, w := range ids {
+	var events []eventlog.Event
+	for _, w := range st.WorkerIDs() {
 		for _, t := range offers[w] {
-			ix.RestoreOffer(w, t)
+			events = append(events, eventlog.Event{Type: eventlog.TaskOffered, Worker: w, Task: t})
 		}
 	}
-	return Axiom1Pairs(st, ix, cfg, ids)
+	log := eventlog.New()
+	if err := log.AppendBatch(events); err != nil {
+		panic(err) // an in-memory log refuses only events out of time order
+	}
+	return CheckAxiom1(st, log, cfg)
 }

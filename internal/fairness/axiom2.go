@@ -21,17 +21,18 @@ import (
 // when their relative difference is within cfg.RewardTolerance. A pair of
 // comparable tasks whose audiences overlap (Jaccard) below
 // cfg.AccessThreshold is a violation.
-func CheckAxiom2(st *store.Store, log *eventlog.Log, cfg Config) *Report {
-	return Axiom2Pairs(st, AccessIndexFromLog(log), cfg, st.TaskIDs())
+func CheckAxiom2(st *store.Store, log *eventlog.Log, cfg Config) (rep *Report) {
+	log.ReadLedger(func(d *eventlog.Ledger) { rep = Axiom2Pairs(st, d, cfg, st.TaskIDs()) })
+	return rep
 }
 
-// Axiom2Pairs audits, under CheckAxiom2's predicates and over a
-// caller-maintained AccessIndex, every cross-requester candidate pair with
+// Axiom2Pairs audits, under CheckAxiom2's predicates and over the audiences
+// of the trace's ledger, every cross-requester candidate pair with
 // at least one endpoint in ids (sorted ascending, deduplicated): every task
 // id for the full scan, or the tasks whose content or audience changed for
 // an incremental pass (see Axiom1Pairs). Report.Checked counts the pairs
 // examined.
-func Axiom2Pairs(st *store.Store, ix *AccessIndex, cfg Config, ids []model.TaskID) *Report {
+func Axiom2Pairs(st *store.Store, d *eventlog.Ledger, cfg Config, ids []model.TaskID) *Report {
 	comparable := cfg.comparableTasks()
 	accessThr := orDefault(cfg.AccessThreshold, 1.0)
 	return walkPairs(Axiom2RequesterAssignment, ids, cfg.provider(st).TaskPartners, st.PeekTask, cfg.RecordCheckedPairs,
@@ -44,7 +45,7 @@ func Axiom2Pairs(st *store.Store, ix *AccessIndex, cfg Config, ids []model.TaskI
 			if !comparable(a, b) {
 				return true, Violation{}
 			}
-			overlap := ix.audienceSet(a.ID).jaccard(ix.audienceSet(b.ID))
+			overlap := jaccard(d.Audience(a.ID), d.Audience(b.ID))
 			if overlap >= accessThr {
 				return true, Violation{}
 			}

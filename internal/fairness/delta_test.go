@@ -98,18 +98,18 @@ func requireSameReport(t *testing.T, name string, full, delta *Report) {
 func TestDeltaAllDirtyMatchesFull(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		st, log := deltaTrace(t, 120, 40, seed)
-		ix := AccessIndexFromLog(log)
 		exh := DefaultConfig()
 		exh.Exhaustive = true
 		for _, cfg := range []Config{DefaultConfig(), exh} {
-			ws, ts := st.WorkerIDs(), st.TaskIDs()
 			var one1, one2 []*Report
-			for _, id := range ws {
-				one1 = append(one1, Axiom1Pairs(st, ix, cfg, []model.WorkerID{id}))
-			}
-			for _, id := range ts {
-				one2 = append(one2, Axiom2Pairs(st, ix, cfg, []model.TaskID{id}))
-			}
+			log.ReadLedger(func(d *eventlog.Ledger) {
+				for _, id := range st.WorkerIDs() {
+					one1 = append(one1, Axiom1Pairs(st, d, cfg, []model.WorkerID{id}))
+				}
+				for _, id := range st.TaskIDs() {
+					one2 = append(one2, Axiom2Pairs(st, d, cfg, []model.TaskID{id}))
+				}
+			})
 			requireCovers(t, "axiom1", CheckAxiom1(st, log, cfg), one1, 2)
 			requireCovers(t, "axiom2", CheckAxiom2(st, log, cfg), one2, 2)
 		}
@@ -118,9 +118,11 @@ func TestDeltaAllDirtyMatchesFull(t *testing.T) {
 		for _, id := range st.TaskIDs() {
 			one3 = append(one3, foldTaskAudits(CheckAxiom3Tasks(st, cfg, []model.TaskID{id})))
 		}
-		for _, id := range st.WorkerIDs() {
-			one4 = append(one4, foldWorkerAudits(CheckAxiom4Workers(st, FlaggedFromLog(log), []model.WorkerID{id})))
-		}
+		log.ReadLedger(func(d *eventlog.Ledger) {
+			for _, id := range st.WorkerIDs() {
+				one4 = append(one4, foldWorkerAudits(CheckAxiom4Workers(st, d, []model.WorkerID{id})))
+			}
+		})
 		requireCovers(t, "axiom3", CheckAxiom3(st, cfg), one3, 1)
 		requireCovers(t, "axiom4", CheckAxiom4(st, log), one4, 1)
 	}
@@ -152,17 +154,19 @@ func requireCovers(t *testing.T, name string, full *Report, scoped []*Report, mu
 func TestDeltaDirtySubsets(t *testing.T) {
 	st, log := deltaTrace(t, 90, 30, 3)
 	cfg := DefaultConfig()
-	ix := AccessIndexFromLog(log)
 	full := CheckAxiom1(st, log, cfg)
 	if len(full.Violations) == 0 {
 		t.Fatal("trace produced no Axiom 1 violations; test needs material")
 	}
-	empty := Axiom1Pairs(st, ix, cfg, nil)
+	v := full.Violations[0]
+	var empty, delta *Report
+	log.ReadLedger(func(d *eventlog.Ledger) {
+		empty = Axiom1Pairs(st, d, cfg, nil)
+		delta = Axiom1Pairs(st, d, cfg, []model.WorkerID{model.WorkerID(v.Subjects[0])})
+	})
 	if empty.Checked != 0 || len(empty.Violations) != 0 {
 		t.Fatalf("empty dirty set still audited: %v", empty)
 	}
-	v := full.Violations[0]
-	delta := Axiom1Pairs(st, ix, cfg, []model.WorkerID{model.WorkerID(v.Subjects[0])})
 	found := false
 	for _, dv := range delta.Violations {
 		if dv.String() == v.String() {
@@ -181,12 +185,12 @@ func TestDeltaDirtySubsets(t *testing.T) {
 	}
 }
 
-// The streaming Axiom 5 checker must match the batch checker no matter how
-// the trace is sliced.
-func TestAxiom5StreamMatchesBatch(t *testing.T) {
-	log := eventlog.New()
+// Axiom 5 over a trace folded in two parts, with a report read between
+// them, matches the batch checker over the same trace folded at once.
+func TestAxiom5FoldMatchesBatch(t *testing.T) {
+	var events []eventlog.Event
 	ev := func(typ eventlog.Type, w, task string, tm int64) {
-		log.MustAppend(eventlog.Event{Type: typ, Worker: model.WorkerID(w), Task: model.TaskID(task), Time: tm})
+		events = append(events, eventlog.Event{Type: typ, Worker: model.WorkerID(w), Task: model.TaskID(task), Time: tm})
 	}
 	ev(eventlog.TaskStarted, "w1", "t1", 1)
 	ev(eventlog.TaskStarted, "w2", "t1", 1)
@@ -196,42 +200,23 @@ func TestAxiom5StreamMatchesBatch(t *testing.T) {
 	ev(eventlog.TaskInterrupted, "w3", "t2", 6)
 	ev(eventlog.TaskInterrupted, "w3", "t2", 7) // double interrupt: second is a no-op
 
-	batch := CheckAxiom5(log)
-	stream := NewAxiom5Stream()
-	events := log.Events()
+	whole := eventlog.New()
+	if err := whole.AppendBatch(append([]eventlog.Event(nil), events...)); err != nil {
+		t.Fatal(err)
+	}
+	batch := CheckAxiom5(whole)
 	mid := len(events) / 2
-	for _, e := range events[:mid] {
-		stream.Observe(e)
+	split := eventlog.New()
+	if err := split.AppendBatch(append([]eventlog.Event(nil), events[:mid]...)); err != nil {
+		t.Fatal(err)
 	}
-	_ = stream.Report() // mid-trace report must not disturb the stream
-	for _, e := range events[mid:] {
-		stream.Observe(e)
+	_ = CheckAxiom5(split) // a mid-trace report must not disturb the fold
+	if err := split.AppendBatch(append([]eventlog.Event(nil), events[mid:]...)); err != nil {
+		t.Fatal(err)
 	}
-	requireSameReport(t, "axiom5", batch, stream.Report())
+	requireSameReport(t, "axiom5", batch, CheckAxiom5(split))
 	if batch.Checked != 3 || len(batch.Violations) != 2 {
 		t.Fatalf("unexpected batch report: %v", batch)
-	}
-}
-
-// AccessIndex.Observe must deduplicate repeated offers and report dirtiness
-// only on genuine change.
-func TestAccessIndexObserveDedup(t *testing.T) {
-	ix := NewAccessIndex()
-	e := eventlog.Event{Type: eventlog.TaskOffered, Worker: "w1", Task: "t1"}
-	if !ix.Observe(e) {
-		t.Fatal("first offer must dirty the index")
-	}
-	if ix.Observe(e) {
-		t.Fatal("repeated offer must be a no-op")
-	}
-	if ix.Observe(eventlog.Event{Type: eventlog.TaskSubmitted, Worker: "w1", Task: "t1"}) {
-		t.Fatal("non-offer events must be no-ops")
-	}
-	if got := ix.offerSet("w1").size(); got != 1 {
-		t.Fatalf("offer set size = %d, want 1", got)
-	}
-	if got := ix.audienceSet("t1").size(); got != 1 {
-		t.Fatalf("audience size = %d, want 1", got)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/eventlog"
-	"repro/internal/model"
 	"repro/internal/similarity"
 	"repro/internal/store"
 )
@@ -209,164 +208,27 @@ func (r *Report) String() string {
 		r.Axiom, r.Checked, len(r.Violations), r.ViolationRate())
 }
 
-// idSet is a precomputed id set with an order-independent fingerprint, so
-// the checkers can compare many offer sets pairwise without rebuilding maps
-// per pair and can shortcut the (common) identical-sets case.
-type idSet[T ~string] struct {
-	set  map[T]bool
-	hash uint64
-}
-
-// add inserts id, reporting whether the set changed. The XOR-combined
-// per-element FNV-1a fingerprint is order- and duplicate-independent, so
-// incremental insertion and batch construction agree.
-func (s *idSet[T]) add(id T) bool {
-	if s.set == nil {
-		s.set = make(map[T]bool)
-	}
-	if s.set[id] {
-		return false
-	}
-	s.set[id] = true
-	s.hash ^= fnv64a(string(id))
-	return true
-}
-
-// size returns the number of distinct ids in the set.
-func (s idSet[T]) size() int { return len(s.set) }
-
-func fnv64a(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func newIDSet[T ~string](ids []T) idSet[T] {
-	s := idSet[T]{set: make(map[T]bool, len(ids))}
-	for _, id := range ids {
-		s.add(id)
-	}
-	return s
-}
-
-// jaccard computes the overlap of two precomputed sets with an equality
-// fast path.
-func (a idSet[T]) jaccard(b idSet[T]) float64 {
-	if len(a.set) == 0 && len(b.set) == 0 {
+// jaccard is the overlap |a ∩ b| / |a ∪ b| of two ascending, duplicate-free
+// index lists (1 when both are empty): an access set of the trace's ledger
+// against another.
+func jaccard(a, b []int32) float64 {
+	if len(a) == 0 && len(b) == 0 {
 		return 1
-	}
-	if a.hash == b.hash && len(a.set) == len(b.set) {
-		return 1 // identical with overwhelming probability; severity-free path
-	}
-	small, big := a.set, b.set
-	if len(big) < len(small) {
-		small, big = big, small
 	}
 	shared := 0
-	for id := range small {
-		if big[id] {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			shared++
+			i++
+			j++
 		}
 	}
-	union := len(a.set) + len(b.set) - shared
-	if union == 0 {
-		return 1
-	}
-	return float64(shared) / float64(union)
-}
-
-// AccessIndex is the offer/audience evidence Axioms 1 and 2 audit: for
-// every worker the set of tasks made visible to them, and for every task
-// the set of workers it was shown to. The index is maintained incrementally
-// — Observe folds one trace event in — so a long-lived audit engine never
-// replays the whole log, and repeated offers of the same task to the same
-// worker are deduplicated exactly like the Jaccard computation requires.
-type AccessIndex struct {
-	offers   map[model.WorkerID]*idSet[model.TaskID]
-	audience map[model.TaskID]*idSet[model.WorkerID]
-}
-
-// NewAccessIndex returns an empty index.
-func NewAccessIndex() *AccessIndex {
-	return &AccessIndex{
-		offers:   make(map[model.WorkerID]*idSet[model.TaskID]),
-		audience: make(map[model.TaskID]*idSet[model.WorkerID]),
-	}
-}
-
-// AccessIndexFromLog builds the index from a complete trace.
-func AccessIndexFromLog(log *eventlog.Log) *AccessIndex {
-	ix := NewAccessIndex()
-	for _, e := range log.ByType(eventlog.TaskOffered) {
-		ix.Observe(e)
-	}
-	return ix
-}
-
-// Observe folds one event into the index. It reports whether the event
-// changed any access set — false for non-offer events and for repeated
-// offers of a task already visible to the worker — which is exactly the
-// signal an incremental auditor needs to mark the endpoints dirty.
-func (ix *AccessIndex) Observe(e eventlog.Event) bool {
-	if e.Type != eventlog.TaskOffered {
-		return false
-	}
-	o := ix.offers[e.Worker]
-	if o == nil {
-		o = &idSet[model.TaskID]{}
-		ix.offers[e.Worker] = o
-	}
-	if !o.add(e.Task) {
-		return false
-	}
-	a := ix.audience[e.Task]
-	if a == nil {
-		a = &idSet[model.WorkerID]{}
-		ix.audience[e.Task] = a
-	}
-	a.add(e.Worker)
-	return true
-}
-
-// Offers exports the deduplicated offer sets — each worker's visible task
-// ids, sorted — for checkpoint serialisation. RestoreOffer rebuilds an
-// equal index (including the per-set fingerprints) from the lists.
-func (ix *AccessIndex) Offers() map[model.WorkerID][]model.TaskID {
-	out := make(map[model.WorkerID][]model.TaskID, len(ix.offers))
-	for w, s := range ix.offers {
-		ids := make([]model.TaskID, 0, len(s.set))
-		for t := range s.set {
-			ids = append(ids, t)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out[w] = ids
-	}
-	return out
-}
-
-// RestoreOffer re-inserts one (worker, task) visibility edge — the inverse
-// of Offers. Equivalent to observing a TaskOffered event.
-func (ix *AccessIndex) RestoreOffer(w model.WorkerID, t model.TaskID) {
-	ix.Observe(eventlog.Event{Type: eventlog.TaskOffered, Worker: w, Task: t})
-}
-
-// offerSet returns the worker's deduplicated offer set (zero set if none).
-func (ix *AccessIndex) offerSet(id model.WorkerID) idSet[model.TaskID] {
-	if s, ok := ix.offers[id]; ok {
-		return *s
-	}
-	return idSet[model.TaskID]{}
-}
-
-// audienceSet returns the task's deduplicated audience (zero set if none).
-func (ix *AccessIndex) audienceSet(id model.TaskID) idSet[model.WorkerID] {
-	if s, ok := ix.audience[id]; ok {
-		return *s
-	}
-	return idSet[model.WorkerID]{}
+	return float64(shared) / float64(len(a)+len(b)-shared)
 }
 
 // SortViolations orders violations by their subject ids — the deterministic

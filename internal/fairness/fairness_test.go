@@ -3,6 +3,7 @@ package fairness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,6 +183,112 @@ func TestAxiom2DetectsUnequalAudience(t *testing.T) {
 	if rep.Violations[0].Subjects[0] != "t1" || rep.Violations[0].Subjects[1] != "t2" {
 		t.Fatalf("subjects = %v", rep.Violations[0].Subjects)
 	}
+}
+
+// xorTwins returns two disjoint, equally large sets of ids prefix000…
+// prefix199 whose FNV-64a hashes XOR to the same value: the sets an
+// order-free hash fingerprint of a set cannot tell apart. Gaussian
+// elimination over GF(2) on (hash, 1) finds a subset of the ids whose
+// vectors sum to zero; the trailing 1 makes its size even, and any split
+// into halves then XORs alike.
+func xorTwins(prefix string) (a, b []string) {
+	fnv64a := func(s string) uint64 {
+		var h uint64 = 14695981039346656037
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+		return h
+	}
+	type row struct {
+		hash, parity uint64
+		ids          map[string]bool // the ids summed into the row
+	}
+	lead := func(r row) int { // the row's highest set bit, -1 if zero
+		if r.parity != 0 {
+			return 64
+		}
+		for bit := 63; bit >= 0; bit-- {
+			if r.hash>>bit&1 != 0 {
+				return bit
+			}
+		}
+		return -1
+	}
+	basis := make(map[int]row)
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("%s%03d", prefix, i)
+		r := row{hash: fnv64a(id), parity: 1, ids: map[string]bool{id: true}}
+		for bit := lead(r); bit >= 0; bit = lead(r) {
+			p, ok := basis[bit]
+			if !ok {
+				basis[bit] = r
+				break
+			}
+			r.hash ^= p.hash
+			r.parity ^= p.parity
+			for pid, in := range p.ids {
+				r.ids[pid] = r.ids[pid] != in
+			}
+		}
+		if lead(r) >= 0 {
+			continue
+		}
+		var set []string
+		for id, in := range r.ids {
+			if in {
+				set = append(set, id)
+			}
+		}
+		slices.Sort(set)
+		return set[:len(set)/2], set[len(set)/2:]
+	}
+	panic("no dependent subset among 200 vectors of 65 bits")
+}
+
+// Access overlap is computed over the sets themselves: two disjoint offer
+// sets (Axiom 1) or audiences (Axiom 2) of equal size whose FNV-64a hashes
+// XOR alike have overlap 0, not 1.
+func TestAccessOverlapIsExact(t *testing.T) {
+	s := twinStore(t)
+	tasksA, tasksB := xorTwins("task-")
+	workersA, workersB := xorTwins("worker-")
+	for _, pair := range [][2][]string{{tasksA, tasksB}, {workersA, workersB}} {
+		if len(pair[0]) == 0 || len(pair[0]) != len(pair[1]) {
+			t.Fatalf("construction gave sets of %d and %d ids", len(pair[0]), len(pair[1]))
+		}
+	}
+
+	offers := map[string][]string{"w1": tasksA, "w2": tasksB}
+	for name, rep := range map[string]*Report{
+		"CheckAxiom1": CheckAxiom1(s, offerLog(offers), DefaultConfig()),
+		"Axiom1FromOffers": Axiom1FromOffers(s, map[model.WorkerID][]model.TaskID{
+			"w1": taskIDs(tasksA), "w2": taskIDs(tasksB),
+		}, DefaultConfig()),
+	} {
+		if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0].Detail, "offer overlap 0.00") {
+			t.Fatalf("%s: twins with disjoint offers: violations = %v", name, rep.Violations)
+		}
+	}
+
+	audiences := make(map[string][]string)
+	for task, workers := range map[string][]string{"t1": workersA, "t2": workersB} {
+		for _, w := range workers {
+			audiences[w] = append(audiences[w], task)
+		}
+	}
+	rep := CheckAxiom2(s, offerLog(audiences), DefaultConfig())
+	if len(rep.Violations) != 1 || rep.Violations[0].Severity != 1 {
+		t.Fatalf("comparable tasks with disjoint audiences: violations = %v", rep.Violations)
+	}
+}
+
+func taskIDs(ids []string) []model.TaskID {
+	out := make([]model.TaskID, len(ids))
+	for i, id := range ids {
+		out[i] = model.TaskID(id)
+	}
+	return out
 }
 
 func TestAxiom2IgnoresIncomparableRewards(t *testing.T) {
@@ -393,9 +500,23 @@ func jaccardIDs[T ~string](a, b []T) float64 {
 	return float64(shared) / float64(union)
 }
 
-// idSet.jaccard must agree with the reference jaccardIDs on random sets.
-func TestIDSetJaccardMatchesReference(t *testing.T) {
+// jaccard over sorted index lists must agree with the reference
+// jaccardIDs on random sets.
+func TestJaccardMatchesReference(t *testing.T) {
 	f := func(a, b []string) bool {
+		index := make(map[string]int32)
+		list := func(ids []string) (out []int32) {
+			for _, id := range ids {
+				i, ok := index[id]
+				if !ok {
+					i = int32(len(index))
+					index[id] = i
+				}
+				out = append(out, i)
+			}
+			slices.Sort(out)
+			return slices.Compact(out)
+		}
 		as := make([]model.TaskID, len(a))
 		for i, x := range a {
 			as[i] = model.TaskID(x)
@@ -405,7 +526,7 @@ func TestIDSetJaccardMatchesReference(t *testing.T) {
 			bs[i] = model.TaskID(x)
 		}
 		want := jaccardIDs(as, bs)
-		got := newIDSet(as).jaccard(newIDSet(bs))
+		got := jaccard(list(a), list(b))
 		return math.Abs(want-got) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -296,18 +296,18 @@ func benchmarkAuditPublish(b *testing.B, dirty bool) {
 func BenchmarkAuditPublishQuiet(b *testing.B)    { benchmarkAuditPublish(b, false) }
 func BenchmarkAuditPublishOneDirty(b *testing.B) { benchmarkAuditPublish(b, true) }
 
-// --- Sharded store: contended mutation, single RWMutex vs hash shards ---
+// --- Store: contended mutation ---
 
-// contendedStoreEnv builds a populated store at the given shard count plus
-// disjoint per-goroutine worker groups, so the benchmark contends on shard
-// locks rather than on individual entities.
-func contendedStoreEnv(b *testing.B, shards, goroutines int) (*store.Store, *eventlog.Log, [][]*model.Worker) {
+// contendedStoreEnv builds a populated store plus disjoint per-goroutine
+// worker groups, so the benchmark contends on the store's lock rather than
+// on individual entities.
+func contendedStoreEnv(b *testing.B, goroutines int) (*store.Store, *eventlog.Log, [][]*model.Worker) {
 	b.Helper()
 	rng := stats.NewRNG(benchSeed)
 	pop := workload.GeneratePopulation(workload.PopulationSpec{
 		Workers: 2048, Archetypes: 8,
 	}, rng.Split())
-	st := store.NewSharded(pop.Universe, shards)
+	st := store.New(pop.Universe)
 	if err := st.BulkPutWorkers(pop.Workers); err != nil {
 		b.Fatal(err)
 	}
@@ -319,15 +319,12 @@ func contendedStoreEnv(b *testing.B, shards, goroutines int) (*store.Store, *eve
 }
 
 // benchmarkStoreContendedMutate measures raw mutation throughput with 8
-// goroutines hammering UpdateWorker, optionally with a concurrent
-// incremental auditor sampling the changelog — the workload the tentpole
-// shards the store for. At shards=1 this is exactly the old single-RWMutex
-// layout; the sharded runs must beat it by ≥3× on a machine with 8+ cores
-// (on fewer cores the goroutines timeshare and the gap narrows to the
-// reduced lock-handoff overhead).
-func benchmarkStoreContendedMutate(b *testing.B, shards int, withAudit bool) {
+// goroutines hammering UpdateWorker on the store's one write lock,
+// optionally with a concurrent incremental auditor reading the changelog
+// under the same lock.
+func benchmarkStoreContendedMutate(b *testing.B, withAudit bool) {
 	const goroutines = 8
-	st, log, groups := contendedStoreEnv(b, shards, goroutines)
+	st, log, groups := contendedStoreEnv(b, goroutines)
 	stop := make(chan struct{})
 	auditDone := make(chan struct{})
 	if withAudit {
@@ -372,16 +369,8 @@ func benchmarkStoreContendedMutate(b *testing.B, shards int, withAudit bool) {
 	}
 }
 
-func BenchmarkStoreContendedMutate1Shard(b *testing.B) { benchmarkStoreContendedMutate(b, 1, false) }
-func BenchmarkStoreContendedMutateSharded(b *testing.B) {
-	benchmarkStoreContendedMutate(b, store.DefaultShardCount, false)
-}
-func BenchmarkStoreContendedMutateAudit1Shard(b *testing.B) {
-	benchmarkStoreContendedMutate(b, 1, true)
-}
-func BenchmarkStoreContendedMutateAuditSharded(b *testing.B) {
-	benchmarkStoreContendedMutate(b, store.DefaultShardCount, true)
-}
+func BenchmarkStoreContendedMutate(b *testing.B)      { benchmarkStoreContendedMutate(b, false) }
+func BenchmarkStoreContendedMutateAudit(b *testing.B) { benchmarkStoreContendedMutate(b, true) }
 
 // --- Kernel micro-benchmarks ---
 

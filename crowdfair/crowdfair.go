@@ -107,7 +107,7 @@ type (
 )
 
 // Sync policies for WALOptions.Sync, weakest to strongest. Every policy
-// appends through per-shard group commit: one write — and, for SyncAlways
+// appends through group commit: one write — and, for SyncAlways
 // and SyncInterval, one fsync — covers every append queued while the
 // previous one ran, so durable throughput stays within small-integer
 // multiples of SyncNever under concurrency.
@@ -199,7 +199,7 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 		if u == nil {
 			return nil, fmt.Errorf("crowdfair: creating %s needs a universe", dir)
 		}
-		st, err := store.NewDurable(u, store.DefaultShardCount, dir, wopts)
+		st, err := store.CreateDurable(u, dir, wopts)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +237,7 @@ func OpenPlatformWAL(dir string, u *Universe, cfg AuditConfig, wopts WALOptions)
 		// config) is not an error: the auditor cold-starts.
 		state, _ = audit.LoadState(dir, man, cfg)
 	}()
-	st, _, err := store.Open(dir, 0, wopts)
+	st, _, err := store.OpenDurable(dir, wopts)
 	wg.Wait()
 	if err != nil || logErr != nil {
 		if err == nil {

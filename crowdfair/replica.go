@@ -91,8 +91,8 @@ func (r *Replica) CatchUp() (int, error) {
 		return applied, fmt.Errorf("replica: %w", err)
 	}
 	// Versions on disk past the applied one that this pass could not reach
-	// are either unflushed on some shard or checkpointed away. Only a newer
-	// manifest proves the latter.
+	// are either behind a torn, still-being-appended record or checkpointed
+	// away. Only a newer manifest proves the latter.
 	if v := r.st.Version(); r.observed > v {
 		if man, err := store.ReadManifest(r.dir); err == nil && man.Version > v {
 			return applied, fmt.Errorf("%w: applied %d, checkpoint at %d", ErrGap, v, man.Version)
@@ -104,16 +104,6 @@ func (r *Replica) CatchUp() (int, error) {
 // AppliedVersion returns the highest global store version applied so far
 // (monotonically non-decreasing).
 func (r *Replica) AppliedVersion() uint64 { return r.st.Version() }
-
-// Watermarks returns the replica store's per-shard applied versions (the
-// replica has the primary's width, and routes every id to the same shard).
-func (r *Replica) Watermarks() []uint64 {
-	out := make([]uint64, r.st.ShardCount())
-	for i := range out {
-		out[i] = r.st.ShardVersion(i)
-	}
-	return out
-}
 
 // Staleness reports the replica's lag bound as of the last CatchUp pass.
 func (r *Replica) Staleness() Staleness {

@@ -137,21 +137,6 @@ func TestReplicaConvergence(t *testing.T) {
 		t.Fatal("replica audit diverged after incremental catch-up")
 	}
 
-	// Watermarks cover every replica shard and sum to a consistent layout.
-	marks := r.Watermarks()
-	if len(marks) != r.Store().ShardCount() {
-		t.Fatalf("%d watermarks for %d shards", len(marks), r.Store().ShardCount())
-	}
-	var max uint64
-	for _, m := range marks {
-		if m > max {
-			max = m
-		}
-	}
-	if max != r.AppliedVersion() {
-		t.Fatalf("max shard watermark %d != applied version %d", max, r.AppliedVersion())
-	}
-
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -365,15 +350,11 @@ func TestCheckpointTruncatesUnderReplica(t *testing.T) {
 	}
 	segments := func() int {
 		t.Helper()
-		n := 0
-		for i := 0; i < p.Store().ShardCount(); i++ {
-			segs, err := wal.Segments(store.WALShardDir(dir, i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			n += len(segs)
+		segs, err := wal.Segments(store.WALDir(dir))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n
+		return len(segs)
 	}
 
 	if err := p.AddRequester(&crowdfair.Requester{ID: "r1"}); err != nil {
@@ -391,13 +372,13 @@ func TestCheckpointTruncatesUnderReplica(t *testing.T) {
 	converged(caughtUp)
 
 	// The primary's auditor stops at the follower's position; more writes
-	// fill several segments per shard, and the checkpoint truncates the
+	// fill several segments, and the checkpoint truncates the
 	// sealed segments both have passed.
 	p.AuditIncremental(cfg)
 	add(30, 60)
 	before := segments()
-	if before < 2*p.Store().ShardCount() {
-		t.Fatalf("%d WAL segments over %d shards: the writes did not rotate", before, p.Store().ShardCount())
+	if before < 2 {
+		t.Fatalf("%d WAL segments: the writes did not rotate", before)
 	}
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -425,10 +406,10 @@ func TestCheckpointTruncatesUnderReplica(t *testing.T) {
 }
 
 // TestReplicaWaitsOnTornTail pins a replica against records still being
-// appended: on a closed primary's directory the last bytes of every
-// shard's last segment and of the event log's last segment are cut off,
-// as a write in flight leaves them. One pass applies the dense prefix below
-// the lowest torn version and the events before the torn one, and nothing
+// appended: on a closed primary's directory the last bytes of the store
+// WAL's last segment and of the event log's last segment are cut off, as a
+// write in flight leaves them. One pass applies the dense prefix below the
+// torn version and the events before the torn one, and nothing
 // past them; once the bytes are back, further passes reach the primary's
 // version and event count.
 func TestReplicaWaitsOnTornTail(t *testing.T) {
@@ -474,7 +455,6 @@ func TestReplicaWaitsOnTornTail(t *testing.T) {
 		data []byte
 	}
 	var tears []torn
-	lowest := ^uint64(0)
 	tear := func(logDir string) uint64 {
 		t.Helper()
 		segs, err := wal.Segments(logDir)
@@ -504,12 +484,7 @@ func TestReplicaWaitsOnTornTail(t *testing.T) {
 		tears = append(tears, torn{last, data})
 		return lastKey
 	}
-	shards := p.Store().ShardCount()
-	for i := 0; i < shards; i++ {
-		if k := tear(store.WALShardDir(dir, i)); k < lowest {
-			lowest = k
-		}
-	}
+	tornAt := tear(store.WALDir(dir))
 	if k := tear(store.EventsDir(dir)); k != uint64(events) {
 		t.Fatalf("torn event is record %d, the trace holds %d", k, events)
 	}
@@ -522,8 +497,8 @@ func TestReplicaWaitsOnTornTail(t *testing.T) {
 	if _, err := r.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.AppliedVersion(), lowest-1; got != want {
-		t.Fatalf("over torn tails the replica reached version %d, want %d (the lowest torn version is %d)", got, want, lowest)
+	if got, want := r.AppliedVersion(), tornAt-1; got != want {
+		t.Fatalf("over a torn tail the replica reached version %d, want %d (the torn version is %d)", got, want, tornAt)
 	}
 	if got, want := r.EventCount(), events-1; got != want {
 		t.Fatalf("over a torn event the replica holds %d events, want %d", got, want)

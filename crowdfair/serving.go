@@ -18,15 +18,15 @@ type Offer struct {
 // single-entity methods (AddWorker, PostTask, Offer, RecordContribution)
 // are their one-element calls. No front-end coalesces: the HTTP server
 // calls them with one entity per request, concurrently, and a write-ahead
-// log error comes back as an error. The store fans a batch out by
-// owning shard under a single lock acquisition per shard (store.bulkApply),
-// and concurrent callers share fsyncs in the WAL's group commit. Events are
+// log error comes back as an error. The store applies a batch in order
+// under one lock acquisition, and concurrent callers share fsyncs in the
+// WAL's group commit. Events are
 // appended after the entities land so a replayed trace never references an
 // entity the store does not hold yet.
 
 // AddWorkers registers many workers and logs their arrivals, batching both
 // the store writes and the trace appends. On error the store keeps every
-// insert that preceded the failure in its shard (see store.BulkPutWorkers);
+// insert that preceded the failure (see store.BulkPutWorkers);
 // arrival events are only logged when every insert succeeded.
 func (p *Platform) AddWorkers(ws []*Worker) error {
 	if len(ws) == 0 {
@@ -44,7 +44,7 @@ func (p *Platform) AddWorkers(ws []*Worker) error {
 }
 
 // UpdateWorkers replaces many existing workers' attributes and skills in
-// one shard-parallel batch. Updates log no trace events, matching the
+// one batch. Updates log no trace events, matching the
 // single-entity store path.
 func (p *Platform) UpdateWorkers(ws []*Worker) error {
 	if len(ws) == 0 {

@@ -2,9 +2,8 @@
 // that turns the paper's batch audits into the continuous monitoring loop a
 // long-lived platform needs. A full AuditFairness pass re-scans every
 // candidate pair on every call — quadratic per tick, untenable alongside
-// live traffic. Engine instead subscribes to the store's per-shard
-// changelogs (store.ShardChangesSince, one cursor per shard so no
-// cross-shard merge is ever needed) and the event log's ledger (the one
+// live traffic. Engine instead subscribes to the store's changelog
+// (store.ChangesSince, read past one cursor) and the event log's ledger (the one
 // fold of the trace: offers, flags, interrupted starts, each reader
 // reading what arrived since its own position), computes per-axiom dirty
 // sets — workers whose attributes or offer sets moved, tasks whose
@@ -29,7 +28,7 @@
 // Pair similarities are recomputed for every pair a pass examines; nothing is
 // memoised across passes. Axiom 3 builds each contribution's n-gram profile
 // once per dirty task (similarity.ContributionProfiles). When the engine
-// falls behind any shard's changelog retention window it falls back to a
+// falls behind the changelog's retention window it falls back to a
 // full rebuild — the cold start and the catch-up path are the same code, and
 // the rebuild's per-task / per-worker folds fan out on the bounded worker
 // pool.
@@ -60,14 +59,14 @@ type Engine struct {
 	cfg  fairness.Config
 	plan fairness.IndexPlan
 
-	primed  bool
-	cursors []uint64 // per-shard changelog positions
+	primed bool
+	cursor uint64 // changelog position
 	// pos is the number of trace events the verdicts cover: what the
 	// ledger's since-lists hold from pos on is new to the next pass.
 	pos int
 
 	// Candidate indexes for the Axiom 1/2 checkers, owned by the engine
-	// and advanced incrementally from the same per-shard changelog deltas
+	// and advanced incrementally from the same changelog deltas
 	// that drive the dirty sets — an entity mutation re-indexes exactly
 	// that entity's skills. Built from the store in place on rebuild and
 	// Resume, and keyed by entity id; both nil when the plan is not
@@ -127,14 +126,12 @@ type Cost struct {
 	WorkerJoin, TaskJoin similarity.JoinWork
 }
 
-// scratch is the engine's per-pass workspace: the changelog buffer, the four
-// dirty sets, and their sorted projections are cleared and refilled each
+// scratch is the engine's per-pass workspace: the four dirty sets, and their sorted projections are cleared and refilled each
 // pass instead of reallocated, so a steady-state delta audit's fixed
 // bookkeeping costs no allocations — what remains scales with what the pass
 // actually found.
 type scratch struct {
 	changed [5]int // per axiom: violations retracted + added this pass
-	changes []store.Change
 	dirtyW1 map[model.WorkerID]bool
 	dirtyT2 map[model.TaskID]bool
 	dirtyT3 map[model.TaskID]bool
@@ -150,7 +147,6 @@ type scratch struct {
 // begin readies the workspace for one pass.
 func (s *scratch) begin() {
 	s.changed = [5]int{}
-	s.changes = s.changes[:0]
 	if s.dirtyW1 == nil {
 		s.dirtyW1 = make(map[model.WorkerID]bool)
 		s.dirtyT2 = make(map[model.TaskID]bool)
@@ -323,7 +319,7 @@ func (e *Engine) reset() {
 	e.primed = false
 	e.workerIx = nil
 	e.taskIx = nil
-	e.cursors = make([]uint64, e.st.ShardCount())
+	e.cursor = 0
 	e.pos = 0
 	e.viol, e.sums, e.flat = [5][]fairness.Violation{}, [5]vsum{}, true
 	e.ax1Census = newPairSet()
@@ -336,8 +332,8 @@ func (e *Engine) reset() {
 }
 
 // Audit brings the engine up to date with the trace and returns the five
-// axiom reports in axiom order. The first call (and any call that finds a
-// shard's changelog truncated past the engine's cursor) runs the full
+// axiom reports in axiom order. The first call (and any call that finds the
+// changelog truncated past the engine's cursor) runs the full
 // cold-start scan; subsequent calls re-check only dirty pairs.
 func (e *Engine) Audit() []*fairness.Report { return e.AuditPass().Reports }
 
@@ -359,21 +355,18 @@ func (e *Engine) pass(d *eventlog.Ledger) Pass {
 	if !e.primed {
 		return e.rebuild(d)
 	}
-	for i := range e.cursors {
-		ch, ok := e.st.ShardChangesSince(i, e.cursors[i])
-		if !ok {
-			// Fell behind this shard's retention window: mutations were
-			// lost, dirty sets would be incomplete. Start over.
-			e.reset()
-			return e.rebuild(d)
-		}
-		if len(ch) > 0 {
-			e.cursors[i] = ch[len(ch)-1].Version
-		}
-		sc.changes = append(sc.changes, ch...)
+	changes, ok := e.st.ChangesSince(e.cursor)
+	if !ok {
+		// Fell behind the retention window: mutations were lost, dirty
+		// sets would be incomplete. Start over.
+		e.reset()
+		return e.rebuild(d)
+	}
+	if len(changes) > 0 {
+		e.cursor = changes[len(changes)-1].Version
 	}
 
-	for _, c := range sc.changes {
+	for _, c := range changes {
 		switch c.Entity {
 		case store.EntityWorker:
 			sc.dirtyW1[c.Worker] = true // attrs/skills moved
@@ -456,15 +449,13 @@ func (e *Engine) publish(d *eventlog.Ledger) Pass {
 
 // rebuild is the cold-start/catch-up path: take in the whole ledger, run the
 // delta pass's scoped checkers with every worker and task in scope, and seed
-// the per-task and per-worker state for Axioms 3–4 (folded shard-parallel on
+// the per-task and per-worker state for Axioms 3–4 (folded in parallel on
 // the bounded pool).
 func (e *Engine) rebuild(d *eventlog.Ledger) Pass {
-	// Per-shard cursors are seeded from the shard watermarks, read before
-	// any entity scan: a mutation not yet covered by its watermark is
-	// re-delivered on the next pass, never skipped.
-	for i := range e.cursors {
-		e.cursors[i] = e.st.ShardVersion(i)
-	}
+	// The cursor is seeded from the store's version, read before any
+	// entity scan: a mutation above it is re-delivered on the next pass,
+	// never skipped.
+	e.cursor = e.st.Version()
 	e.pos = d.Pos()
 	allWorkers, allTasks := e.buildIndexes()
 	e.primed = true
@@ -494,8 +485,8 @@ func (e *Engine) rebuild(d *eventlog.Ledger) Pass {
 
 // buildIndexes builds the worker and task candidate indexes from the
 // store, reading each entity in place, and returns the ids it read in
-// ascending order. Any entity mutated after its id was listed is above a
-// shard watermark read earlier, so its change is re-delivered to the next
+// ascending order. Any entity mutated after its id was listed is above the
+// version the cursor was seeded from, so its change is re-delivered to the next
 // pass and the index upsert reconciles then.
 func (e *Engine) buildIndexes() ([]model.WorkerID, []model.TaskID) {
 	wids, tids := e.st.WorkerIDs(), e.st.TaskIDs()

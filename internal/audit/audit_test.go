@@ -29,19 +29,9 @@ type scenario struct {
 }
 
 func newScenario(tb testing.TB, seed uint64) *scenario {
-	return newScenarioSharded(tb, seed, 0)
-}
-
-// newScenarioSharded builds the scenario over a store with the given shard
-// count (0: the default sharding).
-func newScenarioSharded(tb testing.TB, seed uint64, shards int) *scenario {
 	u := model.MustUniverse("go", "nlp", "vision", "audio")
-	st := store.New(u)
-	if shards > 0 {
-		st = store.NewSharded(u, shards)
-	}
 	s := &scenario{
-		tb: tb, st: st, log: eventlog.New(),
+		tb: tb, st: store.New(u), log: eventlog.New(),
 		rng: stats.NewRNG(seed), u: u,
 	}
 	for _, r := range []model.RequesterID{"r1", "r2", "r3"} {
@@ -280,50 +270,6 @@ func TestIncrementalMatchesFullAcrossMutations(t *testing.T) {
 	}
 }
 
-// TestShardCountInvariance is the tentpole's audit-level determinism
-// contract: the same trace driven into stores of different shard counts —
-// including the single-lock one-shard layout — must produce identical
-// incremental audit reports (violations and Checked counts) round after
-// round, against both each other and the full scan.
-func TestShardCountInvariance(t *testing.T) {
-	type lane struct {
-		s   *scenario
-		eng *Engine
-	}
-	cfg := fairness.DefaultConfig()
-	var lanes []lane
-	for _, shards := range []int{1, 4, 9} {
-		s := newScenarioSharded(t, 77, shards)
-		s.seed(50, 20, 250, 30)
-		lanes = append(lanes, lane{s, New(s.st, s.log, cfg)})
-	}
-	for round := 0; round < 6; round++ {
-		var reports [][]*fairness.Report
-		full := func(l lane) []*fairness.Report { return fairness.CheckAll(l.s.st, l.s.log, cfg) }
-		for _, l := range lanes {
-			// The same RNG seed drives every lane, so all stores see the
-			// same mutation stream.
-			for i := 0; i < 20; i++ {
-				l.s.mutate()
-			}
-			pass := l.eng.AuditPass()
-			requirePass(t, round, pass, full(l))
-			reports = append(reports, pass.Reports)
-		}
-		for li := 1; li < len(reports); li++ {
-			if !ViolationsEqual(reports[0], reports[li]) {
-				t.Fatalf("round %d: lane %d (shards>1) disagrees with single-shard lane", round, li)
-			}
-			for ax := range reports[li] {
-				if reports[li][ax].Checked != reports[0][ax].Checked {
-					t.Fatalf("round %d, %s: lane %d checked %d, single-shard %d",
-						round, reports[li][ax].Axiom, li, reports[li][ax].Checked, reports[0][ax].Checked)
-				}
-			}
-		}
-	}
-}
-
 // Falling behind the changelog's retention window must trigger a rebuild,
 // not a wrong report.
 func TestChangelogTruncationFallsBackToRebuild(t *testing.T) {
@@ -337,13 +283,7 @@ func TestChangelogTruncationFallsBackToRebuild(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.mutate()
 	}
-	truncated := false
-	for i := 0; i < s.st.ShardCount(); i++ {
-		if _, ok := s.st.ShardChangesSince(i, 0); !ok {
-			truncated = true
-		}
-	}
-	if !truncated {
+	if _, ok := s.st.ChangesSince(0); ok {
 		t.Fatal("test setup: changelog should be truncated")
 	}
 	requirePass(t, 0, eng.AuditPass(), fairness.CheckAll(s.st, s.log, cfg))

@@ -243,7 +243,7 @@ func TestSkillMovesReachCensus(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			st2, man, err := store.Open(dir, 0, opts)
+			st2, man, err := store.OpenDurable(dir, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

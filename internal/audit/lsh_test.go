@@ -83,7 +83,7 @@ func TestResumeWarmEqualsColdLSH(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, man, err := store.Open(dir, 0, opts)
+	st2, man, err := store.OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestResumeKindSignedStateColdStarts(t *testing.T) {
 	state := eng.State()
 	state.ConfigSig = exactKindSig
 	o := BuildCheckpointOptions(nil, cfg, s.log.Len())
-	o.Audit, o.AuditCursors = state.Encode(), state.Cursors
+	o.Audit, o.AuditCursor = state.Encode(), state.Cursor
 	man, err := s.st.Checkpoint(o)
 	if err != nil {
 		t.Fatal(err)

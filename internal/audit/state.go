@@ -15,7 +15,7 @@ import (
 // durable surface, crowdfair.Platform.Checkpoint, hands to
 // store.Checkpoint: the event count plus — when eng
 // has completed at least one pass — the engine's encoded state, signed with
-// cfg's fingerprint, and the changelog cursors that protect its WAL records
+// cfg's fingerprint, and the changelog cursor that protects its WAL records
 // from truncation. A nil or unprimed engine yields plain options.
 func BuildCheckpointOptions(eng *Engine, cfg fairness.Config, events int) store.CheckpointOptions {
 	o := store.CheckpointOptions{Events: events}
@@ -28,7 +28,7 @@ func BuildCheckpointOptions(eng *Engine, cfg fairness.Config, events int) store.
 	}
 	state.ConfigSig = ConfigSig(cfg)
 	o.Audit = state.Encode()
-	o.AuditCursors = state.Cursors
+	o.AuditCursor = state.Cursor
 	return o
 }
 
@@ -74,7 +74,7 @@ func ConfigSig(cfg fairness.Config) string {
 	return b.String()
 }
 
-// State is the warm-start image of an Engine: the changelog cursors, the
+// State is the warm-start image of an Engine: the changelog cursor, the
 // event-log position, and every maintained verdict. Checkpoint stores its
 // binary encoding (Encode) in the audit-<version>.bin sidecar the manifest
 // names, so a restarted auditor re-checks only post-checkpoint deltas — no
@@ -88,8 +88,8 @@ type State struct {
 	// under; LoadState compares it before a resume and callers cold-start on
 	// mismatch.
 	ConfigSig string
-	// Cursors are the per-shard changelog positions at save time.
-	Cursors []uint64
+	// Cursor is the changelog position at save time.
+	Cursor uint64
 	// EventPos is the number of trace events the verdicts covered at save
 	// time.
 	EventPos int
@@ -137,7 +137,7 @@ func (e *Engine) State() *State {
 		return nil
 	}
 	st := &State{
-		Cursors:       append([]uint64(nil), e.cursors...),
+		Cursor:        e.cursor,
 		EventPos:      e.pos,
 		Ax1Violations: append([]fairness.Violation(nil), e.viol[0]...),
 		Ax1Pairs:      e.ax1Census.pairs(),
@@ -164,7 +164,7 @@ func (e *Engine) State() *State {
 }
 
 // Resume rebuilds a warm engine over a recovered trace: the maintained
-// verdicts are restored from the saved image, and the changelog cursors
+// verdicts are restored from the saved image, and the changelog cursor
 // and event position pick up where the checkpoint left them — so the next
 // Audit call is a delta pass over post-checkpoint changes only (what the
 // log's ledger holds past the event position), with no candidate-pair
@@ -183,10 +183,6 @@ func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *Stat
 	if state == nil {
 		return nil, fmt.Errorf("audit: resume from nil state")
 	}
-	if len(state.Cursors) != st.ShardCount() {
-		return nil, fmt.Errorf("audit: state has %d cursors, store has %d shards",
-			len(state.Cursors), st.ShardCount())
-	}
 	if state.EventPos > log.Len() {
 		return nil, fmt.Errorf("audit: state event position %d beyond recovered log length %d",
 			state.EventPos, log.Len())
@@ -196,7 +192,7 @@ func Resume(st *store.Store, log *eventlog.Log, cfg fairness.Config, state *Stat
 	defer e.mu.Unlock()
 
 	e.pos = state.EventPos
-	copy(e.cursors, state.Cursors)
+	e.cursor = state.Cursor
 
 	e.viol[0] = append([]fairness.Violation(nil), state.Ax1Violations...)
 	e.ax1Census.add(state.Ax1Pairs)

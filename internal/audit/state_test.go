@@ -19,7 +19,7 @@ import (
 func durableScenario(tb testing.TB, seed uint64, dir string, opts wal.Options) *scenario {
 	tb.Helper()
 	u := model.MustUniverse("go", "nlp", "vision", "audio")
-	st, err := store.NewDurable(u, 4, dir, opts)
+	st, err := store.CreateDurable(u, dir, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestResumeWarmEqualsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, man, err := store.Open(dir, 0, opts)
+	st2, man, err := store.OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestResumeAfterTornRecord(t *testing.T) {
 	}
 	// Tear a few bytes off the largest post-checkpoint changelog segment
 	// and the event log's tail.
-	tearTail(t, filepath.Join(store.WALDir(dir)), 3)
+	tearTail(t, store.WALDir(dir), 3)
 	tearTail(t, store.EventsDir(dir), 2)
 
-	st2, man, err := store.Open(dir, 0, opts)
+	st2, man, err := store.OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,19 +179,14 @@ func TestResumeAfterTornRecord(t *testing.T) {
 	}
 }
 
-// tearTail truncates the largest final segment found under root (walking
-// one directory level of shard dirs, or root itself) by n bytes.
+// tearTail truncates the largest segment in the segment directory root by
+// n bytes.
 func tearTail(t *testing.T, root string, n int64) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(root, "seg-*.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested, err := filepath.Glob(filepath.Join(root, "*", "seg-*.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs = append(segs, nested...)
 	best, bestSize := "", int64(-1)
 	for _, seg := range segs {
 		info, err := os.Stat(seg)
@@ -210,8 +205,8 @@ func tearTail(t *testing.T, root string, n int64) {
 	}
 }
 
-// TestResumeRejectsMismatchedShape pins the defensive checks: wrong cursor
-// counts or an event position beyond the log must refuse to resume.
+// TestResumeRejectsMismatchedShape pins the defensive checks: a nil state
+// or an event position beyond the log must refuse to resume.
 func TestResumeRejectsMismatchedShape(t *testing.T) {
 	s := newScenario(t, 3)
 	s.seed(10, 5, 20, 5)
@@ -219,10 +214,7 @@ func TestResumeRejectsMismatchedShape(t *testing.T) {
 	if _, err := Resume(s.st, s.log, cfg, nil); err == nil {
 		t.Fatal("nil state resumed")
 	}
-	if _, err := Resume(s.st, s.log, cfg, &State{Cursors: []uint64{1}}); err == nil {
-		t.Fatal("cursor-count mismatch resumed")
-	}
-	bad := &State{Cursors: make([]uint64, s.st.ShardCount()), EventPos: s.log.Len() + 1}
+	bad := &State{EventPos: s.log.Len() + 1}
 	if _, err := Resume(s.st, s.log, cfg, bad); err == nil {
 		t.Fatal("event position beyond log resumed")
 	}

@@ -18,7 +18,7 @@ import (
 // Binary image of a State, written with the wal payload codec:
 //
 //	[format byte]
-//	[config sig][cursors][event pos]
+//	[config sig][cursor][event pos]
 //	[axiom 1 violations, pairs][axiom 2 violations, pairs]
 //	[axiom 3 violations, checked][axiom 4 violations, eligible]
 //	[4-byte LE CRC32-IEEE of everything above]
@@ -34,9 +34,10 @@ import (
 // then band keys with token digests); format 4 holds no index image, since
 // Resume builds the candidate indexes from the store, but still carried
 // the trace's offer sets, flagged workers and Axiom 5 stream; format 5
-// drops those, since the recovered log's ledger folds them. An image of
-// another format fails DecodeState, so its auditor cold-starts.
-const stateFormat = 5
+// drops those, since the recovered log's ledger folds them; format 6 holds
+// one changelog cursor where format 5 held one per store partition. An image
+// of another format fails DecodeState, so its auditor cold-starts.
+const stateFormat = 6
 
 // Minimum encoded sizes, for bounding a count by the bytes that remain
 // before allocating from it.
@@ -91,7 +92,7 @@ func (s *State) Encode() []byte {
 	b := make([]byte, 0, 4096)
 	b = append(b, stateFormat)
 	b = wal.AppendString(b, s.ConfigSig)
-	b = appendList(b, s.Cursors, wal.AppendUvarint)
+	b = wal.AppendUvarint(b, s.Cursor)
 	b = appendCount(b, s.EventPos)
 
 	b = appendViolations(b, s.Ax1Violations)
@@ -187,7 +188,7 @@ func DecodeState(data []byte) (*State, error) {
 	d := stateDec{wal.NewDec(body[1:])}
 	s := &State{
 		ConfigSig:     d.String(),
-		Cursors:       readList(d, 1, d.Uvarint),
+		Cursor:        d.Uvarint(),
 		EventPos:      d.count(),
 		Ax1Violations: d.violations(),
 		Ax1Pairs:      d.pairs(),

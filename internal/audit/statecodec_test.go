@@ -52,7 +52,7 @@ func fixtureState() *State {
 	}
 	return &State{
 		ConfigSig:     "skill=cosine@0.9",
-		Cursors:       []uint64{7, 0, 300},
+		Cursor:        300,
 		EventPos:      42,
 		Ax1Violations: []fairness.Violation{v(fairness.Axiom1WorkerAssignment, "access gap", "w1", "w2")},
 		Ax1Pairs:      [][2]string{{"w1", "w2"}, {"w1", "w3"}},
@@ -200,7 +200,7 @@ func TestLoadStateRefusesUnusableSidecars(t *testing.T) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0x40
 	images := map[string][]byte{"truncated": good[:len(good)/2], "bit flip": flipped}
-	for format := byte(1); format <= 4; format++ {
+	for format := byte(1); format <= 5; format++ {
 		old := append([]byte(nil), good...)
 		old[0] = format
 		images[fmt.Sprintf("format %d", format)] = resum(old)

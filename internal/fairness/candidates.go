@@ -112,7 +112,7 @@ type snapshotSource interface {
 // snapshotProvider builds indexes on demand from the current store
 // snapshot — the candidate source for one-shot checker calls (CheckAll and
 // friends). Each index is built at most once per pass, on first use; the
-// once-guards make the lazy builds safe under the checkers' sharded
+// once-guards make the lazy builds safe under the checkers' parallel
 // Partners calls, which may race to trigger the first build.
 type snapshotProvider struct {
 	workers, tasks func() *similarity.SkillJoin

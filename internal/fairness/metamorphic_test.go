@@ -26,7 +26,7 @@ func rebuildTrace(tb testing.TB, st *store.Store, log *eventlog.Log, seed uint64
 			tb.Fatal(err)
 		}
 	}
-	out := store.NewSharded(st.Universe(), 3)
+	out := store.New(st.Universe())
 	for _, r := range st.Requesters() {
 		r.ID = model.RequesterID(ren(string(r.ID)))
 		must(out.PutRequester(r))

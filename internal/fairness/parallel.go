@@ -9,7 +9,7 @@ import (
 // Parallel pair-checking scaffolding shared by the Axiom 1 and 2 checkers.
 //
 // Every parallel path follows par's determinism-by-disjoint-slots contract:
-// the pair space is sharded by scope index (one pairSlot per id in scope),
+// the pair space is split by scope index (one pairSlot per id in scope),
 // workers append only to their own slot, and the slots are folded into the
 // report serially in index order. Because that order is exactly the serial
 // loop's emission order, the merged Checked count, CheckedPairs sequence,
@@ -17,15 +17,15 @@ import (
 // of scheduling — the property the audit engine's determinism tests pin
 // down.
 
-// pairSlot accumulates one shard's results: the pairs it examined, and the
-// violations it found, in the shard's serial emission order.
+// pairSlot accumulates one scope id's results: the pairs it examined, and
+// the violations it found, in serial emission order.
 type pairSlot struct {
 	checked int
 	pairs   [][2]string
 	viols   []Violation
 }
 
-// mergeSlots folds per-shard slots into rep in shard order, sizing the
+// mergeSlots folds the slots into rep in scope order, sizing the
 // report's slices exactly so the fold costs at most one allocation each.
 func mergeSlots(rep *Report, slots []pairSlot) {
 	var checked, npairs, nviols int

@@ -25,7 +25,7 @@ func recallPopulation(tb testing.TB, seed uint64, workers, tasks int) (*store.St
 		skillNames[i] = fmt.Sprintf("s%02d", i)
 	}
 	u := model.MustUniverse(skillNames...)
-	st := store.NewSharded(u, 4)
+	st := store.New(u)
 	rng := stats.NewRNG(seed)
 	for _, r := range []model.RequesterID{"r1", "r2", "r3"} {
 		if err := st.PutRequester(&model.Requester{ID: r}); err != nil {

@@ -24,7 +24,7 @@ func refTrace(tb testing.TB, seed uint64, workers, tasks int) (*store.Store, *ev
 		names[i] = fmt.Sprintf("s%02d", i)
 	}
 	u := model.MustUniverse(names...)
-	st := store.NewSharded(u, 3)
+	st := store.New(u)
 	rng := stats.NewRNG(seed)
 	must := func(err error) {
 		if err != nil {

@@ -1,6 +1,6 @@
 // Package par provides the bounded parallel-for primitive behind every
 // fan-out in this repository: similarity pair scoring, detector
-// answer-matrix scoring and the audit engine's axiom task graph all shard
+// answer-matrix scoring and the audit engine's axiom task graph all split
 // their index space over a bounded goroutine pool through For and Do.
 //
 // Determinism is preserved by construction: workers claim indices from a
@@ -87,7 +87,7 @@ func For(n, workers int, fn func(i int)) {
 
 // Do is For without the small-n inline shortcut: it parallelises any n > 1
 // (budget permitting). Use it when each iteration is expensive enough —
-// an axiom pass, one shard's share of a bulk write — that pool overhead never
+// an axiom pass — that pool overhead never
 // dominates.
 func Do(n, workers int, fn func(i int)) {
 	if n <= 0 {

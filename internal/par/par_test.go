@@ -41,7 +41,7 @@ func TestWorkersPositive(t *testing.T) {
 }
 
 func TestDoParallelisesSmallN(t *testing.T) {
-	// Do must cover tiny iteration counts too (a two-shard store fans out 2 jobs).
+	// Do must cover tiny iteration counts too (the audit's axiom graph fans out 5 jobs).
 	for _, n := range []int{1, 2, 4} {
 		hits := make([]atomic.Int32, n)
 		Do(n, 4, func(i int) { hits[i].Add(1) })

@@ -56,7 +56,7 @@ func (s *Server) release() {
 // mutate runs apply through admission control on the request's own
 // goroutine and writes the outcome. The store enforces every check apply
 // can fail (validation, duplicates, dangling references) atomically under
-// its shard locks, so a bad request 4xxes without a pre-screen. A 200
+// its write lock, so a bad request 4xxes without a pre-screen. A 200
 // carries the store version read after apply returned: it covers the write
 // it acknowledges.
 func (s *Server) mutate(w http.ResponseWriter, apply func() error) {

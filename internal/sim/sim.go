@@ -225,9 +225,10 @@ func (r *runner) discloseWorkerView(w *model.Worker, trig transparency.Trigger) 
 }
 
 func (r *runner) setup() error {
-	// Insert the whole population through the store's shard-parallel bulk
-	// path; the per-worker bookkeeping below stays in population order, so
-	// the event log and contract setup are identical to a sequential load.
+	// Insert the whole population through the store's bulk path (one lock
+	// acquisition, population order); the per-worker bookkeeping below
+	// stays in the same order, so the event log and contract setup are
+	// identical to a sequential load.
 	if err := r.st.BulkPutWorkers(r.cfg.Population.Workers); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -286,8 +287,8 @@ func (r *runner) runRound(tasks []*model.Task) error {
 	engine := complete.NewEngine(r.cfg.Cancellation, r.log)
 	engine.Advance(r.now - engine.Now())
 
-	// Shard-parallel insert of the round's batch; posting and disclosure
-	// keep batch order so the trace is unchanged.
+	// Bulk insert of the round's batch; posting and disclosure keep batch
+	// order so the trace is unchanged.
 	if err := r.st.BulkPutTasks(tasks); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -534,7 +535,7 @@ func (r *runner) settle(byTask map[model.TaskID]*model.Task, contribs []pendingC
 
 // refreshWorkers recomputes computed attributes from the run history and
 // emits detection flags. The attribute updates are applied through the
-// store's shard-parallel bulk path; flags are emitted afterwards in the
+// store's bulk path; flags are emitted afterwards in the
 // same sorted worker order as before, so the event log is unchanged.
 func (r *runner) refreshWorkers() error {
 	var updates []*model.Worker

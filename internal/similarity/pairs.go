@@ -22,7 +22,7 @@ func pairRowStart(n, i int) int {
 // coordinates with i < j, enumerating row by row: (0,1), (0,2), ...,
 // (0,n-1), (1,2), ... The mapping is the O(1) inverse of the classic
 // nested upper-triangle loop — row i solves the triangular-number
-// quadratic, with a float-rounding correction — so parallel shards can
+// quadratic, with a float-rounding correction — so parallel workers can
 // decode any index directly and still produce results in exactly the
 // serial loop's order.
 func PairAt(n, k int) (i, j int) {

@@ -47,12 +47,11 @@ func (e Entity) String() string {
 }
 
 // Change is one mutation record in the store's changelog. Every successful
-// mutation appends exactly one Change — to the changelog ring of the shard
-// owning the mutated entity — whose Version is the value of the global
-// sequencer after the mutation. Versions are globally dense: merging every
-// shard's log yields consecutive integers. Id fields beyond the mutated
-// entity's own are the touched neighbours: a contribution change carries
-// its task and worker, a task change its requester. Incremental consumers
+// mutation appends exactly one Change whose Version is the value of the
+// sequencer after the mutation, so the changelog is dense: consecutive
+// integers in append order. Id fields beyond the mutated entity's own are
+// the touched neighbours: a contribution change carries its task and
+// worker, a task change its requester. Incremental consumers
 // (internal/audit) use them to compute dirty sets without re-reading the
 // entity.
 type Change struct {
@@ -66,68 +65,43 @@ type Change struct {
 	Contribution model.ContributionID
 }
 
-// changePrimaryID returns the mutated entity's own id — the shard-routing
-// key of the change.
-func changePrimaryID(c Change) string {
-	switch c.Entity {
-	case EntityWorker:
-		return string(c.Worker)
-	case EntityRequester:
-		return string(c.Requester)
-	case EntityTask:
-		return string(c.Task)
-	default:
-		return string(c.Contribution)
-	}
-}
-
-// DefaultChangelogCap is the number of mutation records retained per shard
-// by a new store. At ~100 bytes per record the default bounds changelog
-// memory to a few megabytes per shard while covering far more history than
-// any audit cadence needs; readers that fall further behind get a
-// truncation signal and must fall back to a full scan.
+// DefaultChangelogCap is the number of mutation records a new store
+// retains. At ~100 bytes per record the default bounds changelog memory to
+// a few megabytes while covering far more history than any audit cadence
+// needs; readers that fall further behind get a truncation signal and
+// must fall back to a full scan.
 const DefaultChangelogCap = 1 << 16
 
-// SetChangelogCap resizes every shard's retention window to at most n
-// records (n < 1 disables retention entirely: every ShardChangesSince for a
-// past version reports truncation). Existing records beyond the new cap are
-// dropped oldest-first per shard.
+// SetChangelogCap resizes the retention window to at most n records (n < 1
+// disables retention entirely: every ChangesSince for a past version
+// reports truncation). Existing records beyond the new cap are dropped
+// oldest-first.
 func (s *Store) SetChangelogCap(n int) {
-	for _, sh := range s.shards {
-		sh.setChangelogCap(n)
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ring.setCap(n)
 }
 
-// ShardChangesSince returns the changes recorded in one shard after version
-// v, oldest first — the per-shard cursor API. Versions within the result
-// are strictly increasing but not consecutive (the global sequencer
-// interleaves shards). The boolean reports completeness for this shard:
-// false means its ring dropped a record past v, or the index names no
-// shard — an out-of-range index reads as total truncation, pushing
-// cursor-based consumers onto their rescan path instead of panicking.
+// ChangesSince returns the changes recorded after version v, oldest first:
+// consecutive versions from v+1 up to the store's version. The boolean
+// reports completeness: false means the ring dropped a record past v, and
+// a cursor-based consumer must rescan. A v at or beyond the current
+// version returns (nil, true).
+func (s *Store) ChangesSince(v uint64) ([]Change, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.ring.droppedMax > v {
+		return nil, false
+	}
+	return s.ring.changesAfter(v), true
+}
+
+// ShardChangesSince is ChangesSince for shard 0, the store's one
+// partition; any other index reads as total truncation. It is kept only
+// because bench/ calls it; it leaves with one door.
 func (s *Store) ShardChangesSince(shard int, v uint64) ([]Change, bool) {
-	if shard < 0 || shard >= len(s.shards) {
+	if shard != 0 {
 		return nil, false
 	}
-	sh := s.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.ring.droppedMax > v {
-		return nil, false
-	}
-	return sh.changesAfter(v), true
-}
-
-// ShardVersion returns the shard's watermark: the highest version recorded
-// in it (0 for an out-of-range index). Every mutation owned by the shard
-// with a version at or below the watermark is visible to reads issued
-// after the call.
-func (s *Store) ShardVersion(shard int) uint64 {
-	if shard < 0 || shard >= len(s.shards) {
-		return 0
-	}
-	sh := s.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.applied
+	return s.ChangesSince(v)
 }

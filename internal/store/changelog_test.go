@@ -17,40 +17,6 @@ func changelogStore(t *testing.T) *Store {
 	return s
 }
 
-// ChangesSince is the tests' whole-store view of the per-shard changelogs:
-// every mutation recorded after version v, merged across shards into one
-// version-ordered, gap-free stream, oldest first. The boolean reports
-// completeness: false means at least one shard's ring has dropped a record
-// past v. A v at or beyond the current version returns (nil, true).
-//
-// Under concurrent mutation the merged suffix can transiently miss an
-// allocated-but-not-yet-appended version; the result is trimmed at the
-// first such gap, so what is returned is always a dense prefix and the
-// trimmed-off tail is re-delivered by the next call.
-func (s *Store) ChangesSince(v uint64) ([]Change, bool) {
-	shs, release := s.rlockView()
-	per := make([][]Change, len(shs))
-	for i, sh := range shs {
-		if sh.ring.droppedMax > v {
-			release()
-			return nil, false
-		}
-		per[i] = sh.changesAfter(v)
-	}
-	release()
-	merged := mergeSorted(per, func(a, b Change) bool { return a.Version < b.Version })
-	for i := range merged {
-		if merged[i].Version != v+1+uint64(i) {
-			merged = merged[:i]
-			break
-		}
-	}
-	if len(merged) == 0 {
-		return nil, true
-	}
-	return merged, true
-}
-
 func TestChangelogRecordsEveryMutation(t *testing.T) {
 	s := changelogStore(t)
 	w := &model.Worker{ID: "w1", Skills: s.Universe().MustVector("a")}
@@ -117,12 +83,10 @@ func TestChangelogRecordsEveryMutation(t *testing.T) {
 }
 
 func TestChangelogTruncationSignal(t *testing.T) {
-	// One shard: the cap is then an exact global retention window, so the
-	// eviction boundary is predictable change by change. Multi-shard
-	// truncation (per-shard rings overflowing independently) is covered in
-	// shard_test.go.
+	// The cap is an exact retention window, so the eviction boundary is
+	// predictable change by change.
 	u := model.MustUniverse("a", "b")
-	s := NewSharded(u, 1)
+	s := New(u)
 	if err := s.PutRequester(&model.Requester{ID: "r1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -164,85 +128,74 @@ func TestChangelogTruncationSignal(t *testing.T) {
 }
 
 // TestShardChangesSinceCursorAtHead pins the boundary semantics of the
-// per-shard cursor API: a cursor exactly at the shard's watermark (or the
-// exact drop boundary after an overflow) reads as complete-and-empty, not
-// as truncation.
+// cursor API: a cursor exactly at the watermark (or the exact drop boundary
+// after an overflow) reads as complete-and-empty, not as truncation.
 func TestShardChangesSinceCursorAtHead(t *testing.T) {
 	u := model.MustUniverse("a")
-	s := NewSharded(u, 2)
+	s := New(u)
 	s.SetChangelogCap(4)
-	target := 0
 	for i := 0; i < 10; i++ {
-		w := &model.Worker{ID: workerIDForShard(t, s, target, i), Skills: u.MustVector("a")}
+		w := &model.Worker{ID: model.WorkerID(fmt.Sprintf("w%02d", i)), Skills: u.MustVector("a")}
 		if err := s.PutWorker(w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	head := s.ShardVersion(target)
-	if head == 0 {
-		t.Fatal("target shard recorded nothing")
-	}
+	head := s.Version()
 	// Exactly at the head: empty and complete.
-	if chs, ok := s.ShardChangesSince(target, head); !ok || len(chs) != 0 {
+	if chs, ok := s.ChangesSince(head); !ok || len(chs) != 0 {
 		t.Fatalf("cursor at head = (%v, %v), want (empty, true)", chs, ok)
 	}
-	// Beyond the head (a cursor from a newer global version that this
-	// shard never recorded): still complete.
-	if chs, ok := s.ShardChangesSince(target, head+5); !ok || len(chs) != 0 {
+	// Beyond the head: still complete.
+	if chs, ok := s.ChangesSince(head + 5); !ok || len(chs) != 0 {
 		t.Fatalf("cursor past head = (%v, %v), want (empty, true)", chs, ok)
 	}
 	// The ring overflowed (10 records, cap 4): a zero cursor is truncated,
 	// but a cursor exactly at the newest dropped version is complete — it
 	// has seen everything the ring no longer retains.
-	if _, ok := s.ShardChangesSince(target, 0); ok {
+	if _, ok := s.ChangesSince(0); ok {
 		t.Fatal("zero cursor survived a ring overflow")
 	}
-	retained, ok := s.ShardChangesSince(target, head-1)
+	retained, ok := s.ChangesSince(head - 1)
 	if !ok || len(retained) != 1 || retained[0].Version != head {
 		t.Fatalf("cursor at head-1 = (%v, %v), want the head record", retained, ok)
 	}
-	all, ok := s.ShardChangesSince(target, boundary(t, s, target))
+	all, ok := s.ChangesSince(boundary(s))
 	if !ok || len(all) != 4 {
 		t.Fatalf("cursor at drop boundary = (%d records, %v), want (4, true)", len(all), ok)
 	}
 }
 
-// boundary returns the newest dropped version of the shard's ring: the
-// version just before its oldest retained record.
-func boundary(t *testing.T, s *Store, shard int) uint64 {
-	t.Helper()
-	sh := s.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.ring.droppedMax
+// boundary returns the newest dropped version of the ring: the version
+// just before its oldest retained record.
+func boundary(s *Store) uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.ring.droppedMax
 }
 
-// TestShardChangesSinceOutOfRange pins index hygiene: negative, too-large,
-// and post-merge indexes read as total truncation instead of panicking.
+// TestShardChangesSinceOutOfRange pins the width stub: shard 0 is the
+// store's changelog, and any other index reads as total truncation
+// instead of panicking.
 func TestShardChangesSinceOutOfRange(t *testing.T) {
-	u := model.MustUniverse("a")
-	s := NewSharded(u, 4)
-	if err := s.PutRequester(&model.Requester{ID: "r1"}); err != nil {
-		t.Fatal(err)
+	s := changelogStore(t)
+	if chs, ok := s.ShardChangesSince(0, 0); !ok || len(chs) != 1 {
+		t.Fatalf("ShardChangesSince(0, 0) = (%v, %v), want the requester insert", chs, ok)
 	}
-	for _, idx := range []int{-1, 4, 99} {
+	for _, idx := range []int{-1, 1, 99} {
 		if chs, ok := s.ShardChangesSince(idx, 0); ok || chs != nil {
 			t.Fatalf("ShardChangesSince(%d) = (%v, %v), want (nil, false)", idx, chs, ok)
-		}
-		if v := s.ShardVersion(idx); v != 0 {
-			t.Fatalf("ShardVersion(%d) = %d, want 0", idx, v)
 		}
 	}
 }
 
 // TestShardChangesSinceOverflowRacingBulkPut drives a cursor-based reader
 // against bulk writers overflowing a tiny ring: every complete read must
-// be strictly increasing and past the cursor, and every truncation signal
-// must be recoverable by rescanning from the shard watermark — the audit
-// engine's exact consumption pattern.
+// be dense and past the cursor, and every truncation signal must be
+// recoverable by rescanning from the store's version — the audit engine's
+// exact consumption pattern.
 func TestShardChangesSinceOverflowRacingBulkPut(t *testing.T) {
 	u := model.MustUniverse("a", "b")
-	s := NewSharded(u, 2)
+	s := New(u)
 	s.SetChangelogCap(8)
 
 	done := make(chan struct{})
@@ -263,43 +216,36 @@ func TestShardChangesSinceOverflowRacingBulkPut(t *testing.T) {
 		}
 	}()
 
-	cursors := make([]uint64, s.ShardCount())
+	var cursor uint64
 	truncations := 0
-	for loop := 0; ; loop++ {
-		for i := range cursors {
-			chs, ok := s.ShardChangesSince(i, cursors[i])
-			if !ok {
-				// The ring dropped records past our cursor mid-race: the
-				// documented fallback is a rescan from the watermark.
-				truncations++
-				cursors[i] = s.ShardVersion(i)
-				continue
+	for {
+		chs, ok := s.ChangesSince(cursor)
+		if !ok {
+			// The ring dropped records past the cursor mid-race: the
+			// documented fallback is a rescan from the version.
+			truncations++
+			cursor = s.Version()
+		}
+		for _, c := range chs {
+			if c.Version != cursor+1 {
+				t.Fatalf("version %d does not follow cursor %d", c.Version, cursor)
 			}
-			last := cursors[i]
-			for _, c := range chs {
-				if c.Version <= last {
-					t.Fatalf("shard %d: version %d not increasing past %d", i, c.Version, last)
-				}
-				last = c.Version
-			}
-			cursors[i] = last
+			cursor = c.Version
 		}
 		select {
 		case <-done:
 			if t.Failed() {
 				t.FailNow()
 			}
-			// Writers stopped: rescanning from the watermark and reading
-			// once more must drain each shard exactly to its head.
-			for i := range cursors {
-				if chs, ok := s.ShardChangesSince(i, s.ShardVersion(i)); !ok || len(chs) != 0 {
-					t.Fatalf("shard %d not drained at watermark: (%v, %v)", i, chs, ok)
-				}
+			// Writers stopped: rescanning from the version and reading
+			// once more must drain exactly to the head.
+			if chs, ok := s.ChangesSince(s.Version()); !ok || len(chs) != 0 {
+				t.Fatalf("not drained at the version: (%v, %v)", chs, ok)
 			}
 			if total := len(s.Workers()); total != 60*20 {
 				t.Fatalf("store holds %d workers, want %d", total, 60*20)
 			}
-			// With cap 8 and 600-record shard streams, the racing reader
+			// With cap 8 and a 1200-record stream, the racing reader
 			// must have been truncated at least once for the test to have
 			// exercised the contested path.
 			if truncations == 0 {

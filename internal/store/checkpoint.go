@@ -2,18 +2,16 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/model"
 	"repro/internal/wal"
 )
 
-// Durable store layout (format 3), rooted at one directory:
+// Durable store layout (format 4), rooted at one directory:
 //
 //	dir/
 //	  MANIFEST.json           checkpoint manifest: a few hundred bytes of
@@ -23,72 +21,53 @@ import (
 //	  audit-<version>.bin     the incremental auditor's warm state at that
 //	                          checkpoint, opaque to the store (absent when
 //	                          the checkpoint carried none)
-//	  wal/shard-0000/...      per-shard segmented changelog WAL, one
-//	                          directory per shard of the manifest's width
+//	  wal/...                 the store's segmented changelog WAL
 //	  events/...              the event log's segments (internal/eventlog)
 //
-// NewDurable creates the layout and writes a version-0 manifest so Open
-// always finds the universe. Checkpoint freezes the store (all shard read
-// locks — mutators block for the duration), writes the snapshot, then the
-// audit sidecar, then renames the new manifest over the old one — the
+// CreateDurable creates the layout and writes a version-0 manifest so
+// OpenDurable always finds the universe. Checkpoint freezes the store (the
+// read lock — mutators block for the duration), writes the snapshot, then
+// the audit sidecar, then renames the new manifest over the old one — the
 // commit point: a crash before it leaves the old manifest naming the old
 // pair, and the files written so far are orphans the next checkpoint
 // sweeps, as it sweeps the pair it replaces. Only then does it truncate WAL
-// segments below the per-shard low-water version: the minimum of the shard
-// watermark and the auditor's changelog cursor, so a warm-started auditor
-// still finds every record it needs.
-// Open rebuilds from the snapshot and replays the WAL tail in globally
-// merged version order, preserving original version numbers, stopping at
-// the first version gap (a torn record in any shard invalidates every
-// higher version) and physically truncating the discarded tail so appends
-// continue a dense log. The width is fixed when NewDurable creates the
-// directory; Open and Bootstrap rebuild at the manifest's width.
+// segments below the low-water version: the smaller of the store's version
+// and the auditor's changelog cursor, so a warm-started auditor still finds
+// every record it needs. OpenDurable rebuilds from the snapshot and
+// replays the WAL tail in version order, preserving original version
+// numbers, stopping at the first version gap (a torn record invalidates
+// every higher version) and physically truncating the discarded tail so
+// appends continue a dense log.
 //
-// Online resharding, since removed, wrote manifests with an epoch above 1
-// and an epoch-change log, and epoch-qualified WAL directories. Such a
-// directory is refused (errResharded) rather than half-read.
-//
-// A format-2 directory (snapshot-<version>.json holding model.Snapshot's
-// JSON, the auditor state embedded in the manifest) still opens: the
-// snapshot decoder is chosen by the file name the manifest records, and the
-// embedded state is ignored, so that auditor cold-starts once. Its next
-// checkpoint writes format 3 and sweeps the JSON snapshot.
+// Formats 2 and 3 were hash-partitioned: per-shard WAL directories under
+// wal/, per-shard watermarks and low-water marks in the manifest, and — in
+// directories written by the since-removed online resharding — an epoch
+// above 1. ReadManifest refuses them, naming the format and width; nothing
+// in such a directory is read past the manifest, truncated or written.
 
 // manifestFormat versions the on-disk layout. Format 2 added the route
 // epoch; format 3 moved the snapshot to the binary frame codec and the
-// auditor state out of the manifest into a sidecar. Manifests are always
-// written as manifestFormat; oldestManifestFormat is the oldest still read.
-const (
-	manifestFormat       = 3
-	oldestManifestFormat = 2
-)
-
-// errResharded refuses a directory written by online resharding.
-var errResharded = errors.New("store: directory was resharded online; online resharding was removed and this layout is no longer readable")
+// auditor state out of the manifest into a sidecar; format 4 is one
+// partition: one WAL directory and scalar positions. Only manifestFormat is
+// read.
+const manifestFormat = 4
 
 // Manifest is the checkpoint metadata of a durable store.
 type Manifest struct {
 	// Format is the layout version (manifestFormat).
 	Format int `json:"format"`
-	// Skills reproduces the universe so Open needs no out-of-band schema.
+	// Skills reproduces the universe so OpenDurable needs no out-of-band
+	// schema.
 	Skills []string `json:"skills"`
-	// Shards is the store's fixed hash-partition count: the number of WAL
-	// shard directories.
-	Shards int `json:"shards"`
-	// Epoch is always written as walEpoch, the only route epoch a
-	// readable directory has (0, from an old format-2 writer, reads as 1).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Version is the global mutation sequencer at checkpoint; the snapshot
+	// Version is the mutation sequencer at checkpoint; the snapshot
 	// reflects exactly the mutations with versions 1..Version.
 	Version uint64 `json:"version"`
-	// Watermarks are the per-shard highest recorded versions at checkpoint.
-	Watermarks []uint64 `json:"watermarks,omitempty"`
-	// LowWater are the per-shard versions below which WAL segments may have
-	// been truncated; a changelog cursor at or above its shard's low-water
-	// can be warm-started from the recovered rings.
-	LowWater []uint64 `json:"low_water,omitempty"`
+	// LowWater is the version below which WAL segments may have been
+	// truncated; a changelog cursor at or above it can be warm-started
+	// from the recovered ring.
+	LowWater uint64 `json:"low_water,omitempty"`
 	// Snapshot names the snapshot file this manifest pairs with (empty for
-	// the version-0 manifest NewDurable writes). Snapshots are written
+	// the version-0 manifest CreateDurable writes). Snapshots are written
 	// under version-stamped names and the manifest renamed over last, so a
 	// crash between the two steps leaves the old manifest pointing at the
 	// old snapshot — never a mismatched pair.
@@ -98,7 +77,7 @@ type Manifest struct {
 	Events int `json:"events,omitempty"`
 	// AuditFile names the sidecar holding the incremental audit engine's
 	// encoded state (opaque to the store; read back by audit.LoadState),
-	// valid against the changelog cursors that fed LowWater. Empty when the
+	// valid against the changelog cursor that fed LowWater. Empty when the
 	// checkpoint carried none. Written before the manifest, like Snapshot.
 	AuditFile string `json:"audit_file,omitempty"`
 }
@@ -120,11 +99,6 @@ func WALDir(dir string) string { return filepath.Join(dir, "wal") }
 // durable platform directory (owned by internal/eventlog, placed here so
 // every layer agrees on the layout).
 func EventsDir(dir string) string { return filepath.Join(dir, "events") }
-
-// WALShardDir names shard i's WAL directory under a durable store directory.
-func WALShardDir(dir string, i int) string {
-	return filepath.Join(WALDir(dir), fmt.Sprintf("shard-%04d", i))
-}
 
 // writeFileAtomic writes data to path via a temp file, fsync, and rename,
 // so readers never observe a half-written manifest or snapshot.
@@ -155,35 +129,34 @@ func Exists(dir string) bool {
 }
 
 // ReadManifest loads the manifest of a durable store directory. A manifest
-// that records online resharding — an epoch above 1 or an epoch-change
-// log — is refused with errResharded.
+// of another format — the hash-partitioned formats 2 and 3 among them — is
+// refused with an error naming its format and width.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("store: read manifest: %w", err)
 	}
-	var doc struct {
-		Manifest
-		Epochs []json.RawMessage `json:"epochs"`
+	var head struct {
+		Format int    `json:"format"`
+		Shards int    `json:"shards"`
+		Epoch  uint64 `json:"epoch"`
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := json.Unmarshal(data, &head); err != nil {
 		return nil, fmt.Errorf("store: parse manifest: %w", err)
 	}
-	m := doc.Manifest
-	if m.Format < oldestManifestFormat || m.Format > manifestFormat {
-		return nil, fmt.Errorf("store: manifest format %d, want %d..%d", m.Format, oldestManifestFormat, manifestFormat)
+	if head.Format != manifestFormat {
+		return nil, fmt.Errorf("store: manifest format %d (%d shards, epoch %d): only format %d, one partition, is readable",
+			head.Format, head.Shards, head.Epoch, manifestFormat)
 	}
-	if m.Shards < 1 {
-		return nil, fmt.Errorf("store: manifest shard count %d", m.Shards)
-	}
-	if m.Epoch > walEpoch || len(doc.Epochs) > 0 {
-		return nil, fmt.Errorf("%w (epoch %d, %d width changes)", errResharded, m.Epoch, len(doc.Epochs))
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("store: parse manifest: %w", err)
 	}
 	return &m, nil
 }
 
 func writeManifest(dir string, m *Manifest) error {
-	m.Format, m.Epoch = manifestFormat, walEpoch
+	m.Format = manifestFormat
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("store: encode manifest: %w", err)
@@ -194,80 +167,74 @@ func writeManifest(dir string, m *Manifest) error {
 	return nil
 }
 
-// NewDurable returns an empty store whose shards tee every mutation into a
+// CreateDurable returns an empty store that tees every mutation into a
 // segmented write-ahead log under dir. The directory must not already hold
-// a durable store (use Open to recover one).
-func NewDurable(u *model.Universe, shards int, dir string, opts wal.Options) (*Store, error) {
-	if _, err := os.Stat(manifestPath(dir)); err == nil {
-		return nil, fmt.Errorf("store: %s already holds a durable store (use Open)", dir)
+// a durable store (use OpenDurable to recover one).
+func CreateDurable(u *model.Universe, dir string, opts wal.Options) (*Store, error) {
+	if Exists(dir) {
+		return nil, fmt.Errorf("store: %s already holds a durable store (use OpenDurable)", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
-	s := NewSharded(u, shards)
+	s := New(u)
 	if err := s.attachWAL(dir, opts); err != nil {
 		return nil, err
 	}
-	m := &Manifest{Skills: u.Names(), Shards: len(s.shards)}
-	if err := writeManifest(dir, m); err != nil {
+	if err := writeManifest(dir, &Manifest{Skills: u.Names()}); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// attachWAL makes a not-yet-published store durable under dir: every shard
-// gets a write-ahead log on its directory.
-func (s *Store) attachWAL(dir string, opts wal.Options) error {
-	s.dir = dir
-	for i, sh := range s.shards {
-		w, err := wal.Create(WALShardDir(dir, i), opts)
-		if err != nil {
-			return err
-		}
-		sh.wal = w
+// NewDurable is CreateDurable with a width argument, which must be 1. It
+// is kept only because bench/ calls it; it leaves with one door.
+func NewDurable(u *model.Universe, shards int, dir string, opts wal.Options) (*Store, error) {
+	if shards != 1 {
+		return nil, fmt.Errorf("store: width %d: a store has one partition", shards)
 	}
+	return CreateDurable(u, dir, opts)
+}
+
+// attachWAL makes a not-yet-published store durable under dir.
+func (s *Store) attachWAL(dir string, opts wal.Options) error {
+	w, err := wal.Create(WALDir(dir), opts)
+	if err != nil {
+		return err
+	}
+	s.dir, s.wal = dir, w
 	return nil
 }
 
-// WALStats aggregates the append/batch/fsync counters of every live
-// shard WAL — zero for volatile stores. Appends/Syncs is the realised
-// group-commit amortisation.
+// WALStats returns the append/batch/fsync counters of the live WAL — zero
+// for volatile stores. Appends/Syncs is the realised group-commit
+// amortisation.
 func (s *Store) WALStats() wal.WriterStats {
-	var agg wal.WriterStats
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		if sh.wal != nil {
-			st := sh.wal.Stats()
-			agg.Appends += st.Appends
-			agg.Batches += st.Batches
-			agg.Syncs += st.Syncs
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.wal == nil {
+		return wal.WriterStats{}
 	}
-	return agg
+	return s.wal.Stats()
 }
 
-// Close closes every shard's WAL and detaches it. The store
-// stays fully usable in memory afterwards — reads and even mutations
-// succeed — but durability ends: post-Close mutations are never written
-// to the WAL and will be absent after the next Open.
+// Close closes the WAL and detaches it. The store stays fully usable in
+// memory afterwards — reads and even mutations succeed — but durability
+// ends: post-Close mutations are never written to the WAL and will be
+// absent after the next OpenDurable.
 func (s *Store) Close() error {
 	// ckptMu excludes a concurrent Checkpoint, which rotates and truncates
-	// the logs Close detaches.
+	// the log Close detaches.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	var firstErr error
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.wal != nil {
-			if err := sh.wal.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			sh.wal = nil
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wal == nil {
+		return nil
 	}
-	return firstErr
+	err := s.wal.Close()
+	s.wal = nil
+	return err
 }
 
 // CheckpointOptions carries the cross-subsystem state a checkpoint pins
@@ -276,19 +243,18 @@ type CheckpointOptions struct {
 	// Audit is the incremental auditor's encoded state (opaque blob), written
 	// to the manifest's AuditFile sidecar; empty writes none.
 	Audit []byte
-	// AuditCursors are the per-shard changelog cursors the audit state was
-	// saved at; they lower the per-shard low-water so warm-start replay
-	// still finds every record between cursor and watermark. Ignored unless
-	// one cursor per shard is supplied.
-	AuditCursors []uint64
+	// AuditCursor is the changelog cursor the audit state was saved at; it
+	// lowers the low-water so warm-start replay still finds every record
+	// between cursor and version. Ignored when Audit is empty.
+	AuditCursor uint64
 	// Events is the current event-log length, recorded for observability.
 	Events int
 }
 
 // Checkpoint freezes the store, writes snapshot, audit sidecar and manifest
 // (in that order) under the store's directory, and truncates WAL segments
-// that both the snapshot and the audit cursors have passed. Mutators block
-// for the duration (they need shard write locks); readers proceed. Returns
+// that both the snapshot and the audit cursor have passed. Mutators block
+// for the duration (they need the write lock); readers proceed. Returns
 // the new manifest.
 func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 	if s.dir == "" {
@@ -296,27 +262,22 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	shs, release := s.rlockView()
-	defer release()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 
+	v := s.version.Load()
 	m := &Manifest{
-		Skills:     s.universe.Names(),
-		Shards:     len(shs),
-		Version:    s.version.Load(),
-		Watermarks: make([]uint64, len(shs)),
-		LowWater:   make([]uint64, len(shs)),
-		Snapshot:   snapshotName(s.version.Load()),
-		Events:     o.Events,
+		Skills:   s.universe.Names(),
+		Version:  v,
+		LowWater: v,
+		Snapshot: snapshotName(v),
+		Events:   o.Events,
 	}
-	for i, sh := range shs {
-		m.Watermarks[i] = sh.applied
-		m.LowWater[i] = sh.applied
-		if len(o.AuditCursors) == len(shs) && o.AuditCursors[i] < m.LowWater[i] {
-			m.LowWater[i] = o.AuditCursors[i]
-		}
+	if len(o.Audit) > 0 && o.AuditCursor < m.LowWater {
+		m.LowWater = o.AuditCursor
 	}
 
-	if err := writeFileAtomic(filepath.Join(s.dir, m.Snapshot), encodeSnapshotFrames(s.snapshot(shs))); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, m.Snapshot), encodeSnapshotFrames(s.snapshotLocked())); err != nil {
 		return nil, fmt.Errorf("store: write snapshot: %w", err)
 	}
 	if len(o.Audit) > 0 {
@@ -329,8 +290,8 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 		return nil, err
 	}
 	// The manifest now names the new pair; every other snapshot or sidecar
-	// (the replaced pair, a format-2 JSON snapshot, the leavings of an
-	// interrupted checkpoint) is an orphan.
+	// (the replaced pair, the leavings of an interrupted checkpoint) is an
+	// orphan.
 	for _, pattern := range []string{"snapshot-*", "audit-*"} {
 		files, err := filepath.Glob(filepath.Join(s.dir, pattern))
 		if err != nil {
@@ -345,63 +306,32 @@ func (s *Store) Checkpoint(o CheckpointOptions) (*Manifest, error) {
 		}
 	}
 
-	// The manifest is durable: segments at or below each shard's low-water
-	// are dead. Rotate first so the active segment becomes truncatable too.
-	// All mutators are blocked on the shard locks, so touching the logs
-	// here is race-free.
-	for i, sh := range shs {
-		if sh.wal == nil {
-			continue
-		}
-		if err := sh.wal.Sync(); err != nil {
-			return nil, err
-		}
-		if err := sh.wal.Rotate(); err != nil {
-			return nil, err
-		}
-		if err := sh.wal.TruncateBefore(m.LowWater[i]); err != nil {
-			return nil, err
-		}
+	// The manifest is durable: segments at or below the low-water are dead.
+	// Rotate first so the active segment becomes truncatable too. Every
+	// mutator is blocked on the lock, so touching the log here is
+	// race-free.
+	if s.wal == nil {
+		return m, nil
+	}
+	if err := s.wal.Sync(); err != nil {
+		return nil, err
+	}
+	if err := s.wal.Rotate(); err != nil {
+		return nil, err
+	}
+	if err := s.wal.TruncateBefore(m.LowWater); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// replayStream is one shard directory's record stream during a replay,
-// consumed in version order by the k-way merge. The head record is decoded
-// only when the merge applies or re-seeds it, so records a catch-up pass
-// already holds are skipped undecoded.
-type replayStream struct {
-	r       *wal.Reader
-	key     uint64
-	payload []byte
-	hasHead bool
-}
-
-func (rs *replayStream) advance() error {
-	key, payload, err := rs.r.Next()
-	if err == io.EOF {
-		rs.hasHead = false
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	rs.key, rs.payload, rs.hasHead = key, payload, true
-	return nil
-}
-
-// primaryID returns the mutated entity's own id, the shard-routing key.
-func (m *Mutation) primaryID() string { return changePrimaryID(m.Change) }
-
 // openSnapshot rebuilds the checkpointed entity state (or an empty store)
-// from a manifest at its width, storing the entities it decodes themselves
-// once their skills are packed, positioned exactly at the manifest: the
-// bulk loads consume sequencer values and seed rings with rebuild-local
-// versions that have nothing to do with the original numbering the WAL
-// tail carries, so the sequencer, every watermark and every ring's
-// truncation signal are reset to the manifest version. The snapshot's file
-// name picks its decoder: .json is a format-2 directory's model.Snapshot
-// document, anything else the frame codec.
+// from a manifest, storing the entities it decodes themselves once their
+// skills are packed, positioned exactly at the manifest: the bulk loads
+// consume sequencer values and seed the ring with rebuild-local versions
+// that have nothing to do with the original numbering the WAL tail
+// carries, so the sequencer and the ring's truncation signal are reset to
+// the manifest version.
 func openSnapshot(dir string, man *Manifest) (*Store, error) {
 	var s *Store
 	if man.Snapshot != "" {
@@ -409,11 +339,7 @@ func openSnapshot(dir string, man *Manifest) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: read snapshot: %w", err)
 		}
-		decode := decodeSnapshotFrames
-		if strings.HasSuffix(man.Snapshot, ".json") {
-			decode = model.DecodeSnapshot
-		}
-		snap, err := decode(data)
+		snap, err := decodeSnapshotFrames(data)
 		if err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
@@ -423,7 +349,7 @@ func openSnapshot(dir string, man *Manifest) (*Store, error) {
 		for _, t := range snap.Tasks {
 			t.PackSkills()
 		}
-		if s, err = adoptSnapshot(snap, man.Shards); err != nil {
+		if s, err = adoptSnapshot(snap); err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	} else {
@@ -431,65 +357,47 @@ func openSnapshot(dir string, man *Manifest) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
-		s = NewSharded(u, man.Shards)
+		s = New(u)
 	}
-	for _, sh := range s.shards {
-		sh.ring = changeRing{cap: sh.ring.cap, droppedMax: man.Version}
-		sh.applied = man.Version
-	}
+	s.ring = changeRing{cap: s.ring.cap, droppedMax: man.Version}
 	s.version.Store(man.Version)
 	return s, nil
 }
 
-// Open recovers a durable store from dir at its manifest's width: the
-// checkpoint snapshot is rebuilt through the bulk insert paths, then the
-// WAL tail of every shard directory is replayed in globally merged version
-// order with original version numbers, re-seeding the in-memory changelog
-// rings (so warm-started audit cursors keep working) and stopping at the
-// first version gap; the longest globally valid prefix survives a torn or
-// corrupted final record. shards must be 0 or the manifest's width — a
-// store keeps the width it was created with. The returned store has live
-// WALs attached and continues appending where the recovered log ends.
-func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
+// OpenDurable recovers a durable store from dir: the checkpoint snapshot
+// is rebuilt through the bulk insert paths, then the WAL tail is replayed
+// in version order with original version numbers, re-seeding the
+// in-memory changelog ring (so a warm-started audit cursor keeps working)
+// and stopping at the first version gap; the longest valid prefix survives
+// a torn or corrupted final record. The returned store has a live WAL
+// attached and continues appending where the recovered log ends.
+func OpenDurable(dir string, opts wal.Options) (*Store, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, nil, err
-	}
-	if shards != 0 && shards != man.Shards {
-		return nil, nil, fmt.Errorf("store: open %s at %d shards: it was created with %d, and a store keeps its width", dir, shards, man.Shards)
 	}
 	s, err := openSnapshot(dir, man)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(man.Watermarks) == man.Shards && len(man.LowWater) == man.Shards {
-		for i, sh := range s.shards {
-			sh.applied = man.Watermarks[i]
-			sh.ring.droppedMax = man.LowWater[i]
-		}
-	}
+	s.ring.droppedMax = man.LowWater
 
-	lastApplied, _, preSnapshotTear, err := s.replayWAL(dir, man.Version, s.applyReplay, s.seedRing)
+	lastApplied, _, preSnapshotTear, err := s.replayWAL(dir, man.Version, s.applyReplay, s.ring.record)
 	if err != nil {
 		return nil, nil, err
 	}
-	if preSnapshotTear {
+	if preSnapshotTear && s.ring.droppedMax < man.Version {
 		// Corruption below the snapshot version: entity state is intact
-		// (the snapshot covers it) but the rings cannot promise continuity
-		// for saved cursors — force stale readers onto the full-scan path.
-		for _, sh := range s.shards {
-			if sh.ring.droppedMax < man.Version {
-				sh.ring.droppedMax = man.Version
-			}
-		}
+		// (the snapshot covers it) but the ring cannot promise continuity
+		// for a saved cursor — force a stale reader onto the full-scan
+		// path.
+		s.ring.droppedMax = man.Version
 	}
 
-	// Drop any records past the recovered prefix so reopened writers
-	// continue a dense log, then attach live writers.
-	for i := range s.shards {
-		if err := wal.TruncateAfter(WALShardDir(dir, i), lastApplied); err != nil {
-			return nil, nil, err
-		}
+	// Drop any records past the recovered prefix so the reopened writer
+	// continues a dense log, then attach it.
+	if err := wal.TruncateAfter(WALDir(dir), lastApplied); err != nil {
+		return nil, nil, err
 	}
 	if err := s.attachWAL(dir, opts); err != nil {
 		return nil, nil, err
@@ -497,13 +405,22 @@ func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
 	return s, man, nil
 }
 
+// Open is OpenDurable with a width argument, which must be 0 or 1. It is
+// kept only because bench/ calls it; it leaves with one door.
+func Open(dir string, shards int, opts wal.Options) (*Store, *Manifest, error) {
+	if shards != 0 && shards != 1 {
+		return nil, nil, fmt.Errorf("store: open %s at width %d: a store has one partition", dir, shards)
+	}
+	return OpenDurable(dir, opts)
+}
+
 // Bootstrap rebuilds the checkpointed state of a durable store directory
-// without attaching WAL writers, replaying the tail, or truncating anything
-// on disk — the read-only foundation of a replica, which then follows the
-// tail with CatchUp. The returned store is volatile (no WAL attached) and
-// positioned exactly at the manifest: Version() == manifest version, every
-// ring empty with droppedMax at the manifest version, so changelog
-// consumers start from the records CatchUp applies.
+// without attaching a WAL writer, replaying the tail, or truncating
+// anything on disk — the read-only foundation of a replica, which then
+// follows the tail with CatchUp. The returned store is volatile (no WAL
+// attached) and positioned exactly at the manifest: Version() == manifest
+// version, the ring empty with droppedMax at the manifest version, so
+// changelog consumers start from the records CatchUp applies.
 func Bootstrap(dir string) (*Store, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
@@ -513,20 +430,14 @@ func Bootstrap(dir string) (*Store, *Manifest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(man.Watermarks) == man.Shards {
-		for i, sh := range s.shards {
-			sh.applied = man.Watermarks[i]
-		}
-	}
 	return s, man, nil
 }
 
 // CatchUp is a replica's shipping pass over another process's durable
-// directory: it replays the retained WAL of every shard directory through
-// the same merge Open runs and applies, under the shard locks, every record
-// above the store's version up to the first version gap. A record still
-// being appended reads as a torn tail and ends its stream, so it waits for
-// a later pass; so does a version some shard has not flushed yet. Returns
+// directory: it replays the retained WAL through the same scan OpenDurable
+// runs and applies, under the write lock, every record above the store's
+// version up to the first version gap. A record still being appended reads
+// as a torn tail and ends the scan, so it waits for a later pass. Returns
 // the number of records applied and the highest version seen on disk. A
 // segment the primary's checkpoint removes while the pass reads the
 // directory fails the pass with an error; the next pass lists the
@@ -539,126 +450,73 @@ func (s *Store) CatchUp(dir string) (applied int, observed uint64, err error) {
 }
 
 // applyFrame applies one decoded WAL mutation at its original version under
-// its owning shard's lock — a replica's apply path. The store keeps the
-// entity decoded, its skills packed, as recovery does: no caller holds it,
-// so nothing is cloned. Like the live mutators, the durability wait of a
-// store with WALs attached happens after the shard lock is released.
+// the write lock — a replica's apply path. The store keeps the entity
+// decoded, its skills packed, as recovery does: no caller holds it, so
+// nothing is cloned. Like the live mutators, the durability wait of a
+// store with a WAL attached happens after the lock is released.
 func (s *Store) applyFrame(m Mutation) error {
 	m.packSkills()
-	sh := s.lockOwner(m.primaryID())
-	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.applyMutation(sh, m)
-	})
+	return s.commit(func() (wal.Commit, error) { return s.applyMutation(m) })
 }
 
-// replayWAL is the one merge of the shard WAL streams, shared by recovery
-// (Open) and a replica's CatchUp. It merges every shard directory's stream
-// by version; a record above from goes to apply when it extends the dense
-// version order, and the first version gap (a torn or undecodable record in
-// some shard) ends what is applied — the longest globally dense prefix
-// wins, and the records behind the gap are only counted in observed. A
-// record at or below from goes to seed, or is skipped undecoded when seed
-// is nil. Returns the highest version applied (from when none), the
-// highest version seen, and whether a stream tore at or below from. A WAL
-// directory other than the width's shard directories was left by online
-// resharding, and its records would be lost unseen: the layout is refused
-// instead.
-func (s *Store) replayWAL(dir string, from uint64, apply func(Mutation) error, seed func(Mutation)) (last, observed uint64, tornBelow bool, err error) {
+// replayWAL is the one scan of the store's WAL, shared by recovery
+// (OpenDurable) and a replica's CatchUp. A record above from goes to apply
+// when it extends the dense version order, and the first version gap (a
+// torn or undecodable record) ends what is applied — the longest dense
+// prefix wins, and the records behind the gap are only counted in
+// observed. A record at or below from goes to seed, or is skipped
+// undecoded when seed is nil. Returns the highest version applied (from
+// when none), the highest version seen, and whether the log tore at or
+// below from.
+func (s *Store) replayWAL(dir string, from uint64, apply func(Mutation) error, seed func(Change)) (last, observed uint64, tornBelow bool, err error) {
 	last = from
-	entries, err := os.ReadDir(WALDir(dir))
-	if err != nil && !os.IsNotExist(err) {
-		return last, 0, false, fmt.Errorf("store: open wal: %w", err)
+	r, err := wal.OpenDir(WALDir(dir))
+	if err != nil {
+		return last, 0, false, err
 	}
-	shardDirs := make(map[string]bool, len(s.shards))
-	for i := range s.shards {
-		shardDirs[filepath.Base(WALShardDir(dir, i))] = true
-	}
-	for _, e := range entries {
-		if !shardDirs[e.Name()] {
-			return last, 0, false, fmt.Errorf("%w (wal directory %s)", errResharded, e.Name())
-		}
-	}
-	streams := make([]*replayStream, 0, len(s.shards))
-	defer func() {
-		for _, rs := range streams {
-			rs.r.Close()
-		}
-	}()
-	for i := range s.shards {
-		r, err := wal.OpenDir(WALShardDir(dir, i))
-		if err != nil {
-			return last, 0, false, err
-		}
-		rs := &replayStream{r: r}
-		streams = append(streams, rs)
-		if err := rs.advance(); err != nil {
-			return last, 0, false, err
-		}
-	}
-
+	defer r.Close()
+	var key uint64
 	for {
-		var rs *replayStream
-		for _, c := range streams {
-			if c.hasHead && (rs == nil || c.key < rs.key) {
-				rs = c
-			}
-		}
-		if rs == nil {
+		k, payload, err := r.Next()
+		if err == io.EOF {
 			break
 		}
-		v := rs.key
-		if v > observed {
-			observed = v
-		}
-		if v == last+1 || (v <= from && seed != nil) {
-			m, err := decodeMutation(v, rs.payload, walEpoch)
-			if err != nil {
-				// A CRC-valid but undecodable record is a hole just like
-				// a torn frame: stop this stream at the longest valid
-				// prefix.
-				rs.hasHead = false
-				continue
-			}
-			if v > from {
-				if err := apply(m); err != nil {
-					return last, observed, false, err
-				}
-				last = v
-			} else {
-				seed(m)
-			}
-		}
-		if err := rs.advance(); err != nil {
+		if err != nil {
 			return last, observed, false, err
 		}
-	}
-	for _, rs := range streams {
-		if rs.r.Damaged() && rs.key <= from {
-			tornBelow = true
+		key = k
+		if key > observed {
+			observed = key
 		}
+		if key != last+1 && (key > from || seed == nil) {
+			continue
+		}
+		m, err := decodeMutation(key, payload, walEpoch)
+		if err != nil {
+			// A CRC-valid but undecodable record is a hole just like a
+			// torn frame: stop at the longest valid prefix.
+			break
+		}
+		if key <= from {
+			seed(m.Change)
+			continue
+		}
+		if err := apply(m); err != nil {
+			return last, observed, false, err
+		}
+		last = key
 	}
-	return last, observed, tornBelow, nil
-}
-
-// seedRing re-records a WAL mutation the snapshot already holds in its
-// owning shard's ring, so warm-started changelog cursors between low-water
-// and watermark still read cleanly.
-func (s *Store) seedRing(m Mutation) {
-	sh := s.shardFor(m.primaryID())
-	sh.ring.record(m.Change)
-	if v := m.Change.Version; v > sh.applied {
-		sh.applied = v
-	}
+	return last, observed, r.Damaged() && key <= from, nil
 }
 
 // applyReplay applies one post-snapshot WAL mutation with its original
 // version, storing the entity replay decoded once its skills are packed.
-// The store is not yet published, so no locks are needed; the locked
-// helpers only assume the lock is held, they do not acquire it. WALs are
-// not attached during replay, so the ticket is always zero.
+// The store is not yet published, so no lock is needed; the locked
+// helpers only assume the lock is held, they do not acquire it. No WAL is
+// attached during replay, so the ticket is always zero.
 func (s *Store) applyReplay(m Mutation) error {
 	m.packSkills()
-	_, err := s.applyMutation(s.shardFor(m.primaryID()), m)
+	_, err := s.applyMutation(m)
 	return err
 }
 
@@ -674,42 +532,42 @@ func (m Mutation) packSkills() {
 }
 
 // applyMutation applies one decoded mutation under the held (or not yet
-// shared) owning shard, preserving its original version, and
-// returns the durability ticket of the re-recorded mutation. Like the
-// *Locked mutators it stores m's entity itself.
-func (s *Store) applyMutation(sh *shard, m Mutation) (wal.Commit, error) {
+// shared) lock, preserving its original version, and returns the
+// durability ticket of the re-recorded mutation. Like the *Locked mutators
+// it stores m's entity itself.
+func (s *Store) applyMutation(m Mutation) (wal.Commit, error) {
 	v := m.Change.Version
 	switch {
 	case m.Change.Entity == EntityWorker && m.Change.Op == OpInsert:
 		if err := m.Worker.Validate(s.universe); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putWorkerLocked(sh, m.Worker, v)
+		return s.putWorkerLocked(m.Worker, v)
 	case m.Change.Entity == EntityWorker && m.Change.Op == OpUpdate:
 		if err := m.Worker.Validate(s.universe); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.updateWorkerLocked(sh, m.Worker, v)
+		return s.updateWorkerLocked(m.Worker, v)
 	case m.Change.Entity == EntityRequester:
 		if err := m.Requester.Validate(); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putRequesterLocked(sh, m.Requester, v)
+		return s.putRequesterLocked(m.Requester, v)
 	case m.Change.Entity == EntityTask:
 		if err := m.Task.Validate(s.universe); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putTaskLocked(sh, m.Task, v)
+		return s.putTaskLocked(m.Task, v)
 	case m.Change.Entity == EntityContribution && m.Change.Op == OpInsert:
 		if err := m.Contribution.Validate(); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.putContributionLocked(sh, m.Contribution, v)
+		return s.putContributionLocked(m.Contribution, v)
 	case m.Change.Entity == EntityContribution && m.Change.Op == OpUpdate:
 		if err := m.Contribution.Validate(); err != nil {
 			return wal.Commit{}, fmt.Errorf("store: replay v%d: %w", v, err)
 		}
-		return s.updateContributionLocked(sh, m.Contribution, v)
+		return s.updateContributionLocked(m.Contribution, v)
 	}
 	return wal.Commit{}, fmt.Errorf("store: replay v%d: unknown mutation kind", v)
 }

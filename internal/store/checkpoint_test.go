@@ -1,14 +1,11 @@
 package store
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -109,7 +106,7 @@ func TestOpenRecoversWALOnlyStore(t *testing.T) {
 	u := testUniverse()
 	dir := t.TempDir()
 	steps := mutationScript(u, 60)
-	ds, err := NewDurable(u, 4, dir, wal.Options{SegmentBytes: 512})
+	ds, err := CreateDurable(u, dir, wal.Options{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +115,15 @@ func TestOpenRecoversWALOnlyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, man, err := Open(dir, 0, wal.Options{SegmentBytes: 512})
+	got, man, err := OpenDurable(dir, wal.Options{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if man.Shards != 4 || got.ShardCount() != 4 {
-		t.Fatalf("shards: manifest %d store %d", man.Shards, got.ShardCount())
+	if man.Format != manifestFormat {
+		t.Fatalf("manifest format %d", man.Format)
 	}
-	want := NewSharded(u, 4)
+	want := New(u)
 	applySteps(t, want, steps, len(steps))
 	if snapBytes(t, got) != snapBytes(t, want) {
 		t.Fatal("recovered state differs from replayed replica")
@@ -157,7 +154,7 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	steps := mutationScript(u, 80)
 	opts := wal.Options{SegmentBytes: 256}
-	ds, err := NewDurable(u, 3, dir, opts)
+	ds, err := CreateDurable(u, dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +171,7 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, man2, err := Open(dir, 0, opts)
+	got, man2, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +179,7 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 	if man2.Version != 50 {
 		t.Fatalf("reopened manifest version %d", man2.Version)
 	}
-	want := NewSharded(u, 3)
+	want := New(u)
 	applySteps(t, want, steps, len(steps))
 	if snapBytes(t, got) != snapBytes(t, want) {
 		t.Fatal("recovered state differs from replayed replica")
@@ -207,7 +204,7 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 	if err := got.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, err := Open(dir, 0, opts)
+	got2, _, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,117 +214,26 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesForeignLayout pins the fixed width: a store reopens at its
-// manifest's width only, and a directory written by online resharding (an
-// epoch above 1, an epoch-change log, or an epoch-qualified WAL directory)
-// is refused by both Open and Bootstrap rather than half-read.
-func TestOpenRefusesForeignLayout(t *testing.T) {
-	u := testUniverse()
-	dir := t.TempDir()
-	steps := mutationScript(u, 40)
-	ds, err := NewDurable(u, 4, dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applySteps(t, ds, steps, 25)
-	if _, err := ds.Checkpoint(CheckpointOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	applySteps(t, ds, steps[25:], 15)
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := NewSharded(u, 4)
-	applySteps(t, want, steps, len(steps))
-
-	if _, _, err := Open(copyTree(t, dir), 5, wal.Options{}); err == nil ||
-		!strings.Contains(err.Error(), "at 5 shards") || !strings.Contains(err.Error(), "created with 4") {
-		t.Fatalf("Open at width 5 of a width-4 store: %v", err)
-	}
-	for _, shards := range []int{0, 4} {
-		got, _, err := Open(copyTree(t, dir), shards, wal.Options{})
-		if err != nil {
-			t.Fatalf("Open(dir, %d): %v", shards, err)
-		}
-		if got.ShardCount() != 4 || snapBytes(t, got) != snapBytes(t, want) {
-			t.Fatalf("Open(dir, %d): width %d or state differs", shards, got.ShardCount())
-		}
-		got.Close()
-	}
-
-	resharded := map[string]func(t *testing.T, dir string){
-		"epoch 2": func(t *testing.T, dir string) { editManifest(t, dir, "epoch", 2) },
-		"epoch log": func(t *testing.T, dir string) {
-			editManifest(t, dir, "epochs", []map[string]any{{"epoch": 2, "width": 5, "version": 25}})
-		},
-		"epoch directory": func(t *testing.T, dir string) {
-			if err := os.MkdirAll(filepath.Join(WALDir(dir), "e0002-shard-0000"), 0o755); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, damage := range resharded {
-		d := copyTree(t, dir)
-		damage(t, d)
-		if _, _, err := Open(d, 0, wal.Options{}); !errors.Is(err, errResharded) {
-			t.Fatalf("%s: Open: %v, want the resharding-removed error", name, err)
-		}
-		if name == "epoch directory" {
-			continue // Bootstrap reads only the manifest's shard directories
-		}
-		if _, _, err := Bootstrap(d); !errors.Is(err, errResharded) {
-			t.Fatalf("%s: Bootstrap: %v, want the resharding-removed error", name, err)
-		}
-	}
-}
-
-// editManifest sets one field of a durable directory's manifest.
-func editManifest(t *testing.T, dir, field string, value any) {
-	t.Helper()
-	data, err := os.ReadFile(manifestPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc[field] = value
-	if data, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// survivingVersions reads every WAL shard dir of a (possibly damaged)
-// store directory and returns the set of record versions still readable.
+// survivingVersions reads the WAL of a (possibly damaged) store
+// directory and returns the set of record versions still readable.
 func survivingVersions(t *testing.T, dir string) map[uint64]bool {
 	t.Helper()
 	out := make(map[uint64]bool)
-	entries, err := os.ReadDir(WALDir(dir))
+	r, err := wal.OpenDir(WALDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		r, err := wal.OpenDir(filepath.Join(WALDir(dir), e.Name()))
+	defer r.Close()
+	for {
+		key, _, err := r.Next()
+		if err == io.EOF {
+			return out
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			key, _, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[key] = true
-		}
-		r.Close()
+		out[key] = true
 	}
-	return out
 }
 
 // copyTree clones a durable store directory for destructive experiments.
@@ -358,39 +264,19 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
-// lastSegmentOfLargestShardWAL picks the shard WAL dir with the most data
-// and returns its final segment path.
+// lastSegmentWithTail returns the store WAL's final segment path.
 func lastSegmentWithTail(t *testing.T, dir string) string {
 	t.Helper()
-	entries, err := os.ReadDir(WALDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, bestSize := "", int64(-1)
-	for _, e := range entries {
-		shardDir := filepath.Join(WALDir(dir), e.Name())
-		segs, err := filepath.Glob(filepath.Join(shardDir, "seg-*.wal"))
-		if err != nil || len(segs) == 0 {
-			continue
-		}
-		last := segs[len(segs)-1]
-		info, err := os.Stat(last)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Size() > bestSize {
-			best, bestSize = last, info.Size()
-		}
-	}
-	if best == "" {
+	segs, err := filepath.Glob(filepath.Join(WALDir(dir), "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
 		t.Fatal("no WAL segments found")
 	}
-	return best
+	return segs[len(segs)-1]
 }
 
 // checkRecovery opens a (possibly damaged) durable store dir and asserts
-// it recovered exactly the longest globally dense version prefix of the
-// surviving WAL records, with a gap-free merged changelog and entity state
+// it recovered exactly the longest dense version prefix of the surviving
+// WAL records, with a gap-free changelog and entity state
 // equal to replaying that prefix of the script.
 func checkRecovery(t *testing.T, trial string, u *model.Universe, steps []scriptStep, label string) {
 	t.Helper()
@@ -399,7 +285,7 @@ func checkRecovery(t *testing.T, trial string, u *model.Universe, steps []script
 	for surviving[wantVer+1] {
 		wantVer++
 	}
-	got, _, err := Open(trial, 0, wal.Options{SegmentBytes: 256})
+	got, _, err := OpenDurable(trial, wal.Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatalf("%s: open: %v", label, err)
 	}
@@ -409,17 +295,17 @@ func checkRecovery(t *testing.T, trial string, u *model.Universe, steps []script
 	}
 	changes, ok := got.ChangesSince(0)
 	if !ok {
-		t.Fatalf("%s: merged changelog truncated", label)
+		t.Fatalf("%s: changelog truncated", label)
 	}
 	if uint64(len(changes)) != wantVer {
-		t.Fatalf("%s: merged changelog has %d records, want %d", label, len(changes), wantVer)
+		t.Fatalf("%s: changelog has %d records, want %d", label, len(changes), wantVer)
 	}
 	for i, c := range changes {
 		if c.Version != uint64(i+1) {
 			t.Fatalf("%s: gap at position %d (version %d)", label, i, c.Version)
 		}
 	}
-	want := NewSharded(u, 2)
+	want := New(u)
 	applySteps(t, want, steps, int(wantVer))
 	if snapBytes(t, got) != snapBytes(t, want) {
 		t.Fatalf("%s: recovered state differs from %d-step replica", label, wantVer)
@@ -434,7 +320,7 @@ func TestTornTailTorture(t *testing.T) {
 	u := testUniverse()
 	base := t.TempDir()
 	steps := mutationScript(u, 36)
-	ds, err := NewDurable(u, 2, base, wal.Options{SegmentBytes: 256})
+	ds, err := CreateDurable(u, base, wal.Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +357,7 @@ func TestCorruptTailTorture(t *testing.T) {
 	u := testUniverse()
 	base := t.TempDir()
 	steps := mutationScript(u, 36)
-	ds, err := NewDurable(u, 2, base, wal.Options{SegmentBytes: 256})
+	ds, err := CreateDurable(u, base, wal.Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +396,7 @@ func TestTornTailAfterCheckpoint(t *testing.T) {
 	u := testUniverse()
 	base := t.TempDir()
 	steps := mutationScript(u, 60)
-	ds, err := NewDurable(u, 2, base, wal.Options{SegmentBytes: 1 << 20})
+	ds, err := CreateDurable(u, base, wal.Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,11 +414,11 @@ func TestTornTailAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear a few bytes off the end: the last record of that shard dies.
+	// Tear a few bytes off the end: the last record dies.
 	if err := os.Truncate(seg, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Open(base, 0, wal.Options{})
+	got, _, err := OpenDurable(base, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +429,7 @@ func TestTornTailAfterCheckpoint(t *testing.T) {
 	if got.Version() >= 60 {
 		t.Fatalf("torn record survived: version %d", got.Version())
 	}
-	want := NewSharded(u, 2)
+	want := New(u)
 	applySteps(t, want, steps, int(got.Version()))
 	if snapBytes(t, got) != snapBytes(t, want) {
 		t.Fatal("recovered state differs from prefix replica")
@@ -553,13 +439,13 @@ func TestTornTailAfterCheckpoint(t *testing.T) {
 func TestNewDurableRefusesExistingStore(t *testing.T) {
 	u := testUniverse()
 	dir := t.TempDir()
-	ds, err := NewDurable(u, 2, dir, wal.Options{})
+	ds, err := CreateDurable(u, dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds.Close()
-	if _, err := NewDurable(u, 2, dir, wal.Options{}); err == nil {
-		t.Fatal("NewDurable over an existing store must fail")
+	if _, err := CreateDurable(u, dir, wal.Options{}); err == nil {
+		t.Fatal("CreateDurable over an existing store must fail")
 	}
 }
 
@@ -573,7 +459,7 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 	u := testUniverse()
 	dir := t.TempDir()
 	steps := mutationScript(u, 80)
-	ds, err := NewDurable(u, 3, dir, wal.Options{})
+	ds, err := CreateDurable(u, dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +503,7 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 		}
 	}
 
-	got, _, err := Open(dir, 0, wal.Options{})
+	got, _, err := OpenDurable(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +562,7 @@ func TestCheckpointOpenAdoptsDecodedEntities(t *testing.T) {
 }
 
 // ApplyWALFrame decodes one changelog WAL frame (key = version, payload as
-// written by the store's shards) and applies it through CatchUp's apply
+// written by the store) and applies it through CatchUp's apply
 // path.
 func (s *Store) ApplyWALFrame(key uint64, payload []byte) error {
 	m, err := decodeMutation(key, payload, walEpoch)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -48,44 +47,35 @@ func groupCommitWorkload(t *testing.T, s *Store, u *model.Universe, appenders, o
 	}
 }
 
-// walMutationsByVersion decodes every surviving WAL record under dir and
-// returns the mutations sorted by version — the canonical commit order a
-// recovery replays.
+// walMutationsByVersion decodes every surviving WAL record under dir, in
+// log order — the canonical commit order a recovery replays.
 func walMutationsByVersion(t *testing.T, dir string) []Mutation {
 	t.Helper()
 	var out []Mutation
-	entries, err := os.ReadDir(WALDir(dir))
+	r, err := wal.OpenDir(WALDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		r, err := wal.OpenDir(filepath.Join(WALDir(dir), e.Name()))
+	defer r.Close()
+	for {
+		key, payload, err := r.Next()
+		if err == io.EOF {
+			return out
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			key, payload, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := decodeMutation(key, append([]byte(nil), payload...), walEpoch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, m)
+		m, err := decodeMutation(key, append([]byte(nil), payload...), walEpoch)
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.Close()
+		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Change.Version < out[j].Change.Version })
-	return out
 }
 
 // checkGroupRecovery opens a (possibly damaged) durable store written under
 // a group-commit policy and asserts it recovered exactly the longest
-// globally dense version prefix: version, merged-changelog density, and
+// dense version prefix: version, changelog density, and
 // entity state equal to replaying that prefix of the canonical records.
 func checkGroupRecovery(t *testing.T, trial string, u *model.Universe, recs []Mutation, opts wal.Options, label string) {
 	t.Helper()
@@ -94,7 +84,7 @@ func checkGroupRecovery(t *testing.T, trial string, u *model.Universe, recs []Mu
 	for surviving[wantVer+1] {
 		wantVer++
 	}
-	got, _, err := Open(trial, 0, opts)
+	got, _, err := OpenDurable(trial, opts)
 	if err != nil {
 		t.Fatalf("%s: open: %v", label, err)
 	}
@@ -104,17 +94,17 @@ func checkGroupRecovery(t *testing.T, trial string, u *model.Universe, recs []Mu
 	}
 	changes, ok := got.ChangesSince(0)
 	if !ok {
-		t.Fatalf("%s: merged changelog truncated", label)
+		t.Fatalf("%s: changelog truncated", label)
 	}
 	if uint64(len(changes)) != wantVer {
-		t.Fatalf("%s: merged changelog has %d records, want %d", label, len(changes), wantVer)
+		t.Fatalf("%s: changelog has %d records, want %d", label, len(changes), wantVer)
 	}
 	for i, c := range changes {
 		if c.Version != uint64(i+1) {
 			t.Fatalf("%s: gap at position %d (version %d)", label, i, c.Version)
 		}
 	}
-	want := NewSharded(u, 2)
+	want := New(u)
 	for _, m := range recs {
 		if m.Change.Version > wantVer {
 			break
@@ -140,7 +130,7 @@ func TestGroupCommitTornTailTorture(t *testing.T) {
 			u := testUniverse()
 			base := t.TempDir()
 			opts := wal.Options{SegmentBytes: 256, Sync: pol}
-			ds, err := NewDurable(u, 2, base, opts)
+			ds, err := CreateDurable(u, base, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +187,7 @@ func TestGroupCommitRecoveryDeterminism(t *testing.T) {
 			label := fmt.Sprintf("conc=%d/%s", conc, pol)
 			base := t.TempDir()
 			opts := wal.Options{SegmentBytes: 512, Sync: pol}
-			ds, err := NewDurable(u, 3, base, opts)
+			ds, err := CreateDurable(u, base, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +197,7 @@ func TestGroupCommitRecoveryDeterminism(t *testing.T) {
 			if err := ds.Close(); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := Open(base, 0, opts)
+			got, _, err := OpenDurable(base, opts)
 			if err != nil {
 				t.Fatalf("%s: open: %v", label, err)
 			}

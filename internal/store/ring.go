@@ -16,24 +16,24 @@ type Mutation struct {
 	Contribution *model.Contribution
 }
 
-// changeRing is the bounded per-shard changelog ring that incremental
-// auditors read through ShardChangesSince. Versions within one ring are
-// strictly increasing (appends happen under the shard lock) but not
-// consecutive — the global sequencer interleaves shards.
+// changeRing is the bounded changelog ring that incremental auditors read
+// through ChangesSince. Versions in it are strictly increasing (appends
+// happen under the write lock), and consecutive apart from what recovery
+// seeds below a checkpoint.
 type changeRing struct {
 	buf   []Change
 	start int
 	n     int
 	cap   int
 	// droppedMax is the highest version ever evicted from this ring (0 if
-	// none): the shard-local truncation signal. A reader positioned at
-	// version v missed changes iff droppedMax > v.
+	// none): the truncation signal. A reader positioned at version v
+	// missed changes iff droppedMax > v.
 	droppedMax uint64
 }
 
 // record appends a change, evicting the oldest when full. With retention
 // disabled (cap < 1) every change counts as immediately dropped so
-// ShardChangesSince keeps reporting truncation.
+// ChangesSince keeps reporting truncation.
 func (r *changeRing) record(c Change) {
 	if r.cap < 1 {
 		if c.Version > r.droppedMax {

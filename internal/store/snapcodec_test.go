@@ -3,11 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -23,7 +21,7 @@ func checkpointedDir(t *testing.T, at, n int) (dir string, steps []scriptStep, w
 	u := testUniverse()
 	dir = t.TempDir()
 	steps = mutationScript(u, n)
-	ds, err := NewDurable(u, 3, dir, wal.Options{SegmentBytes: 256})
+	ds, err := CreateDurable(u, dir, wal.Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +72,7 @@ func TestCheckpointInterruptedBeforeManifestRename(t *testing.T) {
 	// Let a copy complete checkpoint B, then plant only B's two files in
 	// the original: exactly what the interrupted checkpoint leaves behind.
 	done := copyTree(t, dir)
-	ds, _, err := Open(done, 0, opts)
+	ds, _, err := OpenDurable(done, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestCheckpointInterruptedBeforeManifestRename(t *testing.T) {
 		}
 	}
 
-	got, man, err := Open(dir, 0, opts)
+	got, man, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func TestCorruptSnapshotIsOpenError(t *testing.T) {
 		} else if err := os.WriteFile(path, tc.damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if s, _, err := Open(trial, 0, wal.Options{}); err == nil {
+		if s, _, err := OpenDurable(trial, wal.Options{}); err == nil {
 			s.Close()
 			t.Errorf("%s: Open succeeded", name)
 		}
@@ -169,17 +167,16 @@ func TestCorruptSnapshotIsOpenError(t *testing.T) {
 	}
 }
 
-// Three checkpoints of one state write the same bytes, whatever route the
-// store took to that state (here: built live, recovered from disk, and
-// built live at another shard width).
+// Two checkpoints of one state write the same bytes, whatever route the
+// store took to that state (here: built live, and recovered from disk).
 func TestCheckpointSnapshotIsDeterministic(t *testing.T) {
-	dir, steps, _ := checkpointedDir(t, 50, 50)
+	dir, _, _ := checkpointedDir(t, 50, 50)
 	man, err := ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := readFile(t, filepath.Join(dir, man.Snapshot))
-	got, _, err := Open(dir, 0, wal.Options{})
+	got, _, err := OpenDurable(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,87 +190,6 @@ func TestCheckpointSnapshotIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(readFile(t, filepath.Join(dir, man2.Snapshot)), first) {
 		t.Fatal("two checkpoints of one state differ")
-	}
-	wide := t.TempDir()
-	live, err := NewDurable(testUniverse(), 5, wide, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	applySteps(t, live, steps, 50)
-	man3, err := live.Checkpoint(CheckpointOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readFile(t, filepath.Join(wide, man3.Snapshot)), first) {
-		t.Fatal("checkpoints of one state at widths 3 and 5 differ")
-	}
-}
-
-// A hand-built format-2 directory — JSON snapshot, auditor state embedded in
-// the manifest — still opens (and bootstraps) to the same state, reports no
-// sidecar, and becomes format 3 at its next checkpoint.
-func TestOpenFormat2Directory(t *testing.T) {
-	dir, steps, want := checkpointedDir(t, 40, 70)
-	man, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := NewSharded(testUniverse(), 3)
-	applySteps(t, at, steps, 40)
-	jsonSnap, err := at.Snapshot().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonName := strings.TrimSuffix(man.Snapshot, ".bin") + ".json"
-	if err := os.WriteFile(filepath.Join(dir, jsonName), jsonSnap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{man.Snapshot, man.AuditFile} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(readFile(t, manifestPath(dir)), &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["format"] = 2
-	doc["snapshot"] = jsonName
-	delete(doc, "audit_file")
-	doc["audit"] = map[string]any{"config_sig": "x", "cursors": []int{1, 2, 3}}
-	v2, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifestPath(dir), v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	boot, bman, err := Bootstrap(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bman.Format != 2 || snapBytes(t, boot) != snapBytes(t, at) {
-		t.Fatalf("bootstrap of a format-%d directory differs from the checkpointed state", bman.Format)
-	}
-	got, man2, err := Open(dir, 0, wal.Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	if man2.AuditFile != "" {
-		t.Fatalf("format-2 manifest reports sidecar %q", man2.AuditFile)
-	}
-	if snapBytes(t, got) != want {
-		t.Fatal("recovered state differs")
-	}
-	man3, err := got.Checkpoint(CheckpointOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files := checkpointFiles(t, dir); man3.Format != manifestFormat || len(files) != 1 || files[0] != man3.Snapshot {
-		t.Fatalf("after re-checkpoint: format %d, files %v", man3.Format, files)
 	}
 }
 

@@ -4,56 +4,44 @@
 // The EDBT framing of the paper treats a crowdsourcing platform as a data
 // management problem: audits are queries over the platform state (workers,
 // tasks, requesters, contributions). Store keeps that state in typed tables
-// with primary-key hash indexes plus the secondary indexes the audits need:
-// a skill inverted index over workers and tasks (used to prune candidate
-// pairs in Axiom 1/2 checks, the E7 ablation), a per-requester task index,
-// and per-task / per-worker contribution indexes.
+// with primary-key hash indexes plus the secondary index the audits need,
+// per-task contribution lists kept in submission order.
 //
-// Concurrency model: the store is hash-partitioned into ShardCount shards
-// (see shard.go), each owning the entities whose id hashes to it together
-// with that partition's secondary indexes and changelog ring. The width is
-// fixed when the store is built — a durable store reopens at its manifest's
-// width — so an id's shard never changes (route.go). Every mutation takes
-// exactly one shard's write lock — referenced entities in other shards are
-// probed under read locks, which is safe because entities are never
-// deleted — so writers to different shards never contend and mutation
-// throughput scales with cores. A single atomic sequencer allocates global
-// versions; allocation happens while the owning shard's write lock is held,
-// which yields the store's core visibility invariant: every mutation with a
-// version at or below Version() is fully applied and visible to any
-// subsequently acquired shard lock.
+// Concurrency model: one RWMutex guards the tables, the index and the
+// changelog ring. Every mutation takes the write lock once — referenced
+// entities are probed under the read lock beforehand, which is safe because
+// entities are never deleted — and allocates its version under it, so the
+// changelog is dense and in version order by construction, and every
+// mutation with a version at or below Version() is fully applied and
+// visible to any subsequently acquired lock. Incremental consumers — the
+// delta-driven fairness audits of internal/audit — read the changelog
+// through ChangesSince to re-check only what moved.
 //
-// Multi-shard readers (Workers, Contributions, the candidate-pair
-// generators) read-lock every shard (rlockView); they see a state at least
-// as new as any version bracket they read first.
-// Incremental consumers — the delta-driven fairness audits of
-// internal/audit — read the per-shard changelogs through ShardChangesSince
-// to re-check only what moved.
-//
-// Durability: each shard records its changelog into the in-memory ring
-// and, on stores built with NewDurable or Open, into its own write-ahead
+// Durability: the store records its changelog into the in-memory ring and,
+// on stores built with CreateDurable or OpenDurable, into a write-ahead
 // log, appending change + entity post-image to segmented files under the
-// shard lock (internal/wal), so the on-disk order equals the version order.
-// Checkpoint pins a snapshot and truncates dead segments; Open rebuilds
-// the snapshot and replays the WAL tail with original version numbers,
-// recovering the longest globally dense prefix after a torn final record
-// (see checkpoint.go). That replay, the one merge of the shard WAL
-// streams, also feeds a replica: Bootstrap rebuilds a volatile store from
-// the checkpoint of another process's directory, and each CatchUp pass
-// re-reads the retained WAL and applies, under the shard locks, what lies
-// above the store's version up to the first version gap. A segment the
-// primary truncates during a pass fails it with a retryable error.
+// write lock (internal/wal), so the on-disk order equals the version
+// order. Checkpoint pins a snapshot and truncates dead segments;
+// OpenDurable rebuilds the snapshot and replays the WAL tail with original
+// version numbers, recovering the longest dense prefix after a torn final
+// record (see checkpoint.go). That replay also feeds a replica: Bootstrap
+// rebuilds a volatile store from the checkpoint of another process's
+// directory, and each CatchUp pass re-reads the retained WAL and applies
+// what lies above the store's version up to the first version gap. A
+// segment the primary truncates during a pass fails it with a retryable
+// error.
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/wal"
 )
 
@@ -64,63 +52,65 @@ var (
 	ErrInvalid   = errors.New("store: invalid entity")
 )
 
-// DefaultShardCount is the partition count used by New and by the durable
-// platform. It is a fixed constant — not GOMAXPROCS-derived — so a trace
-// replayed on any machine lands entities in the same shards, and a
-// *sequentially* replayed trace produces the same merged changelog (the
-// bulk fan-out paths interleave version assignment across shards
-// nondeterministically, so bulk-loaded stores promise identical state but
-// not identical change order). The determinism tests pin that results are
-// identical for every shard count, so trying another width is a change to
-// this one constant; a durable store keeps the width it was created with.
-const DefaultShardCount = 8
+// DefaultShardCount is 1, the store's only width. It is kept only because
+// bench/ passes it to NewDurable; it leaves with one door.
+const DefaultShardCount = 1
 
-// Store is the platform database. Construct with New or NewSharded for a
-// volatile store, NewDurable for one teeing every mutation into a
-// write-ahead log, or Open to recover a durable store from disk.
+// Store is the platform database. Construct with New for a volatile store,
+// CreateDurable for one teeing every mutation into a write-ahead log, or
+// OpenDurable to recover a durable store from disk.
 type Store struct {
 	universe *model.Universe
-	version  atomic.Uint64 // global mutation sequencer
+	// version is the mutation sequencer. It moves only under mu's write
+	// lock (or before the store is published), so it is also the
+	// watermark: every change at or below it is in the tables and the
+	// ring.
+	version atomic.Uint64
 
-	// shards are the hash partitions, fixed at construction (route.go).
-	// mask enables the power-of-two routing fast path; masked
-	// distinguishes a real mask of 0 (one shard) from "not a power of two".
-	shards []*shard
-	mask   uint64
-	masked bool
+	mu         sync.RWMutex
+	workers    map[model.WorkerID]*model.Worker
+	requesters map[model.RequesterID]*model.Requester
+	tasks      map[model.TaskID]*model.Task
+	contribs   map[model.ContributionID]*model.Contribution
+
+	// contribsByTask, the one secondary index, lists each task's
+	// contributions sorted by (SubmittedAt, ID), maintained at insert time
+	// so ContributionsByTask never sorts.
+	contribsByTask map[model.TaskID][]model.ContributionID
+
+	// ring is the in-memory changelog; wal, when non-nil, is the durable
+	// write-ahead log the same stream is teed into, and scratch its
+	// record-encoding buffer.
+	ring    changeRing
+	wal     *wal.Writer
+	scratch []byte
 
 	// dir is the persistence root of a durable store ("" when volatile).
-	// ckptMu serialises Checkpoint and Close, which both touch every
-	// shard's WAL at once.
+	// ckptMu serialises Checkpoint and Close, which both touch the WAL
+	// beyond appending to it.
 	dir    string
 	ckptMu sync.Mutex
 }
 
-// New returns an empty store over the given skill universe, partitioned
-// into DefaultShardCount shards.
-func New(u *model.Universe) *Store { return NewSharded(u, DefaultShardCount) }
-
-// NewSharded returns an empty store partitioned into the given number of
-// hash shards (values < 1 mean one shard, i.e. the single-lock layout).
-func NewSharded(u *model.Universe, shards int) *Store {
-	if shards < 1 {
-		shards = 1
+// New returns an empty store over the given skill universe.
+func New(u *model.Universe) *Store {
+	return &Store{
+		universe:       u,
+		workers:        make(map[model.WorkerID]*model.Worker),
+		requesters:     make(map[model.RequesterID]*model.Requester),
+		tasks:          make(map[model.TaskID]*model.Task),
+		contribs:       make(map[model.ContributionID]*model.Contribution),
+		contribsByTask: make(map[model.TaskID][]model.ContributionID),
+		ring:           changeRing{cap: DefaultChangelogCap},
 	}
-	s := &Store{universe: u, shards: make([]*shard, shards)}
-	for i := range s.shards {
-		s.shards[i] = newShard(DefaultChangelogCap)
-	}
-	if shards&(shards-1) == 0 {
-		s.mask, s.masked = uint64(shards-1), true
-	}
-	return s
 }
 
 // Universe returns the skill universe the store was built over.
 func (s *Store) Universe() *model.Universe { return s.universe }
 
-// ShardCount returns the number of hash partitions.
-func (s *Store) ShardCount() int { return len(s.shards) }
+// ShardCount returns 1. It is kept only because bench/ calls it; it leaves
+// with one door.
+func (s *Store) ShardCount() int { return 1 }
 
 // Version returns the current mutation counter. Two equal versions bracket
 // an unchanged store, which lets long audits assert the trace did not move
@@ -130,38 +120,105 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 
 // allocVersion returns the version a mutation commits under: the next
 // sequencer value normally, or the forced original version during WAL
-// replay (where the sequencer is advanced to at least that value so
-// post-recovery mutations continue the original numbering).
+// replay, which always extends the sequencer (replay applies versions in
+// ascending order above the store's own).
 func (s *Store) allocVersion(forced uint64) uint64 {
 	if forced == 0 {
 		return s.version.Add(1)
 	}
-	for {
-		cur := s.version.Load()
-		if cur >= forced || s.version.CompareAndSwap(cur, forced) {
-			return forced
-		}
-	}
+	s.version.Store(forced)
+	return forced
 }
 
-// commitOutside runs fn — a *Locked mutator — under sh's already-acquired
-// write lock, releases the lock, and only then waits on the durability
-// ticket: the append-under-lock / ack-outside-lock shape every
-// single-entity mutator shares. Holding the shard lock across the ticket
-// wait would serialise every writer of the shard on the group-commit
-// fsync; releasing first lets concurrent appenders pile into the batch the
-// one fsync then covers. Version-dense recovery is preserved because the
-// WAL enqueue (ordering) still happens under the lock — only the ack
-// (durability) moves outside it.
-func commitOutside(sh *shard, fn func() (wal.Commit, error)) error {
+// record tees a mutation into the ring and WAL under the held write lock.
+// The in-memory state is already applied when record runs; a WAL failure
+// therefore leaves the change live in memory but possibly not on disk, and
+// the returned error tells the mutator durability was not achieved. The
+// returned ticket is the WAL's group-commit ack: mutators Wait on it after
+// releasing the lock, so the batch write and its fsync never run under it.
+// AppendAsync copies the frame into its batch, so scratch is free for the
+// next record as soon as it returns.
+func (s *Store) record(m Mutation) (wal.Commit, error) {
+	s.ring.record(m.Change)
+	if s.wal == nil {
+		return wal.Commit{}, nil
+	}
+	s.scratch = encodeMutation(s.scratch[:0], m, walEpoch)
+	ack, err := s.wal.AppendAsync(m.Change.Version, s.scratch)
+	if err != nil {
+		return wal.Commit{}, fmt.Errorf("store: wal append: %w", err)
+	}
+	return ack, nil
+}
+
+// commit runs fn — a *Locked mutator — under the write lock, releases the
+// lock, and only then waits on the durability ticket: the
+// append-under-lock / ack-outside-lock shape every single-entity mutator
+// shares. Holding the lock across the ticket wait would serialise every
+// writer on the group-commit fsync; releasing first lets concurrent
+// appenders pile into the batch the one fsync then covers. Version-dense
+// recovery is preserved because the WAL enqueue (ordering) still happens
+// under the lock — only the ack (durability) moves outside it.
+func (s *Store) commit(fn func() (wal.Commit, error)) error {
 	ack, err := func() (wal.Commit, error) {
-		defer sh.mu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		return fn()
 	}()
 	if err != nil {
 		return err
 	}
 	return ack.Wait()
+}
+
+// bulkApply applies n items in order under one write-lock acquisition,
+// stopping at the first failure: items before it stay applied, items after
+// it are not attempted. It waits only on the last item's ticket, after
+// releasing the lock: batches seal and flush strictly in append order with
+// a sticky error (see wal/groupcommit.go), so the last ticket's success
+// covers every earlier append and its failure reports any earlier batch's.
+func (s *Store) bulkApply(n int, apply func(k int) (wal.Commit, error)) error {
+	return s.commit(func() (wal.Commit, error) {
+		var last wal.Commit
+		for k := 0; k < n; k++ {
+			ack, err := apply(k)
+			if err != nil {
+				return wal.Commit{}, err
+			}
+			last = ack
+		}
+		return last, nil
+	})
+}
+
+// cloneAll returns a clone of every entity in xs, for the bulk entry points
+// that hand a caller's values to the *Locked mutators.
+func cloneAll[T any](xs []*T, clone func(*T) *T) []*T {
+	out := make([]*T, len(xs))
+	for i, x := range xs {
+		out[i] = clone(x)
+	}
+	return out
+}
+
+// keys returns m's keys in no particular order.
+func keys[K comparable, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
+// sortedValues returns m's values in ascending key order.
+func sortedValues[K cmp.Ordered, V any](m map[K]V) []V {
+	ks := keys(m)
+	slices.Sort(ks)
+	out := make([]V, len(ks))
+	for i, k := range ks {
+		out[i] = m[k]
+	}
+	return out
 }
 
 // --- Workers ---
@@ -173,27 +230,23 @@ func (s *Store) PutWorker(w *model.Worker) error {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	c := w.Clone()
-	sh := s.lockOwner(string(c.ID))
-	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putWorkerLocked(sh, c, 0)
-	})
+	return s.commit(func() (wal.Commit, error) { return s.putWorkerLocked(c, 0) })
 }
 
-// putWorkerLocked inserts under the held shard lock. ver is 0 for live
+// putWorkerLocked inserts under the held write lock. ver is 0 for live
 // mutations (allocate the next version) and the original version during
 // WAL replay. Like every *Locked mutator it stores the entity it is given,
 // which must have its skills packed and which nobody may touch afterwards:
 // an entry point holding a caller's value passes a clone, and recovery
 // passes what it decoded. It returns the record's durability ticket for
 // the caller to Wait on after unlocking.
-func (s *Store) putWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.Commit, error) {
-	if _, dup := sh.workers[w.ID]; dup {
+func (s *Store) putWorkerLocked(w *model.Worker, ver uint64) (wal.Commit, error) {
+	if _, dup := s.workers[w.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("worker %s: %w", w.ID, ErrDuplicate)
 	}
-	sh.workers[w.ID] = w
-	v := s.allocVersion(ver)
-	return sh.record(Mutation{
-		Change: Change{Version: v, Op: OpInsert, Entity: EntityWorker, Worker: w.ID},
+	s.workers[w.ID] = w
+	return s.record(Mutation{
+		Change: Change{Version: s.allocVersion(ver), Op: OpInsert, Entity: EntityWorker, Worker: w.ID},
 		Worker: w,
 	})
 }
@@ -205,20 +258,16 @@ func (s *Store) UpdateWorker(w *model.Worker) error {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	c := w.Clone()
-	sh := s.lockOwner(string(c.ID))
-	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.updateWorkerLocked(sh, c, 0)
-	})
+	return s.commit(func() (wal.Commit, error) { return s.updateWorkerLocked(c, 0) })
 }
 
-func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.Commit, error) {
-	if _, ok := sh.workers[w.ID]; !ok {
+func (s *Store) updateWorkerLocked(w *model.Worker, ver uint64) (wal.Commit, error) {
+	if _, ok := s.workers[w.ID]; !ok {
 		return wal.Commit{}, fmt.Errorf("worker %s: %w", w.ID, ErrNotFound)
 	}
-	sh.workers[w.ID] = w
-	v := s.allocVersion(ver)
-	return sh.record(Mutation{
-		Change: Change{Version: v, Op: OpUpdate, Entity: EntityWorker, Worker: w.ID},
+	s.workers[w.ID] = w
+	return s.record(Mutation{
+		Change: Change{Version: s.allocVersion(ver), Op: OpUpdate, Entity: EntityWorker, Worker: w.ID},
 		Worker: w,
 	})
 }
@@ -228,10 +277,9 @@ func (s *Store) updateWorkerLocked(sh *shard, w *model.Worker, ver uint64) (wal.
 // result stays valid without the lock — and is strictly read-only: every
 // other reader sees the same one. PeekTask and PeekContribution likewise.
 func (s *Store) PeekWorker(id model.WorkerID) *model.Worker {
-	sh := s.rlockOwner(string(id))
-	w := sh.workers[id]
-	sh.mu.RUnlock()
-	return w
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.workers[id]
 }
 
 // Worker returns a copy of the worker with the given id.
@@ -245,74 +293,32 @@ func (s *Store) Worker(id model.WorkerID) (*model.Worker, error) {
 
 // Workers returns copies of all workers sorted by id.
 func (s *Store) Workers() []*model.Worker {
-	return s.workersSlice(false, nil)
-}
-
-// workersSlice gathers per-shard sorted runs (optionally shard-parallel)
-// and merges them into the id-sorted result. held, when non-nil, is the
-// locked view an enclosing critical section (Checkpoint) already pinned;
-// nil callers acquire their own.
-func (s *Store) workersSlice(parallel bool, held []*shard) []*model.Worker {
-	shs, release := held, func() {}
-	if shs == nil {
-		shs, release = s.rlockView()
-	}
-	per := make([][]*model.Worker, len(shs))
-	gather := func(i int) {
-		sh := shs[i]
-		out := make([]*model.Worker, 0, len(sh.workers))
-		for _, w := range sh.workers {
-			out = append(out, w)
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-		for k, w := range out {
-			out[k] = w.Clone()
-		}
-		per[i] = out
-	}
-	if parallel {
-		par.Do(len(shs), 0, gather)
-	} else {
-		for i := range shs {
-			gather(i)
-		}
-	}
-	release()
-	return mergeSorted(per, func(a, b *model.Worker) bool { return a.ID < b.ID })
+	s.mu.RLock()
+	ws := sortedValues(s.workers)
+	s.mu.RUnlock()
+	return cloneAll(ws, (*model.Worker).Clone)
 }
 
 // WorkerCount returns the number of workers without copying them.
 func (s *Store) WorkerCount() int {
-	shs, release := s.rlockView()
-	n := 0
-	for _, sh := range shs {
-		n += len(sh.workers)
-	}
-	release()
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.workers)
 }
 
 // WorkerIDs returns every worker's id in ascending order without copying
 // the workers.
 func (s *Store) WorkerIDs() []model.WorkerID {
-	shs, release := s.rlockView()
-	var ids []model.WorkerID
-	for _, sh := range shs {
-		for id := range sh.workers {
-			ids = append(ids, id)
-		}
-	}
-	release()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	s.mu.RLock()
+	ids := keys(s.workers)
+	s.mu.RUnlock()
+	slices.Sort(ids)
 	return ids
 }
 
-// BulkPutWorkers inserts many workers, fanning the inserts out across
-// shards in parallel (insertion order within a shard follows ws order).
-// On error the store keeps every insert that succeeded: each shard stops
-// at its own first failure, so entities after a failing one may still land
-// if they hash to other shards — callers must not retry a failed batch
-// wholesale.
+// BulkPutWorkers inserts many workers in order under one lock acquisition.
+// On error the store keeps the inserts before the failing one and attempts
+// none after it.
 func (s *Store) BulkPutWorkers(ws []*model.Worker) error {
 	if err := s.validWorkers(ws); err != nil {
 		return err
@@ -333,68 +339,17 @@ func (s *Store) validWorkers(ws []*model.Worker) error {
 // adoptWorkers is BulkPutWorkers after validation, storing the given
 // workers themselves (see putWorkerLocked).
 func (s *Store) adoptWorkers(ws []*model.Worker) error {
-	return s.bulkApply(len(ws), func(k int) string { return string(ws[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.putWorkerLocked(sh, ws[k], 0) })
+	return s.bulkApply(len(ws), func(k int) (wal.Commit, error) { return s.putWorkerLocked(ws[k], 0) })
 }
 
-// BulkUpdateWorkers applies many worker updates, fanning out across shards
-// in parallel. On error, updates that succeeded before each shard's own
-// first failure remain applied (see BulkPutWorkers).
+// BulkUpdateWorkers applies many worker updates in order under one lock
+// acquisition (failures as in BulkPutWorkers).
 func (s *Store) BulkUpdateWorkers(ws []*model.Worker) error {
 	if err := s.validWorkers(ws); err != nil {
 		return err
 	}
 	cs := cloneAll(ws, (*model.Worker).Clone)
-	return s.bulkApply(len(cs), func(k int) string { return string(cs[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.updateWorkerLocked(sh, cs[k], 0) })
-}
-
-// cloneAll returns a clone of every entity in xs, for the bulk entry points
-// that hand a caller's values to the *Locked mutators.
-func cloneAll[T any](xs []*T, clone func(*T) *T) []*T {
-	out := make([]*T, len(xs))
-	for i, x := range xs {
-		out[i] = clone(x)
-	}
-	return out
-}
-
-// bulkApply groups n items by owning shard and applies each group under a
-// single lock acquisition, in parallel across shards.
-//
-// Durability: each shard group waits only on its last item's ticket, after
-// releasing the shard lock. Within one writer batches seal and flush
-// strictly in append order with a sticky error (see wal/groupcommit.go),
-// so the last ticket's success covers every earlier append of the group
-// and its failure reports any earlier batch's failure.
-func (s *Store) bulkApply(n int, id func(k int) string, apply func(sh *shard, k int) (wal.Commit, error)) error {
-	groups := make([][]int, len(s.shards))
-	for k := 0; k < n; k++ {
-		i := s.shardIndex(id(k))
-		groups[i] = append(groups[i], k)
-	}
-	errs := make([]error, len(groups))
-	par.Do(len(groups), 0, func(i int) {
-		if len(groups[i]) == 0 {
-			return
-		}
-		sh := s.shards[i]
-		sh.mu.Lock()
-		var last wal.Commit
-		for _, k := range groups[i] {
-			ack, err := apply(sh, k)
-			if err != nil {
-				errs[i] = err
-				break
-			}
-			last = ack
-		}
-		sh.mu.Unlock()
-		if errs[i] == nil {
-			errs[i] = last.Wait()
-		}
-	})
-	return errors.Join(errs...)
+	return s.bulkApply(len(cs), func(k int) (wal.Commit, error) { return s.updateWorkerLocked(cs[k], 0) })
 }
 
 // --- Requesters ---
@@ -405,63 +360,39 @@ func (s *Store) PutRequester(r *model.Requester) error {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	c := *r
-	sh := s.lockOwner(string(c.ID))
-	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putRequesterLocked(sh, &c, 0)
-	})
+	return s.commit(func() (wal.Commit, error) { return s.putRequesterLocked(&c, 0) })
 }
 
-func (s *Store) putRequesterLocked(sh *shard, r *model.Requester, ver uint64) (wal.Commit, error) {
-	if _, dup := sh.requesters[r.ID]; dup {
+func (s *Store) putRequesterLocked(r *model.Requester, ver uint64) (wal.Commit, error) {
+	if _, dup := s.requesters[r.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("requester %s: %w", r.ID, ErrDuplicate)
 	}
-	sh.requesters[r.ID] = r
-	v := s.allocVersion(ver)
-	return sh.record(Mutation{
-		Change:    Change{Version: v, Op: OpInsert, Entity: EntityRequester, Requester: r.ID},
+	s.requesters[r.ID] = r
+	return s.record(Mutation{
+		Change:    Change{Version: s.allocVersion(ver), Op: OpInsert, Entity: EntityRequester, Requester: r.ID},
 		Requester: r,
 	})
 }
 
 // Requesters returns copies of all requesters sorted by id.
 func (s *Store) Requesters() []*model.Requester {
-	return s.requestersSlice(nil)
-}
-
-func (s *Store) requestersSlice(held []*shard) []*model.Requester {
-	shs, release := held, func() {}
-	if shs == nil {
-		shs, release = s.rlockView()
-	}
-	per := make([][]*model.Requester, len(shs))
-	for i, sh := range shs {
-		out := make([]*model.Requester, 0, len(sh.requesters))
-		for _, r := range sh.requesters {
-			out = append(out, r)
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-		for k, r := range out {
-			c := *r
-			out[k] = &c
-		}
-		per[i] = out
-	}
-	release()
-	return mergeSorted(per, func(a, b *model.Requester) bool { return a.ID < b.ID })
+	s.mu.RLock()
+	rs := sortedValues(s.requesters)
+	s.mu.RUnlock()
+	return cloneAll(rs, func(r *model.Requester) *model.Requester { c := *r; return &c })
 }
 
 func (s *Store) hasRequester(id model.RequesterID) bool {
-	sh := s.rlockOwner(string(id))
-	_, ok := sh.requesters[id]
-	sh.mu.RUnlock()
-	return ok
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.requesters[id] != nil
 }
 
 // --- Tasks ---
 
 // PutTask validates and inserts a task; its requester must already exist.
-// The existence probe takes only the requester shard's read lock: entities
-// are never deleted, so the probe cannot go stale before the insert.
+// The existence probe takes only the read lock: entities are never
+// deleted, so the probe cannot go stale before the insert.
 func (s *Store) PutTask(t *model.Task) error {
 	if err := t.Validate(s.universe); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -470,26 +401,23 @@ func (s *Store) PutTask(t *model.Task) error {
 		return fmt.Errorf("task %s: requester %s: %w", t.ID, t.Requester, ErrNotFound)
 	}
 	c := t.Clone()
-	sh := s.lockOwner(string(c.ID))
-	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putTaskLocked(sh, c, 0)
-	})
+	return s.commit(func() (wal.Commit, error) { return s.putTaskLocked(c, 0) })
 }
 
-func (s *Store) putTaskLocked(sh *shard, t *model.Task, ver uint64) (wal.Commit, error) {
-	if _, dup := sh.tasks[t.ID]; dup {
+func (s *Store) putTaskLocked(t *model.Task, ver uint64) (wal.Commit, error) {
+	if _, dup := s.tasks[t.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("task %s: %w", t.ID, ErrDuplicate)
 	}
-	sh.tasks[t.ID] = t
-	v := s.allocVersion(ver)
-	return sh.record(Mutation{
-		Change: Change{Version: v, Op: OpInsert, Entity: EntityTask, Task: t.ID, Requester: t.Requester},
+	s.tasks[t.ID] = t
+	return s.record(Mutation{
+		Change: Change{Version: s.allocVersion(ver), Op: OpInsert, Entity: EntityTask, Task: t.ID, Requester: t.Requester},
 		Task:   t,
 	})
 }
 
-// BulkPutTasks inserts many tasks, probing the referenced requesters up
-// front and fanning the inserts out across shards in parallel.
+// BulkPutTasks inserts many tasks in order under one lock acquisition,
+// probing the referenced requesters up front (failures as in
+// BulkPutWorkers).
 func (s *Store) BulkPutTasks(ts []*model.Task) error {
 	if err := s.validTasks(ts); err != nil {
 		return err
@@ -514,16 +442,14 @@ func (s *Store) validTasks(ts []*model.Task) error {
 // adoptTasks is BulkPutTasks after validation, storing the given tasks
 // themselves (see putWorkerLocked).
 func (s *Store) adoptTasks(ts []*model.Task) error {
-	return s.bulkApply(len(ts), func(k int) string { return string(ts[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.putTaskLocked(sh, ts[k], 0) })
+	return s.bulkApply(len(ts), func(k int) (wal.Commit, error) { return s.putTaskLocked(ts[k], 0) })
 }
 
 // PeekTask returns the stored task itself, nil when absent (see PeekWorker).
 func (s *Store) PeekTask(id model.TaskID) *model.Task {
-	sh := s.rlockOwner(string(id))
-	t := sh.tasks[id]
-	sh.mu.RUnlock()
-	return t
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tasks[id]
 }
 
 // Task returns a copy of the task with the given id.
@@ -537,69 +463,34 @@ func (s *Store) Task(id model.TaskID) (*model.Task, error) {
 
 // Tasks returns copies of all tasks sorted by id.
 func (s *Store) Tasks() []*model.Task {
-	return s.tasksSlice(false, nil)
-}
-
-func (s *Store) tasksSlice(parallel bool, held []*shard) []*model.Task {
-	shs, release := held, func() {}
-	if shs == nil {
-		shs, release = s.rlockView()
-	}
-	per := make([][]*model.Task, len(shs))
-	gather := func(i int) {
-		sh := shs[i]
-		out := make([]*model.Task, 0, len(sh.tasks))
-		for _, t := range sh.tasks {
-			out = append(out, t)
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-		for k, t := range out {
-			out[k] = t.Clone()
-		}
-		per[i] = out
-	}
-	if parallel {
-		par.Do(len(shs), 0, gather)
-	} else {
-		for i := range shs {
-			gather(i)
-		}
-	}
-	release()
-	return mergeSorted(per, func(a, b *model.Task) bool { return a.ID < b.ID })
+	s.mu.RLock()
+	ts := sortedValues(s.tasks)
+	s.mu.RUnlock()
+	return cloneAll(ts, (*model.Task).Clone)
 }
 
 // TaskIDs returns every task's id in ascending order without copying the
 // tasks.
 func (s *Store) TaskIDs() []model.TaskID {
-	shs, release := s.rlockView()
-	var ids []model.TaskID
-	for _, sh := range shs {
-		for id := range sh.tasks {
-			ids = append(ids, id)
-		}
-	}
-	release()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	s.mu.RLock()
+	ids := keys(s.tasks)
+	s.mu.RUnlock()
+	slices.Sort(ids)
 	return ids
 }
 
 // TaskCount returns the number of tasks.
 func (s *Store) TaskCount() int {
-	shs, release := s.rlockView()
-	n := 0
-	for _, sh := range shs {
-		n += len(sh.tasks)
-	}
-	release()
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.tasks)
 }
 
 // --- Contributions ---
 
 // PutContribution validates and inserts a contribution; its task and worker
-// must already exist (read-locked probes of their shards; sound because
-// entities are never deleted).
+// must already exist (read-locked probes; sound because entities are never
+// deleted).
 func (s *Store) PutContribution(c *model.Contribution) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -608,10 +499,7 @@ func (s *Store) PutContribution(c *model.Contribution) error {
 		return err
 	}
 	cc := c.Clone()
-	sh := s.lockOwner(string(cc.ID))
-	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.putContributionLocked(sh, cc, 0)
-	})
+	return s.commit(func() (wal.Commit, error) { return s.putContributionLocked(cc, 0) })
 }
 
 func (s *Store) checkContribRefs(c *model.Contribution) error {
@@ -624,24 +512,24 @@ func (s *Store) checkContribRefs(c *model.Contribution) error {
 	return nil
 }
 
-func (s *Store) putContributionLocked(sh *shard, c *model.Contribution, ver uint64) (wal.Commit, error) {
-	if _, dup := sh.contribs[c.ID]; dup {
+func (s *Store) putContributionLocked(c *model.Contribution, ver uint64) (wal.Commit, error) {
+	if _, dup := s.contribs[c.ID]; dup {
 		return wal.Commit{}, fmt.Errorf("contribution %s: %w", c.ID, ErrDuplicate)
 	}
-	sh.contribs[c.ID] = c
-	sh.contribsByTask[c.Task] = insertContribID(sh.contribsByTask[c.Task], sh.contribs, c.ID)
-	v := s.allocVersion(ver)
-	return sh.record(Mutation{
+	s.contribs[c.ID] = c
+	s.contribsByTask[c.Task] = insertContribID(s.contribsByTask[c.Task], s.contribs, c.ID)
+	return s.record(Mutation{
 		Change: Change{
-			Version: v, Op: OpInsert, Entity: EntityContribution,
+			Version: s.allocVersion(ver), Op: OpInsert, Entity: EntityContribution,
 			Contribution: c.ID, Task: c.Task, Worker: c.Worker,
 		},
 		Contribution: c,
 	})
 }
 
-// BulkPutContributions inserts many contributions, probing referenced tasks
-// and workers up front and fanning out across shards in parallel.
+// BulkPutContributions inserts many contributions in order under one lock
+// acquisition, probing referenced tasks and workers up front (failures as
+// in BulkPutWorkers).
 func (s *Store) BulkPutContributions(cs []*model.Contribution) error {
 	if err := s.validContributions(cs); err != nil {
 		return err
@@ -666,8 +554,7 @@ func (s *Store) validContributions(cs []*model.Contribution) error {
 // adoptContributions is BulkPutContributions after validation, storing the
 // given contributions themselves (see putWorkerLocked).
 func (s *Store) adoptContributions(cs []*model.Contribution) error {
-	return s.bulkApply(len(cs), func(k int) string { return string(cs[k].ID) },
-		func(sh *shard, k int) (wal.Commit, error) { return s.putContributionLocked(sh, cs[k], 0) })
+	return s.bulkApply(len(cs), func(k int) (wal.Commit, error) { return s.putContributionLocked(cs[k], 0) })
 }
 
 // UpdateContribution replaces an existing contribution (e.g. after the
@@ -677,14 +564,11 @@ func (s *Store) UpdateContribution(c *model.Contribution) error {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	cc := c.Clone()
-	sh := s.lockOwner(string(cc.ID))
-	return commitOutside(sh, func() (wal.Commit, error) {
-		return s.updateContributionLocked(sh, cc, 0)
-	})
+	return s.commit(func() (wal.Commit, error) { return s.updateContributionLocked(cc, 0) })
 }
 
-func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver uint64) (wal.Commit, error) {
-	old, ok := sh.contribs[c.ID]
+func (s *Store) updateContributionLocked(c *model.Contribution, ver uint64) (wal.Commit, error) {
+	old, ok := s.contribs[c.ID]
 	if !ok {
 		return wal.Commit{}, fmt.Errorf("contribution %s: %w", c.ID, ErrNotFound)
 	}
@@ -694,16 +578,15 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver u
 	if old.SubmittedAt != c.SubmittedAt {
 		// The (SubmittedAt, ID) sort key moved: re-position the index
 		// entry before swapping in the new value.
-		sh.contribsByTask[c.Task] = removeContribID(sh.contribsByTask[c.Task], sh.contribs, old.SubmittedAt, c.ID)
-		sh.contribs[c.ID] = c
-		sh.contribsByTask[c.Task] = insertContribID(sh.contribsByTask[c.Task], sh.contribs, c.ID)
+		s.contribsByTask[c.Task] = removeContribID(s.contribsByTask[c.Task], s.contribs, old.SubmittedAt, c.ID)
+		s.contribs[c.ID] = c
+		s.contribsByTask[c.Task] = insertContribID(s.contribsByTask[c.Task], s.contribs, c.ID)
 	} else {
-		sh.contribs[c.ID] = c
+		s.contribs[c.ID] = c
 	}
-	v := s.allocVersion(ver)
-	return sh.record(Mutation{
+	return s.record(Mutation{
 		Change: Change{
-			Version: v, Op: OpUpdate, Entity: EntityContribution,
+			Version: s.allocVersion(ver), Op: OpUpdate, Entity: EntityContribution,
 			Contribution: c.ID, Task: c.Task, Worker: c.Worker,
 		},
 		Contribution: c,
@@ -713,10 +596,9 @@ func (s *Store) updateContributionLocked(sh *shard, c *model.Contribution, ver u
 // PeekContribution returns the stored contribution itself, nil when absent
 // (see PeekWorker).
 func (s *Store) PeekContribution(id model.ContributionID) *model.Contribution {
-	sh := s.rlockOwner(string(id))
-	c := sh.contribs[id]
-	sh.mu.RUnlock()
-	return c
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.contribs[id]
 }
 
 // Contribution returns a copy of the contribution with the given id.
@@ -730,47 +612,30 @@ func (s *Store) Contribution(id model.ContributionID) (*model.Contribution, erro
 
 // Contributions returns copies of all contributions sorted by id.
 func (s *Store) Contributions() []*model.Contribution {
-	return s.contributionsSlice(false, nil)
-}
-
-func (s *Store) contributionsSlice(parallel bool, held []*shard) []*model.Contribution {
-	shs, release := held, func() {}
-	if shs == nil {
-		shs, release = s.rlockView()
-	}
-	per := make([][]*model.Contribution, len(shs))
-	gather := func(i int) {
-		sh := shs[i]
-		out := make([]*model.Contribution, 0, len(sh.contribs))
-		for _, c := range sh.contribs {
-			out = append(out, c)
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-		for k, c := range out {
-			out[k] = c.Clone()
-		}
-		per[i] = out
-	}
-	if parallel {
-		par.Do(len(shs), 0, gather)
-	} else {
-		for i := range shs {
-			gather(i)
-		}
-	}
-	release()
-	return mergeSorted(per, func(a, b *model.Contribution) bool { return a.ID < b.ID })
+	s.mu.RLock()
+	cs := sortedValues(s.contribs)
+	s.mu.RUnlock()
+	return cloneAll(cs, (*model.Contribution).Clone)
 }
 
 // ContributionCount returns the number of contributions.
 func (s *Store) ContributionCount() int {
-	shs, release := s.rlockView()
-	n := 0
-	for _, sh := range shs {
-		n += len(sh.contribs)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.contribs)
+}
+
+// ContributionsByTask returns copies of the contributions to a task,
+// ordered by submission time then id — the index's own order.
+func (s *Store) ContributionsByTask(id model.TaskID) []*model.Contribution {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ids := s.contribsByTask[id]
+	out := make([]*model.Contribution, len(ids))
+	for k, cid := range ids {
+		out[k] = s.contribs[cid].Clone()
 	}
-	release()
-	return n
+	return out
 }
 
 // contribOrderLess is the (SubmittedAt, ID) read order of the per-task
@@ -782,25 +647,35 @@ func contribOrderLess(a, b *model.Contribution) bool {
 	return a.ID < b.ID
 }
 
-// ContributionsByTask returns copies of the contributions to a task,
-// ordered by submission time then id. Per-shard index runs are maintained
-// in that order at insert time, so the read is a merge, not a sort.
-func (s *Store) ContributionsByTask(id model.TaskID) []*model.Contribution {
-	shs, release := s.rlockView()
-	per := make([][]*model.Contribution, len(shs))
-	for i, sh := range shs {
-		ids := sh.contribsByTask[id]
-		out := make([]*model.Contribution, len(ids))
-		for k, cid := range ids {
-			out[k] = sh.contribs[cid]
+// contribPos finds the position of the (at, id) key in a contribution index
+// sorted by (SubmittedAt, ID). contribs must hold every listed id.
+func contribPos(ids []model.ContributionID, contribs map[model.ContributionID]*model.Contribution, at int64, id model.ContributionID) int {
+	return sort.Search(len(ids), func(k int) bool {
+		c := contribs[ids[k]]
+		if c.SubmittedAt != at {
+			return c.SubmittedAt > at
 		}
-		per[i] = out
+		return ids[k] >= id
+	})
+}
+
+// insertContribID inserts id into a (SubmittedAt, ID)-sorted index. The
+// contribution must already be present in contribs.
+func insertContribID(ids []model.ContributionID, contribs map[model.ContributionID]*model.Contribution, id model.ContributionID) []model.ContributionID {
+	c := contribs[id]
+	i := contribPos(ids, contribs, c.SubmittedAt, id)
+	ids = append(ids, id)
+	copy(ids[i+1:], ids[i:])
+	ids[i] = id
+	return ids
+}
+
+// removeContribID removes id (which sorted at submittedAt when inserted)
+// from a (SubmittedAt, ID)-sorted index.
+func removeContribID(ids []model.ContributionID, contribs map[model.ContributionID]*model.Contribution, at int64, id model.ContributionID) []model.ContributionID {
+	i := contribPos(ids, contribs, at, id)
+	if i < len(ids) && ids[i] == id {
+		return append(ids[:i], ids[i+1:]...)
 	}
-	release()
-	for _, run := range per {
-		for k, c := range run {
-			run[k] = c.Clone()
-		}
-	}
-	return mergeSorted(per, contribOrderLess)
+	return ids
 }

@@ -24,11 +24,11 @@ import (
 // CRC underneath.
 
 // Frame epochs. The epoch uvarint once named the shard layout a record was
-// routed under, when a store could change width online. The layout is now
-// fixed, and the field keeps one value per frame kind so every directory
-// written before stays readable: walEpoch in WAL frames, snapshotEpoch in
-// snapshot frames. Decoding refuses any other value, so every accepted
-// record re-encodes to its own bytes.
+// routed under, when a store could change width online. The field now
+// keeps one value per frame kind, so record bytes are those the earlier
+// formats wrote: walEpoch in WAL frames, snapshotEpoch in snapshot frames.
+// Decoding refuses any other value, so every accepted record re-encodes to
+// its own bytes.
 const (
 	walEpoch      = 1
 	snapshotEpoch = 0

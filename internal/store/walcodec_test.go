@@ -81,7 +81,7 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 // TestOnDiskFormatGolden pins the bytes the store writes, so a codec or
 // manifest change that would strand existing directories fails here: the
 // WAL payloads of a worker insert, a task insert and a contribution update
-// (each carrying walEpoch), and the manifest NewDurable writes.
+// (each carrying walEpoch), and the manifest CreateDurable writes.
 func TestOnDiskFormatGolden(t *testing.T) {
 	muts := []struct {
 		m    Mutation
@@ -139,12 +139,12 @@ func TestOnDiskFormatGolden(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s, err := NewDurable(model.MustUniverse("go", "sql", "ml"), 4, dir, wal.Options{})
+	s, err := CreateDurable(model.MustUniverse("go", "sql", "ml"), dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	const wantManifest = `{"format":3,"skills":["go","sql","ml"],"shards":4,"epoch":1,"version":0}`
+	const wantManifest = `{"format":4,"skills":["go","sql","ml"],"version":0}`
 	if got, err := os.ReadFile(manifestPath(dir)); err != nil || string(got) != wantManifest {
 		t.Fatalf("MANIFEST.json = %s (%v), want %s", got, err, wantManifest)
 	}

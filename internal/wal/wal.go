@@ -1,5 +1,5 @@
 // Package wal implements the segmented write-ahead log underneath the
-// store's per-shard changelogs and the event log's durable tee.
+// store's changelog and the event log's durable tee.
 //
 // A log is a directory of append-only segment files (seg-00000001.wal,
 // seg-00000002.wal, ...). Each record is framed as
@@ -17,7 +17,7 @@
 // Segments rotate once the active file reaches Options.SegmentBytes. The
 // writer remembers each completed segment's maximum key, which is what
 // checkpoint truncation uses: TruncateBefore(k) unlinks every completed
-// segment whose records are all at or below k — the per-shard low-water
+// segment whose records are all at or below k — the checkpoint's low-water
 // version — without ever touching the active segment.
 //
 // Every append takes one path, group commit (groupcommit.go): the record
@@ -168,7 +168,7 @@ type segInfo struct {
 
 // Writer appends records to a segment directory. AppendAsync may be
 // called from one goroutine at a time (the store serialises appends under
-// each shard's lock), but it runs concurrently with the group-commit
+// its write lock), but it runs concurrently with the group-commit
 // flusher and with Commit.Wait from any goroutine; the maintenance methods
 // (Sync, Rotate, TruncateBefore, Close, Stats) are safe to call from any
 // goroutine as well.
@@ -436,8 +436,8 @@ func (w *Writer) TruncateBefore(key uint64) error {
 // TruncateAfter physically removes every record with key > key from the
 // log directory: the containing segment is cut at the first such record
 // and all later segments are deleted. Recovery uses it to discard a tail
-// that lost global density (a torn record in one shard's log invalidates
-// every higher version across shards), so that writers reopened afterwards
+// behind a version gap (a torn or undecodable record invalidates every
+// higher version), so that writers reopened afterwards
 // append immediately after the last surviving record. A damaged frame cuts
 // at the damage point as well.
 func TruncateAfter(dir string, key uint64) error {

@@ -71,7 +71,7 @@ func TestPlatformRecordContribution(t *testing.T) {
 	if err := p.RecordContribution(c); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(p.Log().ByType(eventlog.TaskSubmitted)); got != 1 {
+	if got := len(byType(p.Log(), eventlog.TaskSubmitted)); got != 1 {
 		t.Fatalf("submitted events = %d", got)
 	}
 }
@@ -169,7 +169,7 @@ func TestSimulateWithPolicy(t *testing.T) {
 	if res.Metrics.TransparencyScore <= 0 {
 		t.Fatalf("score = %v", res.Metrics.TransparencyScore)
 	}
-	if got := len(res.Platform.Log().ByType(eventlog.Disclosure)); got == 0 {
+	if got := len(byType(res.Platform.Log(), eventlog.Disclosure)); got == 0 {
 		t.Fatal("no disclosure events emitted")
 	}
 }
@@ -267,4 +267,15 @@ func TestAuditIncrementalTracksAuditFairness(t *testing.T) {
 		t.Fatalf("config change ignored: %v", rep[0].Violations)
 	}
 	sameViolations("back on the default config")
+}
+
+// byType returns the log's events of type typ, in order.
+func byType(log *eventlog.Log, typ eventlog.Type) []eventlog.Event {
+	var out []eventlog.Event
+	for _, e := range log.Events() {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
 }

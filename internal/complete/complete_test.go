@@ -110,7 +110,7 @@ func TestCancelOnQuotaInterruptsStartedWork(t *testing.T) {
 	if !e.TaskClosed("t1") {
 		t.Fatal("task not closed at quota")
 	}
-	if len(log.ByType(eventlog.TaskInterrupted)) != 2 {
+	if len(byType(log, eventlog.TaskInterrupted)) != 2 {
 		t.Fatal("interruption events missing")
 	}
 	// Interrupted workers cannot submit.
@@ -255,4 +255,15 @@ func TestPolicyStrings(t *testing.T) {
 	if StateOffered.String() != "offered" || StateInterrupted.String() != "interrupted" {
 		t.Fatal("state names wrong")
 	}
+}
+
+// byType returns the log's events of type typ, in order.
+func byType(log *eventlog.Log, typ eventlog.Type) []eventlog.Event {
+	var out []eventlog.Event
+	for _, e := range log.Events() {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -254,24 +254,6 @@ func (l *Log) Prefix() []Event {
 	return l.events[:len(l.events):len(l.events)]
 }
 
-// Filter returns the events for which keep returns true, in order.
-func (l *Log) Filter(keep func(Event) bool) []Event {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Event
-	for _, e := range l.events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ByType returns the events of the given type, in order.
-func (l *Log) ByType(t Type) []Event {
-	return l.Filter(func(e Event) bool { return e.Type == t })
-}
-
 // WriteTo serialises the log as JSON lines. It implements io.WriterTo.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
 	l.mu.RLock()

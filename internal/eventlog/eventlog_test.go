@@ -65,13 +65,13 @@ func seededLog() *Log {
 
 func TestFilters(t *testing.T) {
 	l := seededLog()
-	if got := l.ByType(TaskOffered); len(got) != 2 {
+	if got := filter(l, func(e Event) bool { return e.Type == TaskOffered }); len(got) != 2 {
 		t.Fatalf("ByType = %d events", len(got))
 	}
-	if got := l.Filter(func(e Event) bool { return e.Worker == "w1" }); len(got) != 4 {
+	if got := filter(l, func(e Event) bool { return e.Worker == "w1" }); len(got) != 4 {
 		t.Fatalf("worker filter = %d events", len(got))
 	}
-	if got := l.Filter(func(e Event) bool { return e.Task == "t2" }); len(got) != 1 || got[0].Worker != "w2" {
+	if got := filter(l, func(e Event) bool { return e.Task == "t2" }); len(got) != 1 || got[0].Worker != "w2" {
 		t.Fatalf("task filter = %v", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestReadSkipsBlankLines(t *testing.T) {
 
 func TestFilterPredicate(t *testing.T) {
 	l := seededLog()
-	paid := l.Filter(func(e Event) bool { return e.Amount > 0 })
+	paid := filter(l, func(e Event) bool { return e.Amount > 0 })
 	if len(paid) != 1 || paid[0].Type != PaymentIssued {
 		t.Fatalf("filter = %v", paid)
 	}
@@ -137,7 +137,7 @@ func TestFilterPredicate(t *testing.T) {
 
 func TestByWorkerEmptyResult(t *testing.T) {
 	l := seededLog()
-	if got := l.Filter(func(e Event) bool { return e.Worker == model.WorkerID("ghost") }); len(got) != 0 {
+	if got := filter(l, func(e Event) bool { return e.Worker == model.WorkerID("ghost") }); len(got) != 0 {
 		t.Fatalf("ghost worker events = %v", got)
 	}
 }
@@ -198,4 +198,15 @@ func TestLastTime(t *testing.T) {
 	if got := l.LastTime(); got != 7 {
 		t.Fatalf("LastTime = %d, want 7", got)
 	}
+}
+
+// filter returns the log's events for which keep returns true, in order.
+func filter(l *Log, keep func(Event) bool) []Event {
+	var out []Event
+	for _, e := range l.Events() {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

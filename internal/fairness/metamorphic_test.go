@@ -159,7 +159,7 @@ func TestCheckersMetamorphic(t *testing.T) {
 			t.Fatalf("seed %d: the fixture has nothing for the repairs to fix", seed)
 		}
 		offers := map[model.WorkerID][]model.TaskID{}
-		for _, e := range log2.ByType(eventlog.TaskOffered) {
+		for _, e := range byType(log2, eventlog.TaskOffered) {
 			offers[e.Worker] = append(offers[e.Worker], e.Task)
 		}
 		for _, g := range fairness.RepairAxiom1(st2, offers, cfg) {
@@ -194,4 +194,15 @@ func first(keys []string) string {
 		return ""
 	}
 	return keys[0]
+}
+
+// byType returns the log's events of type typ, in order.
+func byType(log *eventlog.Log, typ eventlog.Type) []eventlog.Event {
+	var out []eventlog.Event
+	for _, e := range log.Events() {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -54,7 +54,7 @@ func TestRunBasics(t *testing.T) {
 		eventlog.WorkerJoined, eventlog.TaskPosted, eventlog.TaskOffered,
 		eventlog.TaskStarted, eventlog.TaskSubmitted, eventlog.PaymentIssued,
 	} {
-		if len(res.Log.ByType(typ)) == 0 {
+		if len(byType(res.Log, typ)) == 0 {
 			t.Errorf("trace has no %s events", typ)
 		}
 	}
@@ -106,7 +106,7 @@ func TestRunPaymentsMatchLedger(t *testing.T) {
 	}
 	// And equal the sum of PaymentIssued amounts in the trace.
 	var fromEvents float64
-	for _, e := range res.Log.ByType(eventlog.PaymentIssued) {
+	for _, e := range byType(res.Log, eventlog.PaymentIssued) {
 		fromEvents += e.Amount
 	}
 	if diff := res.Ledger.Total() - fromEvents; diff > 1e-9 || diff < -1e-9 {
@@ -170,14 +170,14 @@ func TestInterruptionsReachRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	interrupted := make(map[model.WorkerID]bool)
-	for _, e := range res.Log.ByType(eventlog.TaskInterrupted) {
+	for _, e := range byType(res.Log, eventlog.TaskInterrupted) {
 		interrupted[e.Worker] = true
 	}
 	if len(interrupted) == 0 {
 		t.Fatal("over-published tasks under on-quota cancellation produced no interruptions")
 	}
 	left := make(map[model.WorkerID]bool)
-	for _, e := range res.Log.ByType(eventlog.WorkerLeft) {
+	for _, e := range byType(res.Log, eventlog.WorkerLeft) {
 		left[e.Worker] = true
 	}
 	baseline := retention.Params{}.WithDefaults().Baseline
@@ -268,7 +268,7 @@ func TestRunFlagsLowAcceptanceWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Log.ByType(eventlog.WorkerFlagged)) == 0 {
+	if len(byType(res.Log, eventlog.WorkerFlagged)) == 0 {
 		t.Fatal("no workers flagged despite harsh acceptance")
 	}
 	// With flagging on, Axiom 4 must hold.
@@ -308,10 +308,10 @@ func TestRunBonusContracts(t *testing.T) {
 	if res.Metrics.BonusesReneged != 0 {
 		t.Fatalf("reneged %d at honour rate 1", res.Metrics.BonusesReneged)
 	}
-	if got := len(res.Log.ByType(eventlog.BonusPromised)); got == 0 {
+	if got := len(byType(res.Log, eventlog.BonusPromised)); got == 0 {
 		t.Fatal("no promise events")
 	}
-	if got := len(res.Log.ByType(eventlog.BonusPaid)); got != res.Metrics.BonusesPaid {
+	if got := len(byType(res.Log, eventlog.BonusPaid)); got != res.Metrics.BonusesPaid {
 		t.Fatalf("paid events = %d, metrics say %d", got, res.Metrics.BonusesPaid)
 	}
 
@@ -327,7 +327,7 @@ func TestRunBonusContracts(t *testing.T) {
 	if res.Metrics.BonusesPaid != 0 || res.Metrics.BonusesReneged == 0 {
 		t.Fatalf("honour rate 0: paid=%d reneged=%d", res.Metrics.BonusesPaid, res.Metrics.BonusesReneged)
 	}
-	if got := len(res.Log.ByType(eventlog.BonusPaid)); got != 0 {
+	if got := len(byType(res.Log, eventlog.BonusPaid)); got != 0 {
 		t.Fatalf("paid events at honour rate 0: %d", got)
 	}
 }
@@ -348,4 +348,15 @@ func TestRunTraceIsWellFormed(t *testing.T) {
 			t.Fatalf("seq gap at %d", i)
 		}
 	}
+}
+
+// byType returns the log's events of type typ, in order.
+func byType(log *eventlog.Log, typ eventlog.Type) []eventlog.Event {
+	var out []eventlog.Event
+	for _, e := range log.Events() {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -91,8 +91,7 @@ func (r *Replica) CatchUp() (int, error) {
 		return applied, fmt.Errorf("replica: %w", err)
 	}
 	// Versions on disk past the applied one that this pass could not reach
-	// are either behind a torn, still-being-appended record or checkpointed
-	// away. Only a newer manifest proves the latter.
+	// were checkpointed away only if a newer manifest says so.
 	if v := r.st.Version(); r.observed > v {
 		if man, err := store.ReadManifest(r.dir); err == nil && man.Version > v {
 			return applied, fmt.Errorf("%w: applied %d, checkpoint at %d", ErrGap, v, man.Version)

@@ -2,10 +2,10 @@
 // that turns the paper's batch audits into the continuous monitoring loop a
 // long-lived platform needs. A full AuditFairness pass re-scans every
 // candidate pair on every call — quadratic per tick, untenable alongside
-// live traffic. Engine instead subscribes to the store's changelog
-// (store.ChangesSince, read past one cursor) and the event log's ledger (the one
-// fold of the trace: offers, flags, interrupted starts, each reader
-// reading what arrived since its own position), computes per-axiom dirty
+// live traffic. Engine instead reads the store's changelog past one cursor
+// (store.ChangesSince) and the event log's ledger (the one fold of the
+// trace: offers, flags, interrupted starts, each reader reading what
+// arrived since its own position), computes per-axiom dirty
 // sets — workers whose attributes or offer sets moved, tasks whose
 // audiences or contribution sets moved — and re-checks only pairs with at
 // least one dirty endpoint, maintaining the violation set across passes.
@@ -126,8 +126,9 @@ type Cost struct {
 	WorkerJoin, TaskJoin similarity.JoinWork
 }
 
-// scratch is the engine's per-pass workspace: the four dirty sets, and their sorted projections are cleared and refilled each
-// pass instead of reallocated, so a steady-state delta audit's fixed
+// scratch is the engine's per-pass workspace: the four dirty sets and
+// their sorted projections are cleared and refilled each pass instead of
+// reallocated, so a steady-state delta audit's fixed
 // bookkeeping costs no allocations — what remains scales with what the pass
 // actually found.
 type scratch struct {

@@ -17,9 +17,8 @@ type Mutation struct {
 }
 
 // changeRing is the bounded changelog ring that incremental auditors read
-// through ChangesSince. Versions in it are strictly increasing (appends
-// happen under the write lock), and consecutive apart from what recovery
-// seeds below a checkpoint.
+// through ChangesSince. Versions in it are strictly increasing: appends
+// happen under the write lock.
 type changeRing struct {
 	buf   []Change
 	start int
